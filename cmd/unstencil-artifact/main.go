@@ -125,7 +125,7 @@ func pack(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	op, err := ev.AssembleOperator(core.AssembleOpts{Congruence: core.CongruenceTemplate})
+	op, err := ev.AssembleOperator(core.AssembleOpts{})
 	if err != nil {
 		fatal(err)
 	}
@@ -177,7 +177,7 @@ func inspect(args []string) {
 		fatal(err)
 	}
 	fmt.Printf("%s\n  kind     %s (format v%d)\n  size     %d bytes\n  key      %s\n  sections %d\n",
-		args[0], artifact.KindName(c.Kind), artifact.Version, size, key, len(c.Sections))
+		args[0], artifact.KindName(c.Kind), c.Version, size, key, len(c.Sections))
 	for _, s := range c.Sections {
 		fmt.Printf("    type %-3d crc %08x  [%8d, +%d)\n", s.Type, s.CRC, s.Offset, s.Length)
 	}

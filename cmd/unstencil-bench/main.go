@@ -10,9 +10,6 @@
 //	unstencil-bench -scaling -scaling-out BENCH_PR4.json
 //	unstencil-bench -operator -operator-out BENCH_PR5.json
 //	unstencil-bench -artifact -artifact-out BENCH_PR6.json
-//	unstencil-bench -spmm -spmm-out BENCH_PR8.json -spmm-gha BENCH_PR8.gha.json
-//	unstencil-bench -assemble -assemble-out BENCH_PR9.json -assemble-gha BENCH_PR9.gha.json
-//	unstencil-bench -bsr -bsr-out BENCH_PR10.json -bsr-gha BENCH_PR10.gha.json
 //
 // Each invocation merges its results into the output file under -label,
 // preserving runs recorded under other labels; -compare prints a
@@ -20,17 +17,14 @@
 // re-benchmarking. -scaling runs the strong-scaling sweep instead: every
 // scheme at every worker count, recording wall-clock and modeled speedups
 // plus the bit-identity check against the serial run. -operator runs the
-// assembled-operator sweep: assembly cost, apply-vs-direct throughput, CSR
-// shape, and the break-even field count at which assembly pays for itself.
-// -artifact runs the cold-start sweep: re-assembly cost vs loading the
-// persisted operator artifact (mapped and portable), encoded bytes per
-// artifact, and the identity check on the loaded operator's output.
-// -assemble runs the congruence-first assembly sweep: naive vs
-// template-aware wall time, congruence-class structure, verification and
-// demotion outcomes, and the bitwise identity check against the naive
-// operator. -bsr runs the block-sparse layout sweep: scalar CSR vs blocked
-// apply throughput per order and batch width, resident sizes per layout,
-// and the bitwise identity check between the two kernels.
+// assembled-operator sweep: assembly cost, apply-vs-direct throughput,
+// operator shape, and the break-even field count at which assembly pays for
+// itself. -artifact runs the cold-start sweep: re-assembly cost vs loading
+// the persisted operator artifact (mapped and portable), encoded bytes per
+// artifact, and the identity check on the loaded operator's output. (The
+// request-level numbers live in ./benchmark; the sweeps over operator
+// layouts, batching and assembly schedules that used to run here are
+// recorded in EXPERIMENTS.md, "Retired sweeps".)
 package main
 
 import (
@@ -59,135 +53,8 @@ func main() {
 		artifactSweep  = flag.Bool("artifact", false, "run the artifact cold-start sweep instead of the hot-path suite")
 		artifactOut    = flag.String("artifact-out", "BENCH_PR6.json", "with -artifact: report file to write")
 		artifactDir    = flag.String("artifact-dir", "", "with -artifact: store scratch directory (default: temp dir)")
-		spmm           = flag.Bool("spmm", false, "run the batched-apply (SpMM) sweep instead of the hot-path suite")
-		spmmOut        = flag.String("spmm-out", "BENCH_PR8.json", "with -spmm: report file to write")
-		spmmGHA        = flag.String("spmm-gha", "", "with -spmm: also write the github-action-benchmark JSON array here")
-		spmmFields     = flag.String("spmm-fields", "", "with -spmm: comma-separated batch widths, e.g. 1,2,4,8,16")
-		assemble       = flag.Bool("assemble", false, "run the congruence-first assembly sweep instead of the hot-path suite")
-		assembleOut    = flag.String("assemble-out", "BENCH_PR9.json", "with -assemble: report file to write")
-		assembleGHA    = flag.String("assemble-gha", "", "with -assemble: also write the github-action-benchmark JSON array here")
-		assembleMD     = flag.String("assemble-md", "", "with -assemble: also write the README markdown table here")
-		assembleReps   = flag.Int("assemble-reps", 0, "with -assemble: assemblies per variant, minimum reported (0 = default)")
-		bsr            = flag.Bool("bsr", false, "run the block-sparse layout sweep instead of the hot-path suite")
-		bsrOut         = flag.String("bsr-out", "BENCH_PR10.json", "with -bsr: report file to write")
-		bsrGHA         = flag.String("bsr-gha", "", "with -bsr: also write the github-action-benchmark JSON array here")
-		bsrMD          = flag.String("bsr-md", "", "with -bsr: also write the README markdown table here")
-		bsrFields      = flag.String("bsr-fields", "", "with -bsr: comma-separated batch widths, e.g. 1,8")
 	)
 	flag.Parse()
-
-	if *bsr {
-		bcfg := bench.DefaultBSRConfig()
-		if *size > 0 {
-			bcfg.Size = *size
-		}
-		if *workers > 0 {
-			bcfg.Workers = *workers
-		}
-		if *bsrFields != "" {
-			fs, err := parseWorkerList(*bsrFields)
-			if err != nil {
-				fatal(err)
-			}
-			bcfg.Fields = fs
-		}
-		fmt.Fprintf(os.Stderr, "running block-sparse layout sweep (size=%d, orders=%v, fields=%v)...\n",
-			bcfg.Size, bcfg.Orders, bcfg.Fields)
-		rep, err := bench.RunBSR(bcfg)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Fprint(os.Stdout)
-		if err := rep.Save(*bsrOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *bsrOut)
-		if *bsrGHA != "" {
-			if err := rep.SaveGHA(*bsrGHA); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *bsrGHA)
-		}
-		if *bsrMD != "" {
-			if err := os.WriteFile(*bsrMD, []byte(rep.Markdown()), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *bsrMD)
-		}
-		return
-	}
-
-	if *assemble {
-		bcfg := bench.DefaultAssembleConfig()
-		if *size > 0 {
-			bcfg.Size = *size
-		}
-		if *workers > 0 {
-			bcfg.Workers = *workers
-		}
-		if *assembleReps > 0 {
-			bcfg.Reps = *assembleReps
-		}
-		fmt.Fprintf(os.Stderr, "running congruence-first assembly sweep (size=%d, orders=%v, jitters=%v)...\n",
-			bcfg.Size, bcfg.Orders, bcfg.Jitters)
-		rep, err := bench.RunAssemble(bcfg)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Fprint(os.Stdout)
-		if err := rep.Save(*assembleOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *assembleOut)
-		if *assembleGHA != "" {
-			if err := rep.SaveGHA(*assembleGHA); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *assembleGHA)
-		}
-		if *assembleMD != "" {
-			if err := os.WriteFile(*assembleMD, []byte(rep.Markdown()), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *assembleMD)
-		}
-		return
-	}
-
-	if *spmm {
-		mcfg := bench.DefaultSpMMConfig()
-		if *size > 0 {
-			mcfg.Size = *size
-		}
-		if *workers > 0 {
-			mcfg.Workers = *workers
-		}
-		if *spmmFields != "" {
-			fs, err := parseWorkerList(*spmmFields)
-			if err != nil {
-				fatal(err)
-			}
-			mcfg.Fields = fs
-		}
-		fmt.Fprintf(os.Stderr, "running batched-apply sweep (size=%d, orders=%v, fields=%v)...\n",
-			mcfg.Size, mcfg.Orders, mcfg.Fields)
-		rep, err := bench.RunSpMM(mcfg)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Fprint(os.Stdout)
-		if err := rep.Save(*spmmOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *spmmOut)
-		if *spmmGHA != "" {
-			if err := rep.SaveGHA(*spmmGHA); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *spmmGHA)
-		}
-		return
-	}
 
 	if *artifactSweep {
 		acfg := bench.DefaultArtifactConfig()

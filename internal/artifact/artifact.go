@@ -1,18 +1,17 @@
 // Package artifact is the persistent binary container for unstencil's
 // precomputed artifacts: meshes, modal coefficient fields, and assembled
-// CSR post-processing operators.
+// post-processing operators.
 //
-// The service's whole design is precompute-once/apply-many — PR 5's
-// assembled operators turn every repeated field into a single SpMV — but
-// until now the precomputed data lived only in an in-process LRU, so every
-// restart of unstencild re-paid 0.2–1.2 s of assembly per operator. This
-// package trades that recomputation for stored operator data (the same
-// trade the matrix-free dG literature frames for operator setup): a
-// compact, versioned, content-addressed on-disk format plus a tiered
-// store, so cold starts warm from disk at I/O speed instead of re-running
-// geometry.
+// The service's whole design is precompute-once/apply-many — assembled
+// operators turn every repeated field into a single sparse apply — but an
+// in-process LRU alone means every restart of unstencild re-pays 0.2–1.2 s
+// of assembly per operator. This package trades that recomputation for
+// stored operator data (the same trade the matrix-free dG literature
+// frames for operator setup): a compact, versioned, content-addressed
+// on-disk format plus a tiered store, so cold starts warm from disk at I/O
+// speed instead of re-running geometry.
 //
-// # Container layout (format version 1)
+// # Container layout
 //
 // Every artifact is one file, little-endian throughout:
 //
@@ -26,47 +25,34 @@
 //
 // Payload records are fixed-width arrays (float64, int64, int32 — never a
 // varint or a length-prefixed element), which is what makes operators
-// memory-mappable: the CSR row pointers, column indices and weights in the
-// file are byte-for-byte the in-memory arrays, so a mapped file can be
-// row-sliced by ApplyVec with no deserialization at all. On hosts without
-// mmap (or big-endian ones) a portable fallback reads the arrays through
-// one sequential decode pass instead.
+// memory-mappable: the row pointers, element ids, weights and template
+// tables in the file are byte-for-byte the in-memory arrays of
+// operator.Operator, so a mapped file can be row-sliced by an apply with
+// no deserialization at all. On hosts without mmap (or big-endian ones) a
+// portable fallback reads the arrays through one sequential decode pass
+// instead.
 //
 // Integrity is layered: per-section CRC32 catches bit rot and truncation,
 // the KEY section ties a file to the logical store key it was written
 // under (a renamed or cross-copied file is rejected, never silently
 // served), and mesh artifacts additionally verify the decoded mesh's
-// content hash. Compatibility rule: the format version bumps on any layout
-// change; readers reject versions they do not know, and unknown section
-// types within a known version are ignored so minor additions stay
-// forward-compatible.
+// content hash.
 //
-// # Format version 2 (templated operators)
+// # Versions
 //
-// Version 2 containers are version 1 plus the optional row-congruence
-// template sections of a compressed operator (SecTplPtr..SecRowBase, see
-// operator.TemplateSet). The sections are load-bearing — dropping them
-// would silently lose most of the operator's rows — which is exactly why
-// they ride a version bump instead of the ignore-unknown-sections rule:
-// a v1-only reader must reject the file, not misread it. Writers emit
-// version 1 whenever the operator has no templates, so plain artifacts
-// remain readable by v1-era tooling, and every v1 file remains readable
-// here. The template arrays are fixed-width (int64/int32/float64) like
-// the CSR arrays, so templated operators mmap zero-copy the same way.
-//
-// # Format version 3 (block-sparse operators)
-//
-// Version 3 containers persist the BSR layout: the scalar column-index
-// section (SecColInd) is replaced by SecBlockID (one int32 element id per
-// basisN-wide block) and, when templated, SecTplDelta is replaced by
-// SecTplBlockDelta. Values, row pointers, permutation and the remaining
-// template sections are unchanged, so a v3 operator mmaps zero-copy
-// exactly like v1/v2 — with an index stream basisN× smaller on disk and
-// in residency. The substitution is load-bearing (a v1/v2 reader would
-// see no column indices at all), hence the version bump; this reader
-// accepts v1 through v3, and writers emit the lowest version that can
-// represent the operator, so CSR artifacts stay readable by older
-// tooling.
+// Each kind has exactly one format version, written and read: meshes and
+// fields are version 1, operators version 3 (the blocked index with
+// assembly-time templates, see operator.Operator). The version bumps on
+// any layout change and readers reject every other version with
+// ErrVersion — fixed-width layouts cannot be sniffed safely — while
+// unknown section types within the known version are ignored so minor
+// additions stay forward-compatible. Operator files written by the retired
+// versions 1 and 2 (scalar column indices) are therefore rejected like any
+// unknown version; the store deletes such a file and the caller
+// re-assembles and writes the operator back, which is sound because
+// operator artifacts are a derived, content-keyed cache. The section ids
+// those formats used (SecColInd, SecTplDelta) stay reserved, and a
+// version-3 container carrying one is corrupt.
 package artifact
 
 import (
@@ -80,20 +66,21 @@ import (
 // Magic identifies an unstencil artifact file.
 const Magic = "UNSA"
 
-// Version is the base container format version. Readers reject files
-// with versions they do not know: fixed-width layouts cannot be sniffed
-// safely.
+// Version is the format version of mesh and field containers.
 const Version = 1
 
-// VersionTemplated marks containers carrying the operator template
-// sections. Writers use it only when templates are present, so plain
-// artifacts stay version 1.
-const VersionTemplated = 2
+// VersionOperator is the format version of operator containers: the
+// blocked index (SecBlockID, and SecTplBlockDelta when templated).
+const VersionOperator = 3
 
-// VersionBSR marks containers whose operator index is blocked: SecBlockID
-// in place of SecColInd (and SecTplBlockDelta in place of SecTplDelta when
-// templated). Writers use it only for BSR-form operators.
-const VersionBSR = 3
+// kindVersion returns the one format version accepted (and written) for a
+// container kind.
+func kindVersion(kind uint16) uint16 {
+	if kind == KindOperator {
+		return VersionOperator
+	}
+	return Version
+}
 
 // Artifact kinds (header field).
 const (
@@ -133,26 +120,25 @@ const (
 	// Field payload.
 	SecCoeffs uint32 = 32 // float64, element-major modal coefficients
 
-	// Operator payload (CSR arrays, the mmap-able part).
-	SecRowPtr uint32 = 48 // int64, rows+1
-	SecColInd uint32 = 49 // int32, nnz
-	SecVal    uint32 = 50 // float64, nnz
-	SecPerm   uint32 = 51 // int32, rows (optional: absent = identity)
+	// Operator payload (the mmap-able row arrays).
+	SecRowPtr  uint32 = 48 // int64, rows+1
+	SecVal     uint32 = 50 // float64, nnz
+	SecPerm    uint32 = 51 // int32, rows (optional: absent = identity)
+	SecBlockID uint32 = 57 // int32, nnz/basisN (element id per block)
 
-	// Row-congruence template payload (version 2 operators only; all five
-	// present together or all absent). Same fixed-width mmap contract as
-	// the CSR arrays.
-	SecTplPtr   uint32 = 52 // int64, numTemplates+1
-	SecTplDelta uint32 = 53 // int32, template entries (column deltas)
-	SecTplVal   uint32 = 54 // float64, template entries (weights)
-	SecRowTpl   uint32 = 55 // int32, rows (template id, -1 = plain row)
-	SecRowBase  uint32 = 56 // int32, rows (templated row's base column)
-
-	// Blocked index payload (version 3 operators only): these replace
-	// SecColInd / SecTplDelta, storing one int32 per basisN-wide element
-	// block instead of one per entry.
-	SecBlockID       uint32 = 57 // int32, nnz/basisN (element id per block)
+	// Stencil template payload (all five present together or all absent).
+	// Same fixed-width mmap contract as the row arrays.
+	SecTplPtr        uint32 = 52 // int64, numTemplates+1
+	SecTplVal        uint32 = 54 // float64, template entries (weights)
+	SecRowTpl        uint32 = 55 // int32, rows (template id, -1 = direct row)
+	SecRowBase       uint32 = 56 // int32, rows (templated row's base column)
 	SecTplBlockDelta uint32 = 58 // int32, template blocks (element deltas)
+
+	// Reserved: the scalar index sections of the retired operator formats
+	// (one int32 per entry). Never written; a container carrying either is
+	// rejected.
+	SecColInd   uint32 = 49
+	SecTplDelta uint32 = 53
 )
 
 const (
@@ -216,11 +202,11 @@ func Parse(r io.ReaderAt, size int64) (*Container, error) {
 		return nil, ErrBadMagic
 	}
 	v := binary.LittleEndian.Uint16(hdr[4:6])
-	if v < Version || v > VersionBSR {
-		return nil, fmt.Errorf("%w: got v%d, this reader supports v%d-v%d",
-			ErrVersion, v, Version, VersionBSR)
-	}
 	kind := binary.LittleEndian.Uint16(hdr[6:8])
+	if want := kindVersion(kind); v != want {
+		return nil, fmt.Errorf("%w: got %s v%d, this reader supports v%d",
+			ErrVersion, KindName(kind), v, want)
+	}
 	n := binary.LittleEndian.Uint32(hdr[8:12])
 	if n == 0 || n > maxSections {
 		return nil, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, n)

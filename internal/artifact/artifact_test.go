@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -17,22 +18,26 @@ import (
 	"unstencil/internal/operator"
 )
 
-// testOperator builds a deterministic pseudo-random CSR operator through
-// the same Builder the assembly path uses, so every structural invariant
-// the real pipeline guarantees holds here too.
+// testOperator builds a deterministic pseudo-random operator with every row
+// stored directly, through the same Builder the assembly path uses, so
+// every structural invariant the real pipeline guarantees holds here too.
+// cols must be a multiple of basisN.
 func testOperator(t testing.TB, rows, cols, basisN int, withPerm bool) *operator.Operator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	b := operator.NewBuilder(rows, cols, basisN)
 	for r := 0; r < rows; r++ {
-		nnz := 1 + rng.Intn(6)
-		cix := make([]int32, nnz)
-		vals := make([]float64, nnz)
-		for i := range cix {
-			cix[i] = int32(rng.Intn(cols))
+		var elems []int32
+		for e := 0; e < cols/basisN; e++ {
+			if rng.Intn(2) == 0 {
+				elems = append(elems, int32(e))
+			}
+		}
+		vals := make([]float64, len(elems)*basisN)
+		for i := range vals {
 			vals[i] = rng.NormFloat64()
 		}
-		b.SetRow(r, cix, vals)
+		b.SetRowBlocks(r, elems, vals)
 	}
 	var perm []int32
 	if withPerm {
@@ -44,6 +49,48 @@ func testOperator(t testing.TB, rows, cols, basisN int, withPerm bool) *operator
 		IntersectionTests: 7, TruePositives: 5, Regions: 11,
 		QuadEvals: 13, Flops: 17, BytesRead: 19,
 	})
+}
+
+// congruentOperator builds the same logical operator twice — rows that are
+// exact translates of two stencil patterns — once with every row stored
+// directly and once with the patterns shared as templates, the shape
+// congruence-first assembly emits on a structured mesh.
+func congruentOperator(t testing.TB, rows, elems, basisN int) (direct, templated *operator.Operator) {
+	t.Helper()
+	build := func(share bool) *operator.Operator {
+		rng := rand.New(rand.NewSource(5))
+		deltas := [][]int32{{0, 1, 2, 4}, {0, 2, 3, 4, 5, 6}}
+		patterns := make([][]float64, len(deltas))
+		tpl := make([]int32, len(deltas))
+		b := operator.NewBuilder(rows, elems*basisN, basisN)
+		for p, d := range deltas {
+			patterns[p] = make([]float64, len(d)*basisN)
+			for i := range patterns[p] {
+				patterns[p][i] = rng.NormFloat64()
+			}
+			if share {
+				tpl[p] = b.AddTemplateBlocks(d, patterns[p])
+			}
+		}
+		for r := 0; r < rows; r++ {
+			p, e0 := rng.Intn(len(deltas)), int32(rng.Intn(elems-7))
+			if share {
+				b.SetRowTemplated(r, tpl[p], e0)
+				continue
+			}
+			ids := make([]int32, len(deltas[p]))
+			for i, d := range deltas[p] {
+				ids[i] = e0 + d
+			}
+			b.SetRowBlocks(r, ids, patterns[p])
+		}
+		return b.Finish(nil, 2, "per-point", time.Millisecond, metrics.Counters{Regions: 3})
+	}
+	direct, templated = build(false), build(true)
+	if direct.Tpl != nil || templated.Tpl == nil {
+		t.Fatal("congruent fixtures did not come out direct / templated")
+	}
+	return direct, templated
 }
 
 // projectTestField is a small P2 field for field round-trip tests.
@@ -66,6 +113,29 @@ func encodeOp(t testing.TB, key string, op *operator.Operator) []byte {
 	return buf.Bytes()
 }
 
+func sameArray[T comparable](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// f64bits exposes the bit patterns, so sameArray compares floats bitwise.
+func f64bits(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// sameOperator demands every stored array and the assembly provenance be
+// identical, bit for bit.
 func sameOperator(t *testing.T, got, want *operator.Operator) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.BasisN != want.BasisN {
@@ -78,27 +148,19 @@ func sameOperator(t *testing.T, got, want *operator.Operator) {
 			got.Workers, got.AssemblyScheme, got.AssemblyWall,
 			want.Workers, want.AssemblyScheme, want.AssemblyWall)
 	}
-	if len(got.RowPtr) != len(want.RowPtr) || len(got.ColInd) != len(want.ColInd) ||
-		len(got.Val) != len(want.Val) || len(got.Perm) != len(want.Perm) {
-		t.Fatalf("array lengths changed")
+	sameArray(t, "rowptr", got.RowPtr, want.RowPtr)
+	sameArray(t, "blockid", got.BlockID, want.BlockID)
+	sameArray(t, "val", f64bits(got.Val), f64bits(want.Val))
+	sameArray(t, "perm", got.Perm, want.Perm)
+	if (got.Tpl == nil) != (want.Tpl == nil) {
+		t.Fatalf("templates present: %v, want %v", got.Tpl != nil, want.Tpl != nil)
 	}
-	for i := range want.RowPtr {
-		if got.RowPtr[i] != want.RowPtr[i] {
-			t.Fatalf("rowptr[%d] = %d, want %d", i, got.RowPtr[i], want.RowPtr[i])
-		}
-	}
-	for i := range want.Val {
-		if got.ColInd[i] != want.ColInd[i] ||
-			math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
-			t.Fatalf("entry %d: (%d, %x) vs (%d, %x)", i,
-				got.ColInd[i], math.Float64bits(got.Val[i]),
-				want.ColInd[i], math.Float64bits(want.Val[i]))
-		}
-	}
-	for i := range want.Perm {
-		if got.Perm[i] != want.Perm[i] {
-			t.Fatalf("perm[%d] = %d, want %d", i, got.Perm[i], want.Perm[i])
-		}
+	if want.Tpl != nil {
+		sameArray(t, "tplptr", got.Tpl.TplPtr, want.Tpl.TplPtr)
+		sameArray(t, "blockdelta", got.Tpl.BlockDelta, want.Tpl.BlockDelta)
+		sameArray(t, "tplval", f64bits(got.Tpl.TplVal), f64bits(want.Tpl.TplVal))
+		sameArray(t, "rowtpl", got.Tpl.RowTpl, want.Tpl.RowTpl)
+		sameArray(t, "rowbase", got.Tpl.RowBase, want.Tpl.RowBase)
 	}
 }
 
@@ -159,8 +221,8 @@ func TestFieldRoundTrip(t *testing.T) {
 	}
 }
 
-// Operators must round-trip exactly — every CSR entry, the permutation, and
-// the assembly provenance — and EncodedOperatorSize must predict the file
+// Operators must round-trip exactly — every stored array, the permutation,
+// and the assembly provenance — and EncodedOperatorSize must predict the file
 // size byte-for-byte (it is the LRU's accounting).
 func TestOperatorRoundTrip(t *testing.T) {
 	for _, withPerm := range []bool{false, true} {
@@ -169,6 +231,9 @@ func TestOperatorRoundTrip(t *testing.T) {
 		data := encodeOp(t, key, op)
 		if got := EncodedOperatorSize(key, op); got != int64(len(data)) {
 			t.Fatalf("perm=%v: EncodedOperatorSize = %d, file is %d", withPerm, got, len(data))
+		}
+		if v := binary.LittleEndian.Uint16(data[4:6]); v != VersionOperator {
+			t.Fatalf("operator container has version %d, want %d", v, VersionOperator)
 		}
 		got, err := DecodeOperator(bytes.NewReader(data), int64(len(data)), key)
 		if err != nil {
@@ -230,7 +295,7 @@ func TestMapOperatorBitIdentical(t *testing.T) {
 // A structurally valid artifact requested under the wrong key is refused:
 // renaming or cross-copying store files must never serve wrong data.
 func TestKeyMismatch(t *testing.T) {
-	op := testOperator(t, 10, 8, 3, false)
+	op := testOperator(t, 10, 9, 3, false)
 	data := encodeOp(t, "op:right", op)
 	_, err := DecodeOperator(bytes.NewReader(data), int64(len(data)), "op:wrong")
 	if !errors.Is(err, ErrKeyMismatch) {
@@ -244,7 +309,7 @@ func TestKeyMismatch(t *testing.T) {
 // Version and magic gates: future formats and foreign files are rejected
 // with the typed errors, not misparsed.
 func TestVersionAndMagicGates(t *testing.T) {
-	op := testOperator(t, 10, 8, 3, false)
+	op := testOperator(t, 10, 9, 3, false)
 	data := encodeOp(t, "op:k", op)
 
 	bad := bytes.Clone(data)
@@ -256,6 +321,24 @@ func TestVersionAndMagicGates(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Parse(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: err = %v, want ErrBadMagic", err)
+	}
+	// Each kind has one version: the retired operator versions are as
+	// unknown as a future one, and so is an operator-versioned mesh.
+	for _, v := range []byte{1, 2} {
+		bad = bytes.Clone(data)
+		bad[4] = v
+		if _, err := Parse(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrVersion) {
+			t.Fatalf("operator v%d: err = %v, want ErrVersion", v, err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := EncodeMesh(&buf, "mesh:k", mesh.Structured(2)); err != nil {
+		t.Fatal(err)
+	}
+	bad = buf.Bytes()
+	bad[4] = VersionOperator
+	if _, err := Parse(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrVersion) {
+		t.Fatalf("mesh v%d: err = %v, want ErrVersion", VersionOperator, err)
 	}
 }
 

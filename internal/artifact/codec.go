@@ -257,22 +257,11 @@ func (c *Container) DecodeField(key string) (FieldMeta, []float64, error) {
 // scheme [16]byte | wallNs u64 | counters 8×u64.
 const opMetaSize = 8 + 8 + 4 + 4 + 16 + 8 + 64
 
-// EncodeOperator serialises op as an operator artifact stored under key.
-// The CSR (or BSR) arrays are written verbatim (fixed-width
-// little-endian), so the payload can later be memory-mapped and applied
-// with zero copies. The container version is the lowest that can
-// represent the operator: blocked operators are version 3 (SecBlockID
-// replaces SecColInd), operators carrying row-congruence templates are
-// version 2, and plain CSR stays version 1 for older readers.
+// EncodeOperator serialises op as a version-3 operator artifact stored
+// under key. The arrays are written verbatim (fixed-width little-endian),
+// so the payload can later be memory-mapped and applied with zero copies.
 func EncodeOperator(w io.Writer, key string, op *operator.Operator) (int64, error) {
-	version := uint16(Version)
-	switch {
-	case op.BSR != nil:
-		version = VersionBSR
-	case op.Tpl != nil:
-		version = VersionTemplated
-	}
-	buf := encodeContainer(version, KindOperator, operatorSections(key, op))
+	buf := encodeContainer(VersionOperator, KindOperator, operatorSections(key, op))
 	n, err := w.Write(buf)
 	return int64(n), err
 }
@@ -281,33 +270,33 @@ func EncodeOperator(w io.Writer, key string, op *operator.Operator) (int64, erro
 // encoding it: the byte accounting the server LRU and the size-tracking
 // benchmark use.
 func EncodedOperatorSize(key string, op *operator.Operator) int64 {
-	total := align8(uint64(headerSize) + uint64(len(operatorSectionLens(key, op)))*entrySize)
-	for _, n := range operatorSectionLens(key, op) {
+	lens := []uint64{opMetaSize, uint64(len(key)),
+		8 * uint64(len(op.RowPtr)), 4 * uint64(len(op.BlockID)), 8 * uint64(len(op.Val))}
+	if op.Perm != nil {
+		lens = append(lens, 4*uint64(len(op.Perm)))
+	}
+	if ts := op.Tpl; ts != nil {
+		lens = append(lens,
+			8*uint64(len(ts.TplPtr)), 4*uint64(len(ts.BlockDelta)), 8*uint64(len(ts.TplVal)),
+			4*uint64(len(ts.RowTpl)), 4*uint64(len(ts.RowBase)))
+	}
+	total := align8(uint64(headerSize) + uint64(len(lens))*entrySize)
+	for _, n := range lens {
 		total = align8(total + n)
 	}
 	return int64(total)
 }
 
-func operatorSectionLens(key string, op *operator.Operator) []uint64 {
-	idxLen := 4 * uint64(len(op.ColInd))
-	if op.BSR != nil {
-		idxLen = 4 * uint64(len(op.BSR.BlockID))
-	}
-	lens := []uint64{opMetaSize, uint64(len(key)),
-		8 * uint64(len(op.RowPtr)), idxLen, 8 * uint64(len(op.Val))}
-	if op.Perm != nil {
-		lens = append(lens, 4*uint64(len(op.Perm)))
-	}
-	if op.Tpl != nil {
-		deltaLen := 4 * uint64(len(op.Tpl.TplDelta))
-		if op.BSR != nil {
-			deltaLen = 4 * uint64(len(op.BSR.TplBlockDelta))
-		}
-		lens = append(lens,
-			8*uint64(len(op.Tpl.TplPtr)), deltaLen, 8*uint64(len(op.Tpl.TplVal)),
-			4*uint64(len(op.Tpl.RowTpl)), 4*uint64(len(op.Tpl.RowBase)))
-	}
-	return lens
+func encodeI64s(src []int64) []byte {
+	b := make([]byte, 8*len(src))
+	putI64s(b, src)
+	return b
+}
+
+func encodeI32s(src []int32) []byte {
+	b := make([]byte, 4*len(src))
+	putI32s(b, src)
+	return b
 }
 
 func operatorSections(key string, op *operator.Operator) []section {
@@ -320,45 +309,23 @@ func operatorSections(key string, op *operator.Operator) []section {
 	binary.LittleEndian.PutUint64(meta[40:48], uint64(op.AssemblyWall))
 	putI64s(meta[48:112], countersToRecord(op.AssemblyCounters))
 
-	rowptr := make([]byte, 8*len(op.RowPtr))
-	putI64s(rowptr, op.RowPtr)
-	idxType, idxSrc := SecColInd, op.ColInd
-	if op.BSR != nil {
-		idxType, idxSrc = SecBlockID, op.BSR.BlockID
-	}
-	colind := make([]byte, 4*len(idxSrc))
-	putI32s(colind, idxSrc)
 	secs := []section{
 		{SecMeta, meta},
 		{SecKey, []byte(key)},
-		{SecRowPtr, rowptr},
-		{idxType, colind},
+		{SecRowPtr, encodeI64s(op.RowPtr)},
+		{SecBlockID, encodeI32s(op.BlockID)},
 		{SecVal, encodeF64s(op.Val)},
 	}
 	if op.Perm != nil {
-		perm := make([]byte, 4*len(op.Perm))
-		putI32s(perm, op.Perm)
-		secs = append(secs, section{SecPerm, perm})
+		secs = append(secs, section{SecPerm, encodeI32s(op.Perm)})
 	}
 	if ts := op.Tpl; ts != nil {
-		tplPtr := make([]byte, 8*len(ts.TplPtr))
-		putI64s(tplPtr, ts.TplPtr)
-		deltaType, deltaSrc := SecTplDelta, ts.TplDelta
-		if op.BSR != nil {
-			deltaType, deltaSrc = SecTplBlockDelta, op.BSR.TplBlockDelta
-		}
-		tplDelta := make([]byte, 4*len(deltaSrc))
-		putI32s(tplDelta, deltaSrc)
-		rowTpl := make([]byte, 4*len(ts.RowTpl))
-		putI32s(rowTpl, ts.RowTpl)
-		rowBase := make([]byte, 4*len(ts.RowBase))
-		putI32s(rowBase, ts.RowBase)
 		secs = append(secs,
-			section{SecTplPtr, tplPtr},
-			section{deltaType, tplDelta},
+			section{SecTplPtr, encodeI64s(ts.TplPtr)},
+			section{SecTplBlockDelta, encodeI32s(ts.BlockDelta)},
 			section{SecTplVal, encodeF64s(ts.TplVal)},
-			section{SecRowTpl, rowTpl},
-			section{SecRowBase, rowBase})
+			section{SecRowTpl, encodeI32s(ts.RowTpl)},
+			section{SecRowBase, encodeI32s(ts.RowBase)})
 	}
 	return secs
 }
@@ -379,165 +346,133 @@ func recordToCounters(r []int64) metrics.Counters {
 	}
 }
 
-// opShape is the decoded fixed-width operator metadata.
-type opShape struct {
-	rows, cols, basisN, workers int
-	scheme                      string
-	wall                        time.Duration
-	counters                    metrics.Counters
-}
-
-func decodeOpMeta(meta []byte) (opShape, error) {
+// decodeOpMeta fills the shape and provenance fields of op from the
+// fixed-width metadata record.
+func decodeOpMeta(meta []byte, op *operator.Operator) error {
 	if len(meta) != opMetaSize {
-		return opShape{}, fmt.Errorf("%w: operator meta is %d bytes, want %d", ErrCorrupt, len(meta), opMetaSize)
+		return fmt.Errorf("%w: operator meta is %d bytes, want %d", ErrCorrupt, len(meta), opMetaSize)
 	}
 	rows := binary.LittleEndian.Uint64(meta[0:8])
 	cols := binary.LittleEndian.Uint64(meta[8:16])
 	// Reject shapes that cannot index int32 columns or that would imply
 	// absurd allocations before any array section is read.
 	if rows > 1<<40 || cols > 1<<31 {
-		return opShape{}, fmt.Errorf("%w: implausible operator shape %d×%d", ErrCorrupt, rows, cols)
+		return fmt.Errorf("%w: implausible operator shape %d×%d", ErrCorrupt, rows, cols)
 	}
 	cnt, _ := decodeI64s(meta[48:112])
-	return opShape{
-		rows:     int(rows),
-		cols:     int(cols),
-		basisN:   int(binary.LittleEndian.Uint32(meta[16:20])),
-		workers:  int(binary.LittleEndian.Uint32(meta[20:24])),
-		scheme:   string(bytes.TrimRight(meta[24:40], "\x00")),
-		wall:     time.Duration(binary.LittleEndian.Uint64(meta[40:48])),
-		counters: recordToCounters(cnt),
-	}, nil
+	op.Rows, op.Cols = int(rows), int(cols)
+	op.BasisN = int(binary.LittleEndian.Uint32(meta[16:20]))
+	op.Workers = int(binary.LittleEndian.Uint32(meta[20:24]))
+	op.AssemblyScheme = string(bytes.TrimRight(meta[24:40], "\x00"))
+	op.AssemblyWall = time.Duration(binary.LittleEndian.Uint64(meta[40:48]))
+	op.AssemblyCounters = recordToCounters(cnt)
+	return nil
 }
 
-// validateRowPtrPerm checks the layout-independent structural invariants:
-// monotone row pointers covering exactly the stored entries and a
-// permutation inside [0, rows). Both layouts run it; the index arrays are
-// checked per layout (validateCSR here, Operator.ValidateBSR for v3).
-func validateRowPtrPerm(sh opShape, rowPtr []int64, nnz int, perm []int32) error {
-	if len(rowPtr) != sh.rows+1 {
-		return fmt.Errorf("%w: rowptr has %d entries for %d rows", ErrCorrupt, len(rowPtr), sh.rows)
+// arrayLoader is how one load path turns section payloads into typed
+// slices — the only thing the portable and the mapped path differ in.
+// bytes returns one section's payload: CRC-verified and copied out of the
+// reader on the portable path, aliasing the mapping (CRCs settled up
+// front) on the mapped one. The three converters then decode-copy, or cast
+// in place; loadOperator only hands them whole records.
+type arrayLoader struct {
+	bytes func(typ uint32) ([]byte, error)
+	f64s  func([]byte) []float64
+	i64s  func([]byte) []int64
+	i32s  func([]byte) []int32
+}
+
+// portableLoader reads and decodes each section through c's reader.
+func (c *Container) portableLoader() arrayLoader {
+	return arrayLoader{
+		bytes: c.ReadSection,
+		f64s:  func(b []byte) []float64 { v, _ := decodeF64s(b); return v },
+		i64s:  func(b []byte) []int64 { v, _ := decodeI64s(b); return v },
+		i32s:  func(b []byte) []int32 { v, _ := decodeI32s(b); return v },
 	}
-	if rowPtr[0] != 0 || rowPtr[sh.rows] != int64(nnz) {
-		return fmt.Errorf("%w: rowptr spans [%d, %d], want [0, %d]",
-			ErrCorrupt, rowPtr[0], rowPtr[sh.rows], nnz)
+}
+
+// tplSections are the five template section types; a valid container
+// carries all of them or none.
+var tplSections = [...]uint32{SecTplPtr, SecTplBlockDelta, SecTplVal, SecRowTpl, SecRowBase}
+
+// loadOperator is the one operator section walk: kind and key checks, the
+// metadata record, the row arrays, the optional permutation and template
+// sections, then operator.Validate — nothing is returned that an apply
+// could index out of bounds. backing is stored as the operator's Backing.
+func (c *Container) loadOperator(key string, ld arrayLoader, backing any) (*operator.Operator, error) {
+	if c.Kind != KindOperator {
+		return nil, fmt.Errorf("%w: kind %s, want operator", ErrCorrupt, KindName(c.Kind))
 	}
-	for r := 0; r < sh.rows; r++ {
-		if rowPtr[r+1] < rowPtr[r] {
-			return fmt.Errorf("%w: rowptr not monotone at row %d", ErrCorrupt, r)
+	if key != "" {
+		if err := c.checkKey(key); err != nil {
+			return nil, err
 		}
 	}
-	if perm != nil {
-		if len(perm) != sh.rows {
-			return fmt.Errorf("%w: perm has %d entries for %d rows", ErrCorrupt, len(perm), sh.rows)
+	meta, err := c.ReadSection(SecMeta)
+	if err != nil {
+		return nil, err
+	}
+	op := &operator.Operator{Backing: backing}
+	if err := decodeOpMeta(meta, op); err != nil {
+		return nil, err
+	}
+	// The scalar index sections of the retired formats are reserved: a
+	// container carrying one next to the blocked index is contradictory.
+	for _, typ := range [...]uint32{SecColInd, SecTplDelta} {
+		if _, ok := c.Section(typ); ok {
+			return nil, fmt.Errorf("%w: v%d operator carries scalar index section %d", ErrCorrupt, c.Version, typ)
 		}
-		for i, p := range perm {
-			if p < 0 || int(p) >= sh.rows {
-				return fmt.Errorf("%w: perm[%d]=%d outside [0, %d)", ErrCorrupt, i, p, sh.rows)
+	}
+	// load fetches one array section, enforcing the record-width
+	// divisibility the converters assume; the first failure sticks and
+	// later sections load as empty.
+	var firstErr error
+	load := func(typ uint32, width int) []byte {
+		b, err := ld.bytes(typ)
+		if err == nil && len(b)%width != 0 {
+			err = fmt.Errorf("%w: section %d length %d not a multiple of %d", ErrCorrupt, typ, len(b), width)
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
 			}
+			return nil
 		}
+		return b
 	}
-	return nil
-}
-
-// validateCSR checks the structural invariants ApplyVec relies on, so a
-// decoded (or mapped) operator can never index out of bounds: the shared
-// rowptr/perm invariants plus column indices inside [0, cols). It is one
-// linear pass over data that is about to be hot anyway.
-func validateCSR(sh opShape, rowPtr []int64, colInd []int32, val []float64, perm []int32) error {
-	if len(colInd) != len(val) {
-		return fmt.Errorf("%w: %d column indices vs %d values", ErrCorrupt, len(colInd), len(val))
+	op.RowPtr = ld.i64s(load(SecRowPtr, 8))
+	op.BlockID = ld.i32s(load(SecBlockID, 4))
+	op.Val = ld.f64s(load(SecVal, 8))
+	if _, ok := c.Section(SecPerm); ok {
+		op.Perm = ld.i32s(load(SecPerm, 4))
 	}
-	if err := validateRowPtrPerm(sh, rowPtr, len(val), perm); err != nil {
-		return err
-	}
-	for i, cix := range colInd {
-		if cix < 0 || int(cix) >= sh.cols {
-			return fmt.Errorf("%w: column index %d at entry %d outside [0, %d)", ErrCorrupt, cix, i, sh.cols)
-		}
-	}
-	return nil
-}
-
-// tplSectionTypes lists the five template section types for one layout; a
-// valid container carries all of them or none. Version 3 containers store
-// blocked element deltas in SecTplBlockDelta instead of scalar column
-// deltas in SecTplDelta.
-func tplSectionTypes(bsr bool) []uint32 {
-	if bsr {
-		return []uint32{SecTplPtr, SecTplBlockDelta, SecTplVal, SecRowTpl, SecRowBase}
-	}
-	return []uint32{SecTplPtr, SecTplDelta, SecTplVal, SecRowTpl, SecRowBase}
-}
-
-// decodeTemplates reads the optional row-congruence template sections via
-// the portable sequential path; all nil when absent. For bsr containers
-// the delta array is returned separately as the blocked element deltas
-// (the TemplateSet's TplDelta stays nil).
-func (c *Container) decodeTemplates(bsr bool) (*operator.TemplateSet, []int32, error) {
-	secs := tplSectionTypes(bsr)
 	present := 0
-	for _, typ := range secs {
+	for _, typ := range tplSections {
 		if _, ok := c.Section(typ); ok {
 			present++
 		}
 	}
-	if present == 0 {
-		return nil, nil, nil
+	switch present {
+	case 0:
+	case len(tplSections):
+		op.Tpl = &operator.TemplateSet{
+			TplPtr:     ld.i64s(load(SecTplPtr, 8)),
+			BlockDelta: ld.i32s(load(SecTplBlockDelta, 4)),
+			TplVal:     ld.f64s(load(SecTplVal, 8)),
+			RowTpl:     ld.i32s(load(SecRowTpl, 4)),
+			RowBase:    ld.i32s(load(SecRowBase, 4)),
+		}
+	default:
+		return nil, fmt.Errorf("%w: %d of %d template sections present", ErrCorrupt, present, len(tplSections))
 	}
-	if present != len(secs) {
-		return nil, nil, fmt.Errorf("%w: %d of %d template sections present", ErrCorrupt, present, len(secs))
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	read := func(typ uint32) ([]byte, error) { return c.ReadSection(typ) }
-	rawPtr, err := read(SecTplPtr)
-	if err != nil {
-		return nil, nil, err
+	if err := op.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	tplPtr, err := decodeI64s(rawPtr)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawDelta, err := read(secs[1])
-	if err != nil {
-		return nil, nil, err
-	}
-	tplDelta, err := decodeI32s(rawDelta)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawVal, err := read(SecTplVal)
-	if err != nil {
-		return nil, nil, err
-	}
-	tplVal, err := decodeF64s(rawVal)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawRowTpl, err := read(SecRowTpl)
-	if err != nil {
-		return nil, nil, err
-	}
-	rowTpl, err := decodeI32s(rawRowTpl)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawRowBase, err := read(SecRowBase)
-	if err != nil {
-		return nil, nil, err
-	}
-	rowBase, err := decodeI32s(rawRowBase)
-	if err != nil {
-		return nil, nil, err
-	}
-	ts := &operator.TemplateSet{
-		TplPtr: tplPtr, TplVal: tplVal,
-		RowTpl: rowTpl, RowBase: rowBase,
-	}
-	if bsr {
-		return ts, tplDelta, nil
-	}
-	ts.TplDelta = tplDelta
-	return ts, nil, nil
+	return op, nil
 }
 
 // DecodeOperator parses an operator artifact into a heap-resident
@@ -554,100 +489,5 @@ func DecodeOperator(r io.ReaderAt, size int64, key string) (*operator.Operator, 
 // DecodeOperator decodes the parsed container as an operator stored under
 // key (key "" skips the key check).
 func (c *Container) DecodeOperator(key string) (*operator.Operator, error) {
-	if c.Kind != KindOperator {
-		return nil, fmt.Errorf("%w: kind %s, want operator", ErrCorrupt, KindName(c.Kind))
-	}
-	if key != "" {
-		if err := c.checkKey(key); err != nil {
-			return nil, err
-		}
-	}
-	meta, err := c.ReadSection(SecMeta)
-	if err != nil {
-		return nil, err
-	}
-	sh, err := decodeOpMeta(meta)
-	if err != nil {
-		return nil, err
-	}
-	bsr := c.Version == VersionBSR
-	rawPtr, err := c.ReadSection(SecRowPtr)
-	if err != nil {
-		return nil, err
-	}
-	rowPtr, err := decodeI64s(rawPtr)
-	if err != nil {
-		return nil, err
-	}
-	var colInd, blockID []int32
-	if bsr {
-		if _, ok := c.Section(SecColInd); ok {
-			return nil, fmt.Errorf("%w: v3 container carries scalar column indices", ErrCorrupt)
-		}
-		rawBlk, err := c.ReadSection(SecBlockID)
-		if err != nil {
-			return nil, err
-		}
-		if blockID, err = decodeI32s(rawBlk); err != nil {
-			return nil, err
-		}
-	} else {
-		rawCol, err := c.ReadSection(SecColInd)
-		if err != nil {
-			return nil, err
-		}
-		if colInd, err = decodeI32s(rawCol); err != nil {
-			return nil, err
-		}
-	}
-	rawVal, err := c.ReadSection(SecVal)
-	if err != nil {
-		return nil, err
-	}
-	val, err := decodeF64s(rawVal)
-	if err != nil {
-		return nil, err
-	}
-	var perm []int32
-	if _, ok := c.Section(SecPerm); ok {
-		rawPerm, err := c.ReadSection(SecPerm)
-		if err != nil {
-			return nil, err
-		}
-		if perm, err = decodeI32s(rawPerm); err != nil {
-			return nil, err
-		}
-	}
-	if bsr {
-		err = validateRowPtrPerm(sh, rowPtr, len(val), perm)
-	} else {
-		err = validateCSR(sh, rowPtr, colInd, val, perm)
-	}
-	if err != nil {
-		return nil, err
-	}
-	tpl, tplBlockDelta, err := c.decodeTemplates(bsr)
-	if err != nil {
-		return nil, err
-	}
-	op := &operator.Operator{
-		Rows: sh.rows, Cols: sh.cols, BasisN: sh.basisN,
-		RowPtr: rowPtr, Val: val, Perm: perm,
-		Tpl:            tpl,
-		Workers:        sh.workers,
-		AssemblyScheme: sh.scheme,
-		AssemblyWall:   sh.wall, AssemblyCounters: sh.counters,
-	}
-	if bsr {
-		op.BSR = &operator.BSRIndex{BlockID: blockID, TplBlockDelta: tplBlockDelta}
-		if err := op.ValidateBSR(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	} else {
-		op.ColInd = colInd
-	}
-	if err := op.ValidateTemplates(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return op, nil
+	return c.loadOperator(key, c.portableLoader(), nil)
 }

@@ -12,8 +12,8 @@ import (
 // with valid encodes of each artifact kind. The contract under mutation
 // (truncation, bit flips, section-table corruption, wrong versions) is:
 // an error or a valid artifact, never a panic, and anything an operator
-// decoder accepts must still satisfy the CSR invariants ApplyVec indexes
-// by (validateCSR runs inside the decoders, so acceptance implies them).
+// decoder accepts must still satisfy the invariants the applies index by
+// (Operator.Validate runs inside the decoders, so acceptance implies them).
 func FuzzArtifactDecode(f *testing.F) {
 	m := mesh.Structured(3)
 	var buf bytes.Buffer
@@ -28,21 +28,17 @@ func FuzzArtifactDecode(f *testing.F) {
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
 
-	op := testOperator(f, 25, 15, 6, true)
-	f.Add(encodeOp(f, "op:seed", op))
-	opNoPerm := testOperator(f, 10, 8, 3, false)
-	f.Add(encodeOp(f, "op:seed2", opNoPerm))
+	// Operator seeds, all version 3: random rows with and without a
+	// permutation, congruent rows stored directly and through templates.
+	f.Add(encodeOp(f, "op:seed", testOperator(f, 25, 18, 6, true)))
+	f.Add(encodeOp(f, "op:seed2", testOperator(f, 10, 9, 3, false)))
+	direct, templated := congruentOperator(f, 60, 20, 3)
+	f.Add(encodeOp(f, "op:direct", direct))
+	f.Add(encodeOp(f, "op:tpl", templated))
 
-	// Version 3 seeds: blocked index, plain and templated.
-	plainBSR, toplBSR := congruentOperator(f, 60, 20, 3)
-	f.Add(encodeOp(f, "op:bsr", plainBSR.ToBSR()))
-	f.Add(encodeOp(f, "op:bsr-tpl", toplBSR.ToBSR()))
-
-	// Structural edge cases the mutator should start from: wrong version,
-	// wrong magic, bare header, empty input.
-	v2 := encodeOp(f, "op:v2", opNoPerm)
-	v2[4] = 2
-	f.Add(v2)
+	// Structural edge cases the mutator should start from: a retired
+	// operator version, wrong magic, bare header, empty input.
+	f.Add(legacyOperatorContainer("op:v2", templated))
 	f.Add([]byte("UNSA"))
 	f.Add([]byte{})
 	f.Add([]byte("GPKG not ours at all, padded to header size..."))
@@ -67,9 +63,8 @@ func FuzzArtifactDecode(f *testing.F) {
 			}
 		}
 		if op, err := c.DecodeOperator(""); err == nil {
-			// Acceptance implies the layout validation passed (validateCSR
-			// for v1/v2, ValidateBSR for v3); a cheap apply proves the
-			// operator really is safe to index.
+			// Acceptance implies Operator.Validate passed; a cheap apply
+			// proves the operator really is safe to index.
 			in := make([]float64, op.Cols)
 			out := make([]float64, op.Rows)
 			if err := op.ApplyVec(in, out, 1); err != nil {

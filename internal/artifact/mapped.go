@@ -29,7 +29,7 @@ type Mapping struct {
 	closed atomic.Bool
 }
 
-// Close unmaps the file. The CSR slices of any operator backed by this
+// Close unmaps the file. The slices of any operator backed by this
 // mapping are invalid afterwards; long-lived holders (the server cache)
 // never call Close and rely on the finalizer instead.
 func (m *Mapping) Close() error {
@@ -67,20 +67,23 @@ func castI32s(b []byte) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// alignedSection returns the mapped payload of one section, enforcing the
-// element-width divisibility the casts assume.
-func (c *Container) alignedSection(data []byte, typ uint32, width uint64) ([]byte, error) {
-	s, ok := c.Section(typ)
-	if !ok {
-		return nil, fmt.Errorf("%w: missing section type %d", ErrCorrupt, typ)
+// mappedLoader aliases each section's payload out of the mapped file data.
+func (c *Container) mappedLoader(data []byte) arrayLoader {
+	return arrayLoader{
+		bytes: func(typ uint32) ([]byte, error) {
+			s, ok := c.Section(typ)
+			if !ok {
+				return nil, fmt.Errorf("%w: missing section type %d", ErrCorrupt, typ)
+			}
+			return data[s.Offset : s.Offset+s.Length], nil
+		},
+		f64s: castF64s,
+		i64s: castI64s,
+		i32s: castI32s,
 	}
-	if s.Length%width != 0 {
-		return nil, fmt.Errorf("%w: section %d length %d not a multiple of %d", ErrCorrupt, typ, s.Length, width)
-	}
-	return data[s.Offset : s.Offset+s.Length], nil
 }
 
-// MapOperator opens the operator artifact at path with the CSR arrays
+// MapOperator opens the operator artifact at path with its arrays
 // aliasing a read-only memory mapping: zero deserialization, pages faulted
 // in as ApplyVec row-slices them. Every section CRC is verified before the
 // operator is returned (the verification pass doubles as page warm-up for
@@ -128,143 +131,12 @@ func mapOperator(m *Mapping, key string) (*operator.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Kind != KindOperator {
-		return nil, fmt.Errorf("%w: kind %s, want operator", ErrCorrupt, KindName(c.Kind))
-	}
 	// Full CRC verification up front: a mapped operator is applied many
 	// times without further checks, so integrity is settled once here.
 	if err := c.VerifyAll(); err != nil {
 		return nil, err
 	}
-	if key != "" {
-		if err := c.checkKey(key); err != nil {
-			return nil, err
-		}
-	}
-	meta, err := c.ReadSection(SecMeta)
-	if err != nil {
-		return nil, err
-	}
-	sh, err := decodeOpMeta(meta)
-	if err != nil {
-		return nil, err
-	}
-	bsr := c.Version == VersionBSR
-	rawPtr, err := c.alignedSection(m.data, SecRowPtr, 8)
-	if err != nil {
-		return nil, err
-	}
-	var colInd, blockID []int32
-	if bsr {
-		if _, ok := c.Section(SecColInd); ok {
-			return nil, fmt.Errorf("%w: v3 container carries scalar column indices", ErrCorrupt)
-		}
-		rawBlk, err := c.alignedSection(m.data, SecBlockID, 4)
-		if err != nil {
-			return nil, err
-		}
-		blockID = castI32s(rawBlk)
-	} else {
-		rawCol, err := c.alignedSection(m.data, SecColInd, 4)
-		if err != nil {
-			return nil, err
-		}
-		colInd = castI32s(rawCol)
-	}
-	rawVal, err := c.alignedSection(m.data, SecVal, 8)
-	if err != nil {
-		return nil, err
-	}
-	var perm []int32
-	if _, ok := c.Section(SecPerm); ok {
-		rawPerm, err := c.alignedSection(m.data, SecPerm, 4)
-		if err != nil {
-			return nil, err
-		}
-		perm = castI32s(rawPerm)
-	}
-	rowPtr, val := castI64s(rawPtr), castF64s(rawVal)
-	if bsr {
-		err = validateRowPtrPerm(sh, rowPtr, len(val), perm)
-	} else {
-		err = validateCSR(sh, rowPtr, colInd, val, perm)
-	}
-	if err != nil {
-		return nil, err
-	}
-	tpl, tplBlockDelta, err := c.mapTemplates(m.data, bsr)
-	if err != nil {
-		return nil, err
-	}
-	op := &operator.Operator{
-		Rows: sh.rows, Cols: sh.cols, BasisN: sh.basisN,
-		RowPtr: rowPtr, Val: val, Perm: perm,
-		Tpl:            tpl,
-		Workers:        sh.workers,
-		AssemblyScheme: sh.scheme,
-		AssemblyWall:   sh.wall, AssemblyCounters: sh.counters,
-		Backing: m,
-	}
-	if bsr {
-		op.BSR = &operator.BSRIndex{BlockID: blockID, TplBlockDelta: tplBlockDelta}
-		if err := op.ValidateBSR(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	} else {
-		op.ColInd = colInd
-	}
-	if err := op.ValidateTemplates(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return op, nil
-}
-
-// mapTemplates aliases the optional template sections out of the mapping,
-// mirroring decodeTemplates for the zero-copy path. For bsr containers the
-// aliased delta array is the blocked element deltas, returned separately.
-func (c *Container) mapTemplates(data []byte, bsr bool) (*operator.TemplateSet, []int32, error) {
-	secs := tplSectionTypes(bsr)
-	present := 0
-	for _, typ := range secs {
-		if _, ok := c.Section(typ); ok {
-			present++
-		}
-	}
-	if present == 0 {
-		return nil, nil, nil
-	}
-	if present != len(secs) {
-		return nil, nil, fmt.Errorf("%w: %d of %d template sections present", ErrCorrupt, present, len(secs))
-	}
-	rawPtr, err := c.alignedSection(data, SecTplPtr, 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawDelta, err := c.alignedSection(data, secs[1], 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawVal, err := c.alignedSection(data, SecTplVal, 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawRowTpl, err := c.alignedSection(data, SecRowTpl, 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawRowBase, err := c.alignedSection(data, SecRowBase, 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	ts := &operator.TemplateSet{
-		TplPtr: castI64s(rawPtr), TplVal: castF64s(rawVal),
-		RowTpl: castI32s(rawRowTpl), RowBase: castI32s(rawRowBase),
-	}
-	if bsr {
-		return ts, castI32s(rawDelta), nil
-	}
-	ts.TplDelta = castI32s(rawDelta)
-	return ts, nil, nil
+	return c.loadOperator(key, c.mappedLoader(m.data), m)
 }
 
 // LoadOperatorFile reads the operator artifact at path into heap-resident

@@ -294,7 +294,7 @@ func (s *Store) SaveOperator(key string, op *operator.Operator) error {
 }
 
 // LoadOperator loads the operator stored under key. With mapped=true the
-// CSR arrays alias a read-only memory mapping (zero-copy; falls back to
+// operator arrays alias a read-only memory mapping (zero-copy; falls back to
 // the portable decode where mmap is unavailable); the second return
 // reports which path was taken. Integrity (CRCs + key) is always verified
 // before the operator is returned, and corrupt files are deleted so the

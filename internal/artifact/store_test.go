@@ -51,7 +51,7 @@ func TestStoreGCTornFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := testOperator(t, 10, 8, 3, false)
+	op := testOperator(t, 10, 9, 3, false)
 	if err := st.SaveOperator("op:keep", op); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStoreCorruptLoadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := testOperator(t, 30, 20, 6, false)
+	op := testOperator(t, 30, 24, 6, false)
 	key := "op:bitrot"
 	if err := st.SaveOperator(key, op); err != nil {
 		t.Fatal(err)

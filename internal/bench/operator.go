@@ -50,9 +50,8 @@ func (c OperatorConfig) EffectiveWorkers() int {
 type OperatorResult struct {
 	P int `json:"p"`
 
-	// Assembly cost, wall-clock, for both assembly schemes.
-	AssemblePerPointMS   float64 `json:"assemble_per_point_ms"`
-	AssemblePerElementMS float64 `json:"assemble_per_element_ms"`
+	// Assembly cost, wall-clock.
+	AssemblePerPointMS float64 `json:"assemble_per_point_ms"`
 
 	// Steady-state per-field cost: one sparse apply vs one direct
 	// per-point run over the identical evaluation grid.
@@ -110,19 +109,14 @@ func RunOperator(cfg OperatorConfig) (*OperatorReport, error) {
 		}
 		res := OperatorResult{P: p}
 
-		// Assembly cost, each scheme once (assembly is a one-off; median-of-N
-		// would just re-measure a path the break-even analysis amortises away).
+		// Assembly cost, once (assembly is a one-off; median-of-N would just
+		// re-measure a path the break-even analysis amortises away).
 		start := time.Now()
-		op, err := ev.AssembleOperator(core.AssembleOpts{Scheme: core.PerPoint})
+		op, err := ev.AssembleOperator(core.AssembleOpts{})
 		if err != nil {
 			return nil, err
 		}
 		res.AssemblePerPointMS = float64(time.Since(start)) / float64(time.Millisecond)
-		start = time.Now()
-		if _, err := ev.AssembleOperator(core.AssembleOpts{Scheme: core.PerElement}); err != nil {
-			return nil, err
-		}
-		res.AssemblePerElementMS = float64(time.Since(start)) / float64(time.Millisecond)
 
 		st := op.Stats()
 		res.Rows, res.NNZ = st.Rows, st.NNZ

@@ -27,26 +27,24 @@ func TestOperatorSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []core.Scheme{core.PerPoint, core.PerElement} {
-		op, err := ev.AssembleOperator(core.AssembleOpts{Scheme: scheme})
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
+	op, err := ev.AssembleOperator(core.AssembleOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := op.Apply(ev.Field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for i := range got {
+		if d := math.Abs(got[i] - direct.Solution[i]); d > worst {
+			worst = d
 		}
-		got, err := op.Apply(ev.Field)
-		if err != nil {
-			t.Fatal(err)
-		}
-		worst := 0.0
-		for i := range got {
-			if d := math.Abs(got[i] - direct.Solution[i]); d > worst {
-				worst = d
-			}
-		}
-		if worst > 1e-12 {
-			t.Errorf("%v assembly: apply vs direct max diff %.3e > 1e-12", scheme, worst)
-		}
-		if op.NNZ() == 0 {
-			t.Errorf("%v assembly produced an empty operator", scheme)
-		}
+	}
+	if worst > 1e-12 {
+		t.Errorf("apply vs direct max diff %.3e > 1e-12", worst)
+	}
+	if op.NNZ() == 0 {
+		t.Error("assembly produced an empty operator")
 	}
 }

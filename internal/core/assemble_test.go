@@ -42,18 +42,19 @@ func TestOperatorMatchesDirect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, scheme := range []Scheme{PerPoint, PerElement} {
-					op, err := ev.AssembleOperator(AssembleOpts{Scheme: scheme})
-					if err != nil {
-						t.Fatalf("%s/%v/P%d/%v: assemble: %v", mname, boundary, p, scheme, err)
-					}
-					got, err := op.Apply(ev.Field)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {
-						t.Errorf("%s/%v/P%d/%v: apply vs direct max diff %.3e", mname, boundary, p, scheme, d)
-					}
+				op, err := ev.AssembleOperator(AssembleOpts{})
+				if err != nil {
+					t.Fatalf("%s/%v/P%d: assemble: %v", mname, boundary, p, err)
+				}
+				if err := op.Validate(); err != nil {
+					t.Fatalf("%s/%v/P%d: assembled operator invalid: %v", mname, boundary, p, err)
+				}
+				got, err := op.Apply(ev.Field)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {
+					t.Errorf("%s/%v/P%d: apply vs direct max diff %.3e", mname, boundary, p, d)
 				}
 			}
 		}
@@ -84,8 +85,8 @@ func TestOperatorFieldIndependence(t *testing.T) {
 	}
 }
 
-// Custom row positions (a query batch) assemble with the per-point scheme
-// and agree with EvalBatch.
+// Custom row positions (a query batch) assemble like the grid and agree
+// with EvalBatch.
 func TestOperatorCustomPoints(t *testing.T) {
 	m := mesh.Structured(4)
 	for _, boundary := range []Boundary{Periodic, OneSided} {
@@ -118,96 +119,68 @@ func TestOperatorCustomPoints(t *testing.T) {
 	}
 }
 
-// Morton row order is a pure storage permutation: the applied values are
-// bit-identical to natural order.
+// Morton row order is a pure storage permutation: Perm is a bijection onto
+// the point set, and the same operator applied with Perm stripped produces
+// the same bits in storage order.
 func TestOperatorRowOrderPureStorage(t *testing.T) {
 	m := mesh.Structured(4)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 4})
-	morton, err := ev.AssembleOperator(AssembleOpts{RowOrder: RowMorton})
+	op, err := ev.AssembleOperator(AssembleOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	natural, err := ev.AssembleOperator(AssembleOpts{RowOrder: RowNatural})
-	if err != nil {
-		t.Fatal(err)
+	if op.Perm == nil {
+		t.Fatal("assembly produced no permutation")
 	}
-	if morton.Perm == nil {
-		t.Fatal("Morton assembly produced no permutation")
-	}
-	if natural.Perm != nil {
-		t.Fatal("natural assembly produced a permutation")
-	}
-	if morton.NNZ() != natural.NNZ() {
-		t.Fatalf("nnz differs: morton %d, natural %d", morton.NNZ(), natural.NNZ())
-	}
-	a, err := morton.Apply(ev.Field)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := natural.Apply(ev.Field)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("point %d: morton %v != natural %v", i, a[i], b[i])
-		}
-	}
-	// The permutation must be a bijection onto the point set.
-	seen := make([]bool, morton.Rows)
-	for _, pt := range morton.Perm {
+	seen := make([]bool, op.Rows)
+	for _, pt := range op.Perm {
 		if seen[pt] {
 			t.Fatalf("point %d appears twice in Perm", pt)
 		}
 		seen[pt] = true
 	}
+	inPointOrder, err := op.Apply(ev.Field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := *op
+	stripped.Perm = nil
+	inStorageOrder, err := stripped.Apply(ev.Field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, pt := range op.Perm {
+		if inPointOrder[pt] != inStorageOrder[r] {
+			t.Fatalf("storage row %d (point %d): %v != %v", r, pt, inStorageOrder[r], inPointOrder[pt])
+		}
+	}
 }
 
-// Assembly is deterministic: any worker count yields bit-identical CSR.
+// Assembly is deterministic: any worker count yields a bit-identical
+// operator.
 func TestOperatorAssemblyDeterministic(t *testing.T) {
 	m, err := mesh.SizedLowVariance(200, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{PerPoint, PerElement} {
-		ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 4})
-		base, err := ev.AssembleOperator(AssembleOpts{Scheme: scheme, Workers: 1})
+	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 1})
+	base, err := ev.AssembleOperator(AssembleOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 7} {
+		ev.Opt.Workers = w
+		op, err := ev.AssembleOperator(AssembleOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		base = base.ToCSR()
-		for _, w := range []int{2, 7} {
-			op, err := ev.AssembleOperator(AssembleOpts{Scheme: scheme, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			op = op.ToCSR()
-			if len(op.Val) != len(base.Val) {
-				t.Fatalf("%v: workers=%d nnz %d != %d", scheme, w, len(op.Val), len(base.Val))
-			}
-			for i := range op.Val {
-				if op.Val[i] != base.Val[i] || op.ColInd[i] != base.ColInd[i] {
-					t.Fatalf("%v: workers=%d entry %d differs", scheme, w, i)
-				}
-			}
-			for i := range op.RowPtr {
-				if op.RowPtr[i] != base.RowPtr[i] {
-					t.Fatalf("%v: workers=%d rowptr %d differs", scheme, w, i)
-				}
-			}
-		}
+		expectBitwiseEqual(t, "workers="+string(rune('0'+w)), op, base)
 	}
 }
 
 func TestOperatorErrors(t *testing.T) {
 	m := mesh.Structured(4)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 2})
-	if _, err := ev.AssembleOperator(AssembleOpts{Scheme: PerElement, Points: []geom.Point{geom.Pt(0.5, 0.5)}}); err == nil {
-		t.Error("per-element assembly with custom points should fail")
-	}
-	if _, err := ev.AssembleOperator(AssembleOpts{Scheme: Assembled}); err == nil {
-		t.Error("assembling with the Assembled scheme should fail")
-	}
 	op, err := ev.AssembleOperator(AssembleOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +198,7 @@ func TestOperatorErrors(t *testing.T) {
 }
 
 // The apply itself is bit-identical across worker counts (each row is
-// summed in CSR order by exactly one goroutine).
+// summed in storage order by exactly one goroutine).
 func TestOperatorApplyParallelBitIdentical(t *testing.T) {
 	m, err := mesh.SizedLowVariance(200, 3)
 	if err != nil {

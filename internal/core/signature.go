@@ -1,17 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"unstencil/internal/geom"
-	"unstencil/internal/metrics"
-	"unstencil/internal/operator"
 )
 
 // Congruence-first assembly: detect row congruence *before* integrating, so
@@ -30,10 +26,10 @@ import (
 // blocks; the member's columns follow from mapping each of the
 // representative's contributing elements to the member element holding the
 // same local geometry. When that mapping is one uniform id shift D the row
-// is exactly one row of a PR 8 stencil template (shared deltas + values,
-// base column shifted by D·basisN); when it is not — periodic wrap makes
-// spatial translates id-discontinuous — the member still skips quadrature
-// and receives a plain CSR row stamped through the mapping. That second
+// is exactly one row of a stencil template (shared deltas + values, base
+// element shifted by D); when it is not — periodic wrap makes spatial
+// translates id-discontinuous — the member still skips quadrature and
+// receives a directly stored row stamped through the mapping. That second
 // case is what extends congruence beyond the dyadic interior: on a
 // periodic mesh *every* translated row is geometrically congruent, wrapped
 // or not.
@@ -64,35 +60,11 @@ import (
 //     identical is fully integrated and compared bitwise against the
 //     would-be stamp: equal rows are kept as verified stamps (bytes or
 //     uniformity knowledge gained, no compute saved), unequal rows keep
-//     their own weights as plain CSR — the transparent per-row fallback.
+//     their own weights as directly stored rows — the transparent per-row
+//     fallback.
 //     Members whose partition structure diverges are demoted directly.
 //     Congruence-first and naive assembly are therefore bitwise identical
 //     on every mesh; the tests pin exactly that.
-
-// CongruenceMode selects whether AssembleOperator detects row congruence
-// before integrating.
-type CongruenceMode int
-
-const (
-	// CongruenceNone (the default) assembles every row independently.
-	CongruenceNone CongruenceMode = iota
-	// CongruenceTemplate groups rows by geometric signature, integrates
-	// one representative per class, stamps provably congruent rows, and
-	// emits the operator's TemplateSet directly at assembly time.
-	CongruenceTemplate
-)
-
-// String implements fmt.Stringer.
-func (c CongruenceMode) String() string {
-	switch c {
-	case CongruenceNone:
-		return "none"
-	case CongruenceTemplate:
-		return "template"
-	default:
-		return fmt.Sprintf("CongruenceMode(%d)", int(c))
-	}
-}
 
 // sigQuantumDefault is the signature quantisation step in units of h. Fine
 // enough that genuinely different stencil geometries land in different
@@ -117,10 +89,10 @@ type sigEntry struct {
 // Per-member outcomes of class resolution.
 const (
 	memberStampedTpl    uint8 = iota + 1 // exact match, uniform id shift: templated, no quadrature
-	memberStampedPlain                   // exact match, wrapped ids: plain stamped row, no quadrature
+	memberStampedPlain                   // exact match, wrapped ids: directly stored stamped row, no quadrature
 	memberVerifiedTpl                    // integrated, bitwise equal to the stamp, uniform shift
 	memberVerifiedPlain                  // integrated, bitwise equal to the stamp, wrapped ids
-	memberDemoted                        // integrated, kept its own weights as a plain row
+	memberDemoted                        // integrated, kept its own weights as a directly stored row
 )
 
 // congClass is one prefilter bucket: rows sharing the quantised signature
@@ -380,8 +352,8 @@ func buildStamp(cls *congClass, memIDs []int32, basisN int, ord []int32, elems [
 }
 
 // uniformShift reports whether the member's slot mapping is one constant
-// element id shift vs the representative — the case a PR 8 template row
-// can express (shared deltas, base column shifted by d·basisN).
+// element id shift vs the representative — the case a template row can
+// express (shared deltas, base element shifted by d).
 func uniformShift(cls *congClass, memIDs []int32) (int32, bool) {
 	if len(cls.slotLab) == 0 {
 		return 0, true
@@ -414,83 +386,49 @@ func rowsEqualBits(elems []int32, vals []float64, elems2 []int32, vals2 []float6
 	return true
 }
 
-// assemblePerPointCongruent is assemblePerPoint with the congruence-first
-// schedule: signature prefilter, per-class exact certification, stamped /
-// verified / demoted member resolution, and direct template emission. The
-// result is bitwise identical to assemblePerPoint for every mesh and every
-// worker count; on meshes where rows repeat (structured grids, wrapped or
-// not) most rows never run quadrature.
-func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []int32, workers, basisN, cols int, quantum float64, cache SignatureCache) (*operator.Builder, metrics.Counters, *operator.CongruenceStats, error) {
-	if quantum < 0 {
-		return nil, metrics.Counters{}, nil, fmt.Errorf("core: signature quantum must be >= 0, got %g", quantum)
-	}
-	if quantum == 0 {
-		quantum = sigQuantumDefault
-	}
-	invQ := 1 / (ev.H * quantum)
-
-	n := len(positions)
-	bld := operator.NewBuilder(n, cols, basisN)
-	bld.MarkTemplateAware()
-	stats := &operator.CongruenceStats{Rows: n}
-
-	rowPos := func(r int) geom.Point {
-		if perm != nil {
-			return positions[perm[r]]
+// hashRow computes one row's (exact, quantised) signature hashes on worker
+// slot w, consulting the cross-assembly cache first: the hash pair is a
+// pure function of the cache key on a fixed (mesh, kernel order, h,
+// quantum) tuple (see SignatureCache), so a hit skips the candidate walk
+// and canonicalisation — the entire per-row cost of the prefilter.
+func (a *assembly) hashRow(w int, pos geom.Point) (exact, quant uint64, err error) {
+	kx, ky := a.ev.kernelClass(pos)
+	xb, yb := math.Float64bits(pos.X), math.Float64bits(pos.Y)
+	if a.cache != nil {
+		a.cacheLookups.Add(1)
+		if he, hq, ok := a.cache.Lookup(xb, yb, kx, ky); ok {
+			a.cacheHits.Add(1)
+			return he, hq, nil
 		}
-		return positions[r]
 	}
+	s := &a.scr[w]
+	s.sig, err = a.ev.collectSignature(pos, a.wks[w], s.sig, a.invQ)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.sig, s.ids = canonicalizeSignature(s.sig, s.ids, s.labs)
+	he, hq := signatureHashes(kx, ky, s.sig)
+	if a.cache != nil {
+		a.cache.Store(xb, yb, kx, ky, he, hq)
+	}
+	return he, hq, nil
+}
 
-	dispatch := max(min(workers, n), 1)
-	wks := ev.getWorkers(dispatch)
-	type rowScratch struct {
-		acc   *rowAccum
-		cols  []int32
-		vals  []float64
-		sig   []sigEntry
-		ids   []int32
-		labs  map[int32]int32
-		ord   []int32
-		scols []int32
-		svals []float64
-	}
-	scr := make([]rowScratch, dispatch)
-	for i := range scr {
-		scr[i].acc = newRowAccum(basisN)
-		scr[i].labs = make(map[int32]int32)
-	}
-	var ec errCollector
-	var cacheLookups, cacheHits atomic.Int64
-
-	// hashRow computes one row's (exact, quantised) signature hashes,
-	// consulting the cross-assembly cache first: the hash pair is a pure
-	// function of the cache key on a fixed (mesh, kernel order, h, quantum)
-	// tuple (see SignatureCache), so a hit skips the candidate walk and
-	// canonicalisation — the entire per-row cost of the prefilter.
-	hashRow := func(w int, pos geom.Point) (exact, quant uint64, err error) {
-		kx, ky := ev.kernelClass(pos)
-		xb, yb := math.Float64bits(pos.X), math.Float64bits(pos.Y)
-		if cache != nil {
-			cacheLookups.Add(1)
-			if he, hq, ok := cache.Lookup(xb, yb, kx, ky); ok {
-				cacheHits.Add(1)
-				return he, hq, nil
-			}
-		}
-		s := &scr[w]
-		sig, err := ev.collectSignature(pos, wks[w], s.sig, invQ)
-		if err != nil {
-			s.sig = sig
-			return 0, 0, err
-		}
-		sig, s.ids = canonicalizeSignature(sig, s.ids, s.labs)
-		s.sig = sig
-		he, hq := signatureHashes(kx, ky, sig)
-		if cache != nil {
-			cache.Store(xb, yb, kx, ky, he, hq)
-		}
-		return he, hq, nil
-	}
+// congruent is the congruence-first row schedule: adaptive probe,
+// signature prefilter, per-class exact certification, stamped / verified /
+// demoted member resolution, and direct template emission. The result is
+// bitwise identical to the naive schedule for every mesh and every worker
+// count; on meshes where rows repeat (structured grids, wrapped or not)
+// most rows never run quadrature.
+func (a *assembly) congruent() {
+	ev, bld, wks, scr, basisN := a.ev, a.bld, a.wks, a.scr, a.basisN
+	stats, ec := &a.stats, &a.ec
+	n := len(a.positions)
+	dispatch := len(wks)
+	defer func() {
+		stats.SigCacheLookups = a.cacheLookups.Load()
+		stats.SigCacheHits = a.cacheHits.Load()
+	}()
 
 	// Congruence probe: on meshes with no repeated rows (jittered,
 	// unstructured) the full signature pass is pure overhead, so before
@@ -502,11 +440,11 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 	// stage with zero sharing bails to the naive schedule at once — a
 	// jittered mesh pays probeMinSample hashes, not probeSampleRows. A
 	// sample that stays almost all singletons means the class machinery
-	// cannot win: fall back to the naive parallel schedule and the
-	// congruence path costs only the probe — the graceful-degradation
-	// bound on non-congruent meshes. Operators small enough that the
-	// sample would be most of the rows skip the probe and keep the full
-	// prefilter (which then *is* the probe).
+	// cannot win: fall back to the naive schedule and the congruence path
+	// costs only the probe — the graceful-degradation bound on
+	// non-congruent meshes. Operators small enough that the sample would
+	// be most of the rows skip the probe and keep the full prefilter
+	// (which then *is* the probe).
 	sigStart := time.Now()
 	if n > 2*probeSampleRows {
 		probeHash := make([]uint64, 0, probeSampleRows)
@@ -515,8 +453,8 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 		for _, stage := range probeStages {
 			lo := len(probeHash)
 			probeHash = probeHash[:stage]
-			runDynamic(min(dispatch, stage-lo), stage-lo, func(w, i int) bool {
-				_, hq, err := hashRow(w, rowPos(probeRowAt(lo+i, n)))
+			runDynamic(dispatch, stage-lo, func(w, i int) bool {
+				_, hq, err := a.hashRow(w, a.rowPos(probeRowAt(lo+i, n)))
 				if err != nil {
 					ec.set(err)
 					return false
@@ -525,8 +463,7 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 				return true
 			})
 			if ec.err != nil {
-				ev.putWorkers(wks)
-				return nil, metrics.Counters{}, nil, ec.err
+				return
 			}
 			for _, h := range probeHash[lo:] {
 				counts[h]++
@@ -548,28 +485,8 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 		stats.ProbeRows = len(probeHash)
 		if !congruent {
 			stats.SignatureWall = time.Since(sigStart)
-			runDynamic(min(dispatch, n), n, func(w, r int) bool {
-				wk, s := wks[w], &scr[w]
-				if err := ev.assembleRow(rowPos(r), wk, s.acc); err != nil {
-					ec.set(err)
-					return false
-				}
-				s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
-				bld.SetRowBlocks(r, s.cols, s.vals)
-				return true
-			})
-			var total metrics.Counters
-			for _, wk := range wks {
-				total.Add(&wk.counters)
-			}
-			ev.putWorkers(wks)
-			if ec.err != nil {
-				return nil, total, nil, ec.err
-			}
-			stats.RowsIntegrated = n
-			stats.SigCacheLookups = cacheLookups.Load()
-			stats.SigCacheHits = cacheHits.Load()
-			return bld, total, stats, nil
+			a.naive()
+			return
 		}
 	}
 	stats.ProbeCongruent = true
@@ -586,8 +503,8 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 	// therefore the output — is deterministic for every worker count.
 	exactHashes := make([]uint64, n)
 	quantHashes := make([]uint64, n)
-	runDynamic(min(dispatch, n), n, func(w, r int) bool {
-		he, hq, err := hashRow(w, rowPos(r))
+	runDynamic(dispatch, n, func(w, r int) bool {
+		he, hq, err := a.hashRow(w, a.rowPos(r))
 		if err != nil {
 			ec.set(err)
 			return false
@@ -596,8 +513,7 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 		return true
 	})
 	if ec.err != nil {
-		ev.putWorkers(wks)
-		return nil, metrics.Counters{}, nil, ec.err
+		return
 	}
 	type protoClass struct {
 		members []int32
@@ -647,14 +563,14 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 	// Stage 2: per class, materialise the representative's canonical
 	// signature and integrate its row — the one quadrature bill the whole
 	// class shares — then label the contributing slots for stamping.
-	runDynamic(min(dispatch, len(classes)), len(classes), func(w, c int) bool {
+	runDynamic(dispatch, len(classes), func(w, c int) bool {
 		wk, s, cls := wks[w], &scr[w], classes[c]
 		rep := int(cls.members[0])
-		if err := ev.materializeSignature(rowPos(rep), wk, cls, s.labs, invQ); err != nil {
+		if err := ev.materializeSignature(a.rowPos(rep), wk, cls, s.labs, a.invQ); err != nil {
 			ec.set(err)
 			return false
 		}
-		if err := ev.assembleRow(rowPos(rep), wk, s.acc); err != nil {
+		if err := ev.assembleRow(a.rowPos(rep), wk, s.acc); err != nil {
 			ec.set(err)
 			return false
 		}
@@ -668,6 +584,9 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 		}
 		return true
 	})
+	if ec.err != nil {
+		return
+	}
 
 	// Stage 3: resolve members. Work units are fixed-size member chunks,
 	// not classes — one interior class can cover most of a structured
@@ -675,9 +594,9 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 	// stamp is a walk, a demotion a full integration), exactly the
 	// imbalance the stealing scheduler exists for. Exact members are
 	// stamped with no quadrature (uniform-shift stamps become template
-	// rows in stage 5, wrapped ones plain rows here); shape-only members
-	// integrate and verify bitwise against the stamp; the rest demote to
-	// their own plain rows.
+	// rows in stage 5, wrapped ones directly stored rows here); shape-only
+	// members integrate and verify bitwise against the stamp; the rest
+	// demote to their own rows.
 	type memberChunk struct {
 		cls    *congClass
 		lo, hi int
@@ -689,91 +608,66 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 			chunks = append(chunks, memberChunk{cls, lo, min(lo+chunkMembers, len(cls.members))})
 		}
 	}
-	if ec.err == nil {
-		runStealing(strideSeed(len(chunks), min(dispatch, len(chunks))), func(w, u int) bool {
-			wk, s := wks[w], &scr[w]
-			ck := chunks[u]
-			cls := ck.cls
-			for i := ck.lo; i < ck.hi; i++ {
-				r := int(cls.members[i])
-				pos := rowPos(r)
-				shape, exact, sig, ids, err := ev.compareRowSignature(pos, wk, cls, s.sig, s.ids, s.labs, invQ)
-				s.sig, s.ids = sig, ids
-				if err != nil {
-					ec.set(err)
-					return false
-				}
-				if exact {
-					if d, ok := uniformShift(cls, ids); ok {
-						cls.status[i], cls.shiftD[i] = memberStampedTpl, d
-						continue
-					}
-					s.ord, s.scols, s.svals = buildStamp(cls, ids, basisN, s.ord, s.scols, s.svals)
-					bld.SetRowBlocks(r, s.scols, s.svals)
-					cls.status[i] = memberStampedPlain
-					continue
-				}
-				if !shape {
-					if err := ev.assembleRow(pos, wk, s.acc); err != nil {
-						ec.set(err)
-						return false
-					}
-					s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
-					cls.status[i] = memberDemoted
-					bld.SetRowBlocks(r, s.cols, s.vals)
-					continue
-				}
-				if err := ev.assembleRow(pos, wk, s.acc); err != nil {
-					ec.set(err)
-					return false
-				}
-				s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
-				s.ord, s.scols, s.svals = buildStamp(cls, ids, basisN, s.ord, s.scols, s.svals)
-				if rowsEqualBits(s.cols, s.vals, s.scols, s.svals) {
-					if d, ok := uniformShift(cls, ids); ok {
-						cls.status[i], cls.shiftD[i] = memberVerifiedTpl, d
-						continue
-					}
-					cls.status[i] = memberVerifiedPlain
-				} else {
-					cls.status[i] = memberDemoted
-				}
-				bld.SetRowBlocks(r, s.cols, s.vals)
-			}
-			return true
-		})
-	}
-
-	// Stage 4: signature singletons assemble exactly as the naive path.
-	if ec.err == nil {
-		runDynamic(min(dispatch, len(singles)), len(singles), func(w, u int) bool {
-			wk, s := wks[w], &scr[w]
-			r := int(singles[u])
-			if err := ev.assembleRow(rowPos(r), wk, s.acc); err != nil {
+	runStealing(strideSeed(len(chunks), min(dispatch, len(chunks))), func(w, u int) bool {
+		wk, s := wks[w], &scr[w]
+		ck := chunks[u]
+		cls := ck.cls
+		for i := ck.lo; i < ck.hi; i++ {
+			r := int(cls.members[i])
+			pos := a.rowPos(r)
+			shape, exact, sig, ids, err := ev.compareRowSignature(pos, wk, cls, s.sig, s.ids, s.labs, a.invQ)
+			s.sig, s.ids = sig, ids
+			if err != nil {
 				ec.set(err)
 				return false
 			}
-			s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
-			bld.SetRowBlocks(r, s.cols, s.vals)
-			return true
+			if exact {
+				if d, ok := uniformShift(cls, ids); ok {
+					cls.status[i], cls.shiftD[i] = memberStampedTpl, d
+					continue
+				}
+				s.ord, s.scols, s.svals = buildStamp(cls, ids, basisN, s.ord, s.scols, s.svals)
+				bld.SetRowBlocks(r, s.scols, s.svals)
+				cls.status[i] = memberStampedPlain
+				continue
+			}
+			// Not certified: integrate the row (this also stores it; a
+			// verified uniform-shift member is re-pointed at the class
+			// template in stage 5).
+			if !a.integrateRow(w, r) {
+				return false
+			}
+			cls.status[i] = memberDemoted
+			if !shape {
+				continue
+			}
+			s.ord, s.scols, s.svals = buildStamp(cls, ids, basisN, s.ord, s.scols, s.svals)
+			if rowsEqualBits(s.cols, s.vals, s.scols, s.svals) {
+				cls.status[i] = memberVerifiedPlain
+				if d, ok := uniformShift(cls, ids); ok {
+					cls.status[i], cls.shiftD[i] = memberVerifiedTpl, d
+				}
+			}
+		}
+		return true
+	})
+
+	// Stage 4: signature singletons assemble exactly as the naive path.
+	if ec.err == nil {
+		runDynamic(dispatch, len(singles), func(w, u int) bool {
+			return a.integrateRow(w, int(singles[u]))
 		})
 	}
-
-	var total metrics.Counters
-	for _, wk := range wks {
-		total.Add(&wk.counters)
-	}
-	ev.putWorkers(wks)
 	if ec.err != nil {
-		return nil, total, nil, ec.err
+		return
 	}
 
 	// Stage 5 (serial): emit templates and stamp uniform-shift rows. A
 	// class becomes a template when at least two rows resolve through it
 	// with a uniform shift and the pattern is non-empty; otherwise
-	// surviving template candidates get shifted plain copies (only
-	// reachable for empty rows — any non-empty stamped/verified member
-	// implies a template).
+	// surviving template candidates get shifted directly stored copies
+	// (only reachable for empty rows — any non-empty stamped/verified
+	// member implies a template).
 	stamped := make([]int32, 0, 16)
 	for _, cls := range classes {
 		users := 1
@@ -800,10 +694,10 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 		rep := int(cls.members[0])
 		if users >= 2 && len(cls.repElems) > 0 {
 			t := bld.AddTemplateBlocks(cls.repElems, cls.repVals)
-			bld.SetRowTemplated(rep, t, cls.repElems[0]*int32(basisN))
+			bld.SetRowTemplated(rep, t, cls.repElems[0])
 			for i := 1; i < len(cls.members); i++ {
 				if cls.status[i] == memberStampedTpl || cls.status[i] == memberVerifiedTpl {
-					bld.SetRowTemplated(int(cls.members[i]), t, (cls.repElems[0]+cls.shiftD[i])*int32(basisN))
+					bld.SetRowTemplated(int(cls.members[i]), t, cls.repElems[0]+cls.shiftD[i])
 				}
 			}
 			continue
@@ -820,9 +714,6 @@ func (ev *Evaluator) assemblePerPointCongruent(positions []geom.Point, perm []in
 		}
 	}
 	stats.RowsIntegrated = n - stats.RowsStamped
-	stats.SigCacheLookups = cacheLookups.Load()
-	stats.SigCacheHits = cacheHits.Load()
-	return bld, total, stats, nil
 }
 
 func (cls *congClass) hasStatus(st uint8) bool {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"unstencil/internal/geom"
@@ -9,47 +10,84 @@ import (
 	"unstencil/internal/operator"
 )
 
-// expectBitwiseEqual fails unless two operators are bitwise identical as
-// expanded CSR: same permutation, same row spans, same column indices,
-// and value-for-value identical float bit patterns (no tolerance).
+// expectBitwiseEqual fails unless two operators are bitwise identical row
+// for row, whatever mix of templated and directly stored rows each holds:
+// same permutation, and per storage row the same element ids and
+// value-for-value identical float bit patterns (no tolerance).
 func expectBitwiseEqual(t *testing.T, label string, got, want *operator.Operator) {
 	t.Helper()
-	g, w := got.Expand(), want.Expand()
-	if g.Rows != w.Rows || g.Cols != w.Cols || g.BasisN != w.BasisN {
-		t.Fatalf("%s: shape (%d,%d,%d) != (%d,%d,%d)", label, g.Rows, g.Cols, g.BasisN, w.Rows, w.Cols, w.BasisN)
+	if got.Rows != want.Rows || got.Cols != want.Cols || got.BasisN != want.BasisN {
+		t.Fatalf("%s: shape (%d,%d,%d) != (%d,%d,%d)", label, got.Rows, got.Cols, got.BasisN, want.Rows, want.Cols, want.BasisN)
 	}
-	if len(g.Perm) != len(w.Perm) {
-		t.Fatalf("%s: perm len %d != %d", label, len(g.Perm), len(w.Perm))
+	if len(got.Perm) != len(want.Perm) {
+		t.Fatalf("%s: perm len %d != %d", label, len(got.Perm), len(want.Perm))
 	}
-	for i := range g.Perm {
-		if g.Perm[i] != w.Perm[i] {
-			t.Fatalf("%s: perm[%d] = %d != %d", label, i, g.Perm[i], w.Perm[i])
+	for i := range got.Perm {
+		if got.Perm[i] != want.Perm[i] {
+			t.Fatalf("%s: perm[%d] = %d != %d", label, i, got.Perm[i], want.Perm[i])
 		}
 	}
-	for r := 0; r < g.Rows; r++ {
-		if g.RowPtr[r] != w.RowPtr[r] || g.RowPtr[r+1] != w.RowPtr[r+1] {
-			t.Fatalf("%s: row %d span [%d,%d) != [%d,%d)", label, r, g.RowPtr[r], g.RowPtr[r+1], w.RowPtr[r], w.RowPtr[r+1])
+	var ge, we []int32
+	for r := 0; r < got.Rows; r++ {
+		var gv, wv []float64
+		ge, gv = got.Row(r, ge)
+		we, wv = want.Row(r, we)
+		if len(ge) != len(we) || len(gv) != len(wv) {
+			t.Fatalf("%s: row %d has %d elements / %d values, want %d / %d", label, r, len(ge), len(gv), len(we), len(wv))
 		}
-		for k := g.RowPtr[r]; k < g.RowPtr[r+1]; k++ {
-			if g.ColInd[k] != w.ColInd[k] {
-				t.Fatalf("%s: row %d entry %d col %d != %d", label, r, k-g.RowPtr[r], g.ColInd[k], w.ColInd[k])
+		for k := range ge {
+			if ge[k] != we[k] {
+				t.Fatalf("%s: row %d block %d element %d != %d", label, r, k, ge[k], we[k])
 			}
-			if math.Float64bits(g.Val[k]) != math.Float64bits(w.Val[k]) {
+		}
+		for k := range gv {
+			if math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
 				t.Fatalf("%s: row %d entry %d val %x != %x (%.17g vs %.17g)",
-					label, r, k-g.RowPtr[r], math.Float64bits(g.Val[k]), math.Float64bits(w.Val[k]), g.Val[k], w.Val[k])
+					label, r, k, math.Float64bits(gv[k]), math.Float64bits(wv[k]), gv[k], wv[k])
 			}
 		}
 	}
+}
+
+// assembleNaive is the bitwise oracle: every row integrated independently,
+// nothing stamped, nothing templated.
+func assembleNaive(t testing.TB, ev *Evaluator, opts AssembleOpts) *operator.Operator {
+	t.Helper()
+	op, err := ev.assembleOperator(opts, sigQuantumDefault, (*assembly).naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.Tpl != nil || op.Congruence.RowsStamped != 0 {
+		t.Fatalf("naive assembly shared rows: %+v", op.Congruence)
+	}
+	return op
+}
+
+// assembleQuantum runs the production schedule with an arbitrary signature
+// quantum, the one knob AssembleOperator does not expose.
+func assembleQuantum(t testing.TB, ev *Evaluator, quantum float64) *operator.Operator {
+	t.Helper()
+	op, err := ev.assembleOperator(AssembleOpts{}, quantum, (*assembly).congruent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+func mustAssemble(t testing.TB, ev *Evaluator, opts AssembleOpts) *operator.Operator {
+	t.Helper()
+	op, err := ev.AssembleOperator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
 }
 
 func checkCongruenceStats(t *testing.T, label string, op *operator.Operator) *operator.CongruenceStats {
 	t.Helper()
 	cs := op.Congruence
 	if cs == nil {
-		t.Fatalf("%s: congruent assembly did not record CongruenceStats", label)
-	}
-	if !op.TemplateAware {
-		t.Fatalf("%s: congruent assembly did not mark the operator template-aware", label)
+		t.Fatalf("%s: assembly did not record CongruenceStats", label)
 	}
 	if cs.RowsIntegrated+cs.RowsStamped != cs.Rows {
 		t.Fatalf("%s: integrated %d + stamped %d != rows %d", label, cs.RowsIntegrated, cs.RowsStamped, cs.Rows)
@@ -57,10 +95,13 @@ func checkCongruenceStats(t *testing.T, label string, op *operator.Operator) *op
 	if cs.Rows != op.Rows {
 		t.Fatalf("%s: stats rows %d != operator rows %d", label, cs.Rows, op.Rows)
 	}
+	if err := op.Validate(); err != nil {
+		t.Fatalf("%s: assembled operator invalid: %v", label, err)
+	}
 	return cs
 }
 
-// The tentpole property: template-aware assembly is bitwise identical to
+// The tentpole property: congruence-first assembly is bitwise identical to
 // naive assembly on dyadic structured meshes — at every order, boundary
 // treatment, and worker count — while stamping most rows without
 // quadrature.
@@ -69,16 +110,11 @@ func TestCongruentMatchesNaiveBitwiseDyadic(t *testing.T) {
 	for _, boundary := range []Boundary{Periodic, OneSided} {
 		for p := 1; p <= 3; p++ {
 			ev := buildEvaluator(t, m, p, assembleTestField, Options{Boundary: boundary, Workers: 4})
-			naive, err := ev.AssembleOperator(AssembleOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			naive := assembleNaive(t, ev, AssembleOpts{})
 			for _, workers := range []int{1, 4} {
 				label := boundaryLabel(boundary) + "/P" + string(rune('0'+p)) + "/w" + string(rune('0'+workers))
-				cong, err := ev.AssembleOperator(AssembleOpts{Workers: workers, Congruence: CongruenceTemplate})
-				if err != nil {
-					t.Fatalf("%s: congruent assemble: %v", label, err)
-				}
+				ev.Opt.Workers = workers
+				cong := mustAssemble(t, ev, AssembleOpts{})
 				expectBitwiseEqual(t, label, cong, naive)
 				cs := checkCongruenceStats(t, label, cong)
 				// Periodic structured meshes are fully translation
@@ -106,14 +142,11 @@ func boundaryLabel(b Boundary) string {
 // On a periodic structured mesh the interior is fully translation
 // invariant: the stamp rate should be high (the acceptance target assumes
 // >60% shared rows at P2), and the emitted operator should carry an
-// assembly-time TemplateSet without any Templatize rescan.
+// assembly-time TemplateSet.
 func TestCongruentStampRateStructured(t *testing.T) {
 	m := mesh.Structured(16)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	op, err := ev.AssembleOperator(AssembleOpts{Congruence: CongruenceTemplate})
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := mustAssemble(t, ev, AssembleOpts{})
 	cs := checkCongruenceStats(t, "structured-16/P2", op)
 	if rate := float64(cs.RowsStamped) / float64(cs.Rows); rate < 0.6 {
 		t.Errorf("stamp rate %.2f < 0.60 on periodic structured 16x16 (stamped %d of %d)", rate, cs.RowsStamped, cs.Rows)
@@ -123,14 +156,6 @@ func TestCongruentStampRateStructured(t *testing.T) {
 	}
 	if op.Tpl == nil {
 		t.Error("congruent assembly on a structured mesh emitted no TemplateSet")
-	}
-	if err := op.ValidateTemplates(); err != nil {
-		t.Errorf("assembly-emitted templates invalid: %v", err)
-	}
-	// Satellite: Templatize must be a no-op on template-aware operators —
-	// same object back, no rescan.
-	if op.Templatize() != op {
-		t.Error("Templatize re-scanned a template-aware operator")
 	}
 }
 
@@ -142,14 +167,8 @@ func TestCongruentJitteredDemotes(t *testing.T) {
 	m := mesh.JitteredStructured(6, 0.3, 1)
 	for _, boundary := range []Boundary{Periodic, OneSided} {
 		ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: boundary, Workers: 4})
-		naive, err := ev.AssembleOperator(AssembleOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cong, err := ev.AssembleOperator(AssembleOpts{Congruence: CongruenceTemplate})
-		if err != nil {
-			t.Fatal(err)
-		}
+		naive := assembleNaive(t, ev, AssembleOpts{})
+		cong := mustAssemble(t, ev, AssembleOpts{})
 		label := "jittered/" + boundaryLabel(boundary)
 		expectBitwiseEqual(t, label, cong, naive)
 		checkCongruenceStats(t, label, cong)
@@ -175,14 +194,8 @@ func TestCongruentJitteredDemotes(t *testing.T) {
 func TestCongruentProbeFallsBackJittered(t *testing.T) {
 	m := mesh.JitteredStructured(12, 0.3, 2)
 	ev := buildEvaluator(t, m, 1, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	naive, err := ev.AssembleOperator(AssembleOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cong, err := ev.AssembleOperator(AssembleOpts{Congruence: CongruenceTemplate})
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive := assembleNaive(t, ev, AssembleOpts{})
+	cong := mustAssemble(t, ev, AssembleOpts{})
 	expectBitwiseEqual(t, "probe-fallback", cong, naive)
 	cs := checkCongruenceStats(t, "probe-fallback", cong)
 	if cs.ProbeRows == 0 {
@@ -204,15 +217,9 @@ func TestCongruentProbeFallsBackJittered(t *testing.T) {
 func TestCongruentCoarseQuantumNoFalseSharing(t *testing.T) {
 	m := mesh.JitteredStructured(5, 0.25, 7)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	naive, err := ev.AssembleOperator(AssembleOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive := assembleNaive(t, ev, AssembleOpts{})
 	for _, quantum := range []float64{1e-3, 1.0, 1e6} {
-		cong, err := ev.AssembleOperator(AssembleOpts{Congruence: CongruenceTemplate, SigQuantum: quantum})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cong := assembleQuantum(t, ev, quantum)
 		expectBitwiseEqual(t, "coarse-quantum", cong, naive)
 		checkCongruenceStats(t, "coarse-quantum", cong)
 	}
@@ -229,33 +236,14 @@ func TestCongruentCustomPoints(t *testing.T) {
 			math.Mod(0.31+0.7548776662*float64(i), 1),
 		))
 	}
-	naive, err := ev.AssembleOperator(AssembleOpts{Points: pts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cong, err := ev.AssembleOperator(AssembleOpts{Points: pts, Congruence: CongruenceTemplate})
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive := assembleNaive(t, ev, AssembleOpts{Points: pts})
+	cong := mustAssemble(t, ev, AssembleOpts{Points: pts})
 	expectBitwiseEqual(t, "custom-points", cong, naive)
-}
-
-// Congruence detection needs the per-point schedule; per-element assembly
-// interleaves rows and cannot stamp them.
-func TestCongruentRejectsPerElement(t *testing.T) {
-	m := mesh.Structured(4)
-	ev := buildEvaluator(t, m, 1, assembleTestField, Options{Workers: 2})
-	if _, err := ev.AssembleOperator(AssembleOpts{Scheme: PerElement, Congruence: CongruenceTemplate}); err == nil {
-		t.Error("per-element + congruence should be rejected")
-	}
-	if _, err := ev.AssembleOperator(AssembleOpts{Congruence: CongruenceTemplate, SigQuantum: -1}); err == nil {
-		t.Error("negative signature quantum should be rejected")
-	}
 }
 
 // Fuzz the signature quantiser: whatever bucket geometry the quantum
 // induces — collapsing everything together or splitting everything apart —
-// verification must keep template-aware assembly bitwise identical to
+// verification must keep congruence-first assembly bitwise identical to
 // naive assembly. Seeds cover the default, coarse collision-heavy, and
 // absurd quanta on both structured and jittered meshes.
 func FuzzSignatureQuantum(f *testing.F) {
@@ -286,18 +274,13 @@ func FuzzSignatureQuantum(f *testing.F) {
 		if c == nil {
 			m := mesh.JitteredStructured(4, jitter, seed)
 			ev := buildFuzzEvaluator(t, m)
-			naive, err := ev.AssembleOperator(AssembleOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c = &cached{ev: ev, naive: naive}
+			c = &cached{ev: ev, naive: assembleNaive(t, ev, AssembleOpts{})}
 			cache[key] = c
 		}
-		cong, err := c.ev.AssembleOperator(AssembleOpts{Congruence: CongruenceTemplate, SigQuantum: quantum})
-		if err != nil {
-			t.Fatal(err)
+		if quantum == 0 {
+			quantum = sigQuantumDefault
 		}
-		expectBitwiseEqual(t, "fuzz", cong, c.naive)
+		expectBitwiseEqual(t, "fuzz", assembleQuantum(t, c.ev, quantum), c.naive)
 	})
 }
 
@@ -305,3 +288,109 @@ func buildFuzzEvaluator(t *testing.T, m *mesh.Mesh) *Evaluator {
 	t.Helper()
 	return buildEvaluator(t, m, 1, assembleTestField, Options{Boundary: Periodic, Workers: 2})
 }
+
+// The adaptive probe commits after its first stage on a structured mesh
+// (sharing is everywhere in the sample) and never pays more than the final
+// stage on a jittered one — the escalation is what bounds the congruence
+// path's overhead on non-congruent meshes.
+func TestAdaptiveProbeStages(t *testing.T) {
+	ev := buildEvaluator(t, mesh.Structured(16), 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
+	cs := checkCongruenceStats(t, "structured", mustAssemble(t, ev, AssembleOpts{}))
+	if !cs.ProbeCongruent {
+		t.Fatalf("structured mesh probe did not detect congruence: %+v", cs)
+	}
+	if cs.ProbeRows != probeMinSample {
+		t.Errorf("structured mesh probe hashed %d rows, want early commit at %d", cs.ProbeRows, probeMinSample)
+	}
+
+	jev := buildEvaluator(t, mesh.JitteredStructured(12, 0.3, 2), 1, assembleTestField, Options{Boundary: Periodic, Workers: 4})
+	jcs := checkCongruenceStats(t, "jittered", mustAssemble(t, jev, AssembleOpts{}))
+	if jcs.ProbeCongruent {
+		t.Fatalf("jittered mesh probe claimed congruence: %+v", jcs)
+	}
+	if jcs.ProbeRows < probeMinSample || jcs.ProbeRows > probeSampleRows {
+		t.Errorf("jittered mesh probe hashed %d rows, want within [%d, %d]",
+			jcs.ProbeRows, probeMinSample, probeSampleRows)
+	}
+}
+
+// memSigCache is a test double for the server's signature cache: a plain
+// locked map satisfying core.SignatureCache.
+type memSigCache struct {
+	mu sync.Mutex
+	m  map[[4]uint64][2]uint64
+}
+
+func newMemSigCache() *memSigCache {
+	return &memSigCache{m: make(map[[4]uint64][2]uint64)}
+}
+
+func (c *memSigCache) key(xb, yb uint64, kx, ky int64) [4]uint64 {
+	return [4]uint64{xb, yb, uint64(kx), uint64(ky)}
+}
+
+func (c *memSigCache) Lookup(xb, yb uint64, kx, ky int64) (uint64, uint64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[c.key(xb, yb, kx, ky)]
+	return v[0], v[1], ok
+}
+
+func (c *memSigCache) Store(xb, yb uint64, kx, ky int64, exact, quant uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[c.key(xb, yb, kx, ky)] = [2]uint64{exact, quant}
+}
+
+// A shared signature cache removes the canonicalisation cost of repeat
+// assemblies — the second identical assembly answers every hash from the
+// cache — without perturbing a single bit of the output, including across
+// boundary variants sharing one cache (distinct kernel-class keys keep
+// their entries apart).
+func TestSignatureCacheSharing(t *testing.T) {
+	m := mesh.Structured(8)
+	cache := newMemSigCache()
+	for _, boundary := range []Boundary{Periodic, OneSided} {
+		ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: boundary, Workers: 4})
+		naive := assembleNaive(t, ev, AssembleOpts{})
+		label := boundaryLabel(boundary)
+		first := mustAssemble(t, ev, AssembleOpts{SigCache: cache})
+		cs := checkCongruenceStats(t, label+"/cold", first)
+		if cs.SigCacheLookups == 0 {
+			t.Fatalf("%s: assembly with a cache recorded no lookups", label)
+		}
+		expectBitwiseEqual(t, label+"/cold", first, naive)
+
+		second := mustAssemble(t, ev, AssembleOpts{SigCache: cache})
+		wcs := checkCongruenceStats(t, label+"/warm", second)
+		if wcs.SigCacheHits != wcs.SigCacheLookups {
+			t.Errorf("%s: warm assembly hit %d of %d lookups, want all",
+				label, wcs.SigCacheHits, wcs.SigCacheLookups)
+		}
+		if wcs.SigCacheHits == 0 {
+			t.Errorf("%s: warm assembly recorded no cache hits", label)
+		}
+		expectBitwiseEqual(t, label+"/warm", second, naive)
+	}
+}
+
+// A cache poisoned with colliding hashes must never corrupt the output:
+// wrong hash pairs can only misgroup rows, and the bitwise certification
+// tier demotes every bad grouping.
+func TestSignatureCachePoisonedStaysBitwise(t *testing.T) {
+	m := mesh.JitteredStructured(5, 0.25, 9)
+	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
+	naive := assembleNaive(t, ev, AssembleOpts{})
+	cong := mustAssemble(t, ev, AssembleOpts{SigCache: &poisonSigCache{}})
+	expectBitwiseEqual(t, "poisoned-cache", cong, naive)
+}
+
+// poisonSigCache answers every lookup with the same colliding hash pair —
+// the worst possible cache.
+type poisonSigCache struct{}
+
+func (poisonSigCache) Lookup(_, _ uint64, _, _ int64) (uint64, uint64, bool) {
+	return 0xdeadbeef, 0xdeadbeef, true
+}
+
+func (poisonSigCache) Store(_, _ uint64, _, _ int64, _, _ uint64) {}

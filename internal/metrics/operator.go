@@ -7,7 +7,7 @@ import (
 )
 
 // OperatorCounters tracks the assembled-operator apply traffic and the
-// row-congruence template compression the server is getting out of it.
+// stencil-template sharing the server is getting out of it.
 // All fields are atomics: applies run concurrently on job workers and
 // query goroutines.
 type OperatorCounters struct {
@@ -25,17 +25,10 @@ type OperatorCounters struct {
 	// templates; their ratio is the template hit-rate.
 	RowsTemplated atomic.Uint64
 	RowsTotal     atomic.Uint64
-	// BytesSaved accumulates resident bytes saved by template dedup
-	// (plain CSR size minus compressed size) across admitted operators.
+	// BytesSaved accumulates resident bytes saved by template sharing
+	// (every row stored directly, minus the shared form) across admitted
+	// operators.
 	BytesSaved atomic.Uint64
-
-	// OpsBSR / OpsCSR count operators admitted to the cache per layout
-	// (blocked vs scalar index); IndexBytesSaved accumulates the resident
-	// index bytes the blocked layout is saving versus scalar CSR across
-	// admitted operators.
-	OpsBSR          atomic.Uint64
-	OpsCSR          atomic.Uint64
-	IndexBytesSaved atomic.Uint64
 
 	// SigCacheLookups / SigCacheHits accumulate the cross-assembly
 	// signature-cache traffic of congruence-first assemblies: a hit skips
@@ -93,18 +86,6 @@ func (o *OperatorCounters) RecordApply(nf int) {
 	o.FieldsApplied.Add(uint64(nf))
 }
 
-// RecordLayout folds one operator admission's layout into the counters.
-func (o *OperatorCounters) RecordLayout(blocked bool, indexBytesSaved int64) {
-	if blocked {
-		o.OpsBSR.Add(1)
-		if indexBytesSaved > 0 {
-			o.IndexBytesSaved.Add(uint64(indexBytesSaved))
-		}
-	} else {
-		o.OpsCSR.Add(1)
-	}
-}
-
 // RecordSigCache folds one assembly's signature-cache traffic into the
 // counters.
 func (o *OperatorCounters) RecordSigCache(lookups, hits int64) {
@@ -116,9 +97,9 @@ func (o *OperatorCounters) RecordSigCache(lookups, hits int64) {
 	}
 }
 
-// RecordTemplates folds one operator's compression outcome into the
+// RecordTemplates folds one operator's template-sharing outcome into the
 // counters: total storage rows, rows resolved through a template, and the
-// byte delta against the plain CSR form (0 for untemplated operators).
+// byte delta against storing every row directly (0 without templates).
 func (o *OperatorCounters) RecordTemplates(rowsTotal, rowsTemplated int, bytesSaved int64) {
 	o.RowsTotal.Add(uint64(rowsTotal))
 	o.RowsTemplated.Add(uint64(rowsTemplated))
@@ -136,10 +117,6 @@ type OperatorSnapshot struct {
 	RowsTotal       uint64  `json:"rows_total"`
 	TemplateHitRate float64 `json:"template_hit_rate"`
 	BytesSaved      uint64  `json:"bytes_saved"`
-
-	OpsBSR          uint64 `json:"ops_bsr"`
-	OpsCSR          uint64 `json:"ops_csr"`
-	IndexBytesSaved uint64 `json:"index_bytes_saved"`
 
 	SigCacheLookups uint64  `json:"sig_cache_lookups"`
 	SigCacheHits    uint64  `json:"sig_cache_hits"`
@@ -162,9 +139,6 @@ func (o *OperatorCounters) Snapshot() OperatorSnapshot {
 		RowsTemplated:      o.RowsTemplated.Load(),
 		RowsTotal:          o.RowsTotal.Load(),
 		BytesSaved:         o.BytesSaved.Load(),
-		OpsBSR:             o.OpsBSR.Load(),
-		OpsCSR:             o.OpsCSR.Load(),
-		IndexBytesSaved:    o.IndexBytesSaved.Load(),
 		SigCacheLookups:    o.SigCacheLookups.Load(),
 		SigCacheHits:       o.SigCacheHits.Load(),
 		RowsAssembled:      o.RowsAssembled.Load(),

@@ -1,4 +1,4 @@
-package operator
+package operator_test
 
 import (
 	"math/rand"
@@ -6,15 +6,16 @@ import (
 	"time"
 
 	"unstencil/internal/metrics"
+	"unstencil/internal/operator"
 )
 
-// benchBSRPair builds a synthetic operator shaped like the P2 16×16
-// structured-mesh SIAC operator (the BENCH_PR10 sweep's memory-bound
-// case): every row a sorted set of full element blocks, in both layouts.
-func benchBSRPair(b *testing.B, rows, elems, basisN, blocksPerRow int) (csr, bsr *Operator) {
+// benchOperator builds a synthetic operator shaped like the P2 16×16
+// structured-mesh SIAC operator (the request benchmark's memory-resident
+// case): every row a sorted set of full element blocks.
+func benchOperator(b *testing.B, rows, elems, basisN, blocksPerRow int) *operator.Operator {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
-	bld := NewBuilder(rows, elems*basisN, basisN)
+	bld := operator.NewBuilder(rows, elems*basisN, basisN)
 	ids := make([]int32, 0, blocksPerRow)
 	vals := make([]float64, blocksPerRow*basisN)
 	for r := 0; r < rows; r++ {
@@ -41,15 +42,10 @@ func benchBSRPair(b *testing.B, rows, elems, basisN, blocksPerRow int) (csr, bsr
 		}
 		bld.SetRowBlocks(r, dedup, v)
 	}
-	csr = bld.Finish(nil, 1, "bench", time.Duration(0), metrics.Counters{})
-	bsr = csr.ToBSR()
-	if bsr.BSR == nil {
-		b.Fatal("synthetic operator did not convert to BSR")
-	}
-	return csr, bsr
+	return bld.Finish(nil, 1, "bench", time.Duration(0), metrics.Counters{})
 }
 
-func benchApplyVec(b *testing.B, op *Operator) {
+func benchApplyVec(b *testing.B, op *operator.Operator) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(3))
 	coeffs := make([]float64, op.Cols)
@@ -66,7 +62,7 @@ func benchApplyVec(b *testing.B, op *Operator) {
 	}
 }
 
-func benchApplyBlock(b *testing.B, op *Operator, nf int) {
+func benchApplyBlock(b *testing.B, op *operator.Operator, nf int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(3))
 	coeffs := make([][]float64, nf)
@@ -88,44 +84,20 @@ func benchApplyBlock(b *testing.B, op *Operator, nf int) {
 }
 
 // P2-like shape: 4608 rows × 512 elements, basisN 6, ~237 blocks per row
-// (≈ 78 MB of values — out of cache, the regime the layout targets).
-func BenchmarkApplyVecCSRP2(b *testing.B) {
-	csr, _ := benchBSRPair(b, 4608, 512, 6, 237)
-	benchApplyVec(b, csr)
+// (≈ 52 MB of values — out of cache, the regime the layout targets).
+func BenchmarkApplyVecP2(b *testing.B) {
+	benchApplyVec(b, benchOperator(b, 4608, 512, 6, 237))
 }
 
-func BenchmarkApplyVecBSRP2(b *testing.B) {
-	_, bsr := benchBSRPair(b, 4608, 512, 6, 237)
-	benchApplyVec(b, bsr)
-}
-
-func BenchmarkApplyBlockCSRP2(b *testing.B) {
-	csr, _ := benchBSRPair(b, 4608, 512, 6, 237)
-	benchApplyBlock(b, csr, 8)
-}
-
-func BenchmarkApplyBlockBSRP2(b *testing.B) {
-	_, bsr := benchBSRPair(b, 4608, 512, 6, 237)
-	benchApplyBlock(b, bsr, 8)
+func BenchmarkApplyBlockP2(b *testing.B) {
+	benchApplyBlock(b, benchOperator(b, 4608, 512, 6, 237), 8)
 }
 
 // P1-like shape: 2048 rows × 512 elements, basisN 3, ~164 blocks per row.
-func BenchmarkApplyVecCSRP1(b *testing.B) {
-	csr, _ := benchBSRPair(b, 2048, 512, 3, 164)
-	benchApplyVec(b, csr)
+func BenchmarkApplyVecP1(b *testing.B) {
+	benchApplyVec(b, benchOperator(b, 2048, 512, 3, 164))
 }
 
-func BenchmarkApplyVecBSRP1(b *testing.B) {
-	_, bsr := benchBSRPair(b, 2048, 512, 3, 164)
-	benchApplyVec(b, bsr)
-}
-
-func BenchmarkApplyBlockCSRP1(b *testing.B) {
-	csr, _ := benchBSRPair(b, 2048, 512, 3, 164)
-	benchApplyBlock(b, csr, 8)
-}
-
-func BenchmarkApplyBlockBSRP1(b *testing.B) {
-	_, bsr := benchBSRPair(b, 2048, 512, 3, 164)
-	benchApplyBlock(b, bsr, 8)
+func BenchmarkApplyBlockP1(b *testing.B) {
+	benchApplyBlock(b, benchOperator(b, 2048, 512, 3, 164), 8)
 }

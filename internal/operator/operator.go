@@ -18,44 +18,53 @@
 // loses because the operator is memory-bound; here the per-entry geometry
 // is so expensive that the assembled form wins after a handful of fields.
 //
-// The matrix is stored in CSR with rows = evaluation points and columns =
-// element × basisN + mode, so one row's entries group the modes of each
-// contributing element contiguously and Apply's inner loop reads each
-// element's coefficient block with unit stride. Rows may be permuted into
-// a spatial (Morton/quadtree) order at assembly time for cache-friendly
-// column access; Perm maps storage rows back to point indices so Apply's
-// output is always in point order.
+// # Storage
+//
+// There is one representation. Rows are evaluation points; a row's entries
+// are a sequence of full BasisN-wide element blocks (assembly accumulates
+// whole elements, so a lone column never occurs), stored as one element id
+// per block (BlockID) next to BasisN weights per block (Val). The inner
+// mode loop of both kernels is therefore unit-stride over the weights and
+// over the gathered coefficient block, and the index stream is BasisN×
+// smaller than one column index per entry.
+//
+// Rows that are exact translates of each other — interior points of a
+// (near-)structured mesh, detected from geometry by the assembler before it
+// integrates anything (core's congruence-first assembly) — share one
+// stencil template: the weights and the element-id deltas are stored once
+// in the TemplateSet and each such row keeps only a template id and a base
+// column. Every row, templated or not, is read through the one rowBlocks
+// accessor, so sharing is deduplicated storage, never different arithmetic.
+//
+// Rows may be permuted into a spatial (Morton/quadtree) order at assembly
+// time for cache-friendly coefficient gathers; Perm maps storage rows back
+// to point indices so the output is always in point order.
 package operator
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"unstencil/internal/dg"
 	"unstencil/internal/metrics"
 )
 
-// Operator is the assembled post-processing map in CSR form. It is
-// immutable after Finish and safe for concurrent Apply calls.
+// Operator is the assembled post-processing map. It is immutable after
+// Builder.Finish (or a decode) and safe for concurrent applies.
 type Operator struct {
 	Rows   int // evaluation points
 	Cols   int // mesh elements × BasisN
-	BasisN int // modes per element (column block size)
+	BasisN int // modes per element (block width)
 
-	RowPtr []int64   // len Rows+1; entries of storage row r are [RowPtr[r], RowPtr[r+1])
-	ColInd []int32   // column index = elem·BasisN + mode, ascending within a row
-	Val    []float64 // weight per entry
-
-	// BSR is the blocked column index when the operator is stored in the
-	// block-sparse layout (see bsr.go): one element id per BasisN-wide
-	// block instead of BasisN scalar column indices. Nil for scalar CSR
-	// operators. A blocked operator carries no scalar indices — ColInd is
-	// nil and, when templated, Tpl.TplDelta is nil — and both apply paths
-	// dispatch to the blocked kernels, which are bit-identical to the CSR
-	// kernels.
-	BSR *BSRIndex
+	// RowPtr has Rows+1 entries in units of stored weights: storage row r
+	// owns Val[RowPtr[r]:RowPtr[r+1]] and the BlockID span at the same
+	// bounds divided by BasisN. Every entry is a multiple of BasisN.
+	RowPtr []int64
+	// BlockID holds one element id per stored block, ascending within a
+	// row: block k of row r multiplies the coefficients of element
+	// BlockID[RowPtr[r]/BasisN+k].
+	BlockID []int32
+	// Val holds the weights, block-major with modes ascending in a block.
+	Val []float64
 
 	// Perm maps storage row r to the evaluation-point index it computes;
 	// nil means identity. Assembly in Morton order stores spatially
@@ -63,91 +72,152 @@ type Operator struct {
 	// nearby (often identical) coefficient blocks.
 	Perm []int32
 
-	// Tpl holds the row-congruence stencil templates when the operator has
-	// been compressed by Templatize; nil for plain CSR operators. Rows
-	// with Tpl.RowTpl[r] >= 0 store no CSR entries — rowSpan resolves them
-	// through the shared template — so len(Val) undercounts the logical
-	// nnz for templated operators (see NNZ vs StoredNNZ).
+	// Tpl holds the shared stencil templates; nil when no rows share one.
+	// Rows with Tpl.RowTpl[r] >= 0 store nothing in Val/BlockID — rowBlocks
+	// resolves them through the template — so len(Val) undercounts the
+	// logical nnz (see NNZ).
 	Tpl *TemplateSet
 
-	// TemplateAware marks operators whose assembly already ran congruence
-	// detection (core's template-aware path): every congruent row the
-	// signature scheme could prove has been templated at assembly time, so
-	// Templatize skips its full FNV rescan on such operators. Not
-	// persisted; disk-loaded operators carry whatever templates were saved.
-	TemplateAware bool
-
-	// Congruence records the congruence-first assembly outcome (nil unless
-	// the template-aware assembly path built this operator).
+	// Congruence records what congruence-first assembly did; nil for
+	// operators that were loaded from disk or built by hand.
 	Congruence *CongruenceStats
 
-	// Workers is the default Apply concurrency, stamped at assembly time;
-	// <= 1 applies serially.
+	// Workers is the default apply concurrency; <= 1 applies serially.
 	Workers int
 
-	// Backing pins whatever memory the CSR slices alias when they do not
-	// own it — an mmap'd artifact file, for operators loaded zero-copy
-	// from disk. Holding the reference here ties the mapping's lifetime
-	// to the operator's reachability, so the garbage collector can only
-	// release the mapping once no caller can touch the slices. Nil for
-	// ordinary heap-assembled operators.
+	// Backing pins whatever memory the slices alias when they do not own
+	// it — an mmap'd artifact file, for operators loaded zero-copy from
+	// disk. Holding the reference here ties the mapping's lifetime to the
+	// operator's reachability, so the garbage collector can only release
+	// the mapping once no caller can touch the slices. Nil for
+	// heap-assembled operators.
 	Backing any
 
-	// AssemblyScheme records which scheme built the weights ("per-point"
-	// or "per-element"), AssemblyWall how long assembly took, and
-	// AssemblyCounters the exact geometry work it performed — the
-	// amortised cost the break-even analysis divides by per-field savings.
+	// AssemblyScheme records which scheme built the weights, AssemblyWall
+	// how long assembly took, and AssemblyCounters the exact geometry work
+	// it performed — the amortised cost the break-even analysis divides by
+	// per-field savings.
 	AssemblyScheme   string
 	AssemblyWall     time.Duration
 	AssemblyCounters metrics.Counters
 }
 
+// TemplateSet is the shared-stencil side table. All arrays are fixed-width
+// records so the artifact container can mmap them like the row arrays.
+type TemplateSet struct {
+	// Template t's weights are TplVal[TplPtr[t]:TplPtr[t+1]] and its
+	// element-id deltas, relative to the templated row's base element, the
+	// BlockDelta span at the same bounds divided by BasisN. Deltas ascend
+	// within a template; the first is 0.
+	TplPtr     []int64
+	BlockDelta []int32
+	TplVal     []float64
+
+	// RowTpl maps each storage row to its template id, or -1 for rows
+	// stored directly. RowBase holds a templated row's first column
+	// (base element × BasisN); 0 for direct rows.
+	RowTpl  []int32
+	RowBase []int32
+}
+
+// NumTemplates returns the number of shared templates.
+func (ts *TemplateSet) NumTemplates() int {
+	if ts == nil || len(ts.TplPtr) == 0 {
+		return 0
+	}
+	return len(ts.TplPtr) - 1
+}
+
+// TemplatedRows counts rows resolved through a template.
+func (ts *TemplateSet) TemplatedRows() int {
+	if ts == nil {
+		return 0
+	}
+	n := 0
+	for _, t := range ts.RowTpl {
+		if t >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Bytes returns the resident size of the template arrays.
+func (ts *TemplateSet) Bytes() int64 {
+	if ts == nil {
+		return 0
+	}
+	return int64(len(ts.TplPtr))*8 + int64(len(ts.BlockDelta))*4 + int64(len(ts.TplVal))*8 +
+		int64(len(ts.RowTpl))*4 + int64(len(ts.RowBase))*4
+}
+
+// rowBlocks is the one row accessor: storage row r's terms are
+//
+//	vals[b·BasisN+m] · coeffs[(baseElem+ids[b])·BasisN + m]
+//
+// Direct rows return their Val span with their BlockID slice and base
+// element 0; templated rows return the shared template weights with its
+// deltas and the row's base element. Both kernels consume rows through
+// this accessor, so templated and direct rows follow identical arithmetic.
+func (op *Operator) rowBlocks(r int) (vals []float64, ids []int32, baseElem int32) {
+	bn := int64(op.BasisN)
+	if ts := op.Tpl; ts != nil {
+		if t := ts.RowTpl[r]; t >= 0 {
+			lo, hi := ts.TplPtr[t], ts.TplPtr[t+1]
+			return ts.TplVal[lo:hi], ts.BlockDelta[lo/bn : hi/bn], ts.RowBase[r] / int32(bn)
+		}
+	}
+	lo, hi := op.RowPtr[r], op.RowPtr[r+1]
+	return op.Val[lo:hi], op.BlockID[lo/bn : hi/bn], 0
+}
+
+// Row returns storage row r as its logical entries: the ascending absolute
+// element ids (appended to elems[:0]) and the BasisN weights per element.
+// vals aliases operator storage and must not be written. It is the
+// read-only view tests and tools compare operators through; the kernels
+// use rowBlocks directly.
+func (op *Operator) Row(r int, elems []int32) ([]int32, []float64) {
+	vals, ids, base := op.rowBlocks(r)
+	elems = elems[:0]
+	for _, id := range ids {
+		elems = append(elems, base+id)
+	}
+	return elems, vals
+}
+
 // NNZ returns the logical number of entries — the terms one apply
 // multiplies — counting each templated row's shared entries once per row.
-// For plain operators this is len(Val).
 func (op *Operator) NNZ() int {
 	n := len(op.Val)
-	if op.Tpl != nil {
-		for _, t := range op.Tpl.RowTpl {
+	if ts := op.Tpl; ts != nil {
+		for _, t := range ts.RowTpl {
 			if t >= 0 {
-				n += int(op.Tpl.TplPtr[t+1] - op.Tpl.TplPtr[t])
+				n += int(ts.TplPtr[t+1] - ts.TplPtr[t])
 			}
 		}
 	}
 	return n
 }
 
-// StoredNNZ returns the number of physically stored (column, value) pairs:
-// the plain CSR entries plus one copy of each template. Equal to NNZ for
-// plain operators; the templated/plain ratio is the dedup factor.
-func (op *Operator) StoredNNZ() int { return len(op.Val) + len(op.TplVals()) }
-
-// TplVals returns the template value array (nil for plain operators).
-func (op *Operator) TplVals() []float64 {
-	if op.Tpl == nil {
-		return nil
-	}
-	return op.Tpl.TplVal
-}
-
-// Bytes returns the resident size of the CSR (or BSR) and template arrays.
+// Bytes returns the resident size of the row and template arrays.
 func (op *Operator) Bytes() int64 {
-	return int64(len(op.Val))*8 + int64(len(op.ColInd))*4 +
-		int64(len(op.RowPtr))*8 + int64(len(op.Perm))*4 + op.Tpl.Bytes() + op.BSR.Bytes()
+	return int64(len(op.Val))*8 + int64(len(op.BlockID))*4 +
+		int64(len(op.RowPtr))*8 + int64(len(op.Perm))*4 + op.Tpl.Bytes()
 }
 
-// BytesSaved returns how many resident bytes template dedup is saving
-// against the equivalent plain CSR encoding (0 for plain operators; never
-// negative, since Templatize only keeps a net-saving compression).
+// BytesSaved returns how many resident bytes template sharing saves
+// against storing every row directly (0 without templates; never negative,
+// since Builder.Finish only keeps a net-saving template set).
 func (op *Operator) BytesSaved() int64 {
 	if op.Tpl == nil {
 		return 0
 	}
-	plain := int64(op.NNZ())*12 + int64(len(op.RowPtr))*8 + int64(len(op.Perm))*4
-	return max(plain-op.Bytes(), 0)
+	nnz := int64(op.NNZ())
+	direct := nnz*8 + nnz/int64(op.BasisN)*4 + int64(len(op.RowPtr))*8 + int64(len(op.Perm))*4
+	return max(direct-op.Bytes(), 0)
 }
 
-// Stats is the shape summary the bench harness reports.
+// Stats is the shape summary tools and the bench harness report.
 type Stats struct {
 	Rows        int     `json:"rows"`
 	Cols        int     `json:"cols"`
@@ -156,167 +226,123 @@ type Stats struct {
 	NNZPerRow   float64 `json:"nnz_per_row"`
 	BytesPerRow float64 `json:"bytes_per_row"`
 
-	// Template compression shape; zero for plain operators.
+	// Template sharing shape; zero without templates. StoredNNZ counts the
+	// physically stored weights: direct rows plus one copy per template.
 	StoredNNZ     int `json:"stored_nnz,omitempty"`
 	Templates     int `json:"templates,omitempty"`
 	TemplatedRows int `json:"templated_rows,omitempty"`
-
-	// Layout is "bsr" for block-sparse operators, "csr" otherwise;
-	// IndexBytesSaved is the blocked layout's index-byte saving vs the
-	// scalar encoding (0 for CSR).
-	Layout          string `json:"layout"`
-	IndexBytesSaved int64  `json:"index_bytes_saved,omitempty"`
 }
 
 // Stats summarises the operator's shape.
 func (op *Operator) Stats() Stats {
-	s := Stats{Rows: op.Rows, Cols: op.Cols, NNZ: op.NNZ(), Bytes: op.Bytes(), Layout: "csr"}
-	if op.BSR != nil {
-		s.Layout = "bsr"
-		s.IndexBytesSaved = op.IndexBytesSaved()
-	}
+	s := Stats{Rows: op.Rows, Cols: op.Cols, NNZ: op.NNZ(), Bytes: op.Bytes()}
 	if op.Rows > 0 {
 		s.NNZPerRow = float64(s.NNZ) / float64(op.Rows)
 		s.BytesPerRow = float64(s.Bytes) / float64(op.Rows)
 	}
-	if op.Tpl != nil {
-		s.StoredNNZ = op.StoredNNZ()
-		s.Templates = op.Tpl.NumTemplates()
-		s.TemplatedRows = op.Tpl.TemplatedRows()
+	if ts := op.Tpl; ts != nil {
+		s.StoredNNZ = len(op.Val) + len(ts.TplVal)
+		s.Templates = ts.NumTemplates()
+		s.TemplatedRows = ts.TemplatedRows()
 	}
 	return s
 }
 
-// applyBlock is the row-block granularity of the parallel SpMV: large
-// enough that claim cost (one fetch-add) is noise, small enough that the
-// last blocks still balance across workers.
-const applyBlock = 256
-
-// Apply post-processes field through the assembled operator, returning the
-// value at every evaluation point in point order. The field must live on
-// the mesh the operator was assembled for (dimension-checked).
-func (op *Operator) Apply(f *dg.Field) ([]float64, error) {
-	if f.Basis.N != op.BasisN {
-		return nil, fmt.Errorf("operator: field has %d modes per element, operator expects %d",
-			f.Basis.N, op.BasisN)
+// Validate checks every structural invariant the kernels index by, against
+// the operator's own shape fields. The artifact decoders run it on every
+// loaded operator before returning it, so a corrupted or hostile container
+// cannot drive rowBlocks or a coefficient gather out of bounds.
+func (op *Operator) Validate() error {
+	if op.BasisN < 1 || op.Rows < 0 || op.Cols < 0 || op.Cols%op.BasisN != 0 {
+		return fmt.Errorf("operator: shape %d×%d with basisN %d", op.Rows, op.Cols, op.BasisN)
 	}
-	out := make([]float64, op.Rows)
-	if err := op.ApplyVec(f.Coeffs, out, op.Workers); err != nil {
-		return nil, err
+	bn := int64(op.BasisN)
+	nElems := int64(op.Cols) / bn
+	if len(op.RowPtr) != op.Rows+1 {
+		return fmt.Errorf("operator: rowptr has %d entries for %d rows", len(op.RowPtr), op.Rows)
 	}
-	return out, nil
-}
-
-// ApplyVec computes out[pt] = Σ_col W[pt][col]·coeffs[col] as a parallel
-// row-blocked SpMV. Each storage row is summed in fixed CSR order by
-// exactly one worker and written to its own output slot, so results are
-// bit-identical for every worker count. workers <= 1 runs serially.
-func (op *Operator) ApplyVec(coeffs []float64, out []float64, workers int) error {
-	if len(coeffs) != op.Cols {
-		return fmt.Errorf("operator: coefficient vector has length %d, operator expects %d",
-			len(coeffs), op.Cols)
+	if op.RowPtr[0] != 0 || op.RowPtr[op.Rows] != int64(len(op.Val)) {
+		return fmt.Errorf("operator: rowptr spans [%d, %d], want [0, %d]",
+			op.RowPtr[0], op.RowPtr[op.Rows], len(op.Val))
 	}
-	if len(out) != op.Rows {
-		return fmt.Errorf("operator: output has length %d, operator expects %d", len(out), op.Rows)
+	for r, p := range op.RowPtr {
+		if p%bn != 0 {
+			return fmt.Errorf("operator: rowptr[%d]=%d not a multiple of basisN %d", r, p, bn)
+		}
+		if r > 0 && p < op.RowPtr[r-1] {
+			return fmt.Errorf("operator: rowptr not monotone at row %d", r-1)
+		}
 	}
-	nBlocks := (op.Rows + applyBlock - 1) / applyBlock
-	if workers > nBlocks {
-		workers = nBlocks
+	if int64(len(op.BlockID))*bn != int64(len(op.Val)) {
+		return fmt.Errorf("operator: %d blocks × basisN %d disagree with %d values",
+			len(op.BlockID), bn, len(op.Val))
 	}
-	if workers <= 1 {
-		op.applyRowsAny(coeffs, out, 0, op.Rows)
+	for k, e := range op.BlockID {
+		if e < 0 || int64(e) >= nElems {
+			return fmt.Errorf("operator: block %d element id %d outside [0, %d)", k, e, nElems)
+		}
+	}
+	if op.Perm != nil {
+		if len(op.Perm) != op.Rows {
+			return fmt.Errorf("operator: perm has %d entries for %d rows", len(op.Perm), op.Rows)
+		}
+		for i, p := range op.Perm {
+			if p < 0 || int(p) >= op.Rows {
+				return fmt.Errorf("operator: perm[%d]=%d outside [0, %d)", i, p, op.Rows)
+			}
+		}
+	}
+	ts := op.Tpl
+	if ts == nil {
 		return nil
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks {
-					return
-				}
-				lo := b * applyBlock
-				hi := min(lo+applyBlock, op.Rows)
-				op.applyRowsAny(coeffs, out, lo, hi)
-			}
-		}()
+	nt := ts.NumTemplates()
+	if len(ts.TplPtr) == 0 || ts.TplPtr[0] != 0 {
+		return fmt.Errorf("operator: template pointer array must start at 0")
 	}
-	wg.Wait()
+	if int64(len(ts.BlockDelta))*bn != ts.TplPtr[nt] || int64(len(ts.TplVal)) != ts.TplPtr[nt] {
+		return fmt.Errorf("operator: template arrays disagree: ptr end %d, %d block deltas × basisN %d, %d values",
+			ts.TplPtr[nt], len(ts.BlockDelta), bn, len(ts.TplVal))
+	}
+	for t := 0; t < nt; t++ {
+		if ts.TplPtr[t] > ts.TplPtr[t+1] {
+			return fmt.Errorf("operator: template %d has negative length", t)
+		}
+		if ts.TplPtr[t]%bn != 0 {
+			return fmt.Errorf("operator: template %d starts at %d, not a multiple of basisN %d", t, ts.TplPtr[t], bn)
+		}
+	}
+	if len(ts.RowTpl) != op.Rows || len(ts.RowBase) != op.Rows {
+		return fmt.Errorf("operator: template row tables have %d/%d entries, operator has %d rows",
+			len(ts.RowTpl), len(ts.RowBase), op.Rows)
+	}
+	for r := 0; r < op.Rows; r++ {
+		t := ts.RowTpl[r]
+		if t < 0 {
+			continue
+		}
+		if int(t) >= nt {
+			return fmt.Errorf("operator: row %d references template %d of %d", r, t, nt)
+		}
+		if op.RowPtr[r] != op.RowPtr[r+1] {
+			return fmt.Errorf("operator: templated row %d still stores its own entries", r)
+		}
+		base := int64(ts.RowBase[r])
+		if base%bn != 0 {
+			return fmt.Errorf("operator: row %d base column %d not a multiple of basisN %d", r, base, bn)
+		}
+		for i := ts.TplPtr[t] / bn; i < ts.TplPtr[t+1]/bn; i++ {
+			if e := base/bn + int64(ts.BlockDelta[i]); e < 0 || e >= nElems {
+				return fmt.Errorf("operator: row %d template element %d out of range [0,%d)", r, e, nElems)
+			}
+		}
+	}
 	return nil
 }
 
-// applyRowsAny dispatches a row range to the kernel matching the
-// operator's layout. A plain branch (not a method value) keeps the apply
-// paths allocation-free.
-func (op *Operator) applyRowsAny(coeffs, out []float64, lo, hi int) {
-	if op.BSR != nil {
-		op.applyRowsBSR(coeffs, out, lo, hi)
-	} else {
-		op.applyRows(coeffs, out, lo, hi)
-	}
-}
-
-// applyRows computes storage rows [lo, hi). Row sums are Neumaier-
-// compensated: SIAC kernel weights alternate sign (the B-spline lobes), so
-// a row's terms cancel heavily and a naive sum would carry the full
-// condition number of the cancellation into the result. Compensation costs
-// three extra adds per entry — noise in a memory-bound SpMV — and keeps
-// the apply path's rounding below the direct schemes' own noise floor.
-func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		vals, cols, base := op.rowSpan(r)
-		sum, comp := 0.0, 0.0
-		for i := range vals {
-			term := vals[i] * coeffs[int(base)+int(cols[i])]
-			t := sum + term
-			if abs(sum) >= abs(term) {
-				comp += (sum - t) + term
-			} else {
-				comp += (term - t) + sum
-			}
-			sum = t
-		}
-		if op.Perm != nil {
-			out[op.Perm[r]] = sum + comp
-		} else {
-			out[r] = sum + comp
-		}
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// ApplyCounters models the cost of one Apply in the repo's counter
-// vocabulary: a multiply-add per entry, streaming reads of the CSR arrays
-// plus the gathered coefficient blocks. Spatially ordered rows make the
-// coefficient gathers mostly cache-resident, so nothing is charged as
-// scattered; the contrast with direct evaluation's ScatteredLoads is the
-// point of the assembled path.
-func (op *Operator) ApplyCounters() metrics.Counters {
-	nnz := uint64(op.NNZ())
-	idxBytes := nnz * 4
-	if op.BSR != nil {
-		// One element id per basisN-wide block instead of one column per
-		// entry — the index-stream cut is the blocked layout's point.
-		idxBytes = nnz * 4 / uint64(op.BasisN)
-	}
-	return metrics.Counters{
-		Flops:     2 * nnz,
-		BytesRead: nnz*(8+8) + idxBytes + uint64(len(op.RowPtr))*8,
-	}
-}
-
-// CongruenceStats records what the congruence-first assembly path did:
-// how much quadrature it skipped (stamped rows), how much it spent proving
-// the skips sound (verified rows), and where it fell back (demoted rows).
+// CongruenceStats records what congruence-first assembly did: how much
+// quadrature it skipped (stamped rows), how much it spent proving the skips
+// sound (verified rows), and where it fell back (demoted rows).
 type CongruenceStats struct {
 	// Rows is the operator's storage row count, Classes the number of
 	// multi-member signature classes the prefilter found.
@@ -336,7 +362,7 @@ type CongruenceStats struct {
 	RowsVerified int `json:"rows_verified"`
 	// RowsDemoted counts members whose verification failed (or whose
 	// candidate shape diverged from the representative): they keep their
-	// own integrated weights as plain CSR rows.
+	// own integrated weights as directly stored rows.
 	RowsDemoted int `json:"rows_demoted"`
 	// ClassesVerified / ClassesDemoted count classes containing at least
 	// one verified / demoted member.
@@ -351,9 +377,9 @@ type CongruenceStats struct {
 	// early when repetition is obvious or provably absent, so structured
 	// meshes commit after the first stage and jittered meshes pay for
 	// the smallest stage only. ProbeCongruent reports whether the
-	// congruence path was taken: false means the sample showed almost
-	// no repeated signatures and assembly fell back to the naive
-	// schedule, paying only the probe.
+	// congruence schedule was taken: false means the sample showed almost
+	// no repeated signatures and assembly integrated every row
+	// independently, paying only the probe.
 	ProbeRows      int  `json:"probe_rows"`
 	ProbeCongruent bool `json:"probe_congruent"`
 	// SigCacheLookups / SigCacheHits count row-signature canonicalisation
@@ -363,390 +389,4 @@ type CongruenceStats struct {
 	// matches are still certified bitwise downstream.
 	SigCacheLookups int64 `json:"sig_cache_lookups,omitempty"`
 	SigCacheHits    int64 `json:"sig_cache_hits,omitempty"`
-}
-
-// Builder accumulates rows during parallel assembly and freezes them into
-// CSR. Each row is set exactly once by exactly one goroutine (rows are the
-// assembly's unit of output), so no synchronisation is needed beyond the
-// caller's dispatch barrier.
-//
-// A builder in template mode (MarkTemplateAware) additionally accepts
-// shared stencil templates: AddTemplate registers a pattern once and
-// SetRowTemplated resolves a row through it, producing the TemplateSet
-// directly instead of leaving dedup to a post-hoc Templatize rescan.
-type Builder struct {
-	rows   int
-	cols   int
-	basisN int
-	// Rows are held in block form when their columns decompose into
-	// aligned basisN-wide element runs (belems[r]: one element id per
-	// block) and in scalar form otherwise (cinds[r]); vals[r] always
-	// carries the full entry-width values. Any scalar row sets the scalar
-	// flag, which forces FinishLayout's CSR fallback.
-	belems [][]int32
-	cinds  [][]int32
-	vals   [][]float64
-	scalar bool
-
-	// Template mode (nil/false outside it). Each registered template is
-	// held in block form (tplElems[t]: element-id deltas) when its columns
-	// decompose into aligned runs, and in scalar form (tplDelta[t]: column
-	// deltas) always-or-instead; at most one of the two is nil. rowTpl/
-	// rowBase map rows onto templates exactly as in TemplateSet (rowBase
-	// in column units).
-	aware    bool
-	tplElems [][]int32
-	tplDelta [][]int32
-	tplVal   [][]float64
-	rowTpl   []int32
-	rowBase  []int32
-}
-
-// NewBuilder sizes a builder for a rows × cols operator with basisN modes
-// per element.
-func NewBuilder(rows, cols, basisN int) *Builder {
-	return &Builder{
-		rows:   rows,
-		cols:   cols,
-		basisN: basisN,
-		belems: make([][]int32, rows),
-		cinds:  make([][]int32, rows),
-		vals:   make([][]float64, rows),
-	}
-}
-
-// SetRow stores storage row r. cols must be ascending; both slices are
-// copied. Unset rows freeze as empty (a point no element contributes to).
-// Rows whose columns decompose into aligned element blocks are converted
-// to block form on the way in, so hand-built block-shaped operators still
-// qualify for the blocked layout under FinishLayout.
-func (b *Builder) SetRow(r int, cols []int32, vals []float64) {
-	if len(cols) != len(vals) {
-		panic(fmt.Sprintf("operator: row %d has %d columns but %d values", r, len(cols), len(vals)))
-	}
-	if ids, ok := blockIDs(cols, b.basisN, nil); ok {
-		b.belems[r] = ids
-	} else {
-		b.cinds[r] = append([]int32(nil), cols...)
-		b.scalar = true
-	}
-	b.vals[r] = append([]float64(nil), vals...)
-}
-
-// SetRowBlocks stores storage row r in block form: one element id per
-// basisN-wide block (ascending) and len(elems)·basisN values in block-
-// major, mode-ascending order — exactly the scalar row whose columns are
-// elems[k]·basisN+m. Both slices are copied.
-func (b *Builder) SetRowBlocks(r int, elems []int32, vals []float64) {
-	if len(vals) != len(elems)*b.basisN {
-		panic(fmt.Sprintf("operator: row %d has %d blocks × basisN %d but %d values",
-			r, len(elems), b.basisN, len(vals)))
-	}
-	b.belems[r] = append([]int32(nil), elems...)
-	b.vals[r] = append([]float64(nil), vals...)
-}
-
-// MarkTemplateAware switches the builder into template mode: the finished
-// operator carries TemplateAware (so Templatize skips its rescan) and may
-// resolve rows through templates registered with AddTemplate. Call before
-// any SetRowTemplated.
-func (b *Builder) MarkTemplateAware() {
-	if b.aware {
-		return
-	}
-	b.aware = true
-	b.rowTpl = make([]int32, b.rows)
-	for i := range b.rowTpl {
-		b.rowTpl[i] = -1
-	}
-	b.rowBase = make([]int32, b.rows)
-}
-
-// AddTemplate registers a shared stencil pattern and returns its id. cols
-// are ascending absolute column indices of the representative row; they are
-// stored as deltas from cols[0], so rows at any base column can resolve
-// through the pattern. Must not be called concurrently with itself (the
-// assembly's serial stamping phase registers templates).
-func (b *Builder) AddTemplate(cols []int32, vals []float64) int32 {
-	if !b.aware {
-		panic("operator: AddTemplate on a builder not in template mode")
-	}
-	if len(cols) == 0 || len(cols) != len(vals) {
-		panic(fmt.Sprintf("operator: template with %d columns, %d values", len(cols), len(vals)))
-	}
-	deltas := make([]int32, len(cols))
-	for i, c := range cols {
-		deltas[i] = c - cols[0]
-	}
-	var elemDeltas []int32
-	if cols[0]%int32(b.basisN) == 0 {
-		if ids, ok := blockIDs(cols, b.basisN, nil); ok {
-			e0 := ids[0]
-			for i := range ids {
-				ids[i] -= e0
-			}
-			elemDeltas = ids
-		}
-	}
-	b.tplElems = append(b.tplElems, elemDeltas)
-	b.tplDelta = append(b.tplDelta, deltas)
-	b.tplVal = append(b.tplVal, append([]float64(nil), vals...))
-	return int32(len(b.tplVal) - 1)
-}
-
-// AddTemplateBlocks registers a shared stencil pattern given in block
-// form: one element id per basisN-wide block of the representative row
-// (ascending) and len(elems)·basisN values. Stored as element-id deltas
-// from elems[0], so rows at any block-aligned base column resolve through
-// the pattern. Same serial-registration contract as AddTemplate.
-func (b *Builder) AddTemplateBlocks(elems []int32, vals []float64) int32 {
-	if !b.aware {
-		panic("operator: AddTemplateBlocks on a builder not in template mode")
-	}
-	if len(elems) == 0 || len(vals) != len(elems)*b.basisN {
-		panic(fmt.Sprintf("operator: template with %d blocks × basisN %d, %d values",
-			len(elems), b.basisN, len(vals)))
-	}
-	ed := make([]int32, len(elems))
-	for i, e := range elems {
-		ed[i] = e - elems[0]
-	}
-	b.tplElems = append(b.tplElems, ed)
-	b.tplDelta = append(b.tplDelta, nil)
-	b.tplVal = append(b.tplVal, append([]float64(nil), vals...))
-	return int32(len(b.tplVal) - 1)
-}
-
-// scalarDeltas returns template t's column-delta form, materialising it
-// from the block form when the template was registered with
-// AddTemplateBlocks.
-func (b *Builder) scalarDeltas(t int32) []int32 {
-	if d := b.tplDelta[t]; d != nil {
-		return d
-	}
-	ed := b.tplElems[t]
-	out := make([]int32, 0, len(ed)*b.basisN)
-	for _, e := range ed {
-		d0 := e * int32(b.basisN)
-		for m := int32(0); m < int32(b.basisN); m++ {
-			out = append(out, d0+m)
-		}
-	}
-	b.tplDelta[t] = out
-	return out
-}
-
-// SetRowTemplated resolves storage row r through template tpl at the given
-// base column (the row's first column index). The row stores no CSR
-// entries of its own.
-func (b *Builder) SetRowTemplated(r int, tpl, base int32) {
-	if !b.aware {
-		panic("operator: SetRowTemplated on a builder not in template mode")
-	}
-	if tpl < 0 || int(tpl) >= len(b.tplDelta) {
-		panic(fmt.Sprintf("operator: row %d references template %d of %d", r, tpl, len(b.tplDelta)))
-	}
-	b.rowTpl[r] = tpl
-	b.rowBase[r] = base
-}
-
-// appendRowCols appends storage row r's scalar column indices to dst,
-// expanding block-form rows on the fly.
-func (b *Builder) appendRowCols(dst []int32, r int) []int32 {
-	if e := b.belems[r]; e != nil {
-		for _, id := range e {
-			c0 := id * int32(b.basisN)
-			for m := int32(0); m < int32(b.basisN); m++ {
-				dst = append(dst, c0+m)
-			}
-		}
-		return dst
-	}
-	return append(dst, b.cinds[r]...)
-}
-
-// Finish flattens the accumulated rows into an immutable CSR Operator. In
-// template mode the registered templates become the operator's TemplateSet
-// when they save net bytes (the same guard Templatize applies); otherwise
-// templated rows are materialised as plain CSR, so the caller never ends up
-// with an indirection that costs more than it saves. Use FinishLayout to
-// freeze into the blocked layout instead.
-func (b *Builder) Finish(perm []int32, workers int, scheme string, wall time.Duration, counters metrics.Counters) *Operator {
-	nnz := 0
-	for _, v := range b.vals {
-		nnz += len(v)
-	}
-	op := &Operator{
-		Rows:             b.rows,
-		Cols:             b.cols,
-		BasisN:           b.basisN,
-		RowPtr:           make([]int64, b.rows+1),
-		ColInd:           make([]int32, 0, nnz),
-		Val:              make([]float64, 0, nnz),
-		Perm:             perm,
-		Workers:          workers,
-		TemplateAware:    b.aware,
-		AssemblyScheme:   scheme,
-		AssemblyWall:     wall,
-		AssemblyCounters: counters,
-	}
-	if b.aware && len(b.tplVal) > 0 && b.templatesSaveBytes() {
-		ts := &TemplateSet{
-			TplPtr:  make([]int64, 1, len(b.tplVal)+1),
-			RowTpl:  b.rowTpl,
-			RowBase: b.rowBase,
-		}
-		for t := range b.tplVal {
-			ts.TplDelta = append(ts.TplDelta, b.scalarDeltas(int32(t))...)
-			ts.TplVal = append(ts.TplVal, b.tplVal[t]...)
-			ts.TplPtr = append(ts.TplPtr, int64(len(ts.TplVal)))
-		}
-		op.Tpl = ts
-		for r := 0; r < b.rows; r++ {
-			if ts.RowTpl[r] < 0 {
-				op.ColInd = b.appendRowCols(op.ColInd, r)
-				op.Val = append(op.Val, b.vals[r]...)
-			}
-			op.RowPtr[r+1] = int64(len(op.Val))
-		}
-		return op
-	}
-	for r := 0; r < b.rows; r++ {
-		if b.aware && b.rowTpl[r] >= 0 {
-			// Template mode without a net saving: materialise the row.
-			t := b.rowTpl[r]
-			for i, d := range b.scalarDeltas(t) {
-				op.ColInd = append(op.ColInd, b.rowBase[r]+d)
-				op.Val = append(op.Val, b.tplVal[t][i])
-			}
-		} else {
-			op.ColInd = b.appendRowCols(op.ColInd, r)
-			op.Val = append(op.Val, b.vals[r]...)
-		}
-		op.RowPtr[r+1] = int64(len(op.Val))
-	}
-	return op
-}
-
-// Layout selects the storage layout FinishLayout freezes into. The zero
-// value is LayoutBSR — blocked when the accumulated rows allow it, with a
-// transparent CSR fallback — so callers that don't care get the compact
-// layout by default.
-type Layout int
-
-const (
-	// LayoutBSR freezes into the block-sparse layout when every row and
-	// template decomposes into aligned basisN-wide element blocks (and
-	// basisN > 1); otherwise it falls back to CSR.
-	LayoutBSR Layout = iota
-	// LayoutCSR always freezes into scalar CSR.
-	LayoutCSR
-)
-
-// blockable reports whether the accumulated rows and templates can freeze
-// into the blocked layout: no scalar row, basisN wide enough to save index
-// bytes, every registered template in block form, and every templated
-// row's base column block-aligned.
-func (b *Builder) blockable() bool {
-	if b.scalar || b.basisN <= 1 {
-		return false
-	}
-	for t := range b.tplVal {
-		if b.tplElems[t] == nil {
-			return false
-		}
-	}
-	if b.aware {
-		for r := 0; r < b.rows; r++ {
-			if b.rowTpl[r] >= 0 && b.rowBase[r]%int32(b.basisN) != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// FinishLayout freezes the accumulated rows like Finish but into the
-// requested layout. LayoutBSR emits the blocked index directly — no
-// ToBSR re-scan — when the rows qualify (see blockable); unqualified
-// builders fall back to Finish's CSR output, mirroring ToBSR's transparent
-// fallback. The frozen operator's applies are bit-identical across both
-// layouts.
-func (b *Builder) FinishLayout(layout Layout, perm []int32, workers int, scheme string, wall time.Duration, counters metrics.Counters) *Operator {
-	nnz := 0
-	for _, v := range b.vals {
-		nnz += len(v)
-	}
-	useTpl := b.aware && len(b.tplVal) > 0 && b.templatesSaveBytes()
-	if layout != LayoutBSR || !b.blockable() || (nnz == 0 && !useTpl) {
-		return b.Finish(perm, workers, scheme, wall, counters)
-	}
-	op := &Operator{
-		Rows:             b.rows,
-		Cols:             b.cols,
-		BasisN:           b.basisN,
-		RowPtr:           make([]int64, b.rows+1),
-		Val:              make([]float64, 0, nnz),
-		BSR:              &BSRIndex{BlockID: make([]int32, 0, nnz/b.basisN)},
-		Perm:             perm,
-		Workers:          workers,
-		TemplateAware:    b.aware,
-		AssemblyScheme:   scheme,
-		AssemblyWall:     wall,
-		AssemblyCounters: counters,
-	}
-	if useTpl {
-		ts := &TemplateSet{
-			TplPtr:  make([]int64, 1, len(b.tplVal)+1),
-			RowTpl:  b.rowTpl,
-			RowBase: b.rowBase,
-		}
-		for t := range b.tplVal {
-			op.BSR.TplBlockDelta = append(op.BSR.TplBlockDelta, b.tplElems[t]...)
-			ts.TplVal = append(ts.TplVal, b.tplVal[t]...)
-			ts.TplPtr = append(ts.TplPtr, int64(len(ts.TplVal)))
-		}
-		op.Tpl = ts
-		for r := 0; r < b.rows; r++ {
-			if ts.RowTpl[r] < 0 {
-				op.BSR.BlockID = append(op.BSR.BlockID, b.belems[r]...)
-				op.Val = append(op.Val, b.vals[r]...)
-			}
-			op.RowPtr[r+1] = int64(len(op.Val))
-		}
-		return op
-	}
-	for r := 0; r < b.rows; r++ {
-		if b.aware && b.rowTpl[r] >= 0 {
-			// Template mode without a net saving: materialise the row.
-			t := b.rowTpl[r]
-			baseElem := b.rowBase[r] / int32(b.basisN)
-			for _, d := range b.tplElems[t] {
-				op.BSR.BlockID = append(op.BSR.BlockID, baseElem+d)
-			}
-			op.Val = append(op.Val, b.tplVal[t]...)
-		} else {
-			op.BSR.BlockID = append(op.BSR.BlockID, b.belems[r]...)
-			op.Val = append(op.Val, b.vals[r]...)
-		}
-		op.RowPtr[r+1] = int64(len(op.Val))
-	}
-	return op
-}
-
-// templatesSaveBytes applies Templatize's net-byte guard to the builder's
-// registered templates: templated rows' would-be CSR entries (12 B each)
-// must outweigh one stored copy of each template plus the Rows-wide side
-// table.
-func (b *Builder) templatesSaveBytes() bool {
-	var tplNNZ, savedNNZ int64
-	for _, v := range b.tplVal {
-		tplNNZ += int64(len(v))
-	}
-	for r := 0; r < b.rows; r++ {
-		if t := b.rowTpl[r]; t >= 0 {
-			savedNNZ += int64(len(b.tplVal[t]))
-		}
-	}
-	return (savedNNZ-tplNNZ)*12-int64(b.rows)*8-int64(len(b.tplVal)+1)*8 > 0
 }

@@ -1,37 +1,239 @@
-package operator
+package operator_test
 
 import (
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"unstencil/internal/artifact"
 	"unstencil/internal/metrics"
+	"unstencil/internal/operator"
 )
 
-// A tiny hand-built 3×4 operator (basisN 2, two elements) exercises the
-// CSR layout, the permutation plumbing, and the dimension checks without
-// any mesh machinery.
-func buildTiny(perm []int32) *Operator {
-	b := NewBuilder(3, 4, 2)
-	b.SetRow(0, []int32{0, 1}, []float64{1, 2})
-	b.SetRow(1, []int32{2, 3}, []float64{3, -1})
+// buildTiny is a hand-built 3×4 operator (basisN 2, two elements): it
+// exercises the layout, the permutation plumbing, and the dimension checks
+// without any mesh machinery.
+func buildTiny(perm []int32) *operator.Operator {
+	b := operator.NewBuilder(3, 4, 2)
+	b.SetRowBlocks(0, []int32{0}, []float64{1, 2})
+	b.SetRowBlocks(1, []int32{1}, []float64{3, -1})
 	// row 2 left unset: a point no element contributes to.
 	return b.Finish(perm, 2, "per-point", time.Millisecond, metrics.Counters{Regions: 7})
 }
 
-func TestBuilderFinishLayout(t *testing.T) {
+// synthetic builds an operator shaped like an assembled one: most rows are
+// one of three stencil patterns at a random base element, a fifth are
+// unique boundary-like rows, a few are empty. share registers the pattern
+// rows as templates — what congruence-first assembly emits on a structured
+// mesh; without it the same rows are stored directly. jitter perturbs
+// every pattern row by its own last-bit noise, so no two rows are
+// congruent — a jittered mesh, untemplated by its data.
+func synthetic(rows, elems, basisN int, seed int64, share, jitter, permuted bool) *operator.Operator {
+	rng := rand.New(rand.NewSource(seed))
+	deltas := [][]int32{{0, 1, 3, 4}, {0, 2, 3, 5, 6, 7}, {0, 1, 2}}
+	const maxSpan = 8
+	patterns := make([][]float64, len(deltas))
+	for p := range patterns {
+		patterns[p] = make([]float64, len(deltas[p])*basisN)
+		for i := range patterns[p] {
+			mag := math.Ldexp(rng.Float64(), rng.Intn(20)-10)
+			if i%2 == 0 {
+				mag = -mag
+			}
+			patterns[p][i] = mag
+		}
+	}
+	b := operator.NewBuilder(rows, elems*basisN, basisN)
+	tpl := make([]int32, len(deltas))
+	if share {
+		for p := range deltas {
+			tpl[p] = b.AddTemplateBlocks(deltas[p], patterns[p])
+		}
+	}
+	ids := make([]int32, 0, maxSpan)
+	for r := 0; r < rows; r++ {
+		e0 := int32(rng.Intn(elems - maxSpan))
+		switch {
+		case rng.Intn(19) == 0:
+			// empty row
+		case rng.Intn(5) == 0:
+			v := make([]float64, 2*basisN)
+			for i := range v {
+				v[i] = math.Ldexp(rng.Float64()-0.5, rng.Intn(30)-15)
+			}
+			b.SetRowBlocks(r, []int32{e0, e0 + 1}, v)
+		default:
+			p := rng.Intn(len(deltas))
+			if share {
+				b.SetRowTemplated(r, tpl[p], e0)
+				continue
+			}
+			ids = ids[:0]
+			for _, d := range deltas[p] {
+				ids = append(ids, e0+d)
+			}
+			v := patterns[p]
+			if jitter {
+				v = append([]float64(nil), v...)
+				for i := range v {
+					v[i] *= 1 + float64(rng.Intn(1<<20))*0x1p-52
+				}
+			}
+			b.SetRowBlocks(r, ids, v)
+		}
+	}
+	var perm []int32
+	if permuted {
+		for _, v := range rng.Perm(rows) {
+			perm = append(perm, int32(v))
+		}
+	}
+	return b.Finish(perm, 2, "per-point", time.Millisecond, metrics.Counters{})
+}
+
+func randFields(cols, nf int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	fs := make([][]float64, nf)
+	for f := range fs {
+		fs[f] = make([]float64, cols)
+		for c := range fs[f] {
+			fs[f][c] = math.Ldexp(rng.Float64()-0.5, rng.Intn(20)-10)
+		}
+	}
+	return fs
+}
+
+func mkVecs(n, ln int) [][]float64 {
+	v := make([][]float64, n)
+	for i := range v {
+		v[i] = make([]float64, ln)
+	}
+	return v
+}
+
+// referenceApply is the naive apply the kernels are held against: expand
+// every logical row through the exported accessor and run the canonical
+// Neumaier recurrence over its terms in storage order, one field, one
+// goroutine, the branchy textbook form.
+func referenceApply(op *operator.Operator, coeffs []float64) []float64 {
+	out := make([]float64, op.Rows)
+	var elems []int32
+	for r := 0; r < op.Rows; r++ {
+		var vals []float64
+		elems, vals = op.Row(r, elems)
+		sum, comp := 0.0, 0.0
+		for k, e := range elems {
+			for m := 0; m < op.BasisN; m++ {
+				term := vals[k*op.BasisN+m] * coeffs[int(e)*op.BasisN+m]
+				t := sum + term
+				if math.Abs(sum) >= math.Abs(term) {
+					comp += (sum - t) + term
+				} else {
+					comp += (term - t) + sum
+				}
+				sum = t
+			}
+		}
+		pt := r
+		if op.Perm != nil {
+			pt = int(op.Perm[r])
+		}
+		out[pt] = sum + comp
+	}
+	return out
+}
+
+// mapped round-trips op through an artifact file and returns the
+// mmap-backed load (the portable decode where mmap is unavailable).
+func mapped(t *testing.T, op *operator.Operator) *operator.Operator {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "op.art")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := artifact.EncodeOperator(f, "op:k", op); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mop, _, err := artifact.MapOperator(path, "op:k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if m, ok := mop.Backing.(*artifact.Mapping); ok {
+			_ = m.Close()
+		}
+	})
+	return mop
+}
+
+// TestApplyBlockBitIdentical is the one apply property: over templated and
+// untemplated-by-data operators, heap-built and mmap-loaded, at every
+// worker count and field width (under, at, over and twice the fieldBlock
+// tile), ApplyBlock equals F independent ApplyVec calls bitwise, and both
+// equal the naive reference apply bitwise.
+func TestApplyBlockBitIdentical(t *testing.T) {
+	for _, shared := range []bool{true, false} {
+		heap := synthetic(1500, 150, 3, 42, shared, !shared, true)
+		if (heap.Tpl != nil) != shared {
+			t.Fatalf("shared=%v fixture has Tpl=%v", shared, heap.Tpl != nil)
+		}
+		for load, op := range map[string]*operator.Operator{"heap": heap, "mmap": mapped(t, heap)} {
+			for _, nf := range []int{1, 3, 8, 9, 16} {
+				coeffs := randFields(op.Cols, nf, int64(nf)*7+1)
+				want := make([][]float64, nf)
+				for f := range want {
+					want[f] = referenceApply(op, coeffs[f])
+				}
+				for _, workers := range []int{1, 2, 5} {
+					vec, blk := mkVecs(nf, op.Rows), mkVecs(nf, op.Rows)
+					for f := range vec {
+						if err := op.ApplyVec(coeffs[f], vec[f], workers); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := op.ApplyBlock(coeffs, blk, workers); err != nil {
+						t.Fatal(err)
+					}
+					for f := range want {
+						for i, w := range want[f] {
+							if math.Float64bits(vec[f][i]) != math.Float64bits(w) || math.Float64bits(blk[f][i]) != math.Float64bits(w) {
+								t.Fatalf("shared=%v %s nf=%d workers=%d field %d point %d: ApplyVec %x, ApplyBlock %x, reference %x",
+									shared, load, nf, workers, f, i,
+									math.Float64bits(vec[f][i]), math.Float64bits(blk[f][i]), math.Float64bits(w))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestBuilderFinish(t *testing.T) {
 	op := buildTiny(nil)
 	if op.NNZ() != 4 {
 		t.Fatalf("nnz = %d", op.NNZ())
 	}
-	wantPtr := []int64{0, 2, 4, 4}
-	for i, p := range op.RowPtr {
-		if p != wantPtr[i] {
+	for i, want := range []int64{0, 2, 4, 4} {
+		if op.RowPtr[i] != want {
 			t.Fatalf("rowptr = %v", op.RowPtr)
 		}
 	}
+	if len(op.BlockID) != 2 || op.BlockID[0] != 0 || op.BlockID[1] != 1 {
+		t.Fatalf("block ids = %v", op.BlockID)
+	}
+	if err := op.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	out := make([]float64, 3)
-	coeffs := []float64{1, 1, 1, 1}
-	if err := op.ApplyVec(coeffs, out, 1); err != nil {
+	if err := op.ApplyVec([]float64{1, 1, 1, 1}, out, 1); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 3 || out[1] != 2 || out[2] != 0 {
@@ -68,21 +270,44 @@ func TestApplyVecDimensionChecks(t *testing.T) {
 	}
 }
 
-func TestSetRowLengthMismatchPanics(t *testing.T) {
+func TestApplyBlockDimensionChecks(t *testing.T) {
+	op := synthetic(40, 12, 2, 1, false, false, false)
+	if err := op.ApplyBlock(nil, nil, 1); err == nil {
+		t.Error("zero fields accepted")
+	}
+	if err := op.ApplyBlock(mkVecs(2, op.Cols), mkVecs(1, op.Rows), 1); err == nil {
+		t.Error("output count mismatch accepted")
+	}
+	if err := op.ApplyBlock(mkVecs(2, op.Cols-1), mkVecs(2, op.Rows), 1); err == nil {
+		t.Error("short coefficients accepted")
+	}
+	if err := op.ApplyBlock(mkVecs(2, op.Cols), mkVecs(2, op.Rows-1), 1); err == nil {
+		t.Error("short output accepted")
+	}
+}
+
+func expectPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Error("mismatched SetRow did not panic")
+			t.Errorf("%s did not panic", name)
 		}
 	}()
-	NewBuilder(1, 2, 1).SetRow(0, []int32{0, 1}, []float64{1})
+	fn()
+}
+
+func TestSetRowLengthMismatchPanics(t *testing.T) {
+	expectPanic(t, "mismatched SetRowBlocks", func() {
+		operator.NewBuilder(1, 4, 2).SetRowBlocks(0, []int32{0, 1}, []float64{1})
+	})
 }
 
 // Compensated row summation must recover sums a naive loop loses to
 // cancellation: (big + 1) − big == 1 exactly.
 func TestApplyRowsCompensated(t *testing.T) {
-	b := NewBuilder(1, 3, 3)
+	b := operator.NewBuilder(1, 3, 3)
 	big := 1e16
-	b.SetRow(0, []int32{0, 1, 2}, []float64{big, 1, -big})
+	b.SetRowBlocks(0, []int32{0}, []float64{big, 1, -big})
 	op := b.Finish(nil, 1, "per-point", 0, metrics.Counters{})
 	out := make([]float64, 1)
 	if err := op.ApplyVec([]float64{1, 1, 1}, out, 1); err != nil {
@@ -91,4 +316,273 @@ func TestApplyRowsCompensated(t *testing.T) {
 	if out[0] != 1 {
 		t.Fatalf("compensated sum = %v, want 1", out[0])
 	}
+	blk := mkVecs(1, 1)
+	if err := op.ApplyBlock([][]float64{{1, 1, 1}}, blk, 1); err != nil {
+		t.Fatal(err)
+	}
+	if blk[0][0] != 1 {
+		t.Fatalf("compensated block sum = %v, want 1", blk[0][0])
+	}
+}
+
+// expectAllocFree runs the serial apply paths over op and nf fields and
+// fails on any steady-state allocation: the packed tile and output vectors
+// are pooled, the accumulators are stack arrays.
+func expectAllocFree(t *testing.T, op *operator.Operator, nf int) {
+	t.Helper()
+	if operator.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	coeffs := randFields(op.Cols, nf, 5)
+	out := mkVecs(nf, op.Rows)
+	// Warm the pools.
+	if err := op.ApplyBlock(coeffs, out, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range map[string]func(){
+		"ApplyVec":   func() { _ = op.ApplyVec(coeffs[0], out[0], 1) },
+		"ApplyBlock": func() { _ = op.ApplyBlock(coeffs, out, 1) },
+		"GetPutVec":  func() { operator.PutVec(operator.GetVec(op.Rows)) },
+	} {
+		if n := testing.AllocsPerRun(20, fn); n != 0 {
+			t.Errorf("%s allocates %v per run", name, n)
+		}
+	}
+}
+
+// Templated rows, a full field tile.
+func TestApplyAllocFree(t *testing.T) {
+	expectAllocFree(t, synthetic(600, 150, 3, 9, true, false, true), 8)
+}
+
+// Directly stored rows, a partial field tile.
+func TestBSRApplyAllocFree(t *testing.T) {
+	expectAllocFree(t, synthetic(600, 150, 3, 11, false, false, true), 2)
+}
+
+func TestGetVecReuse(t *testing.T) {
+	v := operator.GetVec(100)
+	if len(v) != 100 {
+		t.Fatalf("len = %d", len(v))
+	}
+	v[0] = 42
+	operator.PutVec(v)
+	w := operator.GetVec(50)
+	if len(w) != 50 {
+		t.Fatalf("len = %d", len(w))
+	}
+	operator.PutVec(w)
+	if big := operator.GetVec(1000); len(big) != 1000 {
+		t.Fatalf("len = %d", len(big))
+	} else {
+		operator.PutVec(big)
+	}
+	operator.PutVec(nil) // must not panic
+}
+
+// buildShared resolves `users` rows through one two-block template at
+// staggered base elements, plus one directly stored row. Enough users make
+// the template a net byte saving; few make Finish materialise everything.
+func buildShared(users int) *operator.Operator {
+	rows := users + 1
+	b := operator.NewBuilder(rows, 4*rows+8, 2)
+	tpl := b.AddTemplateBlocks([]int32{0, 2}, []float64{0.5, -0.25, 0.125, 2})
+	for r := 0; r < users; r++ {
+		b.SetRowTemplated(r, tpl, int32(2*r))
+	}
+	b.SetRowBlocks(users, []int32{1}, []float64{7, -3})
+	return b.Finish(nil, 1, "per-point", time.Millisecond, metrics.Counters{})
+}
+
+func expectRow(t *testing.T, op *operator.Operator, r int, elems []int32, vals []float64) {
+	t.Helper()
+	ge, gv := op.Row(r, nil)
+	if len(ge) != len(elems) || len(gv) != len(vals) {
+		t.Fatalf("row %d: %d elements / %d values, want %d / %d", r, len(ge), len(gv), len(elems), len(vals))
+	}
+	for i := range elems {
+		if ge[i] != elems[i] {
+			t.Fatalf("row %d element[%d] = %d, want %d", r, i, ge[i], elems[i])
+		}
+	}
+	for i := range vals {
+		if math.Float64bits(gv[i]) != math.Float64bits(vals[i]) {
+			t.Fatalf("row %d val[%d] = %v, want %v", r, i, gv[i], vals[i])
+		}
+	}
+}
+
+// With enough rows sharing the pattern, Finish emits the TemplateSet, and
+// every logical row reads back exactly as direct SetRowBlocks calls would
+// have stored it.
+func TestBuilderFinishEmitsTemplateSet(t *testing.T) {
+	op := buildShared(50)
+	if op.Tpl == nil {
+		t.Fatal("Finish did not emit a TemplateSet despite a net byte saving")
+	}
+	if err := op.Validate(); err != nil {
+		t.Fatalf("emitted operator invalid: %v", err)
+	}
+	if got := op.Tpl.NumTemplates(); got != 1 {
+		t.Fatalf("templates = %d, want 1", got)
+	}
+	if got := op.Tpl.TemplatedRows(); got != 50 {
+		t.Fatalf("templated rows = %d, want 50", got)
+	}
+	if op.NNZ() != 50*4+2 || len(op.Val) != 2 {
+		t.Fatalf("nnz = %d logical, %d stored directly", op.NNZ(), len(op.Val))
+	}
+	if st := op.Stats(); st.StoredNNZ != 4+2 || st.Templates != 1 || st.TemplatedRows != 50 {
+		t.Fatalf("stats missing template shape: %+v", st)
+	}
+	for r := 0; r < 50; r++ {
+		expectRow(t, op, r, []int32{int32(2 * r), int32(2*r + 2)}, []float64{0.5, -0.25, 0.125, 2})
+	}
+	expectRow(t, op, 50, []int32{1}, []float64{7, -3})
+}
+
+// A single user of a template saves nothing over storing the row outright,
+// so Finish stores it directly — same numbers, no indirection.
+func TestBuilderFinishMaterialisesWhenNotSaving(t *testing.T) {
+	op := buildShared(1)
+	if op.Tpl != nil {
+		t.Fatal("Finish emitted a TemplateSet that costs more than it saves")
+	}
+	if err := op.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if op.NNZ() != 4+2 || len(op.Val) != 6 {
+		t.Fatalf("materialised nnz = %d", op.NNZ())
+	}
+	expectRow(t, op, 0, []int32{0, 2}, []float64{0.5, -0.25, 0.125, 2})
+	expectRow(t, op, 1, []int32{1}, []float64{7, -3})
+}
+
+// Malformed templates and out-of-range template references are
+// programming errors.
+func TestBuilderTemplatePanics(t *testing.T) {
+	b := operator.NewBuilder(2, 8, 2)
+	expectPanic(t, "row templated before any template", func() { b.SetRowTemplated(0, 0, 0) })
+	expectPanic(t, "empty template", func() { b.AddTemplateBlocks(nil, nil) })
+	expectPanic(t, "ragged template", func() { b.AddTemplateBlocks([]int32{0}, []float64{1}) })
+	b.AddTemplateBlocks([]int32{0}, []float64{1, 2})
+	expectPanic(t, "bad template id", func() { b.SetRowTemplated(0, 3, 0) })
+}
+
+// TestBSRBytes pins the byte accounting: Bytes is the sum of the resident
+// arrays, sharing templates shrinks it by exactly BytesSaved against the
+// same rows stored directly, and the logical nnz does not move.
+func TestBSRBytes(t *testing.T) {
+	shared := synthetic(800, 200, 3, 7, true, false, true)
+	direct := synthetic(800, 200, 3, 7, false, false, true)
+	if shared.Tpl == nil || direct.Tpl != nil {
+		t.Fatal("fixtures did not come out shared / direct")
+	}
+	ts := shared.Tpl
+	want := int64(len(shared.Val))*8 + int64(len(shared.BlockID))*4 + int64(len(shared.RowPtr))*8 + int64(len(shared.Perm))*4 +
+		int64(len(ts.TplPtr))*8 + int64(len(ts.BlockDelta))*4 + int64(len(ts.TplVal))*8 + int64(len(ts.RowTpl))*4 + int64(len(ts.RowBase))*4
+	if shared.Bytes() != want {
+		t.Fatalf("Bytes = %d, arrays sum to %d", shared.Bytes(), want)
+	}
+	if shared.NNZ() != direct.NNZ() {
+		t.Fatalf("logical nnz changed: %d shared vs %d direct", shared.NNZ(), direct.NNZ())
+	}
+	if saved := shared.BytesSaved(); saved <= 0 || direct.Bytes()-shared.Bytes() != saved {
+		t.Fatalf("byte gap %d, BytesSaved %d", direct.Bytes()-shared.Bytes(), saved)
+	}
+	if direct.BytesSaved() != 0 {
+		t.Fatalf("untemplated operator claims %d bytes saved", direct.BytesSaved())
+	}
+	for r := 0; r < shared.Rows; r++ {
+		elems, vals := direct.Row(r, nil)
+		expectRow(t, shared, r, elems, vals)
+	}
+}
+
+// clone deep-copies the arrays Validate reads, so a test can break one.
+func clone(op *operator.Operator) *operator.Operator {
+	c := *op
+	c.RowPtr = append([]int64(nil), op.RowPtr...)
+	c.BlockID = append([]int32(nil), op.BlockID...)
+	c.Perm = append([]int32(nil), op.Perm...)
+	if op.Tpl != nil {
+		ts := *op.Tpl
+		ts.TplPtr = append([]int64(nil), ts.TplPtr...)
+		ts.BlockDelta = append([]int32(nil), ts.BlockDelta...)
+		ts.RowTpl = append([]int32(nil), ts.RowTpl...)
+		ts.RowBase = append([]int32(nil), ts.RowBase...)
+		c.Tpl = &ts
+	}
+	return &c
+}
+
+func expectInvalid(t *testing.T, op *operator.Operator, cases map[string]func(o *operator.Operator)) {
+	t.Helper()
+	if err := op.Validate(); err != nil {
+		t.Fatalf("valid operator rejected: %v", err)
+	}
+	for name, mutate := range cases {
+		c := clone(op)
+		mutate(c)
+		if c.Validate() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestValidateBSR exercises the decode-path guards on the row arrays.
+func TestValidateBSR(t *testing.T) {
+	expectInvalid(t, synthetic(60, 20, 3, 9, false, false, true), map[string]func(o *operator.Operator){
+		"out-of-range block id":   func(o *operator.Operator) { o.BlockID[0] = int32(o.Cols / o.BasisN) },
+		"negative block id":       func(o *operator.Operator) { o.BlockID[0] = -1 },
+		"short block index":       func(o *operator.Operator) { o.BlockID = o.BlockID[:len(o.BlockID)-1] },
+		"misaligned row pointer":  func(o *operator.Operator) { o.RowPtr[1]++ },
+		"non-monotone row ptr":    func(o *operator.Operator) { o.RowPtr[2] = o.RowPtr[1] - int64(o.BasisN) },
+		"row pointer overshoots":  func(o *operator.Operator) { o.RowPtr[o.Rows] += int64(o.BasisN) },
+		"short row pointer array": func(o *operator.Operator) { o.RowPtr = o.RowPtr[:o.Rows] },
+		"ragged column count":     func(o *operator.Operator) { o.Cols++ },
+		"zero basisN":             func(o *operator.Operator) { o.BasisN = 0 },
+		"perm out of range":       func(o *operator.Operator) { o.Perm[3] = int32(o.Rows) },
+		"short perm":              func(o *operator.Operator) { o.Perm = o.Perm[:o.Rows-1] },
+	})
+}
+
+// TestValidateTemplatesRejects exercises the guards on the template tables.
+func TestValidateTemplatesRejects(t *testing.T) {
+	op := synthetic(200, 60, 2, 3, true, false, false)
+	if op.Tpl == nil {
+		t.Fatal("no templates formed")
+	}
+	firstTemplated := func(o *operator.Operator) int {
+		for r, t := range o.Tpl.RowTpl {
+			if t >= 0 {
+				return r
+			}
+		}
+		return -1
+	}
+	expectInvalid(t, op, map[string]func(o *operator.Operator){
+		"dangling template id": func(o *operator.Operator) {
+			o.Tpl.RowTpl[firstTemplated(o)] = int32(o.Tpl.NumTemplates())
+		},
+		"element out of range": func(o *operator.Operator) { o.Tpl.RowBase[firstTemplated(o)] = int32(o.Cols) },
+		"misaligned base":      func(o *operator.Operator) { o.Tpl.RowBase[firstTemplated(o)]++ },
+		"negative delta":       func(o *operator.Operator) { o.Tpl.BlockDelta[1] = -int32(o.Cols) },
+		"ragged arrays":        func(o *operator.Operator) { o.Tpl.TplVal = o.Tpl.TplVal[:len(o.Tpl.TplVal)-1] },
+		"short deltas":         func(o *operator.Operator) { o.Tpl.BlockDelta = o.Tpl.BlockDelta[1:] },
+		"misaligned template":  func(o *operator.Operator) { o.Tpl.TplPtr[1]++ },
+		"pointer not from 0":   func(o *operator.Operator) { o.Tpl.TplPtr[0] = int64(o.BasisN) },
+		"row table wrong length": func(o *operator.Operator) {
+			o.Tpl.RowTpl = o.Tpl.RowTpl[:len(o.Tpl.RowTpl)-1]
+		},
+		"templated row with own entries": func(o *operator.Operator) {
+			for r, t := range o.Tpl.RowTpl {
+				if t < 0 && o.RowPtr[r] != o.RowPtr[r+1] {
+					o.Tpl.RowTpl[r] = 0
+					o.Tpl.RowBase[r] = 0
+					return
+				}
+			}
+		},
+	})
 }

@@ -52,7 +52,7 @@ type Artifacts struct {
 	// log receives store-degradation warnings (persist failures); nil
 	// disables.
 	log *slog.Logger
-	// ops accumulates operator apply traffic and template-compression
+	// ops accumulates operator apply traffic and template-sharing
 	// outcomes for /debug/metrics.
 	ops metrics.OperatorCounters
 }
@@ -233,11 +233,8 @@ const (
 // of OpSrcMemory, OpSrcDisk, OpSrcAssembled.
 func (a *Artifacts) Operator(ev *core.Evaluator, meshID string) (*operator.Operator, string, error) {
 	key := OpKey(meshID, ev.Opt.P, ev.Opt.GridDegree, ev.Opt.Boundary)
-	return a.operatorFor(key, func() (*operator.Operator, error) {
-		return ev.AssembleOperator(core.AssembleOpts{
-			Congruence: core.CongruenceTemplate,
-			SigCache:   a.signatureCache(meshID, ev),
-		})
+	return a.operatorFor(key, ev.Opt.Workers, func() (*operator.Operator, error) {
+		return ev.AssembleOperator(core.AssembleOpts{SigCache: a.signatureCache(meshID, ev)})
 	})
 }
 
@@ -295,39 +292,33 @@ func (a *Artifacts) signatureCache(meshID string, ev *core.Evaluator) core.Signa
 }
 
 // operatorFor resolves one operator cache key through the memory and disk
-// tiers, assembling (and persisting) on a full miss.
-func (a *Artifacts) operatorFor(key string, assemble func() (*operator.Operator, error)) (*operator.Operator, string, error) {
+// tiers, assembling (and persisting) on a full miss. workers is the
+// requesting evaluator's normalised Opt.Workers: assembly stamps it on the
+// operators it builds, and a disk-loaded operator is re-stamped with it
+// here, since the worker count in the file is the *writer's* — an operator
+// packed on a 32-core box must not fan out past this server's
+// -eval-workers.
+func (a *Artifacts) operatorFor(key string, workers int, assemble func() (*operator.Operator, error)) (*operator.Operator, string, error) {
 	src := OpSrcMemory // waiters on an in-flight build also report memory
 	v, _, err := a.cache.GetOrBuild(key, func() (any, int64, error) {
 		// Disk tier before re-assembly. The LRU charge is the operator's
-		// CSR byte size either way: for an mmap-backed operator those are
+		// array byte size either way: for an mmap-backed operator those are
 		// file-backed pages rather than heap, but they bound address
-		// space and page-cache pressure just the same.
+		// space and page-cache pressure just the same. A file in a retired
+		// format fails the load with ErrVersion, is deleted by the store,
+		// and is repaired by the assembly and write-through below.
 		if a.store != nil {
 			if op, _, err := a.store.LoadOperator(key, true); err == nil {
-				// v1/v2 artifacts decode as scalar CSR; block their index on
-				// admission (no-op for v3, which is already BSR — the blocked
-				// index aliases the mapping, everything else stays zero-copy).
-				op = op.ToBSR()
+				op.Workers = workers
 				src = OpSrcDisk
 				a.recordOperator(op)
-				return op, op.Stats().Bytes + 1024, nil
+				return op, op.Bytes() + 1024, nil
 			}
 		}
 		op, err := assemble()
 		if err != nil {
 			return nil, 0, err
 		}
-		// Compress row-congruent stencils into shared templates before the
-		// operator is admitted anywhere: Templatize is lossless (bitwise
-		// fallback when rows do not share structure) and the compressed form
-		// is what both the LRU and the disk store should hold. For operators
-		// built by congruence-first assembly this is a no-op — they emitted
-		// their templates at assembly time and skip the rescan. ToBSR then
-		// blocks the column index of any operator assembly left in scalar
-		// form (assembly emits BSR directly on block-decomposable meshes, so
-		// this too is usually a no-op).
-		op = op.Templatize().ToBSR()
 		a.recordOperator(op)
 		src = OpSrcAssembled
 		if a.store != nil {
@@ -337,7 +328,7 @@ func (a *Artifacts) operatorFor(key string, assemble func() (*operator.Operator,
 					"key", key, "err", err)
 			}
 		}
-		return op, op.Stats().Bytes + 1024, nil
+		return op, op.Bytes() + 1024, nil
 	})
 	if err != nil {
 		return nil, "", err
@@ -346,15 +337,10 @@ func (a *Artifacts) operatorFor(key string, assemble func() (*operator.Operator,
 }
 
 // recordOperator folds one operator admission (assembled or loaded from
-// disk) into the template-compression counters, plus the congruence-first
+// disk) into the template-sharing counters, plus the congruence-first
 // assembly outcome when the operator carries one (disk loads do not).
 func (a *Artifacts) recordOperator(op *operator.Operator) {
-	templated := 0
-	if op.Tpl != nil {
-		templated = op.Tpl.TemplatedRows()
-	}
-	a.ops.RecordTemplates(op.Rows, templated, op.BytesSaved())
-	a.ops.RecordLayout(op.BSR != nil, op.IndexBytesSaved())
+	a.ops.RecordTemplates(op.Rows, op.Tpl.TemplatedRows(), op.BytesSaved())
 	if cs := op.Congruence; cs != nil {
 		a.ops.RecordAssembly(cs.RowsIntegrated, cs.RowsStamped, cs.ClassesVerified, cs.ClassesDemoted, op.AssemblyWall)
 		a.ops.RecordSigCache(cs.SigCacheLookups, cs.SigCacheHits)
@@ -377,12 +363,8 @@ func (a *Artifacts) QueryOperator(ev *core.Evaluator, meshID string, pts []geom.
 		h.Write(buf[:])
 	}
 	key := fmt.Sprintf("qop:%s/p%d/%v/%x", meshID, ev.Opt.P, ev.Opt.Boundary, h.Sum(nil))
-	return a.operatorFor(key, func() (*operator.Operator, error) {
-		return ev.AssembleOperator(core.AssembleOpts{
-			Points:     pts,
-			Congruence: core.CongruenceTemplate,
-			SigCache:   a.signatureCache(meshID, ev),
-		})
+	return a.operatorFor(key, ev.Opt.Workers, func() (*operator.Operator, error) {
+		return ev.AssembleOperator(core.AssembleOpts{Points: pts, SigCache: a.signatureCache(meshID, ev)})
 	})
 }
 

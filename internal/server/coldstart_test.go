@@ -2,13 +2,18 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 	"time"
 
+	"unstencil/internal/artifact"
+	"unstencil/internal/core"
+	"unstencil/internal/dg"
 	"unstencil/internal/mesh"
 )
 
@@ -61,15 +66,7 @@ func TestColdStartServesOperatorFromDisk(t *testing.T) {
 	if !srv1.arts.Store().Has(opKey) {
 		t.Fatalf("assembled operator %q not written through to the store", opKey)
 	}
-	ts1.Close()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv1.Manager().Shutdown(shutdownCtx); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	stopTestServer(t, srv1, ts1)
 
 	// Incarnation two: cold cache, same disk state.
 	srv2, ts2 := newTestServer(t, cfg)
@@ -138,6 +135,176 @@ func TestStoreDirWithoutStateDir(t *testing.T) {
 	for i := range want {
 		if d := math.Abs(got[i] - want[i]); d > 1e-12 {
 			t.Fatalf("point %d differs by %.3e across incarnations", i, d)
+		}
+	}
+}
+
+// stopTestServer shuts one incarnation down so the next can open the same
+// directories.
+func stopTestServer(t *testing.T, srv *Server, ts *httptest.Server) {
+	t.Helper()
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Manager().Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLegacyOperatorFileSelfRepairs pins the upgrade path for operator
+// files in a retired format: whether the file is already in the store when
+// the server boots or appears under a running one, the operator job
+// re-assembles (never reporting a disk hit), agrees with direct evaluation,
+// leaves a current-format file behind, and the next cold start serves that
+// file from disk bit for bit.
+func TestLegacyOperatorFileSelfRepairs(t *testing.T) {
+	m := mesh.Structured(6)
+	f := dg.Project(m, 2, FieldFuncs["sincos"], 4)
+	ev, err := core.NewEvaluator(f, core.Options{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := ev.RunPerPoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileVersion := func(path string) uint16 {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint16(data[4:6])
+	}
+
+	for _, beforeBoot := range []bool{true, false} {
+		cfg := Config{Workers: 1, EvalWorkers: 2, StoreDir: t.TempDir()}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		meshID := uploadMesh(t, ts, m)
+		runOperatorJob(t, ts, meshID)
+		path := srv.arts.Store().Path(OpKey(meshID, 2, 4, core.Periodic))
+		stopTestServer(t, srv, ts)
+
+		// A saved file with its header version rewritten is enough: the
+		// version gate never looks further.
+		legacy, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(legacy[4:6], 2)
+		if beforeBoot {
+			if err := os.WriteFile(path, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if srv, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		ts = httptest.NewServer(srv)
+		if !beforeBoot {
+			if err := os.WriteFile(path, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits, repaired := runOperatorJob(t, ts, meshID)
+		if slices.Contains(hits, "operator-disk") || slices.Contains(hits, "operator") {
+			t.Fatalf("beforeBoot=%v: job over a legacy file reported warm hits %v", beforeBoot, hits)
+		}
+		if len(repaired) != len(direct.Solution) {
+			t.Fatalf("beforeBoot=%v: %d points, want %d", beforeBoot, len(repaired), len(direct.Solution))
+		}
+		for i, want := range direct.Solution {
+			if d := math.Abs(repaired[i] - want); d > 1e-12 {
+				t.Fatalf("beforeBoot=%v: point %d: repaired operator %v vs RunPerPoint %v (diff %.3e)", beforeBoot, i, repaired[i], want, d)
+			}
+		}
+		if v := fileVersion(path); v != artifact.VersionOperator {
+			t.Fatalf("beforeBoot=%v: file on disk is v%d after the job, want v%d", beforeBoot, v, artifact.VersionOperator)
+		}
+		stopTestServer(t, srv, ts)
+
+		_, ts3 := newTestServer(t, cfg)
+		hits, got := runOperatorJob(t, ts3, meshID)
+		if !slices.Contains(hits, "operator-disk") {
+			t.Fatalf("beforeBoot=%v: cold start after repair hits = %v, want operator-disk", beforeBoot, hits)
+		}
+		for i := range repaired {
+			if math.Float64bits(got[i]) != math.Float64bits(repaired[i]) {
+				t.Fatalf("beforeBoot=%v: point %d: %v from disk vs %v re-assembled", beforeBoot, i, got[i], repaired[i])
+			}
+		}
+	}
+}
+
+// TestDiskOperatorUsesThisServersEvalWorkers: the worker count inside an
+// operator file is the writer's. An operator packed with 7 workers and
+// loaded by a server configured for 2 must apply with 2 — and produce the
+// same bits.
+func TestDiskOperatorUsesThisServersEvalWorkers(t *testing.T) {
+	store, err := artifact.NewStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(evalWorkers int, meshID string, m *mesh.Mesh) (*core.Evaluator, *Artifacts) {
+		arts := NewArtifacts(NewCache(1<<30), evalWorkers)
+		arts.SetStore(store)
+		if m == nil {
+			var ok bool
+			if m, ok = arts.Mesh(meshID); !ok {
+				t.Fatal("mesh not in the store")
+			}
+		} else if _, err := arts.PutMesh(m); err != nil {
+			t.Fatal(err)
+		}
+		ev, _, err := arts.Evaluator(m, meshID, 2, 0, core.Periodic, "sincos")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev, arts
+	}
+	m := mesh.Structured(6)
+	meshID := m.ContentHash()
+
+	ev, writer := resolve(7, meshID, m)
+	built, src, err := writer.Operator(ev, meshID)
+	if err != nil || src != OpSrcAssembled {
+		t.Fatalf("writer: src %q, err %v", src, err)
+	}
+	want, err := built.Apply(ev.Field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, _, err := store.LoadOperator(OpKey(meshID, 2, ev.Opt.GridDegree, core.Periodic), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Workers != 7 || onDisk.Workers != 7 {
+		t.Fatalf("premise: built with %d workers, file records %d, want 7", built.Workers, onDisk.Workers)
+	}
+
+	ev2, reader := resolve(2, meshID, nil)
+	op, src, err := reader.Operator(ev2, meshID)
+	if err != nil || src != OpSrcDisk {
+		t.Fatalf("reader: src %q, err %v", src, err)
+	}
+	if op.Workers != 2 {
+		t.Fatalf("disk-loaded operator applies with %d workers on a server configured for 2", op.Workers)
+	}
+	got, err := op.Apply(ev2.Field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("point %d: %v with 2 workers vs %v with 7", i, got[i], want[i])
 		}
 	}
 }

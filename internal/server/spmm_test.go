@@ -106,8 +106,8 @@ func TestMultiFieldOperatorJob(t *testing.T) {
 	}
 
 	// The apply and template counters observed the traffic. The structured
-	// mesh assembles translation-congruent stencil rows, so the server-side
-	// Templatize must have compressed the operator.
+	// mesh assembles translation-congruent stencil rows, so assembly must
+	// have shared them through templates.
 	snap := srv.Artifacts().Ops().Snapshot()
 	if snap.BlockApplies == 0 || snap.SingleApplies < uint64(len(names)) {
 		t.Errorf("apply counters %+v missed the traffic", snap)
@@ -130,8 +130,8 @@ func TestMultiFieldValidation(t *testing.T) {
 }
 
 // On a perturbed (jittered) mesh rows are not translation-congruent; the
-// operator path must fall back to plain CSR transparently — same results,
-// no templates — rather than fail or compress lossily.
+// operator path must fall back to directly stored rows transparently —
+// same results, no templates — rather than fail or compress lossily.
 func TestOperatorTemplateFallbackJittered(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	id := uploadMesh(t, ts, mesh.JitteredStructured(6, 0.25, 7))

@@ -140,7 +140,7 @@ func (t *Quadtree) Len() int { return len(t.pts) }
 // sequence — the Z-order (Morton) curve, adapted to local density by the
 // tree's subdivision. Spatially neighbouring points land at neighbouring
 // positions in the permutation, which is what the assembled-operator path
-// (internal/operator) uses to order its CSR rows: consecutive rows then
+// (internal/operator) uses to order its rows: consecutive rows then
 // gather coefficient blocks of nearby elements, keeping the SpMV's column
 // accesses cache-resident. This is the production role the paper's §3
 // index comparison left the quadtree without (the hash grid wins the box
