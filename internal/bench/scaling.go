@@ -25,7 +25,7 @@ type ScalingConfig struct {
 	// Seed fixes the mesh generator.
 	Seed int64
 	// Patches is the per-element tiling patch count (also the per-point
-	// block count), the unit granularity the schedulers balance.
+	// block count), the unit granularity the dispatcher balances.
 	Patches int
 	// Workers is the worker-count sweep; 1 must be present (it is the
 	// baseline and is prepended if missing).
@@ -92,7 +92,7 @@ const speedupBasis = "model_speedup: deterministic per-block cost model " +
 	"pool + two-stage reduction); wall_speedup: measured on this host and " +
 	"bounded by gomaxprocs"
 
-// schemeRun abstracts one scheme so the sweep treats all three uniformly.
+// schemeRun abstracts one scheme so the sweep treats both uniformly.
 type schemeRun struct {
 	name string
 	// run executes the scheme at the evaluator's current worker count.
@@ -127,32 +127,6 @@ func schemeRuns(ev *core.Evaluator, tl *tile.Tiling, patches int) []schemeRun {
 			model: func(res *core.Result, w int) float64 {
 				red := float64(tl.PartialValues()) * device.CoalescedWordCost
 				return device.Pool{Workers: w}.Run(perPatchCosts(res), red).Total
-			},
-		},
-		{
-			name: "pipelined",
-			run:  func() (*core.Result, error) { return ev.RunPerElementPipelined(tl) },
-			// Colour waves are barriers: the modeled time is the sum of
-			// per-wave pool makespans, which is exactly the synchronisation
-			// penalty the paper charges this variant.
-			model: func(res *core.Result, w int) float64 {
-				costs := perPatchCosts(res)
-				colors := tl.Colors()
-				numColors := 0
-				for _, c := range colors {
-					if c+1 > numColors {
-						numColors = c + 1
-					}
-				}
-				waves := make([][]float64, numColors)
-				for p, c := range colors {
-					waves[c] = append(waves[c], costs[p])
-				}
-				total := 0.0
-				for _, wave := range waves {
-					total += device.Pool{Workers: w}.Run(wave, 0).Total
-				}
-				return total
 			},
 		},
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestScalingAgreement is the CI scaling smoke: a small sweep at workers
-// {1, 2} across all three schemes must report parallel solutions
+// {1, 2} across both schemes must report parallel solutions
 // bit-identical to serial (the acceptance gate the full BENCH_PR4.json run
 // enforces at every worker count).
 func TestScalingAgreement(t *testing.T) {
@@ -27,7 +27,7 @@ func TestScalingAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := 3 * len(cfg.Workers) // three schemes
+	wantRows := 2 * len(cfg.Workers) // two schemes
 	if len(rep.Rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rep.Rows), wantRows)
 	}
@@ -46,15 +46,8 @@ func TestScalingAgreement(t *testing.T) {
 		if r.Workers == 1 && math.Abs(r.ModelSpeedup-1) > 1e-9 {
 			t.Errorf("%s/P%d: serial model speedup = %v, want 1", r.Scheme, r.P, r.ModelSpeedup)
 		}
-		// Pipelined colour waves can be fully serial on tiny meshes (every
-		// patch conflicts -> one patch per wave), so only the overlapped
-		// schemes must model real scaling here.
-		if r.Workers > 1 && r.Scheme != "pipelined" && r.ModelSpeedup <= 1 {
+		if r.Workers > 1 && r.ModelSpeedup <= 1 {
 			t.Errorf("%s/P%d workers=%d: model speedup %v, want > 1",
-				r.Scheme, r.P, r.Workers, r.ModelSpeedup)
-		}
-		if r.Workers > 1 && r.ModelSpeedup < 1 {
-			t.Errorf("%s/P%d workers=%d: model speedup %v below serial",
 				r.Scheme, r.P, r.Workers, r.ModelSpeedup)
 		}
 	}

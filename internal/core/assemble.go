@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unstencil/internal/fault"
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
@@ -71,7 +72,6 @@ type assembly struct {
 	bld       *operator.Builder
 	wks       []*worker
 	scr       []rowScratch
-	ec        errCollector
 	stats     operator.CongruenceStats
 
 	cacheLookups, cacheHits atomic.Int64 // SigCache traffic, folded into stats
@@ -96,7 +96,7 @@ type rowScratch struct {
 // freezes the result. quantum is the signature quantisation step in units
 // of h; only the congruent schedule reads it, and correctness never
 // depends on it (the fuzz test sweeps it through this entry point).
-func (ev *Evaluator) assembleOperator(opts AssembleOpts, quantum float64, schedule func(*assembly)) (*operator.Operator, error) {
+func (ev *Evaluator) assembleOperator(opts AssembleOpts, quantum float64, schedule func(*assembly) error) (*operator.Operator, error) {
 	basisN := ev.Field.Basis.N
 	if int64(ev.Mesh.NumTris())*int64(basisN) > math.MaxInt32 {
 		return nil, fmt.Errorf("core: operator column space %d×%d exceeds int32 indexing",
@@ -134,14 +134,14 @@ func (ev *Evaluator) assembleOperator(opts AssembleOpts, quantum float64, schedu
 		a.scr[i].acc = newRowAccum(basisN)
 		a.scr[i].labs = make(map[int32]int32)
 	}
-	schedule(a)
+	err := schedule(a)
 	var total metrics.Counters
 	for _, wk := range a.wks {
 		total.Add(&wk.counters)
 	}
 	ev.putWorkers(a.wks)
-	if a.ec.err != nil {
-		return nil, a.ec.err
+	if err != nil {
+		return nil, err
 	}
 	op := a.bld.Finish(perm, ev.Opt.Workers, PerPoint.String(), time.Since(start), total)
 	// A copy, not &a.stats: an interior pointer would keep the whole
@@ -161,17 +161,18 @@ func (a *assembly) rowPos(r int) geom.Point {
 }
 
 // integrateRow runs the full quadrature for storage row r on worker slot w
-// and stores the row. It is a runDynamic body: false aborts the dispatch
-// with the error recorded.
-func (a *assembly) integrateRow(w, r int) bool {
+// and stores the row; it is a runDynamic unit.
+func (a *assembly) integrateRow(w, r int) error {
+	if err := fault.Inject(siteAssembleRow); err != nil {
+		return err
+	}
 	s := &a.scr[w]
 	if err := a.ev.assembleRow(a.rowPos(r), a.wks[w], s.acc); err != nil {
-		a.ec.set(err)
-		return false
+		return err
 	}
 	s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
 	a.bld.SetRowBlocks(r, s.cols, s.vals)
-	return true
+	return nil
 }
 
 // naive integrates every row independently: each row enumerates its
@@ -179,10 +180,10 @@ func (a *assembly) integrateRow(w, r int) bool {
 // are uniform units with disjoint outputs, so they are dispatched off a
 // shared atomic counter and the result is bit-identical for every worker
 // count.
-func (a *assembly) naive() {
+func (a *assembly) naive() error {
 	n := len(a.positions)
-	runDynamic(len(a.wks), n, a.integrateRow)
 	a.stats.RowsIntegrated = n
+	return runDynamic(len(a.wks), n, a.integrateRow)
 }
 
 // rowAccum merges one row's (element → weights) contributions across
@@ -268,12 +269,7 @@ func (ev *Evaluator) forEachRowCandidate(pos geom.Point, wk *worker, visit func(
 		return err
 	}
 	wk.kx, wk.ky = kx, ky
-	xlo, xhi := kx.Support()
-	ylo, yhi := ky.Support()
-	supp := geom.Box(
-		pos.X+ev.H*xlo, pos.Y+ev.H*ylo,
-		pos.X+ev.H*xhi, pos.Y+ev.H*yhi,
-	)
+	supp := ev.supportBox(pos, kx, ky)
 	ev.forEachShift(supp, func(dx, dy int) {
 		shift := geom.Pt(float64(dx), float64(dy))
 		box := supp.Translate(shift.Scale(-1))

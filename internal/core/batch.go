@@ -29,22 +29,16 @@ func (ev *Evaluator) EvalBatch(positions []geom.Point, workers int) ([]float64, 
 	}
 	workers = min(workers, len(positions))
 	wks := ev.getWorkers(max(workers, 1))
-	var ec errCollector
-	runDynamic(workers, len(positions), func(w, i int) bool {
-		v, err := ev.evalAt(positions[i], wks[w])
-		if err != nil {
-			ec.set(err)
-			return false
-		}
-		out[i] = v
-		return true
+	err := runDynamic(workers, len(positions), func(w, i int) (err error) {
+		out[i], err = ev.evalAt(positions[i], wks[w])
+		return err
 	})
 	for _, wk := range wks {
 		total.Add(&wk.counters)
 	}
 	ev.putWorkers(wks)
-	if ec.err != nil {
-		return nil, metrics.Counters{}, ec.err
+	if err != nil {
+		return nil, metrics.Counters{}, err
 	}
 	return out, total, nil
 }

@@ -413,6 +413,14 @@ func (ev *Evaluator) kernelsFor(pos geom.Point) (kx, ky *bspline.Kernel, err err
 	return kx, ky, nil
 }
 
+// supportBox returns the footprint, in domain units, of a stencil centred
+// at c under the kernel pair (kx, ky): each axis' support scaled by h.
+func (ev *Evaluator) supportBox(c geom.Point, kx, ky *bspline.Kernel) geom.AABB {
+	xlo, xhi := kx.Support()
+	ylo, yhi := ky.Support()
+	return geom.Box(c.X+ev.H*xlo, c.Y+ev.H*ylo, c.X+ev.H*xhi, c.Y+ev.H*yhi)
+}
+
 func (ev *Evaluator) oneSidedFor(x float64) (*bspline.Kernel, error) {
 	lo, hi := ev.Kernel.Support()
 	// Support in domain units: [x + h·lo, x + h·hi].

@@ -434,36 +434,6 @@ func TestCountMatchesRunCounters(t *testing.T) {
 	}
 }
 
-// The pipelined (coloured, in-place) executor must produce the same sums as
-// the overlapped-tiling executor, with no memory overhead.
-func TestPipelinedMatchesOverlapped(t *testing.T) {
-	lv, err := mesh.LowVariance(7, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := func(p geom.Point) float64 { return math.Cos(2 * math.Pi * p.Y) }
-	ev := buildEvaluator(t, lv, 1, fn, Options{})
-	tl := ev.NewTiling(6)
-	over, err := ev.RunPerElement(tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := ev.RunPerElementPipelined(tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(over.Solution, pipe.Solution); d > 1e-11 {
-		t.Errorf("pipelined differs from overlapped by %v", d)
-	}
-	if pipe.MemoryOverhead != 1 {
-		t.Errorf("pipelined overhead = %v, want 1", pipe.MemoryOverhead)
-	}
-	if pipe.Total.IntersectionTests != over.Total.IntersectionTests {
-		t.Errorf("pipelined did different work: %d vs %d tests",
-			pipe.Total.IntersectionTests, over.Total.IntersectionTests)
-	}
-}
-
 // EvalAt must agree with the grid-point solutions and work at off-grid
 // positions.
 func TestEvalAtMatchesGrid(t *testing.T) {

@@ -19,11 +19,9 @@ func (ev *Evaluator) CountIntersectionTests(scheme Scheme) uint64 {
 }
 
 func (ev *Evaluator) countPerPointTests() uint64 {
-	lo, hi := ev.Kernel.Support()
 	var total uint64
 	for i := range ev.Points {
-		pos := ev.Points[i].Pos
-		supp := geom.Box(pos.X+ev.H*lo, pos.Y+ev.H*lo, pos.X+ev.H*hi, pos.Y+ev.H*hi)
+		supp := ev.supportBox(ev.Points[i].Pos, ev.Kernel, ev.Kernel)
 		ev.forEachShift(supp, func(dx, dy int) {
 			box := supp.Translate(geom.Pt(float64(-dx), float64(-dy)))
 			total += uint64(ev.elemGrid.CountInBox(box, 1))

@@ -24,17 +24,23 @@ func ctxTestEvaluator(t *testing.T, n int) *Evaluator {
 	return ev
 }
 
+// runScheme is Run under a context with a nil policy: the full forms the
+// context-free conveniences wrap.
+func runScheme(ctx context.Context, ev *Evaluator, scheme Scheme, nBlocks int) (*Result, error) {
+	if scheme == PerElement {
+		return ev.RunPerElementResilientCtx(ctx, ev.NewTiling(nBlocks), nil)
+	}
+	return ev.RunPerPointResilientCtx(ctx, nBlocks, nil)
+}
+
 func TestRunCtxAlreadyCancelled(t *testing.T) {
 	ev := ctxTestEvaluator(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, sch := range []Scheme{PerPoint, PerElement} {
-		if _, err := ev.RunCtx(ctx, sch, 4); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: RunCtx on cancelled ctx = %v, want context.Canceled", sch, err)
+		if _, err := runScheme(ctx, ev, sch, 4); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: run on cancelled ctx = %v, want context.Canceled", sch, err)
 		}
-	}
-	if _, err := ev.RunPerElementPipelinedCtx(ctx, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("pipelined: RunCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -48,7 +54,7 @@ func TestRunCtxCancelMidFlight(t *testing.T) {
 		cancel()
 	}()
 	close(started)
-	_, err := ev.RunCtx(ctx, PerPoint, 64)
+	_, err := runScheme(ctx, ev, PerPoint, 64)
 	// Either the run beat the cancel (nil) or it observed it; never a
 	// different error.
 	if err != nil && !errors.Is(err, context.Canceled) {
@@ -62,7 +68,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := ev.RunCtx(context.Background(), PerElement, 4)
+	viaCtx, err := runScheme(context.Background(), ev, PerElement, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,9 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 
 // Tiling edge cases: the degenerate single-patch tiling (overhead exactly
 // 1.0) and more patches than elements (empty patches) must both reproduce
-// the untiled per-point solution through the scatter + reduce path.
+// the untiled per-point solution through the scatter + reduce path; a
+// tiling built over another grid is refused rather than reduced out of
+// range.
 func TestPerElementTilingEdgesMatchPerPoint(t *testing.T) {
 	ev := ctxTestEvaluator(t, 4)
 	ref, err := ev.RunPerPoint(4)
@@ -96,5 +104,8 @@ func TestPerElementTilingEdgesMatchPerPoint(t *testing.T) {
 				t.Fatalf("k=%d: solution[%d] differs from untiled by %g", k, i, d)
 			}
 		}
+	}
+	if _, err := ev.RunPerElement(ctxTestEvaluator(t, 6).NewTiling(2)); err == nil {
+		t.Error("tiling of a different grid accepted")
 	}
 }

@@ -117,10 +117,6 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialPipe, err := ev.RunPerElementPipelined(tl)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, workers := range []int{2, 4} {
 		ev.Opt.Workers = workers
@@ -131,7 +127,6 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 		}{
 			{"per-point", serialPoint, func() (*Result, error) { return ev.RunPerPoint(8) }},
 			{"per-element", serialElem, func() (*Result, error) { return ev.RunPerElement(tl) }},
-			{"pipelined", serialPipe, func() (*Result, error) { return ev.RunPerElementPipelined(tl) }},
 		} {
 			res, err := tc.run()
 			if err != nil {
@@ -149,44 +144,6 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 					tc.name, workers, res.Total, tc.serial.Total)
 			}
 		}
-	}
-}
-
-// TestPipelinedAllocs guards the pipelined executor's allocation churn: with
-// a warm evaluator and tiling, a run may allocate the Result (solution +
-// per-block counters), the wave buckets, and the dispatch goroutines — but
-// not fresh scratch workers per colour wave, which is what the worker pool
-// exists to prevent. The bound is deliberately loose (goroutine spawns and
-// map-based colouring bookkeeping vary) yet far below the cost of one
-// worker's basis/clipper scratch per wave.
-func TestPipelinedAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc accounting under -short")
-	}
-	ev := buildEvaluator(t, mesh.Structured(8), 1, parallelTestField, Options{Workers: 2})
-	tl := ev.NewTiling(6)
-	// Warm: colouring memoised, worker pool populated.
-	if _, err := ev.RunPerElementPipelined(tl); err != nil {
-		t.Fatal(err)
-	}
-	colors := tl.Colors()
-	numColors := 0
-	for _, c := range colors {
-		if c+1 > numColors {
-			numColors = c + 1
-		}
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ev.RunPerElementPipelined(tl); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Budget: result + solution + blocks + wave buckets + per-wave dispatch
-	// (waitgroup-driven goroutines, 2 workers each).
-	budget := float64(16 + numColors*8)
-	if allocs > budget {
-		t.Errorf("pipelined run allocated %.0f objects, budget %.0f (numColors=%d)",
-			allocs, budget, numColors)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"unstencil/internal/fault"
 	"unstencil/internal/metrics"
 	"unstencil/internal/tile"
 )
@@ -48,22 +47,14 @@ func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling
 		}
 		seen[p] = true
 	}
-	rs = rs.withDefaults()
 	out := make([]PatchPartial, len(patches))
-	var ec errCollector
-	var fs failureSet
-	workers := min(ev.Opt.Workers, len(patches))
-	wks := ev.getWorkers(max(workers, 1))
-	runDynamic(workers, len(patches), func(w, i int) bool {
-		wk := wks[w]
-		p := patches[i]
-		buf := make([]float64, len(t.Slots[p]))
-		err := rs.runUnit(ctx, PerElement, p, func() error {
-			clear(buf)
-			wk.counters.Reset()
-			if err := fault.Inject(SiteTile); err != nil {
-				return err
-			}
+	failed, err := ev.runUnits(ctx, rs.withDefaults(), PerElement, SiteTile, len(patches), patches,
+		func(i int, wk *worker) error {
+			// Every attempt accumulates into a fresh scratch-pad, so an
+			// aborted one leaves nothing behind and a dropped patch's
+			// partial stays empty.
+			p := patches[i]
+			buf := make([]float64, len(t.Slots[p]))
 			for _, e := range t.PatchElems[p] {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -84,24 +75,12 @@ func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling
 					return err
 				}
 			}
-			return nil
-		})
-		if err == nil {
 			out[i] = PatchPartial{Patch: p, Values: buf, Counters: wk.counters}
-			return true
-		}
-		if !Transient(err) || !rs.AllowPartial {
-			ec.set(err)
-			return false
-		}
-		fs.add(p, rs.Faults)
-		return true
-	})
-	ev.putWorkers(wks)
-	if ec.err != nil {
-		return nil, nil, ec.err
+			return nil
+		}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	failed := fs.sorted()
 	if len(failed) == 0 {
 		return out, nil, nil
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"unstencil/internal/fault"
@@ -14,8 +13,15 @@ import (
 	"unstencil/internal/tile"
 )
 
+// This file is the fault-handling policy of the direct schemes and the
+// schemes themselves. Both are one shape — independent units with disjoint
+// write sets, dispatched by runDynamic — so one loop (runUnits) applies the
+// policy to either: per-point blocks and per-element patches are its two
+// callers, and the single-process per-element run is the shard path
+// (EvalPatchesResilientCtx) over every patch plus the reduction.
+
 // Fault-injection sites the evaluation pipeline exposes (see internal/fault
-// and DESIGN.md §8). Each site sits at the top of a retryable unit, so an
+// and DESIGN.md §8). Each site sits at the top of a unit attempt, so an
 // injected error or panic exercises exactly the recovery path a real
 // failure of that unit would take.
 const (
@@ -25,15 +31,21 @@ const (
 	SiteTile = "core.tile"
 	// SiteReduce fires before the per-element reduction stage.
 	SiteReduce = "core.reduce"
+	// siteAssembleRow fires at the start of each integrated operator row.
+	// Rows run outside the retry policy: a fault fails the assembly, which
+	// the job layer retries whole.
+	siteAssembleRow = "core.assemble-row"
 )
 
-// PanicError wraps a panic recovered from an evaluation unit (a per-point
-// block, a per-element tile, or the reduction stage). The paper's tiling
-// gives each unit a disjoint write set, which is what makes recovery sound:
-// a panicked unit cannot have corrupted any other unit's output.
+// PanicError wraps a panic recovered from a unit of work. The paper's
+// tiling gives each unit a disjoint write set, which is what makes recovery
+// sound: a panicked unit cannot have corrupted any other unit's output.
+// Panics caught by the retry policy carry their scheme and block or patch
+// id; those caught by the dispatcher itself (operator rows, query points —
+// per-point gathers outside the policy) carry the dispatch index.
 type PanicError struct {
 	Scheme Scheme
-	Unit   int // block or patch id; -1 for the reduction stage
+	Unit   int // block, patch or dispatch index; -1 for the reduction stage
 	Value  any // the recovered panic value
 	Stack  []byte
 }
@@ -131,10 +143,12 @@ func safeCall(scheme Scheme, unit int, fc *metrics.FaultCounters, fn func() erro
 	return fn()
 }
 
-// runUnit executes one unit under the policy: panic isolation on every
-// attempt, capped exponential backoff with deterministic jitter between
-// attempts, immediate return on permanent (context) errors.
-func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, fn func() error) error {
+// runUnit executes one unit under the retry half of the policy: every
+// attempt starts at the unit's fault site and runs panic-isolated, attempts
+// are separated by capped exponential backoff with deterministic jitter,
+// and permanent (context) errors return immediately. fn must be
+// restartable: an attempt resets whatever an aborted one left behind.
+func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, site string, fn func() error) error {
 	var err error
 	for a := 1; a <= rs.MaxAttempts; a++ {
 		if a > 1 {
@@ -145,7 +159,12 @@ func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, fn f
 				return serr
 			}
 		}
-		err = safeCall(scheme, unit, rs.Faults, fn)
+		err = safeCall(scheme, unit, rs.Faults, func() error {
+			if err := fault.Inject(site); err != nil {
+				return err
+			}
+			return fn()
+		})
 		if err == nil || !Transient(err) {
 			return err
 		}
@@ -186,40 +205,71 @@ func (rs *Resilience) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// failureSet collects the units that exhausted their retries.
-type failureSet struct {
-	mu     sync.Mutex
-	failed []int
-}
-
-func (fs *failureSet) add(unit int, fc *metrics.FaultCounters) {
-	if fc != nil {
-		fc.TilesFailed.Add(1)
+// runUnits is the one executor behind both direct schemes: n units
+// dispatched across the evaluator's workers, each under the policy. ids
+// names the units (block or patch ids — what PanicError.Unit, the backoff
+// jitter and the failed list report); nil means unit i is id i. attempt is
+// one restartable attempt of unit i on scratch worker wk, whose counters
+// start at zero; it records its own outputs once it has succeeded. Under
+// AllowPartial a unit that exhausts its retries is undone by drop (nil when
+// a failed attempt leaves nothing behind) and returned in the sorted failed
+// list; otherwise the first exhausted unit fails the run.
+func (ev *Evaluator) runUnits(ctx context.Context, rs *Resilience, scheme Scheme, site string, n int, ids []int,
+	attempt func(i int, wk *worker) error, drop func(i int)) (failed []int, err error) {
+	workers := min(ev.Opt.Workers, n)
+	wks := ev.getWorkers(max(workers, 1))
+	defer ev.putWorkers(wks)
+	unitID := func(i int) int {
+		if ids != nil {
+			return ids[i]
+		}
+		return i
 	}
-	fs.mu.Lock()
-	fs.failed = append(fs.failed, unit)
-	fs.mu.Unlock()
+	dropped := make([]bool, n) // one slot per unit: written without a lock
+	err = runDynamic(workers, n, func(w, i int) error {
+		wk := wks[w]
+		err := rs.runUnit(ctx, scheme, unitID(i), site, func() error {
+			wk.counters.Reset()
+			return attempt(i, wk)
+		})
+		if err == nil || !Transient(err) || !rs.AllowPartial {
+			return err
+		}
+		if drop != nil {
+			drop(i)
+		}
+		if rs.Faults != nil {
+			rs.Faults.TilesFailed.Add(1)
+		}
+		dropped[i] = true
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range dropped {
+		if d {
+			failed = append(failed, unitID(i))
+		}
+	}
+	sort.Ints(failed)
+	return failed, nil
 }
 
-func (fs *failureSet) sorted() []int {
-	sort.Ints(fs.failed)
-	return fs.failed
-}
-
-// RunPerPointResilientCtx is RunPerPointCtx under a fault-handling policy:
-// each logical block runs panic-isolated, transient failures retry with
+// RunPerPointResilientCtx executes the per-point scheme (Algorithm 2) under
+// ctx and a fault-handling policy (nil: one attempt per block, no partial
+// completion). nBlocks logical blocks iterate grid points in the paper's
+// strided fashion (block b handles points b, b+NB, ...). Workers stop at
+// the next grid point once ctx is cancelled and the run returns ctx's
+// error. Each block runs panic-isolated, transient failures retry with
 // capped exponential backoff, and — when rs.AllowPartial — blocks that
 // exhaust their retries are zeroed and reported in Result.Coverage instead
 // of failing the run. Blocks write disjoint strided slices of the solution,
-// so a failed or retried block never corrupts its neighbours, and any
-// worker may execute any block: blocks are uniform units, so they are
-// dispatched off a shared atomic counter (runDynamic) rather than the
-// seed's static stride, keeping every worker busy until the last block.
+// so a failed or retried block never corrupts its neighbours.
 func (ev *Evaluator) RunPerPointResilientCtx(ctx context.Context, nBlocks int, rs *Resilience) (*Result, error) {
 	if nBlocks < 1 {
 		nBlocks = 1
 	}
-	rs = rs.withDefaults()
 	res := &Result{
 		Solution:       make([]float64, ev.NumPoints()),
 		Blocks:         make([]metrics.Counters, nBlocks),
@@ -227,17 +277,8 @@ func (ev *Evaluator) RunPerPointResilientCtx(ctx context.Context, nBlocks int, r
 		Scheme:         PerPoint,
 	}
 	start := time.Now()
-	var ec errCollector
-	var fs failureSet
-	workers := min(ev.Opt.Workers, nBlocks)
-	wks := ev.getWorkers(max(workers, 1))
-	runDynamic(workers, nBlocks, func(w, b int) bool {
-		wk := wks[w]
-		err := rs.runUnit(ctx, PerPoint, b, func() error {
-			wk.counters.Reset()
-			if err := fault.Inject(SitePointBlock); err != nil {
-				return err
-			}
+	failed, err := ev.runUnits(ctx, rs.withDefaults(), PerPoint, SitePointBlock, nBlocks, nil,
+		func(b int, wk *worker) error {
 			for p := b; p < len(ev.Points); p += nBlocks {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -248,34 +289,21 @@ func (ev *Evaluator) RunPerPointResilientCtx(ctx context.Context, nBlocks int, r
 				}
 				res.Solution[p] = v
 			}
-			return nil
-		})
-		if err == nil {
 			res.Blocks[b] = wk.counters
-			return true
-		}
-		if !Transient(err) || !rs.AllowPartial {
-			ec.set(err)
-			return false
-		}
-		// Degrade: this block's strided points are zeroed (an aborted
-		// attempt may have written a partial prefix) and the block is
-		// reported as uncovered.
-		for p := b; p < len(ev.Points); p += nBlocks {
-			res.Solution[p] = 0
-		}
-		fs.add(b, rs.Faults)
-		return true
-	})
-	ev.putWorkers(wks)
-	if ec.err != nil {
-		return nil, ec.err
+			return nil
+		},
+		// Degrade: an aborted attempt may have written a prefix of the
+		// block's strided points.
+		func(b int) {
+			for p := b; p < len(ev.Points); p += nBlocks {
+				res.Solution[p] = 0
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
-	res.Wall = time.Since(start)
-	for i := range res.Blocks {
-		res.Total.Add(&res.Blocks[i])
-	}
-	if failed := fs.sorted(); len(failed) > 0 {
+	res.finish(start)
+	if len(failed) > 0 {
 		covered := len(ev.Points)
 		for _, b := range failed {
 			covered -= strideCount(len(ev.Points), b, nBlocks)
@@ -290,6 +318,14 @@ func (ev *Evaluator) RunPerPointResilientCtx(ctx context.Context, nBlocks int, r
 	return res, nil
 }
 
+// finish stamps the wall time and sums the per-block counters.
+func (res *Result) finish(start time.Time) {
+	res.Wall = time.Since(start)
+	for i := range res.Blocks {
+		res.Total.Add(&res.Blocks[i])
+	}
+}
+
 // strideCount returns |{p : p = b + i·n, p < total}|.
 func strideCount(total, b, n int) int {
 	if b >= total {
@@ -298,16 +334,20 @@ func strideCount(total, b, n int) int {
 	return (total - b + n - 1) / n
 }
 
-// RunPerElementResilientCtx is RunPerElementCtx under a fault-handling
-// policy. The paper's overlapped tiling is the unit of fault containment:
-// every patch accumulates into its own scratch-pad buffer, so a failed
-// attempt resets only that buffer and a patch that exhausts its retries is
-// dropped (zero contribution) without touching any neighbour. With
-// rs.AllowPartial the run then completes carrying per-tile coverage
+// RunPerElementResilientCtx executes the per-element scheme (Algorithm 3)
+// under ctx and a fault-handling policy (nil: one attempt per patch, no
+// partial completion): EvalPatchesResilientCtx over every patch of the
+// overlapped tiling, then the reduction. A nil tiling builds one with
+// Opt.Workers patches. The tiling is the unit of fault containment: every
+// patch accumulates into its own scratch-pad, so a patch that exhausts its
+// retries is dropped (zero contribution) without touching any neighbour.
+// With rs.AllowPartial the run then completes carrying per-tile coverage
 // metadata; otherwise the first exhausted patch fails the run.
 func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tiling, rs *Resilience) (*Result, error) {
 	if t == nil {
 		t = ev.NewTiling(ev.Opt.Workers)
+	} else if t.NumPoints != ev.NumPoints() {
+		return nil, fmt.Errorf("core: tiling covers %d points, evaluator has %d", t.NumPoints, ev.NumPoints())
 	}
 	rs = rs.withDefaults()
 	res := &Result{
@@ -316,86 +356,31 @@ func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tili
 		MemoryOverhead: t.Overhead(),
 		Scheme:         PerElement,
 	}
-	bufs := t.NewBuffers()
-	start := time.Now()
-	var ec errCollector
-	var fs failureSet
-	workers := min(ev.Opt.Workers, t.K)
-	wks := ev.getWorkers(max(workers, 1))
-	// Patches are high-variance units (graded meshes concentrate candidate
-	// pairs in a few patches), so they run on work-stealing deques seeded
-	// with the paper's stride: a worker drains its own run of patches in
-	// order and steals from a neighbour's tail only when idle. A stolen
-	// patch still executes exactly once against its own scratch-pad, so the
-	// schedule never reaches the numbers.
-	runStealing(strideSeed(t.K, workers), func(w, p int) bool {
-		wk := wks[w]
-		buf := bufs[p]
-		err := rs.runUnit(ctx, PerElement, p, func() error {
-			// A fresh attempt starts from a clean scratch-pad; the
-			// disjoint write set makes this reset local to the tile.
-			clear(buf)
-			wk.counters.Reset()
-			if err := fault.Inject(SiteTile); err != nil {
-				return err
-			}
-			for _, e := range t.PatchElems[p] {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				var slotErr error
-				err := ev.processElement(e, wk, func(pt int32, v float64) {
-					sl := t.Slot(p, pt)
-					if sl < 0 {
-						slotErr = fmt.Errorf("core: patch %d received partial for unmarked point %d", p, pt)
-						return
-					}
-					buf[sl] += v
-				})
-				if err == nil {
-					err = slotErr
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err == nil {
-			res.Blocks[p] = wk.counters
-			return true
-		}
-		if !Transient(err) || !rs.AllowPartial {
-			ec.set(err)
-			return false
-		}
-		clear(buf) // drop the tile: zero contribution, never garbage
-		fs.add(p, rs.Faults)
-		return true
-	})
-	ev.putWorkers(wks)
-	if ec.err != nil {
-		return nil, ec.err
+	all := make([]int, t.K)
+	for p := range all {
+		all[p] = p
 	}
-	// Reduction stage, panic-isolated and retryable: the scratch-pads are
-	// read-only inputs here and the output is overwritten from scratch, so
-	// a second attempt after a recovered panic is sound. The two-stage
-	// parallel reduction fans owned-point gathers across the same worker
-	// budget, bit-identically to the sequential tile.Reduce.
-	if err := rs.runUnit(ctx, PerElement, -1, func() error {
-		if err := fault.Inject(SiteReduce); err != nil {
-			return err
-		}
-		t.ReduceParallel(bufs, res.Solution, workers)
-		return nil
+	start := time.Now()
+	partials, failed, err := ev.EvalPatchesResilientCtx(ctx, t, all, rs)
+	if err != nil {
+		return nil, err
+	}
+	bufs := make([][]float64, t.K)
+	for _, pp := range partials {
+		bufs[pp.Patch], res.Blocks[pp.Patch] = pp.Values, pp.Counters
+	}
+	for _, p := range failed {
+		bufs[p] = make([]float64, len(t.Slots[p])) // dropped tile: zero contribution, never garbage
+	}
+	// The scratch-pads are read-only in the reduction and every output point
+	// is overwritten, so a second attempt after a recovered panic is sound.
+	if err := rs.runUnit(ctx, PerElement, -1, SiteReduce, func() error {
+		return reduce(t, bufs, res.Solution, ev.Opt.Workers)
 	}); err != nil {
 		return nil, err
 	}
-	res.Wall = time.Since(start)
-	for i := range res.Blocks {
-		res.Total.Add(&res.Blocks[i])
-	}
-	if failed := fs.sorted(); len(failed) > 0 {
+	res.finish(start)
+	if len(failed) > 0 {
 		res.Coverage = &Coverage{
 			FailedUnits:   failed,
 			TotalUnits:    t.K,
@@ -404,4 +389,16 @@ func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tili
 		}
 	}
 	return res, nil
+}
+
+// reduce is the reduction stage (paper §4, two-stage): each patch gathers
+// the points it owns from every scratch-pad, in ascending patch order
+// exactly as the sequential tile.Reduce sums them. Owned sets partition the
+// grid, so the gathers are dispatcher units like any other and the result
+// is bit-identical to tile.Reduce for every worker count.
+func reduce(t *tile.Tiling, bufs [][]float64, out []float64, workers int) error {
+	return runDynamic(workers, t.K, func(_, p int) error {
+		t.ReduceOwned(p, bufs, out)
+		return nil
+	})
 }

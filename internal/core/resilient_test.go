@@ -42,7 +42,7 @@ func TestResilientMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiling := ev.NewTiling(8)
-	peRef, err := ev.RunPerElementCtx(context.Background(), tiling)
+	peRef, err := ev.RunPerElementResilientCtx(context.Background(), tiling, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPanicBecomesTypedError(t *testing.T) {
 		Seed: 7, Mode: fault.ModePanic,
 		Sites: map[string]float64{SiteTile: 1},
 	})
-	_, err := ev.RunPerElementCtx(context.Background(), ev.NewTiling(4))
+	_, err := ev.RunPerElementResilientCtx(context.Background(), ev.NewTiling(4), nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -121,13 +121,14 @@ func TestPanicBecomesTypedError(t *testing.T) {
 // AllowPartial, the run completes with coverage metadata, failed tiles
 // contribute nothing, and untouched tiles' points keep exact values.
 func TestDegradedCompletion(t *testing.T) {
-	// Fine enough that two tiles' influence regions (element boxes padded
-	// by half the kernel support) do not blanket the whole grid.
-	m := mesh.Structured(12)
+	// Fine enough that no two tiles' influence regions (element boxes
+	// padded by half the kernel support) blanket the whole grid, whichever
+	// two the schedule hands the faults to.
+	m := mesh.Structured(16)
 	ev := buildEvaluator(t, m, 1, sinField, Options{Workers: 2})
 	tiling := ev.NewTiling(8)
 
-	ref, err := ev.RunPerElementCtx(context.Background(), tiling)
+	ref, err := ev.RunPerElementResilientCtx(context.Background(), tiling, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestRetrySleepObservesBackoff(t *testing.T) {
 		},
 	}).withDefaults()
 	calls := 0
-	err := rs.runUnit(context.Background(), PerElement, 0, func() error {
+	err := rs.runUnit(context.Background(), PerElement, 0, SiteTile, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")

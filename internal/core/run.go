@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"unstencil/internal/geom"
@@ -12,6 +11,12 @@ import (
 	"unstencil/internal/metrics"
 	"unstencil/internal/tile"
 )
+
+// This file holds the direct-evaluation surface that needs no policy: the
+// context-free conveniences (Run, RunPerPoint, RunPerElement) over the full
+// forms in resilient.go and patches.go, the two walks those execute — the
+// per-point gather (evalAt) and the per-element scatter (processElement) —
+// tiling construction, and the brute-force Reference.
 
 // Result is the outcome of one post-processing run.
 type Result struct {
@@ -42,40 +47,11 @@ type Result struct {
 	Coverage *Coverage
 }
 
-// errCollector records the first error seen across workers.
-type errCollector struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (ec *errCollector) set(err error) {
-	if err == nil {
-		return
-	}
-	ec.mu.Lock()
-	if ec.err == nil {
-		ec.err = err
-	}
-	ec.mu.Unlock()
-}
-
 // RunPerPoint executes the per-point scheme (Algorithm 2) with nBlocks
-// logical blocks iterating grid points in the paper's strided fashion
-// (block b handles points b, b+NB, ...). Blocks are executed by
-// Opt.Workers goroutines, each playing the role of a streaming
-// multiprocessor executing its strided share of blocks.
+// logical blocks, to completion and without retry; see
+// RunPerPointResilientCtx for cancellation and the fault-handling policy.
 func (ev *Evaluator) RunPerPoint(nBlocks int) (*Result, error) {
-	return ev.RunPerPointCtx(context.Background(), nBlocks)
-}
-
-// RunPerPointCtx is RunPerPoint with cancellation: when ctx is cancelled or
-// its deadline passes, in-flight workers stop at the next grid point and the
-// run returns ctx's error. Long-running evaluations submitted to a resident
-// service abort promptly rather than running to completion. Block panics
-// are isolated and surface as *PanicError; retry and graceful degradation
-// are available through RunPerPointResilientCtx.
-func (ev *Evaluator) RunPerPointCtx(ctx context.Context, nBlocks int) (*Result, error) {
-	return ev.RunPerPointResilientCtx(ctx, nBlocks, nil)
+	return ev.RunPerPointResilientCtx(context.Background(), nBlocks, nil)
 }
 
 // evalPoint computes the post-processed solution at grid point pi,
@@ -163,19 +139,13 @@ func (ev *Evaluator) influencePad() float64 {
 }
 
 // RunPerElement executes the per-element scheme (Algorithm 3) under the
-// overlapped tiling: one logical block per patch, each accumulating partial
-// solutions into its own scratch-pad, followed by the reduction stage. A
-// nil tiling builds one with k patches equal to Opt.Workers.
+// overlapped tiling, to completion and without retry: one logical block per
+// patch, each accumulating partial solutions into its own scratch-pad,
+// followed by the reduction stage. A nil tiling builds one with k patches
+// equal to Opt.Workers. See RunPerElementResilientCtx for cancellation and
+// the fault-handling policy.
 func (ev *Evaluator) RunPerElement(t *tile.Tiling) (*Result, error) {
-	return ev.RunPerElementCtx(context.Background(), t)
-}
-
-// RunPerElementCtx is RunPerElement with cancellation: workers observe ctx
-// between elements and the run returns ctx's error once cancelled. Tile
-// panics are isolated and surface as *PanicError; retry and graceful
-// degradation are available through RunPerElementResilientCtx.
-func (ev *Evaluator) RunPerElementCtx(ctx context.Context, t *tile.Tiling) (*Result, error) {
-	return ev.RunPerElementResilientCtx(ctx, t, nil)
+	return ev.RunPerElementResilientCtx(context.Background(), t, nil)
 }
 
 // processElement computes every partial solution contributed by element e
@@ -214,13 +184,7 @@ func (ev *Evaluator) processElement(e int32, wk *worker, add func(pt int32, v fl
 			}
 			wk.kx, wk.ky = kx, ky
 			center := pos.Sub(s)
-			xlo, xhi := kx.Support()
-			ylo, yhi := ky.Support()
-			supp := geom.Box(
-				center.X+ev.H*xlo, center.Y+ev.H*ylo,
-				center.X+ev.H*xhi, center.Y+ev.H*yhi,
-			)
-			if !supp.Intersects(bb) {
+			if !ev.supportBox(center, kx, ky).Intersects(bb) {
 				continue
 			}
 			before := wk.counters.Regions
@@ -239,16 +203,11 @@ func (ev *Evaluator) processElement(e int32, wk *worker, add func(pt int32, v fl
 // Run dispatches on the scheme: PerPoint uses nBlocks logical blocks,
 // PerElement uses a fresh tiling with nBlocks patches.
 func (ev *Evaluator) Run(scheme Scheme, nBlocks int) (*Result, error) {
-	return ev.RunCtx(context.Background(), scheme, nBlocks)
-}
-
-// RunCtx is Run with cancellation; see RunPerPointCtx and RunPerElementCtx.
-func (ev *Evaluator) RunCtx(ctx context.Context, scheme Scheme, nBlocks int) (*Result, error) {
 	switch scheme {
 	case PerPoint:
-		return ev.RunPerPointCtx(ctx, nBlocks)
+		return ev.RunPerPoint(nBlocks)
 	case PerElement:
-		return ev.RunPerElementCtx(ctx, ev.NewTiling(nBlocks))
+		return ev.RunPerElement(ev.NewTiling(nBlocks))
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
 	}
@@ -268,12 +227,7 @@ func (ev *Evaluator) Reference() ([]float64, error) {
 			return nil, err
 		}
 		wk.kx, wk.ky = kx, ky
-		xlo, xhi := kx.Support()
-		ylo, yhi := ky.Support()
-		supp := geom.Box(
-			gp.Pos.X+ev.H*xlo, gp.Pos.Y+ev.H*ylo,
-			gp.Pos.X+ev.H*xhi, gp.Pos.Y+ev.H*yhi,
-		)
+		supp := ev.supportBox(gp.Pos, kx, ky)
 		total := 0.0
 		ev.forEachShift(supp, func(dx, dy int) {
 			center := gp.Pos.Sub(geom.Pt(float64(dx), float64(dy)))
@@ -301,146 +255,26 @@ func (ev *Evaluator) EvalAt(pos geom.Point) (float64, error) {
 }
 
 // evalAt is the position-parameterised per-point gather shared by evalPoint
-// and EvalAt. It charges the full paper cost model (§3.3): every candidate
-// test fetches the candidate element's geometry from a non-contiguous
-// location, and every integration re-reads the element data (scattered) —
-// so arbitrary-position queries and scheme runs report identical counters.
+// and EvalAt, walking the same candidate enumeration operator assembly
+// does. It charges the full paper cost model (§3.3): every candidate test
+// fetches the candidate element's geometry from a non-contiguous location
+// (charged from the walk's test count once it is over), and every
+// integration re-reads the element data (scattered) — so arbitrary-position
+// queries and scheme runs report identical counters.
 func (ev *Evaluator) evalAt(pos geom.Point, wk *worker) (float64, error) {
-	kx, ky, err := ev.kernelsFor(pos)
-	if err != nil {
-		return 0, err
-	}
-	wk.kx, wk.ky = kx, ky
-	xlo, xhi := kx.Support()
-	ylo, yhi := ky.Support()
-	supp := geom.Box(
-		pos.X+ev.H*xlo, pos.Y+ev.H*ylo,
-		pos.X+ev.H*xhi, pos.Y+ev.H*yhi,
-	)
 	wk.edPerRegion = metrics.ElementDataBytes(ev.Opt.P)
+	testsBefore := wk.counters.IntersectionTests
 	total := 0.0
-	ev.forEachShift(supp, func(dx, dy int) {
-		shift := geom.Pt(float64(dx), float64(dy))
-		box := supp.Translate(shift.Scale(-1))
-		center := pos.Sub(shift)
-		wk.cand = ev.elemGrid.AppendInBox(wk.cand[:0], box, 1)
-		for _, e := range wk.cand {
-			wk.counters.IntersectionTests++
-			wk.counters.Flops += metrics.FlopsPerTest
-			wk.counters.BytesRead += metrics.ElementGeometryBytes
-			wk.counters.BytesUncoalesced += metrics.ElementGeometryBytes
-			wk.counters.ScatteredLoads++
-			if !ev.elemBounds[e].Intersects(box) {
-				continue
-			}
-			before := wk.counters.Regions
-			total += ev.integrate(center, e, wk)
-			if wk.counters.Regions > before {
-				wk.counters.TruePositives++
-			}
+	err := ev.forEachRowCandidate(pos, wk, func(e int32, center geom.Point) {
+		before := wk.counters.Regions
+		total += ev.integrate(center, e, wk)
+		if wk.counters.Regions > before {
+			wk.counters.TruePositives++
 		}
 	})
-	return total, nil
-}
-
-// RunPerElementPipelined executes the per-element scheme with the paper's
-// pipelined tiling alternative (§4): patches are greedily coloured so that
-// patches of one colour have disjoint influence regions, then executed
-// wave by wave writing directly into the global solution — no
-// partial-solution memory overhead, but a synchronisation barrier between
-// waves and no reduction stage. The paper reports this trades away overall
-// performance; the tiling ablation quantifies it.
-func (ev *Evaluator) RunPerElementPipelined(t *tile.Tiling) (*Result, error) {
-	return ev.RunPerElementPipelinedCtx(context.Background(), t)
-}
-
-// RunPerElementPipelinedCtx is RunPerElementPipelined with cancellation:
-// workers observe ctx between elements and the run returns ctx's error once
-// cancelled (colour waves already in flight finish their current element).
-func (ev *Evaluator) RunPerElementPipelinedCtx(ctx context.Context, t *tile.Tiling) (*Result, error) {
-	if t == nil {
-		t = ev.NewTiling(ev.Opt.Workers)
-	}
-	res := &Result{
-		Solution:       make([]float64, ev.NumPoints()),
-		Blocks:         make([]metrics.Counters, t.K),
-		MemoryOverhead: 1,
-		Scheme:         PerElement,
-	}
-	// Colour waves are bucketed in one pass over the colouring (the seed
-	// version re-scanned all patches once per colour, allocating a fresh
-	// wave slice each time), and the scratch workers are acquired from the
-	// evaluator's pool once for the whole run instead of reallocated per
-	// colour — the pipelined executor's allocation count is guarded by
-	// TestPipelinedAllocs.
-	colors := t.Colors()
-	numColors := 0
-	for _, c := range colors {
-		if c+1 > numColors {
-			numColors = c + 1
-		}
-	}
-	waves := make([][]int, numColors)
-	counts := make([]int, numColors)
-	for _, c := range colors {
-		counts[c]++
-	}
-	for c, n := range counts {
-		waves[c] = make([]int, 0, n)
-	}
-	for p, c := range colors {
-		waves[c] = append(waves[c], p)
-	}
-	start := time.Now()
-	var ec errCollector
-	wks := ev.getWorkers(max(min(ev.Opt.Workers, t.K), 1))
-	for _, wave := range waves {
-		// Within a wave, patches are dispatched off a shared atomic counter:
-		// the barrier between waves is the synchronisation cost the paper
-		// charges this variant, so the wave itself should at least fill all
-		// workers until its last patch.
-		runDynamic(min(len(wks), len(wave)), len(wave), func(w, i int) bool {
-			p := wave[i]
-			wk := wks[w]
-			// Panic-isolated: a dying patch fails the run with a
-			// typed error instead of killing the process. No retry
-			// here — pipelined patches write the shared solution in
-			// place, so an aborted attempt cannot be replayed.
-			err := safeCall(PerElement, p, nil, func() error {
-				for _, e := range t.PatchElems[p] {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					err := ev.processElement(e, wk, func(pt int32, v float64) {
-						// In-place accumulation: safe because same-colour
-						// patches have disjoint influence regions.
-						res.Solution[pt] += v
-					})
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				ec.set(err)
-				return false
-			}
-			res.Blocks[p].Add(&wk.counters)
-			wk.counters.Reset()
-			return true
-		})
-		// Barrier between colour waves: runDynamic returns only once the
-		// wave's in-flight patches have finished.
-		if ec.err != nil {
-			ev.putWorkers(wks)
-			return nil, ec.err
-		}
-	}
-	ev.putWorkers(wks)
-	res.Wall = time.Since(start)
-	for i := range res.Blocks {
-		res.Total.Add(&res.Blocks[i])
-	}
-	return res, nil
+	tests := wk.counters.IntersectionTests - testsBefore
+	wk.counters.BytesRead += tests * metrics.ElementGeometryBytes
+	wk.counters.BytesUncoalesced += tests * metrics.ElementGeometryBytes
+	wk.counters.ScatteredLoads += tests
+	return total, err
 }

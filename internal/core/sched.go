@@ -5,190 +5,68 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the dynamic schedulers the run loops execute on. The seed
-// repo used the paper's literal strided assignment (block b runs on worker
-// b mod W), which is faithful to a GPU's hardware scheduler but pessimal on
-// a CPU worker pool: one slow unit serialises its whole stride while other
-// workers idle. Two dispatchers replace it:
+// This file holds the one dispatcher every parallel loop in core runs on,
+// and the scratch-worker pool its units draw from.
 //
-//   - runDynamic: a shared atomic work counter. Right for uniform units
-//     (per-point blocks, batch queries, owned-point reduction) where claim
-//     cost must be a single fetch-add and any idle worker should take the
-//     next unit.
+// A unit is an independent piece of work whose write set the caller has
+// made disjoint from every other unit's: a per-point block (a strided slice
+// of the solution), a per-element patch (its own scratch-pad, paper §4), an
+// operator row, a query point, a patch's owned points in the reduction.
+// The dispatcher hands each unit to exactly one worker and never looks
+// inside it, and a unit's output does not depend on which worker ran it or
+// when — so the schedule cannot reach the floating-point results and a
+// parallel run is bit-identical to the serial one.
 //
-//   - runStealing: per-worker deques with work stealing. Right for
-//     high-variance units (per-element patches, whose cost varies by orders
-//     of magnitude on graded meshes): each worker drains its seeded run of
-//     units in order — preserving the locality the seeding encodes — and
-//     only when empty steals from the tail of a victim's deque, so steals
-//     grab the work its owner would reach last.
-//
-// Both dispatchers only ever hand a unit to exactly one worker, and neither
-// changes what a unit computes — per-unit outputs land in disjoint
-// locations (strided solution slices, per-patch scratch-pads, owned-point
-// ranges), so scheduling order never reaches the floating-point results and
-// parallel runs stay bit-identical to serial ones.
+// It is also the only place in core and tile that starts goroutines for
+// units, which makes it the one place a panicking unit has to be caught:
+// every unit, inline or on a goroutine, runs under safeCall.
 
 // runDynamic executes units 0..n-1 on up to `workers` goroutines, each
-// claiming the next unit from a shared atomic counter. body receives the
-// worker index (for per-worker scratch) and the unit; returning false
-// aborts the dispatch — in-flight units finish, unclaimed units are
-// dropped. workers <= 1 runs inline in unit order.
-func runDynamic(workers, n int, body func(w, unit int) bool) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for u := 0; u < n; u++ {
-			if !body(0, u) {
+// claiming the next unit from a shared atomic counter, and returns the
+// first unit error. unit receives the worker index (for per-worker
+// scratch) and the unit. A panicking unit is recovered into a *PanicError
+// carrying its index. After the first failure no new unit is claimed;
+// units already in flight finish. workers <= 1 runs inline in unit order.
+func runDynamic(workers, n int, unit func(w, u int) error) error {
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		first  error
+	)
+	work := func(w int) {
+		for !failed.Load() {
+			u := int(next.Add(1)) - 1
+			if u >= n {
+				return
+			}
+			if err := safeCall(PerPoint, u, nil, func() error { return unit(w, u) }); err != nil {
+				if failed.CompareAndSwap(false, true) {
+					first = err
+				}
 				return
 			}
 		}
-		return
 	}
-	var next, abort atomic.Int64
+	if workers = min(workers, n); workers <= 1 {
+		work(0)
+		return first
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for abort.Load() == 0 {
-				u := int(next.Add(1)) - 1
-				if u >= n {
-					return
-				}
-				if !body(w, u) {
-					abort.Store(1)
-					return
-				}
-			}
+			work(w)
 		}(w)
 	}
 	wg.Wait()
-}
-
-// stealDeque is one worker's unit queue. The owner pops from the front,
-// walking its seeded units in order; thieves steal from the back, taking
-// the work the owner would reach last. Units are only ever removed, so an
-// empty scan of every deque proves termination. A mutex (not a lock-free
-// Chase–Lev deque) is deliberate: units here are whole patches costing
-// milliseconds, so claim cost is noise and the simple structure is easy to
-// verify under the race detector.
-type stealDeque struct {
-	mu    sync.Mutex
-	units []int
-}
-
-func (d *stealDeque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.units) == 0 {
-		return 0, false
-	}
-	u := d.units[0]
-	d.units = d.units[1:]
-	return u, true
-}
-
-func (d *stealDeque) popBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.units) == 0 {
-		return 0, false
-	}
-	u := d.units[len(d.units)-1]
-	d.units = d.units[:len(d.units)-1]
-	return u, true
-}
-
-// runStealing executes every unit listed in seed on len(seed) goroutines.
-// Worker w owns seed[w] and drains it front to back; when empty it scans
-// the other workers round-robin and steals one unit from the first
-// non-empty deque's back. Every unit runs exactly once; units never spawn
-// units, so a worker that finds every deque empty can exit — work still in
-// flight on other workers needs no help. body returning false aborts the
-// dispatch (remaining units are dropped).
-func runStealing(seed [][]int, body func(w, unit int) bool) {
-	workers := len(seed)
-	if workers == 0 {
-		return
-	}
-	if workers == 1 {
-		for _, u := range seed[0] {
-			if !body(0, u) {
-				return
-			}
-		}
-		return
-	}
-	deques := make([]stealDeque, workers)
-	for w := range deques {
-		deques[w].units = seed[w]
-	}
-	var abort atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for abort.Load() == 0 {
-				u, ok := deques[w].popFront()
-				if !ok {
-					u, ok = steal(deques, w)
-				}
-				if !ok {
-					return
-				}
-				if !body(w, u) {
-					abort.Store(1)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// steal scans the other workers' deques starting after w and takes one unit
-// from the back of the first non-empty one.
-func steal(deques []stealDeque, w int) (int, bool) {
-	n := len(deques)
-	for i := 1; i < n; i++ {
-		if u, ok := deques[(w+i)%n].popBack(); ok {
-			return u, true
-		}
-	}
-	return 0, false
-}
-
-// strideSeed builds the work-stealing seed with the paper's strided
-// assignment (worker w owns units w, w+workers, ...): the static schedule
-// becomes the starting point and stealing repairs its imbalance.
-func strideSeed(n, workers int) [][]int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	seed := make([][]int, workers)
-	for w := range seed {
-		seed[w] = make([]int, 0, (n-w+workers-1)/workers)
-		for u := w; u < n; u += workers {
-			seed[w] = append(seed[w], u)
-		}
-	}
-	return seed
+	return first
 }
 
 // getWorker returns a scratch worker from the evaluator's pool (counters
 // reset, kernels restored to the symmetric default), allocating on first
-// use. Pooling matters for the pipelined executor and the batch-query path,
-// which previously allocated fresh workers — basis buffer, clipper scratch,
-// candidate slices — per colour wave or per request.
+// use, so runs, assemblies and batch queries reuse grown buffers — basis,
+// clipper scratch, candidate slices — instead of reallocating them.
 func (ev *Evaluator) getWorker() *worker {
 	if w, _ := ev.wkPool.Get().(*worker); w != nil {
 		w.counters.Reset()

@@ -1,9 +1,13 @@
 package core
 
 import (
-	"sync"
+	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
+
+	"unstencil/internal/geom"
+	"unstencil/internal/mesh"
 )
 
 // TestRunDynamicRunsEveryUnitOnce dispatches n units over varying worker
@@ -14,10 +18,12 @@ func TestRunDynamicRunsEveryUnitOnce(t *testing.T) {
 		{1, 17}, {2, 17}, {4, 17}, {8, 3}, {3, 0}, {4, 1},
 	} {
 		ran := make([]atomic.Int64, max(tc.n, 1))
-		runDynamic(tc.workers, tc.n, func(w, u int) bool {
+		if err := runDynamic(tc.workers, tc.n, func(w, u int) error {
 			ran[u].Add(1)
-			return true
-		})
+			return nil
+		}); err != nil {
+			t.Errorf("workers=%d n=%d: %v", tc.workers, tc.n, err)
+		}
 		for u := 0; u < tc.n; u++ {
 			if got := ran[u].Load(); got != 1 {
 				t.Errorf("workers=%d n=%d: unit %d ran %d times, want 1",
@@ -27,24 +33,36 @@ func TestRunDynamicRunsEveryUnitOnce(t *testing.T) {
 	}
 }
 
-// TestRunDynamicAbort checks that a false return stops the dispatch: with a
-// single inline worker, units after the failing one must not run.
+// TestRunDynamicAbort checks that a unit error stops the dispatch and comes
+// back to the caller: with a single inline worker, units after the failing
+// one must not run.
 func TestRunDynamicAbort(t *testing.T) {
+	errUnit := errors.New("unit failed")
 	var ran int
-	runDynamic(1, 10, func(w, u int) bool {
+	err := runDynamic(1, 10, func(w, u int) error {
 		ran++
-		return u != 3
+		if u == 3 {
+			return errUnit
+		}
+		return nil
 	})
-	if ran != 4 {
-		t.Errorf("inline abort at unit 3: ran %d units, want 4", ran)
+	if ran != 4 || err != errUnit {
+		t.Errorf("inline abort at unit 3: ran %d units (want 4), err %v", ran, err)
 	}
-	// Parallel: the abort flag stops workers from claiming more units. We
-	// can only assert no unit runs twice and the call terminates.
+	// Parallel: the failure stops workers from claiming more units. We can
+	// only assert no unit runs twice, the call terminates and the error is
+	// one a unit returned.
 	seen := make([]atomic.Int64, 100)
-	runDynamic(4, 100, func(w, u int) bool {
+	err = runDynamic(4, 100, func(w, u int) error {
 		seen[u].Add(1)
-		return u < 10
+		if u >= 10 {
+			return errUnit
+		}
+		return nil
 	})
+	if err != errUnit {
+		t.Errorf("parallel abort: err = %v, want the unit error", err)
+	}
 	for u := range seen {
 		if got := seen[u].Load(); got > 1 {
 			t.Errorf("unit %d ran %d times after abort, want <= 1", u, got)
@@ -52,138 +70,73 @@ func TestRunDynamicAbort(t *testing.T) {
 	}
 }
 
-// TestStrideSeed checks the seed reproduces the paper's strided assignment
-// and covers every unit exactly once.
-func TestStrideSeed(t *testing.T) {
-	seed := strideSeed(10, 3)
-	if len(seed) != 3 {
-		t.Fatalf("len(seed) = %d, want 3", len(seed))
-	}
-	seen := make(map[int]int)
-	for w, units := range seed {
-		for _, u := range units {
-			if u%3 != w {
-				t.Errorf("unit %d seeded to worker %d, want worker %d", u, w, u%3)
+// TestRunDynamicPanicIsolated: a panicking unit must not take the process
+// down from the inline path or from a dispatcher goroutine. It comes back as
+// a *PanicError naming the unit, and every other unit that was claimed ran
+// at most once.
+func TestRunDynamicPanicIsolated(t *testing.T) {
+	const n, bad = 64, 5
+	for _, workers := range []int{1, 4} {
+		ran := make([]atomic.Int64, n)
+		err := runDynamic(workers, n, func(w, u int) error {
+			ran[u].Add(1)
+			if u == bad {
+				panic("unit blew up")
 			}
-			seen[u]++
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
 		}
-	}
-	for u := 0; u < 10; u++ {
-		if seen[u] != 1 {
-			t.Errorf("unit %d seeded %d times, want 1", u, seen[u])
+		if pe.Unit != bad || pe.Value != "unit blew up" || len(pe.Stack) == 0 {
+			t.Errorf("workers=%d: panic error %+v, want unit %d with value and stack", workers, pe, bad)
 		}
-	}
-	// More workers than units clamps.
-	if got := len(strideSeed(2, 8)); got != 2 {
-		t.Errorf("strideSeed(2, 8) made %d deques, want 2", got)
+		for u := range ran {
+			if got := ran[u].Load(); got > 1 || (u == bad && got != 1) {
+				t.Errorf("workers=%d: unit %d ran %d times", workers, u, got)
+			}
+		}
+		if workers == 1 {
+			for u := bad + 1; u < n; u++ {
+				if ran[u].Load() != 0 {
+					t.Fatalf("inline: unit %d ran after the panic", u)
+				}
+			}
+		}
 	}
 }
 
-// TestRunStealingAdversarialImbalance is the fairness/termination test for
-// the work-stealing dispatcher under the race detector. Every unit is seeded
-// to worker 0 — the most imbalanced schedule possible — and worker 0 blocks
-// on the first unit it claims until all other units have finished. Worker 0
-// cannot help, so the other workers MUST steal the stranded units for the
-// dispatch to terminate at all; the test then checks every unit ran exactly
-// once and that the thieves did essentially all the work.
-func TestRunStealingAdversarialImbalance(t *testing.T) {
-	const n, workers = 32, 4
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	seed := make([][]int, workers)
-	seed[0] = all
-	for w := 1; w < workers; w++ {
-		seed[w] = nil
-	}
-
-	// Worker 0 blocks on whichever unit it claims first; the gate opens once
-	// the thieves have executed n-1 units (everything except the one worker 0
-	// is holding — or, if the thieves outran worker 0 entirely, all but one).
-	var remaining atomic.Int64
-	remaining.Store(n - 1)
-	gate := make(chan struct{})
-	ran := make([]atomic.Int64, n)
-	var byOwner, byThieves atomic.Int64
-
-	runStealing(seed, func(w, u int) bool {
-		ran[u].Add(1)
-		if w == 0 {
-			byOwner.Add(1)
-			<-gate
-			return true
+// TestDispatchedReduceMatchesSequential is the property the reduction stage
+// rests on: for any (mesh size, patch count, worker count), ReduceOwned
+// dispatched per patch is bit-identical to the sequential tile.Reduce.
+// Buffers are filled with irregular values (no floats that sum exactly) so
+// any reordering of the additions would show up as a bit difference.
+func TestDispatchedReduceMatchesSequential(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{5, 3}, {7, 6}, {9, 11}} {
+		ev := buildEvaluator(t, mesh.Structured(tc.n), 1, func(p geom.Point) float64 { return p.X }, Options{Workers: 1})
+		tl := ev.NewTiling(tc.k)
+		bufs := tl.NewBuffers()
+		for p := range bufs {
+			for i := range bufs[p] {
+				// Deterministic, irregular, sign-alternating values.
+				v := math.Sin(float64(1+p)*12.9898+float64(i)*78.233) * 43758.5453
+				bufs[p][i] = v - math.Floor(v) - 0.5
+			}
 		}
-		byThieves.Add(1)
-		if remaining.Add(-1) == 0 {
-			close(gate)
+		want := make([]float64, tl.NumPoints)
+		tl.Reduce(bufs, want)
+		for _, workers := range []int{1, 2, 5} {
+			got := make([]float64, tl.NumPoints)
+			if err := reduce(tl, bufs, got, workers); err != nil {
+				t.Fatal(err)
+			}
+			for pt := range got {
+				if got[pt] != want[pt] {
+					t.Fatalf("n=%d k=%d workers=%d: out[%d] = %v, Reduce gives %v (diff %g)",
+						tc.n, tc.k, workers, pt, got[pt], want[pt], got[pt]-want[pt])
+				}
+			}
 		}
-		return true
-	})
-
-	for u := 0; u < n; u++ {
-		if got := ran[u].Load(); got != 1 {
-			t.Errorf("unit %d ran %d times, want 1", u, got)
-		}
-	}
-	// Worker 0 can claim at most one unit before blocking, and by the time
-	// the gate opens no unclaimed units remain — so the thieves must have
-	// stolen at least n-1 of the units seeded to worker 0.
-	if o := byOwner.Load(); o > 1 {
-		t.Errorf("blocked owner executed %d units, want <= 1", o)
-	}
-	if s := byThieves.Load(); s < n-1 {
-		t.Errorf("thieves executed %d of %d stranded units, want >= %d", s, n, n-1)
-	}
-}
-
-// TestRunStealingSingleWorker covers the inline path and in-order draining.
-func TestRunStealingSingleWorker(t *testing.T) {
-	var order []int
-	runStealing([][]int{{4, 2, 7}}, func(w, u int) bool {
-		order = append(order, u)
-		return true
-	})
-	if len(order) != 3 || order[0] != 4 || order[1] != 2 || order[2] != 7 {
-		t.Errorf("single worker ran %v, want seeded order [4 2 7]", order)
-	}
-	// Abort drops the rest.
-	order = order[:0]
-	runStealing([][]int{{1, 2, 3}}, func(w, u int) bool {
-		order = append(order, u)
-		return false
-	})
-	if len(order) != 1 {
-		t.Errorf("abort after first unit: ran %v", order)
-	}
-}
-
-// TestRunStealingNoDoubleClaim hammers the deques with many tiny units to
-// give the race detector claim/steal interleavings to chew on.
-func TestRunStealingNoDoubleClaim(t *testing.T) {
-	const n, workers = 512, 8
-	ran := make([]atomic.Int64, n)
-	var mu sync.Mutex
-	perWorker := make(map[int]int)
-	runStealing(strideSeed(n, workers), func(w, u int) bool {
-		ran[u].Add(1)
-		mu.Lock()
-		perWorker[w]++
-		mu.Unlock()
-		return true
-	})
-	total := 0
-	for u := 0; u < n; u++ {
-		if got := ran[u].Load(); got != 1 {
-			t.Fatalf("unit %d ran %d times, want 1", u, got)
-		}
-		total++
-	}
-	sum := 0
-	for _, c := range perWorker {
-		sum += c
-	}
-	if total != n || sum != n {
-		t.Errorf("ran %d units across workers summing %d, want %d", total, sum, n)
 	}
 }

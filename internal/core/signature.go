@@ -420,9 +420,9 @@ func (a *assembly) hashRow(w int, pos geom.Point) (exact, quant uint64, err erro
 // bitwise identical to the naive schedule for every mesh and every worker
 // count; on meshes where rows repeat (structured grids, wrapped or not)
 // most rows never run quadrature.
-func (a *assembly) congruent() {
+func (a *assembly) congruent() error {
 	ev, bld, wks, scr, basisN := a.ev, a.bld, a.wks, a.scr, a.basisN
-	stats, ec := &a.stats, &a.ec
+	stats := &a.stats
 	n := len(a.positions)
 	dispatch := len(wks)
 	defer func() {
@@ -453,17 +453,11 @@ func (a *assembly) congruent() {
 		for _, stage := range probeStages {
 			lo := len(probeHash)
 			probeHash = probeHash[:stage]
-			runDynamic(dispatch, stage-lo, func(w, i int) bool {
-				_, hq, err := a.hashRow(w, a.rowPos(probeRowAt(lo+i, n)))
-				if err != nil {
-					ec.set(err)
-					return false
-				}
-				probeHash[lo+i] = hq
-				return true
-			})
-			if ec.err != nil {
-				return
+			if err := runDynamic(dispatch, stage-lo, func(w, i int) (err error) {
+				_, probeHash[lo+i], err = a.hashRow(w, a.rowPos(probeRowAt(lo+i, n)))
+				return err
+			}); err != nil {
+				return err
 			}
 			for _, h := range probeHash[lo:] {
 				counts[h]++
@@ -485,8 +479,7 @@ func (a *assembly) congruent() {
 		stats.ProbeRows = len(probeHash)
 		if !congruent {
 			stats.SignatureWall = time.Since(sigStart)
-			a.naive()
-			return
+			return a.naive()
 		}
 	}
 	stats.ProbeCongruent = true
@@ -503,17 +496,11 @@ func (a *assembly) congruent() {
 	// therefore the output — is deterministic for every worker count.
 	exactHashes := make([]uint64, n)
 	quantHashes := make([]uint64, n)
-	runDynamic(dispatch, n, func(w, r int) bool {
-		he, hq, err := a.hashRow(w, a.rowPos(r))
-		if err != nil {
-			ec.set(err)
-			return false
-		}
-		exactHashes[r], quantHashes[r] = he, hq
-		return true
-	})
-	if ec.err != nil {
-		return
+	if err := runDynamic(dispatch, n, func(w, r int) (err error) {
+		exactHashes[r], quantHashes[r], err = a.hashRow(w, a.rowPos(r))
+		return err
+	}); err != nil {
+		return err
 	}
 	type protoClass struct {
 		members []int32
@@ -563,16 +550,14 @@ func (a *assembly) congruent() {
 	// Stage 2: per class, materialise the representative's canonical
 	// signature and integrate its row — the one quadrature bill the whole
 	// class shares — then label the contributing slots for stamping.
-	runDynamic(dispatch, len(classes), func(w, c int) bool {
+	if err := runDynamic(dispatch, len(classes), func(w, c int) error {
 		wk, s, cls := wks[w], &scr[w], classes[c]
 		rep := int(cls.members[0])
 		if err := ev.materializeSignature(a.rowPos(rep), wk, cls, s.labs, a.invQ); err != nil {
-			ec.set(err)
-			return false
+			return err
 		}
 		if err := ev.assembleRow(a.rowPos(rep), wk, s.acc); err != nil {
-			ec.set(err)
-			return false
+			return err
 		}
 		s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
 		cls.repElems = append([]int32(nil), s.cols...)
@@ -582,17 +567,16 @@ func (a *assembly) congruent() {
 		for slot := range cls.slotLab {
 			cls.slotLab[slot] = s.labs[cls.repElems[slot]]
 		}
-		return true
-	})
-	if ec.err != nil {
-		return
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	// Stage 3: resolve members. Work units are fixed-size member chunks,
 	// not classes — one interior class can cover most of a structured
 	// mesh, and per-member cost spans two orders of magnitude (an exact
-	// stamp is a walk, a demotion a full integration), exactly the
-	// imbalance the stealing scheduler exists for. Exact members are
+	// stamp is a walk, a demotion a full integration), so small chunks
+	// claimed dynamically keep the workers level. Exact members are
 	// stamped with no quadrature (uniform-shift stamps become template
 	// rows in stage 5, wrapped ones directly stored rows here); shape-only
 	// members integrate and verify bitwise against the stamp; the rest
@@ -608,7 +592,7 @@ func (a *assembly) congruent() {
 			chunks = append(chunks, memberChunk{cls, lo, min(lo+chunkMembers, len(cls.members))})
 		}
 	}
-	runStealing(strideSeed(len(chunks), min(dispatch, len(chunks))), func(w, u int) bool {
+	if err := runDynamic(dispatch, len(chunks), func(w, u int) error {
 		wk, s := wks[w], &scr[w]
 		ck := chunks[u]
 		cls := ck.cls
@@ -618,8 +602,7 @@ func (a *assembly) congruent() {
 			shape, exact, sig, ids, err := ev.compareRowSignature(pos, wk, cls, s.sig, s.ids, s.labs, a.invQ)
 			s.sig, s.ids = sig, ids
 			if err != nil {
-				ec.set(err)
-				return false
+				return err
 			}
 			if exact {
 				if d, ok := uniformShift(cls, ids); ok {
@@ -634,8 +617,8 @@ func (a *assembly) congruent() {
 			// Not certified: integrate the row (this also stores it; a
 			// verified uniform-shift member is re-pointed at the class
 			// template in stage 5).
-			if !a.integrateRow(w, r) {
-				return false
+			if err := a.integrateRow(w, r); err != nil {
+				return err
 			}
 			cls.status[i] = memberDemoted
 			if !shape {
@@ -649,17 +632,16 @@ func (a *assembly) congruent() {
 				}
 			}
 		}
-		return true
-	})
+		return nil
+	}); err != nil {
+		return err
+	}
 
 	// Stage 4: signature singletons assemble exactly as the naive path.
-	if ec.err == nil {
-		runDynamic(dispatch, len(singles), func(w, u int) bool {
-			return a.integrateRow(w, int(singles[u]))
-		})
-	}
-	if ec.err != nil {
-		return
+	if err := runDynamic(dispatch, len(singles), func(w, u int) error {
+		return a.integrateRow(w, int(singles[u]))
+	}); err != nil {
+		return err
 	}
 
 	// Stage 5 (serial): emit templates and stamp uniform-shift rows. A
@@ -714,6 +696,7 @@ func (a *assembly) congruent() {
 		}
 	}
 	stats.RowsIntegrated = n - stats.RowsStamped
+	return nil
 }
 
 func (cls *congClass) hasStatus(st uint8) bool {

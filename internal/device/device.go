@@ -184,11 +184,11 @@ func (s Sim) Exec(nBlocks int, body func(block, dev, sm int)) {
 }
 
 // Pool models a host CPU worker pool executing blocks under the dynamic
-// schedulers in internal/core (atomic-counter dispatch and work stealing)
-// rather than the GPU's strided hardware schedule that Sim models. Both
-// dynamic dispatchers are greedy — an idle worker always takes more work —
-// so their makespan is captured by the classic longest-processing-time
-// bound: LPT is the offline analogue of a work-conserving online scheduler,
+// dispatcher in internal/core (units claimed off a shared atomic counter)
+// rather than the GPU's strided hardware schedule that Sim models. The
+// dispatcher is greedy — an idle worker always takes more work — so its
+// makespan is captured by the classic longest-processing-time bound: LPT
+// is the offline analogue of a work-conserving online scheduler,
 // and with per-patch costs known exactly (they come from deterministic
 // counters) it gives a tight, reproducible model of the pool's compute time
 // on any host, independent of how many physical cores this machine has.

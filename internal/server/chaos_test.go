@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,5 +176,102 @@ func TestChaosDegradedJob(t *testing.T) {
 	}
 	if srv.Faults().Snapshot().DegradedJobs == 0 {
 		t.Error("degraded completion not counted")
+	}
+}
+
+// TestChaosAssemblyPanicRecovered: a panic in an operator-assembly worker
+// goroutine must not take the shard down. Every row of an unstructured mesh
+// is integrated (nothing to stamp), so the first row the dispatcher's
+// goroutines reach panics at core.assemble-row; the assembly comes back as a
+// *core.PanicError, the job layer retries it whole, and the operator job
+// finishes at 1e-12 agreement with direct per-point evaluation. The same
+// panic under a synchronous operator query is a JSON 500, not a 422 and not
+// a dead process. Both recoveries are visible in /debug/metrics.
+func TestChaosAssemblyPanicRecovered(t *testing.T) {
+	const site = "core.assemble-row"
+	m, err := mesh.LowVariance(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := dg.Project(m, 1, FieldFuncs["sincos"], 4)
+	ev, err := core.NewEvaluator(f, core.Options{P: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ev.RunPerPoint(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{
+		Workers:     1,
+		EvalWorkers: 4,
+		Retry:       RetryPolicy{Attempts: 3, Base: time.Microsecond, Max: 50 * time.Microsecond},
+	})
+	meshID := uploadMesh(t, ts, m)
+	panicOnce := fault.Config{
+		Seed:      20130707,
+		Mode:      fault.ModePanic,
+		Sites:     map[string]float64{site: 1},
+		MaxFaults: 1,
+	}
+	recovered := func() uint64 {
+		var body struct {
+			Faults struct {
+				PanicsRecovered uint64 `json:"panics_recovered"`
+			} `json:"faults"`
+		}
+		if code := getJSON(t, ts.URL+"/debug/metrics", &body); code != http.StatusOK {
+			t.Fatalf("/debug/metrics status %d", code)
+		}
+		return body.Faults.PanicsRecovered
+	}
+
+	enableFaults(t, panicOnce)
+	st, code := submitJob(t, ts, JobSpec{MeshID: meshID, Scheme: "operator", P: 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	if st = waitJob(t, ts, st.ID, 60*time.Second); st.State != StateDone {
+		t.Fatalf("operator job under an assembly panic: state %s err %q", st.State, st.Error)
+	}
+	var res struct {
+		Solution []float64 `json:"solution"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
+		t.Fatalf("result code %d", code)
+	}
+	if len(res.Solution) != len(want.Solution) {
+		t.Fatalf("%d points, want %d", len(res.Solution), len(want.Solution))
+	}
+	for p := range want.Solution {
+		if d := math.Abs(res.Solution[p] - want.Solution[p]); d > 1e-12 {
+			t.Fatalf("solution[%d] differs from RunPerPoint by %g", p, d)
+		}
+	}
+	if inj := fault.Stats()[site]; inj.Injected != 1 {
+		t.Fatalf("site %s injected %d faults, want 1 (stats %+v)", site, inj.Injected, inj)
+	}
+	if got := recovered(); got != 1 {
+		t.Errorf("panics_recovered = %d after the job, want 1", got)
+	}
+
+	// The query path assembles on the request goroutine's behalf: same
+	// panic, answered as a 500, and the next identical query succeeds.
+	enableFaults(t, panicOnce)
+	query := fmt.Sprintf(`{"mesh_id":%q,"p":1,"use_operator":true,"points":[[0.3,0.4],[0.6,0.2],[0.8,0.9]]}`, meshID)
+	resp, data := postQuery(t, ts, query)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("query under an assembly panic: status %d body %s, want 500", resp.StatusCode, data)
+	}
+	var envelope errorBody
+	if err := json.Unmarshal(data, &envelope); err != nil || !strings.Contains(envelope.Error, "internal error") {
+		t.Errorf("500 body %s is not the JSON internal-error envelope (%v)", data, err)
+	}
+	if got := recovered(); got != 2 {
+		t.Errorf("panics_recovered = %d after the query, want 2", got)
+	}
+	if resp, data := postQuery(t, ts, query); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after recovery: status %d body %s", resp.StatusCode, data)
 	}
 }

@@ -852,7 +852,14 @@ func (m *Manager) runStage(ctx context.Context, stage string, fn func() error) e
 	select {
 	case err := <-done:
 		if err != nil {
-			return &JobError{Stage: stage, Err: err}
+			// The stages run here sit outside the resilient runners, which
+			// count their own: a worker panic core's dispatcher recovered
+			// (operator assembly) is counted on arrival.
+			var pe *core.PanicError
+			if errors.As(err, &pe) {
+				m.faults.PanicsRecovered.Add(1)
+			}
+			return &JobError{Stage: stage, Err: err, Panicked: pe != nil}
 		}
 		return nil
 	case <-ctx.Done():

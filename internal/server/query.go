@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"unstencil/internal/core"
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
@@ -153,7 +154,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.UseOperator {
 		op, opSrc, err := s.arts.QueryOperator(ev, req.MeshID, pts)
 		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "query operator assembly: %v", err)
+			s.writeEvalError(w, "query operator assembly", err)
 			return
 		}
 		// Query outputs are encoded and dropped, so they come from the
@@ -198,10 +199,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		vals, counters, err = ev.EvalBatch(pts, req.Workers)
 		if err != nil {
-			// The evaluator and inputs validated; a failure here is a kernel
-			// construction error for a position the boundary mode cannot serve
-			// (e.g. one-sided support wider than the domain).
-			writeError(w, http.StatusUnprocessableEntity, "query evaluation: %v", err)
+			s.writeEvalError(w, "query evaluation", err)
 			return
 		}
 	}
@@ -214,4 +212,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp["counters"] = counters
 	resp["wall_ms"] = float64(wall) / float64(time.Millisecond)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeEvalError reports a failed query evaluation or assembly. The
+// evaluator and inputs validated, so an ordinary failure is a kernel
+// construction error for a position the boundary mode cannot serve (e.g.
+// one-sided support wider than the domain): 422. A panic core's dispatcher
+// recovered in an evaluation worker is the server's fault, not the
+// request's: 500, counted like the ones withRecovery catches on the request
+// goroutine.
+func (s *Server) writeEvalError(w http.ResponseWriter, what string, err error) {
+	var pe *core.PanicError
+	if !errors.As(err, &pe) {
+		writeError(w, http.StatusUnprocessableEntity, "%s: %v", what, err)
+		return
+	}
+	s.faults.PanicsRecovered.Add(1)
+	if s.log != nil {
+		s.log.Error("evaluation worker panic recovered",
+			"stage", what, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+	}
+	writeError(w, http.StatusInternalServerError, "internal error: %s: %v", what, err)
 }

@@ -16,7 +16,6 @@ package tile
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"unstencil/internal/mesh"
 )
@@ -42,7 +41,7 @@ type Tiling struct {
 	owned [][]int32
 	// colors memoises the conflict-graph colouring (Colors): the greedy
 	// colouring is O(K²·slots) and the tiling is immutable after build, so
-	// repeated pipelined runs share one computation.
+	// repeated callers share one computation.
 	colorsOnce sync.Once
 	colors     []int
 
@@ -173,11 +172,10 @@ func (t *Tiling) Overhead() float64 {
 	return float64(t.PartialValues()) / float64(t.NumPoints)
 }
 
-// Reduce sums the per-patch partial solutions into out (length NumPoints).
-// As in the paper, reduction work is divided by the patch that owns each
-// grid point (the patch of its owning element), which gives contention-free
-// parallel reduction; here patches are reduced sequentially and the
-// structure keeps the sum deterministic.
+// Reduce sums the per-patch partial solutions into out (length NumPoints),
+// patch by patch in ascending order. It is the sequential definition of the
+// reduction: the evaluator dispatches ReduceOwned per patch instead, and the
+// tests hold that against this bit for bit.
 func (t *Tiling) Reduce(bufs [][]float64, out []float64) {
 	if len(out) != t.NumPoints {
 		panic(fmt.Sprintf("tile: Reduce output length %d, want %d", len(out), t.NumPoints))
@@ -193,13 +191,14 @@ func (t *Tiling) Reduce(bufs [][]float64, out []float64) {
 	}
 }
 
-// ReduceOwned computes the owned-point reduction for a single patch: for
-// every grid point whose owning element lies in patch p, it gathers the
-// partial solutions from all patches into out. Calling it for each patch
-// (concurrently if desired — owned point sets are disjoint and partition
-// the grid) is equivalent to Reduce. It walks the owned-point list frozen
-// at build time, so one call costs O(|owned(p)|·K) instead of the
-// O(NumPoints·K) full scan-and-filter it replaced.
+// ReduceOwned computes the owned-point reduction for a single patch — one
+// unit of the paper's two-stage reduction (§4): for every grid point whose
+// owning element lies in patch p, it gathers the partial solutions from all
+// patches into out, in ascending patch order exactly as Reduce sums them.
+// Calling it for each patch (concurrently if desired — owned point sets are
+// disjoint and partition the grid) is therefore bit-identical to Reduce. It
+// walks the owned-point list frozen at build time, so one call costs
+// O(|owned(p)|·K).
 func (t *Tiling) ReduceOwned(p int, bufs [][]float64, out []float64) {
 	for _, pt := range t.owned[p] {
 		s := 0.0
@@ -215,44 +214,6 @@ func (t *Tiling) ReduceOwned(p int, bufs [][]float64, out []float64) {
 // OwnedPoints returns the grid points owned by patch p (ascending). The
 // returned slice is shared; callers must not modify it.
 func (t *Tiling) OwnedPoints(p int) []int32 { return t.owned[p] }
-
-// ReduceParallel is the paper's two-stage reduction (§4) for real: stage
-// one fans the owned-point gathers across up to `workers` goroutines — each
-// patch's owned points are written by exactly one worker, so there is no
-// contention and no synchronisation beyond claiming patches off a shared
-// atomic counter — and stage two is implicit because the owned sets
-// partition the grid. Every point sums its partial solutions in ascending
-// patch order exactly as the sequential Reduce does, so the result is
-// bit-identical to Reduce for any worker count (TestReduceParallelMatches
-// pins this).
-func (t *Tiling) ReduceParallel(bufs [][]float64, out []float64, workers int) {
-	if len(out) != t.NumPoints {
-		panic(fmt.Sprintf("tile: ReduceParallel output length %d, want %d", len(out), t.NumPoints))
-	}
-	if workers > t.K {
-		workers = t.K
-	}
-	if workers <= 1 {
-		t.Reduce(bufs, out)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= t.K {
-					return
-				}
-				t.ReduceOwned(p, bufs, out)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // uncoveredBits marks the union of the failed patches' influence regions in
 // a fresh bitset of NumPoints bits.
@@ -309,12 +270,12 @@ func (t *Tiling) UncoveredIDs(failed []int) []int32 {
 
 // Colors greedily colours the patch-overlap graph: two patches conflict
 // when their influence regions share at least one grid point. Patches of
-// one colour can execute concurrently writing directly into the global
+// one colour could execute concurrently writing directly into the global
 // solution — the pipelined tiling alternative the paper compares against
-// (no memory overhead, extra synchronisation between colour waves). The
-// result maps patch id to colour id; colours are 0..max. Computed once per
-// tiling and cached (the tiling is immutable); callers must not mutate the
-// returned slice.
+// (no memory overhead, extra synchronisation between colour waves), which
+// the tiling ablation models from this colouring. The result maps patch id
+// to colour id; colours are 0..max. Computed once per tiling and cached
+// (the tiling is immutable); callers must not mutate the returned slice.
 func (t *Tiling) Colors() []int {
 	t.colorsOnce.Do(func() { t.colors = t.computeColors() })
 	return t.colors

@@ -369,47 +369,3 @@ func TestOwnedPartitionsGrid(t *testing.T) {
 		}
 	}
 }
-
-// TestReduceParallelMatches is the property test ReduceParallel's doc
-// comment promises: for any (mesh size, patch count, worker count) the
-// parallel two-stage reduction is bit-identical to the sequential Reduce.
-// Buffers are filled with irregular values (no floats that sum exactly) so
-// any reordering of the additions would show up as a bit difference.
-func TestReduceParallelMatches(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{5, 3}, {7, 6}, {9, 11}} {
-		m, pointElem, mark := testSetup(t, tc.n, 0.2)
-		tl := New(m, pointElem, tc.k, mark)
-		bufs := tl.NewBuffers()
-		for p := range bufs {
-			for i := range bufs[p] {
-				// Deterministic, irregular, sign-alternating values.
-				v := math.Sin(float64(1+p)*12.9898+float64(i)*78.233) * 43758.5453
-				bufs[p][i] = v - math.Floor(v) - 0.5
-			}
-		}
-		want := make([]float64, tl.NumPoints)
-		tl.Reduce(bufs, want)
-		for _, workers := range []int{1, 2, 3, 8, tc.k + 5} {
-			got := make([]float64, tl.NumPoints)
-			tl.ReduceParallel(bufs, got, workers)
-			for pt := range got {
-				if got[pt] != want[pt] {
-					t.Fatalf("n=%d k=%d workers=%d: out[%d] = %v, Reduce gives %v (diff %g)",
-						tc.n, tc.k, workers, pt, got[pt], want[pt], got[pt]-want[pt])
-				}
-			}
-		}
-	}
-}
-
-// TestReduceParallelPanicsOnBadLength mirrors Reduce's contract.
-func TestReduceParallelPanicsOnBadLength(t *testing.T) {
-	m, pointElem, mark := testSetup(t, 4, 0.1)
-	tl := New(m, pointElem, 2, mark)
-	defer func() {
-		if recover() == nil {
-			t.Error("ReduceParallel with short out did not panic")
-		}
-	}()
-	tl.ReduceParallel(tl.NewBuffers(), make([]float64, tl.NumPoints-1), 2)
-}
