@@ -266,27 +266,6 @@ func EncodeOperator(w io.Writer, key string, op *operator.Operator) (int64, erro
 	return int64(n), err
 }
 
-// EncodedOperatorSize returns the exact on-disk size of op without
-// encoding it: the byte accounting the server LRU and the size-tracking
-// benchmark use.
-func EncodedOperatorSize(key string, op *operator.Operator) int64 {
-	lens := []uint64{opMetaSize, uint64(len(key)),
-		8 * uint64(len(op.RowPtr)), 4 * uint64(len(op.BlockID)), 8 * uint64(len(op.Val))}
-	if op.Perm != nil {
-		lens = append(lens, 4*uint64(len(op.Perm)))
-	}
-	if ts := op.Tpl; ts != nil {
-		lens = append(lens,
-			8*uint64(len(ts.TplPtr)), 4*uint64(len(ts.BlockDelta)), 8*uint64(len(ts.TplVal)),
-			4*uint64(len(ts.RowTpl)), 4*uint64(len(ts.RowBase)))
-	}
-	total := align8(uint64(headerSize) + uint64(len(lens))*entrySize)
-	for _, n := range lens {
-		total = align8(total + n)
-	}
-	return int64(total)
-}
-
 func encodeI64s(src []int64) []byte {
 	b := make([]byte, 8*len(src))
 	putI64s(b, src)

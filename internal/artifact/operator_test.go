@@ -62,9 +62,6 @@ func TestBSROperatorRoundTrip(t *testing.T) {
 	direct, _ := congruentOperator(t, 300, 80, 3)
 	key := "op:test/p2/g4/periodic"
 	data := encodeOp(t, key, direct)
-	if got := EncodedOperatorSize(key, direct); got != int64(len(data)) {
-		t.Fatalf("EncodedOperatorSize = %d, file is %d", got, len(data))
-	}
 	loadBoth(t, data, key, direct)
 }
 
@@ -76,9 +73,6 @@ func TestTemplatedOperatorRoundTrip(t *testing.T) {
 	key := "op:test/p2/g4/periodic"
 	dataDirect := encodeOp(t, key, direct)
 	dataTpl := encodeOp(t, key, topl)
-	if got := EncodedOperatorSize(key, topl); got != int64(len(dataTpl)) {
-		t.Fatalf("EncodedOperatorSize = %d, file is %d", got, len(dataTpl))
-	}
 	if len(dataTpl) >= len(dataDirect) {
 		t.Fatalf("templated container (%d B) not smaller than direct (%d B)", len(dataTpl), len(dataDirect))
 	}

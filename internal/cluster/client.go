@@ -102,19 +102,10 @@ func NewClient(hc *http.Client, timeout time.Duration, retry server.RetryPolicy,
 		}
 		hc = &http.Client{Timeout: timeout}
 	}
-	if retry.Attempts < 1 {
-		retry.Attempts = 1
-	}
-	if retry.Base <= 0 {
-		retry.Base = 10 * time.Millisecond
-	}
-	if retry.Max <= 0 {
-		retry.Max = 500 * time.Millisecond
-	}
 	if counters == nil {
 		counters = &metrics.ClusterCounters{}
 	}
-	return &Client{hc: hc, retry: retry, counters: counters, log: log}
+	return &Client{hc: hc, retry: retry.WithDefaults(), counters: counters, log: log}
 }
 
 // PostJSON marshals body, POSTs it to shard+path and decodes the JSON
@@ -146,8 +137,10 @@ func (c *Client) do(ctx context.Context, method, shard, path string, body []byte
 	for attempt := 1; attempt <= c.retry.Attempts; attempt++ {
 		if attempt > 1 {
 			c.counters.Retries.Add(1)
-			if err := sleepCtx(ctx, c.backoff(shard, path, attempt-1, lastErr)); err != nil {
-				break
+			if err := fault.Sleep(ctx, c.backoff(shard, path, attempt-1, lastErr)); err != nil {
+				// The caller gave up while we waited: report that, not a
+				// shard failure — the shard was given no chance to answer.
+				return fmt.Errorf("shard %s: gave up after %d attempt(s): %w", shard, attempt-1, err)
 			}
 		}
 		status, err := c.once(ctx, method, shard, path, body, out)
@@ -251,22 +244,15 @@ func retryable(err error, status int) bool {
 // backoff is the pre-retry delay for retry r (1-based) against shard+path.
 // A Retry-After estimate from the previous attempt wins outright — the
 // shard knows its own queue better than our exponential guess. Otherwise
-// Base·2^(r-1) capped at Max, scaled by a deterministic jitter in [0.5, 1)
-// derived from (shard, path, r) so concurrent retries against one shard
-// de-synchronize identically on every run.
+// fault.Backoff, jittered by (shard, path, r) so concurrent retries against
+// one shard de-synchronize identically on every run.
 func (c *Client) backoff(shard, path string, r int, lastErr error) time.Duration {
 	var tr *transientRemote
 	if errors.As(lastErr, &tr) && tr.retryAfter > 0 {
 		c.counters.RetryAfterWaits.Add(1)
 		return tr.retryAfter
 	}
-	d := c.retry.Base << uint(min(r-1, 16))
-	if d > c.retry.Max || d <= 0 {
-		d = c.retry.Max
-	}
-	seed := hash64(shard+path) ^ uint64(r)
-	f := 0.5 + 0.5*float64(fault.Mix64(seed)>>11)/(1<<53)
-	return time.Duration(float64(d) * f)
+	return fault.Backoff(c.retry.Base, c.retry.Max, r, hash64(shard+path)^uint64(r))
 }
 
 // readErrorBody extracts the server's JSON error envelope ({"error": ...})
@@ -283,18 +269,4 @@ func readErrorBody(r io.Reader) string {
 		return body.Error
 	}
 	return string(raw)
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

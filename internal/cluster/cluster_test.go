@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 
 	"unstencil/internal/core"
 	"unstencil/internal/dg"
+	"unstencil/internal/fault"
 	"unstencil/internal/mesh"
 	"unstencil/internal/server"
 	"unstencil/internal/tile"
@@ -757,5 +760,57 @@ func TestClusterMultiFieldOperatorJob(t *testing.T) {
 	if code := postJSON(t, cts.URL+"/v1/jobs",
 		server.JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Fields: names}, nil); code != http.StatusBadRequest {
 		t.Errorf("fields on per-point accepted by the coordinator with status %d", code)
+	}
+}
+
+// A caller that gives up while the client waits out a backoff gave up on a
+// shard that was never asked again: the verdict is the context error with
+// no *ShardError, so nothing counts a shard failure, fails over, or marks
+// the (healthy) shard down.
+func TestClientCancelDuringBackoff(t *testing.T) {
+	_, ts := newShard(t)
+	co, _ := newCluster(t, Config{
+		Shards: []string{ts.URL},
+		// The backoff outlasts the test: only the cancel can end it.
+		Retry: server.RetryPolicy{Attempts: 3, Base: time.Minute, Max: time.Minute},
+	})
+	if err := fault.Enable(fault.Config{
+		Seed: 1, Mode: fault.ModeError, MaxFaults: 1,
+		Sites: map[string]float64{SiteRoute: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Disable)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		spec := server.JobSpec{MeshID: "absent", P: 1, Blocks: 4}
+		_, _, err := co.evalRange(ctx, assignment{succession: []string{ts.URL}, patches: []int{0}}, spec)
+		done <- err
+	}()
+	// Retries is bumped on entry to the backoff, after the injected failure.
+	for deadline := time.Now().Add(10 * time.Second); co.counters.Retries.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("client never entered its first backoff")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	err := <-done
+
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	var se *ShardError
+	if errors.As(err, &se) {
+		t.Errorf("cancelled backoff reported as a shard failure: %v", se)
+	}
+	if n := co.counters.ShardFailures.Load(); n != 0 {
+		t.Errorf("ShardFailures = %d, want 0", n)
+	}
+	if st := co.health.State(ts.URL); st != StateReady {
+		t.Errorf("shard state %v after a client-side cancel, want ready", st)
 	}
 }

@@ -50,7 +50,7 @@ type AssembleOpts struct {
 // operator is independent of the evaluator's field: any field of the same
 // degree on the same mesh may be applied. Row weights are accumulated by
 // the same candidate enumeration, clipping and exact sub-region quadrature
-// the direct schemes use, so Apply agrees with RunPerPoint to rounding for
+// the direct schemes use, so an apply agrees with RunPerPoint to rounding for
 // symmetric and one-sided boundary configurations alike. Rows are stored
 // in quadtree depth-first (Z-order) sequence of their positions, so
 // consecutive rows of an apply gather coefficient blocks of spatially

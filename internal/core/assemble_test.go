@@ -49,8 +49,8 @@ func TestOperatorMatchesDirect(t *testing.T) {
 				if err := op.Validate(); err != nil {
 					t.Fatalf("%s/%v/P%d: assembled operator invalid: %v", mname, boundary, p, err)
 				}
-				got, err := op.Apply(ev.Field)
-				if err != nil {
+				got := make([]float64, op.Rows)
+				if err := op.ApplyInto(ev.Field, got); err != nil {
 					t.Fatal(err)
 				}
 				if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {
@@ -76,8 +76,8 @@ func TestOperatorFieldIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := op.Apply(ev2.Field)
-	if err != nil {
+	got := make([]float64, op.Rows)
+	if err := op.ApplyInto(ev2.Field, got); err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {
@@ -109,8 +109,8 @@ func TestOperatorCustomPoints(t *testing.T) {
 		if op.Rows != len(pts) {
 			t.Fatalf("rows = %d, want %d", op.Rows, len(pts))
 		}
-		got, err := op.Apply(ev.Field)
-		if err != nil {
+		got := make([]float64, op.Rows)
+		if err := op.ApplyInto(ev.Field, got); err != nil {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(got, want); d > 1e-12 {
@@ -139,14 +139,14 @@ func TestOperatorRowOrderPureStorage(t *testing.T) {
 		}
 		seen[pt] = true
 	}
-	inPointOrder, err := op.Apply(ev.Field)
-	if err != nil {
+	inPointOrder := make([]float64, op.Rows)
+	if err := op.ApplyInto(ev.Field, inPointOrder); err != nil {
 		t.Fatal(err)
 	}
 	stripped := *op
 	stripped.Perm = nil
-	inStorageOrder, err := stripped.Apply(ev.Field)
-	if err != nil {
+	inStorageOrder := make([]float64, stripped.Rows)
+	if err := stripped.ApplyInto(ev.Field, inStorageOrder); err != nil {
 		t.Fatal(err)
 	}
 	for r, pt := range op.Perm {
@@ -186,7 +186,7 @@ func TestOperatorErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrongP := dg.Project(m, 3, assembleTestField, 4)
-	if _, err := op.Apply(wrongP); err == nil {
+	if err := op.ApplyInto(wrongP, make([]float64, op.Rows)); err == nil {
 		t.Error("applying a mismatched-degree field should fail")
 	}
 	if err := op.ApplyVec(make([]float64, 3), make([]float64, op.Rows), 1); err == nil {

@@ -200,11 +200,6 @@ type Evaluator struct {
 	wkPool sync.Pool
 }
 
-// UsesHornerFields reports whether the evaluator's hot path runs on the
-// collapsed monomial (Horner) field representation. False only when the
-// modal→monomial change of basis failed its conditioning check.
-func (ev *Evaluator) UsesHornerFields() bool { return ev.horner != nil }
-
 // hornerResidualTol bounds the acceptable |Horner − modal| disagreement,
 // relative to the field's largest modal coefficient, before the evaluator
 // falls back to the modal path. The Vandermonde collapse conditions

@@ -99,49 +99,61 @@ func TestEvalBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestParallelRunsBitIdentical is the PR's determinism pin: every scheme's
+// TestParallelRunsBitIdentical is the determinism pin: every scheme's
 // parallel execution must produce solutions bit-identical to the
 // single-worker run, because per-unit outputs land in disjoint locations and
-// within-unit summation order is fixed. Runs under -race in CI with
-// workers=2.
+// within-unit summation order is fixed — on the structured mesh and on an
+// unstructured one, whose patches differ in cost. Runs under -race in CI.
 func TestParallelRunsBitIdentical(t *testing.T) {
-	m := mesh.Structured(10)
-	ev := buildEvaluator(t, m, 2, parallelTestField, Options{Workers: 1})
-	tl := ev.NewTiling(8)
-
-	serialPoint, err := ev.RunPerPoint(8)
+	um, err := mesh.SizedLowVariance(240, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialElem, err := ev.RunPerElement(tl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, fx := range []struct {
+		name string
+		m    *mesh.Mesh
+		p    int
+	}{
+		{"structured", mesh.Structured(10), 2},
+		{"unstructured", um, 1},
+	} {
+		ev := buildEvaluator(t, fx.m, fx.p, parallelTestField, Options{Workers: 1})
+		tl := ev.NewTiling(8)
 
-	for _, workers := range []int{2, 4} {
-		ev.Opt.Workers = workers
-		for _, tc := range []struct {
-			name   string
-			serial *Result
-			run    func() (*Result, error)
-		}{
-			{"per-point", serialPoint, func() (*Result, error) { return ev.RunPerPoint(8) }},
-			{"per-element", serialElem, func() (*Result, error) { return ev.RunPerElement(tl) }},
-		} {
-			res, err := tc.run()
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			for i := range res.Solution {
-				if res.Solution[i] != tc.serial.Solution[i] {
-					t.Fatalf("%s workers=%d: solution[%d] = %v, serial %v (diff %g)",
-						tc.name, workers, i, res.Solution[i], tc.serial.Solution[i],
-						res.Solution[i]-tc.serial.Solution[i])
+		serialPoint, err := ev.RunPerPoint(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serialElem, err := ev.RunPerElement(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, workers := range []int{2, 4} {
+			ev.Opt.Workers = workers
+			for _, tc := range []struct {
+				name   string
+				serial *Result
+				run    func() (*Result, error)
+			}{
+				{"per-point", serialPoint, func() (*Result, error) { return ev.RunPerPoint(8) }},
+				{"per-element", serialElem, func() (*Result, error) { return ev.RunPerElement(tl) }},
+			} {
+				res, err := tc.run()
+				if err != nil {
+					t.Fatalf("%s %s workers=%d: %v", fx.name, tc.name, workers, err)
 				}
-			}
-			if res.Total != tc.serial.Total {
-				t.Errorf("%s workers=%d: total counters %+v != serial %+v",
-					tc.name, workers, res.Total, tc.serial.Total)
+				for i := range res.Solution {
+					if res.Solution[i] != tc.serial.Solution[i] {
+						t.Fatalf("%s %s workers=%d: solution[%d] = %v, serial %v (diff %g)",
+							fx.name, tc.name, workers, i, res.Solution[i], tc.serial.Solution[i],
+							res.Solution[i]-tc.serial.Solution[i])
+					}
+				}
+				if res.Total != tc.serial.Total {
+					t.Errorf("%s %s workers=%d: total counters %+v != serial %+v",
+						fx.name, tc.name, workers, res.Total, tc.serial.Total)
+				}
 			}
 		}
 	}

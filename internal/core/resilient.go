@@ -172,37 +172,16 @@ func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, site
 	return err
 }
 
-// backoff returns the pre-retry delay: BaseDelay·2^(retry-1) capped at
-// MaxDelay, scaled by a deterministic jitter factor in [0.5, 1) drawn from
-// (Seed, unit, retry).
+// backoff returns the pre-retry delay, jittered by (Seed, unit, retry).
 func (rs *Resilience) backoff(unit, retry int) time.Duration {
-	if rs.BaseDelay <= 0 {
-		return 0
-	}
-	d := rs.BaseDelay << uint(min(retry-1, 16))
-	if d > rs.MaxDelay || d <= 0 {
-		d = rs.MaxDelay
-	}
-	h := fault.Mix64(uint64(rs.Seed) ^ uint64(unit)<<20 ^ uint64(retry))
-	f := 0.5 + 0.5*float64(h>>11)/(1<<53)
-	return time.Duration(float64(d) * f)
+	return fault.Backoff(rs.BaseDelay, rs.MaxDelay, retry, uint64(rs.Seed)^uint64(unit)<<20^uint64(retry))
 }
 
 func (rs *Resilience) sleep(ctx context.Context, d time.Duration) error {
 	if rs.Sleep != nil {
 		return rs.Sleep(ctx, d)
 	}
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return fault.Sleep(ctx, d)
 }
 
 // runUnits is the one executor behind both direct schemes: n units

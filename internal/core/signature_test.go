@@ -177,8 +177,8 @@ func TestCongruentJitteredDemotes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cong.Apply(ev.Field)
-		if err != nil {
+		got := make([]float64, cong.Rows)
+		if err := cong.ApplyInto(ev.Field, got); err != nil {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {

@@ -22,7 +22,6 @@ package device
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"unstencil/internal/metrics"
@@ -181,82 +180,6 @@ func (s Sim) Exec(nBlocks int, body func(block, dev, sm int)) {
 		}
 	}
 	wg.Wait()
-}
-
-// Pool models a host CPU worker pool executing blocks under the dynamic
-// dispatcher in internal/core (units claimed off a shared atomic counter)
-// rather than the GPU's strided hardware schedule that Sim models. The
-// dispatcher is greedy — an idle worker always takes more work — so its
-// makespan is captured by the classic longest-processing-time bound: LPT
-// is the offline analogue of a work-conserving online scheduler,
-// and with per-patch costs known exactly (they come from deterministic
-// counters) it gives a tight, reproducible model of the pool's compute time
-// on any host, independent of how many physical cores this machine has.
-type Pool struct {
-	Workers int
-}
-
-// LPTMakespan returns the makespan of greedy longest-processing-time
-// scheduling: costs sorted descending, each assigned to the least-loaded
-// worker. workers <= 1 returns the serial sum.
-func LPTMakespan(costs []float64, workers int) float64 {
-	total := 0.0
-	for _, c := range costs {
-		total += c
-	}
-	if workers <= 1 || len(costs) <= 1 {
-		return total
-	}
-	if workers > len(costs) {
-		workers = len(costs)
-	}
-	sorted := make([]float64, len(costs))
-	copy(sorted, costs)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	load := make([]float64, workers)
-	for _, c := range sorted {
-		least := 0
-		for w := 1; w < workers; w++ {
-			if load[w] < load[least] {
-				least = w
-			}
-		}
-		load[least] += c
-	}
-	max := 0.0
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// Run schedules blockCosts onto the pool's workers dynamically and appends
-// the two-stage reduction: stage one (summing owned-point partials) is
-// spread across the workers, stage two merges one cache line per worker of
-// bookkeeping — the host analogue of Sim.Run's per-device merge.
-func (p Pool) Run(blockCosts []float64, reductionUnits float64) Timing {
-	if p.Workers < 1 {
-		panic(fmt.Sprintf("device: invalid pool %+v", p))
-	}
-	t := Timing{DeviceCompute: []float64{LPTMakespan(blockCosts, p.Workers)}}
-	t.Compute = t.DeviceCompute[0]
-	if reductionUnits > 0 {
-		t.Reduction = reductionUnits/float64(p.Workers) +
-			float64(p.Workers)*CoalescedWordCost
-	}
-	t.Total = t.Compute + t.Reduction
-	return t
-}
-
-// RunCounters is Run with per-block counters converted to modeled costs.
-func (p Pool) RunCounters(blocks []metrics.Counters, reductionUnits float64) Timing {
-	costs := make([]float64, len(blocks))
-	for i := range blocks {
-		costs[i] = Cost(&blocks[i])
-	}
-	return p.Run(costs, reductionUnits)
 }
 
 // Speedup returns t1/tN given two timings, the conventional strong-scaling

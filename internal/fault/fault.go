@@ -11,6 +11,9 @@
 // dies: a typed transient error (*Error, matched by errors.Is(err,
 // ErrInjected)) and a panic with a *Panic value. Recovery layers convert the
 // latter back into errors; both are classified as transient and retried.
+// The delay and the wait between those retries live here too (Backoff,
+// Sleep), shared by every retry loop, next to the mixer the jitter draws
+// from.
 //
 // Known sites (documented in DESIGN.md §8):
 //
@@ -23,12 +26,14 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 )
 
 // Mode selects what an injected fault does.
@@ -316,13 +321,47 @@ func (inj *Injector) SiteNames() []string {
 }
 
 // Mix64 is the SplitMix64 finalizer: a cheap, high-quality 64-bit mixing
-// function. Exported because the retry layers reuse it for deterministic
-// backoff jitter.
+// function. Exported because Backoff's jitter and the cluster's hash ring
+// reuse it.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// Backoff is the pre-retry delay every retry loop (core units, server jobs,
+// cluster shard requests) waits before retry r (1-based): base·2^(r-1)
+// capped at max, scaled by a jitter factor in [0.5, 1) drawn from
+// Mix64(seed), so a caller that derives seed from what it retries
+// de-synchronizes concurrent retries identically on every run. base <= 0
+// retries immediately.
+func Backoff(base, max time.Duration, r int, seed uint64) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	d := base << uint(min(r-1, 16))
+	if d > max || d <= 0 {
+		d = max
+	}
+	f := 0.5 + 0.5*float64(Mix64(seed)>>11)/(1<<53)
+	return time.Duration(float64(d) * f)
+}
+
+// Sleep waits d, or returns ctx's error as soon as ctx ends. d <= 0 only
+// polls ctx.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // hashString is FNV-1a, inlined to keep the package dependency-free.

@@ -25,20 +25,11 @@ import (
 // last blocks still balance across workers.
 const applyBlock = 256
 
-// Apply post-processes field through the assembled operator, returning the
-// value at every evaluation point in point order. The field must live on
-// the mesh the operator was assembled for (dimension-checked).
-func (op *Operator) Apply(f *dg.Field) ([]float64, error) {
-	out := make([]float64, op.Rows)
-	if err := op.ApplyInto(f, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ApplyInto is Apply into a caller-supplied output slice of length Rows,
-// without the per-call allocation: the hot server paths pair it with
-// GetVec/PutVec so steady-state applies allocate nothing.
+// ApplyInto post-processes field through the assembled operator, writing
+// the value at every evaluation point, in point order, into the
+// caller-supplied out of length Rows. The field must live on the mesh the
+// operator was assembled for (dimension-checked). The hot server paths
+// pair it with GetVec/PutVec so steady-state applies allocate nothing.
 func (op *Operator) ApplyInto(f *dg.Field, out []float64) error {
 	if f.Basis.N != op.BasisN {
 		return fmt.Errorf("operator: field has %d modes per element, operator expects %d",

@@ -217,14 +217,13 @@ func (op *Operator) BytesSaved() int64 {
 	return max(direct-op.Bytes(), 0)
 }
 
-// Stats is the shape summary tools and the bench harness report.
+// Stats is the shape summary unstencil-artifact reports.
 type Stats struct {
-	Rows        int     `json:"rows"`
-	Cols        int     `json:"cols"`
-	NNZ         int     `json:"nnz"`
-	Bytes       int64   `json:"bytes"`
-	NNZPerRow   float64 `json:"nnz_per_row"`
-	BytesPerRow float64 `json:"bytes_per_row"`
+	Rows      int     `json:"rows"`
+	Cols      int     `json:"cols"`
+	NNZ       int     `json:"nnz"`
+	Bytes     int64   `json:"bytes"`
+	NNZPerRow float64 `json:"nnz_per_row"`
 
 	// Template sharing shape; zero without templates. StoredNNZ counts the
 	// physically stored weights: direct rows plus one copy per template.
@@ -238,7 +237,6 @@ func (op *Operator) Stats() Stats {
 	s := Stats{Rows: op.Rows, Cols: op.Cols, NNZ: op.NNZ(), Bytes: op.Bytes()}
 	if op.Rows > 0 {
 		s.NNZPerRow = float64(s.NNZ) / float64(op.Rows)
-		s.BytesPerRow = float64(s.Bytes) / float64(op.Rows)
 	}
 	if ts := op.Tpl; ts != nil {
 		s.StoredNNZ = len(op.Val) + len(ts.TplVal)

@@ -278,8 +278,8 @@ func TestDiskOperatorUsesThisServersEvalWorkers(t *testing.T) {
 	if err != nil || src != OpSrcAssembled {
 		t.Fatalf("writer: src %q, err %v", src, err)
 	}
-	want, err := built.Apply(ev.Field)
-	if err != nil {
+	want := make([]float64, built.Rows)
+	if err := built.ApplyInto(ev.Field, want); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, _, err := store.LoadOperator(OpKey(meshID, 2, ev.Opt.GridDegree, core.Periodic), false)
@@ -298,8 +298,8 @@ func TestDiskOperatorUsesThisServersEvalWorkers(t *testing.T) {
 	if op.Workers != 2 {
 		t.Fatalf("disk-loaded operator applies with %d workers on a server configured for 2", op.Workers)
 	}
-	got, err := op.Apply(ev2.Field)
-	if err != nil {
+	got := make([]float64, op.Rows)
+	if err := op.ApplyInto(ev2.Field, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {

@@ -327,7 +327,9 @@ type RetryPolicy struct {
 	Max      time.Duration // backoff cap (default 500ms)
 }
 
-func (p *RetryPolicy) defaults() {
+// WithDefaults returns p with zero fields defaulted as documented on the
+// type.
+func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.Attempts < 1 {
 		p.Attempts = 1
 	}
@@ -337,6 +339,7 @@ func (p *RetryPolicy) defaults() {
 	if p.Max <= 0 {
 		p.Max = 500 * time.Millisecond
 	}
+	return p
 }
 
 // ManagerConfig configures NewManager; zero fields take defaults.
@@ -376,7 +379,7 @@ func NewManager(arts *Artifacts, log *slog.Logger, cfg ManagerConfig) *Manager {
 	if cfg.StageTimeout <= 0 {
 		cfg.StageTimeout = cfg.JobTimeout
 	}
-	cfg.Retry.defaults()
+	cfg.Retry = cfg.Retry.WithDefaults()
 	if cfg.Faults == nil {
 		cfg.Faults = &metrics.FaultCounters{}
 	}
@@ -774,13 +777,18 @@ func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*core.Res
 		err      error
 		panicked bool
 	)
-	for attempt := 1; attempt <= m.retry.Attempts; attempt++ {
-		if attempt > 1 {
+	attempts := 0
+	for attempts < m.retry.Attempts {
+		if attempts > 0 {
 			m.faults.JobRetries.Add(1)
-			if serr := sleepCtx(ctx, jobBackoff(m.retry, attempt-1)); serr != nil {
+			if serr := fault.Sleep(ctx, fault.Backoff(m.retry.Base, m.retry.Max, attempts, uint64(attempts))); serr != nil {
+				// The caller gave up during the backoff: that, not the
+				// transient failure being waited out, is the verdict.
+				err, panicked = serr, false
 				break
 			}
 		}
+		attempts++
 		res, hits, panicked, err = m.safeExecute(ctx, spec)
 		if err == nil || !core.Transient(err) {
 			break
@@ -796,7 +804,7 @@ func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*core.Res
 		je.Panicked = je.Panicked || panicked
 	}
 	if je.Attempts == 0 {
-		je.Attempts = m.retry.Attempts
+		je.Attempts = attempts
 	}
 	return nil, hits, je
 }
@@ -812,31 +820,6 @@ func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (res *core.Resu
 	}()
 	res, hits, err = m.execute(ctx, spec)
 	return res, hits, false, err
-}
-
-// jobBackoff is the pre-retry delay for whole-job retry r (1-based):
-// Base·2^(r-1) capped at Max, scaled by a deterministic jitter in [0.5, 1).
-func jobBackoff(p RetryPolicy, r int) time.Duration {
-	d := p.Base << uint(min(r-1, 16))
-	if d > p.Max || d <= 0 {
-		d = p.Max
-	}
-	f := 0.5 + 0.5*float64(fault.Mix64(uint64(r))>>11)/(1<<53)
-	return time.Duration(float64(d) * f)
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // runStage runs one pipeline stage under its own deadline. The artifact
@@ -962,23 +945,10 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 			for i := range outs {
 				outs[i] = backing[i*op.Rows : (i+1)*op.Rows : (i+1)*op.Rows]
 			}
-			var err error
-			var total metrics.Counters
-			if nf == 1 {
-				err = op.ApplyInto(fields[0], outs[0])
-				total = op.ApplyCounters()
-			} else {
-				coeffs := make([][]float64, nf)
-				for i, f := range fields {
-					coeffs[i] = f.Coeffs
-				}
-				err = op.ApplyBlock(coeffs, outs, op.Workers)
-				total = op.ApplyBlockCounters(nf)
-			}
+			total, err := m.arts.applyFields(op, fields, outs)
 			if err != nil {
 				return err
 			}
-			m.arts.Ops().RecordApply(nf)
 			res = &core.Result{
 				Solution:       outs[0],
 				Total:          total,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"unstencil/internal/core"
+	"unstencil/internal/dg"
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
@@ -160,39 +161,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Query outputs are encoded and dropped, so they come from the
 		// apply-vector pool: the steady-state repeated-query path (same
 		// points, new field each time step) allocates nothing per apply.
+		fields := []*dg.Field{ev.Field}
 		if len(req.Fields) > 0 {
-			coeffs := make([][]float64, len(req.Fields))
+			fields = make([]*dg.Field, len(req.Fields))
 			for i, name := range req.Fields {
-				f, _, err := s.arts.Field(m, req.MeshID, req.P, name)
-				if err != nil {
+				if fields[i], _, err = s.arts.Field(m, req.MeshID, req.P, name); err != nil {
 					writeError(w, http.StatusBadRequest, "%v", err)
 					return
 				}
-				coeffs[i] = f.Coeffs
 			}
-			outs := make([][]float64, len(req.Fields))
-			for i := range outs {
-				outs[i] = operator.GetVec(op.Rows)
-				defer operator.PutVec(outs[i])
-			}
-			if err := op.ApplyBlock(coeffs, outs, op.Workers); err != nil {
-				writeError(w, http.StatusUnprocessableEntity, "query operator apply: %v", err)
-				return
-			}
-			s.arts.Ops().RecordApply(len(req.Fields))
-			counters = op.ApplyBlockCounters(len(req.Fields))
-			vals = outs[0]
+		}
+		outs := make([][]float64, len(fields))
+		for i := range outs {
+			outs[i] = operator.GetVec(op.Rows)
+			defer operator.PutVec(outs[i])
+		}
+		if counters, err = s.arts.applyFields(op, fields, outs); err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "query operator apply: %v", err)
+			return
+		}
+		vals = outs[0]
+		if len(req.Fields) > 0 {
 			resp["fields"] = req.Fields
 			resp["values"] = outs
-		} else {
-			vals = operator.GetVec(op.Rows)
-			defer operator.PutVec(vals)
-			if err := op.ApplyInto(ev.Field, vals); err != nil {
-				writeError(w, http.StatusUnprocessableEntity, "query operator apply: %v", err)
-				return
-			}
-			s.arts.Ops().RecordApply(1)
-			counters = op.ApplyCounters()
 		}
 		resp["operator_warm"] = opSrc != OpSrcAssembled
 		resp["operator_source"] = opSrc

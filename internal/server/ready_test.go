@@ -113,7 +113,7 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 		jobs:      map[string]*Job{},
 		maxJobs:   16,
 	}
-	full.retry.defaults()
+	full.retry = full.retry.WithDefaults()
 	full.queue <- &Job{} // saturate: no workers will ever drain this
 	full.observeService(5 * time.Second)
 	srv.mgr = full

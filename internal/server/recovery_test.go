@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"unstencil/internal/fault"
 	"unstencil/internal/mesh"
@@ -100,5 +103,40 @@ func TestSubmissionCaps(t *testing.T) {
 		if _, code := submitJob(t, ts, c.spec); code != c.code {
 			t.Errorf("%s: status %d, want %d", c.name, code, c.code)
 		}
+	}
+}
+
+// A job whose caller gives up while the manager waits out a backoff failed
+// because of the cancel, after the attempts actually made — not after the
+// whole budget, and not with the transient error that was being retried.
+func TestJobRetryCancelDuringBackoff(t *testing.T) {
+	srv, _ := newTestServer(t, Config{
+		Workers: 1,
+		// The backoff outlasts the test: only the cancel can end it.
+		Retry: RetryPolicy{Attempts: 3, Base: time.Minute, Max: time.Minute},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		// An absent mesh fails every attempt with a retryable error.
+		_, _, err := srv.Manager().executeWithRetry(ctx, JobSpec{MeshID: "absent", Scheme: "per-point", P: 1})
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); srv.Faults().JobRetries.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("manager never entered its first backoff")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	err := <-done
+
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrMeshNotFound) {
+		t.Fatalf("err = %v, want context.Canceled alone", err)
+	}
+	var je *JobError
+	if !errors.As(err, &je) || je.Attempts != 1 {
+		t.Fatalf("err = %v, want a *JobError after 1 attempt", err)
 	}
 }
