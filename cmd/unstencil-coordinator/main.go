@@ -14,9 +14,16 @@
 //	unstencil-coordinator -addr :8080 \
 //	    -shards http://localhost:9091,http://localhost:9092
 //
-// The coordinator serves the same public API as a single unstencild
-// (meshes, jobs, queries, health, metrics), so clients need not know they
-// are talking to a cluster.
+// The coordinator serves the same public API as a single unstencild — the
+// same handlers (meshes, jobs including DELETE to cancel, queries, health,
+// metrics) — so clients need not know they are talking to a cluster. Job
+// ids survive a coordinator restart:
+//
+//	job-<epoch>-00000001   distributed (per-element) job, run by this
+//	                       coordinator; 404 after it restarts
+//	s1-job-<epoch>-00000007  routed job: shard 1 of -shards, then that
+//	                       shard's own id; resolves on any coordinator
+//	                       over the same -shards list
 package main
 
 import (

@@ -12,8 +12,11 @@
 //
 //	curl -sX POST --data-binary @mesh.json localhost:8080/v1/meshes
 //	curl -sX POST -d '{"mesh_id":"<id>","scheme":"per-element","p":2}' localhost:8080/v1/jobs
-//	curl -s localhost:8080/v1/jobs/job-00000001
-//	curl -s localhost:8080/v1/jobs/job-00000001/result
+//	    # -> {"id":"job-<epoch>-00000001",...}; the epoch is fixed per process
+//	    # start, so ids never repeat across restarts
+//	curl -s localhost:8080/v1/jobs/<id>
+//	curl -s localhost:8080/v1/jobs/<id>/result
+//	curl -sX DELETE localhost:8080/v1/jobs/<id>     # cancel
 //	curl -s localhost:8080/debug/metrics
 //
 // SIGINT/SIGTERM trigger graceful shutdown: the listener stops accepting,

@@ -52,26 +52,25 @@ func (e *ShardError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// remoteError is a non-2xx response that should not be retried against the
-// same shard (4xx: the request itself is wrong, or the resource is absent).
+// ErrorKind is what a job or response failing on e reports as error_kind.
+func (e *ShardError) ErrorKind() string { return ErrorKindShardFailure }
+
+// remoteError is a non-2xx shard response. A 5xx is transient: the client
+// retries it, after the shard's Retry-After estimate when it sent one. A
+// 4xx is permanent: the request itself is wrong, or the resource absent.
 type remoteError struct {
-	status int
-	msg    string
+	status     int
+	msg        string
+	retryAfter time.Duration // 0 when the header was absent
 }
 
 func (e *remoteError) Error() string {
 	return fmt.Sprintf("shard returned %d: %s", e.status, e.msg)
 }
 
-// IsNotFound reports whether err is a shard 404 — for mesh-scoped requests
-// that is "mesh not resident", the coordinator's cue to re-seed the shard
-// from its retained mesh bytes and retry.
-func IsNotFound(err error) bool {
-	var re *remoteError
-	return errors.As(err, &re) && re.status == http.StatusNotFound
-}
-
-// RemoteStatus returns the HTTP status a remoteError carries (0 otherwise).
+// RemoteStatus returns the HTTP status a shard answered err with (0 for a
+// failure without a response). For mesh-scoped requests a 404 is "mesh not
+// resident", the coordinator's cue to re-seed the shard and retry.
 func RemoteStatus(err error) int {
 	var re *remoteError
 	if errors.As(err, &re) {
@@ -93,39 +92,24 @@ type Client struct {
 	log      *slog.Logger
 }
 
-// NewClient builds a client. hc nil gets a default with the given request
-// timeout; retry is defaulted per server.RetryPolicy (Attempts floor 1).
-func NewClient(hc *http.Client, timeout time.Duration, retry server.RetryPolicy, counters *metrics.ClusterCounters, log *slog.Logger) *Client {
-	if hc == nil {
-		if timeout <= 0 {
-			timeout = 30 * time.Second
-		}
-		hc = &http.Client{Timeout: timeout}
-	}
-	if counters == nil {
-		counters = &metrics.ClusterCounters{}
-	}
+// NewClient builds a client over hc; retry is defaulted per
+// server.RetryPolicy (Attempts floor 1).
+func NewClient(hc *http.Client, retry server.RetryPolicy, counters *metrics.ClusterCounters, log *slog.Logger) *Client {
 	return &Client{hc: hc, retry: retry.WithDefaults(), counters: counters, log: log}
 }
 
-// PostJSON marshals body, POSTs it to shard+path and decodes the JSON
-// response into out (which may be nil). GetJSON is the bodyless variant.
-func (c *Client) PostJSON(ctx context.Context, shard, path string, body, out any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
+// Do sends one logical request to shard+path under the retry policy and
+// decodes the JSON response into out (nil discards it). A []byte body is
+// sent as is; any other non-nil body is encoded as JSON first.
+func (c *Client) Do(ctx context.Context, method, shard, path string, body, out any) error {
+	raw, ok := body.([]byte)
+	if !ok && body != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			return err
+		}
 	}
-	return c.do(ctx, http.MethodPost, shard, path, raw, out)
-}
-
-// PostRaw POSTs a pre-encoded payload (mesh bytes) to shard+path.
-func (c *Client) PostRaw(ctx context.Context, shard, path string, body []byte, out any) error {
-	return c.do(ctx, http.MethodPost, shard, path, body, out)
-}
-
-// GetJSON GETs shard+path and decodes the JSON response into out.
-func (c *Client) GetJSON(ctx context.Context, shard, path string, out any) error {
-	return c.do(ctx, http.MethodGet, shard, path, nil, out)
+	return c.do(ctx, method, shard, path, raw, out)
 }
 
 // do is one logical shard request under the retry policy.
@@ -148,7 +132,7 @@ func (c *Client) do(ctx context.Context, method, shard, path string, body []byte
 			return nil
 		}
 		lastErr, lastStatus = err, status
-		if !retryable(err, status) {
+		if !retryable(err) {
 			return err
 		}
 		if c.log != nil {
@@ -185,14 +169,11 @@ func (c *Client) once(ctx context.Context, method, shard, path string, body []by
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		msg := readErrorBody(resp.Body)
-		err := error(&remoteError{status: resp.StatusCode, msg: msg})
-		if resp.StatusCode/100 == 5 {
-			// 5xx is transient from the router's perspective; wrap it so
-			// retryable() treats it as such while keeping the status visible.
-			err = &transientRemote{remoteError{status: resp.StatusCode, msg: msg}, retryAfter(resp)}
+		return resp.StatusCode, &remoteError{
+			status:     resp.StatusCode,
+			msg:        readErrorBody(resp.Body),
+			retryAfter: retryAfter(resp),
 		}
-		return resp.StatusCode, err
 	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -203,16 +184,6 @@ func (c *Client) once(ctx context.Context, method, shard, path string, body []by
 	}
 	return resp.StatusCode, nil
 }
-
-// transientRemote is a retryable non-2xx response (5xx), optionally
-// carrying the shard's Retry-After estimate.
-type transientRemote struct {
-	remoteError
-	retryAfter time.Duration // 0 when the header was absent
-}
-
-// Unwrap exposes the remoteError to errors.As (RemoteStatus, IsNotFound).
-func (e *transientRemote) Unwrap() error { return &e.remoteError }
 
 // retryAfter parses a delay-seconds Retry-After header, capped at
 // MaxRetryAfter; 0 when absent or unparseable.
@@ -230,13 +201,12 @@ func retryAfter(resp *http.Response) time.Duration {
 
 // retryable reports whether the failed attempt may be retried against the
 // same shard: transport errors and 5xx yes, context expiry and 4xx no.
-func retryable(err error, status int) bool {
+func retryable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	var re *remoteError
-	if errors.As(err, &re) {
-		return status/100 == 5
+	if st := RemoteStatus(err); st != 0 {
+		return st/100 == 5
 	}
 	return true // transport-level failure
 }
@@ -247,10 +217,10 @@ func retryable(err error, status int) bool {
 // fault.Backoff, jittered by (shard, path, r) so concurrent retries against
 // one shard de-synchronize identically on every run.
 func (c *Client) backoff(shard, path string, r int, lastErr error) time.Duration {
-	var tr *transientRemote
-	if errors.As(lastErr, &tr) && tr.retryAfter > 0 {
+	var re *remoteError
+	if errors.As(lastErr, &re) && re.retryAfter > 0 {
 		c.counters.RetryAfterWaits.Add(1)
-		return tr.retryAfter
+		return re.retryAfter
 	}
 	return fault.Backoff(c.retry.Base, c.retry.Max, r, hash64(shard+path)^uint64(r))
 }

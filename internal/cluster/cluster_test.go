@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,8 @@ import (
 // flakyShard wraps a shard handler with a kill switch and a latency knob:
 // down aborts the connection (the coordinator sees a transport error, as
 // with a dead process), slowMS delays every response (for hedging tests).
+// A delayed request whose caller goes away ends early and counts in
+// aborted; delayed counts the requests sitting in the delay right now.
 // The inner handler is swappable so a "restarted" shard — a fresh stateless
 // server.New behind the same URL — can take over the address.
 type flakyShard struct {
@@ -31,6 +34,8 @@ type flakyShard struct {
 	handler http.Handler
 	down    atomic.Bool
 	slowMS  atomic.Int64
+	delayed atomic.Int64
+	aborted atomic.Int64
 }
 
 func (f *flakyShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -38,7 +43,19 @@ func (f *flakyShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	if d := f.slowMS.Load(); d > 0 {
-		time.Sleep(time.Duration(d) * time.Millisecond)
+		// Read the body first, as a real handler does: net/http only
+		// notices a vanished caller once the request body is consumed.
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		f.delayed.Add(1)
+		select {
+		case <-time.After(time.Duration(d) * time.Millisecond):
+			f.delayed.Add(-1)
+		case <-r.Context().Done():
+			f.delayed.Add(-1)
+			f.aborted.Add(1)
+			return
+		}
 	}
 	f.mu.Lock()
 	h := f.handler
@@ -160,11 +177,11 @@ func uploadMesh(t *testing.T, coURL string, m *mesh.Mesh) string {
 	return out.MeshID
 }
 
-func waitClusterJob(t *testing.T, coURL, id string, deadline time.Duration) JobView {
+func waitClusterJob(t *testing.T, coURL, id string, deadline time.Duration) server.JobStatus {
 	t.Helper()
 	end := time.Now().Add(deadline)
 	for {
-		var v JobView
+		var v server.JobStatus
 		if code := getJSON(t, coURL+"/v1/jobs/"+id, &v); code != http.StatusOK {
 			t.Fatalf("job %s status code %d", id, code)
 		}
@@ -231,7 +248,7 @@ func TestClusterBitIdentical(t *testing.T) {
 		spec := server.JobSpec{
 			MeshID: meshID, Scheme: "per-element", P: tc.p, Blocks: k, Boundary: tc.boundary,
 		}
-		var v JobView
+		var v server.JobStatus
 		if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
 			t.Fatalf("P%d %s: submit status %d", tc.p, tc.boundary, code)
 		}
@@ -298,7 +315,7 @@ func TestClusterFailoverHealsShardLoss(t *testing.T) {
 	victim.down.Store(true)
 
 	spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: k}
-	var v JobView
+	var v server.JobStatus
 	if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
@@ -380,7 +397,7 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 	// coverage accounting.
 	victim.down.Store(true)
 	spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: k, AllowPartial: true}
-	var v JobView
+	var v server.JobStatus
 	if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
@@ -706,7 +723,7 @@ func TestClusterMultiFieldOperatorJob(t *testing.T) {
 	meshID := uploadMesh(t, cts.URL, m)
 	names := []string{"sincos", "gauss"}
 
-	run := func(spec server.JobSpec) (JobView, map[string]json.RawMessage) {
+	run := func(spec server.JobSpec) (server.JobStatus, map[string]json.RawMessage) {
 		var sub struct {
 			ID string `json:"id"`
 		}
@@ -812,5 +829,217 @@ func TestClientCancelDuringBackoff(t *testing.T) {
 	}
 	if st := co.health.State(ts.URL); st != StateReady {
 		t.Errorf("shard state %v after a client-side cancel, want ready", st)
+	}
+}
+
+// waitUntil polls cond every millisecond until it holds or 30 s pass.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+func deleteJob(t *testing.T, url string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestClusterCancelRoutedJob: DELETE through the coordinator cancels a
+// routed job on its shard, which ends it failed with context.Canceled; the
+// id the coordinator hands out is not the shard's own.
+func TestClusterCancelRoutedJob(t *testing.T) {
+	_, tsA := newShard(t)
+	_, tsB := newShard(t)
+	_, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(32))
+
+	var sub server.JobStatus
+	spec := server.JobSpec{MeshID: meshID, Scheme: "per-point", P: 2, Blocks: 8}
+	if code := postJSON(t, cts.URL+"/v1/jobs", spec, &sub); code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	if code := deleteJob(t, cts.URL+"/v1/jobs/"+sub.ID); code != http.StatusOK {
+		t.Fatalf("cancel status %d, want 200", code)
+	}
+	v := waitClusterJob(t, cts.URL, sub.ID, 60*time.Second)
+	if v.State != server.StateFailed || !strings.Contains(v.Error, "context canceled") {
+		t.Fatalf("cancelled routed job: state %s err %q", v.State, v.Error)
+	}
+
+	var list struct {
+		Jobs []server.JobStatus `json:"jobs"`
+	}
+	if code := getJSON(t, sub.Shard+"/v1/jobs", &list); code != http.StatusOK || len(list.Jobs) != 1 {
+		t.Fatalf("shard job list: status %d, %d jobs", code, len(list.Jobs))
+	}
+	local := list.Jobs[0]
+	if local.State != server.StateFailed || !strings.Contains(local.Error, context.Canceled.Error()) {
+		t.Fatalf("shard-side job: state %s err %q, want failed with %v", local.State, local.Error, context.Canceled)
+	}
+	if local.ID == sub.ID {
+		t.Fatalf("coordinator handed out the shard-local id %s", local.ID)
+	}
+	// A second cancel is the shard's 409, relayed.
+	if code := deleteJob(t, cts.URL+"/v1/jobs/"+sub.ID); code != http.StatusConflict {
+		t.Errorf("cancel of a finished job: status %d, want 409", code)
+	}
+}
+
+// TestClusterCancelDistributedJob: DELETE on a distributed job cancels its
+// context. The in-flight /v1/shard/eval requests are abandoned — each
+// shard sees its caller go away — and the job fails with the cancel, not
+// as a shard failure.
+func TestClusterCancelDistributedJob(t *testing.T) {
+	fsA, tsA := newShard(t)
+	fsB, tsB := newShard(t)
+	_, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(8))
+	const slow = time.Minute
+	fsA.slowMS.Store(slow.Milliseconds())
+	fsB.slowMS.Store(slow.Milliseconds())
+
+	var sub server.JobStatus
+	spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: 4}
+	if code := postJSON(t, cts.URL+"/v1/jobs", spec, &sub); code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	waitUntil(t, "both patch ranges are in flight", func() bool {
+		return fsA.delayed.Load()+fsB.delayed.Load() == 2
+	})
+	start := time.Now()
+	if code := deleteJob(t, cts.URL+"/v1/jobs/"+sub.ID); code != http.StatusOK {
+		t.Fatalf("cancel status %d, want 200", code)
+	}
+	v := waitClusterJob(t, cts.URL, sub.ID, slow/2)
+	if v.State != server.StateFailed || !strings.Contains(v.Error, "canceled") {
+		t.Fatalf("cancelled distributed job: state %s err %q", v.State, v.Error)
+	}
+	if v.ErrorKind == ErrorKindShardFailure {
+		t.Fatalf("cancel reported as %s: %s", v.ErrorKind, v.Error)
+	}
+	waitUntil(t, "both shards see their eval requests abandoned", func() bool {
+		return fsA.aborted.Load()+fsB.aborted.Load() == 2
+	})
+	if took := time.Since(start); took >= slow/2 {
+		t.Errorf("cancel took %v: the shard requests were waited out, not cancelled", took)
+	}
+}
+
+// TestCoordinatorRecovery: the coordinator runs behind the same recovery
+// middleware as a shard, so a handler panic is a JSON 500 counted in its
+// /debug/metrics rather than a dropped connection.
+func TestCoordinatorRecovery(t *testing.T) {
+	_, ts := newShard(t)
+	_, cts := newCluster(t, Config{Shards: []string{ts.URL}})
+	if err := fault.Enable(fault.Config{
+		Seed: 1, Mode: fault.ModePanic, MaxFaults: 1,
+		Sites: map[string]float64{server.SiteHandler: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Disable)
+
+	resp, err := http.Get(cts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("handler panic dropped the connection: %v", err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || !strings.Contains(body.Error, "internal error") {
+		t.Fatalf("500 body is not the JSON internal-error envelope: %+v (%v)", body, err)
+	}
+	var mt struct {
+		Faults struct {
+			PanicsRecovered uint64 `json:"panics_recovered"`
+		} `json:"faults"`
+	}
+	if code := getJSON(t, cts.URL+"/debug/metrics", &mt); code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
+	}
+	if mt.Faults.PanicsRecovered != 1 {
+		t.Errorf("panics_recovered = %d, want 1", mt.Faults.PanicsRecovered)
+	}
+}
+
+// TestClusterJobIDAfterRestart: after a coordinator restart over the same
+// shard list, a routed id still resolves through its shard, and a
+// distributed id — whose record died with the old process — answers 404,
+// never the status or result of a job submitted since.
+func TestClusterJobIDAfterRestart(t *testing.T) {
+	_, tsA := newShard(t)
+	_, tsB := newShard(t)
+	cfg := Config{Shards: []string{tsA.URL, tsB.URL}}
+	m := mesh.Structured(8)
+	run := func(coURL string, spec server.JobSpec) (server.JobStatus, resultBody) {
+		t.Helper()
+		var sub server.JobStatus
+		if code := postJSON(t, coURL+"/v1/jobs", spec, &sub); code != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", spec.Scheme, code)
+		}
+		v := waitClusterJob(t, coURL, sub.ID, 120*time.Second)
+		if v.State != server.StateDone {
+			t.Fatalf("%s job: state %s err %q", spec.Scheme, v.State, v.Error)
+		}
+		var res resultBody
+		if code := getJSON(t, coURL+"/v1/jobs/"+sub.ID+"/result", &res); code != http.StatusOK {
+			t.Fatalf("%s result status %d", spec.Scheme, code)
+		}
+		return v, res
+	}
+
+	co, cts := newCluster(t, cfg)
+	meshID := uploadMesh(t, cts.URL, m)
+	distributed := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: 4}
+	dist, _ := run(cts.URL, distributed)
+	routed, routedRes := run(cts.URL, server.JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Blocks: 4})
+	cts.Close()
+	co.Close()
+
+	_, cts = newCluster(t, cfg)
+	uploadMesh(t, cts.URL, m)
+	if fresh, _ := run(cts.URL, distributed); fresh.ID == dist.ID {
+		t.Fatalf("restarted coordinator reissued id %s", dist.ID)
+	}
+	for _, path := range []string{"/v1/jobs/" + dist.ID, "/v1/jobs/" + dist.ID + "/result"} {
+		if code := getJSON(t, cts.URL+path, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s after restart: status %d, want 404", path, code)
+		}
+	}
+
+	var v server.JobStatus
+	if code := getJSON(t, cts.URL+"/v1/jobs/"+routed.ID, &v); code != http.StatusOK {
+		t.Fatalf("routed id after restart: status %d", code)
+	}
+	if v.ID != routed.ID || v.State != server.StateDone {
+		t.Fatalf("routed id after restart: %s is %s, want %s done", v.ID, v.State, routed.ID)
+	}
+	var res resultBody
+	if code := getJSON(t, cts.URL+"/v1/jobs/"+routed.ID+"/result", &res); code != http.StatusOK {
+		t.Fatalf("routed result after restart: status %d", code)
+	}
+	if res.JobID != routed.ID || len(res.Solution) != len(routedRes.Solution) {
+		t.Fatalf("routed result after restart: job %s, %d points", res.JobID, len(res.Solution))
+	}
+	for i := range res.Solution {
+		if res.Solution[i] != routedRes.Solution[i] {
+			t.Fatalf("point %d: %v after restart, %v before", i, res.Solution[i], routedRes.Solution[i])
+		}
 	}
 }

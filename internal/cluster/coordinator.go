@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,38 +80,43 @@ func (c *Config) defaults() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
+	if c.FailoverAttempts == 0 {
+		c.FailoverAttempts = 1
+	}
 }
 
-// meshEntry retains an uploaded mesh's raw encoded bytes so the
-// coordinator can re-seed a shard that answers "mesh not resident" — a
-// restarted shard without durable state heals transparently on first use.
-type meshEntry struct {
-	raw      []byte
-	numTris  int
-	numVerts int
-}
+// Job kinds, as JobStatus.Kind reports them.
+const (
+	// KindDistributed jobs (per-element scheme) fan out as patch ranges
+	// across shards and are merged by the coordinator.
+	KindDistributed = "distributed"
+	// KindRouted jobs (per-point, operator) run whole on one shard chosen by
+	// consistent hash; status, result and cancel go to that shard.
+	KindRouted = "routed"
+)
 
-// Coordinator is the cluster front-end: it owns the consistent-hash ring,
-// the shard health table, the retained mesh bytes and the cluster job
-// registry, and serves the same public API surface as a single unstencild
-// so clients need not know they are talking to a cluster.
+// Coordinator is the cluster's routing backend behind server's HTTP
+// surface, so clients need not know they are talking to a cluster. It owns
+// the consistent-hash ring, the shard health table and the retained mesh
+// bytes. Distributed jobs run on a server.Manager whose evaluation step is
+// the fan-out/merge; routed jobs live on their shard alone.
 type Coordinator struct {
 	cfg      Config
 	ring     *Ring
 	health   *HealthChecker
 	client   *Client
 	counters metrics.ClusterCounters
-	jobs     *registry
-	log      *slog.Logger
-	start    time.Time
+	faults   metrics.FaultCounters
+	mgr      *server.Manager
 	handler  http.Handler
+	log      *slog.Logger
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	jobSem     chan struct{}
-
+	// meshes retains every uploaded mesh's encoded bytes so the
+	// coordinator can re-seed a shard that answers "mesh not resident" — a
+	// restarted shard without durable state heals transparently on first
+	// use.
 	meshMu sync.Mutex
-	meshes map[string]*meshEntry
+	meshes map[string][]byte
 }
 
 // New assembles the coordinator and runs one synchronous health pass so
@@ -125,28 +133,20 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:    cfg,
 		ring:   ring,
 		health: NewHealthChecker(cfg.Shards, hc, cfg.HealthInterval, cfg.HealthThreshold, cfg.Log),
-		jobs:   newRegistry(cfg.MaxJobs),
 		log:    cfg.Log,
-		start:  time.Now(),
-		jobSem: make(chan struct{}, cfg.JobConcurrency),
-		meshes: make(map[string]*meshEntry),
+		meshes: make(map[string][]byte),
 	}
-	co.client = NewClient(hc, cfg.RequestTimeout, cfg.Retry, &co.counters, cfg.Log)
-	co.baseCtx, co.baseCancel = context.WithCancel(context.Background())
+	co.client = NewClient(hc, cfg.Retry, &co.counters, cfg.Log)
+	co.mgr = server.NewManager(cfg.Log, server.ManagerConfig{
+		Workers:      cfg.JobConcurrency,
+		JobTimeout:   cfg.JobTimeout,
+		DefaultBlock: cfg.DefaultBlocks,
+		MaxJobs:      cfg.MaxJobs,
+		Faults:       &co.faults,
+		Eval:         co.evalDistributed,
+	})
+	co.handler = server.NewHandler(co, http.NewServeMux(), cfg.MaxBodyBytes, cfg.Log, &co.faults)
 	co.health.CheckNow()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/meshes", co.handleMeshUpload)
-	mux.HandleFunc("GET /v1/meshes/{id}", co.handleMeshGet)
-	mux.HandleFunc("POST /v1/query", co.handleQuery)
-	mux.HandleFunc("POST /v1/jobs", co.handleJobSubmit)
-	mux.HandleFunc("GET /v1/jobs", co.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", co.handleJobStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", co.handleJobResult)
-	mux.HandleFunc("GET /healthz", co.handleHealthz)
-	mux.HandleFunc("GET /readyz", co.handleReadyz)
-	mux.HandleFunc("GET /debug/metrics", co.handleMetrics)
-	co.handler = mux
 	return co, nil
 }
 
@@ -156,7 +156,9 @@ func (co *Coordinator) Start() { co.health.Start() }
 // Close stops health polling and cancels in-flight distributed jobs.
 func (co *Coordinator) Close() {
 	co.health.Stop()
-	co.baseCancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()                 // no drain window: abort whatever is running
+	_ = co.mgr.Shutdown(ctx) // always ctx's own error, by construction
 }
 
 // Counters exposes the cluster counters (tests, embedding).
@@ -167,20 +169,7 @@ func (co *Coordinator) Health() *HealthChecker { return co.health }
 
 // ServeHTTP implements http.Handler.
 func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
 	co.handler.ServeHTTP(w, r)
-}
-
-// failoverAttempts resolves the config knob: 0 → 1, negative → 0.
-func (co *Coordinator) failoverAttempts() int {
-	switch {
-	case co.cfg.FailoverAttempts < 0:
-		return 0
-	case co.cfg.FailoverAttempts == 0:
-		return 1
-	default:
-		return co.cfg.FailoverAttempts
-	}
 }
 
 // routable returns the ring succession for key filtered to shards the
@@ -189,40 +178,31 @@ func (co *Coordinator) failoverAttempts() int {
 // returns to them the moment they recover, because the ring itself never
 // changes.
 func (co *Coordinator) routable(key string) []string {
-	order := co.ring.Order(key)
-	out := order[:0]
-	for _, s := range order {
-		if co.health.State(s) == StateReady {
-			out = append(out, s)
-		}
-	}
-	return out
+	return slices.DeleteFunc(co.ring.Order(key), func(s string) bool { return co.health.State(s) != StateReady })
 }
 
-// reseedMesh re-uploads a retained mesh to one shard (the 404 protocol).
+// reseedMesh re-uploads retained meshes to one shard (the 404 protocol).
 // Mesh ids are content hashes, so re-seeding is idempotent and the shard's
 // response id must round-trip.
 func (co *Coordinator) reseedMesh(ctx context.Context, shard string) error {
 	// The 404 does not say which mesh; re-seed everything retained. In
 	// practice a coordinator holds few meshes and uploads are idempotent.
 	co.meshMu.Lock()
-	entries := make(map[string]*meshEntry, len(co.meshes))
-	for id, e := range co.meshes {
-		entries[id] = e
+	entries := make(map[string][]byte, len(co.meshes))
+	for id, raw := range co.meshes {
+		entries[id] = raw
 	}
 	co.meshMu.Unlock()
 	if len(entries) == 0 {
 		return errors.New("no retained mesh to re-seed")
 	}
-	for id, e := range entries {
-		var out struct {
-			MeshID string `json:"mesh_id"`
-		}
-		if err := co.client.PostRaw(ctx, shard, "/v1/meshes", e.raw, &out); err != nil {
+	for id, raw := range entries {
+		got, err := co.postMesh(ctx, shard, raw)
+		if err != nil {
 			return err
 		}
-		if out.MeshID != id {
-			return fmt.Errorf("re-seeded mesh id mismatch: sent %s, shard stored %s", id, out.MeshID)
+		if got != id {
+			return fmt.Errorf("re-seeded mesh id mismatch: sent %s, shard stored %s", id, got)
 		}
 		co.counters.MeshReseeds.Add(1)
 		if co.log != nil {
@@ -232,175 +212,191 @@ func (co *Coordinator) reseedMesh(ctx context.Context, shard string) error {
 	return nil
 }
 
-// handleMeshUpload fans the encoded mesh out to every shard and retains
-// the raw bytes for later re-seeding. The upload succeeds if at least one
-// shard accepted it — shards that were down heal via the 404 protocol.
-func (co *Coordinator) handleMeshUpload(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"mesh exceeds the %d-byte upload limit", tooLarge.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading mesh: %v", err)
-		return
+// postMesh uploads an encoded mesh to one shard and returns the id it was
+// stored under.
+func (co *Coordinator) postMesh(ctx context.Context, shard string, raw []byte) (string, error) {
+	var out struct {
+		MeshID string `json:"mesh_id"`
 	}
-	m, err := mesh.Decode(bytes.NewReader(raw))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	co.counters.MeshFanouts.Add(1)
+	err := co.client.Do(ctx, http.MethodPost, shard, "/v1/meshes", raw, &out)
+	return out.MeshID, err
+}
 
-	type seedResult struct {
-		shard string
-		id    string
-		err   error
+// shardPost is a JSON POST plus the mesh re-seed protocol: a 404 means the
+// shard (typically restarted without durable state) does not hold the
+// mesh; the coordinator re-uploads its retained bytes and retries once.
+func (co *Coordinator) shardPost(ctx context.Context, shard, path string, body, out any) error {
+	err := co.client.Do(ctx, http.MethodPost, shard, path, body, out)
+	if RemoteStatus(err) != http.StatusNotFound {
+		return err
 	}
+	if rerr := co.reseedMesh(ctx, shard); rerr != nil {
+		return fmt.Errorf("%w (re-seed failed: %v)", err, rerr)
+	}
+	return co.client.Do(ctx, http.MethodPost, shard, path, body, out)
+}
+
+// failover runs try on order[0] and, each time a shard exhausts its retry
+// budget, on the next shard of the succession, up to FailoverAttempts of
+// them. Any other failure — a 4xx, context expiry — would repeat on every
+// shard and ends the walk. Transport-level exhaustion is strong evidence
+// the process is gone, so that shard is marked Down ahead of the next
+// probe tick.
+func (co *Coordinator) failover(order []string, try func(shard string) error) (string, error) {
+	var err error
+	for i, shard := range order[:min(len(order), 1+max(co.cfg.FailoverAttempts, 0))] {
+		if i > 0 {
+			co.counters.Failovers.Add(1)
+		}
+		if err = try(shard); err == nil {
+			return shard, nil
+		}
+		var se *ShardError
+		if !errors.As(err, &se) {
+			return "", err
+		}
+		if se.Status == 0 {
+			co.health.MarkDown(shard, se.Err)
+		}
+	}
+	return "", err
+}
+
+// proxyError is what a client receives for a failed shard interaction: a
+// relayed 4xx keeps its status, anything else — shard exhaustion included,
+// whose error_kind says shard-failure — is a 502.
+func proxyError(err error) error {
+	status := http.StatusBadGateway
+	if st := RemoteStatus(err); st/100 == 4 {
+		status = st
+	}
+	return &server.Error{Status: status, Err: err}
+}
+
+// PutMesh implements server.Backend: it fans the encoded mesh out to every
+// shard and retains the raw bytes for later re-seeding. The upload
+// succeeds if at least one shard accepted it — shards that were down heal
+// via the 404 protocol.
+func (co *Coordinator) PutMesh(ctx context.Context, m *mesh.Mesh, raw []byte) (any, error) {
+	co.counters.MeshFanouts.Add(1)
 	shards := co.ring.Shards()
-	results := make([]seedResult, len(shards))
+	ids := make([]string, len(shards))
+	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, shard := range shards {
 		wg.Add(1)
 		go func(i int, shard string) {
 			defer wg.Done()
-			var out struct {
-				MeshID string `json:"mesh_id"`
-			}
-			err := co.client.PostRaw(r.Context(), shard, "/v1/meshes", raw, &out)
-			results[i] = seedResult{shard: shard, id: out.MeshID, err: err}
+			ids[i], errs[i] = co.postMesh(ctx, shard, raw)
 		}(i, shard)
 	}
 	wg.Wait()
 
 	var id string
 	var seeded, failed []string
-	for _, res := range results {
-		if res.err != nil {
-			failed = append(failed, res.shard)
+	for i, shard := range shards {
+		if errs[i] != nil {
+			failed = append(failed, shard)
 			continue
 		}
-		seeded = append(seeded, res.shard)
-		if id == "" {
-			id = res.id
-		} else if id != res.id {
-			writeError(w, http.StatusBadGateway,
-				"shards disagree on mesh id (%s vs %s); refusing to route", id, res.id)
-			return
+		seeded = append(seeded, shard)
+		if id != "" && id != ids[i] {
+			return nil, server.Errorf(http.StatusBadGateway,
+				"shards disagree on mesh id (%s vs %s); refusing to route", id, ids[i])
 		}
+		id = ids[i]
 	}
 	if id == "" {
-		writeError(w, http.StatusBadGateway, "no shard accepted the mesh (%d down)", len(failed))
-		return
+		return nil, server.Errorf(http.StatusBadGateway, "no shard accepted the mesh (%d down)", len(failed))
 	}
 	co.meshMu.Lock()
-	co.meshes[id] = &meshEntry{raw: raw, numTris: m.NumTris(), numVerts: m.NumVerts()}
+	co.meshes[id] = raw
 	co.meshMu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]any{
+	return map[string]any{
 		"mesh_id":       id,
 		"num_tris":      m.NumTris(),
 		"num_verts":     m.NumVerts(),
 		"shards_seeded": seeded,
 		"shards_failed": failed,
-	})
+	}, nil
 }
 
-// handleMeshGet proxies mesh stats from the mesh's home shard, failing
-// over along the succession.
-func (co *Coordinator) handleMeshGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	order := co.routable(id)
-	if len(order) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no ready shard")
-		return
+// MeshInfo implements server.Backend from the retained mesh bytes, so it
+// needs no shard.
+func (co *Coordinator) MeshInfo(_ context.Context, id string) (any, error) {
+	co.meshMu.Lock()
+	raw, ok := co.meshes[id]
+	co.meshMu.Unlock()
+	if !ok {
+		return nil, server.Errorf(http.StatusNotFound, "mesh %q not known to the coordinator", id)
 	}
-	var lastErr error
-	for _, shard := range order {
-		var out map[string]any
-		if err := co.client.GetJSON(r.Context(), shard, "/v1/meshes/"+id, &out); err != nil {
-			lastErr = err
-			continue
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	writeProxyError(w, lastErr)
-}
-
-// handleQuery routes a batch query to the mesh's home shard, optionally
-// hedging with the next replica, and failing over along the succession.
-// The body is forwarded verbatim so the shard stays the schema authority.
-func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(r.Body)
+	m, err := mesh.Decode(bytes.NewReader(raw))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading query: %v", err)
-		return
+		return nil, err
 	}
-	var peek struct {
-		MeshID string `json:"mesh_id"`
-	}
-	if err := json.Unmarshal(raw, &peek); err != nil || peek.MeshID == "" {
-		writeError(w, http.StatusBadRequest, "bad query: mesh_id is required")
-		return
-	}
-	order := co.routable(peek.MeshID)
+	return server.MeshStats(id, m), nil
+}
+
+// Query implements server.Backend: the batch goes to the mesh's home
+// shard, optionally hedged with the next replica, failing over along the
+// succession.
+func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (any, error) {
+	order := co.routable(req.MeshID)
 	if len(order) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no ready shard for mesh %s", peek.MeshID)
-		return
+		return nil, server.Errorf(http.StatusServiceUnavailable, "no ready shard for mesh %s", req.MeshID)
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
 	}
 	co.counters.QueriesRouted.Add(1)
-	out, shard, err := co.queryShards(r.Context(), order, raw)
+	out, shard, err := co.queryShards(ctx, order, raw)
 	if err != nil {
-		writeProxyError(w, err)
-		return
+		return nil, proxyError(err)
 	}
 	out["shard"] = shard
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // queryShards races the query across the succession: primary immediately,
 // the next replica after HedgeDelay (hedged read), further replicas only
-// as failover when an attempt fails. First success wins; losers are
-// cancelled.
+// as failover when a shard is lost. First success wins; losers are
+// cancelled. A failure that is not shard loss — a 4xx, or the caller
+// giving up — ends the race.
 func (co *Coordinator) queryShards(ctx context.Context, order []string, raw []byte) (map[string]any, string, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	type result struct {
 		out   map[string]any
 		shard string
 		err   error
 		hedge bool
 	}
-	resCh := make(chan result, len(order)+1)
-	launch := func(shard string, hedge bool) {
+	resCh := make(chan result, len(order))
+	next, inflight := 0, 0
+	launch := func(hedge bool) {
+		shard := order[next]
+		next++
+		inflight++
 		go func() {
 			var out map[string]any
-			err := co.shardPost(ctx, shard, "/v1/query", json.RawMessage(raw), &out)
+			err := co.shardPost(ctx, shard, "/v1/query", raw, &out)
 			resCh <- result{out: out, shard: shard, err: err, hedge: hedge}
 		}()
 	}
-
-	next := 0
-	launch(order[next], false)
-	next++
-	inflight := 1
+	launch(false)
 	var hedgeTimer <-chan time.Time
-	if co.cfg.HedgeDelay > 0 && next < len(order) {
+	if co.cfg.HedgeDelay > 0 && len(order) > 1 {
 		hedgeTimer = time.After(co.cfg.HedgeDelay)
 	}
-	var lastErr error
+	var err error
 	for inflight > 0 {
 		select {
 		case <-hedgeTimer:
 			hedgeTimer = nil
 			if next < len(order) {
 				co.counters.Hedges.Add(1)
-				launch(order[next], true)
-				next++
-				inflight++
+				launch(true)
 			}
 		case res := <-resCh:
 			inflight--
@@ -410,214 +406,163 @@ func (co *Coordinator) queryShards(ctx context.Context, order []string, raw []by
 				}
 				return res.out, res.shard, nil
 			}
-			lastErr = res.err
-			if !retryableAcrossShards(res.err) {
-				return nil, "", res.err
+			err = res.err
+			var se *ShardError
+			if !errors.As(err, &se) {
+				return nil, "", err
 			}
 			if next < len(order) {
 				co.counters.Failovers.Add(1)
-				launch(order[next], false)
-				next++
-				inflight++
+				launch(false)
 			}
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
 		}
 	}
-	return nil, "", lastErr
+	return nil, "", err
 }
 
-// retryableAcrossShards reports whether a failed shard attempt justifies
-// trying another shard: shard exhaustion yes, a 4xx (the request itself is
-// wrong everywhere) or context expiry no.
-func retryableAcrossShards(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if st := RemoteStatus(err); st != 0 && st/100 == 4 {
-		return false
-	}
-	return true
-}
-
-// handleJobSubmit accepts a JobSpec. Per-element jobs are distributed:
-// the deterministic k-patch tiling is split into contiguous ranges across
-// the ready shards and merged here. Per-point and operator jobs run whole
-// on the mesh's home shard (their artifacts — block schedules, assembled
-// operators — live shard-side) with status proxied.
-func (co *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
+// Submit implements server.Backend. Per-element jobs are distributed: the
+// deterministic k-patch tiling is split into contiguous ranges across the
+// ready shards and merged here. Per-point and operator jobs run whole on
+// the mesh's home shard (their artifacts — block schedules, assembled
+// operators — live shard-side).
+func (co *Coordinator) Submit(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
 	if err := spec.Validate(co.cfg.DefaultBlocks); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
+		return server.JobStatus{}, server.Errorf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
 	co.meshMu.Lock()
 	_, known := co.meshes[spec.MeshID]
 	co.meshMu.Unlock()
 	if !known {
-		writeError(w, http.StatusNotFound,
+		return server.JobStatus{}, server.Errorf(http.StatusNotFound,
 			"mesh %q not known to the coordinator (upload it via POST /v1/meshes)", spec.MeshID)
-		return
 	}
-	if spec.Scheme == "per-element" {
-		co.counters.JobsDistributed.Add(1)
-		job := co.jobs.add(KindDistributed, spec)
-		go func() {
-			co.jobSem <- struct{}{}
-			defer func() { <-co.jobSem }()
-			timeout := co.cfg.JobTimeout
-			if spec.TimeoutMS > 0 {
-				timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-			}
-			ctx, cancel := context.WithTimeout(co.baseCtx, timeout)
-			defer cancel()
-			co.runDistributed(ctx, job)
-		}()
-		writeJSON(w, http.StatusAccepted, job.View())
-		return
+	if spec.Scheme != "per-element" {
+		return co.submitRouted(ctx, spec)
 	}
-	co.submitRouted(w, r, spec)
+	job, err := co.mgr.Submit(spec)
+	if err != nil {
+		return server.JobStatus{}, err
+	}
+	co.counters.JobsDistributed.Add(1)
+	st := job.Status()
+	st.Kind = KindDistributed
+	return st, nil
 }
 
 // submitRouted forwards a whole job to the mesh's home shard, failing the
 // submission over along the succession within the failover budget.
-func (co *Coordinator) submitRouted(w http.ResponseWriter, r *http.Request, spec server.JobSpec) {
+func (co *Coordinator) submitRouted(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
 	order := co.routable(spec.MeshID)
 	if len(order) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no ready shard for mesh %s", spec.MeshID)
-		return
+		return server.JobStatus{}, server.Errorf(http.StatusServiceUnavailable, "no ready shard for mesh %s", spec.MeshID)
 	}
-	tries := min(1+co.failoverAttempts(), len(order))
-	var lastErr error
-	for i := 0; i < tries; i++ {
-		shard := order[i]
-		if i > 0 {
-			co.counters.Failovers.Add(1)
-		}
-		var out map[string]any
-		err := co.shardPost(r.Context(), shard, "/v1/jobs", &spec, &out)
-		if err == nil {
-			remoteID, _ := out["id"].(string)
-			if remoteID == "" {
-				writeError(w, http.StatusBadGateway, "shard %s accepted the job without an id", shard)
-				return
-			}
-			co.counters.JobsRouted.Add(1)
-			job := co.jobs.add(KindRouted, spec)
-			job.Shard = shard
-			job.RemoteID = remoteID
-			out["id"] = job.ID
-			out["kind"] = string(KindRouted)
-			out["shard"] = shard
-			writeJSON(w, http.StatusAccepted, out)
-			return
-		}
-		lastErr = err
-		if !retryableAcrossShards(err) {
-			break
-		}
-	}
-	writeProxyError(w, lastErr)
-}
-
-func (co *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
-	jobs := co.jobs.list()
-	views := make([]JobView, len(jobs))
-	for i, j := range jobs {
-		views[i] = j.View()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
-}
-
-func (co *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := co.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "job %q not found", r.PathValue("id"))
-		return
-	}
-	if job.Kind == KindDistributed {
-		writeJSON(w, http.StatusOK, job.View())
-		return
-	}
-	co.proxyRouted(w, r, job, "/v1/jobs/"+job.RemoteID)
-}
-
-func (co *Coordinator) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := co.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "job %q not found", r.PathValue("id"))
-		return
-	}
-	if job.Kind == KindRouted {
-		co.proxyRouted(w, r, job, "/v1/jobs/"+job.RemoteID+"/result")
-		return
-	}
-	v := job.View()
-	switch v.State {
-	case server.StateDone:
-		sol, _ := job.Solution()
-		body := map[string]any{
-			"job_id":          job.ID,
-			"scheme":          job.Spec.Scheme,
-			"num_points":      len(sol),
-			"memory_overhead": v.MemOverhd,
-			"solution":        sol,
-			"shards":          v.Shards,
-		}
-		if v.Degraded {
-			body["degraded"] = true
-			body["coverage"] = v.Coverage
-			body["uncovered_ids"] = v.UncoveredIDs
-			body["uncovered_truncated"] = v.UncoveredTruncated
-		}
-		writeJSON(w, http.StatusOK, body)
-	case server.StateFailed:
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":      fmt.Sprintf("job %s failed: %s", job.ID, v.Error),
-			"error_kind": v.ErrorKind,
-		})
-	default:
-		writeError(w, http.StatusConflict, "job %s is %s; result not ready", job.ID, v.State)
-	}
-}
-
-// proxyRouted fetches path from the routed job's owning shard and rewrites
-// the shard-local job id to the cluster id.
-func (co *Coordinator) proxyRouted(w http.ResponseWriter, r *http.Request, job *Job, path string) {
-	var out map[string]any
-	if err := co.client.GetJSON(r.Context(), job.Shard, path, &out); err != nil {
-		writeProxyError(w, err)
-		return
-	}
-	if _, ok := out["id"]; ok {
-		out["id"] = job.ID
-	}
-	if _, ok := out["job_id"]; ok {
-		out["job_id"] = job.ID
-	}
-	out["kind"] = string(KindRouted)
-	out["shard"] = job.Shard
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"uptime_ms": float64(time.Since(co.start)) / float64(time.Millisecond),
-		"shards":    len(co.cfg.Shards),
+	var st server.JobStatus
+	shard, err := co.failover(order, func(shard string) error {
+		return co.shardPost(ctx, shard, "/v1/jobs", &spec, &st)
 	})
+	if err != nil {
+		return server.JobStatus{}, proxyError(err)
+	}
+	co.counters.JobsRouted.Add(1)
+	return co.routedStatus(slices.Index(co.cfg.Shards, shard), st), nil
 }
 
-// handleReadyz reports readiness: the coordinator can do useful work while
-// at least one shard is Ready (possibly degraded — honest partial coverage
-// beats refusing all traffic).
-func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// A routed job's id is "s<i>-<shard job id>", i the shard's index in the
+// -shards list. It needs no coordinator state, so any coordinator over the
+// same list resolves it — across restarts too — and the shard's journal
+// backs it; it never equals the shard-local id.
+func routedID(i int, remote string) string { return fmt.Sprintf("s%d-%s", i, remote) }
+
+// routed resolves a routed job id to its shard's index and the path of the
+// job on that shard; ok is false for any other id.
+func (co *Coordinator) routed(id string) (i int, path string, ok bool) {
+	rest, ok := strings.CutPrefix(id, "s")
+	idx, remote, cut := strings.Cut(rest, "-")
+	i, err := strconv.Atoi(idx)
+	if !ok || !cut || err != nil || i < 0 || i >= len(co.cfg.Shards) || remote == "" {
+		return 0, "", false
+	}
+	return i, "/v1/jobs/" + url.PathEscape(remote), true
+}
+
+// routedStatus rewrites shard i's view of a job to the cluster's.
+func (co *Coordinator) routedStatus(i int, st server.JobStatus) server.JobStatus {
+	st.ID = routedID(i, st.ID)
+	st.Kind, st.Shard = KindRouted, co.cfg.Shards[i]
+	return st
+}
+
+// Status implements server.Backend: one shard round trip for a routed job,
+// the Manager's record for a distributed one.
+func (co *Coordinator) Status(ctx context.Context, id string) (server.JobStatus, error) {
+	if i, path, ok := co.routed(id); ok {
+		var st server.JobStatus
+		if err := co.client.Do(ctx, http.MethodGet, co.cfg.Shards[i], path, nil, &st); err != nil {
+			return server.JobStatus{}, proxyError(err)
+		}
+		return co.routedStatus(i, st), nil
+	}
+	st, err := co.mgr.Status(id)
+	st.Kind = KindDistributed
+	return st, err
+}
+
+// Jobs implements server.Backend: the distributed jobs, then every
+// reachable shard's jobs under their routed ids.
+func (co *Coordinator) Jobs(ctx context.Context) []server.JobStatus {
+	out := co.mgr.Jobs()
+	for i := range out {
+		out[i].Kind = KindDistributed
+	}
+	for i, shard := range co.cfg.Shards {
+		var list struct {
+			Jobs []server.JobStatus `json:"jobs"`
+		}
+		if co.health.State(shard) == StateDown || co.client.Do(ctx, http.MethodGet, shard, "/v1/jobs", nil, &list) != nil {
+			continue // its jobs are unreachable, not gone
+		}
+		for _, st := range list.Jobs {
+			out = append(out, co.routedStatus(i, st))
+		}
+	}
+	return out
+}
+
+// Result implements server.Backend.
+func (co *Coordinator) Result(ctx context.Context, id string) (*server.JobResult, error) {
+	if i, path, ok := co.routed(id); ok {
+		var res server.JobResult
+		if err := co.client.Do(ctx, http.MethodGet, co.cfg.Shards[i], path+"/result", nil, &res); err != nil {
+			return nil, proxyError(err)
+		}
+		res.JobID = routedID(i, res.JobID)
+		res.Kind, res.Shard = KindRouted, co.cfg.Shards[i]
+		return &res, nil
+	}
+	res, err := co.mgr.Result(id)
+	if res != nil {
+		res.Kind = KindDistributed
+	}
+	return res, err
+}
+
+// Cancel implements server.Backend: a routed job is cancelled on its
+// shard; a distributed one through its context, which aborts the in-flight
+// shard requests.
+func (co *Coordinator) Cancel(ctx context.Context, id string) error {
+	if i, path, ok := co.routed(id); ok {
+		if err := co.client.Do(ctx, http.MethodDelete, co.cfg.Shards[i], path, nil, nil); err != nil {
+			return proxyError(err)
+		}
+		return nil
+	}
+	return co.mgr.Cancel(id)
+}
+
+// Readiness implements server.Backend: the coordinator can do useful work
+// while at least one shard is Ready (possibly degraded — honest partial
+// coverage beats refusing all traffic).
+func (co *Coordinator) Readiness() (bool, map[string]any, int) {
 	ready, down := co.health.Counts()
 	body := map[string]any{
 		"ready":        ready > 0,
@@ -625,25 +570,17 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"shards_down":  down,
 		"shards_total": len(co.cfg.Shards),
 	}
-	status := http.StatusOK
 	if ready == 0 {
-		status = http.StatusServiceUnavailable
 		body["reason"] = "no shard is ready"
 	}
-	writeJSON(w, status, body)
+	return ready > 0, body, 0
 }
 
-// handleMetrics reports the cluster counters, every shard's health record,
-// and the per-shard routing table (which retained meshes each shard is the
-// current primary for, given the live health filter).
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	co.meshMu.Lock()
-	meshIDs := make([]string, 0, len(co.meshes))
-	for id := range co.meshes {
-		meshIDs = append(meshIDs, id)
-	}
-	co.meshMu.Unlock()
-
+// Metrics implements server.Backend: the cluster counters, every shard's
+// health record, the per-shard routing table (which retained meshes each
+// shard is the current primary for, given the live health filter), the
+// distributed jobs by state and the recovery counters.
+func (co *Coordinator) Metrics() map[string]any {
 	type shardRoute struct {
 		State  string   `json:"state"`
 		VNodes int      `json:"vnodes"`
@@ -653,56 +590,19 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, s := range co.ring.Shards() {
 		routing[s] = &shardRoute{State: co.health.State(s).String(), VNodes: co.ring.VNodes()}
 	}
-	for _, id := range meshIDs {
-		order := co.routable(id)
-		if len(order) == 0 {
-			continue
+	co.meshMu.Lock()
+	defer co.meshMu.Unlock()
+	for id := range co.meshes {
+		if order := co.routable(id); len(order) > 0 {
+			routing[order[0]].Meshes = append(routing[order[0]].Meshes, id)
 		}
-		routing[order[0]].Meshes = append(routing[order[0]].Meshes, id)
 	}
-
-	states := map[server.JobState]int{}
-	for _, j := range co.jobs.list() {
-		states[j.View().State]++
+	return map[string]any{
+		"cluster": co.counters.Snapshot(),
+		"shards":  co.health.Snapshot(),
+		"routing": routing,
+		"jobs":    co.mgr.StateCounts(),
+		"meshes":  len(co.meshes),
+		"faults":  co.faults.Snapshot(),
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_ms": float64(time.Since(co.start)) / float64(time.Millisecond),
-		"cluster":   co.counters.Snapshot(),
-		"shards":    co.health.Snapshot(),
-		"routing":   routing,
-		"jobs":      states,
-		"meshes":    len(meshIDs),
-	})
-}
-
-// writeProxyError maps a failed shard interaction to a client-facing
-// status: shard exhaustion becomes 502 tagged ErrorKindShardFailure, a
-// relayed 4xx keeps its status, anything else is 502.
-func writeProxyError(w http.ResponseWriter, err error) {
-	var se *ShardError
-	if errors.As(err, &se) {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":      se.Error(),
-			"error_kind": ErrorKindShardFailure,
-		})
-		return
-	}
-	if st := RemoteStatus(err); st != 0 && st/100 == 4 {
-		writeError(w, st, "%v", err)
-		return
-	}
-	if err == nil {
-		err = errNoShards
-	}
-	writeError(w, http.StatusBadGateway, "%v", err)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -1,0 +1,236 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sort"
+	"sync"
+	"time"
+
+	"unstencil/internal/core"
+	"unstencil/internal/metrics"
+	"unstencil/internal/server"
+)
+
+// assignment is one shard's share of a distributed job: a contiguous patch
+// range of the deterministic k-patch tiling. Contiguous ranges correspond
+// to coarser cuts of the recursive bisection (patch ids are assigned
+// depth-first), so each shard's share is a spatially compact region.
+type assignment struct {
+	succession []string // [0] is the assignee; the rest is failover order
+	patches    []int
+}
+
+// splitPatches assigns the k patches of the tiling to n shards as
+// contiguous, near-equal ranges. order is the ring succession for the mesh
+// key; assignment i goes to order[i] with the remaining shards (in
+// succession order) as its failover chain.
+func splitPatches(order []string, k int) []assignment {
+	n := min(len(order), k)
+	out := make([]assignment, 0, n)
+	for i := 0; i < n; i++ {
+		lo, hi := i*k/n, (i+1)*k/n
+		patches := make([]int, 0, hi-lo)
+		for p := lo; p < hi; p++ {
+			patches = append(patches, p)
+		}
+		succ := append(append([]string(nil), order[i:]...), order[:i]...)
+		out = append(out, assignment{succession: succ, patches: patches})
+	}
+	return out
+}
+
+// errNoShards means no shard was ready to try at all; like a *ShardError,
+// it is shard loss rather than a wrong request.
+var errNoShards error = noShards{}
+
+type noShards struct{}
+
+func (noShards) Error() string     { return "no shard available" }
+func (noShards) ErrorKind() string { return ErrorKindShardFailure }
+
+// evalDistributed is the coordinator Manager's EvalFunc, one distributed
+// per-element job: fan the patch ranges across shards, fail ranges over to
+// ring successors when a shard exhausts its retry budget, merge the
+// surviving partials in ascending patch order (bit-identical to a
+// single-process run at full coverage), and account honestly for anything
+// lost.
+func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec) (*server.Outcome, error) {
+	start := time.Now()
+	order := co.routable(spec.MeshID)
+	if len(order) == 0 {
+		return nil, fmt.Errorf("cluster: no ready shard for mesh %s: %w", spec.MeshID, errNoShards)
+	}
+	k := spec.Blocks
+	asn := splitPatches(order, k)
+
+	type rangeResult struct {
+		resp  *server.ShardEvalResponse
+		shard string
+		a     assignment
+		err   error
+	}
+	results := make([]rangeResult, len(asn))
+	var wg sync.WaitGroup
+	for i, a := range asn {
+		wg.Add(1)
+		go func(i int, a assignment) {
+			defer wg.Done()
+			resp, shard, err := co.evalRange(ctx, a, spec)
+			results[i] = rangeResult{resp: resp, shard: shard, a: a, err: err}
+		}(i, a)
+	}
+	wg.Wait()
+
+	var (
+		partials      []server.ShardPatchPartial
+		failedPatches []int
+		shards        []string
+		counters      metrics.Counters
+		memOverhd     float64
+		numPoints     int
+		firstErr      error
+	)
+	for _, r := range results {
+		if r.err != nil {
+			failedPatches = append(failedPatches, r.a.patches...)
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			continue
+		}
+		partials = append(partials, r.resp.Patches...)
+		failedPatches = append(failedPatches, r.resp.Failed...)
+		counters.Add(&r.resp.Counters)
+		memOverhd = r.resp.MemoryOverhead
+		numPoints = r.resp.NumPoints
+		if !slices.Contains(shards, r.shard) {
+			shards = append(shards, r.shard)
+		}
+	}
+	if len(shards) == 0 {
+		// Complete outage is not degradation: there is nothing to merge and
+		// no live shard to account coverage against.
+		return nil, fmt.Errorf("cluster: every shard range failed: %w", firstErr)
+	}
+	sort.Ints(failedPatches)
+	if len(failedPatches) > 0 && !spec.AllowPartial {
+		if firstErr == nil {
+			// All shard requests succeeded but units failed inside a shard
+			// despite AllowPartial being off: the shard contract forbids this,
+			// so treat it as a shard failure.
+			firstErr = fmt.Errorf("shard reported failed patches %v without allow_partial", failedPatches)
+		}
+		return nil, fmt.Errorf("cluster: %d of %d patches lost and job does not allow partial results: %w",
+			len(failedPatches), k, firstErr)
+	}
+
+	// Merge in ascending patch order: zero-filled full-grid output, each
+	// patch buffer added element-slot by element-slot. This is tile.Reduce
+	// over the wire — at 100% coverage the result is bit-identical to a
+	// single-process per-element run.
+	sort.Slice(partials, func(a, b int) bool { return partials[a].Patch < partials[b].Patch })
+	solution := make([]float64, numPoints)
+	for _, pp := range partials {
+		if len(pp.Points) != len(pp.Values) {
+			return nil, fmt.Errorf("cluster: malformed partial for patch %d: %d points, %d values",
+				pp.Patch, len(pp.Points), len(pp.Values))
+		}
+		for i, pt := range pp.Points {
+			if int(pt) < 0 || int(pt) >= numPoints {
+				return nil, fmt.Errorf("cluster: partial for patch %d references point %d outside [0, %d)",
+					pp.Patch, pt, numPoints)
+			}
+			solution[pt] += pp.Values[i]
+		}
+	}
+
+	out := &server.Outcome{
+		Result: &core.Result{
+			Solution:       solution,
+			Total:          counters,
+			MemoryOverhead: memOverhd,
+			Scheme:         core.PerElement,
+		},
+		Shards: shards,
+	}
+	if len(failedPatches) > 0 {
+		cov, ids, trunc, err := co.probeCoverage(ctx, spec, failedPatches)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: coverage probe for degraded job failed: %w", err)
+		}
+		// Zero the uncovered points: their merged sums are incomplete (at
+		// least one contributing patch is missing), and a deterministic zero
+		// matches the single-process degraded contract — failed units
+		// contribute nothing, coverage metadata says exactly which points to
+		// distrust.
+		for _, pt := range ids {
+			solution[pt] = 0
+		}
+		out.Coverage = cov
+		out.UncoveredIDs = ids
+		out.UncoveredTruncated = trunc
+		co.counters.DegradedJobs.Add(1)
+	}
+	out.Wall = time.Since(start)
+	return out, nil
+}
+
+// evalRange runs one patch range on its assignee, failing over along the
+// succession. A 404 re-seeds the mesh from the coordinator's retained bytes
+// and retries the same shard once.
+func (co *Coordinator) evalRange(ctx context.Context, a assignment, spec server.JobSpec) (*server.ShardEvalResponse, string, error) {
+	req := server.ShardEvalRequest{
+		MeshID:       spec.MeshID,
+		P:            spec.P,
+		GridDegree:   spec.GridDegree,
+		Boundary:     spec.Boundary,
+		Field:        spec.Field,
+		K:            spec.Blocks,
+		Patches:      a.patches,
+		AllowPartial: spec.AllowPartial,
+		TimeoutMS:    spec.TimeoutMS,
+	}
+	var resp server.ShardEvalResponse
+	shard, err := co.failover(a.succession, func(shard string) error {
+		return co.shardPost(ctx, shard, "/v1/shard/eval", &req, &resp)
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return &resp, shard, nil
+}
+
+// probeCoverage asks a live shard for the uncovered-point set of the
+// failed patches. The tiling is deterministic, so any shard — including
+// ones that never touched those patches — computes the identical answer;
+// the mesh's home shard, which evaluated the first range, comes first.
+func (co *Coordinator) probeCoverage(ctx context.Context, spec server.JobSpec, failed []int) (*core.Coverage, []int32, bool, error) {
+	req := server.ShardCoverageRequest{
+		MeshID:     spec.MeshID,
+		P:          spec.P,
+		GridDegree: spec.GridDegree,
+		Boundary:   spec.Boundary,
+		Field:      spec.Field,
+		K:          spec.Blocks,
+		Failed:     failed,
+	}
+	lastErr := errNoShards
+	for _, shard := range co.routable(spec.MeshID) {
+		co.counters.CoverageProbes.Add(1)
+		var resp server.ShardCoverageResponse
+		if err := co.shardPost(ctx, shard, "/v1/shard/coverage", &req, &resp); err != nil {
+			lastErr = err
+			continue
+		}
+		cov := &core.Coverage{
+			FailedUnits:   failed,
+			TotalUnits:    spec.Blocks,
+			CoveredPoints: resp.CoveredPoints,
+			TotalPoints:   resp.TotalPoints,
+		}
+		return cov, resp.UncoveredIDs, resp.UncoveredTruncated, nil
+	}
+	return nil, nil, false, lastErr
+}

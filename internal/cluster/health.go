@@ -51,12 +51,11 @@ type ShardHealth struct {
 	LastError        string `json:"last_error,omitempty"`
 }
 
-// shardStatus is the mutable health record behind ShardHealth.
+// shardStatus is the mutable health record; its ShardHealth State is
+// filled in only by Snapshot.
 type shardStatus struct {
-	state   ShardState
-	fails   int // consecutive transport failures
-	probes  uint64
-	lastErr string
+	state ShardState
+	ShardHealth
 }
 
 // HealthChecker polls every shard's GET /readyz on a fixed interval and
@@ -78,7 +77,7 @@ type HealthChecker struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
-	done      chan struct{}
+	polling   sync.WaitGroup
 }
 
 // NewHealthChecker builds a checker over the shard set. interval <= 0
@@ -90,9 +89,6 @@ func NewHealthChecker(shards []string, hc *http.Client, interval time.Duration, 
 	if threshold <= 0 {
 		threshold = 3
 	}
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Second}
-	}
 	h := &HealthChecker{
 		shards:    append([]string(nil), shards...),
 		hc:        hc,
@@ -101,10 +97,9 @@ func NewHealthChecker(shards []string, hc *http.Client, interval time.Duration, 
 		log:       log,
 		st:        make(map[string]*shardStatus, len(shards)),
 		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	for _, s := range h.shards {
-		h.st[s] = &shardStatus{state: StateUnknown}
+		h.st[s] = &shardStatus{state: StateUnknown, ShardHealth: ShardHealth{Shard: s}}
 	}
 	return h
 }
@@ -112,8 +107,9 @@ func NewHealthChecker(shards []string, hc *http.Client, interval time.Duration, 
 // Start launches the polling loop. Safe to call once; Stop ends it.
 func (h *HealthChecker) Start() {
 	h.startOnce.Do(func() {
+		h.polling.Add(1)
 		go func() {
-			defer close(h.done)
+			defer h.polling.Done()
 			t := time.NewTicker(h.interval)
 			defer t.Stop()
 			for {
@@ -131,13 +127,9 @@ func (h *HealthChecker) Start() {
 // Stop ends the polling loop and waits for it to exit. Safe to call
 // without Start and safe to call twice.
 func (h *HealthChecker) Stop() {
+	h.startOnce.Do(func() {}) // a later Start must not begin polling
 	h.stopOnce.Do(func() { close(h.stop) })
-	select {
-	case <-h.done:
-	default:
-		h.startOnce.Do(func() { close(h.done) }) // never started; unblock the wait
-		<-h.done
-	}
+	h.polling.Wait()
 }
 
 // CheckNow runs one synchronous probe pass over all shards. The polling
@@ -159,11 +151,10 @@ func (h *HealthChecker) probe(shard string) {
 	ctx, cancel := context.WithTimeout(context.Background(), h.interval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/readyz", nil)
-	if err != nil {
-		h.record(shard, StateDown, err)
-		return
+	var resp *http.Response
+	if err == nil {
+		resp, err = h.hc.Do(req)
 	}
-	resp, err := h.hc.Do(req)
 	if err != nil {
 		h.record(shard, StateDown, err)
 		return
@@ -187,28 +178,28 @@ func (h *HealthChecker) record(shard string, verdict ShardState, err error) {
 	if st == nil {
 		return
 	}
-	st.probes++
+	st.Probes++
 	prev := st.state
 	switch verdict {
 	case StateDown:
-		st.fails++
-		st.lastErr = err.Error()
-		if st.fails >= h.threshold || prev == StateUnknown {
+		st.ConsecutiveFails++
+		st.LastError = err.Error()
+		if st.ConsecutiveFails >= h.threshold || prev == StateUnknown {
 			st.state = StateDown
 		}
 	case StateNotReady:
-		st.fails = 0
-		st.lastErr = err.Error()
+		st.ConsecutiveFails = 0
+		st.LastError = err.Error()
 		st.state = StateNotReady
 	default:
-		st.fails = 0
-		st.lastErr = ""
+		st.ConsecutiveFails = 0
+		st.LastError = ""
 		st.state = StateReady
 	}
 	if st.state != prev && h.log != nil {
 		h.log.Info("shard health transition",
 			"shard", shard, "from", prev.String(), "to", st.state.String(),
-			"consecutive_fails", st.fails, "err", st.lastErr)
+			"consecutive_fails", st.ConsecutiveFails, "err", st.LastError)
 	}
 }
 
@@ -236,12 +227,12 @@ func (h *HealthChecker) MarkDown(shard string, err error) {
 	}
 	prev := st.state
 	st.state = StateDown
-	st.fails = max(st.fails, h.threshold)
+	st.ConsecutiveFails = max(st.ConsecutiveFails, h.threshold)
 	if err != nil {
-		st.lastErr = err.Error()
+		st.LastError = err.Error()
 	}
 	if prev != StateDown && h.log != nil {
-		h.log.Info("shard marked down by router", "shard", shard, "err", st.lastErr)
+		h.log.Info("shard marked down by router", "shard", shard, "err", st.LastError)
 	}
 }
 
@@ -267,13 +258,9 @@ func (h *HealthChecker) Snapshot() []ShardHealth {
 	out := make([]ShardHealth, 0, len(h.shards))
 	for _, shard := range h.shards {
 		st := h.st[shard]
-		out = append(out, ShardHealth{
-			Shard:            shard,
-			State:            st.state.String(),
-			ConsecutiveFails: st.fails,
-			Probes:           st.probes,
-			LastError:        st.lastErr,
-		})
+		rec := st.ShardHealth
+		rec.State = st.state.String()
+		out = append(out, rec)
 	}
 	return out
 }

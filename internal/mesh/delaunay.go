@@ -198,8 +198,11 @@ func (d *triangulator) insert(pi int32) error {
 	// Grow the cavity: all triangles whose circumcircle strictly contains p,
 	// found by BFS from the containing triangle. Neighbours across edges the
 	// point lies (numerically) on are seeded too, which handles on-edge
-	// insertions.
+	// insertions. members lists the cavity in discovery order: everything
+	// below ranges over it, not over the map, so the mesh is the same in
+	// every process.
 	cavity := map[int32]bool{t0: true}
+	members := []int32{t0}
 	queue := []int32{t0}
 	tr0 := d.tris[t0]
 	for e := 0; e < 3; e++ {
@@ -208,6 +211,7 @@ func (d *triangulator) insert(pi int32) error {
 		if nb := tr0.n[e]; nb >= 0 && math.Abs(geom.Orient(a, b, p)) < 1e-14 {
 			if !cavity[nb] {
 				cavity[nb] = true
+				members = append(members, nb)
 				queue = append(queue, nb)
 			}
 		}
@@ -225,6 +229,7 @@ func (d *triangulator) insert(pi int32) error {
 			tri := geom.Triangle{A: d.verts[ntr.v[0]], B: d.verts[ntr.v[1]], C: d.verts[ntr.v[2]]}
 			if tri.InCircumcircle(p) {
 				cavity[nb] = true
+				members = append(members, nb)
 				queue = append(queue, nb)
 			}
 		}
@@ -237,7 +242,7 @@ func (d *triangulator) insert(pi int32) error {
 		outside int32
 	}
 	var boundary []bedge
-	for t := range cavity {
+	for _, t := range members {
 		tr := d.tris[t]
 		for e := 0; e < 3; e++ {
 			nb := tr.n[e]
@@ -252,7 +257,7 @@ func (d *triangulator) insert(pi int32) error {
 	}
 
 	// Retire cavity triangles.
-	for t := range cavity {
+	for _, t := range members {
 		d.tris[t].alive = false
 		d.free = append(d.free, t)
 	}

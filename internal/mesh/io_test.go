@@ -36,29 +36,59 @@ func TestDecodeRejectsNonFiniteVerts(t *testing.T) {
 	}
 }
 
-func TestContentHashStable(t *testing.T) {
-	m := Structured(4)
-	h1 := m.ContentHash()
-	h2 := m.ContentHash()
-	if h1 != h2 {
-		t.Fatalf("hash not deterministic: %s vs %s", h1, h2)
-	}
-	if len(h1) != 64 {
-		t.Fatalf("hash length %d, want 64 hex chars", len(h1))
-	}
+// goldenLV512 is the content hash of SizedLowVariance(512, 1), the
+// request benchmark's per-element mesh. A change to it is a change to mesh
+// generation and must be deliberate.
+const goldenLV512 = "6d187adcd5fecde369c10f6643bbf345db79699f1c720e4be1aeaa4be154251b"
 
-	// Round-tripping through Encode/Decode must preserve the hash — the
-	// property the service's upload-once cache keying relies on.
-	var buf bytes.Buffer
-	if err := Encode(&buf, m); err != nil {
-		t.Fatal(err)
+func TestContentHashStable(t *testing.T) {
+	gen := map[string]func() (*Mesh, error){
+		"structured": func() (*Mesh, error) { return Structured(4), nil },
+		"sized-lv":   func() (*Mesh, error) { return SizedLowVariance(512, 1) },
+		"sized-hv":   func() (*Mesh, error) { return SizedHighVariance(512, 4, 1) },
 	}
-	got, err := Decode(&buf)
+	for name, g := range gen {
+		m, err := g()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1 := m.ContentHash()
+		if h2 := m.ContentHash(); h1 != h2 {
+			t.Fatalf("%s: hash not deterministic: %s vs %s", name, h1, h2)
+		}
+		if len(h1) != 64 {
+			t.Fatalf("%s: hash length %d, want 64 hex chars", name, len(h1))
+		}
+		// Generating again must give the same mesh: Delaunay insertion may
+		// not depend on map iteration order.
+		again, err := g()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := again.ContentHash(); h != h1 {
+			t.Errorf("%s: second generation hashed %s, first %s", name, h, h1)
+		}
+
+		// Round-tripping through Encode/Decode must preserve the hash — the
+		// property the service's upload-once cache keying relies on.
+		var buf bytes.Buffer
+		if err := Encode(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ContentHash() != h1 {
+			t.Errorf("%s: Encode/Decode round trip changed the content hash", name)
+		}
+	}
+	m, err := SizedLowVariance(512, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ContentHash() != h1 {
-		t.Error("Encode/Decode round trip changed the content hash")
+	if h := m.ContentHash(); h != goldenLV512 {
+		t.Errorf("SizedLowVariance(512, 1) hashed %s, golden %s", h, goldenLV512)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"net/http"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,23 +76,20 @@ const (
 	MaxJobFields = 32
 )
 
-// Validate checks and defaults the spec in place. The cluster coordinator
-// uses it to reject bad submissions at its own front door instead of
-// letting them fail asynchronously on a shard.
-func (s *JobSpec) Validate(defaultBlocks int) error { return s.normalize(defaultBlocks) }
-
-// normalize validates and defaults the spec.
-func (s *JobSpec) normalize(defaultBlocks int) error {
-	if s.MeshID == "" {
-		return errors.New("mesh_id is required")
-	}
+// Validate checks the spec and defaults it in place. Both a shard and the
+// cluster coordinator run it at their front door, so a bad submission is a
+// 400 there instead of an asynchronous failure later.
+func (s *JobSpec) Validate(defaultBlocks int) error {
 	switch s.Scheme {
 	case "per-point", "per-element", "operator":
 	default:
 		return fmt.Errorf("scheme must be %q, %q or %q, got %q", "per-point", "per-element", "operator", s.Scheme)
 	}
-	if s.P < 1 || s.P > 4 {
-		return fmt.Errorf("p must be in 1..4, got %d", s.P)
+	if len(s.Fields) > 0 && s.Scheme != "operator" {
+		return fmt.Errorf("fields (batched apply) requires the %q scheme, got %q", "operator", s.Scheme)
+	}
+	if err := checkEval(s.MeshID, s.P, s.GridDegree, &s.Boundary, &s.Field, s.Fields); err != nil {
+		return err
 	}
 	if s.Blocks == 0 {
 		s.Blocks = defaultBlocks
@@ -101,39 +100,47 @@ func (s *JobSpec) normalize(defaultBlocks int) error {
 	if s.Blocks > MaxBlocks {
 		return fmt.Errorf("blocks must be <= %d, got %d", MaxBlocks, s.Blocks)
 	}
-	if s.GridDegree > MaxGridDegree {
-		return fmt.Errorf("grid_degree must be <= %d, got %d", MaxGridDegree, s.GridDegree)
-	}
-	if s.Boundary == "" {
-		s.Boundary = "periodic"
-	}
-	if _, err := parseBoundary(s.Boundary); err != nil {
-		return err
-	}
-	if len(s.Fields) > 0 {
-		if s.Scheme != "operator" {
-			return fmt.Errorf("fields (batched apply) requires the %q scheme, got %q", "operator", s.Scheme)
-		}
-		if len(s.Fields) > MaxJobFields {
-			return fmt.Errorf("at most %d fields per job, got %d", MaxJobFields, len(s.Fields))
-		}
-		for i, f := range s.Fields {
-			if _, ok := FieldFuncs[f]; !ok {
-				return fmt.Errorf("unknown fields[%d] %q (have %v)", i, f, FieldNames())
-			}
-		}
-		if s.Field == "" {
-			s.Field = s.Fields[0]
-		}
-	}
-	if s.Field == "" {
-		s.Field = "sincos"
-	}
-	if _, ok := FieldFuncs[s.Field]; !ok {
-		return fmt.Errorf("unknown field %q (have %v)", s.Field, FieldNames())
-	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0, got %d", s.TimeoutMS)
+	}
+	return nil
+}
+
+// checkEval validates the parameters every evaluation request shares —
+// jobs, queries and shard evaluations — and defaults boundary and field in
+// place (field to fields[0] when several are batched).
+func checkEval(meshID string, p, gridDegree int, boundary, field *string, fields []string) error {
+	if meshID == "" {
+		return errors.New("mesh_id is required")
+	}
+	if p < 1 || p > 4 {
+		return fmt.Errorf("p must be in 1..4, got %d", p)
+	}
+	if gridDegree > MaxGridDegree {
+		return fmt.Errorf("grid_degree must be <= %d, got %d", MaxGridDegree, gridDegree)
+	}
+	if *boundary == "" {
+		*boundary = "periodic"
+	}
+	if _, err := parseBoundary(*boundary); err != nil {
+		return err
+	}
+	if len(fields) > MaxJobFields {
+		return fmt.Errorf("at most %d fields per request, got %d", MaxJobFields, len(fields))
+	}
+	for i, f := range fields {
+		if _, ok := FieldFuncs[f]; !ok {
+			return fmt.Errorf("unknown fields[%d] %q (have %v)", i, f, FieldNames())
+		}
+	}
+	if *field == "" && len(fields) > 0 {
+		*field = fields[0]
+	}
+	if *field == "" {
+		*field = "sincos"
+	}
+	if _, ok := FieldFuncs[*field]; !ok {
+		return fmt.Errorf("unknown field %q (have %v)", *field, FieldNames())
 	}
 	return nil
 }
@@ -189,25 +196,47 @@ func (e *JobError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *JobError) Unwrap() error { return e.Err }
 
+// Outcome is what one job evaluation produced: the run result plus what
+// the status view reports about how it was obtained.
+type Outcome struct {
+	*core.Result
+	// CacheHits lists the artifact kinds served warm ("evaluator",
+	// "tiling", "operator", "operator-disk").
+	CacheHits []string
+	// Shards are the shards that evaluated a distributed job's patch
+	// ranges, in range order.
+	Shards []string
+	// UncoveredIDs lists the grid points a degraded distributed merge does
+	// not cover, capped at MaxUncoveredIDs (UncoveredTruncated says so).
+	UncoveredIDs       []int32
+	UncoveredTruncated bool
+}
+
+// EvalFunc runs one attempt of a job's evaluation. A single unstencild
+// resolves the artifacts and runs core on this process; the cluster
+// coordinator fans the patches out to its shards and merges. On failure
+// the Outcome, if any, still reports the cache hits.
+type EvalFunc func(ctx context.Context, spec JobSpec) (*Outcome, error)
+
 // Job is one unit of work owned by the Manager.
 type Job struct {
 	ID   string
 	Spec JobSpec
 
-	mu        sync.Mutex
-	state     JobState
-	err       error
-	result    *core.Result
-	cacheHits []string // artifact kinds served warm ("evaluator", "tiling")
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	cancel    context.CancelFunc
-	canceled  bool
-	done      chan struct{}
+	mu       sync.Mutex
+	state    JobState
+	err      error
+	out      *Outcome // its Result is set once the job is done
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	cancel   context.CancelFunc
+	canceled bool
+	done     chan struct{}
 }
 
-// JobStatus is the JSON view of a job.
+// JobStatus is the JSON view of a job. The cluster coordinator serves the
+// same shape; the fields from Kind on are set for its jobs only.
 type JobStatus struct {
 	ID         string            `json:"id"`
 	State      JobState          `json:"state"`
@@ -224,6 +253,39 @@ type JobStatus struct {
 	CreatedAt  time.Time         `json:"created_at"`
 	StartedAt  *time.Time        `json:"started_at,omitempty"`
 	FinishedAt *time.Time        `json:"finished_at,omitempty"`
+	// Kind is "distributed" (fanned out as patch ranges and merged by the
+	// coordinator) or "routed" (run whole on Shard).
+	Kind  string `json:"kind,omitempty"`
+	Shard string `json:"shard,omitempty"`
+	// Shards evaluated a distributed job's patch ranges, in range order.
+	Shards []string `json:"shards,omitempty"`
+	// ErrorKind classifies Error; "shard-failure" means a shard stayed down
+	// past the retry and failover budget, not that the request was wrong.
+	ErrorKind          string  `json:"error_kind,omitempty"`
+	UncoveredIDs       []int32 `json:"uncovered_ids,omitempty"`
+	UncoveredTruncated bool    `json:"uncovered_truncated,omitempty"`
+}
+
+// JobResult is the body of GET /v1/jobs/{id}/result.
+type JobResult struct {
+	JobID          string    `json:"job_id"`
+	Scheme         string    `json:"scheme"`
+	NumPoints      int       `json:"num_points"`
+	MemoryOverhead float64   `json:"memory_overhead"`
+	Solution       []float64 `json:"solution"`
+	// Fields and Solutions carry a multi-field batched apply: one solution
+	// per requested field, in order; Solution stays the first field.
+	Fields    []string    `json:"fields,omitempty"`
+	Solutions [][]float64 `json:"solutions,omitempty"`
+	// Kind, Shard and Shards mean what they do on JobStatus.
+	Kind   string   `json:"kind,omitempty"`
+	Shard  string   `json:"shard,omitempty"`
+	Shards []string `json:"shards,omitempty"`
+	// A degraded result's uncovered points are zero; these say which.
+	Degraded           bool           `json:"degraded,omitempty"`
+	Coverage           *core.Coverage `json:"coverage,omitempty"`
+	UncoveredIDs       []int32        `json:"uncovered_ids,omitempty"`
+	UncoveredTruncated bool           `json:"uncovered_truncated,omitempty"`
 }
 
 // Status snapshots the job.
@@ -234,11 +296,11 @@ func (j *Job) Status() JobStatus {
 		ID:        j.ID,
 		State:     j.state,
 		Spec:      j.Spec,
-		CacheHits: append([]string(nil), j.cacheHits...),
 		CreatedAt: j.created,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
+		st.ErrorKind = ErrorKind(j.err)
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -248,29 +310,59 @@ func (j *Job) Status() JobStatus {
 		t := j.finished
 		st.FinishedAt = &t
 	}
-	if j.result != nil {
-		st.NumPoints = len(j.result.Solution)
-		st.NumFields = len(j.result.Solutions)
-		st.WallMS = float64(j.result.Wall) / float64(time.Millisecond)
-		st.MemOverhd = j.result.MemoryOverhead
-		c := j.result.Total
+	if j.out == nil {
+		return st
+	}
+	st.CacheHits = append([]string(nil), j.out.CacheHits...)
+	if res := j.out.Result; res != nil {
+		st.NumPoints = len(res.Solution)
+		st.NumFields = len(res.Solutions)
+		st.WallMS = float64(res.Wall) / float64(time.Millisecond)
+		st.MemOverhd = res.MemoryOverhead
+		c := res.Total
 		st.Counters = &c
-		if j.result.Coverage != nil {
+		st.Shards = j.out.Shards
+		if res.Coverage != nil {
 			st.Degraded = true
-			st.Coverage = j.result.Coverage
+			st.Coverage = res.Coverage
+			st.UncoveredIDs = j.out.UncoveredIDs
+			st.UncoveredTruncated = j.out.UncoveredTruncated
 		}
 	}
 	return st
 }
 
-// Result returns the run result once the job is done.
-func (j *Job) Result() (*core.Result, bool) {
+// result is the job's result body once it is done; a job that failed or
+// has not finished is a 409.
+func (j *Job) result() (*JobResult, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone || j.result == nil {
-		return nil, false
+	switch {
+	case j.state == StateFailed:
+		return nil, &Error{Status: http.StatusConflict, Err: fmt.Errorf("job %s failed: %w", j.ID, j.err)}
+	case j.state != StateDone:
+		return nil, Errorf(http.StatusConflict, "job %s is %s; result not ready", j.ID, j.state)
 	}
-	return j.result, true
+	o := j.out
+	body := &JobResult{
+		JobID:          j.ID,
+		Scheme:         o.Scheme.String(),
+		NumPoints:      len(o.Solution),
+		MemoryOverhead: o.MemoryOverhead,
+		Solution:       o.Solution,
+		Shards:         o.Shards,
+	}
+	if len(o.Solutions) > 0 {
+		body.Fields = j.Spec.Fields
+		body.Solutions = o.Solutions
+	}
+	if o.Coverage != nil {
+		body.Degraded = true
+		body.Coverage = o.Coverage
+		body.UncoveredIDs = o.UncoveredIDs
+		body.UncoveredTruncated = o.UncoveredTruncated
+	}
+	return body, nil
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -283,21 +375,22 @@ var (
 )
 
 // Manager owns the bounded FIFO job queue, the worker pool executing jobs,
-// and the job registry. Jobs resolve their artifacts through the shared
-// Artifacts cache and run core evaluations under a cancellable,
-// deadline-capped context.
+// and the job registry. Each job runs its EvalFunc under a cancellable,
+// deadline-capped context, panic-isolated and retried per the policy.
 type Manager struct {
-	arts         *Artifacts
-	log          *slog.Logger
-	queue        chan *Job
-	workers      int
-	jobTimeout   time.Duration
-	stageTimeout time.Duration
-	defBlocks    int
-	maxJobs      int
-	retry        RetryPolicy
-	journal      *Journal
-	faults       *metrics.FaultCounters
+	eval       EvalFunc
+	log        *slog.Logger
+	queue      chan *Job
+	workers    int
+	jobTimeout time.Duration
+	defBlocks  int
+	maxJobs    int
+	retry      RetryPolicy
+	journal    *Journal
+	faults     *metrics.FaultCounters
+	// epoch is the Manager's start time. It leads every job id, so an id
+	// issued before a restart never names a job submitted after it.
+	epoch string
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -347,10 +440,12 @@ type ManagerConfig struct {
 	Workers      int           // worker goroutines (default 2)
 	QueueSize    int           // bounded FIFO capacity (default 64)
 	JobTimeout   time.Duration // per-job cap (default 5m)
-	StageTimeout time.Duration // per-stage cap (default: the job timeout)
 	DefaultBlock int           // default blocks/patches (default 16)
 	MaxJobs      int           // retained job records (default 4096)
-	Retry        RetryPolicy   // unit- and job-level retry (default: none)
+	Retry        RetryPolicy   // whole-job retry (default: none)
+
+	// Eval evaluates one job; required.
+	Eval EvalFunc
 
 	// Journal, when non-nil, records accepted and finished jobs for crash
 	// recovery; incomplete jobs are re-enqueued via Replay on startup.
@@ -360,7 +455,7 @@ type ManagerConfig struct {
 }
 
 // NewManager starts the worker pool.
-func NewManager(arts *Artifacts, log *slog.Logger, cfg ManagerConfig) *Manager {
+func NewManager(log *slog.Logger, cfg ManagerConfig) *Manager {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -376,30 +471,27 @@ func NewManager(arts *Artifacts, log *slog.Logger, cfg ManagerConfig) *Manager {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 4096
 	}
-	if cfg.StageTimeout <= 0 {
-		cfg.StageTimeout = cfg.JobTimeout
-	}
 	cfg.Retry = cfg.Retry.WithDefaults()
 	if cfg.Faults == nil {
 		cfg.Faults = &metrics.FaultCounters{}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		arts:         arts,
-		log:          log,
-		queue:        make(chan *Job, cfg.QueueSize),
-		workers:      cfg.Workers,
-		jobTimeout:   cfg.JobTimeout,
-		stageTimeout: cfg.StageTimeout,
-		defBlocks:    cfg.DefaultBlock,
-		maxJobs:      cfg.MaxJobs,
-		retry:        cfg.Retry,
-		journal:      cfg.Journal,
-		faults:       cfg.Faults,
-		baseCtx:      ctx,
-		baseCancel:   cancel,
-		totals:       metrics.NewTotals(),
-		jobs:         make(map[string]*Job),
+		eval:       cfg.Eval,
+		log:        log,
+		queue:      make(chan *Job, cfg.QueueSize),
+		workers:    cfg.Workers,
+		jobTimeout: cfg.JobTimeout,
+		defBlocks:  cfg.DefaultBlock,
+		maxJobs:    cfg.MaxJobs,
+		retry:      cfg.Retry,
+		journal:    cfg.Journal,
+		faults:     cfg.Faults,
+		epoch:      newEpoch(),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		totals:     metrics.NewTotals(),
+		jobs:       make(map[string]*Job),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
@@ -408,26 +500,32 @@ func NewManager(arts *Artifacts, log *slog.Logger, cfg ManagerConfig) *Manager {
 	return m
 }
 
-// Submit validates spec, enqueues a job and returns it. ErrQueueFull means
-// the bounded queue is at capacity (the caller should surface 503);
-// ErrShuttingDown means graceful shutdown has begun.
+// newEpoch is a Manager's job-id epoch: its start time in nanoseconds,
+// base 36. A restarted process starts later, so its ids never repeat ones
+// issued before the restart.
+func newEpoch() string { return strconv.FormatInt(time.Now().UnixNano(), 36) }
+
+// Submit validates spec, enqueues a job and returns it. Errors are *Error:
+// 400 for an invalid spec, 503 wrapping ErrQueueFull (with the derived
+// Retry-After) when the bounded queue is at capacity, and 503 wrapping
+// ErrShuttingDown once graceful shutdown has begun.
+//
+// Job ids are "job-<epoch>-<n>": the epoch is fixed per Manager and n
+// counts up zero-padded, so ids from one process sort in submission order
+// and never repeat across restarts.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	if err := spec.normalize(m.defBlocks); err != nil {
-		return nil, err
-	}
-	if _, ok := m.arts.Mesh(spec.MeshID); !ok {
-		return nil, fmt.Errorf("mesh %q not resident (upload it via POST /v1/meshes): %w",
-			spec.MeshID, ErrMeshNotFound)
+	if err := spec.Validate(m.defBlocks); err != nil {
+		return nil, Errorf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closing {
-		return nil, ErrShuttingDown
+		return nil, &Error{Status: http.StatusServiceUnavailable, Err: ErrShuttingDown}
 	}
 	m.nextID++
 	job := &Job{
-		ID:      fmt.Sprintf("job-%08d", m.nextID),
+		ID:      fmt.Sprintf("job-%s-%08d", m.epoch, m.nextID),
 		Spec:    spec,
 		state:   StateQueued,
 		created: time.Now(),
@@ -438,7 +536,10 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	select {
 	case m.queue <- job:
 	default:
-		return nil, ErrQueueFull
+		// Retry-After is derived from the observed job service time and
+		// the live queue depth, so a saturated manager tells clients how
+		// long a slot actually takes to free instead of a hardcoded guess.
+		return nil, &Error{Status: http.StatusServiceUnavailable, RetryAfter: m.RetryAfterSeconds(), Err: ErrQueueFull}
 	}
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
@@ -471,31 +572,27 @@ func (m *Manager) journalFinish(id string, state JobState) {
 	}
 }
 
-// Replay re-enqueues jobs recovered from the journal, preserving their
-// original IDs and advancing the ID counter past them so new submissions
-// never collide. Specs are re-validated: a job whose spec no longer passes
-// (or whose mesh is gone from both cache and disk) fails immediately with a
-// journaled finish, so it is not replayed forever.
-func (m *Manager) Replay(pending []PendingJob) {
+// Replay re-enqueues jobs recovered from the journal under their original
+// IDs; new submissions carry this Manager's epoch, so they never collide.
+// Specs are re-validated and then checked by recoverable: a job that no
+// longer passes (say its mesh is gone from both cache and disk) fails
+// immediately with a journaled finish, so it is not replayed forever.
+func (m *Manager) Replay(pending []PendingJob, recoverable func(JobSpec) error) {
 	for _, p := range pending {
-		m.replayOne(p)
+		m.replayOne(p, recoverable)
 	}
 }
 
-func (m *Manager) replayOne(p PendingJob) {
+func (m *Manager) replayOne(p PendingJob, recoverable func(JobSpec) error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closing {
 		return
 	}
-	var n uint64
-	if _, err := fmt.Sscanf(p.ID, "job-%d", &n); err == nil && n > m.nextID {
-		m.nextID = n
-	}
 	if _, exists := m.jobs[p.ID]; exists {
 		return
 	}
-	err := p.Spec.normalize(m.defBlocks)
+	err := p.Spec.Validate(m.defBlocks)
 	job := &Job{
 		ID:      p.ID,
 		Spec:    p.Spec,
@@ -504,9 +601,7 @@ func (m *Manager) replayOne(p PendingJob) {
 		done:    make(chan struct{}),
 	}
 	if err == nil {
-		if _, ok := m.arts.Mesh(p.Spec.MeshID); !ok {
-			err = fmt.Errorf("mesh %q not recoverable after restart: %w", p.Spec.MeshID, ErrMeshNotFound)
-		}
+		err = recoverable(p.Spec)
 	}
 	if err == nil {
 		select {
@@ -566,6 +661,33 @@ func (m *Manager) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
+// lookup is Job with a 404 *Error for an unknown id.
+func (m *Manager) lookup(id string) (*Job, error) {
+	if j, ok := m.Job(id); ok {
+		return j, nil
+	}
+	return nil, Errorf(http.StatusNotFound, "job %q not found", id)
+}
+
+// Status reports job id.
+func (m *Manager) Status(id string) (JobStatus, error) {
+	j, err := m.lookup(id)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return j.Status(), nil
+}
+
+// Result returns the result body of job id: 404 for an unknown id, 409 for
+// a job that failed (carrying its error kind) or has not finished.
+func (m *Manager) Result(id string) (*JobResult, error) {
+	j, err := m.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return j.result()
+}
+
 // Jobs snapshots all retained job statuses, oldest first.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
@@ -585,27 +707,23 @@ func (m *Manager) Jobs() []JobStatus {
 }
 
 // Cancel aborts a queued or running job. Queued jobs fail immediately
-// without running; running jobs are interrupted through their context.
+// without running; running jobs are interrupted through their context. An
+// unknown id is a 404 *Error, a finished job a 409.
 func (m *Manager) Cancel(id string) error {
-	j, ok := m.Job(id)
-	if !ok {
-		return fmt.Errorf("job %q not found", id)
+	j, err := m.lookup(id)
+	if err != nil {
+		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone, StateFailed:
-		return fmt.Errorf("job %q already %s", id, j.state)
-	case StateQueued:
-		j.canceled = true
-		return nil
-	default: // running
-		j.canceled = true
-		if j.cancel != nil {
-			j.cancel()
-		}
-		return nil
+	if j.state == StateDone || j.state == StateFailed {
+		return Errorf(http.StatusConflict, "job %q already %s", id, j.state)
 	}
+	j.canceled = true
+	if j.cancel != nil { // running
+		j.cancel()
+	}
+	return nil
 }
 
 // QueueDepth returns the number of jobs waiting in the FIFO.
@@ -733,22 +851,21 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 
 	m.busy.Add(1)
-	res, hits, err := m.executeWithRetry(ctx, job.Spec)
+	out, err := m.executeWithRetry(ctx, job.Spec)
 	m.busy.Add(-1)
 	cancelTimeout()
 	cancel()
 
 	job.mu.Lock()
 	job.finished = time.Now()
-	job.cacheHits = hits
+	job.out = out
 	if err != nil {
 		job.state = StateFailed
 		job.err = err
 	} else {
 		job.state = StateDone
-		job.result = res
-		m.totals.Record(job.Spec.Scheme, &res.Total)
-		if res.Coverage != nil {
+		m.totals.Record(job.Spec.Scheme, &out.Total)
+		if out.Coverage != nil {
 			m.faults.DegradedJobs.Add(1)
 		}
 	}
@@ -759,6 +876,10 @@ func (m *Manager) runJob(job *Job) {
 	m.journalFinish(job.ID, state)
 
 	if m.log != nil {
+		var hits []string
+		if out != nil {
+			hits = out.CacheHits
+		}
 		m.log.Info("job finished",
 			"job", job.ID, "state", string(state), "scheme", job.Spec.Scheme,
 			"wall", wall, "cache_hits", hits, "err", err)
@@ -770,10 +891,9 @@ func (m *Manager) runJob(job *Job) {
 // panics) retry with capped exponential backoff, and permanent failures
 // (cancellation, deadline, validation) return immediately. The final error
 // is a *JobError attributing the failure to its pipeline stage.
-func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*core.Result, []string, error) {
+func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*Outcome, error) {
 	var (
-		res      *core.Result
-		hits     []string
+		out      *Outcome
 		err      error
 		panicked bool
 	)
@@ -789,13 +909,13 @@ func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*core.Res
 			}
 		}
 		attempts++
-		res, hits, panicked, err = m.safeExecute(ctx, spec)
+		out, panicked, err = m.safeExecute(ctx, spec)
 		if err == nil || !core.Transient(err) {
 			break
 		}
 	}
 	if err == nil {
-		return res, hits, nil
+		return out, nil
 	}
 	je := &JobError{Stage: StageEvaluate, Err: err, Panicked: panicked}
 	var inner *JobError
@@ -806,11 +926,11 @@ func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*core.Res
 	if je.Attempts == 0 {
 		je.Attempts = attempts
 	}
-	return nil, hits, je
+	return out, je
 }
 
 // safeExecute is one panic-isolated attempt of the job pipeline.
-func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (res *core.Result, hits []string, panicked bool, err error) {
+func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.faults.PanicsRecovered.Add(1)
@@ -818,8 +938,8 @@ func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (res *core.Resu
 			err = fmt.Errorf("job pipeline panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	res, hits, err = m.execute(ctx, spec)
-	return res, hits, false, err
+	out, err = m.eval(ctx, spec)
+	return out, false, err
 }
 
 // runStage runs one pipeline stage under its own deadline. The artifact
@@ -827,8 +947,8 @@ func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (res *core.Resu
 // from outside: on expiry the stage's goroutine is abandoned (its result, if
 // it ever finishes, still lands in the artifact cache for the next attempt)
 // and a stage-attributed error returns promptly.
-func (m *Manager) runStage(ctx context.Context, stage string, fn func() error) error {
-	ctx, cancel := context.WithTimeout(ctx, m.stageTimeout)
+func (s *Server) runStage(ctx context.Context, stage string, fn func() error) error {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.StageTimeout)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- fn() }()
@@ -840,7 +960,7 @@ func (m *Manager) runStage(ctx context.Context, stage string, fn func() error) e
 			// (operator assembly) is counted on arrival.
 			var pe *core.PanicError
 			if errors.As(err, &pe) {
-				m.faults.PanicsRecovered.Add(1)
+				s.faults.PanicsRecovered.Add(1)
 			}
 			return &JobError{Stage: stage, Err: err, Panicked: pe != nil}
 		}
@@ -850,19 +970,20 @@ func (m *Manager) runStage(ctx context.Context, stage string, fn func() error) e
 	}
 }
 
-// execute resolves the artifact chain (mesh → field → evaluator → tiling)
-// and runs the evaluation, each stage under its own deadline. It reports
-// which expensive artifacts were served warm from the cache. Errors are
+// evaluate is a single unstencild's EvalFunc: it resolves the artifact
+// chain (mesh → field → evaluator → tiling) and runs the evaluation on
+// this process, each stage under its own deadline. It reports which
+// expensive artifacts were served warm from the cache. Errors are
 // stage-attributed *JobErrors.
-func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []string, error) {
-	mesh, ok := m.arts.Mesh(spec.MeshID)
+func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
+	mesh, ok := s.arts.Mesh(spec.MeshID)
 	if !ok {
-		return nil, nil, &JobError{Stage: StageArtifacts,
+		return nil, &JobError{Stage: StageArtifacts,
 			Err: fmt.Errorf("mesh %q evicted before the job ran: %w", spec.MeshID, ErrMeshNotFound)}
 	}
 	boundary, err := parseBoundary(spec.Boundary)
 	if err != nil {
-		return nil, nil, &JobError{Stage: StageArtifacts, Err: err}
+		return nil, &JobError{Stage: StageArtifacts, Err: err}
 	}
 
 	// Artifact stage: kernel tables, grids, projections, tiling. The builds
@@ -875,10 +996,10 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 		fields []*dg.Field // operator-scheme inputs, one per batched field
 	)
 	scheme := parseScheme(spec.Scheme)
-	if err := m.runStage(ctx, StageArtifacts, func() error {
+	if err := s.runStage(ctx, StageArtifacts, func() error {
 		var hit bool
 		var err error
-		ev, hit, err = m.arts.Evaluator(mesh, spec.MeshID, spec.P, spec.GridDegree, boundary, spec.Field)
+		ev, hit, err = s.arts.Evaluator(mesh, spec.MeshID, spec.P, spec.GridDegree, boundary, spec.Field)
 		if err != nil {
 			return err
 		}
@@ -888,7 +1009,7 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 		switch scheme {
 		case core.PerElement:
 			evalKey := EvalKey(spec.MeshID, spec.P, spec.GridDegree, boundary, spec.Field)
-			tiling, hit, err = m.arts.Tiling(ev, evalKey, spec.Blocks)
+			tiling, hit, err = s.arts.Tiling(ev, evalKey, spec.Blocks)
 			if err != nil {
 				return err
 			}
@@ -901,7 +1022,7 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 			// restart the disk tier answers instead and the job reports
 			// "operator-disk".
 			var src string
-			op, src, err = m.arts.Operator(ev, spec.MeshID)
+			op, src, err = s.arts.Operator(ev, spec.MeshID)
 			if err != nil {
 				return err
 			}
@@ -920,7 +1041,7 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 			}
 			fields = make([]*dg.Field, len(spec.Fields))
 			for i, name := range spec.Fields {
-				fields[i], _, err = m.arts.Field(mesh, spec.MeshID, spec.P, name)
+				fields[i], _, err = s.arts.Field(mesh, spec.MeshID, spec.P, name)
 				if err != nil {
 					return err
 				}
@@ -928,14 +1049,16 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 		}
 		return nil
 	}); err != nil {
-		return nil, hits, err
+		// No cache hits to report: a stage abandoned at its deadline may
+		// still be appending to them.
+		return nil, err
 	}
 
 	// Assembled scheme: the evaluation is one sparse apply, bounded by the
 	// evaluate-stage deadline like the direct runners.
 	if scheme == core.Assembled {
 		var res *core.Result
-		if err := m.runStage(ctx, StageEvaluate, func() error {
+		if err := s.runStage(ctx, StageEvaluate, func() error {
 			start := time.Now()
 			nf := len(fields)
 			// One backing allocation for everything the result retains;
@@ -945,7 +1068,7 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 			for i := range outs {
 				outs[i] = backing[i*op.Rows : (i+1)*op.Rows : (i+1)*op.Rows]
 			}
-			total, err := m.arts.applyFields(op, fields, outs)
+			total, err := s.arts.applyFields(op, fields, outs)
 			if err != nil {
 				return err
 			}
@@ -961,22 +1084,16 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 			}
 			return nil
 		}); err != nil {
-			return nil, hits, err
+			return &Outcome{CacheHits: hits}, err
 		}
-		return res, hits, nil
+		return &Outcome{Result: res, CacheHits: hits}, nil
 	}
 
 	// Evaluation stage: the resilient runners observe ctx directly, so the
 	// stage deadline composes with the job deadline through the context.
-	evalCtx, cancel := context.WithTimeout(ctx, m.stageTimeout)
+	evalCtx, cancel := context.WithTimeout(ctx, s.cfg.StageTimeout)
 	defer cancel()
-	rs := &core.Resilience{
-		MaxAttempts:  m.retry.Attempts,
-		BaseDelay:    m.retry.Base,
-		MaxDelay:     m.retry.Max,
-		AllowPartial: spec.AllowPartial,
-		Faults:       m.faults,
-	}
+	rs := s.resilience(spec.AllowPartial)
 	var res *core.Result
 	if scheme == core.PerElement {
 		res, err = ev.RunPerElementResilientCtx(evalCtx, tiling, rs)
@@ -984,7 +1101,18 @@ func (m *Manager) execute(ctx context.Context, spec JobSpec) (*core.Result, []st
 		res, err = ev.RunPerPointResilientCtx(evalCtx, spec.Blocks, rs)
 	}
 	if err != nil {
-		return nil, hits, &JobError{Stage: StageEvaluate, Err: err}
+		return &Outcome{CacheHits: hits}, &JobError{Stage: StageEvaluate, Err: err}
 	}
-	return res, hits, nil
+	return &Outcome{Result: res, CacheHits: hits}, nil
+}
+
+// resilience is the unit-level retry policy of a local evaluation.
+func (s *Server) resilience(allowPartial bool) *core.Resilience {
+	return &core.Resilience{
+		MaxAttempts:  s.cfg.Retry.Attempts,
+		BaseDelay:    s.cfg.Retry.Base,
+		MaxDelay:     s.cfg.Retry.Max,
+		AllowPartial: allowPartial,
+		Faults:       s.faults,
+	}
 }

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,7 +12,6 @@ import (
 	"unstencil/internal/dg"
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
-	"unstencil/internal/operator"
 )
 
 // MaxQueryPoints bounds one batch query. Requests beyond it are rejected
@@ -57,42 +56,11 @@ type QueryRequest struct {
 }
 
 func (q *QueryRequest) normalize() error {
-	if q.MeshID == "" {
-		return errors.New("mesh_id is required")
+	if len(q.Fields) > 0 && !q.UseOperator {
+		return errors.New("fields (batched apply) requires use_operator")
 	}
-	if q.P < 1 || q.P > 4 {
-		return fmt.Errorf("p must be in 1..4, got %d", q.P)
-	}
-	if q.GridDegree > MaxGridDegree {
-		return fmt.Errorf("grid_degree must be <= %d, got %d", MaxGridDegree, q.GridDegree)
-	}
-	if q.Boundary == "" {
-		q.Boundary = "periodic"
-	}
-	if _, err := parseBoundary(q.Boundary); err != nil {
+	if err := checkEval(q.MeshID, q.P, q.GridDegree, &q.Boundary, &q.Field, q.Fields); err != nil {
 		return err
-	}
-	if len(q.Fields) > 0 {
-		if !q.UseOperator {
-			return errors.New("fields (batched apply) requires use_operator")
-		}
-		if len(q.Fields) > MaxJobFields {
-			return fmt.Errorf("at most %d fields per query, got %d", MaxJobFields, len(q.Fields))
-		}
-		for i, f := range q.Fields {
-			if _, ok := FieldFuncs[f]; !ok {
-				return fmt.Errorf("unknown fields[%d] %q (have %v)", i, f, FieldNames())
-			}
-		}
-		if q.Field == "" {
-			q.Field = q.Fields[0]
-		}
-	}
-	if q.Field == "" {
-		q.Field = "sincos"
-	}
-	if _, ok := FieldFuncs[q.Field]; !ok {
-		return fmt.Errorf("unknown field %q (have %v)", q.Field, FieldNames())
 	}
 	if len(q.Points) == 0 {
 		return errors.New("points must be non-empty")
@@ -111,33 +79,20 @@ func (q *QueryRequest) normalize() error {
 	return nil
 }
 
-// handleQuery serves POST /v1/query: it resolves the evaluator through the
-// artifact cache (so repeated queries against the same mesh and parameters
-// never rebuild kernel tables or grids) and fans the batch across pooled
-// evaluation workers via core's concurrency-safe EvalBatch.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad query: %v", err)
-		return
-	}
-	if err := req.normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad query: %v", err)
-		return
-	}
+// Query implements Backend for POST /v1/query: it resolves the evaluator
+// through the artifact cache (so repeated queries against the same mesh and
+// parameters never rebuild kernel tables or grids) and fans the batch
+// across pooled evaluation workers via core's concurrency-safe EvalBatch.
+func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 	m, ok := s.arts.Mesh(req.MeshID)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		return nil, Errorf(http.StatusNotFound,
 			"mesh %q not resident (upload it via POST /v1/meshes)", req.MeshID)
-		return
 	}
 	boundary, _ := parseBoundary(req.Boundary) // validated by normalize
 	ev, hit, err := s.arts.Evaluator(m, req.MeshID, req.P, req.GridDegree, boundary, req.Field)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, &Error{Status: http.StatusBadRequest, Err: err}
 	}
 	pts := make([]geom.Point, len(req.Points))
 	for i, p := range req.Points {
@@ -155,30 +110,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.UseOperator {
 		op, opSrc, err := s.arts.QueryOperator(ev, req.MeshID, pts)
 		if err != nil {
-			s.writeEvalError(w, "query operator assembly", err)
-			return
+			return nil, s.evalError("query operator assembly", err)
 		}
-		// Query outputs are encoded and dropped, so they come from the
-		// apply-vector pool: the steady-state repeated-query path (same
-		// points, new field each time step) allocates nothing per apply.
 		fields := []*dg.Field{ev.Field}
 		if len(req.Fields) > 0 {
 			fields = make([]*dg.Field, len(req.Fields))
 			for i, name := range req.Fields {
 				if fields[i], _, err = s.arts.Field(m, req.MeshID, req.P, name); err != nil {
-					writeError(w, http.StatusBadRequest, "%v", err)
-					return
+					return nil, &Error{Status: http.StatusBadRequest, Err: err}
 				}
 			}
 		}
+		// The outputs outlive this call (the front end encodes them), so
+		// they are plain allocations, not apply-vector pool loans.
 		outs := make([][]float64, len(fields))
 		for i := range outs {
-			outs[i] = operator.GetVec(op.Rows)
-			defer operator.PutVec(outs[i])
+			outs[i] = make([]float64, op.Rows)
 		}
 		if counters, err = s.arts.applyFields(op, fields, outs); err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "query operator apply: %v", err)
-			return
+			return nil, Errorf(http.StatusUnprocessableEntity, "query operator apply: %v", err)
 		}
 		vals = outs[0]
 		if len(req.Fields) > 0 {
@@ -190,8 +140,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		vals, counters, err = ev.EvalBatch(pts, req.Workers)
 		if err != nil {
-			s.writeEvalError(w, "query evaluation", err)
-			return
+			return nil, s.evalError("query evaluation", err)
 		}
 	}
 	wall := time.Since(start)
@@ -202,26 +151,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp["counters"] = counters
 	resp["wall_ms"] = float64(wall) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// writeEvalError reports a failed query evaluation or assembly. The
+// evalError classifies a failed query evaluation or assembly. The
 // evaluator and inputs validated, so an ordinary failure is a kernel
 // construction error for a position the boundary mode cannot serve (e.g.
 // one-sided support wider than the domain): 422. A panic core's dispatcher
 // recovered in an evaluation worker is the server's fault, not the
-// request's: 500, counted like the ones withRecovery catches on the request
-// goroutine.
-func (s *Server) writeEvalError(w http.ResponseWriter, what string, err error) {
+// request's: 500, counted like the ones the HTTP recovery middleware
+// catches on the request goroutine.
+func (s *Server) evalError(what string, err error) error {
 	var pe *core.PanicError
 	if !errors.As(err, &pe) {
-		writeError(w, http.StatusUnprocessableEntity, "%s: %v", what, err)
-		return
+		return Errorf(http.StatusUnprocessableEntity, "%s: %v", what, err)
 	}
 	s.faults.PanicsRecovered.Add(1)
 	if s.log != nil {
 		s.log.Error("evaluation worker panic recovered",
 			"stage", what, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 	}
-	writeError(w, http.StatusInternalServerError, "internal error: %s: %v", what, err)
+	return Errorf(http.StatusInternalServerError, "internal error: %s: %v", what, err)
 }

@@ -106,7 +106,6 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 	meshID := uploadMesh(t, ts, m)
 
 	full := &Manager{
-		arts:      srv.arts,
 		queue:     make(chan *Job, 1),
 		workers:   2,
 		defBlocks: 16,

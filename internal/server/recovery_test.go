@@ -120,7 +120,7 @@ func TestJobRetryCancelDuringBackoff(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		// An absent mesh fails every attempt with a retryable error.
-		_, _, err := srv.Manager().executeWithRetry(ctx, JobSpec{MeshID: "absent", Scheme: "per-point", P: 1})
+		_, err := srv.Manager().executeWithRetry(ctx, JobSpec{MeshID: "absent", Scheme: "per-point", P: 1})
 		done <- err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); srv.Faults().JobRetries.Load() == 0; {

@@ -6,7 +6,8 @@
 // paper's data-reuse argument targets, and gives later scaling work
 // (sharding, batching, multi-backend) a substrate to build on.
 //
-// The HTTP/JSON API (stdlib net/http only):
+// The HTTP/JSON API (stdlib net/http only; http.go registers the public
+// routes, which the cluster coordinator serves too):
 //
 //	POST   /v1/meshes          upload + decode a mesh once; returns its
 //	                           content-hash id
@@ -27,14 +28,11 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"path/filepath"
-	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -94,12 +92,20 @@ func (c *Config) defaults() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
+	if c.JobTimeout <= 0 {
+		c.JobTimeout = 5 * time.Minute
+	}
 	if c.DefaultBlocks <= 0 {
 		c.DefaultBlocks = 16
 	}
+	if c.StageTimeout <= 0 {
+		c.StageTimeout = c.JobTimeout
+	}
+	c.Retry = c.Retry.WithDefaults()
 }
 
-// Server is the unstencild HTTP handler plus its resident state.
+// Server is the local Backend — a resident artifact cache and a job
+// manager evaluating on this process — plus its HTTP handler.
 type Server struct {
 	cfg      Config
 	arts     *Artifacts
@@ -108,7 +114,6 @@ type Server struct {
 	faults   *metrics.FaultCounters
 	storeCtr metrics.StoreCounters
 	log      *slog.Logger
-	start    time.Time
 	handler  http.Handler
 	// ready flips once startup work (journal replay, artifact-store GC) has
 	// completed; /readyz additionally requires the job queue to be below
@@ -128,7 +133,6 @@ func New(cfg Config) (*Server, error) {
 		arts:   NewArtifacts(NewCache(cfg.CacheBytes), cfg.EvalWorkers),
 		faults: &metrics.FaultCounters{},
 		log:    cfg.Log,
-		start:  time.Now(),
 	}
 	s.arts.SetLog(cfg.Log)
 	storeDir := cfg.StoreDir
@@ -150,36 +154,38 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.mgr = NewManager(s.arts, cfg.Log, ManagerConfig{
+	s.mgr = NewManager(cfg.Log, ManagerConfig{
 		Workers:      cfg.Workers,
 		QueueSize:    cfg.QueueSize,
 		JobTimeout:   cfg.JobTimeout,
-		StageTimeout: cfg.StageTimeout,
 		DefaultBlock: cfg.DefaultBlocks,
 		Retry:        cfg.Retry,
 		Journal:      s.journal,
 		Faults:       s.faults,
+		Eval:         s.evaluate,
 	})
-	s.mgr.Replay(pending)
+	s.mgr.Replay(pending, func(spec JobSpec) error {
+		if _, ok := s.arts.Mesh(spec.MeshID); !ok {
+			return fmt.Errorf("mesh %q not recoverable after restart: %w", spec.MeshID, ErrMeshNotFound)
+		}
+		return nil
+	})
 
+	// The shard-mode routes a cluster coordinator drives (shard.go) sit
+	// beside the public ones.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/meshes", s.handleMeshUpload)
-	mux.HandleFunc("GET /v1/meshes/{id}", s.handleMeshGet)
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("POST /v1/shard/eval", s.handleShardEval)
-	mux.HandleFunc("POST /v1/shard/coverage", s.handleShardCoverage)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /debug/metrics", s.handleMetrics)
-	s.handler = s.withLogging(s.withRecovery(mux))
+	mux.HandleFunc("POST /v1/shard/eval", func(w http.ResponseWriter, r *http.Request) {
+		resp, err := s.shardEval(r)
+		reply(w, http.StatusOK, resp, err)
+	})
+	mux.HandleFunc("POST /v1/shard/coverage", func(w http.ResponseWriter, r *http.Request) {
+		resp, err := s.shardCoverage(r)
+		reply(w, http.StatusOK, resp, err)
+	})
+	s.handler = NewHandler(s, mux, cfg.MaxBodyBytes, cfg.Log, s.faults)
 	// Startup work — journal replay and artifact-store GC — happens
 	// synchronously above, so by this point the process is ready modulo
-	// queue saturation, which handleReadyz re-checks per request.
+	// queue saturation, which Readiness re-checks per request.
 	s.ready.Store(true)
 	return s, nil
 }
@@ -197,10 +203,7 @@ func (s *Server) Close() error {
 func (s *Server) Faults() *metrics.FaultCounters { return s.faults }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	s.handler.ServeHTTP(w, r)
-}
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // Manager exposes the job manager (shutdown, tests).
 func (s *Server) Manager() *Manager { return s.mgr }
@@ -208,113 +211,9 @@ func (s *Server) Manager() *Manager { return s.mgr }
 // Artifacts exposes the artifact cache façade (tests, embedding servers).
 func (s *Server) Artifacts() *Artifacts { return s.arts }
 
-// statusRecorder captures the response code for the request log and whether
-// the response has started (the recovery middleware can only substitute a
-// 500 before the first write).
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if !r.wrote {
-		r.status = code
-		r.wrote = true
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if !r.wrote {
-		r.wrote = true
-		if r.status == 0 {
-			r.status = http.StatusOK
-		}
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// withRecovery converts a handler panic into a 500 JSON error instead of
-// killing the connection (and, under net/http, only the goroutine — but a
-// panicking handler still drops the response on the floor). It sits inside
-// withLogging so the request log records the 500. http.ErrAbortHandler is
-// re-panicked: it is the sanctioned way to abort a response.
-func (s *Server) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if v == http.ErrAbortHandler {
-				panic(v)
-			}
-			s.faults.PanicsRecovered.Add(1)
-			if s.log != nil {
-				s.log.Error("handler panic recovered",
-					"method", r.Method, "path", r.URL.Path,
-					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
-			}
-			// If the handler already started the response we cannot change
-			// the status; otherwise surface a JSON 500.
-			if !rec.wrote {
-				writeError(w, http.StatusInternalServerError, "internal error: %v", v)
-			}
-		}()
-		// The injection site covers the whole request path: in panic mode it
-		// exercises this very middleware, in error mode it simulates a
-		// handler failing before writing a response.
-		if err := fault.Inject(SiteHandler); err != nil {
-			panic(err)
-		}
-		next.ServeHTTP(rec, r)
-	})
-}
-
-func (s *Server) withLogging(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.log == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(rec, r)
-		s.log.Info("request",
-			"method", r.Method, "path", r.URL.Path, "status", rec.status,
-			"duration", time.Since(start), "remote", r.RemoteAddr)
-	})
-}
-
-// errorBody is the uniform JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleMeshUpload(w http.ResponseWriter, r *http.Request) {
-	m, err := mesh.Decode(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"mesh exceeds the %d-byte upload limit", tooLarge.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+// PutMesh implements Backend: the mesh becomes resident under its content
+// hash.
+func (s *Server) PutMesh(_ context.Context, m *mesh.Mesh, _ []byte) (any, error) {
 	id, err := s.arts.PutMesh(m)
 	if err != nil && s.log != nil {
 		// The mesh is resident in memory; losing the durable copy only
@@ -322,22 +221,26 @@ func (s *Server) handleMeshUpload(w http.ResponseWriter, r *http.Request) {
 		s.log.Warn("mesh not persisted; jobs on it will not survive a restart",
 			"mesh", id, "err", err)
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	return map[string]any{
 		"mesh_id":   id,
 		"num_tris":  m.NumTris(),
 		"num_verts": m.NumVerts(),
-	})
+	}, nil
 }
 
-func (s *Server) handleMeshGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// MeshInfo implements Backend.
+func (s *Server) MeshInfo(_ context.Context, id string) (any, error) {
 	m, ok := s.arts.Mesh(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "mesh %q not resident", id)
-		return
+		return nil, Errorf(http.StatusNotFound, "mesh %q not resident", id)
 	}
+	return MeshStats(id, m), nil
+}
+
+// MeshStats is the GET /v1/meshes/{id} body for mesh m stored as id.
+func MeshStats(id string, m *mesh.Mesh) map[string]any {
 	st := m.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"mesh_id":      id,
 		"num_tris":     st.NumTris,
 		"num_verts":    st.NumVerts,
@@ -345,100 +248,36 @@ func (s *Server) handleMeshGet(w http.ResponseWriter, r *http.Request) {
 		"edge_cv":      st.CV,
 		"min_angle":    st.MinAngleDeg,
 		"total_area":   st.TotalArea,
-	})
+	}
 }
 
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
+// Submit implements Backend: a valid spec on a resident mesh is queued.
+func (s *Server) Submit(_ context.Context, spec JobSpec) (JobStatus, error) {
+	if err := spec.Validate(s.cfg.DefaultBlocks); err != nil {
+		return JobStatus{}, Errorf(http.StatusBadRequest, "bad job spec: %v", err)
+	}
+	if _, ok := s.arts.Mesh(spec.MeshID); !ok {
+		return JobStatus{}, &Error{Status: http.StatusNotFound, Err: fmt.Errorf(
+			"mesh %q not resident (upload it via POST /v1/meshes): %w", spec.MeshID, ErrMeshNotFound)}
 	}
 	job, err := s.mgr.Submit(spec)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusAccepted, job.Status())
-	case errors.Is(err, ErrQueueFull):
-		// Retry-After is derived from the observed job service time and the
-		// live queue depth, so a saturated server tells clients how long a
-		// slot actually takes to free instead of a hardcoded guess.
-		w.Header().Set("Retry-After", strconv.Itoa(s.mgr.RetryAfterSeconds()))
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, ErrMeshNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err != nil {
+		return JobStatus{}, err
 	}
+	return job.Status(), nil
 }
 
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.mgr.Jobs()})
-}
+// Status implements Backend.
+func (s *Server) Status(_ context.Context, id string) (JobStatus, error) { return s.mgr.Status(id) }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.mgr.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "job %q not found", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, job.Status())
-}
+// Jobs implements Backend.
+func (s *Server) Jobs(context.Context) []JobStatus { return s.mgr.Jobs() }
 
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.mgr.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "job %q not found", r.PathValue("id"))
-		return
-	}
-	res, ok := job.Result()
-	if !ok {
-		st := job.Status()
-		if st.State == StateFailed {
-			writeError(w, http.StatusConflict, "job %s failed: %s", job.ID, st.Error)
-			return
-		}
-		writeError(w, http.StatusConflict, "job %s is %s; result not ready", job.ID, st.State)
-		return
-	}
-	body := map[string]any{
-		"job_id":          job.ID,
-		"scheme":          res.Scheme.String(),
-		"num_points":      len(res.Solution),
-		"memory_overhead": res.MemoryOverhead,
-		"solution":        res.Solution,
-	}
-	if len(res.Solutions) > 0 {
-		// Multi-field batched apply: one solution per requested field, in
-		// order; "solution" stays the first field for compatibility.
-		body["fields"] = job.Spec.Fields
-		body["solutions"] = res.Solutions
-	}
-	writeJSON(w, http.StatusOK, body)
-}
+// Result implements Backend.
+func (s *Server) Result(_ context.Context, id string) (*JobResult, error) { return s.mgr.Result(id) }
 
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.mgr.Cancel(id); err != nil {
-		if _, ok := s.mgr.Job(id); !ok {
-			writeError(w, http.StatusNotFound, "%v", err)
-		} else {
-			writeError(w, http.StatusConflict, "%v", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"job_id": id, "cancelled": true})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"uptime_ms": float64(time.Since(s.start)) / float64(time.Millisecond),
-	})
-}
+// Cancel implements Backend.
+func (s *Server) Cancel(_ context.Context, id string) error { return s.mgr.Cancel(id) }
 
 // readiness reports whether the service should receive traffic: startup
 // work (journal replay, artifact-store GC) done and the job queue below
@@ -455,11 +294,9 @@ func readiness(started bool, depth, capacity int) (bool, string) {
 	}
 }
 
-// handleReadyz serves GET /readyz, the readiness probe the cluster
-// coordinator consumes. Unlike /healthz (liveness: the process answers),
-// readiness also demands that replayed state is loaded and the queue can
-// absorb a submission; 503 means "up, but route elsewhere for now".
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// Readiness implements Backend: replayed state loaded and a queue that can
+// absorb a submission.
+func (s *Server) Readiness() (bool, map[string]any, int) {
 	depth, capacity := s.mgr.QueueDepth(), s.mgr.QueueCapacity()
 	ready, reason := readiness(s.ready.Load(), depth, capacity)
 	body := map[string]any{
@@ -471,18 +308,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if reason != "" {
 		body["reason"] = reason
 	}
-	status := http.StatusOK
-	if !ready {
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(s.mgr.RetryAfterSeconds()))
-	}
-	writeJSON(w, status, body)
+	return ready, body, s.mgr.RetryAfterSeconds()
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// Metrics implements Backend: queue, cache, per-scheme and fault counters.
+func (s *Server) Metrics() map[string]any {
 	cache := s.arts.Stats()
 	body := map[string]any{
-		"uptime_ms":      float64(time.Since(s.start)) / float64(time.Millisecond),
 		"queue_depth":    s.mgr.QueueDepth(),
 		"queue_capacity": s.mgr.QueueCapacity(),
 		"workers":        s.mgr.Workers(),
@@ -506,5 +338,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if fault.Enabled() {
 		body["fault_injection"] = fault.Stats()
 	}
-	writeJSON(w, http.StatusOK, body)
+	return body
 }

@@ -518,6 +518,39 @@ func TestJobList(t *testing.T) {
 	}
 }
 
+// TestJobIDNotReusedAfterRestart: a server without a StateDir forgets its
+// jobs on restart. An id a client still holds must then answer 404 — never
+// the status or result of a job submitted after the restart.
+func TestJobIDNotReusedAfterRestart(t *testing.T) {
+	m := mesh.Structured(4)
+	spec := JobSpec{Scheme: "per-point", P: 1, Blocks: 2}
+
+	_, before := newTestServer(t, Config{Workers: 1})
+	spec.MeshID = uploadMesh(t, before, m)
+	old, code := submitJob(t, before, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit before restart: %d", code)
+	}
+	waitJob(t, before, old.ID, 60*time.Second)
+	before.Close()
+
+	_, after := newTestServer(t, Config{Workers: 1})
+	uploadMesh(t, after, m)
+	fresh, code := submitJob(t, after, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after restart: %d", code)
+	}
+	waitJob(t, after, fresh.ID, 60*time.Second)
+	if fresh.ID == old.ID {
+		t.Fatalf("restarted server reissued id %s", old.ID)
+	}
+	for _, path := range []string{"/v1/jobs/" + old.ID, "/v1/jobs/" + old.ID + "/result"} {
+		if code := getJSON(t, after.URL+path, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s after restart: status %d, want 404", path, code)
+		}
+	}
+}
+
 func TestMeshGetStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	m := mesh.Structured(5)

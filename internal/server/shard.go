@@ -12,7 +12,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -55,26 +54,8 @@ type ShardEvalRequest struct {
 }
 
 func (q *ShardEvalRequest) normalize() error {
-	if q.MeshID == "" {
-		return errors.New("mesh_id is required")
-	}
-	if q.P < 1 || q.P > 4 {
-		return fmt.Errorf("p must be in 1..4, got %d", q.P)
-	}
-	if q.GridDegree > MaxGridDegree {
-		return fmt.Errorf("grid_degree must be <= %d, got %d", MaxGridDegree, q.GridDegree)
-	}
-	if q.Boundary == "" {
-		q.Boundary = "periodic"
-	}
-	if _, err := parseBoundary(q.Boundary); err != nil {
+	if err := checkEval(q.MeshID, q.P, q.GridDegree, &q.Boundary, &q.Field, nil); err != nil {
 		return err
-	}
-	if q.Field == "" {
-		q.Field = "sincos"
-	}
-	if _, ok := FieldFuncs[q.Field]; !ok {
-		return fmt.Errorf("unknown field %q (have %v)", q.Field, FieldNames())
 	}
 	if q.K < 1 || q.K > MaxBlocks {
 		return fmt.Errorf("k must be in 1..%d, got %d", MaxBlocks, q.K)
@@ -115,46 +96,34 @@ type ShardEvalResponse struct {
 	WallMS         float64             `json:"wall_ms"`
 }
 
-// handleShardEval serves POST /v1/shard/eval: patch-scoped per-element
+// shardEval serves POST /v1/shard/eval: patch-scoped per-element
 // evaluation, synchronous on the request goroutine like /v1/query. The
 // coordinator owns job lifecycle, retry across shards and the final merge;
 // the shard contributes exact, deterministic partials.
-func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
+func (s *Server) shardEval(r *http.Request) (*ShardEvalResponse, error) {
 	if err := fault.Inject(SiteShardEval); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return nil, &Error{Status: http.StatusInternalServerError, Err: err}
 	}
 	var req ShardEvalRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard eval request: %v", err)
-		return
+	err := decodeStrict(r.Body, &req)
+	if err == nil {
+		err = req.normalize()
 	}
-	if err := req.normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard eval request: %v", err)
-		return
-	}
-	ev, tiling, status, err := s.shardArtifacts(&req)
 	if err != nil {
-		writeError(w, status, "%v", err)
-		return
+		return nil, Errorf(http.StatusBadRequest, "bad shard eval request: %v", err)
 	}
-	timeout := s.mgr.jobTimeout
+	ev, tiling, err := s.shardArtifacts(&req)
+	if err != nil {
+		return nil, err
+	}
+	timeout := s.cfg.JobTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	rs := &core.Resilience{
-		MaxAttempts:  s.mgr.retry.Attempts,
-		BaseDelay:    s.mgr.retry.Base,
-		MaxDelay:     s.mgr.retry.Max,
-		AllowPartial: req.AllowPartial,
-		Faults:       s.faults,
-	}
 	start := time.Now()
-	partials, failed, err := ev.EvalPatchesResilientCtx(ctx, tiling, req.Patches, rs)
+	partials, failed, err := ev.EvalPatchesResilientCtx(ctx, tiling, req.Patches, s.resilience(req.AllowPartial))
 	if err != nil {
 		// Transient failures (injected faults, panics) are retryable by the
 		// coordinator; permanent ones (cancellation, deadline) are its cue
@@ -163,10 +132,9 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		if !core.Transient(err) {
 			status = http.StatusGatewayTimeout
 		}
-		writeError(w, status, "shard eval: %v", err)
-		return
+		return nil, Errorf(status, "shard eval: %v", err)
 	}
-	resp := ShardEvalResponse{
+	resp := &ShardEvalResponse{
 		MeshID:         req.MeshID,
 		K:              req.K,
 		NumPoints:      tiling.NumPoints,
@@ -185,7 +153,7 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		resp.Counters.Add(&pp.Counters)
 	}
 	s.mgr.totals.Record("shard-eval", &resp.Counters)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // ShardCoverageRequest asks for the uncovered-point set of a failed patch
@@ -212,15 +180,10 @@ type ShardCoverageResponse struct {
 	UncoveredTruncated bool    `json:"uncovered_truncated,omitempty"`
 }
 
-// handleShardCoverage serves POST /v1/shard/coverage.
-func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
+// shardCoverage serves POST /v1/shard/coverage.
+func (s *Server) shardCoverage(r *http.Request) (*ShardCoverageResponse, error) {
 	var req ShardCoverageRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard coverage request: %v", err)
-		return
-	}
+	err := decodeStrict(r.Body, &req)
 	ereq := ShardEvalRequest{
 		MeshID: req.MeshID, P: req.P, GridDegree: req.GridDegree,
 		Boundary: req.Boundary, Field: req.Field, K: req.K,
@@ -231,48 +194,48 @@ func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
 		// legal here and trivially fully covered.
 		ereq.Patches = []int{0}
 	}
-	if err := ereq.normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard coverage request: %v", err)
-		return
+	if err == nil {
+		err = ereq.normalize()
 	}
-	_, tiling, status, err := s.shardArtifacts(&ereq)
 	if err != nil {
-		writeError(w, status, "%v", err)
-		return
+		return nil, Errorf(http.StatusBadRequest, "bad shard coverage request: %v", err)
+	}
+	_, tiling, err := s.shardArtifacts(&ereq)
+	if err != nil {
+		return nil, err
 	}
 	ids := tiling.UncoveredIDs(req.Failed)
-	resp := ShardCoverageResponse{
+	resp := &ShardCoverageResponse{
 		TotalPoints:     tiling.NumPoints,
 		UncoveredPoints: len(ids),
 		CoveredPoints:   tiling.NumPoints - len(ids),
+		UncoveredIDs:    ids,
 	}
 	if len(ids) > MaxUncoveredIDs {
 		resp.UncoveredIDs = ids[:MaxUncoveredIDs]
 		resp.UncoveredTruncated = true
-	} else {
-		resp.UncoveredIDs = ids
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // shardArtifacts resolves the evaluator and k-patch tiling for a normalized
-// shard request, mapping failures to HTTP statuses (404 for a mesh the
-// shard does not hold — the coordinator's cue to re-seed it).
-func (s *Server) shardArtifacts(req *ShardEvalRequest) (*core.Evaluator, *tile.Tiling, int, error) {
+// shard request: a 404 for a mesh the shard does not hold — the
+// coordinator's cue to re-seed it — and a 422 for artifacts that cannot be
+// built.
+func (s *Server) shardArtifacts(req *ShardEvalRequest) (*core.Evaluator, *tile.Tiling, error) {
 	m, ok := s.arts.Mesh(req.MeshID)
 	if !ok {
-		return nil, nil, http.StatusNotFound,
-			fmt.Errorf("mesh %q not resident (upload it via POST /v1/meshes)", req.MeshID)
+		return nil, nil, Errorf(http.StatusNotFound,
+			"mesh %q not resident (upload it via POST /v1/meshes)", req.MeshID)
 	}
 	boundary, _ := parseBoundary(req.Boundary) // validated by normalize
 	ev, _, err := s.arts.Evaluator(m, req.MeshID, req.P, req.GridDegree, boundary, req.Field)
-	if err != nil {
-		return nil, nil, http.StatusUnprocessableEntity, err
+	if err == nil {
+		var tiling *tile.Tiling
+		tiling, _, err = s.arts.Tiling(ev, EvalKey(req.MeshID, req.P, req.GridDegree, boundary, req.Field), req.K)
+		if err == nil {
+			return ev, tiling, nil
+		}
 	}
-	evalKey := EvalKey(req.MeshID, req.P, req.GridDegree, boundary, req.Field)
-	tiling, _, err := s.arts.Tiling(ev, evalKey, req.K)
-	if err != nil {
-		return nil, nil, http.StatusUnprocessableEntity, err
-	}
-	return ev, tiling, http.StatusOK, nil
+	return nil, nil, &Error{Status: http.StatusUnprocessableEntity, Err: err}
 }
