@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -13,12 +12,14 @@ import (
 // Two kernels read the one storage form: applyRows (one field, SpMV) and
 // applyRowsBlock (a tile of up to fieldBlock fields, SpMM). The SpMV is
 // not the SpMM at width 1: the tile kernel packs the coefficients and
-// indexes per-field accumulator arrays, and on the request benchmark's own
-// operator (P2 Structured(16), 6,558,720 nnz) ApplyBlock at one field lost
-// to ApplyVec in 9 of 9 interleaved medians-of-41, by 2–38 % (median
-// ≈ 12 %). Both run the identical Neumaier recurrence over the identical
-// term sequence per (row, field), so their outputs are bit-identical —
-// the property tests pin that against a naive reference.
+// indexes per-field accumulator arrays. With the TwoSum update, on the
+// P2-shaped operator of bench_test.go (4608 rows, ≈ 6.55 M nnz, one
+// worker, 2-vCPU Xeon guest), BenchmarkApplyBlock1P2 lost to
+// BenchmarkApplyVecP2 in 10 of 10 alternating runs: median 18.4 ms
+// against 14.5 ms, ≈ 1.28× per pair. Both kernels run the identical
+// compensated recurrence over the identical term sequence per
+// (row, field), so their outputs are bit-identical — the property tests
+// pin that against a naive reference.
 
 // applyBlock is the row-block granularity of the parallel applies: large
 // enough that claim cost (one fetch-add) is noise, small enough that the
@@ -93,9 +94,11 @@ func (op *Operator) fanOut(workers int, fn func(lo, hi int)) {
 // full condition number of the cancellation into the result. Compensation
 // keeps the apply's rounding below the direct schemes' own noise floor.
 //
-// The compensation update computes both error expressions and lets the
-// predicate select one: math.Abs is a bit-mask intrinsic, and a
-// data-dependent branch here mispredicts constantly.
+// The compensation update is Knuth's TwoSum: branch-free, and the exact
+// rounding error of fl(sum+term) whichever operand is larger. The textbook
+// Neumaier update (a magnitude test selecting one of two error
+// expressions) computes the same exact error, so the two are bitwise
+// identical by construction; the tests keep that form as the reference.
 func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 	basisN := op.BasisN
 	for r := lo; r < hi; r++ {
@@ -107,11 +110,8 @@ func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 			for m := 0; m < basisN; m++ {
 				term := vb[m] * cb[m]
 				t := sum + term
-				e := (term - t) + sum
-				if math.Abs(sum) >= math.Abs(term) {
-					e = (sum - t) + term
-				}
-				comp += e
+				z := t - sum
+				comp += (sum - (t - z)) + (term - z)
 				sum = t
 			}
 		}
@@ -175,7 +175,7 @@ func PutVec(v []float64) { putPooled(&vecPool, v) }
 
 // fieldBlock is the field-tile width of the SpMM: operator entries are
 // multiplied against up to fieldBlock fields per pass over the operator,
-// with one Neumaier (sum, comp) pair per field. 8 fields × 2 × 8 bytes =
+// with one compensated (sum, comp) pair per field. 8 fields × 2 × 8 bytes =
 // 128 B of accumulator state, while cutting operator-stream traffic 8×
 // versus per-field SpMV.
 const fieldBlock = 8
@@ -255,7 +255,7 @@ func (op *Operator) ApplyBlockCounters(nf int) metrics.Counters {
 // applyRowsBlock computes storage rows [lo, hi) for one field tile. packed
 // holds the tile's coefficients at packed[col·fb + f]; out holds the fb
 // per-field output vectors. The loops run field-major inside an element
-// block: each field walks the whole basisN-long mode run with its Neumaier
+// block: each field walks the whole basisN-long mode run with its (sum, comp)
 // pair held in registers instead of spilling all fieldBlock pairs to the
 // stack on every entry. Fields are independent accumulators and each
 // consumes its terms in exactly applyRows' order (modes ascending within a
@@ -280,13 +280,10 @@ func (op *Operator) applyRowsBlock(packed []float64, fb int, out [][]float64, lo
 				for m := 0; m < basisN; m++ {
 					term := vb[m] * blk[o]
 					o += fb
+					// Same TwoSum compensation as applyRows.
 					t := s + term
-					// Same select-form compensation as applyRows.
-					e := (term - t) + s
-					if math.Abs(s) >= math.Abs(term) {
-						e = (s - t) + term
-					}
-					c += e
+					z := t - s
+					c += (s - (t - z)) + (term - z)
 					s = t
 				}
 				sum[f], comp[f] = s, c

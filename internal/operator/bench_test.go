@@ -89,6 +89,12 @@ func BenchmarkApplyVecP2(b *testing.B) {
 	benchApplyVec(b, benchOperator(b, 4608, 512, 6, 237))
 }
 
+// Width-1 SpMM on the same operator: the measurement behind keeping the
+// SpMV beside the SpMM (see the header of apply.go).
+func BenchmarkApplyBlock1P2(b *testing.B) {
+	benchApplyBlock(b, benchOperator(b, 4608, 512, 6, 237), 1)
+}
+
 func BenchmarkApplyBlockP2(b *testing.B) {
 	benchApplyBlock(b, benchOperator(b, 4608, 512, 6, 237), 8)
 }

@@ -1,6 +1,7 @@
 package operator_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -173,20 +174,65 @@ func mapped(t *testing.T, op *operator.Operator) *operator.Operator {
 	return mop
 }
 
-// TestApplyBlockBitIdentical is the one apply property: over templated and
-// untemplated-by-data operators, heap-built and mmap-loaded, at every
-// worker count and field width (under, at, over and twice the fieldBlock
-// tile), ApplyBlock equals F independent ApplyVec calls bitwise, and both
-// equal the naive reference apply bitwise.
-func TestApplyBlockBitIdentical(t *testing.T) {
-	for _, shared := range []bool{true, false} {
-		heap := synthetic(1500, 150, 3, 42, shared, !shared, true)
-		if (heap.Tpl != nil) != shared {
-			t.Fatalf("shared=%v fixture has Tpl=%v", shared, heap.Tpl != nil)
+// edgeCases is a hand-built 5-row operator (basisN 3, five elements) whose
+// rows sit on the corners of the compensation update, with fields to match:
+// element 0 holds signed zeros, elements 1 and 2 hold ones, element 3
+// cycles NaN, +Inf and -Inf through its middle mode from field to field,
+// and element 4 is ordinary.
+func edgeCases() (*operator.Operator, func(nf int) [][]float64) {
+	nz := math.Copysign(0, -1)
+	b := operator.NewBuilder(5, 15, 3)
+	// All-zero row: stored zero weights, not an empty row.
+	b.SetRowBlocks(0, []int32{1, 2}, make([]float64, 6))
+	// Signed-zero weights against signed-zero coefficients: -0.0 terms.
+	b.SetRowBlocks(1, []int32{0, 1}, []float64{nz, nz, 0, nz, 0, nz})
+	// Exactly cancelling terms spanning 16 decades, around an ordinary
+	// block.
+	b.SetRowBlocks(2, []int32{1, 2, 4}, []float64{1e8, 1e-8, 1e4, -1e-8, -1e4, -1e8, 0.25, -3, 1e-3})
+	// A non-finite coefficient times nonzero weights.
+	b.SetRowBlocks(3, []int32{3, 4}, []float64{1, -2, 0.5, 1, 1, 1})
+	// A non-finite coefficient times a zero weight.
+	b.SetRowBlocks(4, []int32{1, 3}, []float64{1, 1, 1, 0, 0, 0})
+	op := b.Finish([]int32{3, 0, 4, 1, 2}, 2, "per-point", time.Millisecond, metrics.Counters{})
+	fields := func(nf int) [][]float64 {
+		nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		fs := make([][]float64, nf)
+		for f := range fs {
+			fs[f] = []float64{nz, 0, nz, 1, 1, 1, 1, 1, 1, 1, nonFinite[f%3], 1, 0.5, float64(f) - 3, 7}
 		}
-		for load, op := range map[string]*operator.Operator{"heap": heap, "mmap": mapped(t, heap)} {
+		return fs
+	}
+	return op, fields
+}
+
+// TestApplyBlockBitIdentical is the one apply property: over templated and
+// untemplated-by-data operators and the edge-case rows, heap-built and
+// mmap-loaded, at every worker count and field width (under, at, over and
+// twice the fieldBlock tile), ApplyBlock equals F independent ApplyVec
+// calls bitwise, and both equal the naive reference apply bitwise. A
+// non-finite reference output must be NaN in all three.
+func TestApplyBlockBitIdentical(t *testing.T) {
+	type fixture struct {
+		name   string
+		op     *operator.Operator
+		fields func(nf int) [][]float64
+	}
+	var fixtures []fixture
+	for _, shared := range []bool{true, false} {
+		op := synthetic(1500, 150, 3, 42, shared, !shared, true)
+		if (op.Tpl != nil) != shared {
+			t.Fatalf("shared=%v fixture has Tpl=%v", shared, op.Tpl != nil)
+		}
+		fixtures = append(fixtures, fixture{fmt.Sprintf("shared=%v", shared), op,
+			func(nf int) [][]float64 { return randFields(op.Cols, nf, int64(nf)*7+1) }})
+	}
+	edge, edgeFields := edgeCases()
+	fixtures = append(fixtures, fixture{"edge", edge, edgeFields})
+
+	for _, fx := range fixtures {
+		for load, op := range map[string]*operator.Operator{"heap": fx.op, "mmap": mapped(t, fx.op)} {
 			for _, nf := range []int{1, 3, 8, 9, 16} {
-				coeffs := randFields(op.Cols, nf, int64(nf)*7+1)
+				coeffs := fx.fields(nf)
 				want := make([][]float64, nf)
 				for f := range want {
 					want[f] = referenceApply(op, coeffs[f])
@@ -203,10 +249,15 @@ func TestApplyBlockBitIdentical(t *testing.T) {
 					}
 					for f := range want {
 						for i, w := range want[f] {
-							if math.Float64bits(vec[f][i]) != math.Float64bits(w) || math.Float64bits(blk[f][i]) != math.Float64bits(w) {
-								t.Fatalf("shared=%v %s nf=%d workers=%d field %d point %d: ApplyVec %x, ApplyBlock %x, reference %x",
-									shared, load, nf, workers, f, i,
-									math.Float64bits(vec[f][i]), math.Float64bits(blk[f][i]), math.Float64bits(w))
+							v, b := vec[f][i], blk[f][i]
+							same := math.Float64bits(v) == math.Float64bits(w) && math.Float64bits(b) == math.Float64bits(w)
+							if math.IsNaN(w) || math.IsInf(w, 0) {
+								same = math.IsNaN(w) && math.IsNaN(v) && math.IsNaN(b)
+							}
+							if !same {
+								t.Fatalf("%s %s nf=%d workers=%d field %d point %d: ApplyVec %x, ApplyBlock %x, reference %x",
+									fx.name, load, nf, workers, f, i,
+									math.Float64bits(v), math.Float64bits(b), math.Float64bits(w))
 							}
 						}
 					}
