@@ -136,8 +136,8 @@ func pack(args []string) {
 		fatal(err)
 	}
 	st := op.Stats()
-	fmt.Printf("operator %s\n         -> %s (%d x %d, %d nnz, %s wall)\n",
-		opKey, store.Path(opKey), st.Rows, st.Cols, st.NNZ, op.AssemblyWall)
+	fmt.Printf("operator %s\n         -> %s (%d x %d, %d nnz, %d distinct weight blocks, %s wall)\n",
+		opKey, store.Path(opKey), st.Rows, st.Cols, st.NNZ, st.UniqueBlocks, op.AssemblyWall)
 	if cs := op.Congruence; cs != nil {
 		fmt.Printf("         congruence: %d classes, %d/%d rows stamped, %d demoted\n",
 			cs.Classes, cs.RowsStamped, cs.Rows, cs.RowsDemoted)
@@ -194,8 +194,8 @@ func inspect(args []string) {
 	case artifact.KindOperator:
 		if op, err := c.DecodeOperator(""); err == nil {
 			st := op.Stats()
-			fmt.Printf("  operator %d x %d, %d nnz (%.1f/row), basis %d, scheme %s, assembled in %s\n",
-				st.Rows, st.Cols, st.NNZ, st.NNZPerRow, op.BasisN, op.AssemblyScheme, op.AssemblyWall)
+			fmt.Printf("  operator %d x %d, %d nnz (%.1f/row), basis %d, %d distinct weight blocks, scheme %s, assembled in %s\n",
+				st.Rows, st.Cols, st.NNZ, st.NNZPerRow, op.BasisN, st.UniqueBlocks, op.AssemblyScheme, op.AssemblyWall)
 		}
 	}
 }

@@ -25,8 +25,8 @@
 //
 // Payload records are fixed-width arrays (float64, int64, int32 — never a
 // varint or a length-prefixed element), which is what makes operators
-// memory-mappable: the row pointers, element ids, weights and template
-// tables in the file are byte-for-byte the in-memory arrays of
+// memory-mappable: the row pointers, element ids, value-block ids and the
+// value pool in the file are byte-for-byte the in-memory arrays of
 // operator.Operator, so a mapped file can be row-sliced by an apply with
 // no deserialization at all. On hosts without mmap (or big-endian ones) a
 // portable fallback reads the arrays through one sequential decode pass
@@ -41,18 +41,19 @@
 // # Versions
 //
 // Each kind has exactly one format version, written and read: meshes and
-// fields are version 1, operators version 3 (the blocked index with
-// assembly-time templates, see operator.Operator). The version bumps on
-// any layout change and readers reject every other version with
-// ErrVersion — fixed-width layouts cannot be sniffed safely — while
-// unknown section types within the known version are ignored so minor
-// additions stay forward-compatible. Operator files written by the retired
-// versions 1 and 2 (scalar column indices) are therefore rejected like any
-// unknown version; the store deletes such a file and the caller
-// re-assembles and writes the operator back, which is sound because
-// operator artifacts are a derived, content-keyed cache. The section ids
-// those formats used (SecColInd, SecTplDelta) stay reserved, and a
-// version-3 container carrying one is corrupt.
+// fields are version 1, operators version 4 (each block an element id and
+// a value-block id into one pool of distinct weight blocks, see
+// operator.Operator). The version bumps on any layout change and readers
+// reject every other version with ErrVersion — fixed-width layouts cannot
+// be sniffed safely — while unknown section types within the known version
+// are ignored so minor additions stay forward-compatible. Operator files
+// written by the retired versions are therefore rejected like any unknown
+// version: 1 and 2 (scalar column indices) and 3 (weights stored in place
+// per block, plus five stencil-template sections). The store deletes such
+// a file and the caller re-assembles and writes the operator back, which
+// is sound because operator artifacts are a derived, content-keyed cache.
+// The section ids only those formats used stay reserved, and a version-4
+// container carrying one is corrupt.
 package artifact
 
 import (
@@ -69,9 +70,10 @@ const Magic = "UNSA"
 // Version is the format version of mesh and field containers.
 const Version = 1
 
-// VersionOperator is the format version of operator containers: the
-// blocked index (SecBlockID, and SecTplBlockDelta when templated).
-const VersionOperator = 3
+// VersionOperator is the format version of operator containers: per block
+// an element id (SecBlockID) and a value-block id (SecBlockRef) into one
+// pool of distinct weight blocks (SecPool).
+const VersionOperator = 4
 
 // kindVersion returns the one format version accepted (and written) for a
 // container kind.
@@ -121,24 +123,24 @@ const (
 	SecCoeffs uint32 = 32 // float64, element-major modal coefficients
 
 	// Operator payload (the mmap-able row arrays).
-	SecRowPtr  uint32 = 48 // int64, rows+1
-	SecVal     uint32 = 50 // float64, nnz
-	SecPerm    uint32 = 51 // int32, rows (optional: absent = identity)
-	SecBlockID uint32 = 57 // int32, nnz/basisN (element id per block)
+	SecRowPtr   uint32 = 48 // int64, rows+1 (block offsets)
+	SecPerm     uint32 = 51 // int32, rows (optional: absent = identity)
+	SecBlockID  uint32 = 57 // int32, one element id per block
+	SecBlockRef uint32 = 59 // int32, one value-block id per block
+	SecPool     uint32 = 60 // float64, basisN per distinct weight block
 
-	// Stencil template payload (all five present together or all absent).
-	// Same fixed-width mmap contract as the row arrays.
-	SecTplPtr        uint32 = 52 // int64, numTemplates+1
-	SecTplVal        uint32 = 54 // float64, template entries (weights)
-	SecRowTpl        uint32 = 55 // int32, rows (template id, -1 = direct row)
-	SecRowBase       uint32 = 56 // int32, rows (templated row's base column)
-	SecTplBlockDelta uint32 = 58 // int32, template blocks (element deltas)
-
-	// Reserved: the scalar index sections of the retired operator formats
-	// (one int32 per entry). Never written; a container carrying either is
-	// rejected.
-	SecColInd   uint32 = 49
-	SecTplDelta uint32 = 53
+	// Reserved: sections of the retired operator formats — the scalar
+	// index sections of versions 1–2 (one int32 per entry), the in-place
+	// weights of versions 1–3 and the stencil-template side tables of
+	// versions 2–3. Never written; a container carrying one is rejected.
+	SecColInd        uint32 = 49
+	SecVal           uint32 = 50
+	SecTplPtr        uint32 = 52
+	SecTplDelta      uint32 = 53
+	SecTplVal        uint32 = 54
+	SecRowTpl        uint32 = 55
+	SecRowBase       uint32 = 56
+	SecTplBlockDelta uint32 = 58
 )
 
 const (

@@ -52,45 +52,46 @@ func testOperator(t testing.TB, rows, cols, basisN int, withPerm bool) *operator
 }
 
 // congruentOperator builds the same logical operator twice — rows that are
-// exact translates of two stencil patterns — once with every row stored
-// directly and once with the patterns shared as templates, the shape
-// congruence-first assembly emits on a structured mesh.
-func congruentOperator(t testing.TB, rows, elems, basisN int) (direct, templated *operator.Operator) {
+// exact translates of two stencil patterns — once with every row's weights
+// stored directly and once with each pattern row stamped by reference from
+// the first row that used the pattern, the shape congruence-first assembly
+// emits on a structured mesh. Interning makes the two array-identical.
+func congruentOperator(t testing.TB, rows, elems, basisN int) (direct, stamped *operator.Operator) {
 	t.Helper()
-	build := func(share bool) *operator.Operator {
+	build := func(stamp bool) *operator.Operator {
 		rng := rand.New(rand.NewSource(5))
 		deltas := [][]int32{{0, 1, 2, 4}, {0, 2, 3, 4, 5, 6}}
 		patterns := make([][]float64, len(deltas))
-		tpl := make([]int32, len(deltas))
+		first := []int{-1, -1}
 		b := operator.NewBuilder(rows, elems*basisN, basisN)
 		for p, d := range deltas {
 			patterns[p] = make([]float64, len(d)*basisN)
 			for i := range patterns[p] {
 				patterns[p][i] = rng.NormFloat64()
 			}
-			if share {
-				tpl[p] = b.AddTemplateBlocks(d, patterns[p])
-			}
 		}
 		for r := 0; r < rows; r++ {
 			p, e0 := rng.Intn(len(deltas)), int32(rng.Intn(elems-7))
-			if share {
-				b.SetRowTemplated(r, tpl[p], e0)
+			ids := make([]int32, len(deltas[p]))
+			slots := make([]int32, len(deltas[p]))
+			for i, d := range deltas[p] {
+				ids[i], slots[i] = e0+d, int32(i)
+			}
+			if stamp && first[p] >= 0 {
+				b.SetRowStamp(r, ids, first[p], slots)
 				continue
 			}
-			ids := make([]int32, len(deltas[p]))
-			for i, d := range deltas[p] {
-				ids[i] = e0 + d
-			}
+			first[p] = r
 			b.SetRowBlocks(r, ids, patterns[p])
 		}
 		return b.Finish(nil, 2, "per-point", time.Millisecond, metrics.Counters{Regions: 3})
 	}
-	direct, templated = build(false), build(true)
-	if direct.Tpl != nil || templated.Tpl == nil {
-		t.Fatal("congruent fixtures did not come out direct / templated")
+	direct, stamped = build(false), build(true)
+	if want := 4 + 6; direct.Stats().UniqueBlocks != want || stamped.Stats().UniqueBlocks != want {
+		t.Fatalf("congruent fixtures pool %d / %d blocks, want %d",
+			direct.Stats().UniqueBlocks, stamped.Stats().UniqueBlocks, want)
 	}
-	return direct, templated
+	return direct, stamped
 }
 
 // projectTestField is a small P2 field for field round-trip tests.
@@ -150,18 +151,9 @@ func sameOperator(t *testing.T, got, want *operator.Operator) {
 	}
 	sameArray(t, "rowptr", got.RowPtr, want.RowPtr)
 	sameArray(t, "blockid", got.BlockID, want.BlockID)
-	sameArray(t, "val", f64bits(got.Val), f64bits(want.Val))
+	sameArray(t, "blockref", got.BlockRef, want.BlockRef)
+	sameArray(t, "pool", f64bits(got.Pool), f64bits(want.Pool))
 	sameArray(t, "perm", got.Perm, want.Perm)
-	if (got.Tpl == nil) != (want.Tpl == nil) {
-		t.Fatalf("templates present: %v, want %v", got.Tpl != nil, want.Tpl != nil)
-	}
-	if want.Tpl != nil {
-		sameArray(t, "tplptr", got.Tpl.TplPtr, want.Tpl.TplPtr)
-		sameArray(t, "blockdelta", got.Tpl.BlockDelta, want.Tpl.BlockDelta)
-		sameArray(t, "tplval", f64bits(got.Tpl.TplVal), f64bits(want.Tpl.TplVal))
-		sameArray(t, "rowtpl", got.Tpl.RowTpl, want.Tpl.RowTpl)
-		sameArray(t, "rowbase", got.Tpl.RowBase, want.Tpl.RowBase)
-	}
 }
 
 // Encode→Decode must reproduce the mesh exactly, content hash included.
@@ -320,7 +312,7 @@ func TestVersionAndMagicGates(t *testing.T) {
 	}
 	// Each kind has one version: the retired operator versions are as
 	// unknown as a future one, and so is an operator-versioned mesh.
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		bad = bytes.Clone(data)
 		bad[4] = v
 		if _, err := Parse(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrVersion) {

@@ -257,7 +257,7 @@ func (c *Container) DecodeField(key string) (FieldMeta, []float64, error) {
 // scheme [16]byte | wallNs u64 | counters 8×u64.
 const opMetaSize = 8 + 8 + 4 + 4 + 16 + 8 + 64
 
-// EncodeOperator serialises op as a version-3 operator artifact stored
+// EncodeOperator serialises op as a version-4 operator artifact stored
 // under key. The arrays are written verbatim (fixed-width little-endian),
 // so the payload can later be memory-mapped and applied with zero copies.
 func EncodeOperator(w io.Writer, key string, op *operator.Operator) (int64, error) {
@@ -293,18 +293,11 @@ func operatorSections(key string, op *operator.Operator) []section {
 		{SecKey, []byte(key)},
 		{SecRowPtr, encodeI64s(op.RowPtr)},
 		{SecBlockID, encodeI32s(op.BlockID)},
-		{SecVal, encodeF64s(op.Val)},
+		{SecBlockRef, encodeI32s(op.BlockRef)},
+		{SecPool, encodeF64s(op.Pool)},
 	}
 	if op.Perm != nil {
 		secs = append(secs, section{SecPerm, encodeI32s(op.Perm)})
-	}
-	if ts := op.Tpl; ts != nil {
-		secs = append(secs,
-			section{SecTplPtr, encodeI64s(ts.TplPtr)},
-			section{SecTplBlockDelta, encodeI32s(ts.BlockDelta)},
-			section{SecTplVal, encodeF64s(ts.TplVal)},
-			section{SecRowTpl, encodeI32s(ts.RowTpl)},
-			section{SecRowBase, encodeI32s(ts.RowBase)})
 	}
 	return secs
 }
@@ -371,13 +364,15 @@ func (c *Container) portableLoader() arrayLoader {
 	}
 }
 
-// tplSections are the five template section types; a valid container
-// carries all of them or none.
-var tplSections = [...]uint32{SecTplPtr, SecTplBlockDelta, SecTplVal, SecRowTpl, SecRowBase}
+// retiredSections are the reserved section ids of the retired operator
+// formats; a current container carrying any of them is contradictory.
+var retiredSections = [...]uint32{
+	SecColInd, SecVal, SecTplPtr, SecTplDelta, SecTplVal, SecRowTpl, SecRowBase, SecTplBlockDelta,
+}
 
 // loadOperator is the one operator section walk: kind and key checks, the
-// metadata record, the row arrays, the optional permutation and template
-// sections, then operator.Validate — nothing is returned that an apply
+// metadata record, the row arrays and value pool, the optional
+// permutation, then operator.Validate — nothing is returned that an apply
 // could index out of bounds. backing is stored as the operator's Backing.
 func (c *Container) loadOperator(key string, ld arrayLoader, backing any) (*operator.Operator, error) {
 	if c.Kind != KindOperator {
@@ -396,11 +391,9 @@ func (c *Container) loadOperator(key string, ld arrayLoader, backing any) (*oper
 	if err := decodeOpMeta(meta, op); err != nil {
 		return nil, err
 	}
-	// The scalar index sections of the retired formats are reserved: a
-	// container carrying one next to the blocked index is contradictory.
-	for _, typ := range [...]uint32{SecColInd, SecTplDelta} {
+	for _, typ := range retiredSections {
 		if _, ok := c.Section(typ); ok {
-			return nil, fmt.Errorf("%w: v%d operator carries scalar index section %d", ErrCorrupt, c.Version, typ)
+			return nil, fmt.Errorf("%w: v%d operator carries retired section %d", ErrCorrupt, c.Version, typ)
 		}
 	}
 	// load fetches one array section, enforcing the record-width
@@ -422,28 +415,10 @@ func (c *Container) loadOperator(key string, ld arrayLoader, backing any) (*oper
 	}
 	op.RowPtr = ld.i64s(load(SecRowPtr, 8))
 	op.BlockID = ld.i32s(load(SecBlockID, 4))
-	op.Val = ld.f64s(load(SecVal, 8))
+	op.BlockRef = ld.i32s(load(SecBlockRef, 4))
+	op.Pool = ld.f64s(load(SecPool, 8))
 	if _, ok := c.Section(SecPerm); ok {
 		op.Perm = ld.i32s(load(SecPerm, 4))
-	}
-	present := 0
-	for _, typ := range tplSections {
-		if _, ok := c.Section(typ); ok {
-			present++
-		}
-	}
-	switch present {
-	case 0:
-	case len(tplSections):
-		op.Tpl = &operator.TemplateSet{
-			TplPtr:     ld.i64s(load(SecTplPtr, 8)),
-			BlockDelta: ld.i32s(load(SecTplBlockDelta, 4)),
-			TplVal:     ld.f64s(load(SecTplVal, 8)),
-			RowTpl:     ld.i32s(load(SecRowTpl, 4)),
-			RowBase:    ld.i32s(load(SecRowBase, 4)),
-		}
-	default:
-		return nil, fmt.Errorf("%w: %d of %d template sections present", ErrCorrupt, present, len(tplSections))
 	}
 	if firstErr != nil {
 		return nil, firstErr

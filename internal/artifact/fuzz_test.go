@@ -28,17 +28,18 @@ func FuzzArtifactDecode(f *testing.F) {
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
 
-	// Operator seeds, all version 3: random rows with and without a
-	// permutation, congruent rows stored directly and through templates.
+	// Operator seeds, all version 4: random rows (every block its own
+	// pool entry) with and without a permutation, and congruent rows
+	// stamped from shared refs.
 	f.Add(encodeOp(f, "op:seed", testOperator(f, 25, 18, 6, true)))
 	f.Add(encodeOp(f, "op:seed2", testOperator(f, 10, 9, 3, false)))
-	direct, templated := congruentOperator(f, 60, 20, 3)
-	f.Add(encodeOp(f, "op:direct", direct))
-	f.Add(encodeOp(f, "op:tpl", templated))
+	_, stamped := congruentOperator(f, 60, 20, 3)
+	f.Add(encodeOp(f, "op:shared", stamped))
 
-	// Structural edge cases the mutator should start from: a retired
-	// operator version, wrong magic, bare header, empty input.
-	f.Add(legacyOperatorContainer("op:v2", templated))
+	// Structural edge cases the mutator should start from: the retired
+	// operator versions, wrong magic, bare header, empty input.
+	f.Add(legacyOperatorContainer("op:v3", stamped, 3))
+	f.Add(legacyOperatorContainer("op:v2", stamped, 2))
 	f.Add([]byte("UNSA"))
 	f.Add([]byte{})
 	f.Add([]byte("GPKG not ours at all, padded to header size..."))

@@ -65,31 +65,22 @@ func TestBSROperatorRoundTrip(t *testing.T) {
 	loadBoth(t, data, key, direct)
 }
 
-// A templated operator must round-trip — templates, side tables, and apply
-// results all bitwise — on both load paths, apply exactly like the same
-// rows stored directly, and encode smaller than them.
+// Rows stamped by reference from a template row must round-trip — refs,
+// pool and apply results all bitwise — on both load paths. Their container
+// is byte-identical to the one for the same rows stored directly (stamping
+// and interning agree), and holds each pattern block once, so it encodes
+// smaller than the weights would stored in place.
 func TestTemplatedOperatorRoundTrip(t *testing.T) {
-	direct, topl := congruentOperator(t, 300, 80, 3)
+	direct, stamped := congruentOperator(t, 300, 80, 3)
 	key := "op:test/p2/g4/periodic"
-	dataDirect := encodeOp(t, key, direct)
-	dataTpl := encodeOp(t, key, topl)
-	if len(dataTpl) >= len(dataDirect) {
-		t.Fatalf("templated container (%d B) not smaller than direct (%d B)", len(dataTpl), len(dataDirect))
+	data := encodeOp(t, key, stamped)
+	if !bytes.Equal(data, encodeOp(t, key, direct)) {
+		t.Fatal("stamped and directly stored rows encode differently")
 	}
-	loadBoth(t, dataTpl, key, topl)
-
-	coeffs := make([]float64, direct.Cols)
-	for i := range coeffs {
-		coeffs[i] = float64(i%17) - 8.5
+	if inPlace := stamped.NNZ() * 8; len(data) >= inPlace {
+		t.Fatalf("container (%d B) not smaller than the weights in place (%d B)", len(data), inPlace)
 	}
-	want, got := make([]float64, direct.Rows), make([]float64, direct.Rows)
-	if err := direct.ApplyVec(coeffs, want, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := topl.ApplyVec(coeffs, got, 1); err != nil {
-		t.Fatal(err)
-	}
-	sameArray(t, "templated vs direct apply", f64bits(got), f64bits(want))
+	loadBoth(t, data, key, stamped)
 }
 
 // retype rewrites the section-table entry of type from to type to: the
@@ -136,78 +127,111 @@ func TestBSRDecodeRejectsBadBlockID(t *testing.T) {
 	expectCorruptBothPaths(t, encodeOp(t, "op:k", &broken), "op:k")
 }
 
-// A container carrying one of the reserved scalar index sections is
-// structurally contradictory and must be rejected, not silently preferred
-// either way — whether it replaces the blocked section or sits next to it.
+// A container carrying one of the reserved sections of the retired
+// formats is structurally contradictory and must be rejected, not silently
+// preferred either way — whether it replaces a current section or sits
+// next to it.
 func TestBSRRejectsScalarColumnSection(t *testing.T) {
-	_, topl := congruentOperator(t, 100, 40, 3)
-	data := encodeOp(t, "op:k", topl)
+	_, stamped := congruentOperator(t, 100, 40, 3)
+	data := encodeOp(t, "op:k", stamped)
 	expectCorruptBothPaths(t, retype(t, data, SecBlockID, SecColInd), "op:k")
-	expectCorruptBothPaths(t, retype(t, data, SecTplBlockDelta, SecTplDelta), "op:k")
+	expectCorruptBothPaths(t, retype(t, data, SecPool, SecVal), "op:k")
 	// Next to the blocked index rather than in place of it.
-	secs := append(operatorSections("op:k", topl), section{SecColInd, make([]byte, 8)})
+	secs := append(operatorSections("op:k", stamped), section{SecColInd, make([]byte, 8)})
 	expectCorruptBothPaths(t, encodeContainer(VersionOperator, KindOperator, secs), "op:k")
 }
 
-// Partial template sections are corruption, not a degraded load.
+// The stencil-template sections of the retired formats are reserved: a
+// current container carrying some or all of them is corruption, not a
+// legacy load.
 func TestPartialTemplateSectionsRejected(t *testing.T) {
-	_, topl := congruentOperator(t, 200, 60, 2)
-	// Retype the RowBase section to an unknown id: now only 4 of 5
-	// template sections are present.
-	expectCorruptBothPaths(t, retype(t, encodeOp(t, "op:k", topl), SecRowBase, 200), "op:k")
+	_, stamped := congruentOperator(t, 200, 60, 2)
+	one := append(operatorSections("op:k", stamped), section{SecRowBase, make([]byte, 4*stamped.Rows)})
+	expectCorruptBothPaths(t, encodeContainer(VersionOperator, KindOperator, one), "op:k")
+	all := operatorSections("op:k", stamped)
+	for _, typ := range []uint32{SecTplPtr, SecTplBlockDelta, SecTplVal, SecRowTpl, SecRowBase} {
+		all = append(all, section{typ, make([]byte, 8)})
+	}
+	expectCorruptBothPaths(t, encodeContainer(VersionOperator, KindOperator, all), "op:k")
 }
 
-// A template row table pointing at a template that does not exist must be
-// rejected by the decode-time validation.
+// What stamped rows share — the value-block refs and the pool they index —
+// is checked at decode: a ref past the pool, a pool that is not whole
+// blocks, or a ref array out of step with the element ids is rejected.
 func TestTemplateValidationAtDecode(t *testing.T) {
-	_, topl := congruentOperator(t, 200, 60, 2)
-	broken := *topl
-	ts := *topl.Tpl
-	ts.RowTpl = append([]int32(nil), topl.Tpl.RowTpl...)
-	ts.RowTpl[0] = int32(ts.NumTemplates()) // dangling id
-	broken.Tpl = &ts
-	expectCorruptBothPaths(t, encodeOp(t, "op:k", &broken), "op:k")
+	_, stamped := congruentOperator(t, 200, 60, 2)
+	for name, mutate := range map[string]func(o *operator.Operator){
+		"out-of-range ref": func(o *operator.Operator) {
+			o.BlockRef = append([]int32(nil), o.BlockRef...)
+			o.BlockRef[0] = int32(len(o.Pool) / o.BasisN)
+		},
+		"ragged pool":          func(o *operator.Operator) { o.Pool = o.Pool[:len(o.Pool)-1] },
+		"refs/blocks mismatch": func(o *operator.Operator) { o.BlockRef = o.BlockRef[:len(o.BlockRef)-1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			broken := *stamped
+			mutate(&broken)
+			expectCorruptBothPaths(t, encodeOp(t, "op:k", &broken), "op:k")
+		})
+	}
 }
 
-// legacyOperatorContainer encodes op the way the retired operator formats
-// did: one scalar column index per entry (SecColInd) in place of the
-// blocked index — version 1 — plus, for templated operators, the template
-// sections with scalar column deltas (SecTplDelta) — version 2.
-func legacyOperatorContainer(key string, op *operator.Operator) []byte {
-	scalar := func(ids []int32) []byte {
-		cols := make([]int32, 0, len(ids)*op.BasisN)
-		for _, e := range ids {
-			for m := 0; m < op.BasisN; m++ {
-				cols = append(cols, e*int32(op.BasisN)+int32(m))
+// legacyOperatorContainer encodes op the way a retired operator format
+// laid it out: weights in place (SecVal) behind row pointers in weight
+// units, indexed by element block (SecBlockID) in version 3 and by scalar
+// column (SecColInd) in versions 1 and 2; version 2 adds the
+// stencil-template sections, here with every row stored directly.
+func legacyOperatorContainer(key string, op *operator.Operator, version uint16) []byte {
+	bn := op.BasisN
+	rowPtr := make([]int64, len(op.RowPtr))
+	for i, p := range op.RowPtr {
+		rowPtr[i] = p * int64(bn)
+	}
+	var vals []float64
+	for _, ref := range op.BlockRef {
+		vals = append(vals, op.Pool[int(ref)*bn:][:bn]...)
+	}
+	index := section{SecBlockID, encodeI32s(op.BlockID)}
+	if version < 3 {
+		cols := make([]int32, 0, len(vals))
+		for _, e := range op.BlockID {
+			for m := 0; m < bn; m++ {
+				cols = append(cols, e*int32(bn)+int32(m))
 			}
 		}
-		return encodeI32s(cols)
+		index = section{SecColInd, encodeI32s(cols)}
 	}
-	version := uint16(1)
-	var secs []section
-	for _, s := range operatorSections(key, op) {
-		switch s.typ {
-		case SecBlockID:
-			s = section{SecColInd, scalar(op.BlockID)}
-		case SecTplBlockDelta:
-			s = section{SecTplDelta, scalar(op.Tpl.BlockDelta)}
-			version = 2
+	cur := operatorSections(key, op)
+	secs := []section{cur[0], cur[1], {SecRowPtr, encodeI64s(rowPtr)}, index, {SecVal, encodeF64s(vals)}}
+	if op.Perm != nil {
+		secs = append(secs, section{SecPerm, encodeI32s(op.Perm)})
+	}
+	if version == 2 {
+		rowTpl := make([]int32, op.Rows)
+		for i := range rowTpl {
+			rowTpl[i] = -1
 		}
-		secs = append(secs, s)
+		secs = append(secs,
+			section{SecTplPtr, encodeI64s([]int64{0})},
+			section{SecTplDelta, nil},
+			section{SecTplVal, nil},
+			section{SecRowTpl, encodeI32s(rowTpl)},
+			section{SecRowBase, encodeI32s(make([]int32, op.Rows))})
 	}
 	return encodeContainer(version, KindOperator, secs)
 }
 
-// The legacy-file path is pinned, not assumed: a version 1 and a version 2
-// operator container make Store.LoadOperator fail with ErrVersion and
+// The legacy-file path is pinned, not assumed: a version 1, 2 or 3
+// operator container makes Store.LoadOperator fail with ErrVersion and
 // remove the file — mapped and portable alike — so the caller's
 // re-assembly and write-through repairs the store; and a store opened on a
 // directory already holding one sweeps it at startup.
 func TestStoreRejectsLegacyOperatorVersions(t *testing.T) {
-	direct, topl := congruentOperator(t, 60, 20, 3)
-	for version, op := range map[uint16]*operator.Operator{1: direct, 2: topl} {
+	_, stamped := congruentOperator(t, 60, 20, 3)
+	permuted := testOperator(t, 30, 24, 6, true)
+	for version, op := range map[uint16]*operator.Operator{1: stamped, 2: stamped, 3: permuted} {
 		key := "op:legacy"
-		data := legacyOperatorContainer(key, op)
+		data := legacyOperatorContainer(key, op, version)
 		if v := binary.LittleEndian.Uint16(data[4:6]); v != version {
 			t.Fatalf("legacy helper wrote v%d, want v%d", v, version)
 		}

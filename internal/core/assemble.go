@@ -56,7 +56,7 @@ type AssembleOpts struct {
 // consecutive rows of an apply gather coefficient blocks of spatially
 // nearby elements; the operator's Perm routes outputs back to point order.
 func (ev *Evaluator) AssembleOperator(opts AssembleOpts) (*operator.Operator, error) {
-	return ev.assembleOperator(opts, sigQuantumDefault, (*assembly).congruent)
+	return ev.assembleOperator(opts, (*assembly).congruent)
 }
 
 // assembly is the state one operator assembly shares between the row
@@ -67,7 +67,6 @@ type assembly struct {
 	positions []geom.Point
 	perm      []int32 // storage row → position index; nil = identity
 	basisN    int
-	invQ      float64        // 1 / (h · signature quantum)
 	cache     SignatureCache // may be nil
 	bld       *operator.Builder
 	wks       []*worker
@@ -87,16 +86,13 @@ type rowScratch struct {
 	sig   []sigEntry
 	ids   []int32
 	labs  map[int32]int32
-	ord   []int32
 	scols []int32
-	svals []float64
+	slots []int32
 }
 
 // assembleOperator runs one row schedule over the requested positions and
-// freezes the result. quantum is the signature quantisation step in units
-// of h; only the congruent schedule reads it, and correctness never
-// depends on it (the fuzz test sweeps it through this entry point).
-func (ev *Evaluator) assembleOperator(opts AssembleOpts, quantum float64, schedule func(*assembly) error) (*operator.Operator, error) {
+// freezes the result.
+func (ev *Evaluator) assembleOperator(opts AssembleOpts, schedule func(*assembly) error) (*operator.Operator, error) {
 	basisN := ev.Field.Basis.N
 	if int64(ev.Mesh.NumTris())*int64(basisN) > math.MaxInt32 {
 		return nil, fmt.Errorf("core: operator column space %d×%d exceeds int32 indexing",
@@ -123,7 +119,6 @@ func (ev *Evaluator) assembleOperator(opts AssembleOpts, quantum float64, schedu
 		positions: positions,
 		perm:      perm,
 		basisN:    basisN,
-		invQ:      1 / (ev.H * quantum),
 		cache:     opts.SigCache,
 		bld:       operator.NewBuilder(n, ev.Mesh.NumTris()*basisN, basisN),
 		wks:       ev.getWorkers(max(min(ev.Opt.Workers, n), 1)),
@@ -308,8 +303,8 @@ func (ev *Evaluator) forEachRowCandidate(pos geom.Point, wk *worker, visit func(
 // geometry differs by an exactly-representable shift see bitwise-identical
 // local vertices and therefore produce bitwise-identical weight rows. That
 // is what congruence-first assembly (signature.go) keys on — interior
-// points of a (near-)structured mesh collapse to a handful of shared
-// stencil templates.
+// points of a (near-)structured mesh collapse to a handful of stencil
+// classes, each integrated once.
 func (ev *Evaluator) integrateWeights(center geom.Point, e int32, wk *worker) bool {
 	bb := ev.elemBounds[e]
 	tri := ev.Mesh.Triangle(int(e)).Translate(geom.Pt(-center.X, -center.Y))

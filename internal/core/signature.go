@@ -25,14 +25,12 @@ import (
 // identically into elements, therefore assemble bitwise-identical weight
 // blocks; the member's columns follow from mapping each of the
 // representative's contributing elements to the member element holding the
-// same local geometry. When that mapping is one uniform id shift D the row
-// is exactly one row of a stencil template (shared deltas + values, base
-// element shifted by D); when it is not — periodic wrap makes spatial
-// translates id-discontinuous — the member still skips quadrature and
-// receives a directly stored row stamped through the mapping. That second
-// case is what extends congruence beyond the dyadic interior: on a
-// periodic mesh *every* translated row is geometrically congruent, wrapped
-// or not.
+// same local geometry. The member then skips quadrature and is stored by
+// reference: each of its blocks reuses the representative's value block,
+// whatever the id mapping — periodic wrap makes spatial translates
+// id-discontinuous, and that costs nothing here. That is what extends
+// congruence beyond the dyadic interior: on a periodic mesh *every*
+// translated row is geometrically congruent, wrapped or not.
 //
 // On large operators a strided congruence probe runs first: it hashes a
 // small sample of rows and, when the sample is almost all singletons (no
@@ -41,73 +39,44 @@ import (
 // alone. Past the probe, the path runs in three stages:
 //
 //  1. Signature prefilter. Every row canonicalises its candidate walk —
-//     entries sorted by quantised local geometry, each carrying a
-//     partition label (first-occurrence ordinal of its element id in
-//     canonical order) — and hashes it together with the kernel class
-//     keys. Equal hashes are candidates for congruence, nothing more:
-//     quantisation deliberately buckets near-congruent rows (jittered or
-//     non-dyadic meshes) together with exact translates.
+//     entries sorted by local geometry bits, each carrying a partition
+//     label (first-occurrence ordinal of its element id in canonical
+//     order) — and hashes it together with the kernel class keys. Rows
+//     with equal hashes form a class, a candidate for congruence and
+//     nothing more.
 //  2. Exact certification. Per class the representative's canonical
-//     signature (full-precision coordinate bit patterns, not quantised) is
-//     materialised; every other member canonicalises its own walk and
-//     compares. Bitwise-equal geometry with identical partition labels
-//     certifies stamping — lossless by the determinism argument above,
-//     with no integration needed. This is what makes collision-induced
-//     false sharing from the quantiser impossible: the quantiser only
-//     chooses who gets compared, never who gets stamped.
-//  3. Verification / demotion. A member whose partition labels match (so a
-//     stamp is at least well-formed) but whose geometry is not bitwise
-//     identical is fully integrated and compared bitwise against the
-//     would-be stamp: equal rows are kept as verified stamps (bytes or
-//     uniformity knowledge gained, no compute saved), unequal rows keep
-//     their own weights as directly stored rows — the transparent per-row
-//     fallback.
-//     Members whose partition structure diverges are demoted directly.
-//     Congruence-first and naive assembly are therefore bitwise identical
-//     on every mesh; the tests pin exactly that.
-
-// sigQuantumDefault is the signature quantisation step in units of h. Fine
-// enough that genuinely different stencil geometries land in different
-// prefilter buckets (a jittered mesh's rows stay singletons and skip the
-// exact-compare pass), coarse enough to absorb sub-quantum rounding noise
-// so near-congruent rows at least reach verification. Correctness never
-// depends on this value.
-const sigQuantumDefault = 1.0 / (1 << 30)
+//     signature is materialised and its row integrated; every other member
+//     canonicalises its own walk and compares. Bitwise-equal geometry with
+//     identical partition labels certifies the stamp — lossless by the
+//     determinism argument above, with no integration needed. A member that
+//     fails (an FNV collision) is integrated as its own row, so a collision
+//     costs time, never output.
+//  3. Singletons integrate exactly as the naive schedule does.
+//
+// Congruence-first and naive assembly are therefore bitwise identical on
+// every mesh, down to the value pool the builder interns; the tests pin
+// exactly that.
 
 // sigEntry is one candidate pair of a row's canonical signature. lab is
 // the partition label — the first-occurrence ordinal of the entry's
 // element id in canonical order — which encodes *which entries share an
 // element* without naming the element. b holds the bit patterns of the
-// element's stencil-local vertices; key is a hash of their quantised
-// values, the entry's contribution to the prefilter bucket.
+// element's stencil-local vertices.
 type sigEntry struct {
 	lab int32
-	key uint64
 	b   [6]uint64
 }
 
-// Per-member outcomes of class resolution.
-const (
-	memberStampedTpl    uint8 = iota + 1 // exact match, uniform id shift: templated, no quadrature
-	memberStampedPlain                   // exact match, wrapped ids: directly stored stamped row, no quadrature
-	memberVerifiedTpl                    // integrated, bitwise equal to the stamp, uniform shift
-	memberVerifiedPlain                  // integrated, bitwise equal to the stamp, wrapped ids
-	memberDemoted                        // integrated, kept its own weights as a directly stored row
-)
-
-// congClass is one prefilter bucket: rows sharing the quantised signature
-// hash, resolved against members[0] (the representative).
+// congClass is one prefilter bucket: rows sharing the signature hash,
+// resolved against members[0] (the representative).
 type congClass struct {
-	members  []int32    // ascending storage rows
-	n        int        // candidate entry count
-	kx, ky   int64      // representative's kernel class keys
-	sig      []sigEntry // canonical signature (full-precision bits)
-	repIDs   []int32    // label → representative element id
-	slotLab  []int32    // contributing slot → label (slots = len(repElems))
-	repElems []int32    // representative row in block form: ascending element ids
-	repVals  []float64  // slot-major weight blocks (len = slots·basisN)
-	status   []uint8    // per member (status[0] unused — the representative)
-	shiftD   []int32    // per templated member: uniform element id shift vs the representative
+	members []int32    // ascending storage rows
+	n       int        // candidate entry count
+	kx, ky  int64      // representative's kernel class keys
+	sig     []sigEntry // canonical signature
+	repIDs  []int32    // label → representative element id
+	slotLab []int32    // representative block → label
+	stamped []bool     // per member (stamped[0] unused — the representative)
 }
 
 // kernelClass returns the quantised one-sided shift keys identifying the
@@ -144,14 +113,14 @@ const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
 // The congruence probe hashes a small low-discrepancy sample of rows
 // before committing to the full signature pass, escalating through
 // probeStages until the observed sharing rate decides the schedule:
-// at least 1/probeMinShareInv of the sampled rows must share a quantised
-// signature with another sampled row to proceed (checked after every
-// stage, so heavily congruent meshes commit at probeMinSample rows), and
-// a stage with *zero* sharing bails to the naive schedule immediately —
-// on jittered and unstructured meshes every sampled row is a singleton,
-// so the fallback decision costs probeMinSample hashes instead of the
-// full probeSampleRows. The probe only gates *cost*: both outcomes
-// produce the bitwise-identical operator.
+// at least 1/probeMinShareInv of the sampled rows must share a signature
+// with another sampled row to proceed (checked after every stage, so
+// heavily congruent meshes commit at probeMinSample rows), and a stage
+// with *zero* sharing bails to the naive schedule immediately — on
+// jittered and unstructured meshes every sampled row is a singleton, so
+// the fallback decision costs probeMinSample hashes instead of the full
+// probeSampleRows. The probe only gates *cost*: both outcomes produce the
+// bitwise-identical operator.
 const (
 	probeSampleRows  = 256 // final escalation stage
 	probeMinSample   = 64  // first stage: smallest decisive sample
@@ -174,40 +143,38 @@ func probeRowAt(i, n int) int {
 // SignatureCache caches canonical signature hashes across operator
 // assemblies, keyed by the row's position bit patterns and kernel-class
 // keys. The congruence prefilter's hash for a row is a pure function of
-// (mesh geometry, position, kernel class, h, quantisation step): rows
-// sharing all five walk identical candidate enumerations and canonicalise
-// to identical signatures. A cache must therefore be scoped to one
-// (mesh, kernel order, h, quantum) tuple by its owner; the key carries
-// the rest. Across boundary-condition variants on that tuple the scoping
-// is still sound: a row whose kernel class keys are (0,0) under a
-// one-sided boundary has its support strictly inside the domain — so the
-// periodic variant of the same row walks the identical candidates — and
-// every near-boundary row differs in (kx, ky) between variants, giving
-// it distinct cache keys. A stale or colliding entry can only misgroup
-// rows, never corrupt weights: stamping is gated by exact certification
-// downstream, so cache bugs degrade speed, not output.
+// (mesh geometry, position, kernel class, h): rows sharing all four walk
+// identical candidate enumerations and canonicalise to identical
+// signatures. A cache must therefore be scoped to one (mesh, kernel order,
+// h) tuple by its owner; the key carries the rest. Across
+// boundary-condition variants on that tuple the scoping is still sound: a
+// row whose kernel class keys are (0,0) under a one-sided boundary has its
+// support strictly inside the domain — so the periodic variant of the same
+// row walks the identical candidates — and every near-boundary row differs
+// in (kx, ky) between variants, giving it distinct cache keys. A stale or
+// colliding entry can only misgroup rows, never corrupt weights: stamping
+// is gated by exact certification downstream, so cache bugs degrade speed,
+// not output.
 //
 // Implementations must be safe for concurrent use; assembly calls Lookup
 // and Store from many workers.
 type SignatureCache interface {
-	Lookup(xb, yb uint64, kx, ky int64) (exact, quant uint64, ok bool)
-	Store(xb, yb uint64, kx, ky int64, exact, quant uint64)
+	Lookup(xb, yb uint64, kx, ky int64) (hash uint64, ok bool)
+	Store(xb, yb uint64, kx, ky int64, hash uint64)
 }
 
 // collectSignature walks the row's candidate enumeration and appends one
 // entry per (image, element) pair: the *element id* temporarily parked in
-// lab (canonicalizeSignature replaces it with the partition label), the
-// local vertex bit patterns, and their quantised values. No clipping and
-// no quadrature run here — the walk is the cheap per-row cost of the
-// congruence path.
-func (ev *Evaluator) collectSignature(pos geom.Point, wk *worker, buf []sigEntry, invQ float64) ([]sigEntry, error) {
+// lab (canonicalizeSignature replaces it with the partition label) and the
+// local vertex bit patterns. No clipping and no quadrature run here — the
+// walk is the cheap per-row cost of the congruence path.
+func (ev *Evaluator) collectSignature(pos geom.Point, wk *worker, buf []sigEntry) ([]sigEntry, error) {
 	buf = buf[:0]
 	err := ev.forEachRowCandidate(pos, wk, func(e int32, center geom.Point) {
 		tri := ev.Mesh.Triangle(int(e)).Translate(geom.Pt(-center.X, -center.Y))
-		s := sigEntry{lab: e, key: fnvOffset64}
+		s := sigEntry{lab: e}
 		for i, c := range [6]float64{tri.A.X, tri.A.Y, tri.B.X, tri.B.Y, tri.C.X, tri.C.Y} {
 			s.b[i] = math.Float64bits(c)
-			s.key = (s.key ^ uint64(int64(math.Round(c*invQ)))) * fnvPrime64
 		}
 		buf = append(buf, s)
 	})
@@ -215,27 +182,19 @@ func (ev *Evaluator) collectSignature(pos geom.Point, wk *worker, buf []sigEntry
 }
 
 // canonicalizeSignature sorts entries into an order independent of the
-// spatial-hash walk (whose bin order is *not* translation invariant):
-// primarily by quantised local geometry — so near-congruent rows
-// canonicalise alike and can bucket together — with exact bit patterns and
-// finally the element id as tie-breaks to keep the order total. It then
-// rewrites each entry's element id into its partition label and returns
-// ids (label → element id), using labs as scratch. Entries sharing an
-// element keep their relative walk order under the (stable) sort only if
-// their geometry ties, which cannot happen for periodic images — distinct
-// images of one element differ by whole domain shifts — so the canonical
-// order of same-element images is ascending shift order: exactly the
-// translation-invariant order forEachShift accumulates them in, which
-// fixes the floating-point sum order of the shared row slot and is
-// therefore part of the congruence certificate.
+// spatial-hash walk (whose bin order is *not* translation invariant): by
+// local geometry bits, with the element id as tie-break to keep the order
+// total. It then rewrites each entry's element id into its partition label
+// and returns ids (label → element id), using labs as scratch. Entries
+// sharing an element keep their relative walk order under the (stable)
+// sort only if their geometry ties, which cannot happen for periodic
+// images — distinct images of one element differ by whole domain shifts —
+// so the canonical order of same-element images is a function of their
+// geometry alone, and the sum order of the shared row slot is fixed by
+// forEachShift's translation-invariant image order, which the certificate
+// compares through the labels.
 func canonicalizeSignature(ents []sigEntry, ids []int32, labs map[int32]int32) ([]sigEntry, []int32) {
 	slices.SortStableFunc(ents, func(a, b sigEntry) int {
-		if a.key != b.key {
-			if a.key < b.key {
-				return -1
-			}
-			return 1
-		}
 		for k := 0; k < 6; k++ {
 			if a.b[k] != b.b[k] {
 				if a.b[k] < b.b[k] {
@@ -261,65 +220,45 @@ func canonicalizeSignature(ents []sigEntry, ids []int32, labs map[int32]int32) (
 	return ents, ids
 }
 
-// signatureHashes folds the kernel class and the canonicalised entry
-// sequence into two FNV-1a hashes: the exact hash over full-precision bit
-// patterns plus labels — rows sharing it are bitwise congruent up to FNV
-// collision, which certification still re-checks — and the quantised hash
-// over entry keys plus labels, the coarser bucket that groups
-// near-congruent rows with exact translates for the verification tier.
-func signatureHashes(kxKey, kyKey int64, ents []sigEntry) (exact, quantised uint64) {
-	he, hq := uint64(fnvOffset64), uint64(fnvOffset64)
-	he = (he ^ uint64(kxKey)) * fnvPrime64
-	he = (he ^ uint64(kyKey)) * fnvPrime64
-	hq = (hq ^ uint64(kxKey)) * fnvPrime64
-	hq = (hq ^ uint64(kyKey)) * fnvPrime64
-	he = (he ^ uint64(len(ents))) * fnvPrime64
-	hq = (hq ^ uint64(len(ents))) * fnvPrime64
+// signatureHash folds the kernel class and the canonicalised entry
+// sequence — bit patterns plus labels — into one FNV-1a hash. Rows sharing
+// it are bitwise congruent up to FNV collision, which certification
+// re-checks.
+func signatureHash(kxKey, kyKey int64, ents []sigEntry) uint64 {
+	h := uint64(fnvOffset64)
+	h = (h ^ uint64(kxKey)) * fnvPrime64
+	h = (h ^ uint64(kyKey)) * fnvPrime64
+	h = (h ^ uint64(len(ents))) * fnvPrime64
 	for i := range ents {
 		s := &ents[i]
-		he = (he ^ uint64(uint32(s.lab))) * fnvPrime64
-		hq = (hq ^ uint64(uint32(s.lab))) * fnvPrime64
-		hq = (hq ^ s.key) * fnvPrime64
+		h = (h ^ uint64(uint32(s.lab))) * fnvPrime64
 		for _, b := range s.b {
-			he = (he ^ b) * fnvPrime64
+			h = (h ^ b) * fnvPrime64
 		}
 	}
-	return he, hq
+	return h
 }
 
-// compareRowSignature canonicalises a member row's own walk and compares
-// it against the class signature. shape reports whether the partition
-// labels and kernel class correspond — the precondition for a stamp to
-// even be well-formed (the member has a distinct element for each of the
-// representative's, with matching image structure); exact additionally
-// requires every local vertex coordinate to be bitwise identical (the
-// precondition for stamping without verification). ids maps label → the
-// member's element id; buf and ids are returned for scratch reuse.
-func (ev *Evaluator) compareRowSignature(pos geom.Point, wk *worker, cls *congClass, buf []sigEntry, ids []int32, labs map[int32]int32, invQ float64) (shape, exact bool, _ []sigEntry, _ []int32, err error) {
+// certifyMember canonicalises a member row's own walk and reports whether
+// it is bitwise congruent to the class signature: the same kernel class,
+// and per canonical entry the same partition label and local vertex bits.
+// ids maps label → the member's element id; buf and ids are returned for
+// scratch reuse.
+func (ev *Evaluator) certifyMember(pos geom.Point, wk *worker, cls *congClass, buf []sigEntry, ids []int32, labs map[int32]int32) (bool, []sigEntry, []int32, error) {
 	kx, ky := ev.kernelClass(pos)
-	buf, err = ev.collectSignature(pos, wk, buf, invQ)
-	if err != nil {
-		return false, false, buf, ids, err
-	}
-	if kx != cls.kx || ky != cls.ky || len(buf) != cls.n {
-		return false, false, buf, ids, nil
+	buf, err := ev.collectSignature(pos, wk, buf)
+	if err != nil || kx != cls.kx || ky != cls.ky || len(buf) != cls.n {
+		return false, buf, ids, err
 	}
 	buf, ids = canonicalizeSignature(buf, ids, labs)
-	exact = true
-	for k := range buf {
-		if buf[k].lab != cls.sig[k].lab {
-			return false, false, buf, ids, nil
-		}
-		exact = exact && buf[k].b == cls.sig[k].b
-	}
-	return true, exact, buf, ids, nil
+	return slices.Equal(buf, cls.sig), buf, ids, nil
 }
 
 // materializeSignature fills cls with the representative row's canonical
 // signature, kernel class keys, and label → element id table.
-func (ev *Evaluator) materializeSignature(pos geom.Point, wk *worker, cls *congClass, labs map[int32]int32, invQ float64) error {
+func (ev *Evaluator) materializeSignature(pos geom.Point, wk *worker, cls *congClass, labs map[int32]int32) error {
 	cls.kx, cls.ky = ev.kernelClass(pos)
-	sig, err := ev.collectSignature(pos, wk, cls.sig[:0], invQ)
+	sig, err := ev.collectSignature(pos, wk, cls.sig[:0])
 	if err != nil {
 		return err
 	}
@@ -328,100 +267,62 @@ func (ev *Evaluator) materializeSignature(pos geom.Point, wk *worker, cls *congC
 	return nil
 }
 
-// buildStamp writes the member row implied by mapping each contributing
-// slot of the representative through label → member element id, into the
-// provided scratch (returned grown), in block form: one element id per
-// basisN-wide weight block, exactly what SetRowBlocks takes. Slots are
-// re-sorted by the member's element ids so the row is ascending exactly
-// as flattenBlocks would emit it; ord is slot-index scratch.
-func buildStamp(cls *congClass, memIDs []int32, basisN int, ord []int32, elems []int32, vals []float64) ([]int32, []int32, []float64) {
-	slots := len(cls.slotLab)
-	ord = ord[:0]
-	for s := 0; s < slots; s++ {
-		ord = append(ord, int32(s))
+// buildStamp maps each representative block through label → member
+// element id and returns the member row in block form: its element ids
+// ascending, as flattenBlocks would emit them, and for each the
+// representative block whose weights it takes — exactly what
+// SetRowStamp takes. elems and slots are scratch.
+func buildStamp(cls *congClass, memIDs []int32, elems, slots []int32) ([]int32, []int32) {
+	slots = slots[:0]
+	for s := range cls.slotLab {
+		slots = append(slots, int32(s))
 	}
-	sort.Slice(ord, func(i, j int) bool {
-		return memIDs[cls.slotLab[ord[i]]] < memIDs[cls.slotLab[ord[j]]]
+	sort.Slice(slots, func(i, j int) bool {
+		return memIDs[cls.slotLab[slots[i]]] < memIDs[cls.slotLab[slots[j]]]
 	})
-	elems, vals = elems[:0], vals[:0]
-	for _, s := range ord {
+	elems = elems[:0]
+	for _, s := range slots {
 		elems = append(elems, memIDs[cls.slotLab[s]])
-		vals = append(vals, cls.repVals[int(s)*basisN:(int(s)+1)*basisN]...)
 	}
-	return ord, elems, vals
+	return elems, slots
 }
 
-// uniformShift reports whether the member's slot mapping is one constant
-// element id shift vs the representative — the case a template row can
-// express (shared deltas, base element shifted by d).
-func uniformShift(cls *congClass, memIDs []int32) (int32, bool) {
-	if len(cls.slotLab) == 0 {
-		return 0, true
-	}
-	d := memIDs[cls.slotLab[0]] - cls.repElems[0]
-	for s, lab := range cls.slotLab {
-		if memIDs[lab]-cls.repElems[s] != d {
-			return 0, false
-		}
-	}
-	return d, true
-}
-
-// rowsEqualBits compares two block-form rows: identical element ids and
-// bitwise identical weight blocks.
-func rowsEqualBits(elems []int32, vals []float64, elems2 []int32, vals2 []float64) bool {
-	if len(elems) != len(elems2) || len(vals) != len(vals2) {
-		return false
-	}
-	for i := range elems {
-		if elems[i] != elems2[i] {
-			return false
-		}
-	}
-	for i := range vals {
-		if math.Float64bits(vals[i]) != math.Float64bits(vals2[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// hashRow computes one row's (exact, quantised) signature hashes on worker
-// slot w, consulting the cross-assembly cache first: the hash pair is a
-// pure function of the cache key on a fixed (mesh, kernel order, h,
-// quantum) tuple (see SignatureCache), so a hit skips the candidate walk
-// and canonicalisation — the entire per-row cost of the prefilter.
-func (a *assembly) hashRow(w int, pos geom.Point) (exact, quant uint64, err error) {
+// hashRow computes one row's signature hash on worker slot w, consulting
+// the cross-assembly cache first: the hash is a pure function of the cache
+// key on a fixed (mesh, kernel order, h) tuple (see SignatureCache), so a
+// hit skips the candidate walk and canonicalisation — the entire per-row
+// cost of the prefilter.
+func (a *assembly) hashRow(w int, pos geom.Point) (uint64, error) {
 	kx, ky := a.ev.kernelClass(pos)
 	xb, yb := math.Float64bits(pos.X), math.Float64bits(pos.Y)
 	if a.cache != nil {
 		a.cacheLookups.Add(1)
-		if he, hq, ok := a.cache.Lookup(xb, yb, kx, ky); ok {
+		if h, ok := a.cache.Lookup(xb, yb, kx, ky); ok {
 			a.cacheHits.Add(1)
-			return he, hq, nil
+			return h, nil
 		}
 	}
 	s := &a.scr[w]
-	s.sig, err = a.ev.collectSignature(pos, a.wks[w], s.sig, a.invQ)
-	if err != nil {
-		return 0, 0, err
+	var err error
+	if s.sig, err = a.ev.collectSignature(pos, a.wks[w], s.sig); err != nil {
+		return 0, err
 	}
 	s.sig, s.ids = canonicalizeSignature(s.sig, s.ids, s.labs)
-	he, hq := signatureHashes(kx, ky, s.sig)
+	h := signatureHash(kx, ky, s.sig)
 	if a.cache != nil {
-		a.cache.Store(xb, yb, kx, ky, he, hq)
+		a.cache.Store(xb, yb, kx, ky, h)
 	}
-	return he, hq, nil
+	return h, nil
 }
 
 // congruent is the congruence-first row schedule: adaptive probe,
-// signature prefilter, per-class exact certification, stamped / verified /
-// demoted member resolution, and direct template emission. The result is
-// bitwise identical to the naive schedule for every mesh and every worker
-// count; on meshes where rows repeat (structured grids, wrapped or not)
-// most rows never run quadrature.
+// signature prefilter, per-class exact certification, then stamped or
+// integrated members. The result is bitwise identical to the naive
+// schedule for every mesh and every worker count; on meshes where rows
+// repeat (structured grids, wrapped or not) most rows never run
+// quadrature.
 func (a *assembly) congruent() error {
-	ev, bld, wks, scr, basisN := a.ev, a.bld, a.wks, a.scr, a.basisN
+	ev, bld, wks, scr := a.ev, a.bld, a.wks, a.scr
 	stats := &a.stats
 	n := len(a.positions)
 	dispatch := len(wks)
@@ -433,18 +334,16 @@ func (a *assembly) congruent() error {
 	// Congruence probe: on meshes with no repeated rows (jittered,
 	// unstructured) the full signature pass is pure overhead, so before
 	// paying it, hash a low-discrepancy sample and look for repeated
-	// quantised signatures (exact equality implies quantised equality, so
-	// one count covers both tiers). The sample escalates adaptively: each
-	// stage's rows extend the previous stage's (bit-reversal ordering), a
-	// sharing rate already past the proceed threshold commits early, and a
-	// stage with zero sharing bails to the naive schedule at once — a
-	// jittered mesh pays probeMinSample hashes, not probeSampleRows. A
-	// sample that stays almost all singletons means the class machinery
-	// cannot win: fall back to the naive schedule and the congruence path
-	// costs only the probe — the graceful-degradation bound on
-	// non-congruent meshes. Operators small enough that the sample would
-	// be most of the rows skip the probe and keep the full prefilter
-	// (which then *is* the probe).
+	// signatures. The sample escalates adaptively: each stage's rows extend
+	// the previous stage's (bit-reversal ordering), a sharing rate already
+	// past the proceed threshold commits early, and a stage with zero
+	// sharing bails to the naive schedule at once — a jittered mesh pays
+	// probeMinSample hashes, not probeSampleRows. A sample that stays almost
+	// all singletons means the class machinery cannot win: fall back to the
+	// naive schedule and the congruence path costs only the probe — the
+	// graceful-degradation bound on non-congruent meshes. Operators small
+	// enough that the sample would be most of the rows skip the probe and
+	// keep the full prefilter (which then *is* the probe).
 	sigStart := time.Now()
 	if n > 2*probeSampleRows {
 		probeHash := make([]uint64, 0, probeSampleRows)
@@ -454,7 +353,7 @@ func (a *assembly) congruent() error {
 			lo := len(probeHash)
 			probeHash = probeHash[:stage]
 			if err := runDynamic(dispatch, stage-lo, func(w, i int) (err error) {
-				_, probeHash[lo+i], err = a.hashRow(w, a.rowPos(probeRowAt(lo+i, n)))
+				probeHash[lo+i], err = a.hashRow(w, a.rowPos(probeRowAt(lo+i, n)))
 				return err
 			}); err != nil {
 				return err
@@ -484,88 +383,56 @@ func (a *assembly) congruent() error {
 	}
 	stats.ProbeCongruent = true
 
-	// Stage 1: signature prefilter. Each row gets two hashes. The exact
-	// hash (full-precision bits + labels) is the primary grouping: its
-	// classes are bitwise congruent up to FNV collision, so stamping
-	// inside one is expected to certify. The quantised hash is the second
-	// layer: exact-singletons sharing a quantised bucket with an earlier
-	// class attach to it as verification-tier members — near-congruent
-	// rows (jitter, wrap-boundary rounding) that may still share the
-	// integrated weights even though their geometry bits differ. Grouping
-	// runs serially in ascending row order, so class membership — and
-	// therefore the output — is deterministic for every worker count.
-	exactHashes := make([]uint64, n)
-	quantHashes := make([]uint64, n)
+	// Stage 1: signature prefilter. Rows sharing a hash form a class; the
+	// grouping runs serially in ascending row order, so class membership —
+	// and therefore the output — is deterministic for every worker count.
+	hashes := make([]uint64, n)
 	if err := runDynamic(dispatch, n, func(w, r int) (err error) {
-		exactHashes[r], quantHashes[r], err = a.hashRow(w, a.rowPos(r))
+		hashes[r], err = a.hashRow(w, a.rowPos(r))
 		return err
 	}); err != nil {
 		return err
 	}
-	type protoClass struct {
-		members []int32
-		qh      uint64
-	}
 	classOf := make(map[uint64]int, n)
-	var protos []*protoClass
+	var groups [][]int32
 	for r := 0; r < n; r++ {
-		if i, ok := classOf[exactHashes[r]]; ok {
-			protos[i].members = append(protos[i].members, int32(r))
+		if i, ok := classOf[hashes[r]]; ok {
+			groups[i] = append(groups[i], int32(r))
 			continue
 		}
-		classOf[exactHashes[r]] = len(protos)
-		protos = append(protos, &protoClass{members: []int32{int32(r)}, qh: quantHashes[r]})
-	}
-	qPrimary := make(map[uint64]int, len(protos))
-	qCount := make(map[uint64]int, len(protos))
-	for i, pc := range protos {
-		if _, ok := qPrimary[pc.qh]; !ok {
-			qPrimary[pc.qh] = i
-		}
-		qCount[pc.qh]++
+		classOf[hashes[r]] = len(groups)
+		groups = append(groups, []int32{int32(r)})
 	}
 	var classes []*congClass
 	var singles []int32
-	classIdx := make(map[int]int, len(protos))
-	for i, pc := range protos {
-		if len(pc.members) >= 2 || (qCount[pc.qh] >= 2 && qPrimary[pc.qh] == i) {
-			classIdx[i] = len(classes)
-			classes = append(classes, &congClass{members: pc.members})
+	for _, g := range groups {
+		if len(g) == 1 {
+			singles = append(singles, g[0])
 			continue
 		}
-		if len(pc.members) == 1 && qCount[pc.qh] >= 2 {
-			p := classIdx[qPrimary[pc.qh]]
-			classes[p].members = append(classes[p].members, pc.members[0])
-			continue
-		}
-		singles = append(singles, pc.members[0])
-	}
-	for _, cls := range classes {
-		cls.status = make([]uint8, len(cls.members))
-		cls.shiftD = make([]int32, len(cls.members))
+		classes = append(classes, &congClass{members: g, stamped: make([]bool, len(g))})
 	}
 	stats.Classes = len(classes)
 	stats.SignatureWall = time.Since(sigStart)
 
 	// Stage 2: per class, materialise the representative's canonical
 	// signature and integrate its row — the one quadrature bill the whole
-	// class shares — then label the contributing slots for stamping.
+	// class shares — then label its blocks for stamping.
 	if err := runDynamic(dispatch, len(classes), func(w, c int) error {
 		wk, s, cls := wks[w], &scr[w], classes[c]
 		rep := int(cls.members[0])
-		if err := ev.materializeSignature(a.rowPos(rep), wk, cls, s.labs, a.invQ); err != nil {
+		if err := ev.materializeSignature(a.rowPos(rep), wk, cls, s.labs); err != nil {
 			return err
 		}
 		if err := ev.assembleRow(a.rowPos(rep), wk, s.acc); err != nil {
 			return err
 		}
 		s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
-		cls.repElems = append([]int32(nil), s.cols...)
-		cls.repVals = append([]float64(nil), s.vals...)
+		bld.SetRowBlocks(rep, s.cols, s.vals)
 		// s.labs still holds the representative's id → label table.
-		cls.slotLab = make([]int32, len(cls.repElems))
-		for slot := range cls.slotLab {
-			cls.slotLab[slot] = s.labs[cls.repElems[slot]]
+		cls.slotLab = make([]int32, len(s.cols))
+		for slot, e := range s.cols {
+			cls.slotLab[slot] = s.labs[e]
 		}
 		return nil
 	}); err != nil {
@@ -574,13 +441,10 @@ func (a *assembly) congruent() error {
 
 	// Stage 3: resolve members. Work units are fixed-size member chunks,
 	// not classes — one interior class can cover most of a structured
-	// mesh, and per-member cost spans two orders of magnitude (an exact
-	// stamp is a walk, a demotion a full integration), so small chunks
-	// claimed dynamically keep the workers level. Exact members are
-	// stamped with no quadrature (uniform-shift stamps become template
-	// rows in stage 5, wrapped ones directly stored rows here); shape-only
-	// members integrate and verify bitwise against the stamp; the rest
-	// demote to their own rows.
+	// mesh, and per-member cost spans two orders of magnitude (a stamp is a
+	// walk, a collision a full integration), so small chunks claimed
+	// dynamically keep the workers level. Certified members are stamped
+	// from the representative with no quadrature; the rest integrate.
 	type memberChunk struct {
 		cls    *congClass
 		lo, hi int
@@ -593,44 +457,24 @@ func (a *assembly) congruent() error {
 		}
 	}
 	if err := runDynamic(dispatch, len(chunks), func(w, u int) error {
-		wk, s := wks[w], &scr[w]
-		ck := chunks[u]
+		s, ck := &scr[w], chunks[u]
 		cls := ck.cls
 		for i := ck.lo; i < ck.hi; i++ {
 			r := int(cls.members[i])
-			pos := a.rowPos(r)
-			shape, exact, sig, ids, err := ev.compareRowSignature(pos, wk, cls, s.sig, s.ids, s.labs, a.invQ)
+			exact, sig, ids, err := ev.certifyMember(a.rowPos(r), wks[w], cls, s.sig, s.ids, s.labs)
 			s.sig, s.ids = sig, ids
 			if err != nil {
 				return err
 			}
-			if exact {
-				if d, ok := uniformShift(cls, ids); ok {
-					cls.status[i], cls.shiftD[i] = memberStampedTpl, d
-					continue
+			if !exact {
+				if err := a.integrateRow(w, r); err != nil {
+					return err
 				}
-				s.ord, s.scols, s.svals = buildStamp(cls, ids, basisN, s.ord, s.scols, s.svals)
-				bld.SetRowBlocks(r, s.scols, s.svals)
-				cls.status[i] = memberStampedPlain
 				continue
 			}
-			// Not certified: integrate the row (this also stores it; a
-			// verified uniform-shift member is re-pointed at the class
-			// template in stage 5).
-			if err := a.integrateRow(w, r); err != nil {
-				return err
-			}
-			cls.status[i] = memberDemoted
-			if !shape {
-				continue
-			}
-			s.ord, s.scols, s.svals = buildStamp(cls, ids, basisN, s.ord, s.scols, s.svals)
-			if rowsEqualBits(s.cols, s.vals, s.scols, s.svals) {
-				cls.status[i] = memberVerifiedPlain
-				if d, ok := uniformShift(cls, ids); ok {
-					cls.status[i], cls.shiftD[i] = memberVerifiedTpl, d
-				}
-			}
+			s.scols, s.slots = buildStamp(cls, ids, s.scols, s.slots)
+			bld.SetRowStamp(r, s.scols, int(cls.members[0]), s.slots)
+			cls.stamped[i] = true
 		}
 		return nil
 	}); err != nil {
@@ -644,66 +488,20 @@ func (a *assembly) congruent() error {
 		return err
 	}
 
-	// Stage 5 (serial): emit templates and stamp uniform-shift rows. A
-	// class becomes a template when at least two rows resolve through it
-	// with a uniform shift and the pattern is non-empty; otherwise
-	// surviving template candidates get shifted directly stored copies
-	// (only reachable for empty rows — any non-empty stamped/verified
-	// member implies a template).
-	stamped := make([]int32, 0, 16)
 	for _, cls := range classes {
-		users := 1
-		for i := 1; i < len(cls.members); i++ {
-			switch cls.status[i] {
-			case memberStampedTpl, memberVerifiedTpl:
-				users++
-			}
-			switch cls.status[i] {
-			case memberStampedTpl, memberStampedPlain:
+		demoted := 0
+		for _, st := range cls.stamped[1:] {
+			if st {
 				stats.RowsStamped++
-			case memberVerifiedTpl, memberVerifiedPlain:
-				stats.RowsVerified++
-			case memberDemoted:
-				stats.RowsDemoted++
+			} else {
+				demoted++
 			}
 		}
-		if cls.hasStatus(memberVerifiedTpl) || cls.hasStatus(memberVerifiedPlain) {
-			stats.ClassesVerified++
-		}
-		if cls.hasStatus(memberDemoted) {
+		stats.RowsDemoted += demoted
+		if demoted > 0 {
 			stats.ClassesDemoted++
-		}
-		rep := int(cls.members[0])
-		if users >= 2 && len(cls.repElems) > 0 {
-			t := bld.AddTemplateBlocks(cls.repElems, cls.repVals)
-			bld.SetRowTemplated(rep, t, cls.repElems[0])
-			for i := 1; i < len(cls.members); i++ {
-				if cls.status[i] == memberStampedTpl || cls.status[i] == memberVerifiedTpl {
-					bld.SetRowTemplated(int(cls.members[i]), t, cls.repElems[0]+cls.shiftD[i])
-				}
-			}
-			continue
-		}
-		bld.SetRowBlocks(rep, cls.repElems, cls.repVals)
-		for i := 1; i < len(cls.members); i++ {
-			if cls.status[i] == memberStampedTpl || cls.status[i] == memberVerifiedTpl {
-				stamped = stamped[:0]
-				for _, e := range cls.repElems {
-					stamped = append(stamped, e+cls.shiftD[i])
-				}
-				bld.SetRowBlocks(int(cls.members[i]), stamped, cls.repVals)
-			}
 		}
 	}
 	stats.RowsIntegrated = n - stats.RowsStamped
 	return nil
-}
-
-func (cls *congClass) hasStatus(st uint8) bool {
-	for i := 1; i < len(cls.members); i++ {
-		if cls.status[i] == st {
-			return true
-		}
-	}
-	return false
 }

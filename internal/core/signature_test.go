@@ -1,75 +1,83 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
 
+	"unstencil/internal/artifact"
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
+	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
 )
 
-// expectBitwiseEqual fails unless two operators are bitwise identical row
-// for row, whatever mix of templated and directly stored rows each holds:
-// same permutation, and per storage row the same element ids and
-// value-for-value identical float bit patterns (no tolerance).
+// expectBitwiseEqual fails unless two operators are the same operator:
+// equal shape and, array for array, equal RowPtr, BlockID, BlockRef, Pool
+// (bit patterns, no tolerance) and Perm — so also the same value pool in
+// the same order — and byte-identical artifact encodings once the
+// provenance the schedules legitimately differ in (assembly wall time,
+// geometry counters, default worker count) is cleared.
 func expectBitwiseEqual(t *testing.T, label string, got, want *operator.Operator) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.BasisN != want.BasisN {
 		t.Fatalf("%s: shape (%d,%d,%d) != (%d,%d,%d)", label, got.Rows, got.Cols, got.BasisN, want.Rows, want.Cols, want.BasisN)
 	}
-	if len(got.Perm) != len(want.Perm) {
-		t.Fatalf("%s: perm len %d != %d", label, len(got.Perm), len(want.Perm))
+	sameArray(t, label+": rowptr", got.RowPtr, want.RowPtr)
+	sameArray(t, label+": blockid", got.BlockID, want.BlockID)
+	sameArray(t, label+": blockref", got.BlockRef, want.BlockRef)
+	sameArray(t, label+": pool", f64bits(got.Pool), f64bits(want.Pool))
+	sameArray(t, label+": perm", got.Perm, want.Perm)
+	if !bytes.Equal(encodeBare(t, got), encodeBare(t, want)) {
+		t.Fatalf("%s: artifact encodings differ", label)
 	}
-	for i := range got.Perm {
-		if got.Perm[i] != want.Perm[i] {
-			t.Fatalf("%s: perm[%d] = %d != %d", label, i, got.Perm[i], want.Perm[i])
-		}
+}
+
+func sameArray[T comparable](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries, want %d", what, len(got), len(want))
 	}
-	var ge, we []int32
-	for r := 0; r < got.Rows; r++ {
-		var gv, wv []float64
-		ge, gv = got.Row(r, ge)
-		we, wv = want.Row(r, we)
-		if len(ge) != len(we) || len(gv) != len(wv) {
-			t.Fatalf("%s: row %d has %d elements / %d values, want %d / %d", label, r, len(ge), len(gv), len(we), len(wv))
-		}
-		for k := range ge {
-			if ge[k] != we[k] {
-				t.Fatalf("%s: row %d block %d element %d != %d", label, r, k, ge[k], we[k])
-			}
-		}
-		for k := range gv {
-			if math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
-				t.Fatalf("%s: row %d entry %d val %x != %x (%.17g vs %.17g)",
-					label, r, k, math.Float64bits(gv[k]), math.Float64bits(wv[k]), gv[k], wv[k])
-			}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
 		}
 	}
+}
+
+// f64bits exposes the bit patterns, so sameArray compares floats bitwise.
+func f64bits(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// encodeBare encodes op as an artifact with its assembly provenance
+// cleared.
+func encodeBare(t *testing.T, op *operator.Operator) []byte {
+	t.Helper()
+	bare := *op
+	bare.Workers, bare.AssemblyWall, bare.AssemblyCounters = 0, 0, metrics.Counters{}
+	var buf bytes.Buffer
+	if _, err := artifact.EncodeOperator(&buf, "op:k", &bare); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // assembleNaive is the bitwise oracle: every row integrated independently,
-// nothing stamped, nothing templated.
+// nothing stamped.
 func assembleNaive(t testing.TB, ev *Evaluator, opts AssembleOpts) *operator.Operator {
 	t.Helper()
-	op, err := ev.assembleOperator(opts, sigQuantumDefault, (*assembly).naive)
+	op, err := ev.assembleOperator(opts, (*assembly).naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Tpl != nil || op.Congruence.RowsStamped != 0 {
-		t.Fatalf("naive assembly shared rows: %+v", op.Congruence)
-	}
-	return op
-}
-
-// assembleQuantum runs the production schedule with an arbitrary signature
-// quantum, the one knob AssembleOperator does not expose.
-func assembleQuantum(t testing.TB, ev *Evaluator, quantum float64) *operator.Operator {
-	t.Helper()
-	op, err := ev.assembleOperator(AssembleOpts{}, quantum, (*assembly).congruent)
-	if err != nil {
-		t.Fatal(err)
+	if op.Congruence.RowsStamped != 0 {
+		t.Fatalf("naive assembly stamped rows: %+v", op.Congruence)
 	}
 	return op
 }
@@ -121,9 +129,7 @@ func TestCongruentMatchesNaiveBitwiseDyadic(t *testing.T) {
 				// invariant, so exact classes must form and stamp. On
 				// one-sided boundaries every point of this small mesh gets
 				// its own kernel shift, so rows may legitimately stay
-				// singletons; demotions are the verification tier
-				// rejecting near-congruent (ulp-rounded) attachments and
-				// are fine — bitwise identity above is the contract.
+				// singletons — bitwise identity above is the contract.
 				if boundary == Periodic && cs.RowsStamped == 0 {
 					t.Errorf("%s: no rows stamped on a periodic structured mesh", label)
 				}
@@ -141,8 +147,8 @@ func boundaryLabel(b Boundary) string {
 
 // On a periodic structured mesh the interior is fully translation
 // invariant: the stamp rate should be high (the acceptance target assumes
-// >60% shared rows at P2), and the emitted operator should carry an
-// assembly-time TemplateSet.
+// >60% shared rows at P2), and the value pool should hold far fewer
+// blocks than the rows reference.
 func TestCongruentStampRateStructured(t *testing.T) {
 	m := mesh.Structured(16)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
@@ -154,15 +160,16 @@ func TestCongruentStampRateStructured(t *testing.T) {
 	if cs.ProbeRows == 0 || !cs.ProbeCongruent {
 		t.Errorf("probe should detect congruence on a structured mesh: %+v", cs)
 	}
-	if op.Tpl == nil {
-		t.Error("congruent assembly on a structured mesh emitted no TemplateSet")
+	if unique := op.Stats().UniqueBlocks; unique*10 > len(op.BlockID) {
+		t.Errorf("pool holds %d distinct blocks of %d on a structured mesh", unique, len(op.BlockID))
 	}
 }
 
-// Jittered meshes break exact congruence: the quantised prefilter may
-// still group rows, but verification must catch every non-congruent
-// member and demote it, keeping the result bitwise equal to naive
-// assembly and within 1e-12 of direct per-point evaluation.
+// Jittered meshes break exact congruence: rows stay signature singletons
+// (a hash collision would put a non-congruent member in a class, where
+// certification demotes it to its own integration), keeping the result
+// bitwise equal to naive assembly and within 1e-12 of direct per-point
+// evaluation.
 func TestCongruentJitteredDemotes(t *testing.T) {
 	m := mesh.JitteredStructured(6, 0.3, 1)
 	for _, boundary := range []Boundary{Periodic, OneSided} {
@@ -209,22 +216,6 @@ func TestCongruentProbeFallsBackJittered(t *testing.T) {
 	}
 }
 
-// A deliberately catastrophic quantum collapses every row of a jittered
-// mesh into a handful of prefilter buckets — maximal collision pressure.
-// False sharing must still be impossible: every stamped or verified row
-// is gated by a bitwise check, so the output stays identical to naive
-// assembly no matter how bad the prefilter is.
-func TestCongruentCoarseQuantumNoFalseSharing(t *testing.T) {
-	m := mesh.JitteredStructured(5, 0.25, 7)
-	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	naive := assembleNaive(t, ev, AssembleOpts{})
-	for _, quantum := range []float64{1e-3, 1.0, 1e6} {
-		cong := assembleQuantum(t, ev, quantum)
-		expectBitwiseEqual(t, "coarse-quantum", cong, naive)
-		checkCongruenceStats(t, "coarse-quantum", cong)
-	}
-}
-
 // Custom query points (non-grid positions) run through the same path.
 func TestCongruentCustomPoints(t *testing.T) {
 	m := mesh.Structured(4)
@@ -241,46 +232,23 @@ func TestCongruentCustomPoints(t *testing.T) {
 	expectBitwiseEqual(t, "custom-points", cong, naive)
 }
 
-// Fuzz the signature quantiser: whatever bucket geometry the quantum
-// induces — collapsing everything together or splitting everything apart —
-// verification must keep congruence-first assembly bitwise identical to
-// naive assembly. Seeds cover the default, coarse collision-heavy, and
-// absurd quanta on both structured and jittered meshes.
-func FuzzSignatureQuantum(f *testing.F) {
-	f.Add(0.0, 0.0, int64(1))
-	f.Add(1.0/(1<<30), 0.2, int64(2))
-	f.Add(0.5, 0.3, int64(3))
-	f.Add(1e9, 0.1, int64(4))
-	f.Add(1e-12, 0.25, int64(5))
+// FuzzCongruentMatchesNaive draws jittered meshes — from exact translates
+// at jitter 0 to no congruence at all — and holds congruence-first
+// assembly to naive assembly array for array.
+func FuzzCongruentMatchesNaive(f *testing.F) {
+	f.Add(0.0, int64(1))
+	f.Add(1e-12, int64(2))
+	f.Add(0.2, int64(3))
+	f.Add(0.1, int64(4))
+	f.Add(0.25, int64(5))
 
-	type cached struct {
-		ev    *Evaluator
-		naive *operator.Operator
-	}
-	cache := map[int64]*cached{}
-
-	f.Fuzz(func(t *testing.T, quantum, jitter float64, seed int64) {
-		if math.IsNaN(quantum) || math.IsInf(quantum, 0) || quantum < 0 {
-			t.Skip()
+	f.Fuzz(func(t *testing.T, jitter float64, seed int64) {
+		jitter = math.Mod(math.Abs(jitter), 0.4)
+		if math.IsNaN(jitter) {
+			jitter = 0
 		}
-		if math.IsNaN(jitter) || jitter < 0 || jitter > 0.4 {
-			jitter = math.Mod(math.Abs(jitter), 0.4)
-			if math.IsNaN(jitter) {
-				jitter = 0
-			}
-		}
-		key := seed%4 + int64(jitter*1e6)%97*4
-		c := cache[key]
-		if c == nil {
-			m := mesh.JitteredStructured(4, jitter, seed)
-			ev := buildFuzzEvaluator(t, m)
-			c = &cached{ev: ev, naive: assembleNaive(t, ev, AssembleOpts{})}
-			cache[key] = c
-		}
-		if quantum == 0 {
-			quantum = sigQuantumDefault
-		}
-		expectBitwiseEqual(t, "fuzz", assembleQuantum(t, c.ev, quantum), c.naive)
+		ev := buildFuzzEvaluator(t, mesh.JitteredStructured(4, jitter, seed))
+		expectBitwiseEqual(t, "fuzz", mustAssemble(t, ev, AssembleOpts{}), assembleNaive(t, ev, AssembleOpts{}))
 	})
 }
 
@@ -318,28 +286,28 @@ func TestAdaptiveProbeStages(t *testing.T) {
 // locked map satisfying core.SignatureCache.
 type memSigCache struct {
 	mu sync.Mutex
-	m  map[[4]uint64][2]uint64
+	m  map[[4]uint64]uint64
 }
 
 func newMemSigCache() *memSigCache {
-	return &memSigCache{m: make(map[[4]uint64][2]uint64)}
+	return &memSigCache{m: make(map[[4]uint64]uint64)}
 }
 
 func (c *memSigCache) key(xb, yb uint64, kx, ky int64) [4]uint64 {
 	return [4]uint64{xb, yb, uint64(kx), uint64(ky)}
 }
 
-func (c *memSigCache) Lookup(xb, yb uint64, kx, ky int64) (uint64, uint64, bool) {
+func (c *memSigCache) Lookup(xb, yb uint64, kx, ky int64) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.m[c.key(xb, yb, kx, ky)]
-	return v[0], v[1], ok
+	h, ok := c.m[c.key(xb, yb, kx, ky)]
+	return h, ok
 }
 
-func (c *memSigCache) Store(xb, yb uint64, kx, ky int64, exact, quant uint64) {
+func (c *memSigCache) Store(xb, yb uint64, kx, ky int64, h uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[c.key(xb, yb, kx, ky)] = [2]uint64{exact, quant}
+	c.m[c.key(xb, yb, kx, ky)] = h
 }
 
 // A shared signature cache removes the canonicalisation cost of repeat
@@ -375,8 +343,9 @@ func TestSignatureCacheSharing(t *testing.T) {
 }
 
 // A cache poisoned with colliding hashes must never corrupt the output:
-// wrong hash pairs can only misgroup rows, and the bitwise certification
-// tier demotes every bad grouping.
+// wrong hashes can only misgroup rows — here every row into one class, the
+// worst collision pressure there is — and bitwise certification demotes
+// every bad grouping to its own integration.
 func TestSignatureCachePoisonedStaysBitwise(t *testing.T) {
 	m := mesh.JitteredStructured(5, 0.25, 9)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
@@ -385,12 +354,12 @@ func TestSignatureCachePoisonedStaysBitwise(t *testing.T) {
 	expectBitwiseEqual(t, "poisoned-cache", cong, naive)
 }
 
-// poisonSigCache answers every lookup with the same colliding hash pair —
-// the worst possible cache.
+// poisonSigCache answers every lookup with the same colliding hash — the
+// worst possible cache.
 type poisonSigCache struct{}
 
-func (poisonSigCache) Lookup(_, _ uint64, _, _ int64) (uint64, uint64, bool) {
-	return 0xdeadbeef, 0xdeadbeef, true
+func (poisonSigCache) Lookup(_, _ uint64, _, _ int64) (uint64, bool) {
+	return 0xdeadbeef, true
 }
 
-func (poisonSigCache) Store(_, _ uint64, _, _ int64, _, _ uint64) {}
+func (poisonSigCache) Store(_, _ uint64, _, _ int64, _ uint64) {}

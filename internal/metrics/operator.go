@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// OperatorCounters tracks the assembled-operator apply traffic and the
-// stencil-template sharing the server is getting out of it.
+// OperatorCounters tracks the assembled-operator apply traffic and how
+// the congruence-first assemblies behind it went.
 // All fields are atomics: applies run concurrently on job workers and
 // query goroutines.
 type OperatorCounters struct {
@@ -20,15 +20,9 @@ type OperatorCounters struct {
 	// width the SpMM is amortising the operator stream over.
 	FieldsApplied atomic.Uint64
 
-	// RowsTemplated / RowsTotal accumulate, per operator admitted to the
-	// cache, how many storage rows were deduplicated into shared stencil
-	// templates; their ratio is the template hit-rate.
-	RowsTemplated atomic.Uint64
-	RowsTotal     atomic.Uint64
-	// BytesSaved accumulates resident bytes saved by template sharing
-	// (every row stored directly, minus the shared form) across admitted
-	// operators.
-	BytesSaved atomic.Uint64
+	// RowsTotal accumulates the storage rows of every operator admitted to
+	// the cache, assembled or loaded from disk.
+	RowsTotal atomic.Uint64
 
 	// SigCacheLookups / SigCacheHits accumulate the cross-assembly
 	// signature-cache traffic of congruence-first assemblies: a hit skips
@@ -39,12 +33,11 @@ type OperatorCounters struct {
 
 	// Congruence-first assembly outcomes, accumulated per assembled
 	// operator: rows that ran quadrature vs rows stamped from a class
-	// representative, and classes whose members needed the verification
-	// integration vs classes that demoted members to plain rows.
-	RowsAssembled   atomic.Uint64
-	RowsStamped     atomic.Uint64
-	ClassesVerified atomic.Uint64
-	ClassesDemoted  atomic.Uint64
+	// representative, and classes with a member that failed certification
+	// (a signature hash collision) and was integrated on its own.
+	RowsAssembled  atomic.Uint64
+	RowsStamped    atomic.Uint64
+	ClassesDemoted atomic.Uint64
 	// AssemblyWallEWMA holds an exponentially weighted moving average of
 	// assembly wall time in milliseconds, as float64 bits (CAS-updated:
 	// assemblies can finish concurrently on job workers).
@@ -57,10 +50,9 @@ const assemblyWallAlpha = 0.25
 
 // RecordAssembly folds one congruence-first assembly outcome into the
 // counters.
-func (o *OperatorCounters) RecordAssembly(rowsAssembled, rowsStamped, classesVerified, classesDemoted int, wall time.Duration) {
+func (o *OperatorCounters) RecordAssembly(rowsAssembled, rowsStamped, classesDemoted int, wall time.Duration) {
 	o.RowsAssembled.Add(uint64(rowsAssembled))
 	o.RowsStamped.Add(uint64(rowsStamped))
-	o.ClassesVerified.Add(uint64(classesVerified))
 	o.ClassesDemoted.Add(uint64(classesDemoted))
 	ms := float64(wall) / float64(time.Millisecond)
 	for {
@@ -97,26 +89,12 @@ func (o *OperatorCounters) RecordSigCache(lookups, hits int64) {
 	}
 }
 
-// RecordTemplates folds one operator's template-sharing outcome into the
-// counters: total storage rows, rows resolved through a template, and the
-// byte delta against storing every row directly (0 without templates).
-func (o *OperatorCounters) RecordTemplates(rowsTotal, rowsTemplated int, bytesSaved int64) {
-	o.RowsTotal.Add(uint64(rowsTotal))
-	o.RowsTemplated.Add(uint64(rowsTemplated))
-	if bytesSaved > 0 {
-		o.BytesSaved.Add(uint64(bytesSaved))
-	}
-}
-
 // OperatorSnapshot is the JSON view of OperatorCounters.
 type OperatorSnapshot struct {
-	SingleApplies   uint64  `json:"single_applies"`
-	BlockApplies    uint64  `json:"block_applies"`
-	FieldsApplied   uint64  `json:"fields_applied"`
-	RowsTemplated   uint64  `json:"rows_templated"`
-	RowsTotal       uint64  `json:"rows_total"`
-	TemplateHitRate float64 `json:"template_hit_rate"`
-	BytesSaved      uint64  `json:"bytes_saved"`
+	SingleApplies uint64 `json:"single_applies"`
+	BlockApplies  uint64 `json:"block_applies"`
+	FieldsApplied uint64 `json:"fields_applied"`
+	RowsTotal     uint64 `json:"rows_total"`
 
 	SigCacheLookups uint64  `json:"sig_cache_lookups"`
 	SigCacheHits    uint64  `json:"sig_cache_hits"`
@@ -125,7 +103,6 @@ type OperatorSnapshot struct {
 	RowsAssembled      uint64  `json:"rows_assembled"`
 	RowsStamped        uint64  `json:"rows_stamped"`
 	StampRate          float64 `json:"stamp_rate"`
-	ClassesVerified    uint64  `json:"classes_verified"`
 	ClassesDemoted     uint64  `json:"classes_demoted"`
 	AssemblyWallEWMAMs float64 `json:"assembly_wall_ewma_ms"`
 }
@@ -136,19 +113,13 @@ func (o *OperatorCounters) Snapshot() OperatorSnapshot {
 		SingleApplies:      o.SingleApplies.Load(),
 		BlockApplies:       o.BlockApplies.Load(),
 		FieldsApplied:      o.FieldsApplied.Load(),
-		RowsTemplated:      o.RowsTemplated.Load(),
 		RowsTotal:          o.RowsTotal.Load(),
-		BytesSaved:         o.BytesSaved.Load(),
 		SigCacheLookups:    o.SigCacheLookups.Load(),
 		SigCacheHits:       o.SigCacheHits.Load(),
 		RowsAssembled:      o.RowsAssembled.Load(),
 		RowsStamped:        o.RowsStamped.Load(),
-		ClassesVerified:    o.ClassesVerified.Load(),
 		ClassesDemoted:     o.ClassesDemoted.Load(),
 		AssemblyWallEWMAMs: math.Float64frombits(o.AssemblyWallEWMA.Load()),
-	}
-	if s.RowsTotal > 0 {
-		s.TemplateHitRate = float64(s.RowsTemplated) / float64(s.RowsTotal)
 	}
 	if total := s.RowsAssembled + s.RowsStamped; total > 0 {
 		s.StampRate = float64(s.RowsStamped) / float64(total)

@@ -12,12 +12,13 @@ import (
 // Two kernels read the one storage form: applyRows (one field, SpMV) and
 // applyRowsBlock (a tile of up to fieldBlock fields, SpMM). The SpMV is
 // not the SpMM at width 1: the tile kernel packs the coefficients and
-// indexes per-field accumulator arrays. With the TwoSum update, on the
-// P2-shaped operator of bench_test.go (4608 rows, ≈ 6.55 M nnz, one
-// worker, 2-vCPU Xeon guest), BenchmarkApplyBlock1P2 lost to
-// BenchmarkApplyVecP2 in 10 of 10 alternating runs: median 18.4 ms
-// against 14.5 ms, ≈ 1.28× per pair. Both kernels run the identical
-// compensated recurrence over the identical term sequence per
+// indexes per-field accumulator arrays. On the P2-shaped operators of
+// bench_test.go (4608 rows, ≈ 6.55 M nnz, one worker, 2-vCPU Xeon guest),
+// BenchmarkApplyBlock1P2 lost to BenchmarkApplyVecP2 in 10 of 10
+// alternating runs with unique weight blocks (medians 15.2 against
+// 12.1 ms, ≈ 1.15× per pair) and in 8 of 10 with the 16,589-block palette
+// (13.7 against 13.7 ms, ≈ 1.04× per pair). Both kernels run the
+// identical compensated recurrence over the identical term sequence per
 // (row, field), so their outputs are bit-identical — the property tests
 // pin that against a naive reference.
 
@@ -100,13 +101,13 @@ func (op *Operator) fanOut(workers int, fn func(lo, hi int)) {
 // expressions) computes the same exact error, so the two are bitwise
 // identical by construction; the tests keep that form as the reference.
 func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
-	basisN := op.BasisN
+	basisN, pool := op.BasisN, op.Pool
 	for r := lo; r < hi; r++ {
-		vals, ids, base := op.rowBlocks(r)
+		ids, refs := op.rowBlocks(r)
 		sum, comp := 0.0, 0.0
-		for b := range ids {
-			cb := coeffs[(int(base)+int(ids[b]))*basisN:][:basisN]
-			vb := vals[b*basisN:][:basisN]
+		for b, e := range ids {
+			cb := coeffs[int(e)*basisN:][:basisN]
+			vb := pool[int(refs[b])*basisN:][:basisN]
 			for m := 0; m < basisN; m++ {
 				term := vb[m] * cb[m]
 				t := sum + term
@@ -125,7 +126,7 @@ func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 
 // ApplyCounters models the cost of one single-field apply in the repo's
 // counter vocabulary: a multiply-add per entry, streaming reads of the
-// weights, one element id per block and the row pointers, plus the
+// weights, two indices per block and the row pointers, plus the
 // gathered coefficient blocks. Spatially ordered rows make the coefficient
 // gathers mostly cache-resident, so nothing is charged as scattered; the
 // contrast with direct evaluation's ScatteredLoads is the point of the
@@ -237,14 +238,15 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 }
 
 // ApplyBlockCounters models the cost of one ApplyBlock over nf fields:
-// flops scale with the field count, but the operator streams (weights, one
-// element id per block, row pointers) are read once per field tile of
-// width fieldBlock rather than once per field — the data reuse the SpMM
-// buys over nf independent SpMVs. Coefficient gathers still happen once
-// per (entry, field).
+// flops scale with the field count, but the operator streams (weights, an
+// element id and a value-block id per block, row pointers) are read once
+// per field tile of width fieldBlock rather than once per field — the data
+// reuse the SpMM buys over nf independent SpMVs. Weights are charged once
+// per block, as the kernel reads them, however few distinct blocks the
+// pool holds. Coefficient gathers still happen once per (entry, field).
 func (op *Operator) ApplyBlockCounters(nf int) metrics.Counters {
 	nnz := uint64(op.NNZ())
-	idxBytes := nnz * 4 / uint64(op.BasisN)
+	idxBytes := nnz * 8 / uint64(op.BasisN)
 	tiles := uint64((nf + fieldBlock - 1) / fieldBlock)
 	return metrics.Counters{
 		Flops:     2 * nnz * uint64(nf),
@@ -265,15 +267,15 @@ func (op *Operator) ApplyBlockCounters(nf int) metrics.Counters {
 // cache-resident.
 func (op *Operator) applyRowsBlock(packed []float64, fb int, out [][]float64, lo, hi int) {
 	var sum, comp [fieldBlock]float64
-	basisN := op.BasisN
+	basisN, pool := op.BasisN, op.Pool
 	for r := lo; r < hi; r++ {
-		vals, ids, base := op.rowBlocks(r)
+		ids, refs := op.rowBlocks(r)
 		for f := 0; f < fb; f++ {
 			sum[f], comp[f] = 0, 0
 		}
-		for b := range ids {
-			vb := vals[b*basisN:][:basisN]
-			blk := packed[(int(base)+int(ids[b]))*basisN*fb:][:basisN*fb]
+		for b, e := range ids {
+			vb := pool[int(refs[b])*basisN:][:basisN]
+			blk := packed[int(e)*basisN*fb:][:basisN*fb]
 			for f := 0; f < fb; f++ {
 				s, c := sum[f], comp[f]
 				o := f

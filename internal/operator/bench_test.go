@@ -9,12 +9,23 @@ import (
 	"unstencil/internal/operator"
 )
 
+// p2Palette is the number of distinct weight blocks the P2 16×16
+// structured-mesh SIAC operator holds (of 1,093,120 blocks).
+const p2Palette = 16589
+
 // benchOperator builds a synthetic operator shaped like the P2 16×16
 // structured-mesh SIAC operator (the request benchmark's memory-resident
-// case): every row a sorted set of full element blocks.
-func benchOperator(b *testing.B, rows, elems, basisN, blocksPerRow int) *operator.Operator {
+// case): every row a sorted set of full element blocks. palette 0 draws a
+// fresh weight block for every block, the no-sharing worst case; palette
+// k > 0 draws every block from k fixed ones, the sharing an assembled
+// operator has.
+func benchOperator(b *testing.B, rows, elems, basisN, blocksPerRow, palette int) *operator.Operator {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
+	pal := make([]float64, palette*basisN)
+	for i := range pal {
+		pal[i] = rng.NormFloat64()
+	}
 	bld := operator.NewBuilder(rows, elems*basisN, basisN)
 	ids := make([]int32, 0, blocksPerRow)
 	vals := make([]float64, blocksPerRow*basisN)
@@ -37,12 +48,32 @@ func benchOperator(b *testing.B, rows, elems, basisN, blocksPerRow int) *operato
 			}
 		}
 		v := vals[:len(dedup)*basisN]
-		for i := range v {
-			v[i] = rng.NormFloat64()
+		for k := 0; k < len(dedup); k++ {
+			blk := v[k*basisN:][:basisN]
+			if palette > 0 {
+				copy(blk, pal[rng.Intn(palette)*basisN:][:basisN])
+				continue
+			}
+			for i := range blk {
+				blk[i] = rng.NormFloat64()
+			}
 		}
 		bld.SetRowBlocks(r, dedup, v)
 	}
 	return bld.Finish(nil, 1, "bench", time.Duration(0), metrics.Counters{})
+}
+
+// p2Variants runs fn over the P2-like shape (4608 rows × 512 elements,
+// basisN 6, ~237 blocks per row) with unique weight blocks (≈ 52 MB of
+// values — out of cache) and with a p2Palette-block pool (≈ 0.8 MB of
+// values plus ≈ 8.7 MB of indices).
+func p2Variants(b *testing.B, fn func(b *testing.B, op *operator.Operator)) {
+	for _, v := range []struct {
+		name    string
+		palette int
+	}{{"unique", 0}, {"palette", p2Palette}} {
+		b.Run(v.name, func(b *testing.B) { fn(b, benchOperator(b, 4608, 512, 6, 237, v.palette)) })
+	}
 }
 
 func benchApplyVec(b *testing.B, op *operator.Operator) {
@@ -53,7 +84,7 @@ func benchApplyVec(b *testing.B, op *operator.Operator) {
 		coeffs[i] = rng.NormFloat64()
 	}
 	out := make([]float64, op.Rows)
-	b.SetBytes(int64(len(op.Val)) * 8)
+	b.SetBytes(op.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := op.ApplyVec(coeffs, out, 1); err != nil {
@@ -74,7 +105,7 @@ func benchApplyBlock(b *testing.B, op *operator.Operator, nf int) {
 		}
 		out[f] = make([]float64, op.Rows)
 	}
-	b.SetBytes(int64(len(op.Val)) * 8)
+	b.SetBytes(op.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := op.ApplyBlock(coeffs, out, 1); err != nil {
@@ -83,27 +114,25 @@ func benchApplyBlock(b *testing.B, op *operator.Operator, nf int) {
 	}
 }
 
-// P2-like shape: 4608 rows × 512 elements, basisN 6, ~237 blocks per row
-// (≈ 52 MB of values — out of cache, the regime the layout targets).
 func BenchmarkApplyVecP2(b *testing.B) {
-	benchApplyVec(b, benchOperator(b, 4608, 512, 6, 237))
+	p2Variants(b, benchApplyVec)
 }
 
-// Width-1 SpMM on the same operator: the measurement behind keeping the
+// Width-1 SpMM on the same operators: the measurement behind keeping the
 // SpMV beside the SpMM (see the header of apply.go).
 func BenchmarkApplyBlock1P2(b *testing.B) {
-	benchApplyBlock(b, benchOperator(b, 4608, 512, 6, 237), 1)
+	p2Variants(b, func(b *testing.B, op *operator.Operator) { benchApplyBlock(b, op, 1) })
 }
 
 func BenchmarkApplyBlockP2(b *testing.B) {
-	benchApplyBlock(b, benchOperator(b, 4608, 512, 6, 237), 8)
+	p2Variants(b, func(b *testing.B, op *operator.Operator) { benchApplyBlock(b, op, 8) })
 }
 
 // P1-like shape: 2048 rows × 512 elements, basisN 3, ~164 blocks per row.
 func BenchmarkApplyVecP1(b *testing.B) {
-	benchApplyVec(b, benchOperator(b, 2048, 512, 3, 164))
+	benchApplyVec(b, benchOperator(b, 2048, 512, 3, 164, 0))
 }
 
 func BenchmarkApplyBlockP1(b *testing.B) {
-	benchApplyBlock(b, benchOperator(b, 2048, 512, 3, 164), 8)
+	benchApplyBlock(b, benchOperator(b, 2048, 512, 3, 164, 0), 8)
 }

@@ -2,6 +2,9 @@ package operator
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"unstencil/internal/metrics"
@@ -10,25 +13,21 @@ import (
 // Builder accumulates rows during parallel assembly and freezes them into
 // an Operator. Each row is set exactly once by exactly one goroutine (rows
 // are the assembly's unit of output), so no synchronisation is needed
-// beyond the caller's dispatch barrier. Templates are registered serially
-// (AddTemplateBlocks) and rows resolved through them (SetRowTemplated)
-// store nothing of their own.
+// beyond the caller's dispatch barrier. Weight blocks are interned into the
+// pool only in Finish, serially and in storage-row order, so the pool is
+// the same for every worker count.
 type Builder struct {
 	rows   int
 	cols   int
 	basisN int
-	// elems[r] holds storage row r's ascending element ids, vals[r] its
-	// len(elems[r])·basisN weights; both nil for unset and templated rows.
+	// elems[r] holds storage row r's ascending element ids. A directly set
+	// row keeps its len(elems[r])·basisN weights in vals[r]; a stamped row
+	// keeps its source row in src[r] and, per block, the source block it
+	// reuses in slots[r]. All nil for unset rows.
 	elems [][]int32
 	vals  [][]float64
-
-	// Registered templates (element-id deltas from the first block, and
-	// weights), and the row → (template, base column) tables; rowTpl is
-	// allocated by the first AddTemplateBlocks.
-	tplDelta [][]int32
-	tplVal   [][]float64
-	rowTpl   []int32
-	rowBase  []int32
+	src   []int32
+	slots [][]int32
 }
 
 // NewBuilder sizes a builder for a rows × cols operator with basisN modes
@@ -40,6 +39,8 @@ func NewBuilder(rows, cols, basisN int) *Builder {
 		basisN: basisN,
 		elems:  make([][]int32, rows),
 		vals:   make([][]float64, rows),
+		src:    make([]int32, rows),
+		slots:  make([][]int32, rows),
 	}
 }
 
@@ -54,124 +55,143 @@ func (b *Builder) SetRowBlocks(r int, elems []int32, vals []float64) {
 	}
 	b.elems[r] = append([]int32(nil), elems...)
 	b.vals[r] = append([]float64(nil), vals...)
+	b.slots[r] = nil
 }
 
-// AddTemplateBlocks registers a shared stencil pattern and returns its id:
-// one element id per basisN-wide block of the representative row
-// (ascending) and len(elems)·basisN weights. The ids are stored as deltas
-// from elems[0], so a row at any base element can resolve through the
-// pattern. Must not be called concurrently (the assembly's serial stamping
-// phase registers templates).
-func (b *Builder) AddTemplateBlocks(elems []int32, vals []float64) int32 {
-	if len(elems) == 0 || len(vals) != len(elems)*b.basisN {
-		panic(fmt.Sprintf("operator: template with %d blocks × basisN %d, %d values",
-			len(elems), b.basisN, len(vals)))
+// SetRowStamp stores storage row r by reference to an earlier row: block k
+// multiplies element elems[k] (ascending) with the weights of block
+// slots[k] of row src. Finish resolves it to src's value-block ids without
+// hashing a weight. src must precede r, so it is resolved first.
+func (b *Builder) SetRowStamp(r int, elems []int32, src int, slots []int32) {
+	if len(slots) != len(elems) || src < 0 || src >= r {
+		panic(fmt.Sprintf("operator: row %d stamps %d blocks from %d slots of row %d",
+			r, len(elems), len(slots), src))
 	}
-	if b.rowTpl == nil {
-		b.rowTpl = make([]int32, b.rows)
-		for i := range b.rowTpl {
-			b.rowTpl[i] = -1
-		}
-		b.rowBase = make([]int32, b.rows)
-	}
-	deltas := make([]int32, len(elems))
-	for i, e := range elems {
-		deltas[i] = e - elems[0]
-	}
-	b.tplDelta = append(b.tplDelta, deltas)
-	b.tplVal = append(b.tplVal, append([]float64(nil), vals...))
-	return int32(len(b.tplVal) - 1)
+	b.elems[r] = append([]int32(nil), elems...)
+	b.vals[r] = nil
+	b.src[r] = int32(src)
+	b.slots[r] = append([]int32(nil), slots...)
 }
 
-// SetRowTemplated resolves storage row r through template tpl with its
-// first block at element baseElem. The row stores no entries of its own:
-// anything an earlier SetRowBlocks put there is dropped.
-func (b *Builder) SetRowTemplated(r int, tpl, baseElem int32) {
-	if tpl < 0 || int(tpl) >= len(b.tplVal) {
-		panic(fmt.Sprintf("operator: row %d references template %d of %d", r, tpl, len(b.tplVal)))
-	}
-	b.elems[r], b.vals[r] = nil, nil
-	b.rowTpl[r] = tpl
-	b.rowBase[r] = baseElem * int32(b.basisN)
-}
-
-// Finish freezes the accumulated rows into an immutable Operator. The
-// registered templates become the operator's TemplateSet when sharing them
-// saves net bytes; otherwise templated rows are materialised as directly
-// stored rows, so the caller never ends up with an indirection that costs
-// more than it saves.
+// Finish freezes the accumulated rows into an immutable Operator, interning
+// every directly set weight block into the pool by bit pattern.
 func (b *Builder) Finish(perm []int32, workers int, scheme string, wall time.Duration, counters metrics.Counters) *Operator {
-	nnz := 0
-	for _, v := range b.vals {
-		nnz += len(v)
+	nBlocks := 0
+	for _, e := range b.elems {
+		nBlocks += len(e)
 	}
 	op := &Operator{
 		Rows:             b.rows,
 		Cols:             b.cols,
 		BasisN:           b.basisN,
 		RowPtr:           make([]int64, b.rows+1),
-		BlockID:          make([]int32, 0, nnz/b.basisN),
-		Val:              make([]float64, 0, nnz),
+		BlockID:          make([]int32, 0, nBlocks),
+		BlockRef:         make([]int32, 0, nBlocks),
 		Perm:             perm,
 		Workers:          workers,
 		AssemblyScheme:   scheme,
 		AssemblyWall:     wall,
 		AssemblyCounters: counters,
 	}
-	share := b.templatesSaveBytes()
-	if share {
-		ts := &TemplateSet{
-			TplPtr:  make([]int64, 1, len(b.tplVal)+1),
-			RowTpl:  b.rowTpl,
-			RowBase: b.rowBase,
-		}
-		for t := range b.tplVal {
-			ts.BlockDelta = append(ts.BlockDelta, b.tplDelta[t]...)
-			ts.TplVal = append(ts.TplVal, b.tplVal[t]...)
-			ts.TplPtr = append(ts.TplPtr, int64(len(ts.TplVal)))
-		}
-		op.Tpl = ts
-	}
-	for r := 0; r < b.rows; r++ {
-		t := int32(-1)
-		if b.rowTpl != nil {
-			t = b.rowTpl[r]
-		}
-		switch {
-		case t < 0:
-			op.BlockID = append(op.BlockID, b.elems[r]...)
-			op.Val = append(op.Val, b.vals[r]...)
-		case !share:
-			// Templates without a net saving: materialise the row. (With
-			// sharing on, a templated row stores nothing here.)
-			baseElem := b.rowBase[r] / int32(b.basisN)
-			for _, d := range b.tplDelta[t] {
-				op.BlockID = append(op.BlockID, baseElem+d)
+	// Sized for no sharing at all, so appending never copies the pool.
+	pool := blockPool{bn: b.basisN, vals: make([]float64, 0, nBlocks*b.basisN)}
+	for r, elems := range b.elems {
+		op.BlockID = append(op.BlockID, elems...)
+		if slots := b.slots[r]; slots != nil {
+			lo, hi := op.RowPtr[b.src[r]], op.RowPtr[b.src[r]+1]
+			for _, s := range slots {
+				if s < 0 || int64(s) >= hi-lo {
+					panic(fmt.Sprintf("operator: row %d stamps block %d of %d-block row %d", r, s, hi-lo, b.src[r]))
+				}
+				op.BlockRef = append(op.BlockRef, op.BlockRef[lo+int64(s)])
 			}
-			op.Val = append(op.Val, b.tplVal[t]...)
+		} else {
+			for k := range elems {
+				op.BlockRef = append(op.BlockRef, pool.intern(b.vals[r][k*b.basisN:][:b.basisN]))
+			}
 		}
-		op.RowPtr[r+1] = int64(len(op.Val))
+		op.RowPtr[r+1] = int64(len(op.BlockID))
+	}
+	// Keep only what the pool holds: with sharing that is a small part of
+	// its capacity, and Bytes (the cache's budget) counts length.
+	op.Pool = pool.vals
+	if len(op.Pool) < cap(op.Pool) {
+		op.Pool = slices.Clone(op.Pool)
 	}
 	return op
 }
 
-// templatesSaveBytes reports whether the registered templates are a net
-// saving: the weights and element ids the templated rows would otherwise
-// store directly must outweigh one stored copy of each template plus the
-// Rows-wide side tables.
-func (b *Builder) templatesSaveBytes() bool {
-	if len(b.tplVal) == 0 {
-		return false
+// blockPool interns basisN-wide weight blocks by bit pattern in an
+// open-addressed table, so a repeated block costs one hash and one compare
+// and only distinct blocks are stored. A table entry holds the top 32 bits
+// of the block's hash above its id + 1 (0 is empty): a probe compares
+// weights only on a hash match, and growing re-slots entries without
+// rereading the pool.
+type blockPool struct {
+	bn    int
+	vals  []float64
+	table []uint64
+	shift uint // 64 − log2(len(table))
+}
+
+// intern returns the id of the pooled block bitwise equal to v, adding v
+// if there is none.
+func (p *blockPool) intern(v []float64) int32 {
+	n := len(p.vals) / p.bn
+	if 2*(n+1) > len(p.table) {
+		p.grow()
 	}
-	blockBytes := int64(b.basisN)*8 + 4
-	var tplBlocks, sharedBlocks int64
-	for _, d := range b.tplDelta {
-		tplBlocks += int64(len(d))
-	}
-	for _, t := range b.rowTpl {
-		if t >= 0 {
-			sharedBlocks += int64(len(b.tplDelta[t]))
+	h := hashBits(v)
+	mask := len(p.table) - 1
+	for i := int(h >> p.shift); ; i = (i + 1) & mask {
+		e := p.table[i]
+		if e == 0 {
+			p.vals = append(p.vals, v...)
+			p.table[i] = h&^(1<<32-1) | uint64(n+1)
+			return int32(n)
+		}
+		id := int(uint32(e)) - 1
+		if e>>32 == h>>32 && sameBits(p.vals[id*p.bn:][:p.bn], v) {
+			return int32(id)
 		}
 	}
-	return (sharedBlocks-tplBlocks)*blockBytes-int64(b.rows)*8-int64(len(b.tplVal)+1)*8 > 0
+}
+
+// hashBits is FNV-1a over v's bit patterns, spread by a Fibonacci multiply
+// so the top bits — the ones the table indexes by — depend on every input
+// bit.
+func hashBits(v []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range v {
+		h = (h ^ math.Float64bits(x)) * 1099511628211
+	}
+	return h * 0x9e3779b97f4a7c15
+}
+
+// grow doubles the table and re-slots every entry by its stored hash bits.
+func (p *blockPool) grow() {
+	old := p.table
+	size := max(2*len(old), 1024)
+	p.table = make([]uint64, size)
+	p.shift = uint(64 - bits.Len(uint(size-1)))
+	mask := size - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := int(e >> p.shift)
+		for p.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		p.table[i] = e
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -27,15 +28,16 @@ func buildTiny(perm []int32) *operator.Operator {
 
 // synthetic builds an operator shaped like an assembled one: most rows are
 // one of three stencil patterns at a random base element, a fifth are
-// unique boundary-like rows, a few are empty. share registers the pattern
-// rows as templates — what congruence-first assembly emits on a structured
-// mesh; without it the same rows are stored directly. jitter perturbs
-// every pattern row by its own last-bit noise, so no two rows are
-// congruent — a jittered mesh, untemplated by its data.
+// unique boundary-like rows, a few are empty. Pattern rows wrap around the
+// element range, as periodic translates do, so a block's place in the row
+// need not be its place in the pattern. share stamps every pattern row from
+// the first row that used the pattern — what congruence-first assembly
+// does on a structured mesh; without it the same rows are stored directly.
+// jitter perturbs every pattern row by its own last-bit noise, so no two
+// rows are congruent — a jittered mesh, unshared by its data.
 func synthetic(rows, elems, basisN int, seed int64, share, jitter, permuted bool) *operator.Operator {
 	rng := rand.New(rand.NewSource(seed))
 	deltas := [][]int32{{0, 1, 3, 4}, {0, 2, 3, 5, 6, 7}, {0, 1, 2}}
-	const maxSpan = 8
 	patterns := make([][]float64, len(deltas))
 	for p := range patterns {
 		patterns[p] = make([]float64, len(deltas[p])*basisN)
@@ -47,16 +49,16 @@ func synthetic(rows, elems, basisN int, seed int64, share, jitter, permuted bool
 			patterns[p][i] = mag
 		}
 	}
-	b := operator.NewBuilder(rows, elems*basisN, basisN)
-	tpl := make([]int32, len(deltas))
-	if share {
-		for p := range deltas {
-			tpl[p] = b.AddTemplateBlocks(deltas[p], patterns[p])
-		}
+	// first[p] is the row stamps of pattern p reference, and the block of
+	// that row holding each pattern block.
+	type source struct {
+		row int
+		pos []int32
 	}
-	ids := make([]int32, 0, maxSpan)
+	first := make([]*source, len(deltas))
+	b := operator.NewBuilder(rows, elems*basisN, basisN)
 	for r := 0; r < rows; r++ {
-		e0 := int32(rng.Intn(elems - maxSpan))
+		e0 := int32(rng.Intn(elems))
 		switch {
 		case rng.Intn(19) == 0:
 			// empty row
@@ -65,22 +67,31 @@ func synthetic(rows, elems, basisN int, seed int64, share, jitter, permuted bool
 			for i := range v {
 				v[i] = math.Ldexp(rng.Float64()-0.5, rng.Intn(30)-15)
 			}
-			b.SetRowBlocks(r, []int32{e0, e0 + 1}, v)
+			e := e0 % int32(elems-1)
+			b.SetRowBlocks(r, []int32{e, e + 1}, v)
 		default:
 			p := rng.Intn(len(deltas))
-			if share {
-				b.SetRowTemplated(r, tpl[p], e0)
+			ids, slots := wrapped(deltas[p], e0, int32(elems))
+			if share && first[p] != nil {
+				for j, k := range slots {
+					slots[j] = first[p].pos[k]
+				}
+				b.SetRowStamp(r, ids, first[p].row, slots)
 				continue
 			}
-			ids = ids[:0]
-			for _, d := range deltas[p] {
-				ids = append(ids, e0+d)
+			v := make([]float64, 0, len(ids)*basisN)
+			for _, k := range slots {
+				v = append(v, patterns[p][int(k)*basisN:][:basisN]...)
 			}
-			v := patterns[p]
 			if jitter {
-				v = append([]float64(nil), v...)
 				for i := range v {
 					v[i] *= 1 + float64(rng.Intn(1<<20))*0x1p-52
+				}
+			}
+			if first[p] == nil {
+				first[p] = &source{row: r, pos: make([]int32, len(slots))}
+				for j, k := range slots {
+					first[p].pos[k] = int32(j)
 				}
 			}
 			b.SetRowBlocks(r, ids, v)
@@ -93,6 +104,21 @@ func synthetic(rows, elems, basisN int, seed int64, share, jitter, permuted bool
 		}
 	}
 	return b.Finish(perm, 2, "per-point", time.Millisecond, metrics.Counters{})
+}
+
+// wrapped places a pattern at base element e0 on a periodic range of n
+// elements: the ascending element ids, and for each the pattern block it
+// takes.
+func wrapped(deltas []int32, e0, n int32) (ids, slots []int32) {
+	for k, d := range deltas {
+		ids = append(ids, (e0+d)%n)
+		slots = append(slots, int32(k))
+		for j := len(ids) - 1; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+			slots[j], slots[j-1] = slots[j-1], slots[j]
+		}
+	}
+	return ids, slots
 }
 
 func randFields(cols, nf int, seed int64) [][]float64 {
@@ -122,9 +148,9 @@ func mkVecs(n, ln int) [][]float64 {
 func referenceApply(op *operator.Operator, coeffs []float64) []float64 {
 	out := make([]float64, op.Rows)
 	var elems []int32
+	var vals []float64
 	for r := 0; r < op.Rows; r++ {
-		var vals []float64
-		elems, vals = op.Row(r, elems)
+		elems, vals = op.Row(r, elems, vals)
 		sum, comp := 0.0, 0.0
 		for k, e := range elems {
 			for m := 0; m < op.BasisN; m++ {
@@ -205,8 +231,8 @@ func edgeCases() (*operator.Operator, func(nf int) [][]float64) {
 	return op, fields
 }
 
-// TestApplyBlockBitIdentical is the one apply property: over templated and
-// untemplated-by-data operators and the edge-case rows, heap-built and
+// TestApplyBlockBitIdentical is the one apply property: over shared and
+// unshared-by-data operators and the edge-case rows, heap-built and
 // mmap-loaded, at every worker count and field width (under, at, over and
 // twice the fieldBlock tile), ApplyBlock equals F independent ApplyVec
 // calls bitwise, and both equal the naive reference apply bitwise. A
@@ -220,8 +246,8 @@ func TestApplyBlockBitIdentical(t *testing.T) {
 	var fixtures []fixture
 	for _, shared := range []bool{true, false} {
 		op := synthetic(1500, 150, 3, 42, shared, !shared, true)
-		if (op.Tpl != nil) != shared {
-			t.Fatalf("shared=%v fixture has Tpl=%v", shared, op.Tpl != nil)
+		if unique := op.Stats().UniqueBlocks; (unique < len(op.BlockID)/2) != shared {
+			t.Fatalf("shared=%v fixture has %d unique blocks of %d", shared, unique, len(op.BlockID))
 		}
 		fixtures = append(fixtures, fixture{fmt.Sprintf("shared=%v", shared), op,
 			func(nf int) [][]float64 { return randFields(op.Cols, nf, int64(nf)*7+1) }})
@@ -272,13 +298,16 @@ func TestBuilderFinish(t *testing.T) {
 	if op.NNZ() != 4 {
 		t.Fatalf("nnz = %d", op.NNZ())
 	}
-	for i, want := range []int64{0, 2, 4, 4} {
+	for i, want := range []int64{0, 1, 2, 2} {
 		if op.RowPtr[i] != want {
 			t.Fatalf("rowptr = %v", op.RowPtr)
 		}
 	}
 	if len(op.BlockID) != 2 || op.BlockID[0] != 0 || op.BlockID[1] != 1 {
 		t.Fatalf("block ids = %v", op.BlockID)
+	}
+	if len(op.BlockRef) != 2 || op.BlockRef[0] != 0 || op.BlockRef[1] != 1 || len(op.Pool) != 4 {
+		t.Fatalf("block refs = %v, pool = %v", op.BlockRef, op.Pool)
 	}
 	if err := op.Validate(); err != nil {
 		t.Fatal(err)
@@ -401,7 +430,7 @@ func expectAllocFree(t *testing.T, op *operator.Operator, nf int) {
 	}
 }
 
-// Templated rows, a full field tile.
+// Stamped rows, a full field tile.
 func TestApplyAllocFree(t *testing.T) {
 	expectAllocFree(t, synthetic(600, 150, 3, 9, true, false, true), 8)
 }
@@ -431,23 +460,23 @@ func TestGetVecReuse(t *testing.T) {
 	operator.PutVec(nil) // must not panic
 }
 
-// buildShared resolves `users` rows through one two-block template at
-// staggered base elements, plus one directly stored row. Enough users make
-// the template a net byte saving; few make Finish materialise everything.
+// buildShared stamps `users` rows from row 0's two-block stencil at
+// staggered base elements, plus one directly stored row whose first block
+// repeats row 0's second block bit for bit.
 func buildShared(users int) *operator.Operator {
 	rows := users + 1
 	b := operator.NewBuilder(rows, 4*rows+8, 2)
-	tpl := b.AddTemplateBlocks([]int32{0, 2}, []float64{0.5, -0.25, 0.125, 2})
-	for r := 0; r < users; r++ {
-		b.SetRowTemplated(r, tpl, int32(2*r))
+	b.SetRowBlocks(0, []int32{0, 2}, []float64{0.5, -0.25, 0.125, 2})
+	for r := 1; r < users; r++ {
+		b.SetRowStamp(r, []int32{int32(2 * r), int32(2*r + 2)}, 0, []int32{0, 1})
 	}
-	b.SetRowBlocks(users, []int32{1}, []float64{7, -3})
+	b.SetRowBlocks(users, []int32{1, 3}, []float64{0.125, 2, 7, -3})
 	return b.Finish(nil, 1, "per-point", time.Millisecond, metrics.Counters{})
 }
 
 func expectRow(t *testing.T, op *operator.Operator, r int, elems []int32, vals []float64) {
 	t.Helper()
-	ge, gv := op.Row(r, nil)
+	ge, gv := op.Row(r, nil, nil)
 	if len(ge) != len(elems) || len(gv) != len(vals) {
 		t.Fatalf("row %d: %d elements / %d values, want %d / %d", r, len(ge), len(gv), len(elems), len(vals))
 	}
@@ -463,90 +492,92 @@ func expectRow(t *testing.T, op *operator.Operator, r int, elems []int32, vals [
 	}
 }
 
-// With enough rows sharing the pattern, Finish emits the TemplateSet, and
+// Stamped rows and bitwise-repeated blocks share pool entries: 50 rows of
+// two blocks and one row of two blocks hold three distinct blocks, and
 // every logical row reads back exactly as direct SetRowBlocks calls would
 // have stored it.
-func TestBuilderFinishEmitsTemplateSet(t *testing.T) {
+func TestBuilderFinishSharesBlocks(t *testing.T) {
 	op := buildShared(50)
-	if op.Tpl == nil {
-		t.Fatal("Finish did not emit a TemplateSet despite a net byte saving")
-	}
 	if err := op.Validate(); err != nil {
-		t.Fatalf("emitted operator invalid: %v", err)
+		t.Fatalf("shared operator invalid: %v", err)
 	}
-	if got := op.Tpl.NumTemplates(); got != 1 {
-		t.Fatalf("templates = %d, want 1", got)
+	if op.NNZ() != 51*4 || len(op.BlockRef) != 102 {
+		t.Fatalf("nnz = %d, %d refs", op.NNZ(), len(op.BlockRef))
 	}
-	if got := op.Tpl.TemplatedRows(); got != 50 {
-		t.Fatalf("templated rows = %d, want 50", got)
+	if st := op.Stats(); st.UniqueBlocks != 3 || len(op.Pool) != 6 {
+		t.Fatalf("pool holds %d blocks (%d values), want 3", st.UniqueBlocks, len(op.Pool))
 	}
-	if op.NNZ() != 50*4+2 || len(op.Val) != 2 {
-		t.Fatalf("nnz = %d logical, %d stored directly", op.NNZ(), len(op.Val))
-	}
-	if st := op.Stats(); st.StoredNNZ != 4+2 || st.Templates != 1 || st.TemplatedRows != 50 {
-		t.Fatalf("stats missing template shape: %+v", st)
+	if op.BlockRef[100] != op.BlockRef[1] {
+		t.Fatalf("repeated block interned as %d, first seen as %d", op.BlockRef[100], op.BlockRef[1])
 	}
 	for r := 0; r < 50; r++ {
 		expectRow(t, op, r, []int32{int32(2 * r), int32(2*r + 2)}, []float64{0.5, -0.25, 0.125, 2})
 	}
-	expectRow(t, op, 50, []int32{1}, []float64{7, -3})
+	expectRow(t, op, 50, []int32{1, 3}, []float64{0.125, 2, 7, -3})
 }
 
-// A single user of a template saves nothing over storing the row outright,
-// so Finish stores it directly — same numbers, no indirection.
+// With no repeated block there is nothing to share, and Finish still uses
+// the one form: the pool holds every block once, in first-use order, and
+// refs count up from zero.
 func TestBuilderFinishMaterialisesWhenNotSaving(t *testing.T) {
-	op := buildShared(1)
-	if op.Tpl != nil {
-		t.Fatal("Finish emitted a TemplateSet that costs more than it saves")
-	}
+	b := operator.NewBuilder(2, 8, 2)
+	b.SetRowBlocks(0, []int32{0, 2}, []float64{0.5, -0.25, 0.125, 2})
+	b.SetRowBlocks(1, []int32{1}, []float64{7, -3})
+	op := b.Finish(nil, 1, "per-point", time.Millisecond, metrics.Counters{})
 	if err := op.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if op.NNZ() != 4+2 || len(op.Val) != 6 {
-		t.Fatalf("materialised nnz = %d", op.NNZ())
+	if op.NNZ() != 6 || len(op.Pool) != 6 {
+		t.Fatalf("nnz = %d, pool = %v", op.NNZ(), op.Pool)
+	}
+	for k, ref := range op.BlockRef {
+		if ref != int32(k) {
+			t.Fatalf("refs = %v, want 0, 1, 2", op.BlockRef)
+		}
 	}
 	expectRow(t, op, 0, []int32{0, 2}, []float64{0.5, -0.25, 0.125, 2})
 	expectRow(t, op, 1, []int32{1}, []float64{7, -3})
 }
 
-// Malformed templates and out-of-range template references are
-// programming errors.
+// Malformed stamps — a row reusing a template row's blocks by reference —
+// are programming errors.
 func TestBuilderTemplatePanics(t *testing.T) {
-	b := operator.NewBuilder(2, 8, 2)
-	expectPanic(t, "row templated before any template", func() { b.SetRowTemplated(0, 0, 0) })
-	expectPanic(t, "empty template", func() { b.AddTemplateBlocks(nil, nil) })
-	expectPanic(t, "ragged template", func() { b.AddTemplateBlocks([]int32{0}, []float64{1}) })
-	b.AddTemplateBlocks([]int32{0}, []float64{1, 2})
-	expectPanic(t, "bad template id", func() { b.SetRowTemplated(0, 3, 0) })
+	b := operator.NewBuilder(3, 8, 2)
+	b.SetRowBlocks(0, []int32{0}, []float64{1, 2})
+	expectPanic(t, "stamp from a later row", func() { b.SetRowStamp(1, []int32{1}, 2, []int32{0}) })
+	expectPanic(t, "stamp from itself", func() { b.SetRowStamp(1, []int32{1}, 1, []int32{0}) })
+	expectPanic(t, "ragged stamp", func() { b.SetRowStamp(1, []int32{1, 2}, 0, []int32{0}) })
+	b.SetRowStamp(1, []int32{1}, 0, []int32{1}) // row 0 has one block
+	expectPanic(t, "stamp past the source row", func() { b.Finish(nil, 1, "per-point", 0, metrics.Counters{}) })
 }
 
-// TestBSRBytes pins the byte accounting: Bytes is the sum of the resident
-// arrays, sharing templates shrinks it by exactly BytesSaved against the
-// same rows stored directly, and the logical nnz does not move.
+// TestBSRBytes pins the byte accounting and the pool's determinism: Bytes
+// is the sum of the resident arrays, and stamping rows by reference yields
+// the very arrays that storing the same weights directly and interning
+// them does.
 func TestBSRBytes(t *testing.T) {
-	shared := synthetic(800, 200, 3, 7, true, false, true)
+	stamped := synthetic(800, 200, 3, 7, true, false, true)
 	direct := synthetic(800, 200, 3, 7, false, false, true)
-	if shared.Tpl == nil || direct.Tpl != nil {
-		t.Fatal("fixtures did not come out shared / direct")
+	want := int64(len(stamped.RowPtr))*8 + int64(len(stamped.BlockID))*4 + int64(len(stamped.BlockRef))*4 +
+		int64(len(stamped.Pool))*8 + int64(len(stamped.Perm))*4
+	if stamped.Bytes() != want {
+		t.Fatalf("Bytes = %d, arrays sum to %d", stamped.Bytes(), want)
 	}
-	ts := shared.Tpl
-	want := int64(len(shared.Val))*8 + int64(len(shared.BlockID))*4 + int64(len(shared.RowPtr))*8 + int64(len(shared.Perm))*4 +
-		int64(len(ts.TplPtr))*8 + int64(len(ts.BlockDelta))*4 + int64(len(ts.TplVal))*8 + int64(len(ts.RowTpl))*4 + int64(len(ts.RowBase))*4
-	if shared.Bytes() != want {
-		t.Fatalf("Bytes = %d, arrays sum to %d", shared.Bytes(), want)
+	if stamped.Stats().UniqueBlocks*4 > len(stamped.BlockID) {
+		t.Fatalf("%d unique blocks of %d: the patterns did not share", stamped.Stats().UniqueBlocks, len(stamped.BlockID))
 	}
-	if shared.NNZ() != direct.NNZ() {
-		t.Fatalf("logical nnz changed: %d shared vs %d direct", shared.NNZ(), direct.NNZ())
-	}
-	if saved := shared.BytesSaved(); saved <= 0 || direct.Bytes()-shared.Bytes() != saved {
-		t.Fatalf("byte gap %d, BytesSaved %d", direct.Bytes()-shared.Bytes(), saved)
-	}
-	if direct.BytesSaved() != 0 {
-		t.Fatalf("untemplated operator claims %d bytes saved", direct.BytesSaved())
-	}
-	for r := 0; r < shared.Rows; r++ {
-		elems, vals := direct.Row(r, nil)
-		expectRow(t, shared, r, elems, vals)
+	for _, arr := range []struct {
+		name      string
+		got, want any
+	}{
+		{"rowptr", stamped.RowPtr, direct.RowPtr},
+		{"blockid", stamped.BlockID, direct.BlockID},
+		{"blockref", stamped.BlockRef, direct.BlockRef},
+		{"pool", stamped.Pool, direct.Pool},
+	} {
+		if !reflect.DeepEqual(arr.got, arr.want) {
+			t.Fatalf("%s differs between stamped and directly stored rows", arr.name)
+		}
 	}
 }
 
@@ -555,15 +586,8 @@ func clone(op *operator.Operator) *operator.Operator {
 	c := *op
 	c.RowPtr = append([]int64(nil), op.RowPtr...)
 	c.BlockID = append([]int32(nil), op.BlockID...)
+	c.BlockRef = append([]int32(nil), op.BlockRef...)
 	c.Perm = append([]int32(nil), op.Perm...)
-	if op.Tpl != nil {
-		ts := *op.Tpl
-		ts.TplPtr = append([]int64(nil), ts.TplPtr...)
-		ts.BlockDelta = append([]int32(nil), ts.BlockDelta...)
-		ts.RowTpl = append([]int32(nil), ts.RowTpl...)
-		ts.RowBase = append([]int32(nil), ts.RowBase...)
-		c.Tpl = &ts
-	}
 	return &c
 }
 
@@ -583,13 +607,12 @@ func expectInvalid(t *testing.T, op *operator.Operator, cases map[string]func(o 
 
 // TestValidateBSR exercises the decode-path guards on the row arrays.
 func TestValidateBSR(t *testing.T) {
-	expectInvalid(t, synthetic(60, 20, 3, 9, false, false, true), map[string]func(o *operator.Operator){
+	expectInvalid(t, synthetic(60, 20, 3, 9, true, false, true), map[string]func(o *operator.Operator){
 		"out-of-range block id":   func(o *operator.Operator) { o.BlockID[0] = int32(o.Cols / o.BasisN) },
 		"negative block id":       func(o *operator.Operator) { o.BlockID[0] = -1 },
 		"short block index":       func(o *operator.Operator) { o.BlockID = o.BlockID[:len(o.BlockID)-1] },
-		"misaligned row pointer":  func(o *operator.Operator) { o.RowPtr[1]++ },
-		"non-monotone row ptr":    func(o *operator.Operator) { o.RowPtr[2] = o.RowPtr[1] - int64(o.BasisN) },
-		"row pointer overshoots":  func(o *operator.Operator) { o.RowPtr[o.Rows] += int64(o.BasisN) },
+		"non-monotone row ptr":    func(o *operator.Operator) { o.RowPtr[2] = o.RowPtr[1] - 1 },
+		"row pointer overshoots":  func(o *operator.Operator) { o.RowPtr[o.Rows]++ },
 		"short row pointer array": func(o *operator.Operator) { o.RowPtr = o.RowPtr[:o.Rows] },
 		"ragged column count":     func(o *operator.Operator) { o.Cols++ },
 		"zero basisN":             func(o *operator.Operator) { o.BasisN = 0 },
@@ -598,42 +621,14 @@ func TestValidateBSR(t *testing.T) {
 	})
 }
 
-// TestValidateTemplatesRejects exercises the guards on the template tables.
+// TestValidateTemplatesRejects exercises the guards on what stamped rows
+// share: the value-block refs and the pool they index.
 func TestValidateTemplatesRejects(t *testing.T) {
-	op := synthetic(200, 60, 2, 3, true, false, false)
-	if op.Tpl == nil {
-		t.Fatal("no templates formed")
-	}
-	firstTemplated := func(o *operator.Operator) int {
-		for r, t := range o.Tpl.RowTpl {
-			if t >= 0 {
-				return r
-			}
-		}
-		return -1
-	}
-	expectInvalid(t, op, map[string]func(o *operator.Operator){
-		"dangling template id": func(o *operator.Operator) {
-			o.Tpl.RowTpl[firstTemplated(o)] = int32(o.Tpl.NumTemplates())
-		},
-		"element out of range": func(o *operator.Operator) { o.Tpl.RowBase[firstTemplated(o)] = int32(o.Cols) },
-		"misaligned base":      func(o *operator.Operator) { o.Tpl.RowBase[firstTemplated(o)]++ },
-		"negative delta":       func(o *operator.Operator) { o.Tpl.BlockDelta[1] = -int32(o.Cols) },
-		"ragged arrays":        func(o *operator.Operator) { o.Tpl.TplVal = o.Tpl.TplVal[:len(o.Tpl.TplVal)-1] },
-		"short deltas":         func(o *operator.Operator) { o.Tpl.BlockDelta = o.Tpl.BlockDelta[1:] },
-		"misaligned template":  func(o *operator.Operator) { o.Tpl.TplPtr[1]++ },
-		"pointer not from 0":   func(o *operator.Operator) { o.Tpl.TplPtr[0] = int64(o.BasisN) },
-		"row table wrong length": func(o *operator.Operator) {
-			o.Tpl.RowTpl = o.Tpl.RowTpl[:len(o.Tpl.RowTpl)-1]
-		},
-		"templated row with own entries": func(o *operator.Operator) {
-			for r, t := range o.Tpl.RowTpl {
-				if t < 0 && o.RowPtr[r] != o.RowPtr[r+1] {
-					o.Tpl.RowTpl[r] = 0
-					o.Tpl.RowBase[r] = 0
-					return
-				}
-			}
-		},
+	expectInvalid(t, synthetic(200, 60, 2, 3, true, false, false), map[string]func(o *operator.Operator){
+		"out-of-range value ref": func(o *operator.Operator) { o.BlockRef[0] = int32(len(o.Pool) / o.BasisN) },
+		"negative value ref":     func(o *operator.Operator) { o.BlockRef[0] = -1 },
+		"ragged pool":            func(o *operator.Operator) { o.Pool = o.Pool[:len(o.Pool)-1] },
+		"refs shorter than ids":  func(o *operator.Operator) { o.BlockRef = o.BlockRef[:len(o.BlockRef)-1] },
+		"refs longer than ids":   func(o *operator.Operator) { o.BlockRef = append(o.BlockRef, 0) },
 	})
 }

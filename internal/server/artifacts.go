@@ -52,8 +52,8 @@ type Artifacts struct {
 	// log receives store-degradation warnings (persist failures); nil
 	// disables.
 	log *slog.Logger
-	// ops accumulates operator apply traffic and template-sharing
-	// outcomes for /debug/metrics.
+	// ops accumulates operator apply traffic and assembly outcomes for
+	// /debug/metrics.
 	ops metrics.OperatorCounters
 }
 
@@ -72,7 +72,7 @@ func (a *Artifacts) SetLog(log *slog.Logger) { a.log = log }
 // Store exposes the disk tier, if attached (metrics, tests).
 func (a *Artifacts) Store() *artifact.Store { return a.store }
 
-// Ops exposes the operator apply/compression counters.
+// Ops exposes the operator apply and assembly counters.
 func (a *Artifacts) Ops() *metrics.OperatorCounters { return &a.ops }
 
 // applyFields applies op to each field into the caller-owned outs[i] (one
@@ -266,10 +266,10 @@ func (a *Artifacts) Operator(ev *core.Evaluator, meshID string) (*operator.Opera
 	})
 }
 
-// sigCacheKey scopes one cached canonical-signature hash pair to a row: the
+// sigCacheKey scopes one cached canonical-signature hash to a row: the
 // exact position bit patterns plus the quantised one-sided kernel-class
 // keys. Everything else the hash depends on — mesh geometry, kernel order,
-// h, quantisation step — is fixed by the cache instance's own LRU key.
+// h — is fixed by the cache instance's own LRU key.
 type sigCacheKey struct {
 	xb, yb uint64
 	kx, ky int64
@@ -284,19 +284,19 @@ type sigCacheKey struct {
 // can cost speed, never correctness.
 type sigCache struct {
 	mu sync.RWMutex
-	m  map[sigCacheKey][2]uint64
+	m  map[sigCacheKey]uint64
 }
 
-func (c *sigCache) Lookup(xb, yb uint64, kx, ky int64) (exact, quant uint64, ok bool) {
+func (c *sigCache) Lookup(xb, yb uint64, kx, ky int64) (uint64, bool) {
 	c.mu.RLock()
-	v, ok := c.m[sigCacheKey{xb, yb, kx, ky}]
+	h, ok := c.m[sigCacheKey{xb, yb, kx, ky}]
 	c.mu.RUnlock()
-	return v[0], v[1], ok
+	return h, ok
 }
 
-func (c *sigCache) Store(xb, yb uint64, kx, ky int64, exact, quant uint64) {
+func (c *sigCache) Store(xb, yb uint64, kx, ky int64, h uint64) {
 	c.mu.Lock()
-	c.m[sigCacheKey{xb, yb, kx, ky}] = [2]uint64{exact, quant}
+	c.m[sigCacheKey{xb, yb, kx, ky}] = h
 	c.mu.Unlock()
 }
 
@@ -311,7 +311,7 @@ func (a *Artifacts) signatureCache(meshID string, ev *core.Evaluator) core.Signa
 	// Charge roughly one entry per grid point: 40 B of key+value plus map
 	// overhead. The estimate only steers LRU eviction pressure.
 	v, _, err := a.cache.GetOrBuild(key, func() (any, int64, error) {
-		return &sigCache{m: make(map[sigCacheKey][2]uint64)}, int64(ev.NumPoints())*56 + 1024, nil
+		return &sigCache{m: make(map[sigCacheKey]uint64)}, int64(ev.NumPoints())*48 + 1024, nil
 	})
 	if err != nil {
 		return nil
@@ -365,12 +365,12 @@ func (a *Artifacts) operatorFor(key string, workers int, assemble func() (*opera
 }
 
 // recordOperator folds one operator admission (assembled or loaded from
-// disk) into the template-sharing counters, plus the congruence-first
-// assembly outcome when the operator carries one (disk loads do not).
+// disk) into the operator counters, plus the congruence-first assembly
+// outcome when the operator carries one (disk loads do not).
 func (a *Artifacts) recordOperator(op *operator.Operator) {
-	a.ops.RecordTemplates(op.Rows, op.Tpl.TemplatedRows(), op.BytesSaved())
+	a.ops.RowsTotal.Add(uint64(op.Rows))
 	if cs := op.Congruence; cs != nil {
-		a.ops.RecordAssembly(cs.RowsIntegrated, cs.RowsStamped, cs.ClassesVerified, cs.ClassesDemoted, op.AssemblyWall)
+		a.ops.RecordAssembly(cs.RowsIntegrated, cs.RowsStamped, cs.ClassesDemoted, op.AssemblyWall)
 		a.ops.RecordSigCache(cs.SigCacheLookups, cs.SigCacheHits)
 	}
 }

@@ -155,7 +155,8 @@ func stopTestServer(t *testing.T, srv *Server, ts *httptest.Server) {
 }
 
 // TestLegacyOperatorFileSelfRepairs pins the upgrade path for operator
-// files in a retired format: whether the file is already in the store when
+// files in a retired format (version 2, and version 3 — the last format
+// with weights stored in place): whether the file is already in the store when
 // the server boots or appears under a running one, the operator job
 // re-assembles (never reporting a disk hit), agrees with direct evaluation,
 // leaves a current-format file behind, and the next cold start serves that
@@ -179,7 +180,11 @@ func TestLegacyOperatorFileSelfRepairs(t *testing.T) {
 		return binary.LittleEndian.Uint16(data[4:6])
 	}
 
-	for _, beforeBoot := range []bool{true, false} {
+	for _, c := range []struct {
+		version    uint16
+		beforeBoot bool
+	}{{2, true}, {3, true}, {3, false}} {
+		beforeBoot := c.beforeBoot
 		cfg := Config{Workers: 1, EvalWorkers: 2, StoreDir: t.TempDir()}
 		srv, err := New(cfg)
 		if err != nil {
@@ -197,7 +202,7 @@ func TestLegacyOperatorFileSelfRepairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint16(legacy[4:6], 2)
+		binary.LittleEndian.PutUint16(legacy[4:6], c.version)
 		if beforeBoot {
 			if err := os.WriteFile(path, legacy, 0o644); err != nil {
 				t.Fatal(err)
@@ -216,29 +221,29 @@ func TestLegacyOperatorFileSelfRepairs(t *testing.T) {
 		}
 		hits, repaired := runOperatorJob(t, ts, meshID)
 		if slices.Contains(hits, "operator-disk") || slices.Contains(hits, "operator") {
-			t.Fatalf("beforeBoot=%v: job over a legacy file reported warm hits %v", beforeBoot, hits)
+			t.Fatalf("v%d beforeBoot=%v: job over a legacy file reported warm hits %v", c.version, beforeBoot, hits)
 		}
 		if len(repaired) != len(direct.Solution) {
-			t.Fatalf("beforeBoot=%v: %d points, want %d", beforeBoot, len(repaired), len(direct.Solution))
+			t.Fatalf("v%d beforeBoot=%v: %d points, want %d", c.version, beforeBoot, len(repaired), len(direct.Solution))
 		}
 		for i, want := range direct.Solution {
 			if d := math.Abs(repaired[i] - want); d > 1e-12 {
-				t.Fatalf("beforeBoot=%v: point %d: repaired operator %v vs RunPerPoint %v (diff %.3e)", beforeBoot, i, repaired[i], want, d)
+				t.Fatalf("v%d beforeBoot=%v: point %d: repaired operator %v vs RunPerPoint %v (diff %.3e)", c.version, beforeBoot, i, repaired[i], want, d)
 			}
 		}
 		if v := fileVersion(path); v != artifact.VersionOperator {
-			t.Fatalf("beforeBoot=%v: file on disk is v%d after the job, want v%d", beforeBoot, v, artifact.VersionOperator)
+			t.Fatalf("v%d beforeBoot=%v: file on disk is v%d after the job, want v%d", c.version, beforeBoot, v, artifact.VersionOperator)
 		}
 		stopTestServer(t, srv, ts)
 
 		_, ts3 := newTestServer(t, cfg)
 		hits, got := runOperatorJob(t, ts3, meshID)
 		if !slices.Contains(hits, "operator-disk") {
-			t.Fatalf("beforeBoot=%v: cold start after repair hits = %v, want operator-disk", beforeBoot, hits)
+			t.Fatalf("v%d beforeBoot=%v: cold start after repair hits = %v, want operator-disk", c.version, beforeBoot, hits)
 		}
 		for i := range repaired {
 			if math.Float64bits(got[i]) != math.Float64bits(repaired[i]) {
-				t.Fatalf("beforeBoot=%v: point %d: %v from disk vs %v re-assembled", beforeBoot, i, got[i], repaired[i])
+				t.Fatalf("v%d beforeBoot=%v: point %d: %v from disk vs %v re-assembled", c.version, beforeBoot, i, got[i], repaired[i])
 			}
 		}
 	}

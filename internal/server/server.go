@@ -327,8 +327,10 @@ func (s *Server) Metrics() map[string]any {
 		"cache_classes": s.arts.cache.StatsByClass(),
 		"schemes":       s.mgr.Totals(),
 		"faults":        s.faults.Snapshot(),
-		// Assembled-operator traffic: batched vs single applies, template
-		// dedup hit-rate and resident bytes saved across admitted operators.
+		// Assembled-operator traffic: batched vs single applies, rows
+		// admitted, and how congruence-first assembly went (rows stamped vs
+		// integrated, classes with a demoted member, assembly wall EWMA,
+		// signature-cache hits).
 		"operator": s.arts.Ops().Snapshot(),
 	}
 	if st := s.arts.Store(); st != nil {

@@ -69,7 +69,7 @@ func jobSolution(t *testing.T, ts *httptest.Server, spec JobSpec) (JobStatus, st
 func TestMultiFieldOperatorJob(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	// Power-of-two resolution: h = 1/8 is dyadic, so element translations
-	// are bitwise exact and the assembled rows are template-congruent.
+	// are bitwise exact and the assembled rows are translation-congruent.
 	id := uploadMesh(t, ts, mesh.Structured(8))
 	names := []string{"sincos", "gauss", "poly"}
 
@@ -105,15 +105,15 @@ func TestMultiFieldOperatorJob(t *testing.T) {
 		}
 	}
 
-	// The apply and template counters observed the traffic. The structured
+	// The apply and assembly counters observed the traffic. The structured
 	// mesh assembles translation-congruent stencil rows, so assembly must
-	// have shared them through templates.
+	// have stamped them.
 	snap := srv.Artifacts().Ops().Snapshot()
 	if snap.BlockApplies == 0 || snap.SingleApplies < uint64(len(names)) {
 		t.Errorf("apply counters %+v missed the traffic", snap)
 	}
-	if snap.RowsTotal == 0 || snap.RowsTemplated == 0 || snap.BytesSaved == 0 {
-		t.Errorf("structured-mesh operator did not templatize: %+v", snap)
+	if snap.RowsTotal == 0 || snap.RowsStamped == 0 {
+		t.Errorf("structured-mesh operator stamped no rows: %+v", snap)
 	}
 }
 
@@ -130,8 +130,8 @@ func TestMultiFieldValidation(t *testing.T) {
 }
 
 // On a perturbed (jittered) mesh rows are not translation-congruent; the
-// operator path must fall back to directly stored rows transparently —
-// same results, no templates — rather than fail or compress lossily.
+// operator path must fall back to integrating every row transparently —
+// same results, nothing stamped — rather than fail or compress lossily.
 func TestOperatorTemplateFallbackJittered(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	id := uploadMesh(t, ts, mesh.JitteredStructured(6, 0.25, 7))
@@ -225,7 +225,7 @@ func TestMetricsOperatorSection(t *testing.T) {
 	if op.BlockApplies == 0 || op.FieldsApplied < 2 || op.RowsTotal == 0 {
 		t.Errorf("operator metrics section %+v missed the traffic", op)
 	}
-	if op.RowsTemplated > 0 && op.TemplateHitRate <= 0 {
-		t.Errorf("hit rate not derived: %+v", op)
+	if op.RowsStamped > 0 && op.StampRate <= 0 {
+		t.Errorf("stamp rate not derived: %+v", op)
 	}
 }
