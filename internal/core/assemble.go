@@ -16,7 +16,7 @@ import (
 
 // This file assembles the SIAC post-processing step as a sparse operator
 // (internal/operator): instead of contracting quadrature samples with the
-// field's modal coefficients, integrateWeights accumulates the per-basis-
+// field, integrateWeights contracts them with the basis into the per-basis-
 // function weights W[pt][e][m] of Eq. (2), which depend only on
 // (mesh, grid, kernel, h) — never on the coefficients. Applying the frozen
 // operator to a coefficient vector reproduces RunPerPoint/RunPerElement to
@@ -245,7 +245,6 @@ func (ev *Evaluator) assembleRow(pos geom.Point, wk *worker, acc *rowAccum) erro
 	acc.reset()
 	return ev.forEachRowCandidate(pos, wk, func(e int32, center geom.Point) {
 		if ev.integrateWeights(center, e, wk) {
-			wk.counters.TruePositives++
 			acc.add(e, wk.wacc)
 		}
 	})
@@ -282,119 +281,46 @@ func (ev *Evaluator) forEachRowCandidate(pos geom.Point, wk *worker, visit func(
 	return nil
 }
 
-// integrateWeights is integrate with the coefficient contraction removed:
-// it accumulates, into wk.wacc, the per-basis-function weights
+// integrateWeights is integrate with the field contraction replaced by the
+// basis: it writes, into wk.wacc, the per-basis-function weights
 //
-//	wacc[m] = (1/h²) Σ_{cells} Σ_{τ_n} Σ_q w_q · jac · K_x · K_y · φ_m(r_q, s_q)
+//	wacc[m] = Σ_samples w · φ_m(r, s) = Σ_k A[m][k] · M_k,  M_k = Σ_samples w · r^a s^b
 //
-// for element e against a stencil centred at center, using the same
-// clipping, fan triangulation and fused per-sub-region affine maps as the
-// direct path. It reports whether any sub-region was integrated (false
-// leaves wk.wacc unspecified). Contracting the result with the element's
-// modal coefficients reproduces integrate's value up to summation-order
-// rounding.
-//
-// Unlike the direct path, every geometric quantity here is computed in
-// stencil-local coordinates (the element translated by -center, kernel
-// cells at exact offsets h·(blo+i) from the origin). The weights are
-// translation-invariant in exact arithmetic, and working in local
-// coordinates makes them translation-invariant in floating point too
-// whenever the inputs are exact translates: two stencils whose element
-// geometry differs by an exactly-representable shift see bitwise-identical
-// local vertices and therefore produce bitwise-identical weight rows. That
-// is what congruence-first assembly (signature.go) keys on — interior
-// points of a (near-)structured mesh collapse to a handful of stencil
-// classes, each integrated once.
+// for element e against a stencil centred at center. The monomial moments
+// M_k are accumulated in HornerField's order and changed to the modal basis
+// once per pair by A = Basis.MonomialCoeffs(), so no quadrature sample
+// evaluates the modal basis. It reports whether any sub-region was
+// integrated (false leaves wk.wacc unspecified). Contracting the result with
+// the element's modal coefficients reproduces integrate's value up to
+// summation-order rounding; the samples' stencil-local frame (see samples)
+// makes the weights of exact translates bitwise equal.
 func (ev *Evaluator) integrateWeights(center geom.Point, e int32, wk *worker) bool {
-	bb := ev.elemBounds[e]
-	tri := ev.Mesh.Triangle(int(e)).Translate(geom.Pt(-center.X, -center.Y))
-	h := ev.H
-	kx, ky := wk.kx, wk.ky
-	bxlo, _ := kx.Support()
-	bylo, _ := ky.Support()
-	np := kx.NumPieces()
-
-	basisN := ev.Field.Basis.N
-	if cap(wk.wacc) < basisN {
-		wk.wacc = make([]float64, basisN)
-	}
-	wk.wacc = wk.wacc[:basisN]
-	clear(wk.wacc)
-
-	i0 := int(math.Floor((bb.Min.X-center.X)/h - bxlo))
-	i1 := int(math.Floor((bb.Max.X-center.X)/h - bxlo))
-	j0 := int(math.Floor((bb.Min.Y-center.Y)/h - bylo))
-	j1 := int(math.Floor((bb.Max.Y-center.Y)/h - bylo))
-	if i1 < 0 || j1 < 0 || i0 >= np || j0 >= ky.NumPieces() {
+	samp := ev.samples(center, e, wk)
+	if len(samp) == 0 {
 		return false
 	}
-	i0 = max(i0, 0)
-	j0 = max(j0, 0)
-	i1 = min(i1, np-1)
-	j1 = min(j1, ky.NumPieces()-1)
-
-	invH := 1 / h
-	inv := tri.AffineInverse()
-	minArea := 1e-14 * tri.Area()
-	quadFlops := metrics.FlopsPerQuadEval(ev.Opt.P, ev.Opt.P)
-
-	qpts := ev.rule.Points
-	qwts := ev.rule.Weights
-	nq := uint64(len(qpts))
-
-	integrated := false
-	for j := j0; j <= j1; j++ {
-		cy0 := h * (bylo + float64(j))
-		py := ky.Piece(j)
-		for i := i0; i <= i1; i++ {
-			cx0 := h * (bxlo + float64(i))
-			px := kx.Piece(i)
-			cell := geom.Box(cx0, cy0, cx0+h, cy0+h)
-			poly := wk.clip.ClipTriangleBox(tri, cell)
-			wk.counters.Flops += uint64((len(poly) + 3) * metrics.FlopsPerClipVertex)
-			if len(poly) < 3 {
-				continue
+	p := ev.Opt.P
+	mom := wk.mom
+	clear(mom)
+	for _, q := range samp {
+		k := 0
+		wsb := q.w
+		for b := 0; b <= p; b++ {
+			v := wsb
+			for a := 0; a+b <= p; a++ {
+				mom[k] += v
+				v *= q.r
+				k++
 			}
-			wk.tris = geom.SplitFan(geom.Polygon(poly), wk.tris[:0], minArea)
-			for _, tau := range wk.tris {
-				integrated = true
-				wk.counters.Regions++
-				wk.counters.Flops += metrics.FlopsPerRegion
-				jac := 2 * tau.Area()
-				bxu, bxv := tau.B.X-tau.A.X, tau.C.X-tau.A.X
-				byu, byv := tau.B.Y-tau.A.Y, tau.C.Y-tau.A.Y
-				dax, day := tau.A.X-inv.X0, tau.A.Y-inv.Y0
-				r0 := (dax*inv.Ys - day*inv.Xs) * inv.InvDet
-				ru := (bxu*inv.Ys - byu*inv.Xs) * inv.InvDet
-				rv := (bxv*inv.Ys - byv*inv.Xs) * inv.InvDet
-				s0 := (day*inv.Xr - dax*inv.Yr) * inv.InvDet
-				su := (byu*inv.Xr - bxu*inv.Yr) * inv.InvDet
-				sv := (byv*inv.Xr - bxv*inv.Yr) * inv.InvDet
-				tx0, txu, txv := (tau.A.X-cx0)*invH, bxu*invH, bxv*invH
-				ty0, tyu, tyv := (tau.A.Y-cy0)*invH, byu*invH, byv*invH
-				for q, rp := range qpts {
-					r := r0 + ru*rp.X + rv*rp.Y
-					s := s0 + su*rp.X + sv*rp.Y
-					tx := tx0 + txu*rp.X + txv*rp.Y
-					ty := ty0 + tyu*rp.X + tyv*rp.Y
-					kvx := px[len(px)-1]
-					for d := len(px) - 2; d >= 0; d-- {
-						kvx = kvx*tx + px[d]
-					}
-					kvy := py[len(py)-1]
-					for d := len(py) - 2; d >= 0; d-- {
-						kvy = kvy*ty + py[d]
-					}
-					scale := qwts[q] * jac * kvx * kvy * invH * invH
-					ev.Field.Basis.EvalAll(r, s, wk.basis)
-					for m := 0; m < basisN; m++ {
-						wk.wacc[m] += scale * wk.basis[m]
-					}
-				}
-				wk.counters.QuadEvals += nq
-				wk.counters.Flops += quadFlops * nq
-			}
+			wsb *= q.s
 		}
 	}
-	return integrated
+	for m, am := range ev.mono {
+		acc := 0.0
+		for k, c := range am {
+			acc += c * mom[k]
+		}
+		wk.wacc[m] = acc
+	}
+	return true
 }

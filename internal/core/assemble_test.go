@@ -61,6 +61,59 @@ func TestOperatorMatchesDirect(t *testing.T) {
 	}
 }
 
+// The assembled operator itself reproduces polynomials of degree <= P on
+// an unstructured mesh: at interior points under periodic kernels and at
+// every point under one-sided ones. Operator and direct paths share one
+// sub-region walker, so TestOperatorMatchesDirect cannot see a walker error
+// — this checks the operator against the exact answer instead. h is set so
+// the support width (3P+1)·h is 0.4 at every P: the periodic interior stays
+// non-empty and one-sided supports fit the unit square.
+func TestOperatorReproducesPolynomials(t *testing.T) {
+	m, err := mesh.SizedLowVariance(200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 1; p <= 3; p++ {
+		// Σ_{a+b<=P} c_ab x^a y^b with every coefficient non-zero.
+		fn := func(pt geom.Point) float64 {
+			v := 0.0
+			for a := 0; a <= p; a++ {
+				for b := 0; a+b <= p; b++ {
+					v += float64(1+a-2*b) * math.Pow(pt.X, float64(a)) * math.Pow(pt.Y, float64(b))
+				}
+			}
+			return v
+		}
+		for _, boundary := range []Boundary{Periodic, OneSided} {
+			ev := buildEvaluator(t, m, p, fn, Options{Boundary: boundary, H: 0.4 / float64(3*p+1), Workers: 2})
+			op, err := ev.AssembleOperator(AssembleOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, op.Rows)
+			if err := op.ApplyInto(ev.Field, got); err != nil {
+				t.Fatal(err)
+			}
+			half := ev.W / 2
+			checked := 0
+			for i, gp := range ev.Points {
+				x, y := gp.Pos.X, gp.Pos.Y
+				if boundary == Periodic && (x < half || x > 1-half || y < half || y > 1-half) {
+					continue
+				}
+				checked++
+				want := fn(gp.Pos)
+				if math.Abs(got[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
+					t.Fatalf("P%d/%v: point %d at %v: operator %v, want %v", p, boundary, i, gp.Pos, got[i], want)
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("P%d/%v: no points checked", p, boundary)
+			}
+		}
+	}
+}
+
 // The operator depends only on (mesh, grid, kernel, h): assembled once, it
 // post-processes any same-degree field on the mesh.
 func TestOperatorFieldIndependence(t *testing.T) {

@@ -180,11 +180,15 @@ type Evaluator struct {
 
 	rule quadrature.Rule2D // sub-region integration rule (degree P + 2k)
 
-	// horner holds the field collapsed to per-element monomial coefficients
-	// so the quadrature loop evaluates u(r,s) with one bivariate Horner
-	// pass. nil when the collapse failed its conditioning check (very high
-	// P); integrate then falls back to the modal EvalAll path.
+	// horner holds the field collapsed to per-element monomial coefficients,
+	// so the direct paths evaluate u(r,s) at each quadrature sample with one
+	// bivariate Horner pass.
 	horner *dg.HornerField
+	// mono is the field-independent modal→monomial matrix A
+	// (Basis.MonomialCoeffs): assembly turns a pair's monomial moments into
+	// per-mode weights with one A·M product instead of evaluating the modal
+	// basis at every sample.
+	mono [][]float64
 
 	// osCache memoises one-sided kernels by quantised node shift, turning
 	// the per-candidate LU moment solve into an amortised map lookup. nil
@@ -200,14 +204,9 @@ type Evaluator struct {
 	wkPool sync.Pool
 }
 
-// hornerResidualTol bounds the acceptable |Horner − modal| disagreement,
-// relative to the field's largest modal coefficient, before the evaluator
-// falls back to the modal path. The Vandermonde collapse conditions
-// combinatorially in P; for SIAC-practical orders the residual is ~1e-13.
-const hornerResidualTol = 1e-9
-
 // NewEvaluator validates options, builds the SIAC kernel, the computation
-// grid and both hash grids.
+// grid and both hash grids. It fails if the degree's modal→monomial change
+// of basis fails its conditioning check (Basis.MonomialCoeffs).
 func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	m := f.Mesh
 	if err := opt.normalize(m); err != nil {
@@ -220,6 +219,14 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
+	mono, err := f.Basis.MonomialCoeffs()
+	if err != nil {
+		return nil, err
+	}
+	horner, err := dg.NewHornerField(f, opt.Workers)
+	if err != nil {
+		return nil, err
+	}
 	ev := &Evaluator{
 		Mesh:   m,
 		Field:  f,
@@ -228,6 +235,8 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 		H:      opt.H,
 		W:      opt.H * float64(3*opt.P+1),
 		rule:   quadrature.TriangleForDegree(3 * opt.P), // degree P + 2k, k = P
+		horner: horner,
+		mono:   mono,
 	}
 	if opt.Boundary == OneSided {
 		ev.osCache = newKernelCache(opt.P)
@@ -273,33 +282,7 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	})
 	ev.pointGrid = grid.New(locs, opt.CellFactorElem*s)
 
-	ev.buildHornerField()
 	return ev, nil
-}
-
-// buildHornerField collapses the field into per-element monomial (Horner)
-// coefficients and validates the collapse against the modal path on a
-// spread of elements at the integration rule's nodes. On excessive residual
-// (ill-conditioned change of basis at very high P) the evaluator keeps
-// horner == nil and integrate falls back to EvalAll.
-func (ev *Evaluator) buildHornerField() {
-	hf, err := dg.NewHornerField(ev.Field, ev.Opt.Workers)
-	if err != nil {
-		return
-	}
-	probe := make([][2]float64, len(ev.rule.Points))
-	for i, p := range ev.rule.Points {
-		probe[i] = [2]float64{p.X, p.Y}
-	}
-	scale := 0.0
-	for _, c := range ev.Field.Coeffs {
-		if a := math.Abs(c); a > scale {
-			scale = a
-		}
-	}
-	if hf.Validate(ev.Field, probe, 32) <= hornerResidualTol*(1+scale) {
-		ev.horner = hf
-	}
 }
 
 // parallelRange splits [0, n) into contiguous chunks executed across up to
@@ -360,14 +343,14 @@ func (ev *Evaluator) forEachShift(b geom.AABB, fn func(dx, dy int)) {
 type worker struct {
 	clip     geom.Clipper
 	tris     []geom.Triangle
-	basis    []float64
+	samp     []sample // one (point, element) pair's quadrature samples
 	counters metrics.Counters
 	cand     []int32
 	kx, ky   *bspline.Kernel // kernels in effect for the current point
-	// wacc receives one (point, element) pair's per-basis-function weights
-	// during operator assembly (integrateWeights); unused on the direct
-	// evaluation paths.
-	wacc []float64
+	// mom and wacc receive one pair's monomial moments and per-basis-function
+	// weights during operator assembly (integrateWeights); unused on the
+	// direct evaluation paths.
+	mom, wacc []float64
 	// edPerRegion is the modeled element-data bytes charged (uncoalesced,
 	// one scattered load transaction) for every integrated sub-region. The
 	// per-point scheme sets it to the element payload: in a point-block
@@ -382,10 +365,12 @@ type worker struct {
 }
 
 func (ev *Evaluator) newWorker() *worker {
+	n := ev.Field.Basis.N
 	return &worker{
-		basis: make([]float64, ev.Field.Basis.N),
-		kx:    ev.Kernel,
-		ky:    ev.Kernel,
+		mom:  make([]float64, n),
+		wacc: make([]float64, n),
+		kx:   ev.Kernel,
+		ky:   ev.Kernel,
 	}
 }
 
@@ -433,19 +418,39 @@ func (ev *Evaluator) oneSidedFor(x float64) (*bspline.Kernel, error) {
 	return ev.osCache.get(shift)
 }
 
-// integrate computes the contribution of element e to the post-processed
-// value at a stencil centred at center, i.e. the inner sums of Eq. (2):
+// sample is one quadrature sample of Eq. (2)'s integrand on a clipped
+// sub-region: the element's reference coordinates (r, s) and the weight
+// w_q·jac·K_x·K_y/h² that multiplies u_e(r, s) there.
+type sample struct{ r, s, w float64 }
+
+// samples is the one sub-region walker behind every evaluation path. It
+// clips element e against each kernel cell of a stencil centred at center,
+// fans the clipped polygon into sub-triangles, and writes every quadrature
+// sample of Eq. (2),
 //
-//	(1/h²) Σ_{stencil squares} Σ_{τ_n} ∫_{τ_n} K_x((y1−cx)/h)·K_y((y2−cy)/h)·u_e(y) dy
+//	(1/h²) Σ_{stencil squares} Σ_{τ_n} ∫_{τ_n} K_x((y1−cx)/h)·K_y((y2−cy)/h)·u_e(y) dy,
 //
-// The stencil squares are the kernel's unit break lattice scaled by h, so
-// the integrand is a single polynomial on each clipped sub-region and the
-// quadrature is exact. Returns the partial solution.
-func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
+// into wk.samp, which it returns. The stencil squares are the kernel's unit
+// break lattice scaled by h, so the integrand is one polynomial on each
+// sub-region and the quadrature is exact. A pair that integrates any
+// sub-region counts as a true positive; an empty result means it integrated
+// none. The direct paths contract the samples with the field (integrate),
+// assembly with the basis (integrateWeights).
+//
+// Every geometric quantity is computed in stencil-local coordinates: the
+// element translated by −center, kernel cells at exact offsets h·(blo+i)
+// from the origin. The samples are translation-invariant in exact
+// arithmetic, and local coordinates make them translation-invariant in
+// floating point too whenever the inputs are exact translates: two stencils
+// whose element geometry differs by an exactly-representable shift see
+// bitwise-identical local vertices and produce bitwise-identical samples.
+// That is what congruence-first assembly (signature.go) keys on.
+func (ev *Evaluator) samples(center geom.Point, e int32, wk *worker) []sample {
+	wk.samp = wk.samp[:0]
 	bb := ev.elemBounds[e]
-	tri := ev.Mesh.Triangle(int(e))
+	tri := ev.Mesh.Triangle(int(e)).Translate(geom.Pt(-center.X, -center.Y))
 	h := ev.H
-	kx, ky := w.kx, w.ky
+	kx, ky := wk.kx, wk.ky
 	bxlo, _ := kx.Support()
 	bylo, _ := ky.Support()
 	np := kx.NumPieces()
@@ -456,7 +461,7 @@ func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
 	j0 := int(math.Floor((bb.Min.Y-center.Y)/h - bylo))
 	j1 := int(math.Floor((bb.Max.Y-center.Y)/h - bylo))
 	if i1 < 0 || j1 < 0 || i0 >= np || j0 >= ky.NumPieces() {
-		return 0
+		return wk.samp
 	}
 	i0 = max(i0, 0)
 	j0 = max(j0, 0)
@@ -465,51 +470,42 @@ func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
 
 	// Per-call element state, hoisted out of the cell and quadrature loops:
 	// the inverse reference map (one reciprocal determinant instead of a
-	// division per quadrature point) and the element's collapsed Horner
-	// coefficients.
+	// division per quadrature point).
 	invH := 1 / h
 	inv := tri.AffineInverse()
-	var hc []float64
-	if ev.horner != nil {
-		hc = ev.horner.ElemCoeffs(int(e))
-	}
-
 	minArea := 1e-14 * tri.Area()
-	basisN := ev.Field.Basis.N
-	coeffs := ev.Field.ElemCoeffs(int(e))
 	quadFlops := metrics.FlopsPerQuadEval(ev.Opt.P, ev.Opt.P)
 
 	qpts := ev.rule.Points
 	qwts := ev.rule.Weights
 	nq := uint64(len(qpts))
 
-	sum := 0.0
 	for j := j0; j <= j1; j++ {
-		cy0 := center.Y + h*(bylo+float64(j))
+		cy0 := h * (bylo + float64(j))
 		// The cell indices (i, j) are the kernel piece indices (stencil
 		// squares are the break lattice), so the piece polynomials are
 		// hoisted per cell and evaluated directly — no floor, no bounds
 		// search.
 		py := ky.Piece(j)
 		for i := i0; i <= i1; i++ {
-			cx0 := center.X + h*(bxlo+float64(i))
+			cx0 := h * (bxlo + float64(i))
 			px := kx.Piece(i)
 			cell := geom.Box(cx0, cy0, cx0+h, cy0+h)
-			poly := w.clip.ClipTriangleBox(tri, cell)
-			w.counters.Flops += uint64((len(poly) + 3) * metrics.FlopsPerClipVertex)
+			poly := wk.clip.ClipTriangleBox(tri, cell)
+			wk.counters.Flops += uint64((len(poly) + 3) * metrics.FlopsPerClipVertex)
 			if len(poly) < 3 {
 				continue
 			}
-			w.tris = geom.SplitFan(geom.Polygon(poly), w.tris[:0], minArea)
-			for _, tau := range w.tris {
-				w.counters.Regions++
-				w.counters.Flops += metrics.FlopsPerRegion
-				if w.edPerRegion > 0 {
-					w.counters.BytesRead += w.edPerRegion
-					w.counters.BytesUncoalesced += w.edPerRegion
-					w.counters.ScatteredLoads++
+			wk.tris = geom.SplitFan(geom.Polygon(poly), wk.tris[:0], minArea)
+			for _, tau := range wk.tris {
+				wk.counters.Regions++
+				wk.counters.Flops += metrics.FlopsPerRegion
+				if wk.edPerRegion > 0 {
+					wk.counters.BytesRead += wk.edPerRegion
+					wk.counters.BytesUncoalesced += wk.edPerRegion
+					wk.counters.ScatteredLoads++
 				}
-				jac := 2 * tau.Area()
+				jac := 2 * tau.Area() * invH * invH // with Eq. (2)'s 1/h²
 				// Compose tau's reference map with the element's inverse
 				// map and the kernel-cell normalisation once per
 				// sub-region, so each quadrature point costs four fused
@@ -527,17 +523,6 @@ func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
 				tx0, txu, txv := (tau.A.X-cx0)*invH, bxu*invH, bxv*invH
 				ty0, tyu, tyv := (tau.A.Y-cy0)*invH, byu*invH, byv*invH
 				for q, rp := range qpts {
-					r := r0 + ru*rp.X + rv*rp.Y
-					s := s0 + su*rp.X + sv*rp.Y
-					var u float64
-					if hc != nil {
-						u = ev.horner.EvalCoeffs(hc, r, s)
-					} else {
-						ev.Field.Basis.EvalAll(r, s, w.basis)
-						for mIdx := 0; mIdx < basisN; mIdx++ {
-							u += coeffs[mIdx] * w.basis[mIdx]
-						}
-					}
 					tx := tx0 + txu*rp.X + txv*rp.Y
 					ty := ty0 + tyu*rp.X + tyv*rp.Y
 					kvx := px[len(px)-1]
@@ -548,12 +533,32 @@ func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
 					for d := len(py) - 2; d >= 0; d-- {
 						kvy = kvy*ty + py[d]
 					}
-					sum += qwts[q] * jac * kvx * kvy * u
+					wk.samp = append(wk.samp, sample{
+						r: r0 + ru*rp.X + rv*rp.Y,
+						s: s0 + su*rp.X + sv*rp.Y,
+						w: qwts[q] * jac * kvx * kvy,
+					})
 				}
-				w.counters.QuadEvals += nq
-				w.counters.Flops += quadFlops * nq
+				wk.counters.QuadEvals += nq
+				wk.counters.Flops += quadFlops * nq
 			}
 		}
 	}
-	return sum * invH * invH
+	if len(wk.samp) > 0 {
+		wk.counters.TruePositives++
+	}
+	return wk.samp
+}
+
+// integrate computes the contribution of element e to the post-processed
+// value at a stencil centred at center — the inner sums of Eq. (2) — by
+// contracting the walker's samples with the element's Horner coefficients.
+// Returns the partial solution.
+func (ev *Evaluator) integrate(center geom.Point, e int32, wk *worker) float64 {
+	hc := ev.horner.ElemCoeffs(int(e))
+	sum := 0.0
+	for _, q := range ev.samples(center, e, wk) {
+		sum += q.w * ev.horner.EvalCoeffs(hc, q.r, q.s)
+	}
+	return sum
 }

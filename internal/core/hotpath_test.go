@@ -37,10 +37,12 @@ func integrateTarget(ev *Evaluator) (geom.Point, int32) {
 }
 
 // BenchmarkIntegrate times the innermost hot function: one element's
-// contribution to one stencil (clip, fan, quadrature).
+// contribution to one stencil (clip, fan, quadrature), contracted with the
+// field (Pn, the direct paths) and with the basis (Pn/weights, assembly).
 func BenchmarkIntegrate(b *testing.B) {
 	for _, p := range []int{1, 2, 3} {
-		b.Run(map[int]string{1: "P1", 2: "P2", 3: "P3"}[p], func(b *testing.B) {
+		name := map[int]string{1: "P1", 2: "P2", 3: "P3"}[p]
+		b.Run(name, func(b *testing.B) {
 			ev := benchEvaluator(b, p, Options{})
 			wk := ev.newWorker()
 			center, e := integrateTarget(ev)
@@ -49,6 +51,19 @@ func BenchmarkIntegrate(b *testing.B) {
 			var sink float64
 			for i := 0; i < b.N; i++ {
 				sink += ev.integrate(center, e, wk)
+			}
+			benchSink = sink
+		})
+		b.Run(name+"/weights", func(b *testing.B) {
+			ev := benchEvaluator(b, p, Options{})
+			wk := ev.newWorker()
+			center, e := integrateTarget(ev)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				ev.integrateWeights(center, e, wk)
+				sink += wk.wacc[0]
 			}
 			benchSink = sink
 		})
@@ -101,8 +116,9 @@ func BenchmarkOneSidedSweep(b *testing.B) {
 
 var benchSink float64
 
-// integrate must be allocation-free in steady state: the clip buffers, fan
-// scratch, and quadrature loop all reuse the worker's storage.
+// Both contractions of the walker — integrate and integrateWeights — must
+// be allocation-free in steady state: the clip buffers, fan scratch, sample
+// buffer and moment scratch all reuse the worker's storage.
 func TestIntegrateZeroAlloc(t *testing.T) {
 	m, err := mesh.LowVariance(12, 1)
 	if err != nil {
@@ -125,6 +141,13 @@ func TestIntegrateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("integrate allocates %v objects per run in steady state, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		ev.integrateWeights(center, e, wk)
+		benchSink += wk.wacc[0]
+	})
+	if allocs != 0 {
+		t.Fatalf("integrateWeights allocates %v objects per run in steady state, want 0", allocs)
 	}
 }
 

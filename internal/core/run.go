@@ -187,12 +187,7 @@ func (ev *Evaluator) processElement(e int32, wk *worker, add func(pt int32, v fl
 			if !ev.supportBox(center, kx, ky).Intersects(bb) {
 				continue
 			}
-			before := wk.counters.Regions
-			v := ev.integrate(center, e, wk)
-			if wk.counters.Regions > before {
-				wk.counters.TruePositives++
-			}
-			if v != 0 {
+			if v := ev.integrate(center, e, wk); v != 0 {
 				add(pt, v)
 			}
 		}
@@ -266,11 +261,7 @@ func (ev *Evaluator) evalAt(pos geom.Point, wk *worker) (float64, error) {
 	testsBefore := wk.counters.IntersectionTests
 	total := 0.0
 	err := ev.forEachRowCandidate(pos, wk, func(e int32, center geom.Point) {
-		before := wk.counters.Regions
 		total += ev.integrate(center, e, wk)
-		if wk.counters.Regions > before {
-			wk.counters.TruePositives++
-		}
 	})
 	tests := wk.counters.IntersectionTests - testsBefore
 	wk.counters.BytesRead += tests * metrics.ElementGeometryBytes

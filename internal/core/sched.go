@@ -65,7 +65,7 @@ func runDynamic(workers, n int, unit func(w, u int) error) error {
 
 // getWorker returns a scratch worker from the evaluator's pool (counters
 // reset, kernels restored to the symmetric default), allocating on first
-// use, so runs, assemblies and batch queries reuse grown buffers — basis,
+// use, so runs, assemblies and batch queries reuse grown buffers — samples,
 // clipper scratch, candidate slices — instead of reallocating them.
 func (ev *Evaluator) getWorker() *worker {
 	if w, _ := ev.wkPool.Get().(*worker); w != nil {

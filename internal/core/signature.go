@@ -13,8 +13,9 @@ import (
 // Congruence-first assembly: detect row congruence *before* integrating, so
 // each shared stencil row pays the quadrature bill once.
 //
-// integrateWeights computes every weight in stencil-local coordinates, so a
-// row's weight block is a deterministic function of
+// The sub-region walker (samples) computes every quadrature sample in
+// stencil-local coordinates, so a row's weight block is a deterministic
+// function of
 //
 //	(multiset of stencil-local element geometry, which candidates share an
 //	 element (periodic images), the order those images accumulate in,

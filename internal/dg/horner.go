@@ -2,9 +2,11 @@ package dg
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"unstencil/internal/linalg"
+	"unstencil/internal/quadrature"
 )
 
 // This file implements the post-processor's per-element Horner fields: each
@@ -24,9 +26,10 @@ import (
 //
 // Conditioning: the change of basis goes through a Vandermonde solve on the
 // equispaced reference lattice, whose conditioning degrades combinatorially
-// with P. For the SIAC-practical orders (P ≤ 6) the collapse agrees with
-// EvalAll to ~1e-12; beyond that callers should validate (Validate) and fall
-// back to the modal path — core.NewEvaluator does exactly that.
+// with P. MonomialCoeffs checks the solved matrix against EvalAll at
+// off-lattice points and returns an error when it disagrees by more than
+// monomialResidualTol (first at P = 9); there is no modal fallback, so
+// core.NewEvaluator fails with that error.
 
 // monoCache memoises the modal→monomial change-of-basis matrix per degree.
 var (
@@ -39,9 +42,15 @@ type monoEntry struct {
 	err error
 }
 
+// monomialResidualTol bounds monomialResidual for an accepted matrix. The
+// residual is ~1e-13 at P = 4, ~6e-12 at P = 6 and ~1.5e-10 at P = 8; it
+// first exceeds the bound at P = 9.
+const monomialResidualTol = 1e-9
+
 // MonomialCoeffs returns the change-of-basis matrix A with A[m] the monomial
 // coefficients (in the ordering above) of orthonormal Dubiner mode m, so
 // that a modal vector c collapses to monomial coefficients Σ_m c_m·A[m].
+// It returns an error when A fails its conditioning check against EvalAll.
 // The matrix is cached per degree and must not be modified.
 func (b *Basis) MonomialCoeffs() ([][]float64, error) {
 	monoMu.Lock()
@@ -58,10 +67,7 @@ func (b *Basis) computeMonomialCoeffs() ([][]float64, error) {
 	n := b.N
 	// Unisolvent sample set: the equispaced lattice (i/d, j/d), i+j <= d,
 	// has exactly N points and determines total-degree-P polynomials.
-	d := b.P
-	if d < 1 {
-		d = 1
-	}
+	d := max(b.P, 1)
 	type rs struct{ r, s float64 }
 	pts := make([]rs, 0, n)
 	for j := 0; j <= b.P; j++ {
@@ -109,7 +115,27 @@ func (b *Basis) computeMonomialCoeffs() ([][]float64, error) {
 		}
 		a[m] = sol
 	}
+	if res := monomialResidual(b, a); !(res <= monomialResidualTol) { // NaN fails too
+		return nil, fmt.Errorf("dg: monomial change of basis at P=%d is ill-conditioned: residual %.3g against EvalAll exceeds %g",
+			b.P, res, monomialResidualTol)
+	}
 	return a, nil
+}
+
+// monomialResidual returns max_m |Σ_k A[m][k]·r^a s^b − φ_m(r, s)| over the
+// nodes of the degree-2P triangle rule, which lie off the equispaced
+// lattice A was solved on.
+func monomialResidual(b *Basis, a [][]float64) float64 {
+	hf := HornerField{P: b.P, N: b.N}
+	phi := make([]float64, b.N)
+	worst := 0.0
+	for _, pt := range quadrature.TriangleForDegree(2 * b.P).Points {
+		b.EvalAll(pt.X, pt.Y, phi)
+		for m, am := range a {
+			worst = math.Max(worst, math.Abs(hf.EvalCoeffs(am, pt.X, pt.Y)-phi[m]))
+		}
+	}
+	return worst
 }
 
 // HornerField is a Field collapsed to per-element monomial coefficients for
@@ -159,11 +185,6 @@ func (hf *HornerField) ElemCoeffs(e int) []float64 {
 	return hf.Coeffs[e*hf.N : (e+1)*hf.N]
 }
 
-// Eval evaluates the collapsed field on element e at reference (r, s).
-func (hf *HornerField) Eval(e int, r, s float64) float64 {
-	return hf.EvalCoeffs(hf.ElemCoeffs(e), r, s)
-}
-
 // EvalCoeffs evaluates one element's monomial coefficients (from ElemCoeffs)
 // at reference (r, s) by bivariate Horner: the b-groups are walked from s^P
 // down to s^0, each evaluated by an inner Horner pass in r.
@@ -182,46 +203,6 @@ func (hf *HornerField) EvalCoeffs(c []float64, r, s float64) float64 {
 	return u
 }
 
-// Validate compares the collapsed field against the modal path (EvalAll +
-// dot product) at the given reference points on up to sampleElems elements
-// spread across the mesh, returning the maximum absolute difference. It is
-// the conditioning guard for high P.
-func (hf *HornerField) Validate(f *Field, refPts [][2]float64, sampleElems int) float64 {
-	numElems := len(f.Coeffs) / f.Basis.N
-	if sampleElems <= 0 || sampleElems > numElems {
-		sampleElems = numElems
-	}
-	stride := numElems / sampleElems
-	if stride < 1 {
-		stride = 1
-	}
-	buf := make([]float64, f.Basis.N)
-	worst := 0.0
-	for e := 0; e < numElems; e += stride {
-		ce := f.ElemCoeffs(e)
-		hc := hf.ElemCoeffs(e)
-		for _, p := range refPts {
-			f.Basis.EvalAll(p[0], p[1], buf)
-			want := 0.0
-			for m, c := range ce {
-				want += c * buf[m]
-			}
-			got := hf.EvalCoeffs(hc, p[0], p[1])
-			if d := abs(got - want); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // parallelRange splits [0, n) into contiguous chunks executed across up to
 // the given number of goroutines. workers <= 1 (or tiny n) runs inline.
 func parallelRange(n, workers int, fn func(lo, hi int)) {
@@ -235,10 +216,7 @@ func parallelRange(n, workers int, fn func(lo, hi int)) {
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()

@@ -43,7 +43,7 @@ func TestHornerFieldMatchesModal(t *testing.T) {
 				for mm, c := range ce {
 					want += c * buf[mm]
 				}
-				got := hf.Eval(e, r, s)
+				got := hf.EvalCoeffs(hf.ElemCoeffs(e), r, s)
 				if math.Abs(got-want) > tol*(1+math.Abs(want)) {
 					t.Fatalf("P=%d elem %d (r=%v, s=%v): horner %v, modal %v",
 						p, e, r, s, got, want)
@@ -80,28 +80,35 @@ func TestHornerFieldParallelDeterministic(t *testing.T) {
 	}
 }
 
-// Validate must report ~0 for a healthy collapse and detect corruption.
-func TestHornerFieldValidate(t *testing.T) {
-	m, merr := mesh.LowVariance(5, 1)
-	if merr != nil {
-		t.Fatal(merr)
+// The conditioning guard on A: every SIAC-practical degree passes, the
+// residual catches a perturbed matrix, and a degree past the bound is an
+// error rather than a silent fallback.
+func TestMonomialCoeffsGuard(t *testing.T) {
+	for p := 1; p <= 6; p++ {
+		b := NewBasis(p)
+		a, err := b.MonomialCoeffs()
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		if res := monomialResidual(b, a); res > monomialResidualTol {
+			t.Fatalf("P=%d: healthy A has residual %.3g", p, res)
+		}
 	}
-	rng := rand.New(rand.NewSource(9))
-	f := NewField(m, 2)
-	for i := range f.Coeffs {
-		f.Coeffs[i] = rng.NormFloat64()
-	}
-	hf, err := NewHornerField(f, 1)
+	b := NewBasis(2)
+	a, err := b.MonomialCoeffs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := [][2]float64{{0.2, 0.3}, {0.5, 0.25}, {0.1, 0.8}, {1.0 / 3, 1.0 / 3}}
-	if worst := hf.Validate(f, pts, 0); worst > 1e-12 {
-		t.Fatalf("healthy collapse validates to %v", worst)
+	bad := make([][]float64, len(a))
+	for m := range a {
+		bad[m] = append([]float64(nil), a[m]...)
 	}
-	hf.Coeffs[0] += 0.5
-	if worst := hf.Validate(f, pts, 0); worst < 0.1 {
-		t.Fatalf("corrupted collapse validates to %v, expected >= 0.1", worst)
+	bad[3][0] += 1e-7 // constant term of one mode
+	if res := monomialResidual(b, bad); res <= monomialResidualTol {
+		t.Fatalf("perturbed A has residual %.3g, want > %g", res, monomialResidualTol)
+	}
+	if _, err := NewBasis(12).MonomialCoeffs(); err == nil {
+		t.Fatal("P=12: ill-conditioned A accepted")
 	}
 }
 
