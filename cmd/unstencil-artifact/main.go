@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"unstencil/internal/artifact"
 	"unstencil/internal/core"
@@ -125,10 +126,12 @@ func pack(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	op, err := ev.AssembleOperator(core.AssembleOpts{})
+	start := time.Now()
+	op, cs, err := ev.AssembleOperator(nil)
 	if err != nil {
 		fatal(err)
 	}
+	wall := time.Since(start)
 	// The evaluator's normalized grid degree, so the key matches what a
 	// running unstencild computes for the same job parameters.
 	opKey := server.OpKey(meshID, *p, ev.Opt.GridDegree, boundary)
@@ -137,11 +140,9 @@ func pack(args []string) {
 	}
 	st := op.Stats()
 	fmt.Printf("operator %s\n         -> %s (%d x %d, %d nnz, %d distinct weight blocks, %s wall)\n",
-		opKey, store.Path(opKey), st.Rows, st.Cols, st.NNZ, st.UniqueBlocks, op.AssemblyWall)
-	if cs := op.Congruence; cs != nil {
-		fmt.Printf("         congruence: %d classes, %d/%d rows stamped, %d demoted\n",
-			cs.Classes, cs.RowsStamped, cs.Rows, cs.RowsDemoted)
-	}
+		opKey, store.Path(opKey), st.Rows, st.Cols, st.NNZ, st.UniqueBlocks, wall)
+	fmt.Printf("         congruence: %d classes, %d/%d rows stamped, %d demoted\n",
+		cs.Classes, cs.RowsStamped, cs.Rows, cs.RowsDemoted)
 }
 
 func openContainer(path string) (*artifact.Container, *os.File, int64, error) {
@@ -194,8 +195,8 @@ func inspect(args []string) {
 	case artifact.KindOperator:
 		if op, err := c.DecodeOperator(""); err == nil {
 			st := op.Stats()
-			fmt.Printf("  operator %d x %d, %d nnz (%.1f/row), basis %d, %d distinct weight blocks, scheme %s, assembled in %s\n",
-				st.Rows, st.Cols, st.NNZ, st.NNZPerRow, op.BasisN, st.UniqueBlocks, op.AssemblyScheme, op.AssemblyWall)
+			fmt.Printf("  operator %d x %d, %d nnz (%.1f/row), basis %d, %d distinct weight blocks\n",
+				st.Rows, st.Cols, st.NNZ, st.NNZPerRow, op.BasisN, st.UniqueBlocks)
 		}
 	}
 }

@@ -41,18 +41,20 @@
 // # Versions
 //
 // Each kind has exactly one format version, written and read: meshes and
-// fields are version 1, operators version 4 (each block an element id and
+// fields are version 1, operators version 5 (each block an element id and
 // a value-block id into one pool of distinct weight blocks, see
-// operator.Operator). The version bumps on any layout change and readers
-// reject every other version with ErrVersion — fixed-width layouts cannot
-// be sniffed safely — while unknown section types within the known version
-// are ignored so minor additions stay forward-compatible. Operator files
-// written by the retired versions are therefore rejected like any unknown
-// version: 1 and 2 (scalar column indices) and 3 (weights stored in place
-// per block, plus five stencil-template sections). The store deletes such
-// a file and the caller re-assembles and writes the operator back, which
-// is sound because operator artifacts are a derived, content-keyed cache.
-// The section ids only those formats used stay reserved, and a version-4
+// operator.Operator, behind a metadata record that holds the shape only).
+// The version bumps on any layout change and readers reject every other
+// version with ErrVersion — fixed-width layouts cannot be sniffed safely —
+// while unknown section types within the known version are ignored so
+// minor additions stay forward-compatible. Operator files written by the
+// retired versions are therefore rejected like any unknown version: 1 and 2
+// (scalar column indices), 3 (weights stored in place per block, plus five
+// stencil-template sections) and 4 (today's arrays behind a metadata
+// record that also carried assembly provenance). The store deletes such a
+// file and the caller re-assembles and writes the operator back, which is
+// sound because operator artifacts are a derived, content-keyed cache. The
+// section ids only those formats used stay reserved, and a version-5
 // container carrying one is corrupt.
 package artifact
 
@@ -73,7 +75,7 @@ const Version = 1
 // VersionOperator is the format version of operator containers: per block
 // an element id (SecBlockID) and a value-block id (SecBlockRef) into one
 // pool of distinct weight blocks (SecPool).
-const VersionOperator = 4
+const VersionOperator = 5
 
 // kindVersion returns the one format version accepted (and written) for a
 // container kind.
@@ -108,7 +110,8 @@ func KindName(kind uint16) string {
 // Section types. Meta and Key are common to all kinds; the rest are
 // per-kind payload arrays.
 const (
-	// SecMeta is the fixed-width metadata record (shape, provenance).
+	// SecMeta is the fixed-width metadata record: the shape, plus the mesh
+	// hash for fields.
 	SecMeta uint32 = 1
 	// SecKey is the logical store key the artifact was written under,
 	// verified on load so a misplaced file is never served for the wrong

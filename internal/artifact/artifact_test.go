@@ -9,12 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"unstencil/internal/dg"
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
-	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
 )
 
@@ -45,10 +43,7 @@ func testOperator(t testing.TB, rows, cols, basisN int, withPerm bool) *operator
 			perm = append(perm, int32(p))
 		}
 	}
-	return b.Finish(perm, 3, "per-point", 123*time.Millisecond, metrics.Counters{
-		IntersectionTests: 7, TruePositives: 5, Regions: 11,
-		QuadEvals: 13, Flops: 17, BytesRead: 19,
-	})
+	return b.Finish(perm, 3)
 }
 
 // congruentOperator builds the same logical operator twice — rows that are
@@ -84,7 +79,7 @@ func congruentOperator(t testing.TB, rows, elems, basisN int) (direct, stamped *
 			first[p] = r
 			b.SetRowBlocks(r, ids, patterns[p])
 		}
-		return b.Finish(nil, 2, "per-point", time.Millisecond, metrics.Counters{Regions: 3})
+		return b.Finish(nil, 2)
 	}
 	direct, stamped = build(false), build(true)
 	if want := 4 + 6; direct.Stats().UniqueBlocks != want || stamped.Stats().UniqueBlocks != want {
@@ -135,19 +130,13 @@ func f64bits(v []float64) []uint64 {
 	return out
 }
 
-// sameOperator demands every stored array and the assembly provenance be
-// identical, bit for bit.
+// sameOperator demands the shape and every stored array be identical, bit
+// for bit.
 func sameOperator(t *testing.T, got, want *operator.Operator) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.BasisN != want.BasisN {
 		t.Fatalf("shape %d×%d basis %d, want %d×%d basis %d",
 			got.Rows, got.Cols, got.BasisN, want.Rows, want.Cols, want.BasisN)
-	}
-	if got.Workers != want.Workers || got.AssemblyScheme != want.AssemblyScheme ||
-		got.AssemblyWall != want.AssemblyWall || got.AssemblyCounters != want.AssemblyCounters {
-		t.Fatalf("provenance changed: %v/%q/%v vs %v/%q/%v",
-			got.Workers, got.AssemblyScheme, got.AssemblyWall,
-			want.Workers, want.AssemblyScheme, want.AssemblyWall)
 	}
 	sameArray(t, "rowptr", got.RowPtr, want.RowPtr)
 	sameArray(t, "blockid", got.BlockID, want.BlockID)
@@ -312,7 +301,7 @@ func TestVersionAndMagicGates(t *testing.T) {
 	}
 	// Each kind has one version: the retired operator versions are as
 	// unknown as a future one, and so is an operator-versioned mesh.
-	for _, v := range []byte{1, 2, 3} {
+	for _, v := range []byte{1, 2, 3, 4} {
 		bad = bytes.Clone(data)
 		bad[4] = v
 		if _, err := Parse(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrVersion) {

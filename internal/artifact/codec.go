@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"unstencil/internal/dg"
 	"unstencil/internal/geom"
@@ -253,11 +252,12 @@ func (c *Container) DecodeField(key string) (FieldMeta, []float64, error) {
 
 // ---- Operator ----
 
-// opMetaSize: rows u64 | cols u64 | basisN u32 | workers u32 |
-// scheme [16]byte | wallNs u64 | counters 8×u64.
-const opMetaSize = 8 + 8 + 4 + 4 + 16 + 8 + 64
+// opMetaSize: rows u64 | cols u64 | basisN u32 — the shape, and nothing
+// about how or where the operator was assembled, so one operator encodes to
+// the same bytes whatever its worker count or wall time.
+const opMetaSize = 8 + 8 + 4
 
-// EncodeOperator serialises op as a version-4 operator artifact stored
+// EncodeOperator serialises op as a version-5 operator artifact stored
 // under key. The arrays are written verbatim (fixed-width little-endian),
 // so the payload can later be memory-mapped and applied with zero copies.
 func EncodeOperator(w io.Writer, key string, op *operator.Operator) (int64, error) {
@@ -283,10 +283,6 @@ func operatorSections(key string, op *operator.Operator) []section {
 	binary.LittleEndian.PutUint64(meta[0:8], uint64(op.Rows))
 	binary.LittleEndian.PutUint64(meta[8:16], uint64(op.Cols))
 	binary.LittleEndian.PutUint32(meta[16:20], uint32(op.BasisN))
-	binary.LittleEndian.PutUint32(meta[20:24], uint32(op.Workers))
-	copy(meta[24:40], op.AssemblyScheme)
-	binary.LittleEndian.PutUint64(meta[40:48], uint64(op.AssemblyWall))
-	putI64s(meta[48:112], countersToRecord(op.AssemblyCounters))
 
 	secs := []section{
 		{SecMeta, meta},
@@ -302,24 +298,8 @@ func operatorSections(key string, op *operator.Operator) []section {
 	return secs
 }
 
-func countersToRecord(c metrics.Counters) []int64 {
-	return []int64{
-		int64(c.IntersectionTests), int64(c.TruePositives), int64(c.Regions),
-		int64(c.QuadEvals), int64(c.Flops), int64(c.BytesRead),
-		int64(c.BytesUncoalesced), int64(c.ScatteredLoads),
-	}
-}
-
-func recordToCounters(r []int64) metrics.Counters {
-	return metrics.Counters{
-		IntersectionTests: uint64(r[0]), TruePositives: uint64(r[1]), Regions: uint64(r[2]),
-		QuadEvals: uint64(r[3]), Flops: uint64(r[4]), BytesRead: uint64(r[5]),
-		BytesUncoalesced: uint64(r[6]), ScatteredLoads: uint64(r[7]),
-	}
-}
-
-// decodeOpMeta fills the shape and provenance fields of op from the
-// fixed-width metadata record.
+// decodeOpMeta fills the shape fields of op from the fixed-width metadata
+// record.
 func decodeOpMeta(meta []byte, op *operator.Operator) error {
 	if len(meta) != opMetaSize {
 		return fmt.Errorf("%w: operator meta is %d bytes, want %d", ErrCorrupt, len(meta), opMetaSize)
@@ -331,13 +311,8 @@ func decodeOpMeta(meta []byte, op *operator.Operator) error {
 	if rows > 1<<40 || cols > 1<<31 {
 		return fmt.Errorf("%w: implausible operator shape %d×%d", ErrCorrupt, rows, cols)
 	}
-	cnt, _ := decodeI64s(meta[48:112])
 	op.Rows, op.Cols = int(rows), int(cols)
 	op.BasisN = int(binary.LittleEndian.Uint32(meta[16:20]))
-	op.Workers = int(binary.LittleEndian.Uint32(meta[20:24]))
-	op.AssemblyScheme = string(bytes.TrimRight(meta[24:40], "\x00"))
-	op.AssemblyWall = time.Duration(binary.LittleEndian.Uint64(meta[40:48]))
-	op.AssemblyCounters = recordToCounters(cnt)
 	return nil
 }
 

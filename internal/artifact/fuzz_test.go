@@ -28,7 +28,7 @@ func FuzzArtifactDecode(f *testing.F) {
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
 
-	// Operator seeds, all version 4: random rows (every block its own
+	// Operator seeds, all version 5: random rows (every block its own
 	// pool entry) with and without a permutation, and congruent rows
 	// stamped from shared refs.
 	f.Add(encodeOp(f, "op:seed", testOperator(f, 25, 18, 6, true)))
@@ -38,6 +38,7 @@ func FuzzArtifactDecode(f *testing.F) {
 
 	// Structural edge cases the mutator should start from: the retired
 	// operator versions, wrong magic, bare header, empty input.
+	f.Add(legacyOperatorContainer("op:v4", stamped, 4))
 	f.Add(legacyOperatorContainer("op:v3", stamped, 3))
 	f.Add(legacyOperatorContainer("op:v2", stamped, 2))
 	f.Add([]byte("UNSA"))

@@ -177,11 +177,23 @@ func TestTemplateValidationAtDecode(t *testing.T) {
 }
 
 // legacyOperatorContainer encodes op the way a retired operator format
-// laid it out: weights in place (SecVal) behind row pointers in weight
-// units, indexed by element block (SecBlockID) in version 3 and by scalar
-// column (SecColInd) in versions 1 and 2; version 2 adds the
+// laid it out. Every retired format led with the 112-byte metadata record
+// of shape plus assembly provenance (workers, scheme, wall time, eight
+// geometry counters), here zeroed. Version 4 then wrote today's arrays;
+// versions 1–3 stored the weights in place (SecVal) behind row pointers in
+// weight units, indexed by element block (SecBlockID) in version 3 and by
+// scalar column (SecColInd) in versions 1 and 2; version 2 adds the
 // stencil-template sections, here with every row stored directly.
 func legacyOperatorContainer(key string, op *operator.Operator, version uint16) []byte {
+	meta := make([]byte, 112)
+	binary.LittleEndian.PutUint64(meta[0:8], uint64(op.Rows))
+	binary.LittleEndian.PutUint64(meta[8:16], uint64(op.Cols))
+	binary.LittleEndian.PutUint32(meta[16:20], uint32(op.BasisN))
+	if version == 4 {
+		secs := operatorSections(key, op)
+		secs[0] = section{SecMeta, meta}
+		return encodeContainer(version, KindOperator, secs)
+	}
 	bn := op.BasisN
 	rowPtr := make([]int64, len(op.RowPtr))
 	for i, p := range op.RowPtr {
@@ -201,8 +213,7 @@ func legacyOperatorContainer(key string, op *operator.Operator, version uint16) 
 		}
 		index = section{SecColInd, encodeI32s(cols)}
 	}
-	cur := operatorSections(key, op)
-	secs := []section{cur[0], cur[1], {SecRowPtr, encodeI64s(rowPtr)}, index, {SecVal, encodeF64s(vals)}}
+	secs := []section{{SecMeta, meta}, {SecKey, []byte(key)}, {SecRowPtr, encodeI64s(rowPtr)}, index, {SecVal, encodeF64s(vals)}}
 	if op.Perm != nil {
 		secs = append(secs, section{SecPerm, encodeI32s(op.Perm)})
 	}
@@ -221,7 +232,7 @@ func legacyOperatorContainer(key string, op *operator.Operator, version uint16) 
 	return encodeContainer(version, KindOperator, secs)
 }
 
-// The legacy-file path is pinned, not assumed: a version 1, 2 or 3
+// The legacy-file path is pinned, not assumed: a version 1, 2, 3 or 4
 // operator container makes Store.LoadOperator fail with ErrVersion and
 // remove the file — mapped and portable alike — so the caller's
 // re-assembly and write-through repairs the store; and a store opened on a
@@ -229,7 +240,7 @@ func legacyOperatorContainer(key string, op *operator.Operator, version uint16) 
 func TestStoreRejectsLegacyOperatorVersions(t *testing.T) {
 	_, stamped := congruentOperator(t, 60, 20, 3)
 	permuted := testOperator(t, 30, 24, 6, true)
-	for version, op := range map[uint16]*operator.Operator{1: stamped, 2: stamped, 3: permuted} {
+	for version, op := range map[uint16]*operator.Operator{1: stamped, 2: stamped, 3: permuted, 4: permuted} {
 		key := "op:legacy"
 		data := legacyOperatorContainer(key, op, version)
 		if v := binary.LittleEndian.Uint16(data[4:6]); v != version {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"unstencil/internal/fault"
 	"unstencil/internal/geom"
@@ -31,20 +29,6 @@ import (
 // integrated on its own — is that schedule's fallback on meshes with
 // nothing to stamp, and the bitwise oracle the tests hold it against.
 
-// AssembleOpts configure AssembleOperator. The zero value assembles the
-// evaluation grid.
-type AssembleOpts struct {
-	// Points supplies custom row positions (e.g. a query batch) instead
-	// of the evaluation grid.
-	Points []geom.Point
-	// SigCache, when non-nil, caches canonical signature hashes across
-	// assemblies on the same mesh: rows whose (position, kernel class)
-	// pair was hashed by an earlier assembly skip the candidate walk and
-	// re-canonicalisation entirely. See SignatureCache for the soundness
-	// contract.
-	SigCache SignatureCache
-}
-
 // AssembleOperator builds the assembled post-processing operator for this
 // evaluator's (mesh, grid, kernel, h) tuple, on Opt.Workers goroutines. The
 // operator is independent of the evaluator's field: any field of the same
@@ -55,8 +39,11 @@ type AssembleOpts struct {
 // in quadtree depth-first (Z-order) sequence of their positions, so
 // consecutive rows of an apply gather coefficient blocks of spatially
 // nearby elements; the operator's Perm routes outputs back to point order.
-func (ev *Evaluator) AssembleOperator(opts AssembleOpts) (*operator.Operator, error) {
-	return ev.assembleOperator(opts, (*assembly).congruent)
+// points supplies custom row positions (e.g. a query batch); nil assembles
+// the evaluation grid. The returned stats say how the congruence-first
+// schedule went.
+func (ev *Evaluator) AssembleOperator(points []geom.Point) (*operator.Operator, CongruenceStats, error) {
+	return ev.assembleOperator(points, (*assembly).congruent)
 }
 
 // assembly is the state one operator assembly shares between the row
@@ -67,13 +54,14 @@ type assembly struct {
 	positions []geom.Point
 	perm      []int32 // storage row → position index; nil = identity
 	basisN    int
-	cache     SignatureCache // may be nil
 	bld       *operator.Builder
 	wks       []*worker
 	scr       []rowScratch
-	stats     operator.CongruenceStats
+	stats     CongruenceStats
 
-	cacheLookups, cacheHits atomic.Int64 // SigCache traffic, folded into stats
+	// hashOverride, when set, replaces every row's signature hash. Only
+	// tests set it, to force hash collisions past certification.
+	hashOverride func(pos geom.Point) uint64
 }
 
 // rowScratch is one goroutine's reusable buffers: the row accumulator and
@@ -92,13 +80,12 @@ type rowScratch struct {
 
 // assembleOperator runs one row schedule over the requested positions and
 // freezes the result.
-func (ev *Evaluator) assembleOperator(opts AssembleOpts, schedule func(*assembly) error) (*operator.Operator, error) {
+func (ev *Evaluator) assembleOperator(positions []geom.Point, schedule func(*assembly) error) (*operator.Operator, CongruenceStats, error) {
 	basisN := ev.Field.Basis.N
 	if int64(ev.Mesh.NumTris())*int64(basisN) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: operator column space %d×%d exceeds int32 indexing",
+		return nil, CongruenceStats{}, fmt.Errorf("core: operator column space %d×%d exceeds int32 indexing",
 			ev.Mesh.NumTris(), basisN)
 	}
-	positions := opts.Points
 	if positions == nil {
 		positions = make([]geom.Point, len(ev.Points))
 		for i, gp := range ev.Points {
@@ -113,16 +100,14 @@ func (ev *Evaluator) assembleOperator(opts AssembleOpts, schedule func(*assembly
 		perm = spatial.NewQuadtree(positions).Order()
 	}
 
-	start := time.Now()
 	a := &assembly{
 		ev:        ev,
 		positions: positions,
 		perm:      perm,
 		basisN:    basisN,
-		cache:     opts.SigCache,
 		bld:       operator.NewBuilder(n, ev.Mesh.NumTris()*basisN, basisN),
 		wks:       ev.getWorkers(max(min(ev.Opt.Workers, n), 1)),
-		stats:     operator.CongruenceStats{Rows: n},
+		stats:     CongruenceStats{Rows: n},
 	}
 	a.scr = make([]rowScratch, len(a.wks))
 	for i := range a.scr {
@@ -130,21 +115,11 @@ func (ev *Evaluator) assembleOperator(opts AssembleOpts, schedule func(*assembly
 		a.scr[i].labs = make(map[int32]int32)
 	}
 	err := schedule(a)
-	var total metrics.Counters
-	for _, wk := range a.wks {
-		total.Add(&wk.counters)
-	}
 	ev.putWorkers(a.wks)
 	if err != nil {
-		return nil, err
+		return nil, CongruenceStats{}, err
 	}
-	op := a.bld.Finish(perm, ev.Opt.Workers, PerPoint.String(), time.Since(start), total)
-	// A copy, not &a.stats: an interior pointer would keep the whole
-	// assembly — builder rows and scratch included — alive as long as the
-	// operator is cached.
-	stats := a.stats
-	op.Congruence = &stats
-	return op, nil
+	return a.bld.Finish(perm, ev.Opt.Workers), a.stats, nil
 }
 
 // rowPos returns the position storage row r evaluates.

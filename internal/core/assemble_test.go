@@ -42,7 +42,7 @@ func TestOperatorMatchesDirect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				op, err := ev.AssembleOperator(AssembleOpts{})
+				op, _, err := ev.AssembleOperator(nil)
 				if err != nil {
 					t.Fatalf("%s/%v/P%d: assemble: %v", mname, boundary, p, err)
 				}
@@ -86,7 +86,7 @@ func TestOperatorReproducesPolynomials(t *testing.T) {
 		}
 		for _, boundary := range []Boundary{Periodic, OneSided} {
 			ev := buildEvaluator(t, m, p, fn, Options{Boundary: boundary, H: 0.4 / float64(3*p+1), Workers: 2})
-			op, err := ev.AssembleOperator(AssembleOpts{})
+			op, _, err := ev.AssembleOperator(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestOperatorReproducesPolynomials(t *testing.T) {
 func TestOperatorFieldIndependence(t *testing.T) {
 	m := mesh.Structured(4)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 4})
-	op, err := ev.AssembleOperator(AssembleOpts{})
+	op, _, err := ev.AssembleOperator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestOperatorCustomPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := ev.AssembleOperator(AssembleOpts{Points: pts})
+		op, _, err := ev.AssembleOperator(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestOperatorCustomPoints(t *testing.T) {
 func TestOperatorRowOrderPureStorage(t *testing.T) {
 	m := mesh.Structured(4)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 4})
-	op, err := ev.AssembleOperator(AssembleOpts{})
+	op, _, err := ev.AssembleOperator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,21 +209,22 @@ func TestOperatorRowOrderPureStorage(t *testing.T) {
 	}
 }
 
-// Assembly is deterministic: any worker count yields a bit-identical
-// operator.
+// Assembly is deterministic: a repeat assembly and any worker count yield
+// a bit-identical operator that encodes to the same artifact bytes — the
+// file holds no worker count, wall time or other trace of the assembly.
 func TestOperatorAssemblyDeterministic(t *testing.T) {
 	m, err := mesh.SizedLowVariance(200, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 1})
-	base, err := ev.AssembleOperator(AssembleOpts{})
+	base, _, err := ev.AssembleOperator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 7} {
+	for _, w := range []int{1, 4, 7} {
 		ev.Opt.Workers = w
-		op, err := ev.AssembleOperator(AssembleOpts{})
+		op, _, err := ev.AssembleOperator(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +235,7 @@ func TestOperatorAssemblyDeterministic(t *testing.T) {
 func TestOperatorErrors(t *testing.T) {
 	m := mesh.Structured(4)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 2})
-	op, err := ev.AssembleOperator(AssembleOpts{})
+	op, _, err := ev.AssembleOperator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestOperatorApplyParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 4})
-	op, err := ev.AssembleOperator(AssembleOpts{})
+	op, _, err := ev.AssembleOperator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,20 +280,13 @@ func TestOperatorApplyParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// Assembly records the geometry work it performed and the operator's shape
-// summary is consistent.
+// The operator's shape summary and modeled apply counters are consistent.
 func TestOperatorStatsAndCounters(t *testing.T) {
 	m := mesh.Structured(4)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Workers: 2})
-	op, err := ev.AssembleOperator(AssembleOpts{})
+	op, _, err := ev.AssembleOperator(nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if op.AssemblyCounters.Regions == 0 || op.AssemblyCounters.QuadEvals == 0 {
-		t.Errorf("assembly counters empty: %+v", op.AssemblyCounters)
-	}
-	if op.AssemblyScheme != "per-point" {
-		t.Errorf("scheme = %q", op.AssemblyScheme)
 	}
 	st := op.Stats()
 	if st.NNZ != op.NNZ() || st.Rows != len(ev.Points) || st.NNZPerRow <= 0 {

@@ -195,9 +195,6 @@ type Evaluator struct {
 	// unless Boundary == OneSided.
 	osCache *kernelCache
 
-	// scratch is the lazily created worker used by EvalAt.
-	scratch *worker
-
 	// wkPool recycles per-goroutine scratch workers across runs, colour
 	// waves and batch queries (see getWorker); a worker's buffers grow to
 	// steady state once and are reused instead of reallocated.
@@ -206,7 +203,8 @@ type Evaluator struct {
 
 // NewEvaluator validates options, builds the SIAC kernel, the computation
 // grid and both hash grids. It fails if the degree's modal→monomial change
-// of basis fails its conditioning check (Basis.MonomialCoeffs).
+// of basis fails its conditioning check (Basis.MonomialCoeffs), and
+// returns a *PanicError if a grid-building loop panics.
 func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	m := f.Mesh
 	if err := opt.normalize(m); err != nil {
@@ -248,7 +246,7 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	gr := quadrature.TriangleForDegree(opt.GridDegree)
 	ev.PerElem = gr.Len()
 	ev.Points = make([]GridPoint, m.NumTris()*gr.Len())
-	parallelRange(m.NumTris(), opt.Workers, func(lo, hi int) {
+	if err := runChunks(opt.Workers, m.NumTris(), func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			tri := m.Triangle(e)
 			base := e * ev.PerElem
@@ -259,7 +257,9 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 				}
 			}
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 
 	// Hash grids (paper §3.2). Element grid stores centroids with cell
 	// size cp = factor·s; point grid stores the evaluation points with
@@ -267,45 +267,26 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	s := m.LongestEdge()
 	cents := make([]geom.Point, m.NumTris())
 	ev.elemBounds = make([]geom.AABB, m.NumTris())
-	parallelRange(m.NumTris(), opt.Workers, func(lo, hi int) {
+	if err := runChunks(opt.Workers, m.NumTris(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cents[i] = m.Centroid(i)
 			ev.elemBounds[i] = m.Triangle(i).Bounds()
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	ev.elemGrid = grid.New(cents, opt.CellFactorPoint*s)
 	locs := make([]geom.Point, len(ev.Points))
-	parallelRange(len(ev.Points), opt.Workers, func(lo, hi int) {
+	if err := runChunks(opt.Workers, len(ev.Points), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			locs[i] = ev.Points[i].Pos
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	ev.pointGrid = grid.New(locs, opt.CellFactorElem*s)
 
 	return ev, nil
-}
-
-// parallelRange splits [0, n) into contiguous chunks executed across up to
-// the given number of goroutines; workers <= 1 runs inline.
-func parallelRange(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 0 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // NumPoints returns the size of the computation grid.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"unstencil/internal/geom"
@@ -43,11 +44,12 @@ func TestEvalBatchMatchesEvalAt(t *testing.T) {
 		t.Fatalf("EvalBatch returned %d values for %d positions", len(got), len(pts))
 	}
 
-	// Independent evaluator for the sequential sweep; its scratch worker
-	// accumulates counters across calls, giving the sequential sum.
+	// Independent evaluator for the sequential sweep, on one worker of its
+	// own that accumulates counters across calls: the sequential sum.
 	ref := buildEvaluator(t, m, 2, parallelTestField, Options{Workers: 1})
+	wk := ref.newWorker()
 	for i, pos := range pts {
-		want, err := ref.EvalAt(pos)
+		want, err := ref.evalAt(pos, wk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,13 +58,41 @@ func TestEvalBatchMatchesEvalAt(t *testing.T) {
 				i, got[i], want, got[i]-want)
 		}
 	}
-	if counters != ref.scratch.counters {
+	if counters != wk.counters {
 		t.Errorf("EvalBatch counters = %+v, want sequential sum %+v",
-			counters, ref.scratch.counters)
+			counters, wk.counters)
 	}
 	if counters.IntersectionTests == 0 || counters.Regions == 0 {
 		t.Errorf("EvalBatch counters implausibly empty: %+v", counters)
 	}
+}
+
+// EvalAt draws a pooled worker per call, so concurrent callers sharing one
+// Evaluator get the bits a sequential sweep does. Runs under -race in CI.
+func TestEvalAtConcurrent(t *testing.T) {
+	ev := buildEvaluator(t, mesh.Structured(6), 2, parallelTestField, Options{Workers: 1})
+	pts := parallelTestPositions(16)
+	want := make([]float64, len(pts))
+	for i, pos := range pts {
+		v, err := ev.EvalAt(pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, pos := range pts {
+				if v, err := ev.EvalAt(pos); err != nil || v != want[i] {
+					t.Errorf("position %d: concurrent EvalAt %v, %v; sequential %v", i, v, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEvalBatchWorkerSweep checks the batch is schedule-independent: any

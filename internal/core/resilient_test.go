@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"unstencil/internal/dg"
 	"unstencil/internal/fault"
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
@@ -313,5 +315,22 @@ func TestRetrySleepObservesBackoff(t *testing.T) {
 		if d <= 0 {
 			t.Errorf("sleep %d: non-positive delay %v", i, d)
 		}
+	}
+}
+
+// A panic inside NewEvaluator's parallel grid build comes back as a
+// *PanicError instead of killing the process: here a triangle names a
+// vertex the mesh does not have, on a mesh big enough for several chunks.
+func TestNewEvaluatorReturnsPanicError(t *testing.T) {
+	m := mesh.Structured(32)
+	f := dg.Project(m, 1, sinField, 2)
+	bad := *m
+	bad.Tris = slices.Clone(m.Tris)
+	bad.Tris[len(bad.Tris)-1][1] = int32(len(m.Verts)) + 7
+	f.Mesh = &bad
+	_, err := NewEvaluator(f, Options{P: 1, H: 1.0 / 32, Workers: 4})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("NewEvaluator over a corrupt mesh: err = %v, want *PanicError", err)
 	}
 }

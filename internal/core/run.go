@@ -95,13 +95,15 @@ func (ev *Evaluator) PointElems() []int32 {
 // enumeration processElement uses. Patches are balanced by estimated
 // workload (candidate-point counts per element), which keeps block-per-
 // patch execution balanced even on high-variance meshes where per-element
-// cost varies by orders of magnitude.
+// cost varies by orders of magnitude. A panic in the parallel weight sweep
+// is re-raised on the caller's goroutine as a *PanicError, where the
+// caller's own recover can catch it.
 func (ev *Evaluator) NewTiling(k int) *tile.Tiling {
 	weights := make([]float64, ev.Mesh.NumTris())
 	ruleLen := float64(ev.rule.Len())
 	// The candidate-count sweep only reads the point grid and element
 	// bounds, so it fans out across Opt.Workers.
-	parallelRange(ev.Mesh.NumTris(), ev.Opt.Workers, func(lo, hi int) {
+	if err := runChunks(ev.Opt.Workers, ev.Mesh.NumTris(), func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			bb := ev.elemBounds[e]
 			box := bb.Pad(ev.influencePad())
@@ -122,7 +124,9 @@ func (ev *Evaluator) NewTiling(k int) *tile.Tiling {
 			cy := math.Floor(bb.Height()/ev.H) + 2
 			weights[e] = 1 + float64(n)*(1+cx*cy*ruleLen)
 		}
-	})
+	}); err != nil {
+		panic(err)
+	}
 	part := mesh.PartitionWeighted(ev.Mesh, k, weights)
 	return tile.NewWithPartition(ev.Mesh, ev.PointElems(), part, k, ev.CandidateMarker())
 }
@@ -240,13 +244,12 @@ func (ev *Evaluator) Reference() ([]float64, error) {
 // gather. This is the entry point for applications such as streamline
 // integration through discontinuous fields (Steffen et al. 2008; Walfisch
 // et al. 2009), where query positions are produced on the fly by an ODE
-// integrator. Not safe for concurrent use with itself; use EvalBatch for
-// concurrent or bulk queries, or create one Evaluator per goroutine.
+// integrator. It draws a pooled worker, so it is safe for concurrent use;
+// EvalBatch spreads a bulk query over workers.
 func (ev *Evaluator) EvalAt(pos geom.Point) (float64, error) {
-	if ev.scratch == nil {
-		ev.scratch = ev.newWorker()
-	}
-	return ev.evalAt(pos, ev.scratch)
+	wk := ev.getWorker()
+	defer ev.putWorker(wk)
+	return ev.evalAt(pos, wk)
 }
 
 // evalAt is the position-parameterised per-point gather shared by evalPoint

@@ -63,6 +63,22 @@ func runDynamic(workers, n int, unit func(w, u int) error) error {
 	return first
 }
 
+// rangeChunk is the number of indices one runChunks unit covers: enough
+// that a unit's dispatch is noise next to its work, few enough that the
+// workers stay level.
+const rangeChunk = 1024
+
+// runChunks runs fn over [0, n) in contiguous index chunks of rangeChunk,
+// each a runDynamic unit, so a panicking chunk comes back as a
+// *PanicError instead of killing the process. fn's chunks must write
+// disjoint outputs.
+func runChunks(workers, n int, fn func(lo, hi int)) error {
+	return runDynamic(workers, (n+rangeChunk-1)/rangeChunk, func(_, u int) error {
+		fn(u*rangeChunk, min((u+1)*rangeChunk, n))
+		return nil
+	})
+}
+
 // getWorker returns a scratch worker from the evaluator's pool (counters
 // reset, kernels restored to the symmetric default), allocating on first
 // use, so runs, assemblies and batch queries reuse grown buffers — samples,

@@ -80,6 +80,43 @@ type congClass struct {
 	stamped []bool     // per member (stamped[0] unused — the representative)
 }
 
+// CongruenceStats records what congruence-first assembly did: how much
+// quadrature it skipped (stamped rows) and where it fell back (demoted
+// rows). AssembleOperator returns it next to the operator.
+type CongruenceStats struct {
+	// Rows is the operator's storage row count, Classes the number of
+	// multi-member signature classes the prefilter found.
+	Rows    int
+	Classes int
+	// RowsIntegrated counts rows that ran full quadrature: class
+	// representatives, signature singletons, and demoted members.
+	RowsIntegrated int
+	// RowsStamped counts rows that reference their class representative's
+	// weight blocks without quadrature — the compute the path saves.
+	// Stamping requires bit-identical stencil-local geometry, so stamped
+	// rows equal their naively assembled twins bitwise.
+	RowsStamped int
+	// RowsDemoted counts members whose signature hash matched but whose
+	// geometry did not (a hash collision): they are integrated as their
+	// own rows. ClassesDemoted counts classes with at least one.
+	RowsDemoted    int
+	ClassesDemoted int
+	// SignatureWall is the time spent in the signature prefilter (hash
+	// pass + grouping), the overhead the demotion acceptance bound caps.
+	SignatureWall time.Duration
+	// ProbeRows counts the sample rows the adaptive congruence probe
+	// actually hashed before deciding (0 = the operator was small enough
+	// to skip the probe). The probe escalates through stages, exiting
+	// early when repetition is obvious or provably absent, so structured
+	// meshes commit after the first stage and jittered meshes pay for
+	// the smallest stage only. ProbeCongruent reports whether the
+	// congruence schedule was taken: false means the sample showed almost
+	// no repeated signatures and assembly integrated every row
+	// independently, paying only the probe.
+	ProbeRows      int
+	ProbeCongruent bool
+}
+
 // kernelClass returns the quantised one-sided shift keys identifying the
 // kernel pair a stencil at pos receives — the same keys the kernel cache
 // memoises on, so equal keys mean the bitwise-same kernel coefficients.
@@ -139,29 +176,6 @@ var probeStages = [...]int{probeMinSample, 2 * probeMinSample, probeSampleRows}
 // rows already hashed instead of resampling from scratch.
 func probeRowAt(i, n int) int {
 	return int(bits.Reverse8(uint8(i))) * n / probeSampleRows
-}
-
-// SignatureCache caches canonical signature hashes across operator
-// assemblies, keyed by the row's position bit patterns and kernel-class
-// keys. The congruence prefilter's hash for a row is a pure function of
-// (mesh geometry, position, kernel class, h): rows sharing all four walk
-// identical candidate enumerations and canonicalise to identical
-// signatures. A cache must therefore be scoped to one (mesh, kernel order,
-// h) tuple by its owner; the key carries the rest. Across
-// boundary-condition variants on that tuple the scoping is still sound: a
-// row whose kernel class keys are (0,0) under a one-sided boundary has its
-// support strictly inside the domain — so the periodic variant of the same
-// row walks the identical candidates — and every near-boundary row differs
-// in (kx, ky) between variants, giving it distinct cache keys. A stale or
-// colliding entry can only misgroup rows, never corrupt weights: stamping
-// is gated by exact certification downstream, so cache bugs degrade speed,
-// not output.
-//
-// Implementations must be safe for concurrent use; assembly calls Lookup
-// and Store from many workers.
-type SignatureCache interface {
-	Lookup(xb, yb uint64, kx, ky int64) (hash uint64, ok bool)
-	Store(xb, yb uint64, kx, ky int64, hash uint64)
 }
 
 // collectSignature walks the row's candidate enumeration and appends one
@@ -288,20 +302,11 @@ func buildStamp(cls *congClass, memIDs []int32, elems, slots []int32) ([]int32, 
 	return elems, slots
 }
 
-// hashRow computes one row's signature hash on worker slot w, consulting
-// the cross-assembly cache first: the hash is a pure function of the cache
-// key on a fixed (mesh, kernel order, h) tuple (see SignatureCache), so a
-// hit skips the candidate walk and canonicalisation — the entire per-row
-// cost of the prefilter.
+// hashRow computes one row's signature hash on worker slot w: the
+// candidate walk, canonicalised, folded with the kernel class keys.
 func (a *assembly) hashRow(w int, pos geom.Point) (uint64, error) {
-	kx, ky := a.ev.kernelClass(pos)
-	xb, yb := math.Float64bits(pos.X), math.Float64bits(pos.Y)
-	if a.cache != nil {
-		a.cacheLookups.Add(1)
-		if h, ok := a.cache.Lookup(xb, yb, kx, ky); ok {
-			a.cacheHits.Add(1)
-			return h, nil
-		}
+	if a.hashOverride != nil {
+		return a.hashOverride(pos), nil
 	}
 	s := &a.scr[w]
 	var err error
@@ -309,11 +314,8 @@ func (a *assembly) hashRow(w int, pos geom.Point) (uint64, error) {
 		return 0, err
 	}
 	s.sig, s.ids = canonicalizeSignature(s.sig, s.ids, s.labs)
-	h := signatureHash(kx, ky, s.sig)
-	if a.cache != nil {
-		a.cache.Store(xb, yb, kx, ky, h)
-	}
-	return h, nil
+	kx, ky := a.ev.kernelClass(pos)
+	return signatureHash(kx, ky, s.sig), nil
 }
 
 // congruent is the congruence-first row schedule: adaptive probe,
@@ -327,10 +329,6 @@ func (a *assembly) congruent() error {
 	stats := &a.stats
 	n := len(a.positions)
 	dispatch := len(wks)
-	defer func() {
-		stats.SigCacheLookups = a.cacheLookups.Load()
-		stats.SigCacheHits = a.cacheHits.Load()
-	}()
 
 	// Congruence probe: on meshes with no repeated rows (jittered,
 	// unstructured) the full signature pass is pure overhead, so before

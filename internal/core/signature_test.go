@@ -3,22 +3,18 @@ package core
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
 
 	"unstencil/internal/artifact"
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
-	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
 )
 
 // expectBitwiseEqual fails unless two operators are the same operator:
 // equal shape and, array for array, equal RowPtr, BlockID, BlockRef, Pool
 // (bit patterns, no tolerance) and Perm — so also the same value pool in
-// the same order — and byte-identical artifact encodings once the
-// provenance the schedules legitimately differ in (assembly wall time,
-// geometry counters, default worker count) is cleared.
+// the same order — and byte-identical artifact encodings.
 func expectBitwiseEqual(t *testing.T, label string, got, want *operator.Operator) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.BasisN != want.BasisN {
@@ -29,7 +25,7 @@ func expectBitwiseEqual(t *testing.T, label string, got, want *operator.Operator
 	sameArray(t, label+": blockref", got.BlockRef, want.BlockRef)
 	sameArray(t, label+": pool", f64bits(got.Pool), f64bits(want.Pool))
 	sameArray(t, label+": perm", got.Perm, want.Perm)
-	if !bytes.Equal(encodeBare(t, got), encodeBare(t, want)) {
+	if !bytes.Equal(encodeOperator(t, got), encodeOperator(t, want)) {
 		t.Fatalf("%s: artifact encodings differ", label)
 	}
 }
@@ -55,14 +51,12 @@ func f64bits(v []float64) []uint64 {
 	return out
 }
 
-// encodeBare encodes op as an artifact with its assembly provenance
-// cleared.
-func encodeBare(t *testing.T, op *operator.Operator) []byte {
+// encodeOperator encodes op as an operator artifact, exactly as the store
+// writes it.
+func encodeOperator(t *testing.T, op *operator.Operator) []byte {
 	t.Helper()
-	bare := *op
-	bare.Workers, bare.AssemblyWall, bare.AssemblyCounters = 0, 0, metrics.Counters{}
 	var buf bytes.Buffer
-	if _, err := artifact.EncodeOperator(&buf, "op:k", &bare); err != nil {
+	if _, err := artifact.EncodeOperator(&buf, "op:k", op); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -70,32 +64,25 @@ func encodeBare(t *testing.T, op *operator.Operator) []byte {
 
 // assembleNaive is the bitwise oracle: every row integrated independently,
 // nothing stamped.
-func assembleNaive(t testing.TB, ev *Evaluator, opts AssembleOpts) *operator.Operator {
+func assembleNaive(t testing.TB, ev *Evaluator, pts []geom.Point) *operator.Operator {
 	t.Helper()
-	op, err := ev.assembleOperator(opts, (*assembly).naive)
+	op, cs, err := ev.assembleOperator(pts, (*assembly).naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Congruence.RowsStamped != 0 {
-		t.Fatalf("naive assembly stamped rows: %+v", op.Congruence)
+	if cs.RowsStamped != 0 {
+		t.Fatalf("naive assembly stamped rows: %+v", cs)
 	}
 	return op
 }
 
-func mustAssemble(t testing.TB, ev *Evaluator, opts AssembleOpts) *operator.Operator {
+// mustAssemble runs congruence-first assembly and checks its stats
+// against the operator it returned.
+func mustAssemble(t *testing.T, label string, ev *Evaluator, pts []geom.Point) (*operator.Operator, CongruenceStats) {
 	t.Helper()
-	op, err := ev.AssembleOperator(opts)
+	op, cs, err := ev.AssembleOperator(pts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	return op
-}
-
-func checkCongruenceStats(t *testing.T, label string, op *operator.Operator) *operator.CongruenceStats {
-	t.Helper()
-	cs := op.Congruence
-	if cs == nil {
-		t.Fatalf("%s: assembly did not record CongruenceStats", label)
 	}
 	if cs.RowsIntegrated+cs.RowsStamped != cs.Rows {
 		t.Fatalf("%s: integrated %d + stamped %d != rows %d", label, cs.RowsIntegrated, cs.RowsStamped, cs.Rows)
@@ -106,7 +93,7 @@ func checkCongruenceStats(t *testing.T, label string, op *operator.Operator) *op
 	if err := op.Validate(); err != nil {
 		t.Fatalf("%s: assembled operator invalid: %v", label, err)
 	}
-	return cs
+	return op, cs
 }
 
 // The tentpole property: congruence-first assembly is bitwise identical to
@@ -118,13 +105,12 @@ func TestCongruentMatchesNaiveBitwiseDyadic(t *testing.T) {
 	for _, boundary := range []Boundary{Periodic, OneSided} {
 		for p := 1; p <= 3; p++ {
 			ev := buildEvaluator(t, m, p, assembleTestField, Options{Boundary: boundary, Workers: 4})
-			naive := assembleNaive(t, ev, AssembleOpts{})
+			naive := assembleNaive(t, ev, nil)
 			for _, workers := range []int{1, 4} {
 				label := boundaryLabel(boundary) + "/P" + string(rune('0'+p)) + "/w" + string(rune('0'+workers))
 				ev.Opt.Workers = workers
-				cong := mustAssemble(t, ev, AssembleOpts{})
+				cong, cs := mustAssemble(t, label, ev, nil)
 				expectBitwiseEqual(t, label, cong, naive)
-				cs := checkCongruenceStats(t, label, cong)
 				// Periodic structured meshes are fully translation
 				// invariant, so exact classes must form and stamp. On
 				// one-sided boundaries every point of this small mesh gets
@@ -152,8 +138,7 @@ func boundaryLabel(b Boundary) string {
 func TestCongruentStampRateStructured(t *testing.T) {
 	m := mesh.Structured(16)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	op := mustAssemble(t, ev, AssembleOpts{})
-	cs := checkCongruenceStats(t, "structured-16/P2", op)
+	op, cs := mustAssemble(t, "structured-16/P2", ev, nil)
 	if rate := float64(cs.RowsStamped) / float64(cs.Rows); rate < 0.6 {
 		t.Errorf("stamp rate %.2f < 0.60 on periodic structured 16x16 (stamped %d of %d)", rate, cs.RowsStamped, cs.Rows)
 	}
@@ -174,11 +159,10 @@ func TestCongruentJitteredDemotes(t *testing.T) {
 	m := mesh.JitteredStructured(6, 0.3, 1)
 	for _, boundary := range []Boundary{Periodic, OneSided} {
 		ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: boundary, Workers: 4})
-		naive := assembleNaive(t, ev, AssembleOpts{})
-		cong := mustAssemble(t, ev, AssembleOpts{})
+		naive := assembleNaive(t, ev, nil)
 		label := "jittered/" + boundaryLabel(boundary)
+		cong, _ := mustAssemble(t, label, ev, nil)
 		expectBitwiseEqual(t, label, cong, naive)
-		checkCongruenceStats(t, label, cong)
 
 		direct, err := ev.RunPerPoint(0)
 		if err != nil {
@@ -201,10 +185,9 @@ func TestCongruentJitteredDemotes(t *testing.T) {
 func TestCongruentProbeFallsBackJittered(t *testing.T) {
 	m := mesh.JitteredStructured(12, 0.3, 2)
 	ev := buildEvaluator(t, m, 1, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	naive := assembleNaive(t, ev, AssembleOpts{})
-	cong := mustAssemble(t, ev, AssembleOpts{})
+	naive := assembleNaive(t, ev, nil)
+	cong, cs := mustAssemble(t, "probe-fallback", ev, nil)
 	expectBitwiseEqual(t, "probe-fallback", cong, naive)
-	cs := checkCongruenceStats(t, "probe-fallback", cong)
 	if cs.ProbeRows == 0 {
 		t.Fatalf("probe did not run on %d rows", cs.Rows)
 	}
@@ -227,8 +210,8 @@ func TestCongruentCustomPoints(t *testing.T) {
 			math.Mod(0.31+0.7548776662*float64(i), 1),
 		))
 	}
-	naive := assembleNaive(t, ev, AssembleOpts{Points: pts})
-	cong := mustAssemble(t, ev, AssembleOpts{Points: pts})
+	naive := assembleNaive(t, ev, pts)
+	cong, _ := mustAssemble(t, "custom-points", ev, pts)
 	expectBitwiseEqual(t, "custom-points", cong, naive)
 }
 
@@ -248,7 +231,8 @@ func FuzzCongruentMatchesNaive(f *testing.F) {
 			jitter = 0
 		}
 		ev := buildFuzzEvaluator(t, mesh.JitteredStructured(4, jitter, seed))
-		expectBitwiseEqual(t, "fuzz", mustAssemble(t, ev, AssembleOpts{}), assembleNaive(t, ev, AssembleOpts{}))
+		cong, _ := mustAssemble(t, "fuzz", ev, nil)
+		expectBitwiseEqual(t, "fuzz", cong, assembleNaive(t, ev, nil))
 	})
 }
 
@@ -263,7 +247,7 @@ func buildFuzzEvaluator(t *testing.T, m *mesh.Mesh) *Evaluator {
 // path's overhead on non-congruent meshes.
 func TestAdaptiveProbeStages(t *testing.T) {
 	ev := buildEvaluator(t, mesh.Structured(16), 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	cs := checkCongruenceStats(t, "structured", mustAssemble(t, ev, AssembleOpts{}))
+	_, cs := mustAssemble(t, "structured", ev, nil)
 	if !cs.ProbeCongruent {
 		t.Fatalf("structured mesh probe did not detect congruence: %+v", cs)
 	}
@@ -272,7 +256,7 @@ func TestAdaptiveProbeStages(t *testing.T) {
 	}
 
 	jev := buildEvaluator(t, mesh.JitteredStructured(12, 0.3, 2), 1, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	jcs := checkCongruenceStats(t, "jittered", mustAssemble(t, jev, AssembleOpts{}))
+	_, jcs := mustAssemble(t, "jittered", jev, nil)
 	if jcs.ProbeCongruent {
 		t.Fatalf("jittered mesh probe claimed congruence: %+v", jcs)
 	}
@@ -282,84 +266,23 @@ func TestAdaptiveProbeStages(t *testing.T) {
 	}
 }
 
-// memSigCache is a test double for the server's signature cache: a plain
-// locked map satisfying core.SignatureCache.
-type memSigCache struct {
-	mu sync.Mutex
-	m  map[[4]uint64]uint64
-}
-
-func newMemSigCache() *memSigCache {
-	return &memSigCache{m: make(map[[4]uint64]uint64)}
-}
-
-func (c *memSigCache) key(xb, yb uint64, kx, ky int64) [4]uint64 {
-	return [4]uint64{xb, yb, uint64(kx), uint64(ky)}
-}
-
-func (c *memSigCache) Lookup(xb, yb uint64, kx, ky int64) (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.m[c.key(xb, yb, kx, ky)]
-	return h, ok
-}
-
-func (c *memSigCache) Store(xb, yb uint64, kx, ky int64, h uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[c.key(xb, yb, kx, ky)] = h
-}
-
-// A shared signature cache removes the canonicalisation cost of repeat
-// assemblies — the second identical assembly answers every hash from the
-// cache — without perturbing a single bit of the output, including across
-// boundary variants sharing one cache (distinct kernel-class keys keep
-// their entries apart).
-func TestSignatureCacheSharing(t *testing.T) {
-	m := mesh.Structured(8)
-	cache := newMemSigCache()
-	for _, boundary := range []Boundary{Periodic, OneSided} {
-		ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: boundary, Workers: 4})
-		naive := assembleNaive(t, ev, AssembleOpts{})
-		label := boundaryLabel(boundary)
-		first := mustAssemble(t, ev, AssembleOpts{SigCache: cache})
-		cs := checkCongruenceStats(t, label+"/cold", first)
-		if cs.SigCacheLookups == 0 {
-			t.Fatalf("%s: assembly with a cache recorded no lookups", label)
-		}
-		expectBitwiseEqual(t, label+"/cold", first, naive)
-
-		second := mustAssemble(t, ev, AssembleOpts{SigCache: cache})
-		wcs := checkCongruenceStats(t, label+"/warm", second)
-		if wcs.SigCacheHits != wcs.SigCacheLookups {
-			t.Errorf("%s: warm assembly hit %d of %d lookups, want all",
-				label, wcs.SigCacheHits, wcs.SigCacheLookups)
-		}
-		if wcs.SigCacheHits == 0 {
-			t.Errorf("%s: warm assembly recorded no cache hits", label)
-		}
-		expectBitwiseEqual(t, label+"/warm", second, naive)
-	}
-}
-
-// A cache poisoned with colliding hashes must never corrupt the output:
-// wrong hashes can only misgroup rows — here every row into one class, the
-// worst collision pressure there is — and bitwise certification demotes
-// every bad grouping to its own integration.
+// Colliding hashes must never corrupt the output: a wrong hash can only
+// misgroup rows — here every row into one class, the worst collision
+// pressure there is — and bitwise certification demotes every bad
+// grouping to its own integration.
 func TestSignatureCachePoisonedStaysBitwise(t *testing.T) {
 	m := mesh.JitteredStructured(5, 0.25, 9)
 	ev := buildEvaluator(t, m, 2, assembleTestField, Options{Boundary: Periodic, Workers: 4})
-	naive := assembleNaive(t, ev, AssembleOpts{})
-	cong := mustAssemble(t, ev, AssembleOpts{SigCache: &poisonSigCache{}})
-	expectBitwiseEqual(t, "poisoned-cache", cong, naive)
+	naive := assembleNaive(t, ev, nil)
+	cong, cs, err := ev.assembleOperator(nil, func(a *assembly) error {
+		a.hashOverride = func(geom.Point) uint64 { return 0xdeadbeef }
+		return a.congruent()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Classes != 1 || cs.RowsDemoted == 0 {
+		t.Errorf("colliding hashes did not form one demoting class: %+v", cs)
+	}
+	expectBitwiseEqual(t, "poisoned-hash", cong, naive)
 }
-
-// poisonSigCache answers every lookup with the same colliding hash — the
-// worst possible cache.
-type poisonSigCache struct{}
-
-func (poisonSigCache) Lookup(_, _ uint64, _, _ int64) (uint64, bool) {
-	return 0xdeadbeef, true
-}
-
-func (poisonSigCache) Store(_, _ uint64, _, _ int64, _ uint64) {}

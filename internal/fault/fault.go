@@ -23,6 +23,8 @@
 //	core.assemble-row  start of each integrated operator-assembly row
 //	server.handler     HTTP request entry (recovery middleware)
 //	server.journal     job-journal append
+//	server.shard-eval  POST /v1/shard/eval entry, before the request is decoded
+//	cluster.route      each coordinator → shard HTTP attempt
 package fault
 
 import (

@@ -24,13 +24,6 @@ type OperatorCounters struct {
 	// the cache, assembled or loaded from disk.
 	RowsTotal atomic.Uint64
 
-	// SigCacheLookups / SigCacheHits accumulate the cross-assembly
-	// signature-cache traffic of congruence-first assemblies: a hit skips
-	// one row's canonicalisation when a variant operator (different grid
-	// degree or boundary) re-hashes the same mesh.
-	SigCacheLookups atomic.Uint64
-	SigCacheHits    atomic.Uint64
-
 	// Congruence-first assembly outcomes, accumulated per assembled
 	// operator: rows that ran quadrature vs rows stamped from a class
 	// representative, and classes with a member that failed certification
@@ -78,27 +71,12 @@ func (o *OperatorCounters) RecordApply(nf int) {
 	o.FieldsApplied.Add(uint64(nf))
 }
 
-// RecordSigCache folds one assembly's signature-cache traffic into the
-// counters.
-func (o *OperatorCounters) RecordSigCache(lookups, hits int64) {
-	if lookups > 0 {
-		o.SigCacheLookups.Add(uint64(lookups))
-	}
-	if hits > 0 {
-		o.SigCacheHits.Add(uint64(hits))
-	}
-}
-
 // OperatorSnapshot is the JSON view of OperatorCounters.
 type OperatorSnapshot struct {
 	SingleApplies uint64 `json:"single_applies"`
 	BlockApplies  uint64 `json:"block_applies"`
 	FieldsApplied uint64 `json:"fields_applied"`
 	RowsTotal     uint64 `json:"rows_total"`
-
-	SigCacheLookups uint64  `json:"sig_cache_lookups"`
-	SigCacheHits    uint64  `json:"sig_cache_hits"`
-	SigCacheHitRate float64 `json:"sig_cache_hit_rate"`
 
 	RowsAssembled      uint64  `json:"rows_assembled"`
 	RowsStamped        uint64  `json:"rows_stamped"`
@@ -114,8 +92,6 @@ func (o *OperatorCounters) Snapshot() OperatorSnapshot {
 		BlockApplies:       o.BlockApplies.Load(),
 		FieldsApplied:      o.FieldsApplied.Load(),
 		RowsTotal:          o.RowsTotal.Load(),
-		SigCacheLookups:    o.SigCacheLookups.Load(),
-		SigCacheHits:       o.SigCacheHits.Load(),
 		RowsAssembled:      o.RowsAssembled.Load(),
 		RowsStamped:        o.RowsStamped.Load(),
 		ClassesDemoted:     o.ClassesDemoted.Load(),
@@ -123,9 +99,6 @@ func (o *OperatorCounters) Snapshot() OperatorSnapshot {
 	}
 	if total := s.RowsAssembled + s.RowsStamped; total > 0 {
 		s.StampRate = float64(s.RowsStamped) / float64(total)
-	}
-	if s.SigCacheLookups > 0 {
-		s.SigCacheHitRate = float64(s.SigCacheHits) / float64(s.SigCacheLookups)
 	}
 	return s
 }

@@ -3,9 +3,7 @@ package operator_test
 import (
 	"math/rand"
 	"testing"
-	"time"
 
-	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
 )
 
@@ -60,7 +58,7 @@ func benchOperator(b *testing.B, rows, elems, basisN, blocksPerRow, palette int)
 		}
 		bld.SetRowBlocks(r, dedup, v)
 	}
-	return bld.Finish(nil, 1, "bench", time.Duration(0), metrics.Counters{})
+	return bld.Finish(nil, 1)
 }
 
 // p2Variants runs fn over the P2-like shape (4608 rows × 512 elements,

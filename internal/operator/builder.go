@@ -5,9 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
-
-	"unstencil/internal/metrics"
 )
 
 // Builder accumulates rows during parallel assembly and freezes them into
@@ -75,23 +72,20 @@ func (b *Builder) SetRowStamp(r int, elems []int32, src int, slots []int32) {
 
 // Finish freezes the accumulated rows into an immutable Operator, interning
 // every directly set weight block into the pool by bit pattern.
-func (b *Builder) Finish(perm []int32, workers int, scheme string, wall time.Duration, counters metrics.Counters) *Operator {
+func (b *Builder) Finish(perm []int32, workers int) *Operator {
 	nBlocks := 0
 	for _, e := range b.elems {
 		nBlocks += len(e)
 	}
 	op := &Operator{
-		Rows:             b.rows,
-		Cols:             b.cols,
-		BasisN:           b.basisN,
-		RowPtr:           make([]int64, b.rows+1),
-		BlockID:          make([]int32, 0, nBlocks),
-		BlockRef:         make([]int32, 0, nBlocks),
-		Perm:             perm,
-		Workers:          workers,
-		AssemblyScheme:   scheme,
-		AssemblyWall:     wall,
-		AssemblyCounters: counters,
+		Rows:     b.rows,
+		Cols:     b.cols,
+		BasisN:   b.basisN,
+		RowPtr:   make([]int64, b.rows+1),
+		BlockID:  make([]int32, 0, nBlocks),
+		BlockRef: make([]int32, 0, nBlocks),
+		Perm:     perm,
+		Workers:  workers,
 	}
 	// Sized for no sharing at all, so appending never copies the pool.
 	pool := blockPool{bn: b.basisN, vals: make([]float64, 0, nBlocks*b.basisN)}

@@ -43,12 +43,7 @@
 // to point indices so the output is always in point order.
 package operator
 
-import (
-	"fmt"
-	"time"
-
-	"unstencil/internal/metrics"
-)
+import "fmt"
 
 // Operator is the assembled post-processing map. It is immutable after
 // Builder.Finish (or a decode) and safe for concurrent applies.
@@ -76,10 +71,6 @@ type Operator struct {
 	// nearby (often identical) coefficient blocks.
 	Perm []int32
 
-	// Congruence records what congruence-first assembly did; nil for
-	// operators that were loaded from disk or built by hand.
-	Congruence *CongruenceStats
-
 	// Workers is the default apply concurrency; <= 1 applies serially.
 	Workers int
 
@@ -90,14 +81,6 @@ type Operator struct {
 	// the mapping once no caller can touch the slices. Nil for
 	// heap-assembled operators.
 	Backing any
-
-	// AssemblyScheme records which scheme built the weights, AssemblyWall
-	// how long assembly took, and AssemblyCounters the exact geometry work
-	// it performed — the amortised cost the break-even analysis divides by
-	// per-field savings.
-	AssemblyScheme   string
-	AssemblyWall     time.Duration
-	AssemblyCounters metrics.Counters
 }
 
 // rowBlocks is the one row accessor: storage row r's terms are
@@ -206,48 +189,4 @@ func (op *Operator) Validate() error {
 		}
 	}
 	return nil
-}
-
-// CongruenceStats records what congruence-first assembly did: how much
-// quadrature it skipped (stamped rows) and where it fell back (demoted
-// rows).
-type CongruenceStats struct {
-	// Rows is the operator's storage row count, Classes the number of
-	// multi-member signature classes the prefilter found.
-	Rows    int `json:"rows"`
-	Classes int `json:"classes"`
-	// RowsIntegrated counts rows that ran full quadrature: class
-	// representatives, signature singletons, and demoted members.
-	RowsIntegrated int `json:"rows_integrated"`
-	// RowsStamped counts rows that reference their class representative's
-	// weight blocks without quadrature — the compute the path saves.
-	// Stamping requires bit-identical stencil-local geometry, so stamped
-	// rows equal their naively assembled twins bitwise.
-	RowsStamped int `json:"rows_stamped"`
-	// RowsDemoted counts members whose signature hash matched but whose
-	// geometry did not (a hash collision): they are integrated as their
-	// own rows. ClassesDemoted counts classes with at least one.
-	RowsDemoted    int `json:"rows_demoted"`
-	ClassesDemoted int `json:"classes_demoted"`
-	// SignatureWall is the time spent in the signature prefilter (hash
-	// pass + grouping), the overhead the demotion acceptance bound caps.
-	SignatureWall time.Duration `json:"signature_wall_ns"`
-	// ProbeRows counts the sample rows the adaptive congruence probe
-	// actually hashed before deciding (0 = the operator was small enough
-	// to skip the probe). The probe escalates through stages, exiting
-	// early when repetition is obvious or provably absent, so structured
-	// meshes commit after the first stage and jittered meshes pay for
-	// the smallest stage only. ProbeCongruent reports whether the
-	// congruence schedule was taken: false means the sample showed almost
-	// no repeated signatures and assembly integrated every row
-	// independently, paying only the probe.
-	ProbeRows      int  `json:"probe_rows"`
-	ProbeCongruent bool `json:"probe_congruent"`
-	// SigCacheLookups / SigCacheHits count row-signature canonicalisation
-	// requests answered by a caller-provided SignatureCache. A hit skips
-	// the stencil walk + canonicalisation for that row during the hash
-	// pass; correctness never depends on the cache because hash matches
-	// are still certified bitwise downstream.
-	SigCacheLookups int64 `json:"sig_cache_lookups,omitempty"`
-	SigCacheHits    int64 `json:"sig_cache_hits,omitempty"`
 }

@@ -8,10 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"unstencil/internal/artifact"
-	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
 )
 
@@ -23,7 +21,7 @@ func buildTiny(perm []int32) *operator.Operator {
 	b.SetRowBlocks(0, []int32{0}, []float64{1, 2})
 	b.SetRowBlocks(1, []int32{1}, []float64{3, -1})
 	// row 2 left unset: a point no element contributes to.
-	return b.Finish(perm, 2, "per-point", time.Millisecond, metrics.Counters{Regions: 7})
+	return b.Finish(perm, 2)
 }
 
 // synthetic builds an operator shaped like an assembled one: most rows are
@@ -103,7 +101,7 @@ func synthetic(rows, elems, basisN int, seed int64, share, jitter, permuted bool
 			perm = append(perm, int32(v))
 		}
 	}
-	return b.Finish(perm, 2, "per-point", time.Millisecond, metrics.Counters{})
+	return b.Finish(perm, 2)
 }
 
 // wrapped places a pattern at base element e0 on a periodic range of n
@@ -219,7 +217,7 @@ func edgeCases() (*operator.Operator, func(nf int) [][]float64) {
 	b.SetRowBlocks(3, []int32{3, 4}, []float64{1, -2, 0.5, 1, 1, 1})
 	// A non-finite coefficient times a zero weight.
 	b.SetRowBlocks(4, []int32{1, 3}, []float64{1, 1, 1, 0, 0, 0})
-	op := b.Finish([]int32{3, 0, 4, 1, 2}, 2, "per-point", time.Millisecond, metrics.Counters{})
+	op := b.Finish([]int32{3, 0, 4, 1, 2}, 2)
 	fields := func(nf int) [][]float64 {
 		nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 		fs := make([][]float64, nf)
@@ -319,8 +317,8 @@ func TestBuilderFinish(t *testing.T) {
 	if out[0] != 3 || out[1] != 2 || out[2] != 0 {
 		t.Fatalf("out = %v", out)
 	}
-	if op.AssemblyCounters.Regions != 7 || op.AssemblyScheme != "per-point" {
-		t.Error("assembly provenance lost")
+	if op.Workers != 2 {
+		t.Errorf("workers = %d, want the Finish argument 2", op.Workers)
 	}
 	st := op.Stats()
 	if st.NNZPerRow <= 1.33 || st.NNZPerRow >= 1.34 {
@@ -388,7 +386,7 @@ func TestApplyRowsCompensated(t *testing.T) {
 	b := operator.NewBuilder(1, 3, 3)
 	big := 1e16
 	b.SetRowBlocks(0, []int32{0}, []float64{big, 1, -big})
-	op := b.Finish(nil, 1, "per-point", 0, metrics.Counters{})
+	op := b.Finish(nil, 1)
 	out := make([]float64, 1)
 	if err := op.ApplyVec([]float64{1, 1, 1}, out, 1); err != nil {
 		t.Fatal(err)
@@ -471,7 +469,7 @@ func buildShared(users int) *operator.Operator {
 		b.SetRowStamp(r, []int32{int32(2 * r), int32(2*r + 2)}, 0, []int32{0, 1})
 	}
 	b.SetRowBlocks(users, []int32{1, 3}, []float64{0.125, 2, 7, -3})
-	return b.Finish(nil, 1, "per-point", time.Millisecond, metrics.Counters{})
+	return b.Finish(nil, 1)
 }
 
 func expectRow(t *testing.T, op *operator.Operator, r int, elems []int32, vals []float64) {
@@ -523,7 +521,7 @@ func TestBuilderFinishMaterialisesWhenNotSaving(t *testing.T) {
 	b := operator.NewBuilder(2, 8, 2)
 	b.SetRowBlocks(0, []int32{0, 2}, []float64{0.5, -0.25, 0.125, 2})
 	b.SetRowBlocks(1, []int32{1}, []float64{7, -3})
-	op := b.Finish(nil, 1, "per-point", time.Millisecond, metrics.Counters{})
+	op := b.Finish(nil, 1)
 	if err := op.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +546,7 @@ func TestBuilderTemplatePanics(t *testing.T) {
 	expectPanic(t, "stamp from itself", func() { b.SetRowStamp(1, []int32{1}, 1, []int32{0}) })
 	expectPanic(t, "ragged stamp", func() { b.SetRowStamp(1, []int32{1, 2}, 0, []int32{0}) })
 	b.SetRowStamp(1, []int32{1}, 0, []int32{1}) // row 0 has one block
-	expectPanic(t, "stamp past the source row", func() { b.Finish(nil, 1, "per-point", 0, metrics.Counters{}) })
+	expectPanic(t, "stamp past the source row", func() { b.Finish(nil, 1) })
 }
 
 // TestBSRBytes pins the byte accounting and the pool's determinism: Bytes

@@ -7,7 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"sort"
-	"sync"
+	"time"
 
 	"unstencil/internal/artifact"
 	"unstencil/internal/core"
@@ -34,9 +34,8 @@ import (
 //	                                                a repeated query batch
 //
 // All cached artifacts are immutable after construction and safe to share
-// across concurrently running jobs and queries (Evaluator's Run methods and
-// EvalBatch draw per-goroutine workers from a pool; single-shot EvalAt,
-// which mutates shared scratch state, is not used by the service).
+// across concurrently running jobs and queries (every Evaluator entry point
+// draws its per-goroutine workers from a pool).
 type Artifacts struct {
 	cache *Cache
 	// evalWorkers is stamped into every built Evaluator's Options. It does
@@ -261,72 +260,16 @@ const (
 // of OpSrcMemory, OpSrcDisk, OpSrcAssembled.
 func (a *Artifacts) Operator(ev *core.Evaluator, meshID string) (*operator.Operator, string, error) {
 	key := OpKey(meshID, ev.Opt.P, ev.Opt.GridDegree, ev.Opt.Boundary)
-	return a.operatorFor(key, ev.Opt.Workers, func() (*operator.Operator, error) {
-		return ev.AssembleOperator(core.AssembleOpts{SigCache: a.signatureCache(meshID, ev)})
-	})
-}
-
-// sigCacheKey scopes one cached canonical-signature hash to a row: the
-// exact position bit patterns plus the quantised one-sided kernel-class
-// keys. Everything else the hash depends on — mesh geometry, kernel order,
-// h — is fixed by the cache instance's own LRU key.
-type sigCacheKey struct {
-	xb, yb uint64
-	kx, ky int64
-}
-
-// sigCache is the server's core.SignatureCache: a mesh-scoped memo of
-// canonical row-signature hashes, shared by every operator variant
-// (grid degree, boundary treatment) assembled against the same mesh at the
-// same kernel, so only the first variant pays per-row canonicalisation.
-// Entries are only ever consulted by the congruence prefilter, whose
-// groupings are certified bitwise downstream — a stale or colliding entry
-// can cost speed, never correctness.
-type sigCache struct {
-	mu sync.RWMutex
-	m  map[sigCacheKey]uint64
-}
-
-func (c *sigCache) Lookup(xb, yb uint64, kx, ky int64) (uint64, bool) {
-	c.mu.RLock()
-	h, ok := c.m[sigCacheKey{xb, yb, kx, ky}]
-	c.mu.RUnlock()
-	return h, ok
-}
-
-func (c *sigCache) Store(xb, yb uint64, kx, ky int64, h uint64) {
-	c.mu.Lock()
-	c.m[sigCacheKey{xb, yb, kx, ky}] = h
-	c.mu.Unlock()
-}
-
-// signatureCache returns the shared signature cache for ev's
-// (mesh, kernel order, kernel scale) tuple, creating it on first use. The
-// LRU key pins exactly the parameters the cached hashes are a function of
-// beyond the per-row key — grid degree and boundary deliberately absent,
-// since sharing across those variants is the point. Returns nil (no
-// caching) only if the LRU refuses the build.
-func (a *Artifacts) signatureCache(meshID string, ev *core.Evaluator) core.SignatureCache {
-	key := fmt.Sprintf("sig:%s/p%d/h%x", meshID, ev.Opt.P, math.Float64bits(ev.H))
-	// Charge roughly one entry per grid point: 40 B of key+value plus map
-	// overhead. The estimate only steers LRU eviction pressure.
-	v, _, err := a.cache.GetOrBuild(key, func() (any, int64, error) {
-		return &sigCache{m: make(map[sigCacheKey]uint64)}, int64(ev.NumPoints())*48 + 1024, nil
-	})
-	if err != nil {
-		return nil
-	}
-	return v.(*sigCache)
+	return a.operatorFor(key, ev, nil)
 }
 
 // operatorFor resolves one operator cache key through the memory and disk
-// tiers, assembling (and persisting) on a full miss. workers is the
-// requesting evaluator's normalised Opt.Workers: assembly stamps it on the
-// operators it builds, and a disk-loaded operator is re-stamped with it
-// here, since the worker count in the file is the *writer's* — an operator
-// packed on a 32-core box must not fan out past this server's
-// -eval-workers.
-func (a *Artifacts) operatorFor(key string, workers int, assemble func() (*operator.Operator, error)) (*operator.Operator, string, error) {
+// tiers, assembling ev's operator at pts (nil = its grid) and persisting it
+// on a full miss. Assembly stamps ev's normalised Opt.Workers on the
+// operator as its apply concurrency; a file carries no worker count, so a
+// disk-loaded operator is stamped with the same value here — an operator
+// packed on a 32-core box never fans out past this server's -eval-workers.
+func (a *Artifacts) operatorFor(key string, ev *core.Evaluator, pts []geom.Point) (*operator.Operator, string, error) {
 	src := OpSrcMemory // waiters on an in-flight build also report memory
 	v, _, err := a.cache.GetOrBuild(key, func() (any, int64, error) {
 		// Disk tier before re-assembly. The LRU charge is the operator's
@@ -337,17 +280,19 @@ func (a *Artifacts) operatorFor(key string, workers int, assemble func() (*opera
 		// and is repaired by the assembly and write-through below.
 		if a.store != nil {
 			if op, _, err := a.store.LoadOperator(key, true); err == nil {
-				op.Workers = workers
+				op.Workers = ev.Opt.Workers
 				src = OpSrcDisk
-				a.recordOperator(op)
+				a.ops.RowsTotal.Add(uint64(op.Rows))
 				return op, op.Bytes() + 1024, nil
 			}
 		}
-		op, err := assemble()
+		start := time.Now()
+		op, cs, err := ev.AssembleOperator(pts)
 		if err != nil {
 			return nil, 0, err
 		}
-		a.recordOperator(op)
+		a.ops.RowsTotal.Add(uint64(op.Rows))
+		a.ops.RecordAssembly(cs.RowsIntegrated, cs.RowsStamped, cs.ClassesDemoted, time.Since(start))
 		src = OpSrcAssembled
 		if a.store != nil {
 			if err := a.store.SaveOperator(key, op); err != nil && a.log != nil {
@@ -362,17 +307,6 @@ func (a *Artifacts) operatorFor(key string, workers int, assemble func() (*opera
 		return nil, "", err
 	}
 	return v.(*operator.Operator), src, nil
-}
-
-// recordOperator folds one operator admission (assembled or loaded from
-// disk) into the operator counters, plus the congruence-first assembly
-// outcome when the operator carries one (disk loads do not).
-func (a *Artifacts) recordOperator(op *operator.Operator) {
-	a.ops.RowsTotal.Add(uint64(op.Rows))
-	if cs := op.Congruence; cs != nil {
-		a.ops.RecordAssembly(cs.RowsIntegrated, cs.RowsStamped, cs.ClassesDemoted, op.AssemblyWall)
-		a.ops.RecordSigCache(cs.SigCacheLookups, cs.SigCacheHits)
-	}
 }
 
 // QueryOperator returns an assembled operator whose rows are the given
@@ -391,9 +325,7 @@ func (a *Artifacts) QueryOperator(ev *core.Evaluator, meshID string, pts []geom.
 		h.Write(buf[:])
 	}
 	key := fmt.Sprintf("qop:%s/p%d/%v/%x", meshID, ev.Opt.P, ev.Opt.Boundary, h.Sum(nil))
-	return a.operatorFor(key, ev.Opt.Workers, func() (*operator.Operator, error) {
-		return ev.AssembleOperator(core.AssembleOpts{Points: pts, SigCache: a.signatureCache(meshID, ev)})
-	})
+	return a.operatorFor(key, ev, pts)
 }
 
 // Stats exposes the underlying cache counters.

@@ -18,8 +18,11 @@ import (
 //
 // Sizes are caller-supplied byte estimates; the cache evicts
 // least-recently-used entries until the running total fits MaxBytes. A
-// single entry larger than MaxBytes is still admitted (alone) so one huge
-// mesh cannot wedge the service.
+// value GetOrBuild builds larger than MaxBytes is handed to its callers
+// but not cached: admitting it would evict everything else and still leave
+// the cache over budget. Put admits such an entry alone, because a mesh
+// held nowhere else (no store attached) must stay resident for the jobs
+// that name it.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -29,6 +32,7 @@ type Cache struct {
 	inflight map[string]*buildCall
 
 	hits, misses, evictions uint64
+	rejectedOversize        uint64
 	// classes breaks the counters down by key class (the prefix before
 	// ':': "mesh", "eval", "op", "qop", ...), so /debug/metrics can answer
 	// "how many bytes do assembled operators hold resident, and how often
@@ -141,7 +145,9 @@ func (c *Cache) put(key string, value any, size int64) {
 // GetOrBuild returns the cached value for key, or runs build to create it.
 // The second return reports whether the value came from cache (a hit).
 // Concurrent calls for the same missing key block on a single build; build
-// errors are returned to every waiter and nothing is cached.
+// errors are returned to every waiter and nothing is cached. A built value
+// larger than MaxBytes is returned to the builder and every waiter without
+// being cached, and counted in RejectedOversize.
 func (c *Cache) GetOrBuild(key string, build func() (value any, size int64, err error)) (any, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -173,7 +179,11 @@ func (c *Cache) GetOrBuild(key string, build func() (value any, size int64, err 
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if call.err == nil {
-		c.put(key, call.value, call.size)
+		if call.size > c.maxBytes {
+			c.rejectedOversize++
+		} else {
+			c.put(key, call.value, call.size)
+		}
 	}
 	c.mu.Unlock()
 	close(call.done)
@@ -188,6 +198,9 @@ type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Bytes     int64  `json:"bytes"`
 	MaxBytes  int64  `json:"max_bytes"`
+	// RejectedOversize counts built values larger than MaxBytes that
+	// GetOrBuild returned without caching.
+	RejectedOversize uint64 `json:"rejected_oversize"`
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.
@@ -216,11 +229,12 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Bytes:     c.curBytes,
-		MaxBytes:  c.maxBytes,
+		Hits:             c.hits,
+		Misses:           c.misses,
+		Evictions:        c.evictions,
+		Entries:          c.ll.Len(),
+		Bytes:            c.curBytes,
+		MaxBytes:         c.maxBytes,
+		RejectedOversize: c.rejectedOversize,
 	}
 }

@@ -57,6 +57,63 @@ func TestCacheAdmitsOversizedEntryAlone(t *testing.T) {
 	}
 }
 
+// A built value larger than the whole budget is served to the builder and
+// to a waiter parked on the same build, but never cached: the entries
+// already resident survive and the cache stays within budget.
+func TestGetOrBuildRejectsOversize(t *testing.T) {
+	c := NewCache(100)
+	c.Put("mesh:a", 1, 40)
+	if _, _, err := c.GetOrBuild("eval:b", func() (any, int64, error) { return 2, 40, nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	led := make(chan any)
+	go func() {
+		v, hit, err := c.GetOrBuild("op:huge", func() (any, int64, error) {
+			close(entered)
+			<-release
+			return "huge", 500, nil
+		})
+		if err != nil || hit {
+			t.Errorf("oversize build: hit=%v err=%v", hit, err)
+		}
+		led <- v
+	}()
+	<-entered // the leader is inside the builder; the waiter must park
+	waited := make(chan any)
+	go func() {
+		v, _, err := c.GetOrBuild("op:huge", func() (any, int64, error) {
+			t.Error("waiter ran the builder during an in-flight build")
+			return nil, 0, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		waited <- v
+	}()
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if v := <-led; v != "huge" {
+		t.Fatalf("builder got %v, want the oversize value", v)
+	}
+	if v := <-waited; v != "huge" {
+		t.Fatalf("waiter got %v, want the oversize value", v)
+	}
+	for _, key := range []string{"mesh:a", "eval:b"} {
+		if _, ok := c.Get(key); !ok {
+			t.Errorf("%s was evicted by an oversize build", key)
+		}
+	}
+	if _, ok := c.Get("op:huge"); ok {
+		t.Error("oversize value was cached")
+	}
+	st := c.Stats()
+	if st.Bytes > st.MaxBytes || st.RejectedOversize != 1 {
+		t.Errorf("stats after oversize build: %+v", st)
+	}
+}
+
 func TestCacheReplaceUpdatesSize(t *testing.T) {
 	c := NewCache(100)
 	c.Put("a", 1, 90)

@@ -155,8 +155,9 @@ func stopTestServer(t *testing.T, srv *Server, ts *httptest.Server) {
 }
 
 // TestLegacyOperatorFileSelfRepairs pins the upgrade path for operator
-// files in a retired format (version 2, and version 3 — the last format
-// with weights stored in place): whether the file is already in the store when
+// files in a retired format (version 2, version 3 — the last format with
+// weights stored in place — and version 4, the last to record assembly
+// provenance): whether the file is already in the store when
 // the server boots or appears under a running one, the operator job
 // re-assembles (never reporting a disk hit), agrees with direct evaluation,
 // leaves a current-format file behind, and the next cold start serves that
@@ -183,7 +184,7 @@ func TestLegacyOperatorFileSelfRepairs(t *testing.T) {
 	for _, c := range []struct {
 		version    uint16
 		beforeBoot bool
-	}{{2, true}, {3, true}, {3, false}} {
+	}{{2, true}, {3, true}, {3, false}, {4, true}} {
 		beforeBoot := c.beforeBoot
 		cfg := Config{Workers: 1, EvalWorkers: 2, StoreDir: t.TempDir()}
 		srv, err := New(cfg)
@@ -249,10 +250,9 @@ func TestLegacyOperatorFileSelfRepairs(t *testing.T) {
 	}
 }
 
-// TestDiskOperatorUsesThisServersEvalWorkers: the worker count inside an
-// operator file is the writer's. An operator packed with 7 workers and
-// loaded by a server configured for 2 must apply with 2 — and produce the
-// same bits.
+// TestDiskOperatorUsesThisServersEvalWorkers: an operator file records no
+// worker count. An operator packed with 7 workers and loaded by a server
+// configured for 2 must apply with 2 — and produce the same bits.
 func TestDiskOperatorUsesThisServersEvalWorkers(t *testing.T) {
 	store, err := artifact.NewStore(t.TempDir(), nil)
 	if err != nil {
@@ -291,8 +291,8 @@ func TestDiskOperatorUsesThisServersEvalWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built.Workers != 7 || onDisk.Workers != 7 {
-		t.Fatalf("premise: built with %d workers, file records %d, want 7", built.Workers, onDisk.Workers)
+	if built.Workers != 7 || onDisk.Workers != 0 {
+		t.Fatalf("premise: built with %d workers (want 7), file records %d (want none)", built.Workers, onDisk.Workers)
 	}
 
 	ev2, reader := resolve(2, meshID, nil)

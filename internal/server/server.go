@@ -329,8 +329,7 @@ func (s *Server) Metrics() map[string]any {
 		"faults":        s.faults.Snapshot(),
 		// Assembled-operator traffic: batched vs single applies, rows
 		// admitted, and how congruence-first assembly went (rows stamped vs
-		// integrated, classes with a demoted member, assembly wall EWMA,
-		// signature-cache hits).
+		// integrated, classes with a demoted member, assembly wall EWMA).
 		"operator": s.arts.Ops().Snapshot(),
 	}
 	if st := s.arts.Store(); st != nil {
