@@ -5,16 +5,17 @@
 //
 // Usage:
 //
-//	unstencil-artifact pack -mesh mesh.json -store /var/lib/unstencil/store [-p 2] [-boundary periodic] [-field sincos]
+//	unstencil-artifact pack -mesh mesh.json -store /var/lib/unstencil/store [-p 2] [-boundary periodic]
 //	unstencil-artifact inspect /var/lib/unstencil/store/op-<hash>.art
 //	unstencil-artifact verify /var/lib/unstencil/store/*.art
 //
-// pack decodes a mesh, projects the requested field, assembles the operator
-// for (mesh, P, grid, boundary), and writes all three artifacts into the
-// store directory under the exact logical keys unstencild uses — a deploy
-// can pre-warm a store before the service ever starts. inspect prints one
-// artifact's header, sections, and metadata. verify re-reads every section
-// of each file and checks its CRC, exiting non-zero on the first failure.
+// pack decodes a mesh, assembles the operator for (mesh, P, grid,
+// boundary), and writes both into the store directory under the exact
+// logical keys unstencild uses — a deploy can pre-warm a store before the
+// service ever starts. Fields are not stored: the server projects them.
+// inspect prints one artifact's header, sections, and metadata. verify
+// re-reads every section of each file and checks its CRC, exiting non-zero
+// on the first failure.
 package main
 
 import (
@@ -48,7 +49,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  unstencil-artifact pack -mesh <mesh.json> -store <dir> [-p N] [-grid-degree N] [-boundary periodic|one-sided] [-field name|none]
+  unstencil-artifact pack -mesh <mesh.json> -store <dir> [-p N] [-grid-degree N] [-boundary periodic|one-sided] [-workers N]
   unstencil-artifact inspect <file.art>
   unstencil-artifact verify <file.art> [...]`)
 	os.Exit(2)
@@ -59,9 +60,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// pack pre-computes a store entry set for one mesh: the mesh itself, the
-// projected field, and the assembled operator, all under the keys the
-// server's tiered lookup resolves.
+// pack pre-computes a store entry set for one mesh: the mesh itself and the
+// assembled operator, both under the keys the server's tiered lookup
+// resolves.
 func pack(args []string) {
 	fs := flag.NewFlagSet("pack", flag.ExitOnError)
 	meshPath := fs.String("mesh", "", "mesh JSON file (required)")
@@ -69,7 +70,6 @@ func pack(args []string) {
 	p := fs.Int("p", 2, "dG polynomial order")
 	gridDegree := fs.Int("grid-degree", 0, "evaluation-grid quadrature degree (0 = 2P, negative = one-point)")
 	boundaryName := fs.String("boundary", "periodic", "boundary handling: periodic or one-sided")
-	fieldName := fs.String("field", "sincos", "analytic field to project and persist (none to skip)")
 	workers := fs.Int("workers", 0, "assembly concurrency (0 = GOMAXPROCS)")
 	_ = fs.Parse(args)
 	if *meshPath == "" || *storeDir == "" {
@@ -85,10 +85,6 @@ func pack(args []string) {
 		boundary = core.OneSided
 	default:
 		fatal(fmt.Errorf("bad -boundary %q (want periodic or one-sided)", *boundaryName))
-	}
-	fn, ok := server.FieldFuncs[*fieldName]
-	if !ok && *fieldName != "none" {
-		fatal(fmt.Errorf("unknown -field %q (have %v, or none)", *fieldName, server.FieldNames()))
 	}
 
 	f, err := os.Open(*meshPath)
@@ -110,16 +106,9 @@ func pack(args []string) {
 	}
 	fmt.Printf("mesh     %s\n         -> %s\n", meshID, store.Path("mesh:"+meshID))
 
-	if *fieldName == "none" {
-		return
-	}
-	field := dg.Project(m, *p, fn, 4)
-	fieldKey := fmt.Sprintf("field:%s/p%d/%s", meshID, *p, *fieldName)
-	if err := store.SaveField(fieldKey, field); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("field    %s\n         -> %s\n", fieldKey, store.Path(fieldKey))
-
+	// The operator does not depend on the field; the evaluator needs one,
+	// so it gets the server's default.
+	field := dg.Project(m, *p, server.FieldFuncs["sincos"], 4)
 	ev, err := core.NewEvaluator(field, core.Options{
 		P: *p, GridDegree: *gridDegree, Boundary: boundary, Workers: *workers,
 	})
@@ -186,11 +175,6 @@ func inspect(args []string) {
 	case artifact.KindMesh:
 		if m, err := c.DecodeMesh(""); err == nil {
 			fmt.Printf("  mesh     %d verts, %d tris, hash %s\n", m.NumVerts(), m.NumTris(), m.ContentHash())
-		}
-	case artifact.KindField:
-		if meta, coeffs, err := c.DecodeField(""); err == nil {
-			fmt.Printf("  field    P%d, %d elems x %d modes (%d coeffs), mesh %s\n",
-				meta.P, meta.NumElems, meta.BasisN, len(coeffs), meta.MeshHash)
 		}
 	case artifact.KindOperator:
 		if op, err := c.DecodeOperator(""); err == nil {

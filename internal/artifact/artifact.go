@@ -1,5 +1,5 @@
-// Package artifact is the persistent binary container for unstencil's
-// precomputed artifacts: meshes, modal coefficient fields, and assembled
+// Package artifact is the persistent binary container for the two
+// artifacts unstencil reads back from disk: meshes and assembled
 // post-processing operators.
 //
 // The service's whole design is precompute-once/apply-many — assembled
@@ -9,7 +9,9 @@
 // stored operator data (the same trade the matrix-free dG literature
 // frames for operator setup): a compact, versioned, content-addressed
 // on-disk format plus a tiered store, so cold starts warm from disk at I/O
-// speed instead of re-running geometry.
+// speed instead of re-running geometry. Fields are not persisted: the
+// weights depend only on the mesh, grid and kernel, while the field changes
+// every time step, so the service projects fields and never reads one back.
 //
 // # Container layout
 //
@@ -38,22 +40,24 @@
 // served), and mesh artifacts additionally verify the decoded mesh's
 // content hash.
 //
-// # Versions
+// # Kinds and versions
 //
-// Each kind has exactly one format version, written and read: meshes and
-// fields are version 1, operators version 5 (each block an element id and
-// a value-block id into one pool of distinct weight blocks, see
-// operator.Operator, behind a metadata record that holds the shape only).
-// The version bumps on any layout change and readers reject every other
+// There are two kinds, mesh (1) and operator (3), each with exactly one
+// format version, written and read: meshes are version 1, operators
+// version 5 (each block an element id and a value-block id into one pool
+// of distinct weight blocks, see operator.Operator, behind a metadata
+// record that holds the shape only). Parse rejects every other kind and
 // version with ErrVersion — fixed-width layouts cannot be sniffed safely —
-// while unknown section types within the known version are ignored so
-// minor additions stay forward-compatible. Operator files written by the
-// retired versions are therefore rejected like any unknown version: 1 and 2
-// (scalar column indices), 3 (weights stored in place per block, plus five
-// stencil-template sections) and 4 (today's arrays behind a metadata
-// record that also carried assembly provenance). The store deletes such a
-// file and the caller re-assembles and writes the operator back, which is
-// sound because operator artifacts are a derived, content-keyed cache. The
+// while unknown section types within a known version are ignored so minor
+// additions stay forward-compatible. Kind 2 held modal coefficient fields
+// that nothing read back; the store's startup GC deletes such a file like
+// any unparseable one. Operator files of the retired versions are
+// rejected like any unknown version: 1 and 2 (scalar column indices), 3
+// (weights stored in place per block, plus five stencil-template
+// sections) and 4 (today's arrays behind a metadata record that also
+// carried assembly provenance). The store deletes such a file and the
+// caller re-assembles and writes the operator back, which is sound
+// because operator artifacts are a derived, content-keyed cache. The
 // section ids only those formats used stay reserved, and a version-5
 // container carrying one is corrupt.
 package artifact
@@ -69,37 +73,30 @@ import (
 // Magic identifies an unstencil artifact file.
 const Magic = "UNSA"
 
-// Version is the format version of mesh and field containers.
-const Version = 1
+// VersionMesh is the format version of mesh containers.
+const VersionMesh = 1
 
 // VersionOperator is the format version of operator containers: per block
 // an element id (SecBlockID) and a value-block id (SecBlockRef) into one
 // pool of distinct weight blocks (SecPool).
 const VersionOperator = 5
 
-// kindVersion returns the one format version accepted (and written) for a
-// container kind.
-func kindVersion(kind uint16) uint16 {
-	if kind == KindOperator {
-		return VersionOperator
-	}
-	return Version
-}
-
-// Artifact kinds (header field).
+// Artifact kinds (header field). Kind 2, the retired field kind, is
+// rejected like any unknown kind.
 const (
 	KindMesh     uint16 = 1
-	KindField    uint16 = 2
 	KindOperator uint16 = 3
 )
+
+// kindVersions maps each kind this reader accepts to the one format
+// version it accepts (and writes) for it.
+var kindVersions = map[uint16]uint16{KindMesh: VersionMesh, KindOperator: VersionOperator}
 
 // KindName returns the human-readable name of a kind.
 func KindName(kind uint16) string {
 	switch kind {
 	case KindMesh:
 		return "mesh"
-	case KindField:
-		return "field"
 	case KindOperator:
 		return "operator"
 	default:
@@ -107,11 +104,10 @@ func KindName(kind uint16) string {
 	}
 }
 
-// Section types. Meta and Key are common to all kinds; the rest are
+// Section types. Meta and Key are common to both kinds; the rest are
 // per-kind payload arrays.
 const (
-	// SecMeta is the fixed-width metadata record: the shape, plus the mesh
-	// hash for fields.
+	// SecMeta is the fixed-width metadata record: the shape.
 	SecMeta uint32 = 1
 	// SecKey is the logical store key the artifact was written under,
 	// verified on load so a misplaced file is never served for the wrong
@@ -121,9 +117,6 @@ const (
 	// Mesh payload.
 	SecVerts uint32 = 16 // float64 ×2 per vertex
 	SecTris  uint32 = 17 // int32 ×3 per triangle
-
-	// Field payload.
-	SecCoeffs uint32 = 32 // float64, element-major modal coefficients
 
 	// Operator payload (the mmap-able row arrays).
 	SecRowPtr   uint32 = 48 // int64, rows+1 (block offsets)
@@ -158,7 +151,8 @@ const (
 var (
 	// ErrBadMagic marks a file that is not an unstencil artifact at all.
 	ErrBadMagic = errors.New("artifact: bad magic (not an artifact file)")
-	// ErrVersion marks a container version this reader does not support.
+	// ErrVersion marks a container kind or version this reader does not
+	// support.
 	ErrVersion = errors.New("artifact: unsupported format version")
 	// ErrCorrupt marks structural damage: truncation, overlapping or
 	// out-of-bounds sections, CRC mismatch.
@@ -208,7 +202,11 @@ func Parse(r io.ReaderAt, size int64) (*Container, error) {
 	}
 	v := binary.LittleEndian.Uint16(hdr[4:6])
 	kind := binary.LittleEndian.Uint16(hdr[6:8])
-	if want := kindVersion(kind); v != want {
+	want, ok := kindVersions[kind]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrVersion, kind)
+	}
+	if v != want {
 		return nil, fmt.Errorf("%w: got %s v%d, this reader supports v%d",
 			ErrVersion, KindName(kind), v, want)
 	}

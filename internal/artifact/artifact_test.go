@@ -7,11 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 
-	"unstencil/internal/dg"
-	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
 	"unstencil/internal/operator"
 )
@@ -89,11 +86,44 @@ func congruentOperator(t testing.TB, rows, elems, basisN int) (direct, stamped *
 	return direct, stamped
 }
 
-// projectTestField is a small P2 field for field round-trip tests.
-func projectTestField(m *mesh.Mesh) *dg.Field {
-	return dg.Project(m, 2, func(p geom.Point) float64 {
-		return math.Sin(p.X) + p.Y*p.Y
-	}, 4)
+// retiredFieldContainer lays out a file the way the retired field kind
+// (2) did: an 80-byte shape-and-mesh-hash record, the key, and the modal
+// coefficients (section 32).
+func retiredFieldContainer(key string) []byte {
+	return encodeContainer(VersionMesh, 2, []section{
+		{SecMeta, make([]byte, 80)},
+		{SecKey, []byte(key)},
+		{32, encodeF64s(make([]float64, 6))},
+	})
+}
+
+// parse parses an in-memory container.
+func parse(data []byte) (*Container, error) {
+	return Parse(bytes.NewReader(data), int64(len(data)))
+}
+
+// decodeOp decodes data as an operator stored under key: the portable
+// load path.
+func decodeOp(data []byte, key string) (*operator.Operator, error) {
+	c, err := parse(data)
+	if err != nil {
+		return nil, err
+	}
+	return c.DecodeOperator(key)
+}
+
+// mapOp stores data under key in a fresh store and loads it mapped (the
+// portable decode where mmap is unavailable).
+func mapOp(t *testing.T, data []byte, key string) (*operator.Operator, bool, error) {
+	t.Helper()
+	st, err := NewStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.Path(key), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return st.LoadOperator(key, true)
 }
 
 func encodeOp(t testing.TB, key string, op *operator.Operator) []byte {
@@ -159,7 +189,11 @@ func TestMeshRoundTrip(t *testing.T) {
 		if _, err := EncodeMesh(&buf, key, m); err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeMesh(bytes.NewReader(buf.Bytes()), int64(buf.Len()), key)
+		c, err := parse(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := c.DecodeMesh(key)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -169,41 +203,8 @@ func TestMeshRoundTrip(t *testing.T) {
 	}
 }
 
-// Field coefficients must round-trip bit-identically with the mesh binding
-// metadata intact.
-func TestFieldRoundTrip(t *testing.T) {
-	m := mesh.Structured(3)
-	f := dg.Project(m, 2, func(p geom.Point) float64 {
-		return math.Sin(p.X) * math.Cos(p.Y)
-	}, 4)
-	var buf bytes.Buffer
-	key := "field:test/p2/sincos"
-	if _, err := EncodeField(&buf, key, f); err != nil {
-		t.Fatal(err)
-	}
-	meta, coeffs, err := DecodeField(bytes.NewReader(buf.Bytes()), int64(buf.Len()), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.P != 2 || meta.BasisN != f.Basis.N || meta.MeshHash != m.ContentHash() {
-		t.Fatalf("meta = %+v", meta)
-	}
-	if meta.NumElems != m.NumTris() {
-		t.Fatalf("numElems = %d, want %d", meta.NumElems, m.NumTris())
-	}
-	if len(coeffs) != len(f.Coeffs) {
-		t.Fatalf("%d coefficients, want %d", len(coeffs), len(f.Coeffs))
-	}
-	for i := range coeffs {
-		if math.Float64bits(coeffs[i]) != math.Float64bits(f.Coeffs[i]) {
-			t.Fatalf("coeff %d changed: %x vs %x", i,
-				math.Float64bits(coeffs[i]), math.Float64bits(f.Coeffs[i]))
-		}
-	}
-}
-
-// Operators must round-trip exactly — every stored array, the permutation,
-// and the assembly provenance.
+// Operators must round-trip exactly — every stored array and the
+// permutation.
 func TestOperatorRoundTrip(t *testing.T) {
 	for _, withPerm := range []bool{false, true} {
 		op := testOperator(t, 50, 30, 6, withPerm)
@@ -212,7 +213,7 @@ func TestOperatorRoundTrip(t *testing.T) {
 		if v := binary.LittleEndian.Uint16(data[4:6]); v != VersionOperator {
 			t.Fatalf("operator container has version %d, want %d", v, VersionOperator)
 		}
-		got, err := DecodeOperator(bytes.NewReader(data), int64(len(data)), key)
+		got, err := decodeOp(data, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,16 +227,12 @@ func TestOperatorRoundTrip(t *testing.T) {
 func TestMapOperatorBitIdentical(t *testing.T) {
 	op := testOperator(t, 80, 36, 6, true)
 	key := "op:test/p2/g4/one-sided"
-	path := filepath.Join(t.TempDir(), "op.art")
-	if err := os.WriteFile(path, encodeOp(t, key, op), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mop, viaMap, err := MapOperator(path, key)
+	mop, viaMap, err := mapOp(t, encodeOp(t, key, op), key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mmapSupported && hostLittleEndian && !viaMap {
-		t.Error("mmap is supported here but MapOperator fell back")
+		t.Error("mmap is supported here but the mapped load fell back")
 	}
 	if viaMap && mop.Backing == nil {
 		t.Error("mapped operator has no backing pin")
@@ -274,11 +271,11 @@ func TestMapOperatorBitIdentical(t *testing.T) {
 func TestKeyMismatch(t *testing.T) {
 	op := testOperator(t, 10, 9, 3, false)
 	data := encodeOp(t, "op:right", op)
-	_, err := DecodeOperator(bytes.NewReader(data), int64(len(data)), "op:wrong")
+	_, err := decodeOp(data, "op:wrong")
 	if !errors.Is(err, ErrKeyMismatch) {
 		t.Fatalf("err = %v, want ErrKeyMismatch", err)
 	}
-	if _, err := DecodeOperator(bytes.NewReader(data), int64(len(data)), ""); err != nil {
+	if _, err := decodeOp(data, ""); err != nil {
 		t.Fatalf("key-agnostic decode failed: %v", err)
 	}
 }
@@ -328,7 +325,7 @@ func TestOperatorDecodeRejectsDamage(t *testing.T) {
 
 	for size := 0; size < len(data); size += 7 {
 		trunc := data[:size]
-		if _, err := DecodeOperator(bytes.NewReader(trunc), int64(len(trunc)), key); err == nil {
+		if _, err := decodeOp(trunc, key); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", size)
 		}
 	}
@@ -341,7 +338,7 @@ func TestOperatorDecodeRejectsDamage(t *testing.T) {
 	for pos := 0; pos < len(data); pos += 11 {
 		flipped := bytes.Clone(data)
 		flipped[pos] ^= 0x10
-		got, err := DecodeOperator(bytes.NewReader(flipped), int64(len(flipped)), key)
+		got, err := decodeOp(flipped, key)
 		if err == nil {
 			sameOperator(t, got, op)
 		}

@@ -1,16 +1,13 @@
 package artifact
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
-	"unstencil/internal/dg"
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
-	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
 )
 
@@ -19,61 +16,55 @@ import (
 // (non-mmap) load path uses. On little-endian hosts the encoded bytes are
 // byte-identical to the in-memory arrays, which is the mmap contract.
 
-func putF64s(dst []byte, src []float64) {
+func encodeF64s(src []float64) []byte {
+	b := make([]byte, 8*len(src))
 	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
+	return b
 }
 
-func putI64s(dst []byte, src []int64) {
+func encodeI64s(src []int64) []byte {
+	b := make([]byte, 8*len(src))
 	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
 	}
+	return b
 }
 
-func putI32s(dst []byte, src []int32) {
+func encodeI32s(src []int32) []byte {
+	b := make([]byte, 4*len(src))
 	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
 	}
+	return b
 }
 
-func decodeF64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("%w: float64 section length %d not a multiple of 8", ErrCorrupt, len(b))
-	}
+// The decoders take whole records: loadOperator checks each section's
+// length against its record width first.
+
+func decodeF64s(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out, nil
+	return out
 }
 
-func decodeI64s(b []byte) ([]int64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("%w: int64 section length %d not a multiple of 8", ErrCorrupt, len(b))
-	}
+func decodeI64s(b []byte) []int64 {
 	out := make([]int64, len(b)/8)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out, nil
+	return out
 }
 
-func decodeI32s(b []byte) ([]int32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("%w: int32 section length %d not a multiple of 4", ErrCorrupt, len(b))
-	}
+func decodeI32s(b []byte) []int32 {
 	out := make([]int32, len(b)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return out, nil
-}
-
-func encodeF64s(src []float64) []byte {
-	b := make([]byte, 8*len(src))
-	putF64s(b, src)
-	return b
+	return out
 }
 
 // ---- Mesh ----
@@ -93,9 +84,11 @@ func EncodeMesh(w io.Writer, key string, m *mesh.Mesh) (int64, error) {
 	}
 	tris := make([]byte, 12*m.NumTris())
 	for i, t := range m.Tris {
-		putI32s(tris[12*i:12*i+12], t[:])
+		for j, v := range t {
+			binary.LittleEndian.PutUint32(tris[12*i+4*j:], uint32(v))
+		}
 	}
-	buf := encodeContainer(Version, KindMesh, []section{
+	buf := encodeContainer(VersionMesh, KindMesh, []section{
 		{SecMeta, meta},
 		{SecKey, []byte(key)},
 		{SecVerts, verts},
@@ -105,19 +98,9 @@ func EncodeMesh(w io.Writer, key string, m *mesh.Mesh) (int64, error) {
 	return int64(n), err
 }
 
-// DecodeMesh parses and validates a mesh artifact. The decoded mesh passes
-// mesh.Validate, so anything this returns is safe for the rest of the
-// pipeline.
-func DecodeMesh(r io.ReaderAt, size int64, key string) (*mesh.Mesh, error) {
-	c, err := Parse(r, size)
-	if err != nil {
-		return nil, err
-	}
-	return c.DecodeMesh(key)
-}
-
 // DecodeMesh decodes the parsed container as a mesh stored under key
-// (key "" skips the key check).
+// (key "" skips the key check). The decoded mesh passes mesh.Validate, so
+// anything this returns is safe for the rest of the pipeline.
 func (c *Container) DecodeMesh(key string) (*mesh.Mesh, error) {
 	if c.Kind != KindMesh {
 		return nil, fmt.Errorf("%w: kind %s, want mesh", ErrCorrupt, KindName(c.Kind))
@@ -167,89 +150,6 @@ func (c *Container) DecodeMesh(key string) (*mesh.Mesh, error) {
 	return m, nil
 }
 
-// ---- Field ----
-
-const fieldMetaSize = 16 + 64 // p u32 | basisN u32 | numElems u64 | meshHash [64]byte hex
-
-// EncodeField serialises f (a modal coefficient field) as an artifact
-// stored under key. The mesh content hash is recorded so a field can never
-// be applied to the wrong mesh after a reload.
-func EncodeField(w io.Writer, key string, f *dg.Field) (int64, error) {
-	meta := make([]byte, fieldMetaSize)
-	binary.LittleEndian.PutUint32(meta[0:4], uint32(f.Basis.P))
-	binary.LittleEndian.PutUint32(meta[4:8], uint32(f.Basis.N))
-	binary.LittleEndian.PutUint64(meta[8:16], uint64(len(f.Coeffs)/f.Basis.N))
-	copy(meta[16:80], f.Mesh.ContentHash())
-	buf := encodeContainer(Version, KindField, []section{
-		{SecMeta, meta},
-		{SecKey, []byte(key)},
-		{SecCoeffs, encodeF64s(f.Coeffs)},
-	})
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
-// FieldMeta is the decoded field header.
-type FieldMeta struct {
-	P        int
-	BasisN   int
-	NumElems int
-	MeshHash string
-}
-
-// DecodeField parses a field artifact, returning the coefficients and
-// metadata; the caller rebinds them to the resident mesh (verified against
-// MeshHash).
-func DecodeField(r io.ReaderAt, size int64, key string) (FieldMeta, []float64, error) {
-	c, err := Parse(r, size)
-	if err != nil {
-		return FieldMeta{}, nil, err
-	}
-	return c.DecodeField(key)
-}
-
-// DecodeField decodes the parsed container as a field stored under key
-// (key "" skips the key check).
-func (c *Container) DecodeField(key string) (FieldMeta, []float64, error) {
-	if c.Kind != KindField {
-		return FieldMeta{}, nil, fmt.Errorf("%w: kind %s, want field", ErrCorrupt, KindName(c.Kind))
-	}
-	if key != "" {
-		if err := c.checkKey(key); err != nil {
-			return FieldMeta{}, nil, err
-		}
-	}
-	meta, err := c.ReadSection(SecMeta)
-	if err != nil {
-		return FieldMeta{}, nil, err
-	}
-	if len(meta) != fieldMetaSize {
-		return FieldMeta{}, nil, fmt.Errorf("%w: field meta is %d bytes, want %d", ErrCorrupt, len(meta), fieldMetaSize)
-	}
-	fm := FieldMeta{
-		P:        int(binary.LittleEndian.Uint32(meta[0:4])),
-		BasisN:   int(binary.LittleEndian.Uint32(meta[4:8])),
-		NumElems: int(binary.LittleEndian.Uint64(meta[8:16])),
-		MeshHash: string(bytes.TrimRight(meta[16:80], "\x00")),
-	}
-	if fm.P < 0 || fm.P > 64 || fm.BasisN != metrics.NumModes(fm.P) {
-		return FieldMeta{}, nil, fmt.Errorf("%w: field meta p=%d basisN=%d inconsistent", ErrCorrupt, fm.P, fm.BasisN)
-	}
-	raw, err := c.ReadSection(SecCoeffs)
-	if err != nil {
-		return FieldMeta{}, nil, err
-	}
-	coeffs, err := decodeF64s(raw)
-	if err != nil {
-		return FieldMeta{}, nil, err
-	}
-	if len(coeffs) != fm.NumElems*fm.BasisN {
-		return FieldMeta{}, nil, fmt.Errorf("%w: %d coefficients for %d elements × %d modes",
-			ErrCorrupt, len(coeffs), fm.NumElems, fm.BasisN)
-	}
-	return fm, coeffs, nil
-}
-
 // ---- Operator ----
 
 // opMetaSize: rows u64 | cols u64 | basisN u32 — the shape, and nothing
@@ -264,18 +164,6 @@ func EncodeOperator(w io.Writer, key string, op *operator.Operator) (int64, erro
 	buf := encodeContainer(VersionOperator, KindOperator, operatorSections(key, op))
 	n, err := w.Write(buf)
 	return int64(n), err
-}
-
-func encodeI64s(src []int64) []byte {
-	b := make([]byte, 8*len(src))
-	putI64s(b, src)
-	return b
-}
-
-func encodeI32s(src []int32) []byte {
-	b := make([]byte, 4*len(src))
-	putI32s(b, src)
-	return b
 }
 
 func operatorSections(key string, op *operator.Operator) []section {
@@ -333,9 +221,9 @@ type arrayLoader struct {
 func (c *Container) portableLoader() arrayLoader {
 	return arrayLoader{
 		bytes: c.ReadSection,
-		f64s:  func(b []byte) []float64 { v, _ := decodeF64s(b); return v },
-		i64s:  func(b []byte) []int64 { v, _ := decodeI64s(b); return v },
-		i32s:  func(b []byte) []int32 { v, _ := decodeI32s(b); return v },
+		f64s:  decodeF64s,
+		i64s:  decodeI64s,
+		i32s:  decodeI32s,
 	}
 }
 
@@ -404,19 +292,9 @@ func (c *Container) loadOperator(key string, ld arrayLoader, backing any) (*oper
 	return op, nil
 }
 
-// DecodeOperator parses an operator artifact into a heap-resident
-// operator: the portable load path, one sequential decode pass over the
-// fixed-width arrays. For the zero-copy path see MapOperator.
-func DecodeOperator(r io.ReaderAt, size int64, key string) (*operator.Operator, error) {
-	c, err := Parse(r, size)
-	if err != nil {
-		return nil, err
-	}
-	return c.DecodeOperator(key)
-}
-
-// DecodeOperator decodes the parsed container as an operator stored under
-// key (key "" skips the key check).
+// DecodeOperator decodes the parsed container as a heap-resident operator
+// stored under key (key "" skips the key check): the portable load path,
+// one sequential decode pass over the fixed-width arrays.
 func (c *Container) DecodeOperator(key string) (*operator.Operator, error) {
 	return c.loadOperator(key, c.portableLoader(), nil)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzArtifactDecode feeds arbitrary byte strings through the full decode
-// surface — Parse, CRC verification, and all three kind decoders — seeded
-// with valid encodes of each artifact kind. The contract under mutation
+// surface — Parse, CRC verification, and both kind decoders — seeded with
+// valid encodes of each artifact kind. The contract under mutation
 // (truncation, bit flips, section-table corruption, wrong versions) is:
 // an error or a valid artifact, never a panic, and anything an operator
 // decoder accepts must still satisfy the invariants the applies index by
@@ -22,11 +22,8 @@ func FuzzArtifactDecode(f *testing.F) {
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
 
-	buf.Reset()
-	if _, err := EncodeField(&buf, "field:seed", projectTestField(m)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bytes.Clone(buf.Bytes()))
+	// A file of the retired field kind, which Parse must reject.
+	f.Add(retiredFieldContainer("field:seed"))
 
 	// Operator seeds, all version 5: random rows (every block its own
 	// pool entry) with and without a permutation, and congruent rows
@@ -57,11 +54,6 @@ func FuzzArtifactDecode(f *testing.F) {
 		if m, err := c.DecodeMesh(""); err == nil {
 			if err := m.Validate(); err != nil {
 				t.Fatalf("DecodeMesh accepted an invalid mesh: %v", err)
-			}
-		}
-		if meta, coeffs, err := c.DecodeField(""); err == nil {
-			if len(coeffs) != meta.NumElems*meta.BasisN {
-				t.Fatalf("DecodeField accepted inconsistent shape %+v with %d coeffs", meta, len(coeffs))
 			}
 		}
 		if op, err := c.DecodeOperator(""); err == nil {

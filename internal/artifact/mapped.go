@@ -20,10 +20,10 @@ var hostLittleEndian = func() bool {
 }()
 
 // Mapping owns one read-only memory-mapped artifact file. Operators loaded
-// through MapOperator alias its pages via Operator.Backing; the mapping is
-// released either by an explicit Close (offline tools) or by the finalizer
-// once the operator itself is unreachable (the server's LRU eviction path,
-// which has no unload hook).
+// mapped through Store.LoadOperator alias its pages via Operator.Backing;
+// the mapping is released either by an explicit Close (offline tools) or
+// by the finalizer once the operator itself is unreachable (the server's
+// LRU eviction path, which has no unload hook).
 type Mapping struct {
 	data   []byte
 	closed atomic.Bool
@@ -40,11 +40,8 @@ func (m *Mapping) Close() error {
 	return munmapFile(m.data)
 }
 
-// Bytes returns the total mapped size.
-func (m *Mapping) Bytes() int64 { return int64(len(m.data)) }
-
 // Aliasing casts: valid only on little-endian hosts over 8-byte-aligned
-// payload bytes, both of which MapOperator checks before getting here.
+// payload bytes, both of which readOperator checks before getting here.
 
 func castF64s(b []byte) []float64 {
 	if len(b) == 0 {
@@ -83,47 +80,33 @@ func (c *Container) mappedLoader(data []byte) arrayLoader {
 	}
 }
 
-// MapOperator opens the operator artifact at path with its arrays
-// aliasing a read-only memory mapping: zero deserialization, pages faulted
-// in as ApplyVec row-slices them. Every section CRC is verified before the
-// operator is returned (the verification pass doubles as page warm-up for
-// hot-start use). The boolean reports whether the mapping path was used;
-// on platforms without mmap, or big-endian hosts, the call transparently
-// falls back to the portable sequential decode and returns false.
-//
-// key "" skips the logical-key check (offline inspection).
-func MapOperator(path, key string) (*operator.Operator, bool, error) {
-	if !mmapSupported || !hostLittleEndian {
-		op, err := LoadOperatorFile(path, key)
-		return op, false, err
+// readOperator reads the operator artifact open as f (size bytes). With
+// mapped set, on a little-endian host with mmap, the arrays alias a
+// read-only memory mapping: zero deserialization, pages faulted in as
+// ApplyVec row-slices them, and every section CRC verified before the
+// operator is returned (the verification pass doubles as page warm-up).
+// Otherwise — or if mmap itself fails, an environment limitation rather
+// than corruption — the arrays are read into heap slices by one sequential
+// decode pass. The boolean reports whether the mapping was used.
+func readOperator(f *os.File, size int64, key string, mapped bool) (*operator.Operator, bool, error) {
+	if mapped && mmapSupported && hostLittleEndian && size > 0 {
+		if data, err := mmapFile(f, size); err == nil {
+			m := &Mapping{data: data}
+			runtime.SetFinalizer(m, func(m *Mapping) { _ = m.Close() })
+			op, err := mapOperator(m, key)
+			if err != nil {
+				_ = m.Close()
+				return nil, false, err
+			}
+			return op, true, nil
+		}
 	}
-	f, err := os.Open(path)
+	c, err := Parse(f, size)
 	if err != nil {
 		return nil, false, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, false, err
-	}
-	if fi.Size() == 0 {
-		return nil, false, fmt.Errorf("%w: empty file", ErrCorrupt)
-	}
-	data, err := mmapFile(f, fi.Size())
-	if err != nil {
-		// mmap itself failing (filesystem without mmap support) is an
-		// environment limitation, not corruption: fall back.
-		op, lerr := LoadOperatorFile(path, key)
-		return op, false, lerr
-	}
-	m := &Mapping{data: data}
-	runtime.SetFinalizer(m, func(m *Mapping) { _ = m.Close() })
-	op, err := mapOperator(m, key)
-	if err != nil {
-		_ = m.Close()
-		return nil, false, err
-	}
-	return op, true, nil
+	op, err := c.DecodeOperator(key)
+	return op, false, err
 }
 
 func mapOperator(m *Mapping, key string) (*operator.Operator, error) {
@@ -137,19 +120,4 @@ func mapOperator(m *Mapping, key string) (*operator.Operator, error) {
 		return nil, err
 	}
 	return c.loadOperator(key, c.mappedLoader(m.data), m)
-}
-
-// LoadOperatorFile reads the operator artifact at path into heap-resident
-// slices: the portable path, one sequential decode pass.
-func LoadOperatorFile(path, key string) (*operator.Operator, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeOperator(f, fi.Size(), key)
 }

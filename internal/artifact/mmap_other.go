@@ -8,8 +8,8 @@ import (
 )
 
 // mmapSupported reports whether this platform has the zero-copy load path;
-// without it MapOperator transparently falls back to the portable
-// sequential decode.
+// without it a mapped Store.LoadOperator transparently falls back to the
+// portable sequential decode.
 const mmapSupported = false
 
 func mmapFile(f *os.File, size int64) ([]byte, error) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"unstencil/internal/operator"
@@ -16,20 +15,16 @@ import (
 // each result against want array for array and apply for apply.
 func loadBoth(t *testing.T, data []byte, key string, want *operator.Operator) {
 	t.Helper()
-	decoded, err := DecodeOperator(bytes.NewReader(data), int64(len(data)), key)
+	decoded, err := decodeOp(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "op.art")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mop, viaMap, err := MapOperator(path, key)
+	mop, viaMap, err := mapOp(t, data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mmapSupported && hostLittleEndian && !viaMap {
-		t.Error("mmap supported but MapOperator fell back")
+		t.Error("mmap supported but the mapped load fell back")
 	}
 	defer func() {
 		if m, ok := mop.Backing.(*Mapping); ok {
@@ -87,7 +82,7 @@ func TestTemplatedOperatorRoundTrip(t *testing.T) {
 // payload bytes and CRC still match, so only a structural check can object.
 func retype(t *testing.T, data []byte, from, to uint32) []byte {
 	t.Helper()
-	c, err := Parse(bytes.NewReader(data), int64(len(data)))
+	c, err := parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +99,10 @@ func retype(t *testing.T, data []byte, from, to uint32) []byte {
 
 func expectCorruptBothPaths(t *testing.T, data []byte, key string) {
 	t.Helper()
-	if _, err := DecodeOperator(bytes.NewReader(data), int64(len(data)), key); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeOp(data, key); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decode err = %v, want ErrCorrupt", err)
 	}
-	path := filepath.Join(t.TempDir(), "op.art")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MapOperator(path, key); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := mapOp(t, data, key); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("map err = %v, want ErrCorrupt", err)
 	}
 }

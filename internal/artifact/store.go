@@ -8,9 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
-	"unstencil/internal/dg"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
@@ -22,26 +20,18 @@ import (
 // PR 2 mesh store to every artifact kind with the same durability
 // contract — atomic write-then-rename (a crash mid-write never leaves a
 // readable-but-corrupt file under its final name), hash/CRC-verified
-// loads, startup GC of torn files — plus singleflight on loads so a
-// thundering herd of identical cold-start misses decodes once.
+// loads, startup GC of torn files. Loads are not deduplicated here: the
+// server loads only inside the cache's per-key build, so a thundering herd
+// of identical cold-start misses already decodes once.
 //
 // Files are named <class>-<sha256(key)>.art, where class is the key's
-// prefix ("mesh", "op", "qop", "field") and key is the same logical cache
+// prefix ("mesh", "op", "qop") and key is the same logical cache
 // key the in-memory tier uses; the full key is stored inside the file and
 // verified on load, so a renamed or cross-copied artifact is rejected
 // rather than served for the wrong key.
 type Store struct {
 	dir string
 	ctr *metrics.StoreCounters
-
-	mu    sync.Mutex
-	fills map[string]*fillCall
-}
-
-type fillCall struct {
-	done chan struct{}
-	val  any
-	err  error
 }
 
 // NewStore opens (creating if needed) a store rooted at dir, garbage-
@@ -54,7 +44,7 @@ func NewStore(dir string, ctr *metrics.StoreCounters) (*Store, error) {
 	if ctr == nil {
 		ctr = &metrics.StoreCounters{}
 	}
-	s := &Store{dir: dir, ctr: ctr, fills: make(map[string]*fillCall)}
+	s := &Store{dir: dir, ctr: ctr}
 	s.gc()
 	return s, nil
 }
@@ -66,7 +56,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Counters() *metrics.StoreCounters { return s.ctr }
 
 // KeyClass returns the artifact class of a logical key: its prefix up to
-// the first ':' ("op", "qop", "mesh", "field").
+// the first ':' ("op", "qop", "mesh", ...).
 func KeyClass(key string) string {
 	if i := strings.IndexByte(key, ':'); i > 0 {
 		return key[:i]
@@ -162,28 +152,6 @@ func (s *Store) put(key string, encode func(io.Writer) (int64, error)) error {
 	return nil
 }
 
-// do deduplicates concurrent loads of the same key: one goroutine decodes,
-// the rest share the result. The filled value is not retained — residency
-// is the in-memory tier's job.
-func (s *Store) do(key string, fn func() (any, error)) (any, error) {
-	s.mu.Lock()
-	if call, ok := s.fills[key]; ok {
-		s.mu.Unlock()
-		<-call.done
-		return call.val, call.err
-	}
-	call := &fillCall{done: make(chan struct{})}
-	s.fills[key] = call
-	s.mu.Unlock()
-
-	call.val, call.err = fn()
-	s.mu.Lock()
-	delete(s.fills, key)
-	s.mu.Unlock()
-	close(call.done)
-	return call.val, call.err
-}
-
 // rejectCorrupt deletes an artifact that failed verification so the next
 // miss recomputes instead of re-tripping on the same bad file, and counts
 // the rejection. Non-structural errors (missing file, I/O) leave the file
@@ -208,81 +176,50 @@ func (s *Store) SaveMesh(m *mesh.Mesh) (string, error) {
 	return id, err
 }
 
+// load opens the artifact stored under key and hands it to decode,
+// counting a disk hit or miss. A file that fails verification is deleted.
+func (s *Store) load(key string, decode func(f *os.File, size int64) error) error {
+	err := func() error {
+		f, err := os.Open(s.Path(key))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		return decode(f, fi.Size())
+	}()
+	if err != nil {
+		s.ctr.DiskMisses.Add(1)
+		s.rejectCorrupt(key, err)
+		return fmt.Errorf("artifact: store load %s: %w", KeyClass(key), err)
+	}
+	s.ctr.DiskHits.Add(1)
+	return nil
+}
+
 // LoadMesh reads the mesh with the given content hash, verifying CRCs,
 // the stored key, and — because meshes are content-addressed — that the
 // decoded geometry actually hashes to id: bit rot below CRC granularity or
 // manual tampering is an error, never a silently wrong mesh.
 func (s *Store) LoadMesh(id string) (*mesh.Mesh, error) {
-	v, err := s.do(meshKey(id), func() (any, error) {
-		f, err := os.Open(s.Path(meshKey(id)))
-		if err != nil {
-			s.ctr.DiskMisses.Add(1)
-			return nil, err
+	var m *mesh.Mesh
+	err := s.load(meshKey(id), func(f *os.File, size int64) error {
+		c, err := Parse(f, size)
+		if err == nil {
+			m, err = c.DecodeMesh(meshKey(id))
 		}
-		defer f.Close()
-		fi, err := f.Stat()
-		if err != nil {
-			return nil, err
+		if err == nil && m.ContentHash() != id {
+			err = fmt.Errorf("%w: mesh content hash is %s", ErrKeyMismatch, m.ContentHash())
 		}
-		m, err := DecodeMesh(f, fi.Size(), meshKey(id))
-		if err != nil {
-			s.ctr.DiskMisses.Add(1)
-			s.rejectCorrupt(meshKey(id), err)
-			return nil, fmt.Errorf("artifact: store load mesh %s: %w", id, err)
-		}
-		if got := m.ContentHash(); got != id {
-			s.ctr.DiskMisses.Add(1)
-			s.rejectCorrupt(meshKey(id), fmt.Errorf("%w: content hash", ErrKeyMismatch))
-			return nil, fmt.Errorf("artifact: store load mesh %s: content hash mismatch (got %s)", id, got)
-		}
-		s.ctr.DiskHits.Add(1)
-		return m, nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*mesh.Mesh), nil
-}
-
-// SaveField persists a modal coefficient field under key.
-func (s *Store) SaveField(key string, f *dg.Field) error {
-	return s.put(key, func(w io.Writer) (int64, error) {
-		return EncodeField(w, key, f)
-	})
-}
-
-// LoadField reads the field stored under key; the caller rebinds the
-// coefficients to the resident mesh after checking FieldMeta.MeshHash.
-func (s *Store) LoadField(key string) (FieldMeta, []float64, error) {
-	type fr struct {
-		meta   FieldMeta
-		coeffs []float64
-	}
-	v, err := s.do(key, func() (any, error) {
-		f, err := os.Open(s.Path(key))
-		if err != nil {
-			s.ctr.DiskMisses.Add(1)
-			return nil, err
-		}
-		defer f.Close()
-		fi, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		meta, coeffs, err := DecodeField(f, fi.Size(), key)
-		if err != nil {
-			s.ctr.DiskMisses.Add(1)
-			s.rejectCorrupt(key, err)
-			return nil, fmt.Errorf("artifact: store load field: %w", err)
-		}
-		s.ctr.DiskHits.Add(1)
-		return &fr{meta, coeffs}, nil
-	})
-	if err != nil {
-		return FieldMeta{}, nil, err
-	}
-	r := v.(*fr)
-	return r.meta, r.coeffs, nil
+	return m, nil
 }
 
 // SaveOperator persists an assembled operator under key (the same logical
@@ -300,37 +237,13 @@ func (s *Store) SaveOperator(key string, op *operator.Operator) error {
 // before the operator is returned, and corrupt files are deleted so the
 // caller's re-assembly replaces them.
 func (s *Store) LoadOperator(key string, mapped bool) (*operator.Operator, bool, error) {
-	type or struct {
+	var (
 		op     *operator.Operator
-		mapped bool
-	}
-	v, err := s.do(key, func() (any, error) {
-		path := s.Path(key)
-		if _, err := os.Stat(path); err != nil {
-			s.ctr.DiskMisses.Add(1)
-			return nil, err
-		}
-		var (
-			op     *operator.Operator
-			viaMap bool
-			err    error
-		)
-		if mapped {
-			op, viaMap, err = MapOperator(path, key)
-		} else {
-			op, err = LoadOperatorFile(path, key)
-		}
-		if err != nil {
-			s.ctr.DiskMisses.Add(1)
-			s.rejectCorrupt(key, err)
-			return nil, fmt.Errorf("artifact: store load operator: %w", err)
-		}
-		s.ctr.DiskHits.Add(1)
-		return &or{op, viaMap}, nil
+		viaMap bool
+	)
+	err := s.load(key, func(f *os.File, size int64) (err error) {
+		op, viaMap, err = readOperator(f, size, key, mapped)
+		return err
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	r := v.(*or)
-	return r.op, r.mapped, nil
+	return op, viaMap, err
 }

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -124,8 +125,9 @@ func TestStoreCorruptLoadRejected(t *testing.T) {
 	}
 }
 
-// Concurrent loads of one key are safe and deduplicated by the store's
-// singleflight; everyone gets a usable operator. (Run under -race.)
+// Concurrent loads of one key are safe and everyone gets a usable
+// operator. (Run under -race.) The store does not deduplicate them; the
+// server's cache does, see TestConcurrentColdMeshLoadsOnce.
 func TestStoreConcurrentLoads(t *testing.T) {
 	st, err := NewStore(t.TempDir(), nil)
 	if err != nil {
@@ -157,9 +159,8 @@ func TestStoreConcurrentLoads(t *testing.T) {
 	}
 }
 
-// Meshes and fields round-trip through the store with their binding
-// metadata intact.
-func TestStoreMeshAndField(t *testing.T) {
+// A mesh round-trips through the store under its content hash.
+func TestStoreMeshRoundTrip(t *testing.T) {
 	st, err := NewStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,17 +177,29 @@ func TestStoreMeshAndField(t *testing.T) {
 	if got.ContentHash() != id {
 		t.Fatal("mesh round trip changed the content hash")
 	}
+}
 
-	f := projectTestField(m)
-	key := "field:" + id + "/p2/test"
-	if err := st.SaveField(key, f); err != nil {
+// A file of the retired field kind is not one this reader supports: Parse
+// rejects it, and a store opened on a directory holding one deletes it at
+// startup like any unparseable file.
+func TestRetiredFieldKindRejected(t *testing.T) {
+	data := retiredFieldContainer("field:abc/p2/sincos")
+	if _, err := parse(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("kind 2: err = %v, want ErrVersion", err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "field-abc.art")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meta, coeffs, err := st.LoadField(key)
+	st, err := NewStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.MeshHash != id || meta.P != 2 || len(coeffs) != len(f.Coeffs) {
-		t.Fatalf("field meta = %+v (%d coeffs)", meta, len(coeffs))
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("field file survived startup GC")
+	}
+	if got := st.Counters().Snapshot().TornFilesGCd; got != 1 {
+		t.Errorf("files GC'd = %d, want 1", got)
 	}
 }

@@ -30,8 +30,8 @@ const applyBlock = 256
 // ApplyInto post-processes field through the assembled operator, writing
 // the value at every evaluation point, in point order, into the
 // caller-supplied out of length Rows. The field must live on the mesh the
-// operator was assembled for (dimension-checked). The hot server paths
-// pair it with GetVec/PutVec so steady-state applies allocate nothing.
+// operator was assembled for (dimension-checked). The apply itself
+// allocates nothing; callers own out.
 func (op *Operator) ApplyInto(f *dg.Field, out []float64) error {
 	if f.Basis.N != op.BasisN {
 		return fmt.Errorf("operator: field has %d modes per element, operator expects %d",
@@ -135,44 +135,31 @@ func (op *Operator) ApplyCounters() metrics.Counters {
 	return op.ApplyBlockCounters(1)
 }
 
-// vecPool recycles output vectors across applies. Buffers are pooled by
-// whatever capacity they were allocated with; GetVec reslices when the
-// pooled capacity suffices and falls back to a fresh allocation otherwise,
-// so a server cycling between operators of different sizes converges on
-// buffers of the largest size in steady state.
-var vecPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// packPool recycles the packed coefficient tile ApplyBlock builds.
+// packPool recycles the packed coefficient tile ApplyBlock builds. Tiles
+// are pooled by whatever capacity they were allocated with; getPacked
+// reslices when the pooled capacity suffices and falls back to a fresh
+// allocation otherwise.
 var packPool = sync.Pool{New: func() any { return new([]float64) }}
 
-func getPooled(pool *sync.Pool, n int) []float64 {
-	p := pool.Get().(*[]float64)
+func getPacked(n int) []float64 {
+	p := packPool.Get().(*[]float64)
 	v := *p
 	*p = nil
-	pool.Put(p)
+	packPool.Put(p)
 	if cap(v) >= n {
 		return v[:n]
 	}
 	return make([]float64, n)
 }
 
-func putPooled(pool *sync.Pool, v []float64) {
+func putPacked(v []float64) {
 	if cap(v) == 0 {
 		return
 	}
-	p := pool.Get().(*[]float64)
+	p := packPool.Get().(*[]float64)
 	*p = v[:0]
-	pool.Put(p)
+	packPool.Put(p)
 }
-
-// GetVec returns a length-n float64 slice, reusing pooled memory when
-// possible. Contents are unspecified: every ApplyVec/ApplyBlock writes all
-// Rows slots, so callers applying into it need not clear it first.
-func GetVec(n int) []float64 { return getPooled(&vecPool, n) }
-
-// PutVec returns a slice obtained from GetVec to the pool. The caller must
-// not retain any alias into v afterwards.
-func PutVec(v []float64) { putPooled(&vecPool, v) }
 
 // fieldBlock is the field-tile width of the SpMM: operator entries are
 // multiplied against up to fieldBlock fields per pass over the operator,
@@ -214,8 +201,8 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 				f, len(out[f]), op.Rows)
 		}
 	}
-	packed := getPooled(&packPool, op.Cols*min(nf, fieldBlock))
-	defer putPooled(&packPool, packed)
+	packed := getPacked(op.Cols * min(nf, fieldBlock))
+	defer putPacked(packed)
 
 	workers = op.clampWorkers(workers)
 	for f0 := 0; f0 < nf; f0 += fieldBlock {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -171,22 +169,18 @@ func referenceApply(op *operator.Operator, coeffs []float64) []float64 {
 	return out
 }
 
-// mapped round-trips op through an artifact file and returns the
+// mapped round-trips op through an artifact store and returns the
 // mmap-backed load (the portable decode where mmap is unavailable).
 func mapped(t *testing.T, op *operator.Operator) *operator.Operator {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "op.art")
-	f, err := os.Create(path)
+	st, err := artifact.NewStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := artifact.EncodeOperator(f, "op:k", op); err != nil {
+	if err := st.SaveOperator("op:k", op); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mop, _, err := artifact.MapOperator(path, "op:k")
+	mop, _, err := st.LoadOperator("op:k", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +398,8 @@ func TestApplyRowsCompensated(t *testing.T) {
 }
 
 // expectAllocFree runs the serial apply paths over op and nf fields and
-// fails on any steady-state allocation: the packed tile and output vectors
-// are pooled, the accumulators are stack arrays.
+// fails on any steady-state allocation: the packed tile is pooled, the
+// accumulators are stack arrays.
 func expectAllocFree(t *testing.T, op *operator.Operator, nf int) {
 	t.Helper()
 	if operator.RaceEnabled {
@@ -420,7 +414,6 @@ func expectAllocFree(t *testing.T, op *operator.Operator, nf int) {
 	for name, fn := range map[string]func(){
 		"ApplyVec":   func() { _ = op.ApplyVec(coeffs[0], out[0], 1) },
 		"ApplyBlock": func() { _ = op.ApplyBlock(coeffs, out, 1) },
-		"GetPutVec":  func() { operator.PutVec(operator.GetVec(op.Rows)) },
 	} {
 		if n := testing.AllocsPerRun(20, fn); n != 0 {
 			t.Errorf("%s allocates %v per run", name, n)
@@ -436,26 +429,6 @@ func TestApplyAllocFree(t *testing.T) {
 // Directly stored rows, a partial field tile.
 func TestBSRApplyAllocFree(t *testing.T) {
 	expectAllocFree(t, synthetic(600, 150, 3, 11, false, false, true), 2)
-}
-
-func TestGetVecReuse(t *testing.T) {
-	v := operator.GetVec(100)
-	if len(v) != 100 {
-		t.Fatalf("len = %d", len(v))
-	}
-	v[0] = 42
-	operator.PutVec(v)
-	w := operator.GetVec(50)
-	if len(w) != 50 {
-		t.Fatalf("len = %d", len(w))
-	}
-	operator.PutVec(w)
-	if big := operator.GetVec(1000); len(big) != 1000 {
-		t.Fatalf("len = %d", len(big))
-	} else {
-		operator.PutVec(big)
-	}
-	operator.PutVec(nil) // must not panic
 }
 
 // buildShared stamps `users` rows from row 0's two-block stencil at

@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -44,9 +45,9 @@ type Artifacts struct {
 	evalWorkers int
 	// store, when non-nil, is the disk tier under the LRU: uploaded meshes
 	// and assembled operators are written through, and cache misses fall
-	// back to disk before recomputation — so journal-replayed jobs survive
-	// a cold cache and operator-scheme jobs skip re-assembly entirely
-	// after a restart.
+	// back to disk, inside the cache's per-key build, before recomputation
+	// — so journal-replayed jobs survive a cold cache and operator-scheme
+	// jobs skip re-assembly entirely after a restart.
 	store *artifact.Store
 	// log receives store-degradation warnings (persist failures); nil
 	// disables.
@@ -145,23 +146,29 @@ func (a *Artifacts) PutMesh(m *mesh.Mesh) (string, error) {
 }
 
 // Mesh returns the resident mesh with the given content hash, if any. Cache
-// misses fall back to the durable store (re-admitting the mesh to the
-// cache), so an eviction or a restart does not orphan journaled jobs. A
-// false return means the mesh is neither resident nor on disk and must be
-// re-uploaded.
+// misses fall back to the durable store inside the cache's per-key build,
+// so an eviction or a restart does not orphan journaled jobs and a herd of
+// cold lookups decodes the file once. A false return means the mesh is
+// neither resident nor on disk and must be re-uploaded.
 func (a *Artifacts) Mesh(id string) (*mesh.Mesh, bool) {
-	v, ok := a.cache.Get("mesh:" + id)
-	if ok {
-		return v.(*mesh.Mesh), true
-	}
-	if a.store != nil {
-		if m, err := a.store.LoadMesh(id); err == nil {
-			a.cache.Put("mesh:"+id, m, meshBytes(m))
-			return m, true
+	v, _, err := a.cache.GetOrBuild("mesh:"+id, func() (any, int64, error) {
+		if a.store == nil {
+			return nil, 0, errNoStore
 		}
+		m, err := a.store.LoadMesh(id)
+		if err != nil {
+			return nil, 0, err
+		}
+		return m, meshBytes(m), nil
+	})
+	if err != nil {
+		return nil, false
 	}
-	return nil, false
+	return v.(*mesh.Mesh), true
 }
+
+// errNoStore fails a cache build that has no disk tier to fall back to.
+var errNoStore = errors.New("no artifact store attached")
 
 // Field returns the projected dG field for (mesh, p, fieldKind), building
 // and caching it on first use. The boolean reports a cache hit.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -311,5 +312,44 @@ func TestDiskOperatorUsesThisServersEvalWorkers(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("point %d: %v with 2 workers vs %v with 7", i, got[i], want[i])
 		}
+	}
+}
+
+// TestConcurrentColdMeshLoadsOnce: a herd of cold lookups for a mesh the
+// store holds decodes its file once. The disk fallback runs inside the
+// cache's per-key build, the one dedupe on the load path, and every caller
+// gets the same mesh. (Run under -race.)
+func TestConcurrentColdMeshLoadsOnce(t *testing.T) {
+	dir := t.TempDir()
+	store, err := artifact.NewStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := store.SaveMesh(mesh.Structured(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := mustNew(t, Config{Workers: 1, EvalWorkers: 1, StoreDir: dir})
+
+	got := make([]*mesh.Mesh, 16)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], _ = srv.arts.Mesh(id)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, m := range got {
+		if m == nil || m != got[0] {
+			t.Fatalf("caller %d got mesh %p, caller 0 got %p", i, m, got[0])
+		}
+	}
+	if hits := srv.arts.Store().Counters().Snapshot().DiskHits; hits != 1 {
+		t.Errorf("store.disk_hits = %d after 16 concurrent cold lookups, want 1", hits)
 	}
 }

@@ -57,7 +57,8 @@ type JobSpec struct {
 	// scheme; when set, Field defaults to Fields[0] and the result carries
 	// one solution per entry, in order.
 	Fields []string `json:"fields,omitempty"`
-	// TimeoutMS caps this job's run time; 0 means the server default.
+	// TimeoutMS caps this job's run time; 0 means, and larger values are
+	// capped at, the server's job timeout.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// AllowPartial opts this job into graceful degradation: if some tiles or
 	// blocks exhaust their retries, the job completes with their output
@@ -828,6 +829,15 @@ func (m *Manager) worker() {
 	}
 }
 
+// clampTimeout is a request's deadline: its timeout_ms when set, but never
+// longer than the server's job timeout.
+func clampTimeout(timeoutMS int, jobTimeout time.Duration) time.Duration {
+	if timeoutMS > 0 && int64(timeoutMS) < jobTimeout.Milliseconds() {
+		return time.Duration(timeoutMS) * time.Millisecond
+	}
+	return jobTimeout
+}
+
 // runJob resolves artifacts and executes one job under its context.
 func (m *Manager) runJob(job *Job) {
 	job.mu.Lock()
@@ -840,11 +850,7 @@ func (m *Manager) runJob(job *Job) {
 		return
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
-	timeout := m.jobTimeout
-	if job.Spec.TimeoutMS > 0 {
-		timeout = time.Duration(job.Spec.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancelTimeout := context.WithTimeout(ctx, timeout)
+	ctx, cancelTimeout := context.WithTimeout(ctx, clampTimeout(job.Spec.TimeoutMS, m.jobTimeout))
 	job.state = StateRunning
 	job.started = time.Now()
 	job.cancel = cancel

@@ -44,8 +44,8 @@ type QueryRequest struct {
 	Fields []string `json:"fields,omitempty"`
 	// Points are the query positions, [x, y] pairs.
 	Points [][2]float64 `json:"points"`
-	// Workers bounds this query's evaluation concurrency; 0 means the
-	// server's evaluator worker budget.
+	// Workers bounds this query's evaluation concurrency; 0 means, and
+	// larger values are capped at, the server's evaluator worker budget.
 	Workers int `json:"workers,omitempty"`
 	// UseOperator routes the batch through an assembled sparse operator
 	// keyed by the content hash of the position batch: the first query at
@@ -121,8 +121,7 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 				}
 			}
 		}
-		// The outputs outlive this call (the front end encodes them), so
-		// they are plain allocations, not apply-vector pool loans.
+		// The outputs outlive this call: the front end encodes them.
 		outs := make([][]float64, len(fields))
 		for i := range outs {
 			outs[i] = make([]float64, op.Rows)
@@ -138,7 +137,9 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 		resp["operator_warm"] = opSrc != OpSrcAssembled
 		resp["operator_source"] = opSrc
 	} else {
-		vals, counters, err = ev.EvalBatch(pts, req.Workers)
+		// A client may ask for fewer workers than the evaluator's budget,
+		// never more.
+		vals, counters, err = ev.EvalBatch(pts, min(req.Workers, ev.Opt.Workers))
 		if err != nil {
 			return nil, s.evalError("query evaluation", err)
 		}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,6 +120,61 @@ func TestQueryWarmEvaluator(t *testing.T) {
 	}
 	if _, ok := metricsOut.Schemes["batch-query"]; !ok {
 		t.Errorf("metrics missing batch-query totals: %v", metricsOut.Schemes)
+	}
+}
+
+// TestQueryWorkersCappedAtEvalBudget: a query asking for more workers
+// than the server's evaluator budget runs on that budget, not one
+// goroutine per point, and returns the same bits as a serial query.
+func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
+	const budget, n = 2, 4096
+	srv := mustNew(t, Config{Workers: 1, EvalWorkers: budget})
+	id := putMesh(t, srv, mesh.Structured(8))
+	pts := make([][2]float64, n)
+	for i := range pts {
+		pts[i] = [2]float64{(float64(i%64) + 0.5) / 64, (float64(i/64) + 0.5) / 64}
+	}
+	query := func(workers int) []float64 {
+		t.Helper()
+		req := &QueryRequest{MeshID: id, P: 1, Points: pts, Workers: workers}
+		if err := req.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.(map[string]any)["values"].([]float64)
+	}
+	want := query(1)
+
+	base := runtime.NumGoroutine()
+	peak := base
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			peak = max(peak, runtime.NumGoroutine())
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	got := query(n)
+	close(done)
+	<-sampled
+	// The sampler itself, the budget's workers, and slack for the runtime.
+	if limit := base + 1 + budget + 16; peak > limit {
+		t.Errorf("peak %d goroutines during a workers=%d query (limit %d)", peak, n, limit)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("point %d: %v capped vs %v serial", i, got[i], want[i])
+		}
 	}
 }
 

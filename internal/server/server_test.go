@@ -402,6 +402,41 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutClampedToServer: a job's timeout_ms may shorten the
+// server's job timeout but never extend it.
+func TestJobTimeoutClampedToServer(t *testing.T) {
+	mgr := NewManager(nil, ManagerConfig{
+		Workers:    1,
+		JobTimeout: 50 * time.Millisecond,
+		Eval: func(ctx context.Context, _ JobSpec) (*Outcome, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = mgr.Shutdown(ctx)
+	})
+	start := time.Now()
+	job, err := mgr.Submit(JobSpec{MeshID: "m", Scheme: "per-element", P: 1, TimeoutMS: 60000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("job outlived the server's 50 ms job timeout by 5 s")
+	}
+	st := job.Status()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("job ran %v against a 50 ms job timeout", elapsed)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("state %s err %q, want a deadline failure", st.State, st.Error)
+	}
+}
+
 // TestGracefulShutdownDrains verifies the acceptance property: shutdown
 // lets a running job finish, and no worker goroutines leak.
 func TestGracefulShutdownDrains(t *testing.T) {

@@ -49,7 +49,8 @@ type ShardEvalRequest struct {
 	// AllowPartial lets patches that exhaust their retries be dropped and
 	// reported in Failed instead of failing the request.
 	AllowPartial bool `json:"allow_partial,omitempty"`
-	// TimeoutMS caps the evaluation; 0 means the server's job timeout.
+	// TimeoutMS caps the evaluation; 0 means, and larger values are capped
+	// at, the server's job timeout.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
@@ -116,11 +117,7 @@ func (s *Server) shardEval(r *http.Request) (*ShardEvalResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeout := s.cfg.JobTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(req.TimeoutMS, s.cfg.JobTimeout))
 	defer cancel()
 	start := time.Now()
 	partials, failed, err := ev.EvalPatchesResilientCtx(ctx, tiling, req.Patches, s.resilience(req.AllowPartial))
