@@ -57,7 +57,6 @@ func main() {
 		retryN       = flag.Int("retry-attempts", 1, "tries per tile and per job for transient failures (1 = no retry)")
 		retryBase    = flag.Duration("retry-base", 10*time.Millisecond, "backoff before the first retry (doubles per retry)")
 		retryMax     = flag.Duration("retry-max", 500*time.Millisecond, "backoff cap")
-		stageTimeout = flag.Duration("stage-timeout", 0, "per-stage (artifact build, evaluation) cap; 0 = job timeout")
 		faultSpec    = flag.String("fault-spec", "", "enable deterministic fault injection, e.g. seed=42,mode=mixed,sites=core.tile:0.01 (testing only)")
 		debugAddr    = flag.String("debug-addr", "", "separate listen address for net/http/pprof and expvar (e.g. localhost:6060); empty disables")
 	)
@@ -82,7 +81,6 @@ func main() {
 		CacheBytes:    *cacheMB << 20,
 		MaxBodyBytes:  *maxBodyMB << 20,
 		JobTimeout:    *jobTimeout,
-		StageTimeout:  *stageTimeout,
 		DefaultBlocks: *blocks,
 		EvalWorkers:   *evalWorkers,
 		StateDir:      *stateDir,

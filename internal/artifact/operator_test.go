@@ -251,7 +251,7 @@ func TestStoreRejectsLegacyOperatorVersions(t *testing.T) {
 			if st.Has(key) {
 				t.Fatalf("v%d mapped=%v: legacy file left on disk", version, mapped)
 			}
-			if n := st.Counters().Snapshot().CorruptRejected; n != 1 {
+			if n := st.Counters().CorruptRejected.Load(); n != 1 {
 				t.Errorf("v%d mapped=%v: corrupt_rejected = %d, want 1", version, mapped, n)
 			}
 			// The rejection cleared the way for the repaired file.

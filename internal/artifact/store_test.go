@@ -35,9 +35,9 @@ func TestStoreOperatorRoundTrip(t *testing.T) {
 		}
 		sameOperator(t, got, op)
 	}
-	snap := st.Counters().Snapshot()
-	if snap.Writes != 1 || snap.DiskHits != 2 || snap.BytesWritten == 0 {
-		t.Errorf("counters = %+v", snap)
+	snap := st.Counters()
+	if snap.Writes.Load() != 1 || snap.DiskHits.Load() != 2 || snap.BytesWritten.Load() == 0 {
+		t.Errorf("writes %d, disk hits %d, bytes written %d", snap.Writes.Load(), snap.DiskHits.Load(), snap.BytesWritten.Load())
 	}
 	if _, _, err := st.LoadOperator("op:missing", true); err == nil {
 		t.Error("loading a missing operator succeeded")
@@ -67,7 +67,7 @@ func TestStoreGCTornFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Counters().Snapshot().TornFilesGCd; got != 2 {
+	if got := st2.Counters().TornFilesGCd.Load(); got != 2 {
 		t.Errorf("torn files GC'd = %d, want 2", got)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "put-123.tmp")); !os.IsNotExist(err) {
@@ -112,9 +112,9 @@ func TestStoreCorruptLoadRejected(t *testing.T) {
 	if st.Has(key) {
 		t.Error("corrupt artifact left on disk")
 	}
-	snap := st.Counters().Snapshot()
-	if snap.CorruptRejected != 1 {
-		t.Errorf("corrupt_rejected = %d, want 1", snap.CorruptRejected)
+	snap := st.Counters()
+	if snap.CorruptRejected.Load() != 1 {
+		t.Errorf("corrupt_rejected = %d, want 1", snap.CorruptRejected.Load())
 	}
 	// The rejection cleared the way: re-saving and loading works again.
 	if err := st.SaveOperator(key, op); err != nil {
@@ -199,7 +199,7 @@ func TestRetiredFieldKindRejected(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("field file survived startup GC")
 	}
-	if got := st.Counters().Snapshot().TornFilesGCd; got != 1 {
+	if got := st.Counters().TornFilesGCd.Load(); got != 1 {
 		t.Errorf("files GC'd = %d, want 1", got)
 	}
 }

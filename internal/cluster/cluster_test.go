@@ -280,12 +280,12 @@ func TestClusterBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	snap := co.Counters().Snapshot()
-	if snap.JobsDistributed != 4 {
-		t.Errorf("jobs_distributed = %d, want 4", snap.JobsDistributed)
+	snap := co.Counters()
+	if snap.JobsDistributed.Load() != 4 {
+		t.Errorf("jobs_distributed = %d, want 4", snap.JobsDistributed.Load())
 	}
-	if snap.MeshFanouts != 1 {
-		t.Errorf("mesh_fanouts = %d, want 1", snap.MeshFanouts)
+	if snap.MeshFanouts.Load() != 1 {
+		t.Errorf("mesh_fanouts = %d, want 1", snap.MeshFanouts.Load())
 	}
 }
 
@@ -336,11 +336,11 @@ func TestClusterFailoverHealsShardLoss(t *testing.T) {
 			t.Fatalf("point %d: failed-over %v != local %v", i, res.Solution[i], ref[i])
 		}
 	}
-	snap := co.Counters().Snapshot()
-	if snap.Failovers == 0 {
+	snap := co.Counters()
+	if snap.Failovers.Load() == 0 {
 		t.Error("no failover counted though a shard was dead")
 	}
-	if snap.ShardFailures == 0 {
+	if snap.ShardFailures.Load() == 0 {
 		t.Error("no shard failure counted though a shard was dead")
 	}
 	if st := co.Health().State(victimURL); st != StateDown {
@@ -449,9 +449,9 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 			t.Fatalf("covered point %d: degraded %v != local %v", i, res.Solution[i], ref[i])
 		}
 	}
-	snap := co.Counters().Snapshot()
-	if snap.DegradedJobs == 0 || snap.CoverageProbes == 0 {
-		t.Errorf("degraded path not counted: %+v", snap)
+	snap := co.Counters()
+	if snap.DegradedJobs.Load() == 0 || snap.CoverageProbes.Load() == 0 {
+		t.Errorf("degraded path not counted: degraded_jobs %d coverage_probes %d", snap.DegradedJobs.Load(), snap.CoverageProbes.Load())
 	}
 
 	// Phase 2: same outage, allow_partial off — typed failure, no result.
@@ -503,18 +503,20 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 				i, res.Solution[i], ref[i])
 		}
 	}
-	snap = co.Counters().Snapshot()
-	if snap.MeshReseeds == 0 {
+	if snap.MeshReseeds.Load() == 0 {
 		t.Error("restarted stateless shard served without a mesh re-seed")
 	}
-	if snap.ShardFailures == 0 {
+	if snap.ShardFailures.Load() == 0 {
 		t.Error("no shard failures counted across the drill")
 	}
 }
 
 // TestClusterQueryRoutingAndHedging: /v1/query routes to the mesh's home
 // shard; a slow primary loses the race to a hedged replica; a dead primary
-// fails over. All paths return identical values.
+// fails over. All paths return identical values. The dead-primary step
+// runs on a second coordinator over the same shards with hedging off: a
+// hedge could answer before the primary's first transport failure and
+// cancel its retry, so failover must be the only way to an answer.
 func TestClusterQueryRoutingAndHedging(t *testing.T) {
 	fsA, tsA := newShard(t)
 	fsB, tsB := newShard(t)
@@ -539,7 +541,10 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 	if len(first.Values) != 3 {
 		t.Fatalf("%d values, want 3", len(first.Values))
 	}
-	owner := first.Shard
+	// The home shard comes from the ring, not from first.Shard: under load
+	// the cold first query can outlast the hedge delay and be answered by
+	// the replica.
+	owner := co.ring.Order(meshID)[0]
 
 	// Slow primary: the hedge fires and the replica's answer wins.
 	slow := fsA
@@ -559,16 +564,18 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 			t.Fatalf("value %d: hedged %v != primary %v", i, hedged.Values[i], first.Values[i])
 		}
 	}
-	snap := co.Counters().Snapshot()
-	if snap.Hedges == 0 || snap.HedgeWins == 0 {
-		t.Errorf("hedge not exercised: hedges=%d wins=%d", snap.Hedges, snap.HedgeWins)
+	snap := co.Counters()
+	if snap.Hedges.Load() == 0 || snap.HedgeWins.Load() == 0 {
+		t.Errorf("hedge not exercised: hedges=%d wins=%d", snap.Hedges.Load(), snap.HedgeWins.Load())
 	}
 
 	// Dead primary: transport failure, retry budget burns, failover wins.
+	// The unhedged coordinator's first health pass sees both shards ready.
 	slow.slowMS.Store(0)
+	unhedged, uts := newCluster(t, Config{Shards: shards})
 	slow.down.Store(true)
 	var failedOver queryResp
-	if code := postJSON(t, cts.URL+"/v1/query", query, &failedOver); code != http.StatusOK {
+	if code := postJSON(t, uts.URL+"/v1/query", query, &failedOver); code != http.StatusOK {
 		t.Fatalf("failover query status %d", code)
 	}
 	if failedOver.Shard == owner {
@@ -579,8 +586,12 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 			t.Fatalf("value %d: failover %v != primary %v", i, failedOver.Values[i], first.Values[i])
 		}
 	}
-	if snap = co.Counters().Snapshot(); snap.Retries == 0 {
+	fsnap := unhedged.Counters()
+	if fsnap.Retries.Load() == 0 {
 		t.Error("dead-shard query burned no retries")
+	}
+	if fsnap.Failovers.Load() < 1 {
+		t.Error("dead-shard query did not fail over")
 	}
 }
 
@@ -629,8 +640,8 @@ func TestClusterRoutedJob(t *testing.T) {
 	if len(res.Solution) == 0 {
 		t.Fatal("routed result carries no solution")
 	}
-	if snap := co.Counters().Snapshot(); snap.JobsRouted != 1 {
-		t.Errorf("jobs_routed = %d, want 1", snap.JobsRouted)
+	if snap := co.Counters(); snap.JobsRouted.Load() != 1 {
+		t.Errorf("jobs_routed = %d, want 1", snap.JobsRouted.Load())
 	}
 }
 

@@ -582,13 +582,13 @@ func (co *Coordinator) Readiness() (bool, map[string]any, int) {
 // distributed jobs by state and the recovery counters.
 func (co *Coordinator) Metrics() map[string]any {
 	type shardRoute struct {
-		State  string   `json:"state"`
-		VNodes int      `json:"vnodes"`
-		Meshes []string `json:"meshes,omitempty"`
+		State  ShardState `json:"state"`
+		VNodes int        `json:"vnodes"`
+		Meshes []string   `json:"meshes,omitempty"`
 	}
 	routing := make(map[string]*shardRoute, len(co.cfg.Shards))
 	for _, s := range co.ring.Shards() {
-		routing[s] = &shardRoute{State: co.health.State(s).String(), VNodes: co.ring.VNodes()}
+		routing[s] = &shardRoute{State: co.health.State(s), VNodes: co.ring.VNodes()}
 	}
 	co.meshMu.Lock()
 	defer co.meshMu.Unlock()
@@ -598,11 +598,11 @@ func (co *Coordinator) Metrics() map[string]any {
 		}
 	}
 	return map[string]any{
-		"cluster": co.counters.Snapshot(),
+		"cluster": &co.counters,
 		"shards":  co.health.Snapshot(),
 		"routing": routing,
 		"jobs":    co.mgr.StateCounts(),
 		"meshes":  len(co.meshes),
-		"faults":  co.faults.Snapshot(),
+		"faults":  &co.faults,
 	}
 }

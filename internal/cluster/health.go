@@ -42,20 +42,16 @@ func (s ShardState) String() string {
 	}
 }
 
-// ShardHealth is the JSON view of one shard's health record.
-type ShardHealth struct {
-	Shard            string `json:"shard"`
-	State            string `json:"state"`
-	ConsecutiveFails int    `json:"consecutive_fails"`
-	Probes           uint64 `json:"probes"`
-	LastError        string `json:"last_error,omitempty"`
-}
+// MarshalText implements encoding.TextMarshaler: the state's String.
+func (s ShardState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// shardStatus is the mutable health record; its ShardHealth State is
-// filled in only by Snapshot.
-type shardStatus struct {
-	state ShardState
-	ShardHealth
+// ShardHealth is one shard's health record.
+type ShardHealth struct {
+	Shard            string     `json:"shard"`
+	State            ShardState `json:"state"`
+	ConsecutiveFails int        `json:"consecutive_fails"`
+	Probes           uint64     `json:"probes"`
+	LastError        string     `json:"last_error,omitempty"`
 }
 
 // HealthChecker polls every shard's GET /readyz on a fixed interval and
@@ -72,7 +68,7 @@ type HealthChecker struct {
 	log       *slog.Logger
 
 	mu sync.Mutex
-	st map[string]*shardStatus
+	st map[string]*ShardHealth
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -95,11 +91,11 @@ func NewHealthChecker(shards []string, hc *http.Client, interval time.Duration, 
 		interval:  interval,
 		threshold: threshold,
 		log:       log,
-		st:        make(map[string]*shardStatus, len(shards)),
+		st:        make(map[string]*ShardHealth, len(shards)),
 		stop:      make(chan struct{}),
 	}
 	for _, s := range h.shards {
-		h.st[s] = &shardStatus{state: StateUnknown, ShardHealth: ShardHealth{Shard: s}}
+		h.st[s] = &ShardHealth{Shard: s}
 	}
 	return h
 }
@@ -179,26 +175,26 @@ func (h *HealthChecker) record(shard string, verdict ShardState, err error) {
 		return
 	}
 	st.Probes++
-	prev := st.state
+	prev := st.State
 	switch verdict {
 	case StateDown:
 		st.ConsecutiveFails++
 		st.LastError = err.Error()
 		if st.ConsecutiveFails >= h.threshold || prev == StateUnknown {
-			st.state = StateDown
+			st.State = StateDown
 		}
 	case StateNotReady:
 		st.ConsecutiveFails = 0
 		st.LastError = err.Error()
-		st.state = StateNotReady
+		st.State = StateNotReady
 	default:
 		st.ConsecutiveFails = 0
 		st.LastError = ""
-		st.state = StateReady
+		st.State = StateReady
 	}
-	if st.state != prev && h.log != nil {
+	if st.State != prev && h.log != nil {
 		h.log.Info("shard health transition",
-			"shard", shard, "from", prev.String(), "to", st.state.String(),
+			"shard", shard, "from", prev.String(), "to", st.State.String(),
 			"consecutive_fails", st.ConsecutiveFails, "err", st.LastError)
 	}
 }
@@ -209,7 +205,7 @@ func (h *HealthChecker) State(shard string) ShardState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if st, ok := h.st[shard]; ok {
-		return st.state
+		return st.State
 	}
 	return StateUnknown
 }
@@ -225,8 +221,8 @@ func (h *HealthChecker) MarkDown(shard string, err error) {
 	if st == nil {
 		return
 	}
-	prev := st.state
-	st.state = StateDown
+	prev := st.State
+	st.State = StateDown
 	st.ConsecutiveFails = max(st.ConsecutiveFails, h.threshold)
 	if err != nil {
 		st.LastError = err.Error()
@@ -241,7 +237,7 @@ func (h *HealthChecker) Counts() (ready, down int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, st := range h.st {
-		switch st.state {
+		switch st.State {
 		case StateReady:
 			ready++
 		case StateDown:
@@ -257,10 +253,7 @@ func (h *HealthChecker) Snapshot() []ShardHealth {
 	defer h.mu.Unlock()
 	out := make([]ShardHealth, 0, len(h.shards))
 	for _, shard := range h.shards {
-		st := h.st[shard]
-		rec := st.ShardHealth
-		rec.State = st.state.String()
-		out = append(out, rec)
+		out = append(out, *h.st[shard])
 	}
 	return out
 }

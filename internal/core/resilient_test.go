@@ -162,7 +162,7 @@ func TestDegradedCompletion(t *testing.T) {
 		t.Errorf("fraction %v outside (0, 1)", cov.Fraction())
 	}
 	if fc.TilesFailed.Load() != 2 || fc.DegradedJobs.Load() != 0 {
-		t.Errorf("fault counters %+v", fc.Snapshot())
+		t.Errorf("tiles failed %d, degraded jobs %d; want 2, 0", fc.TilesFailed.Load(), fc.DegradedJobs.Load())
 	}
 
 	// Points outside the failed tiles' influence regions are untouched.

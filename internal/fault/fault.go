@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -310,16 +309,6 @@ func ParseSpec(spec string) (Config, error) {
 		return Config{}, errors.New("fault: spec names no sites")
 	}
 	return cfg, nil
-}
-
-// SiteNames returns the configured sites of a campaign, sorted.
-func (inj *Injector) SiteNames() []string {
-	names := make([]string, 0, len(inj.sites))
-	for name := range inj.sites {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Mix64 is the SplitMix64 finalizer: a cheap, high-quality 64-bit mixing

@@ -1,7 +1,5 @@
 package metrics
 
-import "sync/atomic"
-
 // ClusterCounters tracks the coordinator's routing and robustness activity:
 // traffic routed to shards, retries and Retry-After waits against
 // individual shards, hedged reads and which ones won, failovers to
@@ -11,75 +9,37 @@ import "sync/atomic"
 // and the health checker share one instance without locking.
 type ClusterCounters struct {
 	// MeshFanouts counts mesh uploads fanned out to the shard set.
-	MeshFanouts atomic.Uint64
+	MeshFanouts Counter `json:"mesh_fanouts"`
 	// MeshReseeds counts meshes re-uploaded to a shard that answered
 	// "mesh not resident" (a restarted shard without a persistent store).
-	MeshReseeds atomic.Uint64
+	MeshReseeds Counter `json:"mesh_reseeds"`
 	// QueriesRouted counts /v1/query requests forwarded to a shard.
-	QueriesRouted atomic.Uint64
+	QueriesRouted Counter `json:"queries_routed"`
 	// JobsRouted counts whole jobs forwarded to a single shard
 	// (per-point and operator schemes).
-	JobsRouted atomic.Uint64
+	JobsRouted Counter `json:"jobs_routed"`
 	// JobsDistributed counts per-element jobs fanned out as patch sets.
-	JobsDistributed atomic.Uint64
+	JobsDistributed Counter `json:"jobs_distributed"`
 	// ShardRequests counts every HTTP request sent to a shard.
-	ShardRequests atomic.Uint64
+	ShardRequests Counter `json:"shard_requests"`
 	// Retries counts re-attempts of a shard request after a transient
 	// failure (transport error or 5xx).
-	Retries atomic.Uint64
+	Retries Counter `json:"retries"`
 	// RetryAfterWaits counts retries that honored a server-provided
 	// Retry-After delay instead of the default backoff.
-	RetryAfterWaits atomic.Uint64
+	RetryAfterWaits Counter `json:"retry_after_waits"`
 	// Hedges counts hedged duplicate reads launched after the hedge delay.
-	Hedges atomic.Uint64
+	Hedges Counter `json:"hedges"`
 	// HedgeWins counts hedged reads that finished before the primary.
-	HedgeWins atomic.Uint64
+	HedgeWins Counter `json:"hedge_wins"`
 	// Failovers counts work moved to an alternate shard after the primary
 	// exhausted its retry budget.
-	Failovers atomic.Uint64
+	Failovers Counter `json:"failovers"`
 	// ShardFailures counts shard interactions that exhausted retries.
-	ShardFailures atomic.Uint64
+	ShardFailures Counter `json:"shard_failures"`
 	// CoverageProbes counts shard queries for the uncovered-point set of
 	// failed patches (the degraded-merge bookkeeping).
-	CoverageProbes atomic.Uint64
+	CoverageProbes Counter `json:"coverage_probes"`
 	// DegradedJobs counts cluster jobs completed with partial coverage.
-	DegradedJobs atomic.Uint64
-}
-
-// ClusterSnapshot is the JSON view of ClusterCounters.
-type ClusterSnapshot struct {
-	MeshFanouts     uint64 `json:"mesh_fanouts"`
-	MeshReseeds     uint64 `json:"mesh_reseeds"`
-	QueriesRouted   uint64 `json:"queries_routed"`
-	JobsRouted      uint64 `json:"jobs_routed"`
-	JobsDistributed uint64 `json:"jobs_distributed"`
-	ShardRequests   uint64 `json:"shard_requests"`
-	Retries         uint64 `json:"retries"`
-	RetryAfterWaits uint64 `json:"retry_after_waits"`
-	Hedges          uint64 `json:"hedges"`
-	HedgeWins       uint64 `json:"hedge_wins"`
-	Failovers       uint64 `json:"failovers"`
-	ShardFailures   uint64 `json:"shard_failures"`
-	CoverageProbes  uint64 `json:"coverage_probes"`
-	DegradedJobs    uint64 `json:"degraded_jobs"`
-}
-
-// Snapshot reads all counters at one (non-atomic across fields) instant.
-func (c *ClusterCounters) Snapshot() ClusterSnapshot {
-	return ClusterSnapshot{
-		MeshFanouts:     c.MeshFanouts.Load(),
-		MeshReseeds:     c.MeshReseeds.Load(),
-		QueriesRouted:   c.QueriesRouted.Load(),
-		JobsRouted:      c.JobsRouted.Load(),
-		JobsDistributed: c.JobsDistributed.Load(),
-		ShardRequests:   c.ShardRequests.Load(),
-		Retries:         c.Retries.Load(),
-		RetryAfterWaits: c.RetryAfterWaits.Load(),
-		Hedges:          c.Hedges.Load(),
-		HedgeWins:       c.HedgeWins.Load(),
-		Failovers:       c.Failovers.Load(),
-		ShardFailures:   c.ShardFailures.Load(),
-		CoverageProbes:  c.CoverageProbes.Load(),
-		DegradedJobs:    c.DegradedJobs.Load(),
-	}
+	DegradedJobs Counter `json:"degraded_jobs"`
 }

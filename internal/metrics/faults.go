@@ -1,7 +1,5 @@
 package metrics
 
-import "sync/atomic"
-
 // FaultCounters tracks the fault-tolerance layer's recovery activity:
 // panics converted to errors, retries at tile and job granularity, tiles
 // that exhausted their retry budget, jobs completed degraded, and jobs
@@ -11,38 +9,16 @@ import "sync/atomic"
 type FaultCounters struct {
 	// PanicsRecovered counts panics caught by a recovery layer (per-tile,
 	// per-block, job worker, or HTTP middleware) and converted into errors.
-	PanicsRecovered atomic.Uint64
+	PanicsRecovered Counter `json:"panics_recovered"`
 	// TileRetries counts per-tile / per-block attempt repeats inside one
 	// evaluation.
-	TileRetries atomic.Uint64
+	TileRetries Counter `json:"tile_retries"`
 	// JobRetries counts whole-job attempt repeats by the job manager.
-	JobRetries atomic.Uint64
+	JobRetries Counter `json:"job_retries"`
 	// TilesFailed counts tiles/blocks that exhausted their retry budget.
-	TilesFailed atomic.Uint64
+	TilesFailed Counter `json:"tiles_failed"`
 	// DegradedJobs counts jobs completed with partial coverage.
-	DegradedJobs atomic.Uint64
+	DegradedJobs Counter `json:"degraded_jobs"`
 	// JobsReplayed counts jobs re-enqueued from the journal after a restart.
-	JobsReplayed atomic.Uint64
-}
-
-// FaultSnapshot is the JSON view of FaultCounters.
-type FaultSnapshot struct {
-	PanicsRecovered uint64 `json:"panics_recovered"`
-	TileRetries     uint64 `json:"tile_retries"`
-	JobRetries      uint64 `json:"job_retries"`
-	TilesFailed     uint64 `json:"tiles_failed"`
-	DegradedJobs    uint64 `json:"degraded_jobs"`
-	JobsReplayed    uint64 `json:"jobs_replayed"`
-}
-
-// Snapshot reads all counters at one (non-atomic across fields) instant.
-func (f *FaultCounters) Snapshot() FaultSnapshot {
-	return FaultSnapshot{
-		PanicsRecovered: f.PanicsRecovered.Load(),
-		TileRetries:     f.TileRetries.Load(),
-		JobRetries:      f.JobRetries.Load(),
-		TilesFailed:     f.TilesFailed.Load(),
-		DegradedJobs:    f.DegradedJobs.Load(),
-		JobsReplayed:    f.JobsReplayed.Load(),
-	}
+	JobsReplayed Counter `json:"jobs_replayed"`
 }

@@ -1,52 +1,26 @@
 package metrics
 
-import "sync/atomic"
-
 // StoreCounters is the telemetry of the persistent artifact store: the
 // disk tier under the in-memory LRU. DiskHits are cache misses answered
 // from disk instead of recomputation — the warm-cold-start effect the
 // store exists for.
 type StoreCounters struct {
 	// DiskHits counts loads served from a stored artifact.
-	DiskHits atomic.Uint64
+	DiskHits Counter `json:"disk_hits"`
 	// DiskMisses counts loads where no (valid) artifact was on disk and
 	// the artifact had to be recomputed.
-	DiskMisses atomic.Uint64
+	DiskMisses Counter `json:"disk_misses"`
 	// CorruptRejected counts stored artifacts refused at load time (CRC,
 	// key, or hash mismatch) and deleted.
-	CorruptRejected atomic.Uint64
+	CorruptRejected Counter `json:"corrupt_rejected"`
 	// Writes counts artifacts persisted.
-	Writes atomic.Uint64
+	Writes Counter `json:"writes"`
 	// WriteErrors counts failed persists (the artifact stays resident;
 	// only durability degrades).
-	WriteErrors atomic.Uint64
+	WriteErrors Counter `json:"write_errors"`
 	// BytesWritten accumulates encoded artifact bytes written.
-	BytesWritten atomic.Uint64
+	BytesWritten Counter `json:"bytes_written"`
 	// TornFilesGCd counts files removed by startup GC (interrupted
 	// writes, undecodable headers).
-	TornFilesGCd atomic.Uint64
-}
-
-// StoreSnapshot is the JSON view of StoreCounters.
-type StoreSnapshot struct {
-	DiskHits        uint64 `json:"disk_hits"`
-	DiskMisses      uint64 `json:"disk_misses"`
-	CorruptRejected uint64 `json:"corrupt_rejected"`
-	Writes          uint64 `json:"writes"`
-	WriteErrors     uint64 `json:"write_errors"`
-	BytesWritten    uint64 `json:"bytes_written"`
-	TornFilesGCd    uint64 `json:"torn_files_gcd"`
-}
-
-// Snapshot returns current values.
-func (s *StoreCounters) Snapshot() StoreSnapshot {
-	return StoreSnapshot{
-		DiskHits:        s.DiskHits.Load(),
-		DiskMisses:      s.DiskMisses.Load(),
-		CorruptRejected: s.CorruptRejected.Load(),
-		Writes:          s.Writes.Load(),
-		WriteErrors:     s.WriteErrors.Load(),
-		BytesWritten:    s.BytesWritten.Load(),
-		TornFilesGCd:    s.TornFilesGCd.Load(),
-	}
+	TornFilesGCd Counter `json:"torn_files_gcd"`
 }

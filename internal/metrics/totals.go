@@ -53,10 +53,3 @@ func (t *Totals) Snapshot() map[string]TotalSnapshot {
 	}
 	return out
 }
-
-// Reset discards all aggregates.
-func (t *Totals) Reset() {
-	t.mu.Lock()
-	t.byKey = make(map[string]*TotalSnapshot)
-	t.mu.Unlock()
-}

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -25,11 +27,6 @@ func TestTotalsRecordAndSnapshot(t *testing.T) {
 	pp.Counters.Flops = 999
 	if tot.Snapshot()["per-point"].Counters.Flops != 15 {
 		t.Error("snapshot aliases internal state")
-	}
-
-	tot.Reset()
-	if len(tot.Snapshot()) != 0 {
-		t.Error("Reset left aggregates behind")
 	}
 }
 
@@ -72,6 +69,8 @@ func TestCountersJSONTags(t *testing.T) {
 	}
 }
 
+// TestFaultCountersSnapshot: a pointer to the live counters marshals as
+// their values under the /debug/metrics keys.
 func TestFaultCountersSnapshot(t *testing.T) {
 	var f FaultCounters
 	f.PanicsRecovered.Add(2)
@@ -80,10 +79,37 @@ func TestFaultCountersSnapshot(t *testing.T) {
 	f.TilesFailed.Add(4)
 	f.DegradedJobs.Add(5)
 	f.JobsReplayed.Add(6)
-	got := f.Snapshot()
-	want := FaultSnapshot{PanicsRecovered: 2, TileRetries: 3, JobRetries: 1,
-		TilesFailed: 4, DegradedJobs: 5, JobsReplayed: 6}
-	if got != want {
-		t.Fatalf("snapshot %+v, want %+v", got, want)
+	b, err := json.Marshal(&f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"panics_recovered":2,"tile_retries":3,"job_retries":1,` +
+		`"tiles_failed":4,"degraded_jobs":5,"jobs_replayed":6}`
+	if string(b) != want {
+		t.Fatalf("marshalled %s, want %s", b, want)
+	}
+}
+
+// TestEWMA: the first sample is taken as-is, later ones fold in at
+// alpha = 0.2, and the average marshals as its value.
+func TestEWMA(t *testing.T) {
+	var e EWMA
+	if e.Value() != 0 {
+		t.Fatal("EWMA non-zero before any observation")
+	}
+	e.Observe(1)
+	if got := e.Value(); got != 1 {
+		t.Fatalf("first sample: %v, want 1", got)
+	}
+	e.Observe(2)
+	if got := e.Value(); math.Abs(got-1.2) > 1e-15 {
+		t.Fatalf("second sample: %v, want 1.2", got)
+	}
+	b, err := json.Marshal(&e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strconv.FormatFloat(e.Value(), 'g', -1, 64); string(b) != want {
+		t.Fatalf("marshalled %s, want %s", b, want)
 	}
 }

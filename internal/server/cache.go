@@ -31,12 +31,11 @@ type Cache struct {
 	items    map[string]*list.Element
 	inflight map[string]*buildCall
 
-	hits, misses, evictions uint64
-	rejectedOversize        uint64
-	// classes breaks the counters down by key class (the prefix before
-	// ':': "mesh", "eval", "op", "qop", ...), so /debug/metrics can answer
-	// "how many bytes do assembled operators hold resident, and how often
-	// are they evicted" without guessing from totals.
+	rejectedOversize uint64
+	// classes keeps the hit, miss and eviction counters by key class (the
+	// prefix before ':': "mesh", "eval", "op", "qop", ...), so
+	// /debug/metrics can answer "how many bytes do assembled operators hold
+	// resident, and how often are they evicted"; Stats sums them.
 	classes map[string]*ClassStats
 }
 
@@ -89,22 +88,6 @@ func NewCache(maxBytes int64) *Cache {
 	}
 }
 
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		c.class(key).Misses++
-		return nil, false
-	}
-	c.hits++
-	c.class(key).Hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).value, true
-}
-
 // Put inserts or replaces key, then evicts LRU entries over budget.
 func (c *Cache) Put(key string, value any, size int64) {
 	c.mu.Lock()
@@ -134,7 +117,6 @@ func (c *Cache) put(key string, value any, size int64) {
 		c.ll.Remove(el)
 		delete(c.items, ent.key)
 		c.curBytes -= ent.size
-		c.evictions++
 		cs := c.class(ent.key)
 		cs.Entries--
 		cs.Bytes -= ent.size
@@ -143,7 +125,8 @@ func (c *Cache) put(key string, value any, size int64) {
 }
 
 // GetOrBuild returns the cached value for key, or runs build to create it.
-// The second return reports whether the value came from cache (a hit).
+// The second return reports whether the value came from cache (a hit);
+// every call counts as one hit or one miss in its key class.
 // Concurrent calls for the same missing key block on a single build; build
 // errors are returned to every waiter and nothing is cached. A built value
 // larger than MaxBytes is returned to the builder and every waiter without
@@ -151,13 +134,13 @@ func (c *Cache) put(key string, value any, size int64) {
 func (c *Cache) GetOrBuild(key string, build func() (value any, size int64, err error)) (any, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		c.hits++
 		c.class(key).Hits++
 		c.ll.MoveToFront(el)
 		v := el.Value.(*cacheEntry).value
 		c.mu.Unlock()
 		return v, true, nil
 	}
+	c.class(key).Misses++
 	if call, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		<-call.done
@@ -165,12 +148,9 @@ func (c *Cache) GetOrBuild(key string, build func() (value any, size int64, err 
 			return nil, false, call.err
 		}
 		// The build succeeded but may already have been evicted; a waiter
-		// still counts as a shared miss and returns the built value
-		// directly.
+		// counts as a shared miss and returns the built value directly.
 		return call.value, false, nil
 	}
-	c.misses++
-	c.class(key).Misses++
 	call := &buildCall{done: make(chan struct{})}
 	c.inflight[key] = call
 	c.mu.Unlock()
@@ -224,17 +204,21 @@ func (c *Cache) StatsByClass() map[string]ClassStats {
 	return out
 }
 
-// Stats returns current counters.
+// Stats returns current counters, the hits, misses and evictions summed
+// over the key classes.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:             c.hits,
-		Misses:           c.misses,
-		Evictions:        c.evictions,
+	st := CacheStats{
 		Entries:          c.ll.Len(),
 		Bytes:            c.curBytes,
 		MaxBytes:         c.maxBytes,
 		RejectedOversize: c.rejectedOversize,
 	}
+	for _, cs := range c.classes {
+		st.Hits += cs.Hits
+		st.Misses += cs.Misses
+		st.Evictions += cs.Evictions
+	}
+	return st
 }

@@ -9,14 +9,32 @@ import (
 	"time"
 )
 
+// errMiss is lookup's build error: a failed build caches nothing.
+var errMiss = errors.New("miss")
+
+// lookup reads key through GetOrBuild with a builder that only records
+// the miss and fails, so a lookup never inserts or evicts.
+func lookup(t *testing.T, c *Cache, key string) (any, bool) {
+	t.Helper()
+	missed := false
+	v, hit, err := c.GetOrBuild(key, func() (any, int64, error) {
+		missed = true
+		return nil, 0, errMiss
+	})
+	if hit == missed || (err != nil) != missed {
+		t.Fatalf("lookup %s: hit=%v err=%v, builder ran=%v", key, hit, err, missed)
+	}
+	return v, hit
+}
+
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(100)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := lookup(t, c, "a"); ok {
 		t.Fatal("empty cache hit")
 	}
 	c.Put("a", 1, 40)
 	c.Put("b", 2, 40)
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
+	if v, ok := lookup(t, c, "a"); !ok || v.(int) != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
 	st := c.Stats()
@@ -29,15 +47,15 @@ func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(100)
 	c.Put("a", 1, 40)
 	c.Put("b", 2, 40)
-	c.Get("a") // a is now more recently used than b
+	lookup(t, c, "a") // a is now more recently used than b
 	c.Put("c", 3, 40)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := lookup(t, c, "b"); ok {
 		t.Error("b should have been evicted as LRU")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := lookup(t, c, "a"); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := lookup(t, c, "c"); !ok {
 		t.Error("c should have survived (just inserted)")
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
@@ -49,10 +67,10 @@ func TestCacheAdmitsOversizedEntryAlone(t *testing.T) {
 	c := NewCache(100)
 	c.Put("small", 1, 10)
 	c.Put("huge", 2, 500)
-	if _, ok := c.Get("huge"); !ok {
+	if _, ok := lookup(t, c, "huge"); !ok {
 		t.Error("oversized entry must still be admitted")
 	}
-	if _, ok := c.Get("small"); ok {
+	if _, ok := lookup(t, c, "small"); ok {
 		t.Error("small entry should have been evicted to make room")
 	}
 }
@@ -101,11 +119,11 @@ func TestGetOrBuildRejectsOversize(t *testing.T) {
 		t.Fatalf("waiter got %v, want the oversize value", v)
 	}
 	for _, key := range []string{"mesh:a", "eval:b"} {
-		if _, ok := c.Get(key); !ok {
+		if _, ok := lookup(t, c, key); !ok {
 			t.Errorf("%s was evicted by an oversize build", key)
 		}
 	}
-	if _, ok := c.Get("op:huge"); ok {
+	if _, ok := lookup(t, c, "op:huge"); ok {
 		t.Error("oversize value was cached")
 	}
 	st := c.Stats()
@@ -121,7 +139,7 @@ func TestCacheReplaceUpdatesSize(t *testing.T) {
 	if st := c.Stats(); st.Bytes != 10 || st.Entries != 1 {
 		t.Fatalf("stats after replace %+v", st)
 	}
-	if v, _ := c.Get("a"); v.(int) != 2 {
+	if v, _ := lookup(t, c, "a"); v.(int) != 2 {
 		t.Fatal("replace did not update value")
 	}
 }
@@ -256,7 +274,7 @@ func TestGetOrBuildErrorConcurrentWaiters(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("builder ran %d times during the failed round, want 1", got)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := lookup(t, c, "k"); ok {
 		t.Fatal("failed build left a cached value")
 	}
 
@@ -264,5 +282,57 @@ func TestGetOrBuildErrorConcurrentWaiters(t *testing.T) {
 	v, hit, err := c.GetOrBuild("k", func() (any, int64, error) { return 7, 8, nil })
 	if err != nil || hit || v.(int) != 7 {
 		t.Fatalf("rebuild after failure: v=%v hit=%v err=%v", v, hit, err)
+	}
+}
+
+// TestCacheCountsEveryLookup: each GetOrBuild call is one hit or one
+// miss, including callers that wait on another caller's in-flight build,
+// so hits + misses is the number of lookups both in Stats and summed over
+// the key classes.
+func TestCacheCountsEveryLookup(t *testing.T) {
+	const concurrent, later = 8, 5
+	c := NewCache(1000)
+	entered, release := make(chan struct{}), make(chan struct{})
+	build := func() (any, int64, error) {
+		close(entered)
+		<-release
+		return "built", 8, nil
+	}
+	var wg sync.WaitGroup
+	wg.Add(concurrent)
+	go func() {
+		defer wg.Done()
+		if _, _, err := c.GetOrBuild("op:k", build); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-entered // the leader holds the build open; the rest must wait on it
+	for i := 1; i < concurrent; i++ {
+		go func() {
+			defer wg.Done()
+			if _, _, err := c.GetOrBuild("op:k", build); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	for i := 0; i < later; i++ {
+		if _, hit, err := c.GetOrBuild("op:k", build); err != nil || !hit {
+			t.Fatalf("later lookup %d: hit=%v err=%v", i, hit, err)
+		}
+	}
+
+	if st := c.Stats(); st.Hits+st.Misses != concurrent+later {
+		t.Errorf("Stats: hits %d + misses %d, want %d lookups", st.Hits, st.Misses, concurrent+later)
+	}
+	var hits, misses uint64
+	for _, cs := range c.StatsByClass() {
+		hits += cs.Hits
+		misses += cs.Misses
+	}
+	if hits+misses != concurrent+later {
+		t.Errorf("StatsByClass: hits %d + misses %d, want %d lookups", hits, misses, concurrent+later)
 	}
 }

@@ -117,11 +117,11 @@ func TestChaosJobsSurviveFaults(t *testing.T) {
 	}
 
 	// The run must actually have exercised the recovery machinery.
-	snap := srv.Faults().Snapshot()
-	if snap.PanicsRecovered == 0 {
+	snap := srv.Faults()
+	if snap.PanicsRecovered.Load() == 0 {
 		t.Error("chaos run recovered no panics; injection did not bite")
 	}
-	if snap.TileRetries == 0 {
+	if snap.TileRetries.Load() == 0 {
 		t.Error("chaos run performed no retries; injection did not bite")
 	}
 	if inj := fault.Stats(); len(inj) == 0 {
@@ -174,7 +174,7 @@ func TestChaosDegradedJob(t *testing.T) {
 	if fr := st.Coverage.Fraction(); fr < 0 || fr >= 1 {
 		t.Errorf("coverage fraction %v outside [0, 1)", fr)
 	}
-	if srv.Faults().Snapshot().DegradedJobs == 0 {
+	if srv.Faults().DegradedJobs.Load() == 0 {
 		t.Error("degraded completion not counted")
 	}
 }

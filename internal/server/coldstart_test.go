@@ -83,7 +83,7 @@ func TestColdStartServesOperatorFromDisk(t *testing.T) {
 			t.Fatalf("point %d: %v after restart vs %v before (diff %.3e)", i, got[i], want[i], d)
 		}
 	}
-	if hit := srv2.arts.Store().Counters().Snapshot().DiskHits; hit < 1 {
+	if hit := srv2.arts.Store().Counters().DiskHits.Load(); hit < 1 {
 		t.Errorf("disk hits = %d, want >= 1", hit)
 	}
 
@@ -349,7 +349,7 @@ func TestConcurrentColdMeshLoadsOnce(t *testing.T) {
 			t.Fatalf("caller %d got mesh %p, caller 0 got %p", i, m, got[0])
 		}
 	}
-	if hits := srv.arts.Store().Counters().Snapshot().DiskHits; hits != 1 {
+	if hits := srv.arts.Store().Counters().DiskHits.Load(); hits != 1 {
 		t.Errorf("store.disk_hits = %d after 16 concurrent cold lookups, want 1", hits)
 	}
 }

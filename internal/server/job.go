@@ -168,8 +168,7 @@ func parseScheme(s string) core.Scheme {
 	}
 }
 
-// Job pipeline stages, used to attribute failures and enforce per-stage
-// deadlines.
+// Job pipeline stages, used to attribute failures.
 const (
 	StageArtifacts = "artifacts" // mesh → field → evaluator → tiling builds
 	StageEvaluate  = "evaluate"  // the core evaluation run
@@ -400,10 +399,9 @@ type Manager struct {
 	busy   atomic.Int64
 	totals *metrics.Totals
 
-	// svcEWMA tracks the exponentially weighted moving average of job
-	// service time (seconds), feeding the derived Retry-After on queue-full
-	// rejections. Stored as float64 bits for lock-free update/read.
-	svcEWMA atomic.Uint64
+	// svc averages job service time in seconds, feeding the derived
+	// Retry-After on queue-full rejections.
+	svc metrics.EWMA
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -747,36 +745,12 @@ func (m *Manager) Totals() map[string]metrics.TotalSnapshot { return m.totals.Sn
 // alongside scheme runs.
 func (m *Manager) RecordQuery(c *metrics.Counters) { m.totals.Record("batch-query", c) }
 
-// observeService folds one finished job's wall time into the service-time
-// EWMA (α = 0.2: responsive to workload shifts, stable against one outlier).
-func (m *Manager) observeService(wall time.Duration) {
-	const alpha = 0.2
-	s := wall.Seconds()
-	for {
-		old := m.svcEWMA.Load()
-		prev := math.Float64frombits(old)
-		next := s
-		if old != 0 {
-			next = alpha*s + (1-alpha)*prev
-		}
-		if m.svcEWMA.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// ServiceEWMA returns the observed mean job service time (0 before the
-// first job completes).
-func (m *Manager) ServiceEWMA() time.Duration {
-	return time.Duration(math.Float64frombits(m.svcEWMA.Load()) * float64(time.Second))
-}
-
 // RetryAfterSeconds estimates how long a rejected client should wait for a
 // queue slot: the jobs ahead of it (queued + running) divided across the
 // worker pool, each taking the observed mean service time. Clamped to
 // [1, 60] seconds; before any job has completed it falls back to 1.
 func (m *Manager) RetryAfterSeconds() int {
-	svc := math.Float64frombits(m.svcEWMA.Load())
+	svc := m.svc.Value()
 	if svc <= 0 {
 		return 1
 	}
@@ -875,10 +849,12 @@ func (m *Manager) runJob(job *Job) {
 			m.faults.DegradedJobs.Add(1)
 		}
 	}
+	// Like the totals, the service time is folded in before the final
+	// state is visible.
 	state, wall := job.state, job.finished.Sub(job.started)
+	m.svc.Observe(wall.Seconds())
 	job.mu.Unlock()
 	close(job.done)
-	m.observeService(wall)
 	m.journalFinish(job.ID, state)
 
 	if m.log != nil {
@@ -948,14 +924,13 @@ func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, 
 	return out, false, err
 }
 
-// runStage runs one pipeline stage under its own deadline. The artifact
-// builders cannot observe a context mid-build, so the deadline is enforced
-// from outside: on expiry the stage's goroutine is abandoned (its result, if
-// it ever finishes, still lands in the artifact cache for the next attempt)
-// and a stage-attributed error returns promptly.
+// runStage runs one pipeline stage under the job context. The artifact
+// builders cannot observe a context mid-build, so the job's deadline and
+// cancellation are enforced from outside: when ctx ends the stage's
+// goroutine is abandoned (its result, if it ever finishes, still lands in
+// the artifact cache for the next attempt) and a stage-attributed error
+// returns promptly.
 func (s *Server) runStage(ctx context.Context, stage string, fn func() error) error {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.StageTimeout)
-	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- fn() }()
 	select {
@@ -972,13 +947,13 @@ func (s *Server) runStage(ctx context.Context, stage string, fn func() error) er
 		}
 		return nil
 	case <-ctx.Done():
-		return &JobError{Stage: stage, Err: fmt.Errorf("stage deadline: %w", ctx.Err())}
+		return &JobError{Stage: stage, Err: fmt.Errorf("stage abandoned: %w", ctx.Err())}
 	}
 }
 
 // evaluate is a single unstencild's EvalFunc: it resolves the artifact
 // chain (mesh → field → evaluator → tiling) and runs the evaluation on
-// this process, each stage under its own deadline. It reports which
+// this process, each stage under the job's deadline. It reports which
 // expensive artifacts were served warm from the cache. Errors are
 // stage-attributed *JobErrors.
 func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
@@ -1039,7 +1014,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 				hits = append(hits, "operator-disk")
 			}
 			// Project every batched input field now, while still under the
-			// artifact-stage deadline; the evaluate stage is then pure
+			// artifact stage; the evaluate stage is then pure
 			// arithmetic. Single-field jobs reuse the evaluator's field.
 			if len(spec.Fields) == 0 {
 				fields = []*dg.Field{ev.Field}
@@ -1061,7 +1036,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 	}
 
 	// Assembled scheme: the evaluation is one sparse apply, bounded by the
-	// evaluate-stage deadline like the direct runners.
+	// job deadline like the direct runners.
 	if scheme == core.Assembled {
 		var res *core.Result
 		if err := s.runStage(ctx, StageEvaluate, func() error {
@@ -1095,16 +1070,13 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		return &Outcome{Result: res, CacheHits: hits}, nil
 	}
 
-	// Evaluation stage: the resilient runners observe ctx directly, so the
-	// stage deadline composes with the job deadline through the context.
-	evalCtx, cancel := context.WithTimeout(ctx, s.cfg.StageTimeout)
-	defer cancel()
+	// Evaluation stage: the resilient runners observe ctx directly.
 	rs := s.resilience(spec.AllowPartial)
 	var res *core.Result
 	if scheme == core.PerElement {
-		res, err = ev.RunPerElementResilientCtx(evalCtx, tiling, rs)
+		res, err = ev.RunPerElementResilientCtx(ctx, tiling, rs)
 	} else {
-		res, err = ev.RunPerPointResilientCtx(evalCtx, spec.Blocks, rs)
+		res, err = ev.RunPerPointResilientCtx(ctx, spec.Blocks, rs)
 	}
 	if err != nil {
 		return &Outcome{CacheHits: hits}, &JobError{Stage: StageEvaluate, Err: err}

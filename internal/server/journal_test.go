@@ -143,7 +143,7 @@ func TestCrashRecoveryReplaysJobs(t *testing.T) {
 			t.Fatalf("replayed job %s: state %s err %q", id, st.State, st.Error)
 		}
 	}
-	if got := srv.Faults().Snapshot().JobsReplayed; got != 2 {
+	if got := srv.Faults().JobsReplayed.Load(); got != 2 {
 		t.Errorf("jobs replayed = %d, want 2", got)
 	}
 
@@ -263,7 +263,7 @@ func TestMeshStoreIntegrity(t *testing.T) {
 	if store.Has("mesh:" + id) {
 		t.Error("rejected artifact left on disk")
 	}
-	if got := store.Counters().Snapshot().CorruptRejected; got != 1 {
+	if got := store.Counters().CorruptRejected.Load(); got != 1 {
 		t.Errorf("corrupt_rejected = %d, want 1", got)
 	}
 }

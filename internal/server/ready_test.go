@@ -54,21 +54,23 @@ func TestReadyzEndpoint(t *testing.T) {
 	}
 }
 
-// TestServiceEWMA: the observed mean folds in at alpha = 0.2, first sample
-// taken as-is.
+// TestServiceEWMA: a finished job's wall time folds into the manager's
+// service-time average, which starts at 0.
 func TestServiceEWMA(t *testing.T) {
-	m := &Manager{}
-	if m.ServiceEWMA() != 0 {
-		t.Fatal("EWMA non-zero before any observation")
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	if srv.mgr.svc.Value() != 0 {
+		t.Fatal("service EWMA non-zero before any job")
 	}
-	m.observeService(time.Second)
-	if got := m.ServiceEWMA(); got != time.Second {
-		t.Fatalf("first sample: %v, want 1s", got)
+	id := uploadMesh(t, ts, mesh.Structured(4))
+	st, code := submitJob(t, ts, JobSpec{MeshID: id, Scheme: "per-element", P: 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
 	}
-	m.observeService(2 * time.Second)
-	want := time.Duration(0.8*1e9 + 0.2*2e9)
-	if got := m.ServiceEWMA(); got != want {
-		t.Fatalf("second sample: %v, want %v", got, want)
+	if st = waitJob(t, ts, st.ID, 30*time.Second); st.State != StateDone {
+		t.Fatalf("job state %s err %q", st.State, st.Error)
+	}
+	if srv.mgr.svc.Value() <= 0 {
+		t.Fatal("finished job not folded into the service EWMA")
 	}
 }
 
@@ -79,7 +81,7 @@ func TestRetryAfterDerived(t *testing.T) {
 	if got := m.RetryAfterSeconds(); got != 1 {
 		t.Fatalf("no observations: %d, want fallback 1", got)
 	}
-	m.observeService(3 * time.Second)
+	m.svc.Observe(3)
 	m.queue <- &Job{}
 	m.queue <- &Job{}
 	// 2 queued, 0 busy, 2 workers: ceil(3 * 2 / 2) = 3.
@@ -91,7 +93,7 @@ func TestRetryAfterDerived(t *testing.T) {
 	if got := m.RetryAfterSeconds(); got != 6 {
 		t.Fatalf("derived Retry-After %d, want 6", got)
 	}
-	m.observeService(10 * time.Minute) // EWMA jumps; clamp must cap at 60
+	m.svc.Observe(600) // EWMA jumps; clamp must cap at 60
 	if got := m.RetryAfterSeconds(); got != 60 {
 		t.Fatalf("derived Retry-After %d, want clamp 60", got)
 	}
@@ -114,7 +116,7 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 	}
 	full.retry = full.retry.WithDefaults()
 	full.queue <- &Job{} // saturate: no workers will ever drain this
-	full.observeService(5 * time.Second)
+	full.svc.Observe(5)
 	srv.mgr = full
 
 	spec := JobSpec{MeshID: meshID, Scheme: "per-element", P: 1}

@@ -52,7 +52,7 @@ func TestRecoveryMiddleware(t *testing.T) {
 	if !strings.Contains(body.Error, "internal error") {
 		t.Errorf("error body %q lacks the internal-error marker", body.Error)
 	}
-	if got := srv.Faults().Snapshot().PanicsRecovered; got == 0 {
+	if got := srv.Faults().PanicsRecovered.Load(); got == 0 {
 		t.Error("recovered panic not counted")
 	}
 

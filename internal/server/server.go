@@ -72,9 +72,6 @@ type Config struct {
 	// re-uses disk-resident artifacts; with neither set there is no disk
 	// tier. StoreDir alone enables artifact persistence without journaling.
 	StoreDir string
-	// StageTimeout caps each pipeline stage (artifact build, evaluation)
-	// separately; 0 means the job timeout.
-	StageTimeout time.Duration
 	// Retry shapes unit- and job-level retry of transient failures
 	// (zero value: no retry).
 	Retry RetryPolicy
@@ -97,9 +94,6 @@ func (c *Config) defaults() {
 	}
 	if c.DefaultBlocks <= 0 {
 		c.DefaultBlocks = 16
-	}
-	if c.StageTimeout <= 0 {
-		c.StageTimeout = c.JobTimeout
 	}
 	c.Retry = c.Retry.WithDefaults()
 }
@@ -312,6 +306,7 @@ func (s *Server) Readiness() (bool, map[string]any, int) {
 }
 
 // Metrics implements Backend: queue, cache, per-scheme and fault counters.
+// The counter sets go in live: each marshals its own atomics.
 func (s *Server) Metrics() map[string]any {
 	cache := s.arts.Stats()
 	body := map[string]any{
@@ -326,14 +321,14 @@ func (s *Server) Metrics() map[string]any {
 		// LRU accounting (resident bytes, cumulative evictions).
 		"cache_classes": s.arts.cache.StatsByClass(),
 		"schemes":       s.mgr.Totals(),
-		"faults":        s.faults.Snapshot(),
+		"faults":        s.faults,
 		// Assembled-operator traffic: batched vs single applies, rows
 		// admitted, and how congruence-first assembly went (rows stamped vs
 		// integrated, classes with a demoted member, assembly wall EWMA).
-		"operator": s.arts.Ops().Snapshot(),
+		"operator": s.arts.Ops(),
 	}
 	if st := s.arts.Store(); st != nil {
-		body["store"] = st.Counters().Snapshot()
+		body["store"] = st.Counters()
 		body["store_dir"] = st.Dir()
 	}
 	if fault.Enabled() {

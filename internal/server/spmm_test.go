@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"unstencil/internal/mesh"
-	"unstencil/internal/metrics"
 )
 
 // postJSON posts v as JSON and decodes the response into out (when non-nil
@@ -108,12 +107,14 @@ func TestMultiFieldOperatorJob(t *testing.T) {
 	// The apply and assembly counters observed the traffic. The structured
 	// mesh assembles translation-congruent stencil rows, so assembly must
 	// have stamped them.
-	snap := srv.Artifacts().Ops().Snapshot()
-	if snap.BlockApplies == 0 || snap.SingleApplies < uint64(len(names)) {
-		t.Errorf("apply counters %+v missed the traffic", snap)
+	ops := srv.Artifacts().Ops()
+	if ops.BlockApplies.Load() == 0 || ops.SingleApplies.Load() < uint64(len(names)) {
+		t.Errorf("apply counters missed the traffic: block %d single %d",
+			ops.BlockApplies.Load(), ops.SingleApplies.Load())
 	}
-	if snap.RowsTotal == 0 || snap.RowsStamped == 0 {
-		t.Errorf("structured-mesh operator stamped no rows: %+v", snap)
+	if ops.RowsTotal.Load() == 0 || ops.RowsStamped.Load() == 0 {
+		t.Errorf("structured-mesh operator stamped no rows: total %d stamped %d",
+			ops.RowsTotal.Load(), ops.RowsStamped.Load())
 	}
 }
 
@@ -147,8 +148,7 @@ func TestOperatorTemplateFallbackJittered(t *testing.T) {
 				i, viaOp.Solution[i], direct.Solution[i], d)
 		}
 	}
-	snap := srv.Artifacts().Ops().Snapshot()
-	if snap.RowsTotal == 0 {
+	if srv.Artifacts().Ops().RowsTotal.Load() == 0 {
 		t.Error("operator admission not recorded")
 	}
 }
@@ -204,8 +204,8 @@ func TestMultiFieldQuery(t *testing.T) {
 		t.Errorf("fields without use_operator accepted with status %d", code)
 	}
 
-	if snap := srv.Artifacts().Ops().Snapshot(); snap.BlockApplies == 0 {
-		t.Errorf("query batching not counted: %+v", snap)
+	if srv.Artifacts().Ops().BlockApplies.Load() == 0 {
+		t.Error("query batching not counted")
 	}
 }
 
@@ -216,7 +216,12 @@ func TestMetricsOperatorSection(t *testing.T) {
 	jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: []string{"sincos", "gauss"}})
 
 	var body struct {
-		Operator metrics.OperatorSnapshot `json:"operator"`
+		Operator struct {
+			BlockApplies  uint64 `json:"block_applies"`
+			FieldsApplied uint64 `json:"fields_applied"`
+			RowsTotal     uint64 `json:"rows_total"`
+			RowsAssembled uint64 `json:"rows_assembled"`
+		} `json:"operator"`
 	}
 	if code := getJSON(t, ts.URL+"/debug/metrics", &body); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
@@ -225,7 +230,7 @@ func TestMetricsOperatorSection(t *testing.T) {
 	if op.BlockApplies == 0 || op.FieldsApplied < 2 || op.RowsTotal == 0 {
 		t.Errorf("operator metrics section %+v missed the traffic", op)
 	}
-	if op.RowsStamped > 0 && op.StampRate <= 0 {
-		t.Errorf("stamp rate not derived: %+v", op)
+	if op.RowsAssembled == 0 {
+		t.Errorf("assembly outcome not recorded: %+v", op)
 	}
 }
