@@ -40,7 +40,6 @@ import (
 
 	"unstencil/internal/cluster"
 	"unstencil/internal/fault"
-	"unstencil/internal/server"
 )
 
 func main() {
@@ -93,7 +92,7 @@ func main() {
 		VNodes:         *vnodes,
 		RequestTimeout: *requestTimeout,
 		HedgeDelay:     *hedgeDelay,
-		Retry: server.RetryPolicy{
+		Retry: fault.Policy{
 			Attempts: *retryN,
 			Base:     *retryBase,
 			Max:      *retryMax,

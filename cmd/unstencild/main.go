@@ -85,7 +85,7 @@ func main() {
 		EvalWorkers:   *evalWorkers,
 		StateDir:      *stateDir,
 		StoreDir:      *storeDir,
-		Retry: server.RetryPolicy{
+		Retry: fault.Policy{
 			Attempts: *retryN,
 			Base:     *retryBase,
 			Max:      *retryMax,

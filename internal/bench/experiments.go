@@ -47,8 +47,14 @@ func (s *Session) Table1() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pp := ev.CountIntersectionTests(core.PerPoint)
-		pe := ev.CountIntersectionTests(core.PerElement)
+		pp, err := ev.CountIntersectionTests(core.PerPoint)
+		if err != nil {
+			return nil, err
+		}
+		pe, err := ev.CountIntersectionTests(core.PerElement)
+		if err != nil {
+			return nil, err
+		}
 		s.logf("table1 %s: per-point %d, per-element %d", sizeLabel(size), pp, pe)
 		t.AddRow(sizeLabel(size), fmt.Sprintf("%d", pp), fmt.Sprintf("%d", pe),
 			fmt.Sprintf("%.2f", float64(pp)/float64(pe)))
@@ -295,8 +301,11 @@ func (s *Session) CellSweep() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("per-point cp=%.1fs", cf),
-			fmt.Sprintf("%d", ev.CountIntersectionTests(core.PerPoint)))
+		n, err := ev.CountIntersectionTests(core.PerPoint)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(fmt.Sprintf("per-point cp=%.1fs", cf), fmt.Sprintf("%d", n))
 	}
 	for _, cf := range []float64{0.25, 0.5, 1, 2} {
 		ev, err := core.NewEvaluator(f, core.Options{
@@ -305,8 +314,11 @@ func (s *Session) CellSweep() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("per-element ce=%.2fs", cf),
-			fmt.Sprintf("%d", ev.CountIntersectionTests(core.PerElement)))
+		n, err := ev.CountIntersectionTests(core.PerElement)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(fmt.Sprintf("per-element ce=%.2fs", cf), fmt.Sprintf("%d", n))
 	}
 	return t, nil
 }

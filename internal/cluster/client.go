@@ -14,7 +14,6 @@ import (
 
 	"unstencil/internal/fault"
 	"unstencil/internal/metrics"
-	"unstencil/internal/server"
 )
 
 // SiteRoute fires at the top of every shard request attempt, so a
@@ -68,6 +67,10 @@ func (e *remoteError) Error() string {
 	return fmt.Sprintf("shard returned %d: %s", e.status, e.msg)
 }
 
+// RetryAfter is the shard's own estimate of when to retry, which
+// fault.Retry waits instead of its backoff.
+func (e *remoteError) RetryAfter() time.Duration { return e.retryAfter }
+
 // RemoteStatus returns the HTTP status a shard answered err with (0 for a
 // failure without a response). For mesh-scoped requests a 404 is "mesh not
 // resident", the coordinator's cue to re-seed the shard and retry.
@@ -87,15 +90,14 @@ func RemoteStatus(err error) int {
 // failover is the router's job, not the client's.
 type Client struct {
 	hc       *http.Client
-	retry    server.RetryPolicy
+	retry    fault.Policy
 	counters *metrics.ClusterCounters
 	log      *slog.Logger
 }
 
-// NewClient builds a client over hc; retry is defaulted per
-// server.RetryPolicy (Attempts floor 1).
-func NewClient(hc *http.Client, retry server.RetryPolicy, counters *metrics.ClusterCounters, log *slog.Logger) *Client {
-	return &Client{hc: hc, retry: retry.WithDefaults(), counters: counters, log: log}
+// NewClient builds a client over hc.
+func NewClient(hc *http.Client, retry fault.Policy, counters *metrics.ClusterCounters, log *slog.Logger) *Client {
+	return &Client{hc: hc, retry: retry, counters: counters, log: log}
 }
 
 // Do sends one logical request to shard+path under the retry policy and
@@ -112,37 +114,39 @@ func (c *Client) Do(ctx context.Context, method, shard, path string, body, out a
 	return c.do(ctx, method, shard, path, raw, out)
 }
 
-// do is one logical shard request under the retry policy.
+// do is one logical shard request under the retry policy, its backoff
+// keyed by shard+path so concurrent retries against one shard
+// de-synchronize identically on every run.
 func (c *Client) do(ctx context.Context, method, shard, path string, body []byte, out any) error {
-	var (
-		lastErr    error
-		lastStatus int
-	)
-	for attempt := 1; attempt <= c.retry.Attempts; attempt++ {
-		if attempt > 1 {
+	lastStatus := 0
+	n, err := fault.Retry(ctx, c.retry, hash64(shard+path), retryable,
+		func(last error) {
 			c.counters.Retries.Add(1)
-			if err := fault.Sleep(ctx, c.backoff(shard, path, attempt-1, lastErr)); err != nil {
-				// The caller gave up while we waited: report that, not a
-				// shard failure — the shard was given no chance to answer.
-				return fmt.Errorf("shard %s: gave up after %d attempt(s): %w", shard, attempt-1, err)
+			var re *remoteError
+			if errors.As(last, &re) && re.retryAfter > 0 {
+				c.counters.RetryAfterWaits.Add(1)
 			}
-		}
-		status, err := c.once(ctx, method, shard, path, body, out)
-		if err == nil {
-			return nil
-		}
-		lastErr, lastStatus = err, status
-		if !retryable(err) {
+			if c.log != nil {
+				c.log.Warn("shard request failed, retrying",
+					"shard", shard, "path", path, "status", lastStatus, "err", last)
+			}
+		},
+		func() (err error) {
+			lastStatus, err = c.once(ctx, method, shard, path, body, out)
 			return err
-		}
-		if c.log != nil {
-			c.log.Warn("shard request failed",
-				"shard", shard, "path", path, "attempt", attempt, "status", status, "err", err)
-		}
+		})
+	switch {
+	case err == nil:
+		return nil
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+		// The caller gave up: report that, not a shard failure — the
+		// shard may have been given no chance to answer.
+		return fmt.Errorf("shard %s: gave up after %d attempt(s): %w", shard, n, err)
+	case !retryable(err):
+		return err
 	}
-	se := &ShardError{Shard: shard, Status: lastStatus, Attempts: c.retry.Attempts, Err: lastErr}
 	c.counters.ShardFailures.Add(1)
-	return se
+	return &ShardError{Shard: shard, Status: lastStatus, Attempts: n, Err: err}
 }
 
 // once performs a single HTTP attempt. The returned status is 0 for
@@ -209,20 +213,6 @@ func retryable(err error) bool {
 		return st/100 == 5
 	}
 	return true // transport-level failure
-}
-
-// backoff is the pre-retry delay for retry r (1-based) against shard+path.
-// A Retry-After estimate from the previous attempt wins outright — the
-// shard knows its own queue better than our exponential guess. Otherwise
-// fault.Backoff, jittered by (shard, path, r) so concurrent retries against
-// one shard de-synchronize identically on every run.
-func (c *Client) backoff(shard, path string, r int, lastErr error) time.Duration {
-	var re *remoteError
-	if errors.As(lastErr, &re) && re.retryAfter > 0 {
-		c.counters.RetryAfterWaits.Add(1)
-		return re.retryAfter
-	}
-	return fault.Backoff(c.retry.Base, c.retry.Max, r, hash64(shard+path)^uint64(r))
 }
 
 // readErrorBody extracts the server's JSON error envelope ({"error": ...})

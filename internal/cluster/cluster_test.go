@@ -94,7 +94,7 @@ func newShardServer(t *testing.T) *server.Server {
 func newCluster(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	if cfg.Retry.Attempts == 0 {
-		cfg.Retry = server.RetryPolicy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond}
+		cfg.Retry = fault.Policy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond}
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -800,7 +800,7 @@ func TestClientCancelDuringBackoff(t *testing.T) {
 	co, _ := newCluster(t, Config{
 		Shards: []string{ts.URL},
 		// The backoff outlasts the test: only the cancel can end it.
-		Retry: server.RetryPolicy{Attempts: 3, Base: time.Minute, Max: time.Minute},
+		Retry: fault.Policy{Attempts: 3, Base: time.Minute, Max: time.Minute},
 	})
 	if err := fault.Enable(fault.Config{
 		Seed: 1, Mode: fault.ModeError, MaxFaults: 1,

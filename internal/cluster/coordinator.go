@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"unstencil/internal/fault"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
 	"unstencil/internal/server"
@@ -36,7 +37,7 @@ type Config struct {
 	HedgeDelay time.Duration
 	// Retry shapes per-shard request retry (capped exponential backoff with
 	// deterministic jitter; zero value: no retry).
-	Retry server.RetryPolicy
+	Retry fault.Policy
 	// FailoverAttempts is how many ring successors a failed patch range or
 	// routed job may move to after its shard exhausts the retry budget.
 	// 0 means the default (1); negative disables failover, forcing the

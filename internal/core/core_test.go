@@ -407,30 +407,36 @@ func TestSuperconvergenceRate(t *testing.T) {
 	}
 }
 
-// The fast counting path must report exactly what a full run counts.
+// The fast counting path must report exactly what a full run counts, with
+// one-sided boundaries' shifted supports too.
 func TestCountMatchesRunCounters(t *testing.T) {
 	lv, err := mesh.LowVariance(8, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fn := func(p geom.Point) float64 { return p.X * p.Y }
-	ev := buildEvaluator(t, lv, 1, fn, Options{})
-	pp, err := ev.RunPerPoint(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := ev.RunPerElement(ev.NewTiling(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ev.CountIntersectionTests(PerPoint); got != pp.Total.IntersectionTests {
-		t.Errorf("per-point count %d != run %d", got, pp.Total.IntersectionTests)
-	}
-	if got := ev.CountIntersectionTests(PerElement); got != pe.Total.IntersectionTests {
-		t.Errorf("per-element count %d != run %d", got, pe.Total.IntersectionTests)
-	}
-	if ev.CountIntersectionTests(Scheme(7)) != 0 {
-		t.Error("unknown scheme should count 0")
+	for _, boundary := range []Boundary{Periodic, OneSided} {
+		ev := buildEvaluator(t, lv, 1, fn, Options{Boundary: boundary})
+		pp, err := ev.RunPerPoint(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pe, err := ev.RunPerElement(ev.NewTiling(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			scheme Scheme
+			run    uint64
+		}{{PerPoint, pp.Total.IntersectionTests}, {PerElement, pe.Total.IntersectionTests}} {
+			got, err := ev.CountIntersectionTests(c.scheme)
+			if err != nil || got != c.run {
+				t.Errorf("%v %v: count %d (err %v) != run %d", boundary, c.scheme, got, err, c.run)
+			}
+		}
+		if n, err := ev.CountIntersectionTests(Scheme(7)); n != 0 || err != nil {
+			t.Errorf("unknown scheme counted %d, %v; want 0, nil", n, err)
+		}
 	}
 }
 

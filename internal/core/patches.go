@@ -48,7 +48,7 @@ func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling
 		seen[p] = true
 	}
 	out := make([]PatchPartial, len(patches))
-	failed, err := ev.runUnits(ctx, rs.withDefaults(), PerElement, SiteTile, len(patches), patches,
+	failed, err := ev.runUnits(ctx, rs.orNone(), PerElement, SiteTile, len(patches), patches,
 		func(i int, wk *worker) error {
 			// Every attempt accumulates into a fresh scratch-pad, so an
 			// aborted one leaves nothing behind and a dropped patch's

@@ -121,7 +121,7 @@ func TestEvalPatchesPartialFailure(t *testing.T) {
 	}
 	t.Cleanup(fault.Disable)
 
-	rs := &Resilience{MaxAttempts: 1, AllowPartial: true}
+	rs := &Resilience{Policy: fault.Policy{Attempts: 1}, AllowPartial: true}
 	out, failed, err := ev.EvalPatchesResilientCtx(ctx, tl, all, rs)
 	if err != nil {
 		t.Fatalf("AllowPartial run failed outright: %v", err)
@@ -152,7 +152,7 @@ func TestEvalPatchesPartialFailure(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rs = &Resilience{MaxAttempts: 1}
+	rs = &Resilience{Policy: fault.Policy{Attempts: 1}}
 	if _, _, err := ev.EvalPatchesResilientCtx(ctx, tl, all, rs); err == nil {
 		t.Fatal("non-partial run with an exhausted patch should fail")
 	}

@@ -69,24 +69,13 @@ func Transient(err error) bool {
 // zero value (and a nil pointer) means: one attempt per unit, no partial
 // completion — panics still become errors instead of killing the process.
 type Resilience struct {
-	// MaxAttempts is the total number of tries per unit (>= 1). 1 disables
-	// retry.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per retry
-	// up to MaxDelay. 0 retries immediately.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (default 100ms).
-	MaxDelay time.Duration
-	// Seed drives the deterministic backoff jitter, so tests with a fixed
-	// seed sleep reproducibly.
-	Seed int64
+	// Policy is the per-unit retry: Attempts tries per unit, separated by
+	// capped exponential backoff keyed by the unit id.
+	fault.Policy
 	// AllowPartial lets a run complete when some units exhaust their
 	// retries: their output is zeroed and reported via Result.Coverage
 	// instead of failing the whole run.
 	AllowPartial bool
-	// Sleep overrides the backoff sleep (tests); nil uses a context-aware
-	// timer sleep.
-	Sleep func(ctx context.Context, d time.Duration) error
 	// Faults receives recovery telemetry; nil disables counting.
 	Faults *metrics.FaultCounters
 }
@@ -111,22 +100,12 @@ func (c *Coverage) Fraction() float64 {
 	return float64(c.CoveredPoints) / float64(c.TotalPoints)
 }
 
-var defaultResilience = Resilience{MaxAttempts: 1}
-
-// withDefaults returns a defensive copy with defaults applied; nil yields
-// the no-retry policy.
-func (rs *Resilience) withDefaults() *Resilience {
+// orNone returns rs, or the zero policy when rs is nil.
+func (rs *Resilience) orNone() *Resilience {
 	if rs == nil {
-		return &defaultResilience
+		return &Resilience{}
 	}
-	out := *rs
-	if out.MaxAttempts < 1 {
-		out.MaxAttempts = 1
-	}
-	if out.MaxDelay <= 0 {
-		out.MaxDelay = 100 * time.Millisecond
-	}
-	return &out
+	return rs
 }
 
 // safeCall runs fn, converting a panic into a *PanicError so a failing unit
@@ -144,44 +123,25 @@ func safeCall(scheme Scheme, unit int, fc *metrics.FaultCounters, fn func() erro
 }
 
 // runUnit executes one unit under the retry half of the policy: every
-// attempt starts at the unit's fault site and runs panic-isolated, attempts
-// are separated by capped exponential backoff with deterministic jitter,
-// and permanent (context) errors return immediately. fn must be
+// attempt starts at the unit's fault site and runs panic-isolated, and
+// fault.Retry separates attempts, keyed by the unit id. fn must be
 // restartable: an attempt resets whatever an aborted one left behind.
 func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, site string, fn func() error) error {
-	var err error
-	for a := 1; a <= rs.MaxAttempts; a++ {
-		if a > 1 {
+	_, err := fault.Retry(ctx, rs.Policy, uint64(unit)<<20, Transient,
+		func(error) {
 			if rs.Faults != nil {
 				rs.Faults.TileRetries.Add(1)
 			}
-			if serr := rs.sleep(ctx, rs.backoff(unit, a-1)); serr != nil {
-				return serr
-			}
-		}
-		err = safeCall(scheme, unit, rs.Faults, func() error {
-			if err := fault.Inject(site); err != nil {
-				return err
-			}
-			return fn()
+		},
+		func() error {
+			return safeCall(scheme, unit, rs.Faults, func() error {
+				if err := fault.Inject(site); err != nil {
+					return err
+				}
+				return fn()
+			})
 		})
-		if err == nil || !Transient(err) {
-			return err
-		}
-	}
 	return err
-}
-
-// backoff returns the pre-retry delay, jittered by (Seed, unit, retry).
-func (rs *Resilience) backoff(unit, retry int) time.Duration {
-	return fault.Backoff(rs.BaseDelay, rs.MaxDelay, retry, uint64(rs.Seed)^uint64(unit)<<20^uint64(retry))
-}
-
-func (rs *Resilience) sleep(ctx context.Context, d time.Duration) error {
-	if rs.Sleep != nil {
-		return rs.Sleep(ctx, d)
-	}
-	return fault.Sleep(ctx, d)
 }
 
 // runUnits is the one executor behind both direct schemes: n units
@@ -256,7 +216,7 @@ func (ev *Evaluator) RunPerPointResilientCtx(ctx context.Context, nBlocks int, r
 		Scheme:         PerPoint,
 	}
 	start := time.Now()
-	failed, err := ev.runUnits(ctx, rs.withDefaults(), PerPoint, SitePointBlock, nBlocks, nil,
+	failed, err := ev.runUnits(ctx, rs.orNone(), PerPoint, SitePointBlock, nBlocks, nil,
 		func(b int, wk *worker) error {
 			for p := b; p < len(ev.Points); p += nBlocks {
 				if err := ctx.Err(); err != nil {
@@ -328,7 +288,7 @@ func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tili
 	} else if t.NumPoints != ev.NumPoints() {
 		return nil, fmt.Errorf("core: tiling covers %d points, evaluator has %d", t.NumPoints, ev.NumPoints())
 	}
-	rs = rs.withDefaults()
+	rs = rs.orNone()
 	res := &Result{
 		Solution:       make([]float64, ev.NumPoints()),
 		Blocks:         make([]metrics.Counters, t.K),

@@ -19,9 +19,6 @@ func sinField(p geom.Point) float64 {
 	return math.Sin(2*math.Pi*p.X) * math.Cos(2*math.Pi*p.Y)
 }
 
-// noSleep makes retries instantaneous in tests.
-func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-
 // withFaults installs a campaign for the duration of the test.
 func withFaults(t *testing.T, cfg fault.Config) {
 	t.Helper()
@@ -58,7 +55,7 @@ func TestResilientMatchesFaultFree(t *testing.T) {
 		},
 	})
 	var fc metrics.FaultCounters
-	rs := &Resilience{MaxAttempts: 30, Sleep: noSleep, Faults: &fc, Seed: 1}
+	rs := &Resilience{Policy: fault.Policy{Attempts: 30}, Faults: &fc}
 
 	pp, err := ev.RunPerPointResilientCtx(context.Background(), 8, rs)
 	if err != nil {
@@ -136,14 +133,14 @@ func TestDegradedCompletion(t *testing.T) {
 	}
 
 	// Exactly 2 faults total, probability 1: the first two tile attempts
-	// fail; with MaxAttempts 1 those two tiles are dropped.
+	// fail; with Attempts 1 those two tiles are dropped.
 	withFaults(t, fault.Config{
 		Seed: 3, Mode: fault.ModeError,
 		Sites:     map[string]float64{SiteTile: 1},
 		MaxFaults: 2,
 	})
 	var fc metrics.FaultCounters
-	rs := &Resilience{MaxAttempts: 1, AllowPartial: true, Sleep: noSleep, Faults: &fc}
+	rs := &Resilience{Policy: fault.Policy{Attempts: 1}, AllowPartial: true, Faults: &fc}
 	res, err := ev.RunPerElementResilientCtx(context.Background(), tiling, rs)
 	if err != nil {
 		t.Fatalf("degraded run failed outright: %v", err)
@@ -193,7 +190,7 @@ func TestDegradedPerPoint(t *testing.T) {
 		Sites:     map[string]float64{SitePointBlock: 1},
 		MaxFaults: 1,
 	})
-	rs := &Resilience{MaxAttempts: 1, AllowPartial: true, Sleep: noSleep}
+	rs := &Resilience{Policy: fault.Policy{Attempts: 1}, AllowPartial: true}
 	const nBlocks = 4
 	res, err := ev.RunPerPointResilientCtx(context.Background(), nBlocks, rs)
 	if err != nil {
@@ -224,7 +221,7 @@ func TestExhaustedRetriesFailWithoutAllowPartial(t *testing.T) {
 		Seed: 3, Mode: fault.ModeError,
 		Sites: map[string]float64{SiteTile: 1},
 	})
-	rs := &Resilience{MaxAttempts: 2, Sleep: noSleep}
+	rs := &Resilience{Policy: fault.Policy{Attempts: 2}}
 	_, err := ev.RunPerElementResilientCtx(context.Background(), ev.NewTiling(4), rs)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
@@ -238,7 +235,7 @@ func TestCancellationIsPermanent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var fc metrics.FaultCounters
-	rs := &Resilience{MaxAttempts: 10, Sleep: noSleep, Faults: &fc}
+	rs := &Resilience{Policy: fault.Policy{Attempts: 10}, Faults: &fc}
 	if _, err := ev.RunPerPointResilientCtx(ctx, 4, rs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
@@ -251,69 +248,75 @@ func TestCancellationIsPermanent(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministicAndCapped: the jittered exponential schedule is a
-// pure function of (seed, unit, retry) and never exceeds MaxDelay.
+// failUnit runs unit 3 under p with an attempt that always fails, and
+// returns the wall time it took and the retries it counted.
+func failUnit(t *testing.T, p fault.Policy) (time.Duration, uint64) {
+	t.Helper()
+	var fc metrics.FaultCounters
+	rs := &Resilience{Policy: p, Faults: &fc}
+	start := time.Now()
+	err := rs.runUnit(context.Background(), PerElement, 3, SiteTile, func() error {
+		return errors.New("transient")
+	})
+	if err == nil {
+		t.Fatal("an always-failing unit succeeded")
+	}
+	return time.Since(start), fc.TileRetries.Load()
+}
+
+// TestBackoffDeterministicAndCapped: the jittered exponential schedule
+// between a unit's attempts grows from Base and never exceeds Max, and a
+// zero Base retries at once. The waits are observed by wall time; that the
+// schedule is a pure function of (unit, retry) is pinned where it is
+// computed, by fault.TestWaitDeterministicAndCapped.
 func TestBackoffDeterministicAndCapped(t *testing.T) {
-	rs := (&Resilience{
-		MaxAttempts: 8,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Seed:        11,
-	}).withDefaults()
-	prev := time.Duration(0)
-	for retry := 1; retry <= 12; retry++ {
-		d1 := rs.backoff(3, retry)
-		d2 := rs.backoff(3, retry)
-		if d1 != d2 {
-			t.Fatalf("retry %d: %v != %v (non-deterministic)", retry, d1, d2)
-		}
-		if d1 > rs.MaxDelay {
-			t.Fatalf("retry %d: delay %v over cap %v", retry, d1, rs.MaxDelay)
-		}
-		if retry == 1 && (d1 < rs.BaseDelay/2 || d1 > rs.BaseDelay) {
-			t.Fatalf("first retry delay %v outside [base/2, base)", d1)
-		}
-		_ = prev
-		prev = d1
+	// 13 retries from 1 ms: capped at 2 ms they wait between
+	// 0.5·(1 + 12·2) = 12.5 ms and 25 ms; uncapped they would wait at least
+	// 0.5·(2^13 − 1) ms, over 4 s.
+	d, retries := failUnit(t, fault.Policy{Attempts: 14, Base: time.Millisecond, Max: 2 * time.Millisecond})
+	if retries != 13 {
+		t.Fatalf("retries = %d, want 13", retries)
 	}
-	if d := rs.backoff(3, 1); d == rs.backoff(4, 1) && d == rs.backoff(5, 1) {
-		t.Error("jitter identical across units — seed not mixing unit id")
+	if d < 12500*time.Microsecond {
+		t.Errorf("13 capped retries took %v, less than their shortest schedule", d)
 	}
-	if (&Resilience{}).withDefaults().backoff(0, 1) != 0 {
-		t.Error("zero BaseDelay must not sleep")
+	if d > 2*time.Second {
+		t.Errorf("13 retries took %v: backoff not capped at Max", d)
+	}
+	// Were a zero Base defaulted instead, 13 retries would wait seconds.
+	if d, _ := failUnit(t, fault.Policy{Attempts: 14}); d > time.Second {
+		t.Errorf("zero Base took %v to retry 13 times, want no waits", d)
 	}
 }
 
-// TestRetrySleepObservesBackoff: the retry loop calls Sleep once per retry
-// with the scheduled delay.
+// TestRetrySleepObservesBackoff: the retry loop waits once per retry, at
+// least the scheduled delay, and counts each retry before its wait.
 func TestRetrySleepObservesBackoff(t *testing.T) {
-	var slept []time.Duration
-	rs := (&Resilience{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    8 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}).withDefaults()
-	calls := 0
+	var fc metrics.FaultCounters
+	rs := &Resilience{
+		Policy: fault.Policy{Attempts: 4, Base: 4 * time.Millisecond, Max: 8 * time.Millisecond},
+		Faults: &fc,
+	}
+	var at []time.Time
+	var retriesAt []uint64
 	err := rs.runUnit(context.Background(), PerElement, 0, SiteTile, func() error {
-		calls++
-		if calls < 3 {
+		at = append(at, time.Now())
+		retriesAt = append(retriesAt, fc.TileRetries.Load())
+		if len(at) < 3 {
 			return errors.New("transient")
 		}
 		return nil
 	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
+	if err != nil || len(at) != 3 {
+		t.Fatalf("err=%v calls=%d", err, len(at))
 	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(slept))
+	if !slices.Equal(retriesAt, []uint64{0, 1, 2}) {
+		t.Errorf("retries seen by attempts %v, want [0 1 2]", retriesAt)
 	}
-	for i, d := range slept {
-		if d <= 0 {
-			t.Errorf("sleep %d: non-positive delay %v", i, d)
+	// Retry r waits Base·2^(r-1), jittered into [0.5, 1) of it.
+	for r, least := range []time.Duration{2 * time.Millisecond, 4 * time.Millisecond} {
+		if gap := at[r+1].Sub(at[r]); gap < least {
+			t.Errorf("retry %d: waited %v, want at least %v", r+1, gap, least)
 		}
 	}
 }

@@ -11,9 +11,9 @@
 // dies: a typed transient error (*Error, matched by errors.Is(err,
 // ErrInjected)) and a panic with a *Panic value. Recovery layers convert the
 // latter back into errors; both are classified as transient and retried.
-// The delay and the wait between those retries live here too (Backoff,
-// Sleep), shared by every retry loop, next to the mixer the jitter draws
-// from.
+// The one retry loop those failures meet lives here too (Policy, Retry),
+// shared by core units, server jobs and cluster shard requests, next to the
+// mixer its jitter draws from.
 //
 // Known sites (documented in DESIGN.md §8):
 //
@@ -201,7 +201,7 @@ func (inj *Injector) Inject(site string) error {
 	if st.prob == 0 {
 		return nil
 	}
-	h := Mix64(inj.seed ^ hashString(site) ^ Mix64(n))
+	h := Mix64(inj.seed ^ HashString(site) ^ Mix64(n))
 	if float64(h>>11)/(1<<53) >= st.prob {
 		return nil
 	}
@@ -312,8 +312,8 @@ func ParseSpec(spec string) (Config, error) {
 }
 
 // Mix64 is the SplitMix64 finalizer: a cheap, high-quality 64-bit mixing
-// function. Exported because Backoff's jitter and the cluster's hash ring
-// reuse it.
+// function. Exported because the cluster's hash ring reuses it; Retry's
+// jitter draws from it too.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -321,27 +321,62 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Backoff is the pre-retry delay every retry loop (core units, server jobs,
-// cluster shard requests) waits before retry r (1-based): base·2^(r-1)
-// capped at max, scaled by a jitter factor in [0.5, 1) drawn from
-// Mix64(seed), so a caller that derives seed from what it retries
-// de-synchronizes concurrent retries identically on every run. base <= 0
-// retries immediately.
-func Backoff(base, max time.Duration, r int, seed uint64) time.Duration {
-	if base <= 0 {
+// Policy shapes Retry: Attempts tries in total, the retries separated by
+// capped exponential backoff. The zero value tries once.
+type Policy struct {
+	Attempts int           // total tries; < 1 means 1 (no retry)
+	Base     time.Duration // wait before the first retry, doubling per retry; <= 0 retries at once
+	Max      time.Duration // backoff cap; <= 0 means 500 ms
+}
+
+// Retry is the one retry loop. It runs try until try succeeds, fails with
+// an error retryable rejects or a context error (the caller gave up or ran
+// out of time), or has spent p.Attempts, and returns the tries made and the
+// last error. Before each wait it calls onRetry(last). The wait is last's
+// own positive RetryAfter(), else the backoff jittered by key^r: a caller
+// keying by what it retries de-synchronizes concurrent retries identically
+// on every run. A ctx that ends mid-wait ends the loop with ctx's error,
+// not the failure being waited out.
+func Retry(ctx context.Context, p Policy, key uint64, retryable func(error) bool,
+	onRetry func(last error), try func() error) (attempts int, err error) {
+	for r := 1; ; r++ {
+		err = try()
+		if err == nil || r >= p.Attempts || !retryable(err) ||
+			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return r, err
+		}
+		onRetry(err)
+		if err := sleep(ctx, p.wait(r, key, err)); err != nil {
+			return r, err
+		}
+	}
+}
+
+// wait is the pause before retry r (1-based) after the failure last: its
+// positive RetryAfter(), or else Base·2^(r-1) capped at Max and scaled by a
+// jitter factor in [0.5, 1) drawn from Mix64(key^r).
+func (p Policy) wait(r int, key uint64, last error) time.Duration {
+	var ra interface{ RetryAfter() time.Duration }
+	if errors.As(last, &ra) && ra.RetryAfter() > 0 {
+		return ra.RetryAfter()
+	}
+	if p.Base <= 0 {
 		return 0
 	}
-	d := base << uint(min(r-1, 16))
-	if d > max || d <= 0 {
-		d = max
+	if p.Max <= 0 {
+		p.Max = 500 * time.Millisecond
 	}
-	f := 0.5 + 0.5*float64(Mix64(seed)>>11)/(1<<53)
+	d := p.Base << uint(min(r-1, 16))
+	if d > p.Max || d <= 0 {
+		d = p.Max
+	}
+	f := 0.5 + 0.5*float64(Mix64(key^uint64(r))>>11)/(1<<53)
 	return time.Duration(float64(d) * f)
 }
 
-// Sleep waits d, or returns ctx's error as soon as ctx ends. d <= 0 only
+// sleep waits d, or returns ctx's error as soon as ctx ends. d <= 0 only
 // polls ctx.
-func Sleep(ctx context.Context, d time.Duration) error {
+func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -355,8 +390,9 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// hashString is FNV-1a, inlined to keep the package dependency-free.
-func hashString(s string) uint64 {
+// HashString is FNV-1a, inlined to keep the package dependency-free.
+// Exported for Retry keys derived from a name, such as a job id.
+func HashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

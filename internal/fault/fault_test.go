@@ -1,9 +1,13 @@
 package fault
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // drive calls Inject n times at site, recovering injected panics, and
@@ -216,5 +220,101 @@ func BenchmarkInjectDisabled(b *testing.B) {
 		if err := Inject("core.tile"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// busyErr is a failure that names its own wait.
+type busyErr time.Duration
+
+func (e busyErr) Error() string             { return "busy" }
+func (e busyErr) RetryAfter() time.Duration { return time.Duration(e) }
+
+// TestRetry drives the one retry loop through each of its rules. Every row
+// runs under a 10 s deadline, so a row that waits an hour-long backoff it
+// should not fails on the deadline instead of hanging.
+func TestRetry(t *testing.T) {
+	errBoom := errors.New("boom")
+	all := func(error) bool { return true }
+	none := func(error) bool { return false }
+	instant := Policy{Attempts: 3}
+	hour := Policy{Attempts: 3, Base: time.Hour, Max: time.Hour}
+	cases := []struct {
+		name      string
+		p         Policy
+		fails     int   // tries that fail before one succeeds
+		fail      error // what a failing try returns
+		retryable func(error) bool
+		cancel    bool   // onRetry cancels ctx, so the wait must end with it
+		events    string // T per try, R per onRetry, in order
+		want      error
+	}{
+		{"stops at the first success", instant, 1, errBoom, all, false, "TRT", nil},
+		{"stops on a rejected error", instant, 5, errBoom, none, false, "T", errBoom},
+		{"never retries context.Canceled", instant, 5, fmt.Errorf("wrapped: %w", context.Canceled), all, false, "T", context.Canceled},
+		{"spends exactly Attempts", instant, 5, errBoom, all, false, "TRTRT", errBoom},
+		{"zero policy tries once", Policy{}, 5, errBoom, all, false, "T", errBoom},
+		{"RetryAfter replaces the backoff", hour, 2, busyErr(time.Millisecond), all, false, "TRTRT", nil},
+		{"ctx cancelled mid-wait", hour, 5, errBoom, all, true, "TR", context.Canceled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var events strings.Builder
+			attempts, err := Retry(ctx, tc.p, 7, tc.retryable,
+				func(last error) {
+					events.WriteByte('R')
+					if !errors.Is(last, tc.fail) {
+						t.Errorf("onRetry(%v), want the failure %v", last, tc.fail)
+					}
+					if tc.cancel {
+						cancel()
+					}
+				},
+				func() error {
+					events.WriteByte('T')
+					if strings.Count(events.String(), "T") <= tc.fails {
+						return tc.fail
+					}
+					return nil
+				})
+			if events.String() != tc.events {
+				t.Errorf("events %q, want %q", events.String(), tc.events)
+			}
+			if want := strings.Count(tc.events, "T"); attempts != want {
+				t.Errorf("attempts = %d, want %d", attempts, want)
+			}
+			if (tc.want == nil) != (err == nil) || !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestWaitDeterministicAndCapped: the backoff before retry r is a pure
+// function of (key, r), starts in [Base/2, Base), never exceeds Max (500 ms
+// when unset), mixes the key, and is zero for a zero Base.
+func TestWaitDeterministicAndCapped(t *testing.T) {
+	p := Policy{Base: time.Millisecond, Max: 20 * time.Millisecond}
+	for r := 1; r <= 40; r++ {
+		d := p.wait(r, 3<<20, nil)
+		if d != p.wait(r, 3<<20, nil) {
+			t.Fatalf("retry %d: non-deterministic wait", r)
+		}
+		if d > p.Max {
+			t.Fatalf("retry %d: wait %v over cap %v", r, d, p.Max)
+		}
+		if r == 1 && (d < p.Base/2 || d >= p.Base) {
+			t.Fatalf("first wait %v outside [Base/2, Base)", d)
+		}
+	}
+	if d := p.wait(1, 3<<20, nil); d == p.wait(1, 4<<20, nil) && d == p.wait(1, 5<<20, nil) {
+		t.Error("wait identical across keys: key not mixed into the jitter")
+	}
+	if d := (Policy{Base: time.Second}).wait(5, 0, nil); d < 250*time.Millisecond || d >= 500*time.Millisecond {
+		t.Errorf("unset Max: wait %v, want within [250ms, 500ms)", d)
+	}
+	if (Policy{Max: time.Second}).wait(1, 0, nil) != 0 {
+		t.Error("zero Base must not wait")
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -151,24 +152,31 @@ func (c *Cache) GetOrBuild(key string, build func() (value any, size int64, err 
 		// counts as a shared miss and returns the built value directly.
 		return call.value, false, nil
 	}
-	call := &buildCall{done: make(chan struct{})}
+	// err stands until build returns: a panicking build releases its
+	// waiters with it and caches nothing, so the next call rebuilds, while
+	// the panic goes on to the builder's own boundary.
+	call := &buildCall{done: make(chan struct{}), err: errBuildPanicked}
 	c.inflight[key] = call
 	c.mu.Unlock()
-
-	call.value, call.size, call.err = build()
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if call.err == nil {
-		if call.size > c.maxBytes {
-			c.rejectedOversize++
-		} else {
-			c.put(key, call.value, call.size)
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if call.err == nil {
+			if call.size > c.maxBytes {
+				c.rejectedOversize++
+			} else {
+				c.put(key, call.value, call.size)
+			}
 		}
-	}
-	c.mu.Unlock()
-	close(call.done)
+		c.mu.Unlock()
+		close(call.done)
+	}()
+	call.value, call.size, call.err = build()
 	return call.value, false, call.err
 }
+
+// errBuildPanicked is what waiters on a build that panicked receive.
+var errBuildPanicked = errors.New("cache: build panicked")
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {

@@ -48,7 +48,7 @@ func TestChaosJobsSurviveFaults(t *testing.T) {
 		Workers:     4,
 		QueueSize:   2 * jobs,
 		EvalWorkers: 2,
-		Retry: RetryPolicy{
+		Retry: fault.Policy{
 			Attempts: 30,
 			Base:     time.Microsecond,
 			Max:      50 * time.Microsecond,
@@ -206,7 +206,7 @@ func TestChaosAssemblyPanicRecovered(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:     1,
 		EvalWorkers: 4,
-		Retry:       RetryPolicy{Attempts: 3, Base: time.Microsecond, Max: 50 * time.Microsecond},
+		Retry:       fault.Policy{Attempts: 3, Base: time.Microsecond, Max: 50 * time.Microsecond},
 	})
 	meshID := uploadMesh(t, ts, m)
 	panicOnce := fault.Config{

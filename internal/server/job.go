@@ -385,7 +385,7 @@ type Manager struct {
 	jobTimeout time.Duration
 	defBlocks  int
 	maxJobs    int
-	retry      RetryPolicy
+	retry      fault.Policy
 	journal    *Journal
 	faults     *metrics.FaultCounters
 	// epoch is the Manager's start time. It leads every job id, so an id
@@ -410,30 +410,6 @@ type Manager struct {
 	closing bool
 }
 
-// RetryPolicy shapes both the per-unit (tile/block) retry inside an
-// evaluation and the whole-job retry in the worker: Attempts tries total per
-// unit and per job, with capped exponential backoff between tries.
-type RetryPolicy struct {
-	Attempts int           // total tries (default 1 = no retry)
-	Base     time.Duration // backoff before the first retry (default 10ms when retrying)
-	Max      time.Duration // backoff cap (default 500ms)
-}
-
-// WithDefaults returns p with zero fields defaulted as documented on the
-// type.
-func (p RetryPolicy) WithDefaults() RetryPolicy {
-	if p.Attempts < 1 {
-		p.Attempts = 1
-	}
-	if p.Base <= 0 {
-		p.Base = 10 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 500 * time.Millisecond
-	}
-	return p
-}
-
 // ManagerConfig configures NewManager; zero fields take defaults.
 type ManagerConfig struct {
 	Workers      int           // worker goroutines (default 2)
@@ -441,7 +417,7 @@ type ManagerConfig struct {
 	JobTimeout   time.Duration // per-job cap (default 5m)
 	DefaultBlock int           // default blocks/patches (default 16)
 	MaxJobs      int           // retained job records (default 4096)
-	Retry        RetryPolicy   // whole-job retry (default: none)
+	Retry        fault.Policy  // whole-job retry (default: none)
 
 	// Eval evaluates one job; required.
 	Eval EvalFunc
@@ -470,7 +446,6 @@ func NewManager(log *slog.Logger, cfg ManagerConfig) *Manager {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 4096
 	}
-	cfg.Retry = cfg.Retry.WithDefaults()
 	if cfg.Faults == nil {
 		cfg.Faults = &metrics.FaultCounters{}
 	}
@@ -831,7 +806,7 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 
 	m.busy.Add(1)
-	out, err := m.executeWithRetry(ctx, job.Spec)
+	out, err := m.executeWithRetry(ctx, job.ID, job.Spec)
 	m.busy.Add(-1)
 	cancelTimeout()
 	cancel()
@@ -868,42 +843,26 @@ func (m *Manager) runJob(job *Job) {
 	}
 }
 
-// executeWithRetry runs the job pipeline under the manager's retry policy:
+// executeWithRetry runs the job pipeline under the manager's retry policy,
+// its backoff keyed by the job id so concurrently retried jobs wake apart:
 // each attempt is panic-isolated, transient failures (including recovered
-// panics) retry with capped exponential backoff, and permanent failures
-// (cancellation, deadline, validation) return immediately. The final error
-// is a *JobError attributing the failure to its pipeline stage.
-func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*Outcome, error) {
-	var (
-		out      *Outcome
-		err      error
-		panicked bool
-	)
-	attempts := 0
-	for attempts < m.retry.Attempts {
-		if attempts > 0 {
-			m.faults.JobRetries.Add(1)
-			if serr := fault.Sleep(ctx, fault.Backoff(m.retry.Base, m.retry.Max, attempts, uint64(attempts))); serr != nil {
-				// The caller gave up during the backoff: that, not the
-				// transient failure being waited out, is the verdict.
-				err, panicked = serr, false
-				break
-			}
-		}
-		attempts++
-		out, panicked, err = m.safeExecute(ctx, spec)
-		if err == nil || !core.Transient(err) {
-			break
-		}
-	}
+// panics) retry, and permanent failures (cancellation, deadline,
+// validation) return immediately. The final error is a *JobError
+// attributing the failure to its pipeline stage.
+func (m *Manager) executeWithRetry(ctx context.Context, id string, spec JobSpec) (*Outcome, error) {
+	var out *Outcome
+	attempts, err := fault.Retry(ctx, m.retry, fault.HashString(id), core.Transient,
+		func(error) { m.faults.JobRetries.Add(1) },
+		func() (err error) {
+			out, err = m.safeExecute(ctx, spec)
+			return err
+		})
 	if err == nil {
 		return out, nil
 	}
-	je := &JobError{Stage: StageEvaluate, Err: err, Panicked: panicked}
-	var inner *JobError
-	if errors.As(err, &inner) {
-		je = inner
-		je.Panicked = je.Panicked || panicked
+	var je *JobError
+	if !errors.As(err, &je) {
+		je = &JobError{Stage: StageEvaluate, Err: err}
 	}
 	if je.Attempts == 0 {
 		je.Attempts = attempts
@@ -912,16 +871,15 @@ func (m *Manager) executeWithRetry(ctx context.Context, spec JobSpec) (*Outcome,
 }
 
 // safeExecute is one panic-isolated attempt of the job pipeline.
-func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, panicked bool, err error) {
+func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.faults.PanicsRecovered.Add(1)
-			panicked = true
-			err = fmt.Errorf("job pipeline panicked: %v\n%s", r, debug.Stack())
+			err = &JobError{Stage: StageEvaluate, Panicked: true,
+				Err: fmt.Errorf("job pipeline panicked: %v\n%s", r, debug.Stack())}
 		}
 	}()
-	out, err = m.eval(ctx, spec)
-	return out, false, err
+	return m.eval(ctx, spec)
 }
 
 // runStage runs one pipeline stage under the job context. The artifact
@@ -932,20 +890,30 @@ func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, 
 // returns promptly.
 func (s *Server) runStage(ctx context.Context, stage string, fn func() error) error {
 	done := make(chan error, 1)
-	go func() { done <- fn() }()
+	go func() {
+		// A panicking builder fails its stage, not the process. Stages sit
+		// outside the resilient runners, which count their own panics, so
+		// its panics and those core's dispatcher recovered are counted here.
+		defer func() {
+			if r := recover(); r != nil {
+				s.faults.PanicsRecovered.Add(1)
+				done <- &JobError{Stage: stage, Panicked: true,
+					Err: fmt.Errorf("stage panicked: %v\n%s", r, debug.Stack())}
+			}
+		}()
+		err := fn()
+		var pe *core.PanicError
+		if errors.As(err, &pe) {
+			s.faults.PanicsRecovered.Add(1)
+		}
+		if err != nil {
+			err = &JobError{Stage: stage, Err: err, Panicked: pe != nil}
+		}
+		done <- err
+	}()
 	select {
 	case err := <-done:
-		if err != nil {
-			// The stages run here sit outside the resilient runners, which
-			// count their own: a worker panic core's dispatcher recovered
-			// (operator assembly) is counted on arrival.
-			var pe *core.PanicError
-			if errors.As(err, &pe) {
-				s.faults.PanicsRecovered.Add(1)
-			}
-			return &JobError{Stage: stage, Err: err, Panicked: pe != nil}
-		}
-		return nil
+		return err
 	case <-ctx.Done():
 		return &JobError{Stage: stage, Err: fmt.Errorf("stage abandoned: %w", ctx.Err())}
 	}
@@ -1086,11 +1054,5 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 
 // resilience is the unit-level retry policy of a local evaluation.
 func (s *Server) resilience(allowPartial bool) *core.Resilience {
-	return &core.Resilience{
-		MaxAttempts:  s.cfg.Retry.Attempts,
-		BaseDelay:    s.cfg.Retry.Base,
-		MaxDelay:     s.cfg.Retry.Max,
-		AllowPartial: allowPartial,
-		Faults:       s.faults,
-	}
+	return &core.Resilience{Policy: s.cfg.Retry, AllowPartial: allowPartial, Faults: s.faults}
 }

@@ -114,7 +114,6 @@ func TestQueueFullRetryAfterHeader(t *testing.T) {
 		jobs:      map[string]*Job{},
 		maxJobs:   16,
 	}
-	full.retry = full.retry.WithDefaults()
 	full.queue <- &Job{} // saturate: no workers will ever drain this
 	full.svc.Observe(5)
 	srv.mgr = full

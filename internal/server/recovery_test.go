@@ -1,15 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"unstencil/internal/fault"
+	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
 )
 
@@ -113,14 +116,14 @@ func TestJobRetryCancelDuringBackoff(t *testing.T) {
 	srv, _ := newTestServer(t, Config{
 		Workers: 1,
 		// The backoff outlasts the test: only the cancel can end it.
-		Retry: RetryPolicy{Attempts: 3, Base: time.Minute, Max: time.Minute},
+		Retry: fault.Policy{Attempts: 3, Base: time.Minute, Max: time.Minute},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
 		// An absent mesh fails every attempt with a retryable error.
-		_, err := srv.Manager().executeWithRetry(ctx, JobSpec{MeshID: "absent", Scheme: "per-point", P: 1})
+		_, err := srv.Manager().executeWithRetry(ctx, "job-absent", JobSpec{MeshID: "absent", Scheme: "per-point", P: 1})
 		done <- err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); srv.Faults().JobRetries.Load() == 0; {
@@ -138,5 +141,67 @@ func TestJobRetryCancelDuringBackoff(t *testing.T) {
 	var je *JobError
 	if !errors.As(err, &je) || je.Attempts != 1 {
 		t.Fatalf("err = %v, want a *JobError after 1 attempt", err)
+	}
+}
+
+// withBoomField registers an input field whose projection panics, for the
+// duration of the test.
+func withBoomField(t *testing.T) {
+	t.Helper()
+	FieldFuncs["boom"] = func(geom.Point) float64 { panic("boom") }
+	t.Cleanup(func() { delete(FieldFuncs, "boom") })
+}
+
+// TestArtifactBuildPanicFailsJob: a builder that panics in the artifact
+// stage fails its job as panicked, counted once, instead of killing the
+// process; the next job on a sound field succeeds.
+func TestArtifactBuildPanicFailsJob(t *testing.T) {
+	withBoomField(t)
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	meshID := uploadMesh(t, ts, mesh.Structured(4))
+
+	st, code := submitJob(t, ts, JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Field: "boom"})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	st = waitJob(t, ts, st.ID, 10*time.Second)
+	if st.State != StateFailed || !strings.Contains(st.Error, `job panicked in stage "artifacts"`) {
+		t.Fatalf("boom job: state %s, error %q; want failed as panicked in the artifact stage", st.State, st.Error)
+	}
+	if n := srv.Faults().PanicsRecovered.Load(); n != 1 {
+		t.Errorf("panics_recovered = %d, want 1", n)
+	}
+
+	st, _ = submitJob(t, ts, JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Field: "sincos"})
+	if st = waitJob(t, ts, st.ID, 30*time.Second); st.State != StateDone {
+		t.Fatalf("sincos job after the panic: state %s, error %q", st.State, st.Error)
+	}
+}
+
+// TestArtifactBuildPanicDoesNotWedgeCache: a build that panicked leaves no
+// in-flight entry behind, so a second query on the same key rebuilds (and
+// panics again) instead of waiting forever on the first. The queries are
+// served in-process under a 5 s timeout: a wedged one must fail the test,
+// not hang it in the test server's Close.
+func TestArtifactBuildPanicDoesNotWedgeCache(t *testing.T) {
+	withBoomField(t)
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	meshID := uploadMesh(t, ts, mesh.Structured(4))
+	body, _ := json.Marshal(QueryRequest{MeshID: meshID, P: 1, Field: "boom", Points: [][2]float64{{0.5, 0.5}}})
+	for i := 1; i <= 2; i++ {
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("query %d unanswered after 5 s: the cache key is wedged", i)
+		}
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("query %d: status %d, want 500", i, rec.Code)
+		}
 	}
 }

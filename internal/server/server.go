@@ -74,7 +74,7 @@ type Config struct {
 	StoreDir string
 	// Retry shapes unit- and job-level retry of transient failures
 	// (zero value: no retry).
-	Retry RetryPolicy
+	Retry fault.Policy
 	// Log receives structured request and job logs; nil disables logging.
 	Log *slog.Logger
 }
@@ -95,7 +95,6 @@ func (c *Config) defaults() {
 	if c.DefaultBlocks <= 0 {
 		c.DefaultBlocks = 16
 	}
-	c.Retry = c.Retry.WithDefaults()
 }
 
 // Server is the local Backend — a resident artifact cache and a job
