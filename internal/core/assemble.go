@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"unstencil/internal/fault"
 	"unstencil/internal/geom"
@@ -13,15 +13,17 @@ import (
 )
 
 // This file assembles the SIAC post-processing step as a sparse operator
-// (internal/operator): instead of contracting quadrature samples with the
-// field, integrateWeights contracts them with the basis into the per-basis-
-// function weights W[pt][e][m] of Eq. (2), which depend only on
-// (mesh, grid, kernel, h) — never on the coefficients. Applying the frozen
-// operator to a coefficient vector reproduces RunPerPoint/RunPerElement to
-// rounding, so for workloads that post-process many fields on one mesh
-// (every time step of the dg/advect solver, or a resident service's warm
-// mesh) all candidate finding, clipping, fan triangulation and kernel
-// Horner evaluation is paid once and amortised.
+// (internal/operator). integrateWeights contracts a pair's quadrature
+// samples with the basis into the per-basis-function weights W[pt][e][m] of
+// Eq. (2), which depend only on (mesh, grid, kernel, h) — never on the
+// coefficients — and assembleRow merges them into one point's row. The
+// per-point paths dot that row with the field as they go (evalAt);
+// assembly freezes it. Applying the frozen operator therefore reproduces
+// RunPerPoint, EvalAt and EvalBatch bitwise and RunPerElement to rounding,
+// so for workloads that post-process many fields on one mesh (every time
+// step of the dg/advect solver, or a resident service's warm mesh) all
+// candidate finding, clipping, fan triangulation and kernel Horner
+// evaluation is paid once and amortised.
 //
 // Rows are independent (a gather per evaluation point), which is what lets
 // the congruence-first schedule in signature.go integrate one row per
@@ -34,7 +36,7 @@ import (
 // operator is independent of the evaluator's field: any field of the same
 // degree on the same mesh may be applied. Row weights are accumulated by
 // the same candidate enumeration, clipping and exact sub-region quadrature
-// the direct schemes use, so an apply agrees with RunPerPoint to rounding for
+// the direct schemes use, so an apply equals RunPerPoint bitwise for
 // symmetric and one-sided boundary configurations alike. Rows are stored
 // in quadtree depth-first (Z-order) sequence of their positions, so
 // consecutive rows of an apply gather coefficient blocks of spatially
@@ -64,13 +66,9 @@ type assembly struct {
 	hashOverride func(pos geom.Point) uint64
 }
 
-// rowScratch is one goroutine's reusable buffers: the row accumulator and
-// its flattened form, plus the signature and stamp scratch of the
-// congruence-first schedule.
+// rowScratch is one goroutine's signature and stamp scratch for the
+// congruence-first schedule; the row itself lands in the worker's buffers.
 type rowScratch struct {
-	acc   *rowAccum
-	cols  []int32
-	vals  []float64
 	sig   []sigEntry
 	ids   []int32
 	labs  map[int32]int32
@@ -111,7 +109,6 @@ func (ev *Evaluator) assembleOperator(positions []geom.Point, schedule func(*ass
 	}
 	a.scr = make([]rowScratch, len(a.wks))
 	for i := range a.scr {
-		a.scr[i].acc = newRowAccum(basisN)
 		a.scr[i].labs = make(map[int32]int32)
 	}
 	err := schedule(a)
@@ -136,12 +133,11 @@ func (a *assembly) integrateRow(w, r int) error {
 	if err := fault.Inject(siteAssembleRow); err != nil {
 		return err
 	}
-	s := &a.scr[w]
-	if err := a.ev.assembleRow(a.rowPos(r), a.wks[w], s.acc); err != nil {
+	ids, vals, err := a.ev.assembleRow(a.rowPos(r), a.wks[w])
+	if err != nil {
 		return err
 	}
-	s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
-	a.bld.SetRowBlocks(r, s.cols, s.vals)
+	a.bld.SetRowBlocks(r, ids, vals)
 	return nil
 }
 
@@ -157,16 +153,12 @@ func (a *assembly) naive() error {
 }
 
 // rowAccum merges one row's (element → weights) contributions across
-// periodic images and candidate visits. Per-goroutine scratch.
+// periodic images and candidate visits. Per-worker scratch.
 type rowAccum struct {
 	basisN int
 	elems  []int32
 	idx    map[int32]int32
 	w      []float64
-}
-
-func newRowAccum(basisN int) *rowAccum {
-	return &rowAccum{basisN: basisN, idx: make(map[int32]int32)}
 }
 
 func (a *rowAccum) reset() {
@@ -205,7 +197,7 @@ func (a *rowAccum) add(e int32, src []float64) {
 // weights.
 func (a *rowAccum) flattenBlocks(elems []int32, vals []float64) ([]int32, []float64) {
 	elems = append(elems[:0], a.elems...)
-	sort.Slice(elems, func(i, j int) bool { return elems[i] < elems[j] })
+	slices.Sort(elems)
 	vals = vals[:0]
 	for _, e := range elems {
 		vals = append(vals, a.w[int(a.idx[e])*a.basisN:(int(a.idx[e])+1)*a.basisN]...)
@@ -213,16 +205,21 @@ func (a *rowAccum) flattenBlocks(elems []int32, vals []float64) ([]int32, []floa
 	return elems, vals
 }
 
-// assembleRow accumulates every candidate element's weight block for a
-// stencil centred at pos, mirroring evalAt's enumeration (periodic images,
-// hash-grid candidates, bounding-box rejection).
-func (ev *Evaluator) assembleRow(pos geom.Point, wk *worker, acc *rowAccum) error {
-	acc.reset()
-	return ev.forEachRowCandidate(pos, wk, func(e int32, center geom.Point) {
+// assembleRow computes the operator row of a stencil centred at pos: every
+// candidate element's weight block (periodic images, hash-grid candidates,
+// bounding-box rejection), merged per element and returned in block form
+// in wk's row buffers. Assembly stores it; evalAt dots it with the field.
+func (ev *Evaluator) assembleRow(pos geom.Point, wk *worker) ([]int32, []float64, error) {
+	wk.acc.reset()
+	if err := ev.forEachRowCandidate(pos, wk, func(e int32, center geom.Point) {
 		if ev.integrateWeights(center, e, wk) {
-			acc.add(e, wk.wacc)
+			wk.acc.add(e, wk.wacc)
 		}
-	})
+	}); err != nil {
+		return nil, nil, err
+	}
+	wk.rowIDs, wk.rowVals = wk.acc.flattenBlocks(wk.rowIDs, wk.rowVals)
+	return wk.rowIDs, wk.rowVals, nil
 }
 
 // forEachRowCandidate enumerates, in the deterministic order the assembly
@@ -256,38 +253,51 @@ func (ev *Evaluator) forEachRowCandidate(pos geom.Point, wk *worker, visit func(
 	return nil
 }
 
-// integrateWeights is integrate with the field contraction replaced by the
-// basis: it writes, into wk.wacc, the per-basis-function weights
+// integrateWeights is the one pair contraction: it writes, into wk.wacc,
+// the per-basis-function weights
 //
 //	wacc[m] = Σ_samples w · φ_m(r, s) = Σ_k A[m][k] · M_k,  M_k = Σ_samples w · r^a s^b
 //
 // for element e against a stencil centred at center. The monomial moments
-// M_k are accumulated in HornerField's order and changed to the modal basis
-// once per pair by A = Basis.MonomialCoeffs(), so no quadrature sample
-// evaluates the modal basis. It reports whether any sub-region was
-// integrated (false leaves wk.wacc unspecified). Contracting the result with
-// the element's modal coefficients reproduces integrate's value up to
-// summation-order rounding; the samples' stencil-local frame (see samples)
-// makes the weights of exact translates bitwise equal.
+// M_k are accumulated in MonomialCoeffs' order and changed to the modal
+// basis once per pair by A = Basis.MonomialCoeffs(), so no quadrature
+// sample evaluates the modal basis. It reports whether any sub-region was
+// integrated (false leaves wk.wacc unspecified). Dotting the result with the
+// element's modal coefficients gives the pair's contribution to the
+// stencil's value; the samples' stencil-local frame (see samples) makes the
+// weights of exact translates bitwise equal.
 func (ev *Evaluator) integrateWeights(center geom.Point, e int32, wk *worker) bool {
 	samp := ev.samples(center, e, wk)
 	if len(samp) == 0 {
 		return false
 	}
-	p := ev.Opt.P
-	mom := wk.mom
-	clear(mom)
-	for _, q := range samp {
-		k := 0
-		wsb := q.w
-		for b := 0; b <= p; b++ {
-			v := wsb
-			for a := 0; a+b <= p; a++ {
-				mom[k] += v
-				v *= q.r
-				k++
+	p, mom := ev.Opt.P, wk.mom
+	if p == 1 {
+		// The three moments stay in registers: the general loop's
+		// per-sample read-modify-write of mom costs the P1 per-element
+		// scheme about a fifth of its time. Same terms in the same order,
+		// so the same bits.
+		var m0, m1, m2 float64
+		for _, q := range samp {
+			m0 += q.w
+			m1 += q.w * q.r
+			m2 += q.w * q.s
+		}
+		mom[0], mom[1], mom[2] = m0, m1, m2
+	} else {
+		clear(mom)
+		for _, q := range samp {
+			k := 0
+			wsb := q.w
+			for b := 0; b <= p; b++ {
+				v := wsb
+				for a := 0; a+b <= p; a++ {
+					mom[k] += v
+					v *= q.r
+					k++
+				}
+				wsb *= q.s
 			}
-			wsb *= q.s
 		}
 	}
 	for m, am := range ev.mono {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,8 +29,9 @@ func assembleTestMeshes(t *testing.T) map[string]*mesh.Mesh {
 }
 
 // The tentpole property: the assembled operator applied to the field
-// reproduces direct per-point evaluation within 1e-12, on symmetric and
-// one-sided boundary configurations, for P1–P3, on fixed-seed meshes.
+// reproduces direct per-point evaluation bitwise — one row kernel, one row
+// recurrence — on symmetric and one-sided boundary configurations, for
+// P1–P3, on a congruent (stamped) and an unstructured mesh.
 func TestOperatorMatchesDirect(t *testing.T) {
 	for mname, m := range assembleTestMeshes(t) {
 		for _, boundary := range []Boundary{Periodic, OneSided} {
@@ -53,9 +55,8 @@ func TestOperatorMatchesDirect(t *testing.T) {
 				if err := op.ApplyInto(ev.Field, got); err != nil {
 					t.Fatal(err)
 				}
-				if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {
-					t.Errorf("%s/%v/P%d: apply vs direct max diff %.3e", mname, boundary, p, d)
-				}
+				sameArray(t, fmt.Sprintf("%s/%v/P%d: apply vs direct", mname, boundary, p),
+					f64bits(got), f64bits(direct.Solution))
 			}
 		}
 	}
@@ -133,13 +134,11 @@ func TestOperatorFieldIndependence(t *testing.T) {
 	if err := op.ApplyInto(ev2.Field, got); err != nil {
 		t.Fatal(err)
 	}
-	if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {
-		t.Errorf("second field through first field's operator: max diff %.3e", d)
-	}
+	sameArray(t, "second field through first field's operator", f64bits(got), f64bits(direct.Solution))
 }
 
 // Custom row positions (a query batch) assemble like the grid and agree
-// with EvalBatch.
+// with EvalBatch bitwise.
 func TestOperatorCustomPoints(t *testing.T) {
 	m := mesh.Structured(4)
 	for _, boundary := range []Boundary{Periodic, OneSided} {
@@ -166,9 +165,7 @@ func TestOperatorCustomPoints(t *testing.T) {
 		if err := op.ApplyInto(ev.Field, got); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(got, want); d > 1e-12 {
-			t.Errorf("%v: custom-point operator vs EvalBatch: max diff %.3e", boundary, d)
-		}
+		sameArray(t, fmt.Sprintf("%v: custom-point operator vs EvalBatch", boundary), f64bits(got), f64bits(want))
 	}
 }
 

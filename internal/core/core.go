@@ -180,14 +180,10 @@ type Evaluator struct {
 
 	rule quadrature.Rule2D // sub-region integration rule (degree P + 2k)
 
-	// horner holds the field collapsed to per-element monomial coefficients,
-	// so the direct paths evaluate u(r,s) at each quadrature sample with one
-	// bivariate Horner pass.
-	horner *dg.HornerField
 	// mono is the field-independent modal→monomial matrix A
-	// (Basis.MonomialCoeffs): assembly turns a pair's monomial moments into
-	// per-mode weights with one A·M product instead of evaluating the modal
-	// basis at every sample.
+	// (Basis.MonomialCoeffs): every evaluation path turns a pair's monomial
+	// moments into per-mode weights with one A·M product instead of
+	// evaluating the modal basis at every sample.
 	mono [][]float64
 
 	// osCache memoises one-sided kernels by quantised node shift, turning
@@ -221,10 +217,6 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	horner, err := dg.NewHornerField(f, opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	ev := &Evaluator{
 		Mesh:   m,
 		Field:  f,
@@ -233,7 +225,6 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 		H:      opt.H,
 		W:      opt.H * float64(3*opt.P+1),
 		rule:   quadrature.TriangleForDegree(3 * opt.P), // degree P + 2k, k = P
-		horner: horner,
 		mono:   mono,
 	}
 	if opt.Boundary == OneSided {
@@ -323,15 +314,19 @@ func (ev *Evaluator) forEachShift(b geom.AABB, fn func(dx, dy int)) {
 // nothing.
 type worker struct {
 	clip     geom.Clipper
-	tris     []geom.Triangle
+	tris     []geom.FanTri
 	samp     []sample // one (point, element) pair's quadrature samples
 	counters metrics.Counters
 	cand     []int32
 	kx, ky   *bspline.Kernel // kernels in effect for the current point
 	// mom and wacc receive one pair's monomial moments and per-basis-function
-	// weights during operator assembly (integrateWeights); unused on the
-	// direct evaluation paths.
+	// weights (integrateWeights).
 	mom, wacc []float64
+	// acc merges a row's pair weights; rowIDs and rowVals receive the row in
+	// block form (assembleRow).
+	acc     rowAccum
+	rowIDs  []int32
+	rowVals []float64
 	// edPerRegion is the modeled element-data bytes charged (uncoalesced,
 	// one scattered load transaction) for every integrated sub-region. The
 	// per-point scheme sets it to the element payload: in a point-block
@@ -350,6 +345,7 @@ func (ev *Evaluator) newWorker() *worker {
 	return &worker{
 		mom:  make([]float64, n),
 		wacc: make([]float64, n),
+		acc:  rowAccum{basisN: n, idx: make(map[int32]int32)},
 		kx:   ev.Kernel,
 		ky:   ev.Kernel,
 	}
@@ -415,8 +411,9 @@ type sample struct{ r, s, w float64 }
 // break lattice scaled by h, so the integrand is one polynomial on each
 // sub-region and the quadrature is exact. A pair that integrates any
 // sub-region counts as a true positive; an empty result means it integrated
-// none. The direct paths contract the samples with the field (integrate),
-// assembly with the basis (integrateWeights).
+// none. Every path contracts the samples the same way: into monomial
+// moments and then per-mode pair weights (integrateWeights), which a row or
+// a pair value dots with the field.
 //
 // Every geometric quantity is computed in stencil-local coordinates: the
 // element translated by −center, kernel cells at exact offsets h·(blo+i)
@@ -478,7 +475,8 @@ func (ev *Evaluator) samples(center geom.Point, e int32, wk *worker) []sample {
 				continue
 			}
 			wk.tris = geom.SplitFan(geom.Polygon(poly), wk.tris[:0], minArea)
-			for _, tau := range wk.tris {
+			for n := range wk.tris {
+				tau := &wk.tris[n].Tri
 				wk.counters.Regions++
 				wk.counters.Flops += metrics.FlopsPerRegion
 				if wk.edPerRegion > 0 {
@@ -486,7 +484,7 @@ func (ev *Evaluator) samples(center geom.Point, e int32, wk *worker) []sample {
 					wk.counters.BytesUncoalesced += wk.edPerRegion
 					wk.counters.ScatteredLoads++
 				}
-				jac := 2 * tau.Area() * invH * invH // with Eq. (2)'s 1/h²
+				jac := 2 * wk.tris[n].Area * invH * invH // with Eq. (2)'s 1/h²
 				// Compose tau's reference map with the element's inverse
 				// map and the kernel-cell normalisation once per
 				// sub-region, so each quadrature point costs four fused
@@ -531,15 +529,18 @@ func (ev *Evaluator) samples(center geom.Point, e int32, wk *worker) []sample {
 	return wk.samp
 }
 
-// integrate computes the contribution of element e to the post-processed
-// value at a stencil centred at center — the inner sums of Eq. (2) — by
-// contracting the walker's samples with the element's Horner coefficients.
-// Returns the partial solution.
-func (ev *Evaluator) integrate(center geom.Point, e int32, wk *worker) float64 {
-	hc := ev.horner.ElemCoeffs(int(e))
-	sum := 0.0
-	for _, q := range ev.samples(center, e, wk) {
-		sum += q.w * ev.horner.EvalCoeffs(hc, q.r, q.s)
+// pairValue is element e's contribution to the post-processed value of a
+// stencil centred at center — the inner sums of Eq. (2) — as the direct
+// per-element paths take it: the pair's weights dotted with the element's
+// modal coefficients. It is 0 when no sub-region is integrated.
+func (ev *Evaluator) pairValue(center geom.Point, e int32, wk *worker) float64 {
+	if !ev.integrateWeights(center, e, wk) {
+		return 0
 	}
-	return sum
+	ce := ev.Field.ElemCoeffs(int(e))
+	v := 0.0
+	for m, w := range wk.wacc {
+		v += w * ce[m]
+	}
+	return v
 }

@@ -37,8 +37,9 @@ func integrateTarget(ev *Evaluator) (geom.Point, int32) {
 }
 
 // BenchmarkIntegrate times the innermost hot function: one element's
-// contribution to one stencil (clip, fan, quadrature), contracted with the
-// field (Pn, the direct paths) and with the basis (Pn/weights, assembly).
+// contribution to one stencil (clip, fan, quadrature, moments, A·M), as
+// pair weights (Pn/weights, every path) and dotted with the field (Pn, the
+// per-element paths).
 func BenchmarkIntegrate(b *testing.B) {
 	for _, p := range []int{1, 2, 3} {
 		name := map[int]string{1: "P1", 2: "P2", 3: "P3"}[p]
@@ -50,7 +51,7 @@ func BenchmarkIntegrate(b *testing.B) {
 			b.ResetTimer()
 			var sink float64
 			for i := 0; i < b.N; i++ {
-				sink += ev.integrate(center, e, wk)
+				sink += ev.pairValue(center, e, wk)
 			}
 			benchSink = sink
 		})
@@ -116,8 +117,8 @@ func BenchmarkOneSidedSweep(b *testing.B) {
 
 var benchSink float64
 
-// Both contractions of the walker — integrate and integrateWeights — must
-// be allocation-free in steady state: the clip buffers, fan scratch, sample
+// The pair contraction — integrateWeights, and pairValue over it — must be
+// allocation-free in steady state: the clip buffers, fan scratch, sample
 // buffer and moment scratch all reuse the worker's storage.
 func TestIntegrateZeroAlloc(t *testing.T) {
 	m, err := mesh.LowVariance(12, 1)
@@ -135,12 +136,12 @@ func TestIntegrateZeroAlloc(t *testing.T) {
 	wk := ev.newWorker()
 	e := int32(len(ev.elemBounds) / 2)
 	center := ev.Mesh.Centroid(int(e))
-	ev.integrate(center, e, wk) // warm scratch buffers
+	ev.pairValue(center, e, wk) // warm scratch buffers
 	allocs := testing.AllocsPerRun(100, func() {
-		benchSink += ev.integrate(center, e, wk)
+		benchSink += ev.pairValue(center, e, wk)
 	})
 	if allocs != 0 {
-		t.Fatalf("integrate allocates %v objects per run in steady state, want 0", allocs)
+		t.Fatalf("pairValue allocates %v objects per run in steady state, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
 		ev.integrateWeights(center, e, wk)

@@ -9,6 +9,7 @@ import (
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
+	"unstencil/internal/operator"
 	"unstencil/internal/tile"
 )
 
@@ -191,7 +192,7 @@ func (ev *Evaluator) processElement(e int32, wk *worker, add func(pt int32, v fl
 			if !ev.supportBox(center, kx, ky).Intersects(bb) {
 				continue
 			}
-			if v := ev.integrate(center, e, wk); v != 0 {
+			if v := ev.pairValue(center, e, wk); v != 0 {
 				add(pt, v)
 			}
 		}
@@ -231,7 +232,7 @@ func (ev *Evaluator) Reference() ([]float64, error) {
 		ev.forEachShift(supp, func(dx, dy int) {
 			center := gp.Pos.Sub(geom.Pt(float64(dx), float64(dy)))
 			for e := 0; e < ev.Mesh.NumTris(); e++ {
-				total += ev.integrate(center, int32(e), wk)
+				total += ev.pairValue(center, int32(e), wk)
 			}
 		})
 		out[pi] = total
@@ -244,8 +245,9 @@ func (ev *Evaluator) Reference() ([]float64, error) {
 // gather. This is the entry point for applications such as streamline
 // integration through discontinuous fields (Steffen et al. 2008; Walfisch
 // et al. 2009), where query positions are produced on the fly by an ODE
-// integrator. It draws a pooled worker, so it is safe for concurrent use;
-// EvalBatch spreads a bulk query over workers.
+// integrator. The value is bitwise the one an operator assembled at pos
+// (AssembleOperator) applies to the field. It draws a pooled worker, so it
+// is safe for concurrent use; EvalBatch spreads a bulk query over workers.
 func (ev *Evaluator) EvalAt(pos geom.Point) (float64, error) {
 	wk := ev.getWorker()
 	defer ev.putWorker(wk)
@@ -253,22 +255,24 @@ func (ev *Evaluator) EvalAt(pos geom.Point) (float64, error) {
 }
 
 // evalAt is the position-parameterised per-point gather shared by evalPoint
-// and EvalAt, walking the same candidate enumeration operator assembly
-// does. It charges the full paper cost model (§3.3): every candidate test
-// fetches the candidate element's geometry from a non-contiguous location
-// (charged from the walk's test count once it is over), and every
-// integration re-reads the element data (scattered) — so arbitrary-position
-// queries and scheme runs report identical counters.
+// and EvalAt: it builds the point's operator row (assembleRow) and dots it
+// with the field by the operator's own row recurrence (operator.RowDot), so
+// its value is bitwise the one an assembled operator's apply writes. It
+// charges the full paper cost model (§3.3): every candidate test fetches
+// the candidate element's geometry from a non-contiguous location (charged
+// from the walk's test count once it is over), and every integration
+// re-reads the element data (scattered) — so arbitrary-position queries and
+// scheme runs report identical counters.
 func (ev *Evaluator) evalAt(pos geom.Point, wk *worker) (float64, error) {
 	wk.edPerRegion = metrics.ElementDataBytes(ev.Opt.P)
 	testsBefore := wk.counters.IntersectionTests
-	total := 0.0
-	err := ev.forEachRowCandidate(pos, wk, func(e int32, center geom.Point) {
-		total += ev.integrate(center, e, wk)
-	})
+	ids, vals, err := ev.assembleRow(pos, wk)
 	tests := wk.counters.IntersectionTests - testsBefore
 	wk.counters.BytesRead += tests * metrics.ElementGeometryBytes
 	wk.counters.BytesUncoalesced += tests * metrics.ElementGeometryBytes
 	wk.counters.ScatteredLoads += tests
-	return total, err
+	if err != nil {
+		return 0, err
+	}
+	return operator.RowDot(ids, vals, ev.Field.Coeffs), nil
 }

@@ -82,7 +82,7 @@ func runChunks(workers, n int, fn func(lo, hi int)) error {
 // getWorker returns a scratch worker from the evaluator's pool (counters
 // reset, kernels restored to the symmetric default), allocating on first
 // use, so runs, assemblies and batch queries reuse grown buffers — samples,
-// clipper scratch, candidate slices — instead of reallocating them.
+// rows, clipper scratch, candidate slices — instead of reallocating them.
 func (ev *Evaluator) getWorker() *worker {
 	if w, _ := ev.wkPool.Get().(*worker); w != nil {
 		w.counters.Reset()

@@ -423,14 +423,14 @@ func (a *assembly) congruent() error {
 		if err := ev.materializeSignature(a.rowPos(rep), wk, cls, s.labs); err != nil {
 			return err
 		}
-		if err := ev.assembleRow(a.rowPos(rep), wk, s.acc); err != nil {
+		ids, vals, err := ev.assembleRow(a.rowPos(rep), wk)
+		if err != nil {
 			return err
 		}
-		s.cols, s.vals = s.acc.flattenBlocks(s.cols, s.vals)
-		bld.SetRowBlocks(rep, s.cols, s.vals)
+		bld.SetRowBlocks(rep, ids, vals)
 		// s.labs still holds the representative's id → label table.
-		cls.slotLab = make([]int32, len(s.cols))
-		for slot, e := range s.cols {
+		cls.slotLab = make([]int32, len(ids))
+		for slot, e := range ids {
 			cls.slotLab[slot] = s.labs[e]
 		}
 		return nil

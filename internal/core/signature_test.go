@@ -153,8 +153,8 @@ func TestCongruentStampRateStructured(t *testing.T) {
 // Jittered meshes break exact congruence: rows stay signature singletons
 // (a hash collision would put a non-congruent member in a class, where
 // certification demotes it to its own integration), keeping the result
-// bitwise equal to naive assembly and within 1e-12 of direct per-point
-// evaluation.
+// bitwise equal to naive assembly, and its apply bitwise equal to direct
+// per-point evaluation.
 func TestCongruentJitteredDemotes(t *testing.T) {
 	m := mesh.JitteredStructured(6, 0.3, 1)
 	for _, boundary := range []Boundary{Periodic, OneSided} {
@@ -172,9 +172,7 @@ func TestCongruentJitteredDemotes(t *testing.T) {
 		if err := cong.ApplyInto(ev.Field, got); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(got, direct.Solution); d > 1e-12 {
-			t.Errorf("%s: congruent operator vs direct eval: max diff %.3e", label, d)
-		}
+		sameArray(t, label+": congruent operator vs direct eval", f64bits(got), f64bits(direct.Solution))
 	}
 }
 

@@ -9,20 +9,18 @@ import (
 	"unstencil/internal/quadrature"
 )
 
-// This file implements the post-processor's per-element Horner fields: each
-// element's modal Dubiner expansion is collapsed once, at evaluator-build
-// time, into plain monomial coefficients in the reference coordinates, so
-// the hot loop evaluates u(r, s) with a single bivariate Horner pass instead
-// of rebuilding the shared Jacobi recurrences (EvalAll) and taking an N-term
-// dot product at every quadrature point.
+// This file holds the modal→monomial change of basis the evaluation paths
+// contract with: a pair's quadrature samples are summed into monomial
+// moments M_k = Σ w·r^a s^b, and one product with A = MonomialCoeffs turns
+// them into per-mode weights, so no sample evaluates the modal basis.
 //
 // Monomial ordering: coefficients are grouped by the s-power b ascending,
 // and within a group by the r-power a ascending, i.e.
 //
 //	1, r, r², …, r^P,  s, s·r, …, s·r^{P−1},  …,  s^P
 //
-// which lets the evaluator run Horner in s over inner Horner passes in r
-// without any index table.
+// which lets a moment loop run the r-powers inside the s-powers without
+// any index table.
 //
 // Conditioning: the change of basis goes through a Vandermonde solve on the
 // equispaced reference lattice, whose conditioning degrades combinatorially
@@ -126,102 +124,29 @@ func (b *Basis) computeMonomialCoeffs() ([][]float64, error) {
 // nodes of the degree-2P triangle rule, which lie off the equispaced
 // lattice A was solved on.
 func monomialResidual(b *Basis, a [][]float64) float64 {
-	hf := HornerField{P: b.P, N: b.N}
 	phi := make([]float64, b.N)
 	worst := 0.0
 	for _, pt := range quadrature.TriangleForDegree(2 * b.P).Points {
 		b.EvalAll(pt.X, pt.Y, phi)
 		for m, am := range a {
-			worst = math.Max(worst, math.Abs(hf.EvalCoeffs(am, pt.X, pt.Y)-phi[m]))
+			worst = math.Max(worst, math.Abs(evalMonomial(b.P, am, pt.X, pt.Y)-phi[m]))
 		}
 	}
 	return worst
 }
 
-// HornerField is a Field collapsed to per-element monomial coefficients for
-// Horner evaluation. It is immutable after construction and safe for
-// concurrent reads.
-type HornerField struct {
-	P      int
-	N      int       // coefficients per element
-	Coeffs []float64 // NumTris × N, element-major, monomial ordering
-}
-
-// NewHornerField collapses every element of f. The per-element transforms
-// are independent, so they are spread over the given number of workers
-// (<= 1 means serial).
-func NewHornerField(f *Field, workers int) (*HornerField, error) {
-	a, err := f.Basis.MonomialCoeffs()
-	if err != nil {
-		return nil, err
-	}
-	n := f.Basis.N
-	hf := &HornerField{
-		P:      f.Basis.P,
-		N:      n,
-		Coeffs: make([]float64, len(f.Coeffs)),
-	}
-	numElems := len(f.Coeffs) / n
-	parallelRange(numElems, workers, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			ce := f.Coeffs[e*n : (e+1)*n]
-			out := hf.Coeffs[e*n : (e+1)*n]
-			for m, c := range ce {
-				if c == 0 {
-					continue
-				}
-				am := a[m]
-				for k := range out {
-					out[k] += c * am[k]
-				}
-			}
+// evalMonomial evaluates monomial coefficients c (in the ordering above,
+// total degree p) at reference (r, s).
+func evalMonomial(p int, c []float64, r, s float64) float64 {
+	u, k, sb := 0.0, 0, 1.0
+	for bPow := 0; bPow <= p; bPow++ {
+		ra := sb
+		for aPow := 0; aPow+bPow <= p; aPow++ {
+			u += c[k] * ra
+			k++
+			ra *= r
 		}
-	})
-	return hf, nil
-}
-
-// ElemCoeffs returns element e's monomial coefficients (do not modify).
-func (hf *HornerField) ElemCoeffs(e int) []float64 {
-	return hf.Coeffs[e*hf.N : (e+1)*hf.N]
-}
-
-// EvalCoeffs evaluates one element's monomial coefficients (from ElemCoeffs)
-// at reference (r, s) by bivariate Horner: the b-groups are walked from s^P
-// down to s^0, each evaluated by an inner Horner pass in r.
-func (hf *HornerField) EvalCoeffs(c []float64, r, s float64) float64 {
-	u := 0.0
-	end := len(c)
-	for blen := 1; blen <= hf.P+1; blen++ { // group for s^b has P−b+1 entries
-		start := end - blen
-		q := c[end-1]
-		for a := end - 2; a >= start; a-- {
-			q = q*r + c[a]
-		}
-		u = u*s + q
-		end = start
+		sb *= s
 	}
 	return u
-}
-
-// parallelRange splits [0, n) into contiguous chunks executed across up to
-// the given number of goroutines. workers <= 1 (or tiny n) runs inline.
-func parallelRange(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 0 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -4,78 +4,37 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"unstencil/internal/mesh"
 )
 
-// The collapsed monomial field must agree with the modal path (EvalAll +
-// dot product) to near machine precision for all SIAC-practical orders.
-func TestHornerFieldMatchesModal(t *testing.T) {
-	m, merr := mesh.LowVariance(6, 1)
-	if merr != nil {
-		t.Fatal(merr)
-	}
+// A's monomial expansion reproduces the modal basis: at random points of
+// the reference triangle — off the equispaced lattice A was solved on —
+// Σ_k A[m][k]·r^a s^b, expanded here in the documented ordering with
+// math.Pow, equals EvalAll's φ_m(r, s) for every mode, P1–P4.
+func TestMonomialCoeffsMatchModal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for p := 1; p <= 6; p++ {
-		// The Vandermonde conditioning degrades combinatorially with P;
-		// 1e-12 holds through P=4, the top practical orders sit near 1e-11.
-		tol := 1e-12
-		if p >= 5 {
-			tol = 1e-10
-		}
-		f := NewField(m, p)
-		for i := range f.Coeffs {
-			f.Coeffs[i] = rng.NormFloat64()
-		}
-		hf, err := NewHornerField(f, 1)
+	for p := 1; p <= 4; p++ {
+		b := NewBasis(p)
+		a, err := b.MonomialCoeffs()
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
-		buf := make([]float64, f.Basis.N)
-		for e := 0; e < m.NumTris(); e += 7 {
-			ce := f.ElemCoeffs(e)
-			for trial := 0; trial < 40; trial++ {
-				// Random barycentric point in the reference triangle.
-				r := rng.Float64()
-				s := rng.Float64() * (1 - r)
-				f.Basis.EvalAll(r, s, buf)
-				want := 0.0
-				for mm, c := range ce {
-					want += c * buf[mm]
+		phi := make([]float64, b.N)
+		for trial := 0; trial < 200; trial++ {
+			r := rng.Float64()
+			s := rng.Float64() * (1 - r)
+			b.EvalAll(r, s, phi)
+			for m, am := range a {
+				got, k := 0.0, 0
+				for bPow := 0; bPow <= p; bPow++ {
+					for aPow := 0; aPow+bPow <= p; aPow++ {
+						got += am[k] * math.Pow(r, float64(aPow)) * math.Pow(s, float64(bPow))
+						k++
+					}
 				}
-				got := hf.EvalCoeffs(hf.ElemCoeffs(e), r, s)
-				if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-					t.Fatalf("P=%d elem %d (r=%v, s=%v): horner %v, modal %v",
-						p, e, r, s, got, want)
+				if math.Abs(got-phi[m]) > 1e-12*(1+math.Abs(phi[m])) {
+					t.Fatalf("P=%d mode %d (r=%v, s=%v): monomial %v, modal %v", p, m, r, s, got, phi[m])
 				}
 			}
-		}
-	}
-}
-
-// Serial and parallel collapse must produce identical coefficients.
-func TestHornerFieldParallelDeterministic(t *testing.T) {
-	m, merr := mesh.LowVariance(8, 2)
-	if merr != nil {
-		t.Fatal(merr)
-	}
-	rng := rand.New(rand.NewSource(5))
-	f := NewField(m, 3)
-	for i := range f.Coeffs {
-		f.Coeffs[i] = rng.NormFloat64()
-	}
-	serial, err := NewHornerField(f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewHornerField(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Coeffs {
-		if serial.Coeffs[i] != parallel.Coeffs[i] {
-			t.Fatalf("coeff %d differs: serial %v, parallel %v",
-				i, serial.Coeffs[i], parallel.Coeffs[i])
 		}
 	}
 }

@@ -99,9 +99,12 @@ func TestSplitFanDegenerate(t *testing.T) {
 			if len(tris) != tc.want {
 				t.Fatalf("got %d triangles, want %d: %v", len(tris), tc.want, tris)
 			}
-			for _, tr := range tris {
-				if a := tr.Area(); !(a > 0) || math.IsInf(a, 0) {
+			for _, ft := range tris {
+				if a := ft.Tri.Area(); !(a > 0) || math.IsInf(a, 0) {
 					t.Fatalf("emitted triangle with area %v", a)
+				}
+				if math.Float64bits(ft.Area) != math.Float64bits(ft.Tri.Area()) {
+					t.Fatalf("fan area %v, Triangle.Area() %v", ft.Area, ft.Tri.Area())
 				}
 			}
 		})

@@ -25,7 +25,7 @@ func ExampleSplitFan() {
 	tris := geom.SplitFan(square, nil, 0)
 	total := 0.0
 	for _, t := range tris {
-		total += t.Area()
+		total += t.Area
 	}
 	fmt.Printf("%d triangles, total area %.2f\n", len(tris), total)
 	// Output:

@@ -308,11 +308,14 @@ func TestSplitFan(t *testing.T) {
 		t.Fatalf("got %d triangles, want 2", len(tris))
 	}
 	total := 0.0
-	for _, tr := range tris {
-		if tr.SignedArea() <= 0 {
+	for _, ft := range tris {
+		if ft.Tri.SignedArea() <= 0 {
 			t.Error("fan triangle not CCW")
 		}
-		total += tr.Area()
+		if math.Float64bits(ft.Area) != math.Float64bits(ft.Tri.Area()) {
+			t.Errorf("fan area %v, Triangle.Area() %v", ft.Area, ft.Tri.Area())
+		}
+		total += ft.Area
 	}
 	if !almostEq(total, 1, 1e-14) {
 		t.Errorf("fan area = %v", total)

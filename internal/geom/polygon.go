@@ -1,5 +1,7 @@
 package geom
 
+import "math"
+
 // Polygon is a simple polygon stored as a CCW vertex loop. The clipping
 // routines in this package only produce convex polygons, but Area and
 // Centroid are valid for any simple CCW polygon.
@@ -213,21 +215,35 @@ func (c *Clipper) clipY(limit float64, keepGE bool) {
 	}
 }
 
+// FanTri is one triangle of a fan triangulation, counter-clockwise, with
+// its area.
+type FanTri struct {
+	Tri  Triangle
+	Area float64 // bitwise Tri.Area()
+}
+
 // SplitFan triangulates the convex polygon p into len(p)-2 triangles fanned
 // from vertex 0, appending them to dst and returning the extended slice.
-// Triangles with area below minArea (slivers produced by clipping exactly on
-// a boundary) are dropped; pass 0 to keep everything with positive area.
-// Collinear fans and NaN-cornered triangles fail the positive-area test and
-// are dropped, so degenerate clips contribute an empty region rather than
-// NaN integrals.
-func SplitFan(p Polygon, dst []Triangle, minArea float64) []Triangle {
+// Each triangle's signed area is computed once: its magnitude is the area
+// filter's operand and the returned Area, its sign the CCW flip (which
+// swaps B and C, negating the signed area exactly, so Area is bitwise the
+// flipped triangle's Area()). Triangles with area below minArea (slivers
+// produced by clipping exactly on a boundary) are dropped; pass 0 to keep
+// everything with positive area. Collinear fans and NaN-cornered triangles
+// fail the positive-area test and are dropped, so degenerate clips
+// contribute an empty region rather than NaN integrals.
+func SplitFan(p Polygon, dst []FanTri, minArea float64) []FanTri {
 	if !(minArea >= 0) {
 		minArea = 0 // a NaN/negative filter must not admit slivers
 	}
 	for i := 1; i+1 < len(p); i++ {
 		t := Triangle{p[0], p[i], p[i+1]}
-		if t.Area() > minArea {
-			dst = append(dst, t.CCW())
+		sa := t.SignedArea()
+		if a := math.Abs(sa); a > minArea {
+			if sa < 0 {
+				t.B, t.C = t.C, t.B
+			}
+			dst = append(dst, FanTri{t, a})
 		}
 	}
 	return dst

@@ -102,7 +102,8 @@ func TestPropClipPartitionsArea(t *testing.T) {
 	}
 }
 
-// Property: fan triangulation preserves the polygon area.
+// Property: fan triangulation preserves the polygon area, emits CCW
+// triangles, and reports each triangle's area bitwise as Triangle.Area().
 func TestPropFanPreservesArea(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var c Clipper
@@ -112,8 +113,14 @@ func TestPropFanPreservesArea(t *testing.T) {
 		p := Polygon(c.ClipTriangleBox(tri, box))
 		tris := SplitFan(p, nil, 0)
 		sum := 0.0
-		for _, tr := range tris {
-			sum += tr.Area()
+		for _, ft := range tris {
+			if ft.Tri.SignedArea() <= 0 {
+				t.Fatalf("fan triangle %v not CCW", ft.Tri)
+			}
+			if math.Float64bits(ft.Area) != math.Float64bits(ft.Tri.Area()) {
+				t.Fatalf("fan area %v, Triangle.Area() %v", ft.Area, ft.Tri.Area())
+			}
+			sum += ft.Area
 		}
 		if math.Abs(sum-p.Area()) > 1e-10 {
 			t.Fatalf("fan area %v != polygon area %v", sum, p.Area())

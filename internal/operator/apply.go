@@ -93,7 +93,8 @@ func (op *Operator) fanOut(workers int, fn func(lo, hi int)) {
 // Neumaier-compensated: SIAC kernel weights alternate sign (the B-spline
 // lobes), so a row's terms cancel heavily and a naive sum would carry the
 // full condition number of the cancellation into the result. Compensation
-// keeps the apply's rounding below the direct schemes' own noise floor.
+// keeps the apply's rounding below the per-element scheme's own noise
+// floor; the per-point paths reduce their rows the same way (RowDot).
 //
 // The compensation update is Knuth's TwoSum: branch-free, and the exact
 // rounding error of fl(sum+term) whichever operand is larger. The textbook
@@ -106,15 +107,7 @@ func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 		ids, refs := op.rowBlocks(r)
 		sum, comp := 0.0, 0.0
 		for b, e := range ids {
-			cb := coeffs[int(e)*basisN:][:basisN]
-			vb := pool[int(refs[b])*basisN:][:basisN]
-			for m := 0; m < basisN; m++ {
-				term := vb[m] * cb[m]
-				t := sum + term
-				z := t - sum
-				comp += (sum - (t - z)) + (term - z)
-				sum = t
-			}
+			sum, comp = blockDot(pool[int(refs[b])*basisN:][:basisN], coeffs[int(e)*basisN:][:basisN], sum, comp)
 		}
 		if op.Perm != nil {
 			out[op.Perm[r]] = sum + comp
@@ -122,6 +115,39 @@ func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 			out[r] = sum + comp
 		}
 	}
+}
+
+// blockDot continues a row's compensated sum (sum, comp) over one block's
+// terms w[m]·c[m], modes ascending. It is the one copy of the row
+// recurrence: applyRows and RowDot step through it, and applyRowsBlock
+// inlines the same update per field.
+func blockDot(w, c []float64, sum, comp float64) (float64, float64) {
+	c = c[:len(w)]
+	for m, wm := range w {
+		term := wm * c[m]
+		t := sum + term
+		z := t - sum
+		comp += (sum - (t - z)) + (term - z)
+		sum = t
+	}
+	return sum, comp
+}
+
+// RowDot reduces one row in block form — ascending element ids and
+// len(ids)·BasisN weights, as Builder.SetRowBlocks takes them — against a
+// coefficient vector with applyRows' recurrence. A row built from the
+// weights an operator stores therefore dots to the bits ApplyVec writes
+// for it; direct per-point evaluation relies on that.
+func RowDot(ids []int32, vals, coeffs []float64) float64 {
+	if len(ids) == 0 {
+		return 0
+	}
+	bn := len(vals) / len(ids)
+	sum, comp := 0.0, 0.0
+	for b, e := range ids {
+		sum, comp = blockDot(vals[b*bn:][:bn], coeffs[int(e)*bn:][:bn], sum, comp)
+	}
+	return sum + comp
 }
 
 // ApplyCounters models the cost of one single-field apply in the repo's

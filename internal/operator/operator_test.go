@@ -227,8 +227,9 @@ func edgeCases() (*operator.Operator, func(nf int) [][]float64) {
 // unshared-by-data operators and the edge-case rows, heap-built and
 // mmap-loaded, at every worker count and field width (under, at, over and
 // twice the fieldBlock tile), ApplyBlock equals F independent ApplyVec
-// calls bitwise, and both equal the naive reference apply bitwise. A
-// non-finite reference output must be NaN in all three.
+// calls bitwise, and both equal the naive reference apply bitwise, as does
+// RowDot over every stored row (the per-point paths' reduction). A
+// non-finite reference output must be NaN in all of them.
 func TestApplyBlockBitIdentical(t *testing.T) {
 	type fixture struct {
 		name   string
@@ -252,8 +253,22 @@ func TestApplyBlockBitIdentical(t *testing.T) {
 			for _, nf := range []int{1, 3, 8, 9, 16} {
 				coeffs := fx.fields(nf)
 				want := make([][]float64, nf)
+				var elems []int32
+				var vals []float64
 				for f := range want {
 					want[f] = referenceApply(op, coeffs[f])
+					for r := 0; r < op.Rows; r++ {
+						elems, vals = op.Row(r, elems, vals)
+						pt := r
+						if op.Perm != nil {
+							pt = int(op.Perm[r])
+						}
+						got, w := operator.RowDot(elems, vals, coeffs[f]), want[f][pt]
+						if math.Float64bits(got) != math.Float64bits(w) && !(math.IsNaN(got) && (math.IsNaN(w) || math.IsInf(w, 0))) {
+							t.Fatalf("%s %s field %d row %d: RowDot %x, reference %x",
+								fx.name, load, f, r, math.Float64bits(got), math.Float64bits(w))
+						}
+					}
 				}
 				for _, workers := range []int{1, 2, 5} {
 					vec, blk := mkVecs(nf, op.Rows), mkVecs(nf, op.Rows)

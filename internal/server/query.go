@@ -21,9 +21,11 @@ const MaxQueryPoints = 1 << 16
 // QueryRequest is the body of POST /v1/query: a batch of arbitrary
 // evaluation positions against a resident evaluator. Unlike jobs, queries
 // run synchronously on the request goroutine — the point of the endpoint is
-// to amortise one warm evaluator (kernel tables, hash grids, collapsed
-// Horner fields) across thousands of point evaluations, streamline-style,
-// without a queue round-trip per point.
+// to amortise one warm evaluator (kernel tables, hash grids, the cached
+// change of basis) across thousands of point evaluations, streamline-style,
+// without a queue round-trip per point. A direct query's values equal the
+// use_operator path's bitwise: each point is its operator row dotted with
+// the field by the apply's own recurrence.
 type QueryRequest struct {
 	// MeshID references a mesh previously uploaded via POST /v1/meshes.
 	MeshID string `json:"mesh_id"`
@@ -42,7 +44,9 @@ type QueryRequest struct {
 	// then carries "fields" and a per-field "values" array in the same
 	// order. When set, Field defaults to Fields[0].
 	Fields []string `json:"fields,omitempty"`
-	// Points are the query positions, [x, y] pairs.
+	// Points are the query positions, [x, y] pairs: any finite point under
+	// periodic boundaries, points of the closed unit square under one-sided
+	// ones (whose kernels are only defined for stencils centred there).
 	Points [][2]float64 `json:"points"`
 	// Workers bounds this query's evaluation concurrency; 0 means, and
 	// larger values are capped at, the server's evaluator worker budget.
@@ -71,6 +75,9 @@ func (q *QueryRequest) normalize() error {
 	for i, p := range q.Points {
 		if math.IsNaN(p[0]) || math.IsInf(p[0], 0) || math.IsNaN(p[1]) || math.IsInf(p[1], 0) {
 			return fmt.Errorf("points[%d] is not finite", i)
+		}
+		if q.Boundary == "one-sided" && (p[0] < 0 || p[0] > 1 || p[1] < 0 || p[1] > 1) {
+			return fmt.Errorf("points[%d] = (%g, %g) lies outside the unit square, which one-sided boundaries require", i, p[0], p[1])
 		}
 	}
 	if q.Workers < 0 {

@@ -192,15 +192,20 @@ func TestQueryValidation(t *testing.T) {
 	cases := []struct {
 		name, body string
 		status     int
+		msg        string // a substring the error body must carry
 	}{
-		{"missing mesh", `{"p":1,"points":[[0.5,0.5]]}`, http.StatusBadRequest},
-		{"unknown mesh", `{"mesh_id":"nope","p":1,"points":[[0.5,0.5]]}`, http.StatusNotFound},
-		{"bad p", fmt.Sprintf(`{"mesh_id":%q,"p":9,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest},
-		{"no points", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[]}`, id), http.StatusBadRequest},
-		{"bad field", fmt.Sprintf(`{"mesh_id":%q,"p":1,"field":"nope","points":[[0.5,0.5]]}`, id), http.StatusBadRequest},
-		{"non-finite point", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[1e999,0.5]]}`, id), http.StatusBadRequest},
-		{"unknown key", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[0.5,0.5]],"nope":1}`, id), http.StatusBadRequest},
-		{"too many points", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":%s}`, id, tooManyJSON), http.StatusBadRequest},
+		{"missing mesh", `{"p":1,"points":[[0.5,0.5]]}`, http.StatusBadRequest, ""},
+		{"unknown mesh", `{"mesh_id":"nope","p":1,"points":[[0.5,0.5]]}`, http.StatusNotFound, ""},
+		{"bad p", fmt.Sprintf(`{"mesh_id":%q,"p":9,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, ""},
+		{"no points", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[]}`, id), http.StatusBadRequest, ""},
+		{"bad field", fmt.Sprintf(`{"mesh_id":%q,"p":1,"field":"nope","points":[[0.5,0.5]]}`, id), http.StatusBadRequest, ""},
+		{"non-finite point", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[1e999,0.5]]}`, id), http.StatusBadRequest, ""},
+		{"one-sided point outside the domain", fmt.Sprintf(`{"mesh_id":%q,"p":1,"boundary":"one-sided","points":[[0.5,0.5],[5.3,0.4]]}`, id), http.StatusBadRequest, "points[1]"},
+		{"one-sided point far outside the domain", fmt.Sprintf(`{"mesh_id":%q,"p":1,"boundary":"one-sided","points":[[1e9,0.4]]}`, id), http.StatusBadRequest, "points[0]"},
+		{"one-sided point on the domain edge", fmt.Sprintf(`{"mesh_id":%q,"p":1,"boundary":"one-sided","points":[[1,0]]}`, id), http.StatusOK, ""},
+		{"periodic point outside the domain", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[5.3,0.4]]}`, id), http.StatusOK, ""},
+		{"unknown key", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[0.5,0.5]],"nope":1}`, id), http.StatusBadRequest, ""},
+		{"too many points", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":%s}`, id, tooManyJSON), http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,14 +213,16 @@ func TestQueryValidation(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Errorf("status %d, want %d: %s", resp.StatusCode, tc.status, bytes.TrimSpace(data))
 			}
+			if !bytes.Contains(data, []byte(tc.msg)) {
+				t.Errorf("error body %s does not name %q", bytes.TrimSpace(data), tc.msg)
+			}
 		})
 	}
 }
 
 // TestQueryOperatorPath routes the same batch through use_operator: the
 // first request assembles (operator_warm false), the repeat hits the cached
-// operator, and both agree with the direct EvalBatch path to tight
-// tolerance.
+// operator, and both agree with the direct EvalBatch path bitwise.
 func TestQueryOperatorPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	m := mesh.Structured(6)
@@ -260,8 +267,8 @@ func TestQueryOperatorPath(t *testing.T) {
 		t.Error("operator query counters not populated")
 	}
 	for i := range out.Values {
-		if d := math.Abs(out.Values[i] - want.Values[i]); d > 1e-12 {
-			t.Errorf("point %d: operator %v vs direct %v (diff %.3e)", i, out.Values[i], want.Values[i], d)
+		if math.Float64bits(out.Values[i]) != math.Float64bits(want.Values[i]) {
+			t.Errorf("point %d: operator %v vs direct %v, want bitwise equal", i, out.Values[i], want.Values[i])
 		}
 	}
 

@@ -666,9 +666,9 @@ func TestOperatorScheme(t *testing.T) {
 			t.Fatalf("%s: %d operator points vs %d direct", field, len(viaOp), len(direct))
 		}
 		for i := range direct {
-			if d := math.Abs(direct[i] - viaOp[i]); d > 1e-12 {
-				t.Fatalf("%s: point %d: operator %v vs per-point %v (diff %.3e)",
-					field, i, viaOp[i], direct[i], d)
+			if math.Float64bits(direct[i]) != math.Float64bits(viaOp[i]) {
+				t.Fatalf("%s: point %d: operator %v vs per-point %v, want bitwise equal",
+					field, i, viaOp[i], direct[i])
 			}
 		}
 	}

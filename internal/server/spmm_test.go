@@ -143,9 +143,9 @@ func TestOperatorTemplateFallbackJittered(t *testing.T) {
 		t.Fatalf("%d operator points vs %d direct", len(viaOp.Solution), len(direct.Solution))
 	}
 	for i := range direct.Solution {
-		if d := math.Abs(direct.Solution[i] - viaOp.Solution[i]); d > 1e-12 {
-			t.Fatalf("point %d: operator %v vs per-point %v (diff %.3e)",
-				i, viaOp.Solution[i], direct.Solution[i], d)
+		if math.Float64bits(direct.Solution[i]) != math.Float64bits(viaOp.Solution[i]) {
+			t.Fatalf("point %d: operator %v vs per-point %v, want bitwise equal",
+				i, viaOp.Solution[i], direct.Solution[i])
 		}
 	}
 	if srv.Artifacts().Ops().RowsTotal.Load() == 0 {
