@@ -511,6 +511,47 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsDuplicatedPatch: a shard whose /v1/shard/eval answer
+// carries one patch twice would double that patch's contribution if the
+// coordinator summed whatever arrived. The merge rejects the repeat, so
+// the job fails instead of completing with a wrong solution.
+func TestClusterRejectsDuplicatedPatch(t *testing.T) {
+	srv := newShardServer(t)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/shard/eval" {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		var resp server.ShardEvalResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			t.Errorf("shard eval: status %d body %s", rec.Code, rec.Body)
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		resp.Patches = append(resp.Patches, resp.Patches[0])
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(&resp)
+	}))
+	t.Cleanup(ts.Close)
+	_, cts := newCluster(t, Config{Shards: []string{ts.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(6))
+
+	spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: 4}
+	var v server.JobStatus
+	if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	v = waitClusterJob(t, cts.URL, v.ID, 60*time.Second)
+	if v.State != server.StateFailed {
+		t.Fatalf("job merging a duplicated patch: state %s, want failed", v.State)
+	}
+	if !strings.Contains(v.Error, "merged twice") {
+		t.Errorf("error %q does not name the repeated patch", v.Error)
+	}
+}
+
 // TestClusterQueryRoutingAndHedging: /v1/query routes to the mesh's home
 // shard; a slow primary loses the race to a hedged replica; a dead primary
 // fails over. All paths return identical values. The dead-primary step

@@ -52,10 +52,11 @@ func (noShards) ErrorKind() string { return ErrorKindShardFailure }
 
 // evalDistributed is the coordinator Manager's EvalFunc, one distributed
 // per-element job: fan the patch ranges across shards, fail ranges over to
-// ring successors when a shard exhausts its retry budget, merge the
-// surviving partials in ascending patch order (bit-identical to a
-// single-process run at full coverage), and account honestly for anything
-// lost.
+// ring successors when a shard exhausts its retry budget, account honestly
+// for anything lost, and merge the surviving partials with
+// core.MergePartials — the merge a single process runs, so the result is
+// bit-identical to one at full coverage and zero at the uncovered points
+// of a degraded run.
 func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec) (*server.Outcome, error) {
 	start := time.Now()
 	order := co.routable(spec.MeshID)
@@ -84,7 +85,7 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 	wg.Wait()
 
 	var (
-		partials      []server.ShardPatchPartial
+		partials      []core.PatchPartial
 		failedPatches []int
 		shards        []string
 		counters      metrics.Counters
@@ -126,29 +127,9 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 			len(failedPatches), k, firstErr)
 	}
 
-	// Merge in ascending patch order: zero-filled full-grid output, each
-	// patch buffer added element-slot by element-slot. This is tile.Reduce
-	// over the wire — at 100% coverage the result is bit-identical to a
-	// single-process per-element run.
-	sort.Slice(partials, func(a, b int) bool { return partials[a].Patch < partials[b].Patch })
-	solution := make([]float64, numPoints)
-	for _, pp := range partials {
-		if len(pp.Points) != len(pp.Values) {
-			return nil, fmt.Errorf("cluster: malformed partial for patch %d: %d points, %d values",
-				pp.Patch, len(pp.Points), len(pp.Values))
-		}
-		for i, pt := range pp.Points {
-			if int(pt) < 0 || int(pt) >= numPoints {
-				return nil, fmt.Errorf("cluster: partial for patch %d references point %d outside [0, %d)",
-					pp.Patch, pt, numPoints)
-			}
-			solution[pt] += pp.Values[i]
-		}
-	}
-
 	out := &server.Outcome{
 		Result: &core.Result{
-			Solution:       solution,
+			Solution:       make([]float64, numPoints),
 			Total:          counters,
 			MemoryOverhead: memOverhd,
 			Scheme:         core.PerElement,
@@ -156,21 +137,16 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 		Shards: shards,
 	}
 	if len(failedPatches) > 0 {
-		cov, ids, trunc, err := co.probeCoverage(ctx, spec, failedPatches)
+		var err error
+		out.Coverage, out.UncoveredIDs, out.UncoveredTruncated, err = co.probeCoverage(ctx, spec, failedPatches)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: coverage probe for degraded job failed: %w", err)
 		}
-		// Zero the uncovered points: their merged sums are incomplete (at
-		// least one contributing patch is missing), and a deterministic zero
-		// matches the single-process degraded contract — failed units
-		// contribute nothing, coverage metadata says exactly which points to
-		// distrust.
-		for _, pt := range ids {
-			solution[pt] = 0
-		}
-		out.Coverage = cov
-		out.UncoveredIDs = ids
-		out.UncoveredTruncated = trunc
+	}
+	if err := core.MergePartials(out.Solution, partials, out.UncoveredIDs); err != nil {
+		return nil, fmt.Errorf("cluster: merging shard partials: %w", err)
+	}
+	if out.Coverage != nil {
 		co.counters.DegradedJobs.Add(1)
 	}
 	out.Wall = time.Since(start)

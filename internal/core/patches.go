@@ -1,25 +1,69 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"unstencil/internal/metrics"
 	"unstencil/internal/tile"
 )
 
 // PatchPartial is the outcome of evaluating one tile patch in isolation:
-// the patch's scratch-pad partial-solution buffer (indexed by its slot
-// list, t.Slots[Patch]) plus the exact counters the patch accrued. It is
-// the unit of work a cluster shard returns to the coordinator: because a
-// patch's buffer is accumulated element-by-element in PatchElems order
-// regardless of which process runs it, merging buffers in ascending patch
-// order reproduces tile.Reduce — and therefore a single-process
-// RunPerElement — bit for bit.
+// the patch's scratch-pad partial-solution buffer, Values[i] being the
+// partial sum at grid point Points[i] (the patch's slot list,
+// t.Slots[Patch], ascending and shared with the tiling: never modify it),
+// plus the exact counters the patch accrued.
+// It is also the wire form a cluster shard returns to the coordinator
+// (counters travel summed, not per patch). A patch's buffer is accumulated
+// element by element in PatchElems order whichever process runs it, so
+// MergePartials gives the same bits in process and across shards.
 type PatchPartial struct {
-	Patch    int
-	Values   []float64
-	Counters metrics.Counters
+	Patch    int              `json:"patch"`
+	Points   []int32          `json:"points"`
+	Values   []float64        `json:"values"`
+	Counters metrics.Counters `json:"-"`
+}
+
+// MergePartials is the reduction of the overlapped tiling (paper §4), the
+// one merge of the per-element scheme in process and across shards. It
+// zeroes out, sorts parts by patch, adds every partial into out point by
+// point in ascending patch order, then zeroes the uncovered points: a
+// degraded run's failed patches contribute nothing, so the sums there are
+// incomplete and the contract is a deterministic 0. Accumulating from 0 in
+// ascending patch order fixes the addition order at every point, which is
+// what makes the result independent of which process evaluated which
+// patch. Partials may arrive over the network, so a point outside out, a
+// Points/Values length mismatch and a patch merged twice are errors, after
+// which out holds no meaningful result.
+func MergePartials(out []float64, parts []PatchPartial, uncovered []int32) error {
+	clear(out)
+	slices.SortFunc(parts, func(a, b PatchPartial) int { return cmp.Compare(a.Patch, b.Patch) })
+	for i := range parts {
+		pp := &parts[i]
+		if i > 0 && parts[i-1].Patch == pp.Patch {
+			return fmt.Errorf("core: patch %d merged twice", pp.Patch)
+		}
+		if len(pp.Points) != len(pp.Values) {
+			return fmt.Errorf("core: partial for patch %d has %d points and %d values",
+				pp.Patch, len(pp.Points), len(pp.Values))
+		}
+		for j, pt := range pp.Points {
+			if pt < 0 || int(pt) >= len(out) {
+				return fmt.Errorf("core: partial for patch %d references point %d outside [0, %d)",
+					pp.Patch, pt, len(out))
+			}
+			out[pt] += pp.Values[j]
+		}
+	}
+	for _, pt := range uncovered {
+		if pt < 0 || int(pt) >= len(out) {
+			return fmt.Errorf("core: uncovered point %d outside [0, %d)", pt, len(out))
+		}
+		out[pt] = 0
+	}
+	return nil
 }
 
 // EvalPatchesResilientCtx evaluates only the given patches of tiling t,
@@ -27,7 +71,7 @@ type PatchPartial struct {
 // and returns their partial-solution buffers without performing the
 // reduction. It is the shard half of the distributed per-element scheme:
 // the coordinator assigns disjoint patch sets to shards, gathers the
-// partials, and merges them in ascending patch order.
+// partials, and merges them with MergePartials.
 //
 // With rs.AllowPartial, patches that exhaust their retries are dropped and
 // reported in the second return value (sorted); without it the first
@@ -75,7 +119,7 @@ func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling
 					return err
 				}
 			}
-			out[i] = PatchPartial{Patch: p, Values: buf, Counters: wk.counters}
+			out[i] = PatchPartial{Patch: p, Points: t.Slots[p], Values: buf, Counters: wk.counters}
 			return nil
 		}, nil)
 	if err != nil {

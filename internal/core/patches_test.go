@@ -27,10 +27,11 @@ func patchesSetup(t *testing.T, p int) *Evaluator {
 // TestEvalPatchesBitIdentical is the distributed-merge invariant at its
 // source: evaluating the tiling's patches in arbitrary disjoint subsets
 // and merging the partial buffers in ascending patch order must reproduce
-// a full RunPerElement bit for bit — no tolerance. RunPerElement is itself
-// built from EvalPatches, so two references that are not hold the pair up:
-// the sequential tile.Reduce of the returned partials (bitwise) and the
-// per-point scheme's solution (1e-12).
+// a full RunPerElement bit for bit — no tolerance, whether the partials go
+// through MergePartials (as the coordinator merges them) or a hand-written
+// ascending-patch loop. RunPerElement is itself EvalPatches plus
+// MergePartials, so the hand loop and the per-point scheme's solution
+// (1e-12) hold the pair up from outside.
 func TestEvalPatchesBitIdentical(t *testing.T) {
 	ev := patchesSetup(t, 1)
 	const k = 7
@@ -55,27 +56,27 @@ func TestEvalPatchesBitIdentical(t *testing.T) {
 		partials = append(partials, out...)
 	}
 	// Merge in ascending patch order (the coordinator's contract).
-	bufs := make([][]float64, k)
 	for p := 0; p < k; p++ {
 		for _, pp := range partials {
 			if pp.Patch != p {
 				continue
 			}
-			bufs[p] = pp.Values
 			for i, pt := range tl.Slots[p] {
 				merged[pt] += pp.Values[i]
 			}
 		}
 	}
 	reduced := make([]float64, tl.NumPoints)
-	tl.Reduce(bufs, reduced)
+	if err := MergePartials(reduced, partials, nil); err != nil {
+		t.Fatal(err)
+	}
 	perPoint, err := ev.RunPerPoint(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range merged {
 		if merged[i] != ref.Solution[i] || reduced[i] != ref.Solution[i] {
-			t.Fatalf("point %d: merged %v, tile.Reduce %v != RunPerElement %v (must be bit-identical)",
+			t.Fatalf("point %d: merged %v, MergePartials %v != RunPerElement %v (must be bit-identical)",
 				i, merged[i], reduced[i], ref.Solution[i])
 		}
 		if d := math.Abs(ref.Solution[i] - perPoint.Solution[i]); d > 1e-12 {

@@ -18,7 +18,8 @@ import (
 // write sets, dispatched by runDynamic — so one loop (runUnits) applies the
 // policy to either: per-point blocks and per-element patches are its two
 // callers, and the single-process per-element run is the shard path
-// (EvalPatchesResilientCtx) over every patch plus the reduction.
+// (EvalPatchesResilientCtx) over every patch plus the one merge
+// (MergePartials).
 
 // Fault-injection sites the evaluation pipeline exposes (see internal/fault
 // and DESIGN.md §8). Each site sits at the top of a unit attempt, so an
@@ -29,8 +30,6 @@ const (
 	SitePointBlock = "core.point-block"
 	// SiteTile fires at the start of each per-element patch (tile) attempt.
 	SiteTile = "core.tile"
-	// SiteReduce fires before the per-element reduction stage.
-	SiteReduce = "core.reduce"
 	// siteAssembleRow fires at the start of each integrated operator row.
 	// Rows run outside the retry policy: a fault fails the assembly, which
 	// the job layer retries whole.
@@ -45,7 +44,7 @@ const (
 // per-point gathers outside the policy) carry the dispatch index.
 type PanicError struct {
 	Scheme Scheme
-	Unit   int // block, patch or dispatch index; -1 for the reduction stage
+	Unit   int // block, patch or dispatch index
 	Value  any // the recovered panic value
 	Stack  []byte
 }
@@ -82,9 +81,11 @@ type Resilience struct {
 
 // Coverage reports partial completion of a degraded run: which units
 // (blocks or patches) exhausted their retries, and how many grid points
-// still carry a complete value. For the per-element scheme an uncovered
-// point holds the partial sum of its surviving patches' contributions; for
-// the per-point scheme failed blocks' points are exactly zero.
+// still carry a complete value. The other points are exactly zero in both
+// schemes: a failed block's strided points, and for the per-element scheme
+// every point in a failed patch's influence region (tile.UncoveredIDs),
+// which MergePartials zeroes rather than leave the surviving patches'
+// incomplete sum.
 type Coverage struct {
 	FailedUnits   []int `json:"failed_units"`
 	TotalUnits    int   `json:"total_units"`
@@ -276,19 +277,19 @@ func strideCount(total, b, n int) int {
 // RunPerElementResilientCtx executes the per-element scheme (Algorithm 3)
 // under ctx and a fault-handling policy (nil: one attempt per patch, no
 // partial completion): EvalPatchesResilientCtx over every patch of the
-// overlapped tiling, then the reduction. A nil tiling builds one with
+// overlapped tiling, then MergePartials. A nil tiling builds one with
 // Opt.Workers patches. The tiling is the unit of fault containment: every
 // patch accumulates into its own scratch-pad, so a patch that exhausts its
-// retries is dropped (zero contribution) without touching any neighbour.
-// With rs.AllowPartial the run then completes carrying per-tile coverage
-// metadata; otherwise the first exhausted patch fails the run.
+// retries is dropped without touching any neighbour. With rs.AllowPartial
+// the run then completes with the dropped patches' influence regions
+// zeroed and reported in Result.Coverage; otherwise the first exhausted
+// patch fails the run.
 func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tiling, rs *Resilience) (*Result, error) {
 	if t == nil {
 		t = ev.NewTiling(ev.Opt.Workers)
 	} else if t.NumPoints != ev.NumPoints() {
 		return nil, fmt.Errorf("core: tiling covers %d points, evaluator has %d", t.NumPoints, ev.NumPoints())
 	}
-	rs = rs.orNone()
 	res := &Result{
 		Solution:       make([]float64, ev.NumPoints()),
 		Blocks:         make([]metrics.Counters, t.K),
@@ -304,18 +305,11 @@ func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tili
 	if err != nil {
 		return nil, err
 	}
-	bufs := make([][]float64, t.K)
 	for _, pp := range partials {
-		bufs[pp.Patch], res.Blocks[pp.Patch] = pp.Values, pp.Counters
+		res.Blocks[pp.Patch] = pp.Counters
 	}
-	for _, p := range failed {
-		bufs[p] = make([]float64, len(t.Slots[p])) // dropped tile: zero contribution, never garbage
-	}
-	// The scratch-pads are read-only in the reduction and every output point
-	// is overwritten, so a second attempt after a recovered panic is sound.
-	if err := rs.runUnit(ctx, PerElement, -1, SiteReduce, func() error {
-		return reduce(t, bufs, res.Solution, ev.Opt.Workers)
-	}); err != nil {
+	uncovered := t.UncoveredIDs(failed)
+	if err := MergePartials(res.Solution, partials, uncovered); err != nil {
 		return nil, err
 	}
 	res.finish(start)
@@ -323,21 +317,9 @@ func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tili
 		res.Coverage = &Coverage{
 			FailedUnits:   failed,
 			TotalUnits:    t.K,
-			CoveredPoints: t.NumPoints - t.UncoveredPoints(failed),
+			CoveredPoints: t.NumPoints - len(uncovered),
 			TotalPoints:   t.NumPoints,
 		}
 	}
 	return res, nil
-}
-
-// reduce is the reduction stage (paper §4, two-stage): each patch gathers
-// the points it owns from every scratch-pad, in ascending patch order
-// exactly as the sequential tile.Reduce sums them. Owned sets partition the
-// grid, so the gathers are dispatcher units like any other and the result
-// is bit-identical to tile.Reduce for every worker count.
-func reduce(t *tile.Tiling, bufs [][]float64, out []float64, workers int) error {
-	return runDynamic(workers, t.K, func(_, p int) error {
-		t.ReduceOwned(p, bufs, out)
-		return nil
-	})
 }

@@ -51,7 +51,6 @@ func TestResilientMatchesFaultFree(t *testing.T) {
 		Sites: map[string]float64{
 			SitePointBlock: 0.4,
 			SiteTile:       0.4,
-			SiteReduce:     0.3,
 		},
 	})
 	var fc metrics.FaultCounters
@@ -117,8 +116,9 @@ func TestPanicBecomesTypedError(t *testing.T) {
 }
 
 // TestDegradedCompletion: when tiles exhaust their retries under
-// AllowPartial, the run completes with coverage metadata, failed tiles
-// contribute nothing, and untouched tiles' points keep exact values.
+// AllowPartial, the run completes with coverage metadata, every point a
+// failed tile could reach is exactly 0, and untouched tiles' points keep
+// exact values.
 func TestDegradedCompletion(t *testing.T) {
 	// Fine enough that no two tiles' influence regions (element boxes
 	// padded by half the kernel support) blanket the whole grid, whichever
@@ -152,7 +152,7 @@ func TestDegradedCompletion(t *testing.T) {
 	if len(cov.FailedUnits) != 2 || cov.TotalUnits != tiling.K {
 		t.Fatalf("coverage %+v, want 2 failed units of %d", cov, tiling.K)
 	}
-	if cov.CoveredPoints+tiling.UncoveredPoints(cov.FailedUnits) != cov.TotalPoints {
+	if cov.CoveredPoints+len(tiling.UncoveredIDs(cov.FailedUnits)) != cov.TotalPoints {
 		t.Errorf("coverage arithmetic inconsistent: %+v", cov)
 	}
 	if cov.Fraction() <= 0 || cov.Fraction() >= 1 {
@@ -171,6 +171,9 @@ func TestDegradedCompletion(t *testing.T) {
 	}
 	for pt := range ref.Solution {
 		if uncovered[int32(pt)] {
+			if res.Solution[pt] != 0 {
+				t.Fatalf("uncovered point %d carries partial sum %v, want 0", pt, res.Solution[pt])
+			}
 			continue
 		}
 		if d := math.Abs(res.Solution[pt] - ref.Solution[pt]); d > 1e-12 {

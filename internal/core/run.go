@@ -82,15 +82,6 @@ func (ev *Evaluator) CandidateMarker() func(e int, markPt func(pt int32)) {
 	}
 }
 
-// PointElems returns the owning element of every grid point.
-func (ev *Evaluator) PointElems() []int32 {
-	pointElem := make([]int32, len(ev.Points))
-	for i, gp := range ev.Points {
-		pointElem[i] = gp.Elem
-	}
-	return pointElem
-}
-
 // NewTiling builds the overlapped tiling for the per-element scheme with k
 // patches, marking each patch's influence region with exactly the candidate
 // enumeration processElement uses. Patches are balanced by estimated
@@ -129,7 +120,7 @@ func (ev *Evaluator) NewTiling(k int) *tile.Tiling {
 		panic(err)
 	}
 	part := mesh.PartitionWeighted(ev.Mesh, k, weights)
-	return tile.NewWithPartition(ev.Mesh, ev.PointElems(), part, k, ev.CandidateMarker())
+	return tile.NewWithPartition(ev.Mesh, len(ev.Points), part, k, ev.CandidateMarker())
 }
 
 // influencePad returns how far an element's influence extends beyond its

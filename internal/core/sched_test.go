@@ -2,12 +2,8 @@ package core
 
 import (
 	"errors"
-	"math"
 	"sync/atomic"
 	"testing"
-
-	"unstencil/internal/geom"
-	"unstencil/internal/mesh"
 )
 
 // TestRunDynamicRunsEveryUnitOnce dispatches n units over varying worker
@@ -101,40 +97,6 @@ func TestRunDynamicPanicIsolated(t *testing.T) {
 			for u := bad + 1; u < n; u++ {
 				if ran[u].Load() != 0 {
 					t.Fatalf("inline: unit %d ran after the panic", u)
-				}
-			}
-		}
-	}
-}
-
-// TestDispatchedReduceMatchesSequential is the property the reduction stage
-// rests on: for any (mesh size, patch count, worker count), ReduceOwned
-// dispatched per patch is bit-identical to the sequential tile.Reduce.
-// Buffers are filled with irregular values (no floats that sum exactly) so
-// any reordering of the additions would show up as a bit difference.
-func TestDispatchedReduceMatchesSequential(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{5, 3}, {7, 6}, {9, 11}} {
-		ev := buildEvaluator(t, mesh.Structured(tc.n), 1, func(p geom.Point) float64 { return p.X }, Options{Workers: 1})
-		tl := ev.NewTiling(tc.k)
-		bufs := tl.NewBuffers()
-		for p := range bufs {
-			for i := range bufs[p] {
-				// Deterministic, irregular, sign-alternating values.
-				v := math.Sin(float64(1+p)*12.9898+float64(i)*78.233) * 43758.5453
-				bufs[p][i] = v - math.Floor(v) - 0.5
-			}
-		}
-		want := make([]float64, tl.NumPoints)
-		tl.Reduce(bufs, want)
-		for _, workers := range []int{1, 2, 5} {
-			got := make([]float64, tl.NumPoints)
-			if err := reduce(tl, bufs, got, workers); err != nil {
-				t.Fatal(err)
-			}
-			for pt := range got {
-				if got[pt] != want[pt] {
-					t.Fatalf("n=%d k=%d workers=%d: out[%d] = %v, Reduce gives %v (diff %g)",
-						tc.n, tc.k, workers, pt, got[pt], want[pt], got[pt]-want[pt])
 				}
 			}
 		}

@@ -19,7 +19,6 @@
 //
 //	core.point-block   start of a per-point block attempt
 //	core.tile          start of a per-element patch (tile) attempt
-//	core.reduce        before the per-element reduction stage
 //	core.assemble-row  start of each integrated operator-assembly row
 //	server.handler     HTTP request entry (recovery middleware)
 //	server.journal     job-journal append

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,7 +73,6 @@ func TestChaosJobsSurviveFaults(t *testing.T) {
 		Sites: map[string]float64{
 			core.SitePointBlock: 0.05,
 			core.SiteTile:       0.05,
-			core.SiteReduce:     0.02,
 		},
 	})
 
@@ -131,19 +131,27 @@ func TestChaosJobsSurviveFaults(t *testing.T) {
 
 // TestChaosDegradedJob: with retry disabled and AllowPartial set, injected
 // tile failures must produce a completed-but-degraded job whose coverage
-// metadata is visible through the API.
+// metadata is visible through the API, and whose result names the
+// uncovered points and holds 0 at each — the body a coordinator answers
+// for the same loss.
 func TestChaosDegradedJob(t *testing.T) {
-	m := mesh.Structured(12)
+	// Fine enough that two lost tiles' influence regions leave part of the
+	// grid covered (on a 12-mesh they blanket all of it).
+	m := mesh.Structured(16)
 	srv, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 1})
 	meshID := uploadMesh(t, ts, m)
 
-	// Warm artifacts fault-free.
+	// Warm artifacts fault-free; the warm result is the reference.
 	st, code := submitJob(t, ts, JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: 8})
 	if code != http.StatusAccepted {
 		t.Fatalf("warmup status %d", code)
 	}
 	if st = waitJob(t, ts, st.ID, 60*time.Second); st.State != StateDone {
 		t.Fatalf("warmup failed: %s", st.Error)
+	}
+	var ref JobResult
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &ref); code != http.StatusOK {
+		t.Fatalf("warmup result code %d", code)
 	}
 
 	enableFaults(t, fault.Config{
@@ -176,6 +184,39 @@ func TestChaosDegradedJob(t *testing.T) {
 	}
 	if srv.Faults().DegradedJobs.Load() == 0 {
 		t.Error("degraded completion not counted")
+	}
+
+	ev, err := core.NewEvaluator(dg.Project(m, 1, FieldFuncs["sincos"], 4), core.Options{P: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ev.NewTiling(8).UncoveredIDs(st.Coverage.FailedUnits)
+	var res JobResult
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
+		t.Fatalf("result code %d", code)
+	}
+	if len(want) == 0 || len(want) == len(res.Solution) {
+		t.Fatalf("%d of %d points uncovered: the drill needs some of each", len(want), len(res.Solution))
+	}
+	if !slices.Equal(res.UncoveredIDs, want) || res.UncoveredTruncated {
+		t.Fatalf("%d uncovered_ids (truncated %v), the tiling says %d", len(res.UncoveredIDs), res.UncoveredTruncated, len(want))
+	}
+	if !slices.Equal(st.UncoveredIDs, want) {
+		t.Errorf("status has %d uncovered_ids, want %d", len(st.UncoveredIDs), len(want))
+	}
+	// Uncovered points are 0, never half-summed; covered ones are exact.
+	uncovered := map[int32]bool{}
+	for _, pt := range want {
+		uncovered[pt] = true
+	}
+	for pt, v := range res.Solution {
+		if uncovered[int32(pt)] {
+			if v != 0 {
+				t.Fatalf("uncovered point %d carries partial sum %v, want 0", pt, v)
+			}
+		} else if v != ref.Solution[pt] {
+			t.Fatalf("covered point %d: degraded %v != fault-free %v", pt, v, ref.Solution[pt])
+		}
 	}
 }
 

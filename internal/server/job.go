@@ -206,8 +206,9 @@ type Outcome struct {
 	// Shards are the shards that evaluated a distributed job's patch
 	// ranges, in range order.
 	Shards []string
-	// UncoveredIDs lists the grid points a degraded distributed merge does
-	// not cover, capped at MaxUncoveredIDs (UncoveredTruncated says so).
+	// UncoveredIDs lists the grid points a degraded per-element run does
+	// not cover (their values are 0), capped at MaxUncoveredIDs
+	// (UncoveredTruncated says so).
 	UncoveredIDs       []int32
 	UncoveredTruncated bool
 }
@@ -1049,7 +1050,12 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 	if err != nil {
 		return &Outcome{CacheHits: hits}, &JobError{Stage: StageEvaluate, Err: err}
 	}
-	return &Outcome{Result: res, CacheHits: hits}, nil
+	out := &Outcome{Result: res, CacheHits: hits}
+	if scheme == core.PerElement && res.Coverage != nil {
+		// The same body a coordinator answers for a degraded merge.
+		out.UncoveredIDs, out.UncoveredTruncated = capUncovered(tiling.UncoveredIDs(res.Coverage.FailedUnits))
+	}
+	return out, nil
 }
 
 // resilience is the unit-level retry policy of a local evaluation.

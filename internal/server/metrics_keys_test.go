@@ -132,3 +132,33 @@ func TestMetricsKeyPaths(t *testing.T) {
 		t.Errorf("key paths differ\n got %q\nwant %q", got, want)
 	}
 }
+
+// TestShardEvalKeyPaths pins the /v1/shard/eval wire format the
+// coordinator and the request benchmark decode: each patch is its number,
+// its points and its values, and the counters travel once, summed, not per
+// patch.
+func TestShardEvalKeyPaths(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 2})
+	id := uploadMesh(t, ts, mesh.Structured(6))
+	var body map[string]any
+	if code := postShard(t, ts, "/v1/shard/eval", ShardEvalRequest{
+		MeshID: id, P: 1, K: 4, Patches: []int{0, 1},
+	}, &body); code != http.StatusOK {
+		t.Fatalf("shard eval status %d", code)
+	}
+	got := metricKeyPaths(body, func(string, any) {})
+	want := []string{
+		"counters.bytes_read", "counters.bytes_uncoalesced", "counters.flops",
+		"counters.intersection_tests", "counters.quad_evals", "counters.regions",
+		"counters.scattered_loads", "counters.true_positives",
+		"k",
+		"memory_overhead",
+		"mesh_id",
+		"num_points",
+		"patches[].patch", "patches[].points[]", "patches[].values[]",
+		"wall_ms",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("key paths differ\n got %q\nwant %q", got, want)
+	}
+}

@@ -7,8 +7,8 @@ package server
 // resident evaluator and returns sparse partial-solution buffers (slot
 // lists + values). The tiling is deterministic given (mesh, parameters,
 // k), so every shard sees the identical decomposition, and the
-// coordinator's ascending-patch-order merge reproduces a single-process
-// per-element run bit for bit.
+// coordinator's merge (core.MergePartials, the one a single process runs)
+// reproduces a single-process per-element run bit for bit.
 
 import (
 	"context"
@@ -75,22 +75,13 @@ func (q *ShardEvalRequest) normalize() error {
 	return nil
 }
 
-// ShardPatchPartial is one patch's sparse partial-solution buffer on the
-// wire: Points[i] is the global grid point receiving Values[i]. Points is
-// the patch's slot list, ascending.
-type ShardPatchPartial struct {
-	Patch  int       `json:"patch"`
-	Points []int32   `json:"points"`
-	Values []float64 `json:"values"`
-}
-
 // ShardEvalResponse carries the requested patches' partials plus the failed
 // set (AllowPartial only) and the exact summed counters.
 type ShardEvalResponse struct {
 	MeshID         string              `json:"mesh_id"`
 	K              int                 `json:"k"`
 	NumPoints      int                 `json:"num_points"`
-	Patches        []ShardPatchPartial `json:"patches"`
+	Patches        []core.PatchPartial `json:"patches"`
 	Failed         []int               `json:"failed,omitempty"`
 	Counters       metrics.Counters    `json:"counters"`
 	MemoryOverhead float64             `json:"memory_overhead"`
@@ -135,19 +126,13 @@ func (s *Server) shardEval(r *http.Request) (*ShardEvalResponse, error) {
 		MeshID:         req.MeshID,
 		K:              req.K,
 		NumPoints:      tiling.NumPoints,
-		Patches:        make([]ShardPatchPartial, 0, len(partials)),
+		Patches:        partials,
 		Failed:         failed,
 		MemoryOverhead: tiling.Overhead(),
 		WallMS:         float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	for i := range partials {
-		pp := &partials[i]
-		resp.Patches = append(resp.Patches, ShardPatchPartial{
-			Patch:  pp.Patch,
-			Points: tiling.Slots[pp.Patch],
-			Values: pp.Values,
-		})
-		resp.Counters.Add(&pp.Counters)
+		resp.Counters.Add(&partials[i].Counters)
 	}
 	s.mgr.totals.Record("shard-eval", &resp.Counters)
 	return resp, nil
@@ -206,13 +191,18 @@ func (s *Server) shardCoverage(r *http.Request) (*ShardCoverageResponse, error) 
 		TotalPoints:     tiling.NumPoints,
 		UncoveredPoints: len(ids),
 		CoveredPoints:   tiling.NumPoints - len(ids),
-		UncoveredIDs:    ids,
 	}
-	if len(ids) > MaxUncoveredIDs {
-		resp.UncoveredIDs = ids[:MaxUncoveredIDs]
-		resp.UncoveredTruncated = true
-	}
+	resp.UncoveredIDs, resp.UncoveredTruncated = capUncovered(ids)
 	return resp, nil
+}
+
+// capUncovered caps an uncovered-point id list at MaxUncoveredIDs and
+// reports whether it did.
+func capUncovered(ids []int32) ([]int32, bool) {
+	if len(ids) > MaxUncoveredIDs {
+		return ids[:MaxUncoveredIDs], true
+	}
+	return ids, false
 }
 
 // shardArtifacts resolves the evaluator and k-patch tiling for a normalized

@@ -32,8 +32,8 @@ func postShard(t *testing.T, ts *httptest.Server, path string, req, out any) int
 }
 
 // TestShardEvalBitIdentical drives the shard endpoints the way the
-// coordinator does: two disjoint patch-range requests, merged in ascending
-// patch order, must reproduce a local per-element run bit for bit.
+// coordinator does: two disjoint patch-range requests, merged by
+// core.MergePartials, must reproduce a local per-element run bit for bit.
 func TestShardEvalBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 2})
 	m := mesh.Structured(6)
@@ -50,8 +50,7 @@ func TestShardEvalBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged := make([]float64, len(ref.Solution))
-	var partials []ShardPatchPartial
+	var partials []core.PatchPartial
 	for _, patches := range [][]int{{0, 1, 2}, {3, 4, 5, 6}} {
 		var resp ShardEvalResponse
 		code := postShard(t, ts, "/v1/shard/eval", ShardEvalRequest{
@@ -72,18 +71,9 @@ func TestShardEvalBitIdentical(t *testing.T) {
 		}
 		partials = append(partials, resp.Patches...)
 	}
-	for p := 0; p < k; p++ {
-		for _, pp := range partials {
-			if pp.Patch != p {
-				continue
-			}
-			if len(pp.Points) != len(pp.Values) {
-				t.Fatalf("patch %d: %d points, %d values", p, len(pp.Points), len(pp.Values))
-			}
-			for i, pt := range pp.Points {
-				merged[pt] += pp.Values[i]
-			}
-		}
+	merged := make([]float64, len(ref.Solution))
+	if err := core.MergePartials(merged, partials, nil); err != nil {
+		t.Fatal(err)
 	}
 	for i := range merged {
 		if merged[i] != ref.Solution[i] {

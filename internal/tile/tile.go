@@ -2,8 +2,8 @@
 // mesh is partitioned into k patches by recursive bisection; each
 // concurrently executing patch accumulates partial solutions into its own
 // scratch-pad buffer, sized to hold exactly the grid points that can receive
-// contributions from the patch's elements; a final reduction sums the
-// overlapping regions into the global solution.
+// contributions from the patch's elements; a final reduction
+// (core.MergePartials) sums the overlapping regions into the global solution.
 //
 // Because every patch writes only to its own buffer, patches never contend,
 // which is what lets all tiles start concurrently without pipelining. The
@@ -15,6 +15,7 @@ package tile
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"unstencil/internal/mesh"
@@ -32,13 +33,6 @@ type Tiling struct {
 	// slotIdx maps, per patch, global point id -> local slot (-1 when the
 	// point is outside the patch's influence region).
 	slotIdx [][]int32
-	// owned lists, per patch, the grid points whose owning element lies in
-	// the patch (ascending). The owned sets partition the grid, which is
-	// what makes the two-stage reduction contention-free: each patch's
-	// reducer writes exactly its owned points and nothing else. Precomputed
-	// at build time so ReduceOwned walks its list instead of scanning and
-	// filtering all NumPoints per call.
-	owned [][]int32
 	// colors memoises the conflict-graph colouring (Colors): the greedy
 	// colouring is O(K²·slots) and the tiling is immutable after build, so
 	// repeated callers share one computation.
@@ -48,19 +42,19 @@ type Tiling struct {
 	NumPoints int
 }
 
-// New builds a tiling with k patches. pointElem gives the owning element of
-// each grid point. mark must invoke markPt for (a superset of) every grid
-// point that element e can contribute a partial solution to — the caller
-// supplies the same candidate enumeration the evaluator uses, so coverage
-// is identical by construction.
-func New(m *mesh.Mesh, pointElem []int32, k int, mark func(e int, markPt func(pt int32))) *Tiling {
-	return NewWithPartition(m, pointElem, mesh.Partition(m, k), k, mark)
+// New builds a tiling with k patches over a grid of numPoints points. mark
+// must invoke markPt for (a superset of) every grid point that element e
+// can contribute a partial solution to — the caller supplies the same
+// candidate enumeration the evaluator uses, so coverage is identical by
+// construction.
+func New(m *mesh.Mesh, numPoints, k int, mark func(e int, markPt func(pt int32))) *Tiling {
+	return NewWithPartition(m, numPoints, mesh.Partition(m, k), k, mark)
 }
 
 // NewWithPartition is New with a caller-supplied element-to-patch
 // assignment (e.g. a workload-weighted bisection); elemPatch must map every
 // element to a patch id in [0, k).
-func NewWithPartition(m *mesh.Mesh, pointElem []int32, elemPatch []int, k int, mark func(e int, markPt func(pt int32))) *Tiling {
+func NewWithPartition(m *mesh.Mesh, numPoints int, elemPatch []int, k int, mark func(e int, markPt func(pt int32))) *Tiling {
 	if k < 1 {
 		panic(fmt.Sprintf("tile: k must be >= 1, got %d", k))
 	}
@@ -70,43 +64,24 @@ func NewWithPartition(m *mesh.Mesh, pointElem []int32, elemPatch []int, k int, m
 	t := &Tiling{
 		K:         k,
 		ElemPatch: elemPatch,
-		NumPoints: len(pointElem),
+		NumPoints: numPoints,
 	}
 	t.PatchElems = make([][]int32, k)
 	for e, p := range t.ElemPatch {
 		t.PatchElems[p] = append(t.PatchElems[p], int32(e))
 	}
 
-	// Owned-point lists: one pass over the grid, exact-size allocations.
-	// Appending in ascending pt order keeps each list sorted, so the
-	// owned-point reduction visits points in the same order the sequential
-	// Reduce does.
-	ownedCount := make([]int, k)
-	for _, e := range pointElem {
-		ownedCount[t.ElemPatch[e]]++
-	}
-	t.owned = make([][]int32, k)
-	for p := range t.owned {
-		t.owned[p] = make([]int32, 0, ownedCount[p])
-	}
-	for pt, e := range pointElem {
-		p := t.ElemPatch[e]
-		t.owned[p] = append(t.owned[p], int32(pt))
-	}
-
 	// Mark the influence region of each patch with a bitset, then freeze
 	// into slot arrays.
 	words := (t.NumPoints + 63) / 64
-	bits := make([]uint64, words)
+	set := make([]uint64, words)
 	t.Slots = make([][]int32, k)
 	t.slotIdx = make([][]int32, k)
 	for p := 0; p < k; p++ {
-		for i := range bits {
-			bits[i] = 0
-		}
+		clear(set)
 		for _, e := range t.PatchElems[p] {
 			mark(int(e), func(pt int32) {
-				bits[pt>>6] |= 1 << (uint(pt) & 63)
+				set[pt>>6] |= 1 << (uint(pt) & 63)
 			})
 		}
 		idx := make([]int32, t.NumPoints)
@@ -114,14 +89,11 @@ func NewWithPartition(m *mesh.Mesh, pointElem []int32, elemPatch []int, k int, m
 			idx[i] = -1
 		}
 		var slots []int32
-		for w, word := range bits {
-			for word != 0 {
-				b := word & (-word)
-				bit := trailingZeros(word)
-				pt := int32(w*64 + bit)
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				pt := int32(w*64 + bits.TrailingZeros64(word))
 				idx[pt] = int32(len(slots))
 				slots = append(slots, pt)
-				word ^= b
 			}
 		}
 		t.Slots[p] = slots
@@ -130,27 +102,9 @@ func NewWithPartition(m *mesh.Mesh, pointElem []int32, elemPatch []int, k int, m
 	return t
 }
 
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
-}
-
 // Slot returns the local partial-solution slot of global point pt in patch
 // p, or -1 when the point is outside the patch's influence region.
 func (t *Tiling) Slot(p int, pt int32) int32 { return t.slotIdx[p][pt] }
-
-// NewBuffers allocates one scratch-pad partial-solution buffer per patch.
-func (t *Tiling) NewBuffers() [][]float64 {
-	bufs := make([][]float64, t.K)
-	for p := range bufs {
-		bufs[p] = make([]float64, len(t.Slots[p]))
-	}
-	return bufs
-}
 
 // PartialValues returns the total number of stored partial solutions, the
 // numerator of the memory-overhead ratio.
@@ -172,97 +126,30 @@ func (t *Tiling) Overhead() float64 {
 	return float64(t.PartialValues()) / float64(t.NumPoints)
 }
 
-// Reduce sums the per-patch partial solutions into out (length NumPoints),
-// patch by patch in ascending order. It is the sequential definition of the
-// reduction: the evaluator dispatches ReduceOwned per patch instead, and the
-// tests hold that against this bit for bit.
-func (t *Tiling) Reduce(bufs [][]float64, out []float64) {
-	if len(out) != t.NumPoints {
-		panic(fmt.Sprintf("tile: Reduce output length %d, want %d", len(out), t.NumPoints))
+// UncoveredIDs returns the ids of the grid points that lose at least one
+// partial contribution when the given patches drop out — the union of
+// their influence regions, ascending. Because each patch writes only its
+// own scratch-pad, dropping a patch affects exactly these points and no
+// others: a degraded per-element run zeroes them (core.MergePartials),
+// derives its coverage from their count, and reports them so a client
+// knows precisely which points to distrust.
+func (t *Tiling) UncoveredIDs(failed []int) []int32 {
+	if len(failed) == 0 {
+		return nil
 	}
-	for i := range out {
-		out[i] = 0
-	}
-	for p := 0; p < t.K; p++ {
-		buf := bufs[p]
-		for local, pt := range t.Slots[p] {
-			out[pt] += buf[local]
-		}
-	}
-}
-
-// ReduceOwned computes the owned-point reduction for a single patch — one
-// unit of the paper's two-stage reduction (§4): for every grid point whose
-// owning element lies in patch p, it gathers the partial solutions from all
-// patches into out, in ascending patch order exactly as Reduce sums them.
-// Calling it for each patch (concurrently if desired — owned point sets are
-// disjoint and partition the grid) is therefore bit-identical to Reduce. It
-// walks the owned-point list frozen at build time, so one call costs
-// O(|owned(p)|·K).
-func (t *Tiling) ReduceOwned(p int, bufs [][]float64, out []float64) {
-	for _, pt := range t.owned[p] {
-		s := 0.0
-		for q := 0; q < t.K; q++ {
-			if sl := t.slotIdx[q][pt]; sl >= 0 {
-				s += bufs[q][sl]
-			}
-		}
-		out[pt] = s
-	}
-}
-
-// OwnedPoints returns the grid points owned by patch p (ascending). The
-// returned slice is shared; callers must not modify it.
-func (t *Tiling) OwnedPoints(p int) []int32 { return t.owned[p] }
-
-// uncoveredBits marks the union of the failed patches' influence regions in
-// a fresh bitset of NumPoints bits.
-func (t *Tiling) uncoveredBits(failed []int) []uint64 {
-	words := (t.NumPoints + 63) / 64
-	bits := make([]uint64, words)
+	set := make([]uint64, (t.NumPoints+63)/64)
 	for _, p := range failed {
 		if p < 0 || p >= t.K {
 			panic(fmt.Sprintf("tile: uncovered patch %d outside [0, %d)", p, t.K))
 		}
 		for _, pt := range t.Slots[p] {
-			bits[pt>>6] |= 1 << (uint(pt) & 63)
+			set[pt>>6] |= 1 << (uint(pt) & 63)
 		}
 	}
-	return bits
-}
-
-// UncoveredPoints returns the number of grid points that lose at least one
-// partial contribution when the given patches drop out (the union of their
-// influence regions). The fault-tolerant per-element runner uses it to
-// report coverage after tiles exhaust their retry budget: because each
-// patch writes only its own scratch-pad, dropping a patch affects exactly
-// these points and no others.
-func (t *Tiling) UncoveredPoints(failed []int) int {
-	if len(failed) == 0 {
-		return 0
-	}
-	n := 0
-	for _, w := range t.uncoveredBits(failed) {
-		n += popcount(w)
-	}
-	return n
-}
-
-// UncoveredIDs returns the ids of the grid points that lose at least one
-// partial contribution when the given patches drop out, ascending — the
-// exact point set UncoveredPoints counts. The cluster coordinator reports
-// these ids in degraded results so a client knows precisely which points
-// carry an incomplete sum rather than just how many.
-func (t *Tiling) UncoveredIDs(failed []int) []int32 {
-	if len(failed) == 0 {
-		return nil
-	}
 	var ids []int32
-	for w, word := range t.uncoveredBits(failed) {
-		for word != 0 {
-			b := word & (-word)
-			ids = append(ids, int32(w*64+trailingZeros(word)))
-			word ^= b
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(w*64+bits.TrailingZeros64(word)))
 		}
 	}
 	return ids
@@ -344,32 +231,20 @@ func MeasureOverhead(m *mesh.Mesh, numPoints, k int, mark func(e int, markPt fun
 	for e, p := range elemPatch {
 		patchElems[p] = append(patchElems[p], int32(e))
 	}
-	words := (numPoints + 63) / 64
-	bits := make([]uint64, words)
+	set := make([]uint64, (numPoints+63)/64)
 	for p := 0; p < k; p++ {
-		for i := range bits {
-			bits[i] = 0
-		}
+		clear(set)
 		for _, e := range patchElems[p] {
 			mark(int(e), func(pt int32) {
-				bits[pt>>6] |= 1 << (uint(pt) & 63)
+				set[pt>>6] |= 1 << (uint(pt) & 63)
 			})
 		}
-		for _, w := range bits {
-			partials += popcount(w)
+		for _, w := range set {
+			partials += bits.OnesCount64(w)
 		}
 	}
 	if numPoints == 0 {
 		return partials, 0
 	}
 	return partials, float64(partials) / float64(numPoints)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

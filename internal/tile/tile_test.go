@@ -31,7 +31,7 @@ func testSetup(t *testing.T, n int, pad float64) (*mesh.Mesh, []int32, func(e in
 
 func TestNewTilingBasics(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 8, 0.1)
-	tl := New(m, pointElem, 4, mark)
+	tl := New(m, len(pointElem), 4, mark)
 	if tl.K != 4 {
 		t.Fatalf("K = %d", tl.K)
 	}
@@ -49,7 +49,7 @@ func TestNewTilingBasics(t *testing.T) {
 
 func TestSlotsConsistent(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 6, 0.15)
-	tl := New(m, pointElem, 3, mark)
+	tl := New(m, len(pointElem), 3, mark)
 	for p := 0; p < tl.K; p++ {
 		for local, pt := range tl.Slots[p] {
 			if got := tl.Slot(p, pt); got != int32(local) {
@@ -73,56 +73,13 @@ func TestMarkedCoversOwnElements(t *testing.T) {
 	// Every grid point must be marked by at least the patch owning its
 	// element (the element's own influence region contains its points).
 	m, pointElem, mark := testSetup(t, 8, 0.05)
-	tl := New(m, pointElem, 5, mark)
+	tl := New(m, len(pointElem), 5, mark)
 	for pt := int32(0); pt < int32(tl.NumPoints); pt++ {
 		owner := tl.ElemPatch[pointElem[pt]]
 		if tl.Slot(owner, pt) < 0 {
 			t.Fatalf("point %d not marked by its owning patch %d", pt, owner)
 		}
 	}
-}
-
-func TestReduceSumsPartials(t *testing.T) {
-	m, pointElem, mark := testSetup(t, 6, 0.2)
-	tl := New(m, pointElem, 4, mark)
-	bufs := tl.NewBuffers()
-	// Write patch-dependent values: buf[p][slot(pt)] = 1000*p + pt.
-	want := make([]float64, tl.NumPoints)
-	for p := 0; p < tl.K; p++ {
-		for _, pt := range tl.Slots[p] {
-			v := float64(1000*p + int(pt))
-			bufs[p][tl.Slot(p, pt)] = v
-			want[pt] += v
-		}
-	}
-	out := make([]float64, tl.NumPoints)
-	tl.Reduce(bufs, out)
-	for pt := range out {
-		if math.Abs(out[pt]-want[pt]) > 1e-12 {
-			t.Fatalf("Reduce[%d] = %v, want %v", pt, out[pt], want[pt])
-		}
-	}
-	// ReduceOwned patch-by-patch must agree with Reduce.
-	out2 := make([]float64, tl.NumPoints)
-	for p := 0; p < tl.K; p++ {
-		tl.ReduceOwned(p, bufs, out2)
-	}
-	for pt := range out2 {
-		if math.Abs(out2[pt]-want[pt]) > 1e-12 {
-			t.Fatalf("ReduceOwned[%d] = %v, want %v", pt, out2[pt], want[pt])
-		}
-	}
-}
-
-func TestReducePanicsOnBadLength(t *testing.T) {
-	m, pointElem, mark := testSetup(t, 4, 0.1)
-	tl := New(m, pointElem, 2, mark)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	tl.Reduce(tl.NewBuffers(), make([]float64, 3))
 }
 
 func TestNewPanicsOnBadK(t *testing.T) {
@@ -132,7 +89,7 @@ func TestNewPanicsOnBadK(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	New(m, pointElem, 0, mark)
+	New(m, len(pointElem), 0, mark)
 }
 
 // The paper's Fig. 8 property: for a fixed patch count, the relative memory
@@ -140,7 +97,7 @@ func TestNewPanicsOnBadK(t *testing.T) {
 func TestOverheadDecreasesWithMeshSize(t *testing.T) {
 	overheadAt := func(n int) float64 {
 		m, pointElem, mark := testSetup(t, n, 3.0/float64(n))
-		return New(m, pointElem, 16, mark).Overhead()
+		return New(m, len(pointElem), 16, mark).Overhead()
 	}
 	small := overheadAt(12)
 	large := overheadAt(36)
@@ -156,8 +113,8 @@ func TestOverheadDecreasesWithMeshSize(t *testing.T) {
 // More patches → more boundary → more overhead, but more parallelism.
 func TestOverheadGrowsWithPatchCount(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 16, 0.12)
-	o2 := New(m, pointElem, 2, mark).Overhead()
-	o16 := New(m, pointElem, 16, mark).Overhead()
+	o2 := New(m, len(pointElem), 2, mark).Overhead()
+	o16 := New(m, len(pointElem), 16, mark).Overhead()
 	t.Logf("overhead: k=2 %.3f, k=16 %.3f", o2, o16)
 	if o16 <= o2 {
 		t.Errorf("overhead should grow with patch count: k=2 %v, k=16 %v", o2, o16)
@@ -166,7 +123,7 @@ func TestOverheadGrowsWithPatchCount(t *testing.T) {
 
 func TestColorsAreProperColoring(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 10, 0.15)
-	tl := New(m, pointElem, 6, mark)
+	tl := New(m, len(pointElem), 6, mark)
 	colors := tl.Colors()
 	if len(colors) != tl.K {
 		t.Fatalf("got %d colors", len(colors))
@@ -186,7 +143,7 @@ func TestColorsAreProperColoring(t *testing.T) {
 
 func TestColorsSinglePatch(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 4, 0.1)
-	tl := New(m, pointElem, 1, mark)
+	tl := New(m, len(pointElem), 1, mark)
 	if c := tl.Colors(); len(c) != 1 || c[0] != 0 {
 		t.Errorf("single patch colors = %v", c)
 	}
@@ -211,7 +168,7 @@ func TestSlicesIntersect(t *testing.T) {
 
 func TestPartialValues(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 6, 0.1)
-	tl := New(m, pointElem, 3, mark)
+	tl := New(m, len(pointElem), 3, mark)
 	n := 0
 	for _, s := range tl.Slots {
 		n += len(s)
@@ -223,7 +180,7 @@ func TestPartialValues(t *testing.T) {
 
 func TestMeasureOverheadMatchesNew(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 12, 0.12)
-	tl := New(m, pointElem, 8, mark)
+	tl := New(m, len(pointElem), 8, mark)
 	partials, overhead := MeasureOverhead(m, len(pointElem), 8, mark)
 	if partials != tl.PartialValues() {
 		t.Errorf("MeasureOverhead partials %d != New %d", partials, tl.PartialValues())
@@ -233,18 +190,12 @@ func TestMeasureOverheadMatchesNew(t *testing.T) {
 	}
 }
 
-func TestPopcount(t *testing.T) {
-	if popcount(0) != 0 || popcount(0xFF) != 8 || popcount(1<<63) != 1 {
-		t.Error("popcount wrong")
-	}
-}
-
 // k == 1 is the degenerate tiling: one patch covers the whole mesh, every
 // grid point is stored exactly once, so the memory overhead must be exactly
 // 1.0 — not approximately.
 func TestSinglePatchOverheadExactlyOne(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 8, 0.2)
-	tl := New(m, pointElem, 1, mark)
+	tl := New(m, len(pointElem), 1, mark)
 	if got := tl.Overhead(); got != 1.0 {
 		t.Fatalf("k=1 overhead = %v, want exactly 1.0", got)
 	}
@@ -258,12 +209,12 @@ func TestSinglePatchOverheadExactlyOne(t *testing.T) {
 
 // k greater than the element count: recursive bisection runs out of
 // elements, leaving some patches empty. The tiling must still cover every
-// element exactly once, tolerate empty patches in every code path
-// (buffers, slots, reduce, colouring), and reduce correctly.
+// element exactly once and tolerate empty patches in its slots and
+// colouring.
 func TestMorePatchesThanElements(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 2, 0.3) // 8 triangles
 	k := m.NumTris() + 5
-	tl := New(m, pointElem, k, mark)
+	tl := New(m, len(pointElem), k, mark)
 	if tl.K != k {
 		t.Fatalf("K = %d, want %d", tl.K, k)
 	}
@@ -282,90 +233,7 @@ func TestMorePatchesThanElements(t *testing.T) {
 		t.Fatalf("%d non-empty patches for %d elements", nonEmpty, m.NumTris())
 	}
 
-	// Empty patches contribute empty buffers; Reduce must still equal the
-	// single-patch reduction of the same per-point values.
-	bufs := tl.NewBuffers()
-	want := make([]float64, tl.NumPoints)
-	for p := 0; p < tl.K; p++ {
-		for _, pt := range tl.Slots[p] {
-			bufs[p][tl.Slot(p, pt)] = float64(pt + 1)
-			want[pt] += float64(pt + 1)
-		}
-	}
-	out := make([]float64, tl.NumPoints)
-	tl.Reduce(bufs, out)
-	for pt := range out {
-		if out[pt] != want[pt] {
-			t.Fatalf("Reduce[%d] = %v, want %v", pt, out[pt], want[pt])
-		}
-	}
 	if colors := tl.Colors(); len(colors) != k {
 		t.Fatalf("Colors length %d, want %d", len(colors), k)
-	}
-}
-
-func TestUncoveredPoints(t *testing.T) {
-	m, pointElem, mark := testSetup(t, 8, 0.1)
-	tl := New(m, pointElem, 4, mark)
-
-	if n := tl.UncoveredPoints(nil); n != 0 {
-		t.Fatalf("UncoveredPoints(nil) = %d, want 0", n)
-	}
-	// A single failed patch uncovers exactly its slot set.
-	for p := 0; p < tl.K; p++ {
-		if n := tl.UncoveredPoints([]int{p}); n != len(tl.Slots[p]) {
-			t.Fatalf("patch %d: uncovered %d, want %d", p, n, len(tl.Slots[p]))
-		}
-	}
-	// All patches failed -> every point uncovered (influence regions cover
-	// the grid, since every point is marked by its owning patch).
-	all := make([]int, tl.K)
-	for p := range all {
-		all[p] = p
-	}
-	if n := tl.UncoveredPoints(all); n != tl.NumPoints {
-		t.Fatalf("all patches failed: uncovered %d, want %d", n, tl.NumPoints)
-	}
-	// The union of two overlapping patches is at most the sum, at least the
-	// max, of the individual counts.
-	a, b := len(tl.Slots[0]), len(tl.Slots[1])
-	u := tl.UncoveredPoints([]int{0, 1})
-	if u > a+b || u < max(a, b) {
-		t.Fatalf("union %d outside [%d, %d]", u, max(a, b), a+b)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range patch id did not panic")
-		}
-	}()
-	tl.UncoveredPoints([]int{tl.K})
-}
-
-// TestOwnedPartitionsGrid checks the precomputed owned-point lists: together
-// they partition the grid (every point in exactly one list), each list is
-// ascending, and membership agrees with pointElem ownership.
-func TestOwnedPartitionsGrid(t *testing.T) {
-	m, pointElem, mark := testSetup(t, 7, 0.15)
-	tl := New(m, pointElem, 5, mark)
-	seen := make([]int, tl.NumPoints)
-	for p := 0; p < tl.K; p++ {
-		list := tl.OwnedPoints(p)
-		for i, pt := range list {
-			seen[pt]++
-			if i > 0 && list[i-1] >= pt {
-				t.Fatalf("patch %d owned list not ascending at %d: %v >= %v",
-					p, i, list[i-1], pt)
-			}
-			if got := tl.ElemPatch[pointElem[pt]]; got != p {
-				t.Fatalf("point %d in patch %d's owned list but its element is in patch %d",
-					pt, p, got)
-			}
-		}
-	}
-	for pt, n := range seen {
-		if n != 1 {
-			t.Fatalf("point %d appears in %d owned lists, want exactly 1", pt, n)
-		}
 	}
 }
