@@ -46,7 +46,6 @@ func main() {
 	var (
 		addr            = flag.String("addr", ":8080", "listen address")
 		shardsFlag      = flag.String("shards", "", "comma-separated shard base URLs (required), e.g. http://h1:9090,http://h2:9090")
-		vnodes          = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the consistent-hash ring")
 		requestTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-shard HTTP request cap")
 		hedgeDelay      = flag.Duration("hedge-delay", 0, "hedged-read delay for /v1/query; 0 disables hedging")
 		retryN          = flag.Int("retry-attempts", 3, "tries per shard request for transient failures (1 = no retry)")
@@ -89,7 +88,6 @@ func main() {
 
 	co, err := cluster.New(cluster.Config{
 		Shards:         shards,
-		VNodes:         *vnodes,
 		RequestTimeout: *requestTimeout,
 		HedgeDelay:     *hedgeDelay,
 		Retry: fault.Policy{

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -450,8 +451,8 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 		}
 	}
 	snap := co.Counters()
-	if snap.DegradedJobs.Load() == 0 || snap.CoverageProbes.Load() == 0 {
-		t.Errorf("degraded path not counted: degraded_jobs %d coverage_probes %d", snap.DegradedJobs.Load(), snap.CoverageProbes.Load())
+	if snap.DegradedJobs.Load() == 0 {
+		t.Error("degraded path not counted: degraded_jobs 0")
 	}
 
 	// Phase 2: same outage, allow_partial off — typed failure, no result.
@@ -511,11 +512,125 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsDuplicatedPatch: a shard whose /v1/shard/eval answer
-// carries one patch twice would double that patch's contribution if the
-// coordinator summed whatever arrived. The merge rejects the repeat, so
-// the job fails instead of completing with a wrong solution.
-func TestClusterRejectsDuplicatedPatch(t *testing.T) {
+// TestClusterDegradedPastIDCap: a degraded distributed job whose lost
+// patch uncovers more than MaxUncoveredIDs points is still 0 at every
+// uncovered point, not only at the ids a job view lists. The live shard
+// answers /v1/shard/eval with synthetic partials (1 per slot) on the real
+// slot lists, so the merge and the coverage are exercised without the
+// per-element evaluation of 86,528 points.
+func TestClusterDegradedPastIDCap(t *testing.T) {
+	m := mesh.Structured(16)
+	const k, gridDegree = 2, 24
+	tilings := map[string]*tile.Tiling{}
+	for name, b := range map[string]core.Boundary{"periodic": core.Periodic, "one-sided": core.OneSided} {
+		ev, err := core.NewEvaluator(dg.NewField(m, 1), core.Options{P: 1, GridDegree: gridDegree, Boundary: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tilings[name] = ev.NewTiling(k)
+	}
+	syntheticShard := func() (*flakyShard, *httptest.Server) {
+		srv := newShardServer(t)
+		fs := &flakyShard{handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/shard/eval" {
+				srv.ServeHTTP(w, r)
+				return
+			}
+			var req server.ShardEvalRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("shard eval request: %v", err)
+				w.WriteHeader(http.StatusBadRequest)
+				return
+			}
+			tl := tilings[req.Boundary]
+			resp := server.ShardEvalResponse{MeshID: req.MeshID, K: req.K, NumPoints: tl.NumPoints}
+			for _, p := range req.Patches {
+				ones := make([]float64, len(tl.Slots[p]))
+				for i := range ones {
+					ones[i] = 1
+				}
+				resp.Patches = append(resp.Patches, core.PatchPartial{Patch: p, Points: tl.Slots[p], Values: ones})
+			}
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(&resp)
+		})}
+		ts := httptest.NewServer(fs)
+		t.Cleanup(ts.Close)
+		return fs, ts
+	}
+	fsA, tsA := syntheticShard()
+	fsB, tsB := syntheticShard()
+	shards := []string{tsA.URL, tsB.URL}
+	co, cts := newCluster(t, Config{Shards: shards, FailoverAttempts: -1, HealthThreshold: 1})
+	meshID := uploadMesh(t, cts.URL, m)
+	order := co.ring.Order(meshID)
+	victim := fsB
+	if order[1] == tsA.URL {
+		victim = fsA
+	}
+	lost := splitPatches(order, k)[1].patches
+
+	for _, boundary := range []string{"periodic", "one-sided"} {
+		want := tilings[boundary].UncoveredIDs(lost)
+		if len(want) <= server.MaxUncoveredIDs {
+			t.Fatalf("%s: %d uncovered points, the test needs more than %d", boundary, len(want), server.MaxUncoveredIDs)
+		}
+		victim.down.Store(false)
+		co.Health().CheckNow() // a previous loss may have marked it down
+		victim.down.Store(true)
+		spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, GridDegree: gridDegree,
+			Blocks: k, Boundary: boundary, AllowPartial: true}
+		var v server.JobStatus
+		if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d", boundary, code)
+		}
+		v = waitClusterJob(t, cts.URL, v.ID, 60*time.Second)
+		if v.State != server.StateDone || !v.Degraded {
+			t.Fatalf("%s: state %s degraded %v err %q", boundary, v.State, v.Degraded, v.Error)
+		}
+		var res resultBody
+		if code := getJSON(t, cts.URL+"/v1/jobs/"+v.ID+"/result", &res); code != http.StatusOK {
+			t.Fatalf("%s: result status %d", boundary, code)
+		}
+		for _, view := range []struct {
+			name      string
+			ids       []int32
+			truncated bool
+			cov       *core.Coverage
+		}{
+			{"status", v.UncoveredIDs, v.UncoveredTruncated, v.Coverage},
+			{"result", res.UncoveredIDs, res.UncoveredTruncated, res.Coverage},
+		} {
+			if !view.truncated || !slices.Equal(view.ids, want[:server.MaxUncoveredIDs]) {
+				t.Errorf("%s %s: %d uncovered ids (truncated %v), want the first %d of %d",
+					boundary, view.name, len(view.ids), view.truncated, server.MaxUncoveredIDs, len(want))
+			}
+			if got := view.cov.TotalPoints - view.cov.CoveredPoints; got != len(want) {
+				t.Errorf("%s %s: total - covered = %d, want %d", boundary, view.name, got, len(want))
+			}
+		}
+		uncovered := make([]bool, len(res.Solution))
+		for _, pt := range want {
+			uncovered[pt] = true
+		}
+		partial := 0
+		for i, x := range res.Solution {
+			if uncovered[i] && x != 0 {
+				partial++
+			} else if !uncovered[i] && x != 1 {
+				t.Fatalf("%s: covered point %d = %v, want its one partial, 1", boundary, i, x)
+			}
+		}
+		if partial > 0 {
+			t.Errorf("%s: %d of %d uncovered points carry partial sums, want 0", boundary, partial, len(want))
+		}
+	}
+}
+
+// mutatedShardJob runs spec on a one-shard cluster whose /v1/shard/eval
+// answers pass through mutate first, and returns the finished job.
+func mutatedShardJob(t *testing.T, spec server.JobSpec, mutate func(*server.ShardEvalResponse)) server.JobStatus {
+	t.Helper()
 	srv := newShardServer(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/shard/eval" {
@@ -530,25 +645,46 @@ func TestClusterRejectsDuplicatedPatch(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 			return
 		}
-		resp.Patches = append(resp.Patches, resp.Patches[0])
+		mutate(&resp)
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(&resp)
 	}))
 	t.Cleanup(ts.Close)
 	_, cts := newCluster(t, Config{Shards: []string{ts.URL}})
-	meshID := uploadMesh(t, cts.URL, mesh.Structured(6))
-
-	spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: 4}
+	spec.MeshID = uploadMesh(t, cts.URL, mesh.Structured(6))
 	var v server.JobStatus
 	if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
-	v = waitClusterJob(t, cts.URL, v.ID, 60*time.Second)
+	return waitClusterJob(t, cts.URL, v.ID, 60*time.Second)
+}
+
+// TestClusterRejectsDuplicatedPatch: a shard whose /v1/shard/eval answer
+// carries one patch twice would double that patch's contribution if the
+// coordinator summed whatever arrived. The merge rejects the repeat, so
+// the job fails instead of completing with a wrong solution.
+func TestClusterRejectsDuplicatedPatch(t *testing.T) {
+	v := mutatedShardJob(t, server.JobSpec{Scheme: "per-element", P: 1, Blocks: 4},
+		func(resp *server.ShardEvalResponse) { resp.Patches = append(resp.Patches, resp.Patches[0]) })
 	if v.State != server.StateFailed {
 		t.Fatalf("job merging a duplicated patch: state %s, want failed", v.State)
 	}
 	if !strings.Contains(v.Error, "merged twice") {
 		t.Errorf("error %q does not name the repeated patch", v.Error)
+	}
+}
+
+// TestClusterRejectsForeignFailedPatch: the coordinator derives coverage
+// from the failed patches a shard reports, so a reported patch outside the
+// shard's assigned range fails the job rather than entering the accounting.
+func TestClusterRejectsForeignFailedPatch(t *testing.T) {
+	v := mutatedShardJob(t, server.JobSpec{Scheme: "per-element", P: 1, Blocks: 4, AllowPartial: true},
+		func(resp *server.ShardEvalResponse) { resp.Failed = []int{resp.K} })
+	if v.State != server.StateFailed {
+		t.Fatalf("job with a failed patch outside the tiling: state %s, want failed", v.State)
+	}
+	if !strings.Contains(v.Error, "outside its range") {
+		t.Errorf("error %q does not name the foreign patch", v.Error)
 	}
 }
 

@@ -26,9 +26,6 @@ type Config struct {
 	// Shards are the unstencild base URLs (e.g. http://host:9090) forming
 	// the cluster. Required, distinct.
 	Shards []string
-	// VNodes is the virtual-node count per shard on the consistent-hash
-	// ring (default DefaultVNodes).
-	VNodes int
 	// RequestTimeout caps each individual shard HTTP request (default 30s).
 	RequestTimeout time.Duration
 	// HedgeDelay, when > 0, arms hedged reads on /v1/query: if the primary
@@ -59,8 +56,6 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies, mesh uploads included
 	// (default 32 MiB).
 	MaxBodyBytes int64
-	// MaxJobs bounds retained cluster job records (default 4096).
-	MaxJobs int
 	// Log receives structured logs; nil disables logging.
 	Log *slog.Logger
 }
@@ -125,7 +120,9 @@ type Coordinator struct {
 // begin periodic health polling and Close to release resources.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.defaults()
-	ring, err := NewRing(cfg.Shards, cfg.VNodes)
+	// Coordinators over one shard list must agree on placement, so the
+	// virtual-node count is the package default, not a setting.
+	ring, err := NewRing(cfg.Shards, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +139,6 @@ func New(cfg Config) (*Coordinator, error) {
 		Workers:      cfg.JobConcurrency,
 		JobTimeout:   cfg.JobTimeout,
 		DefaultBlock: cfg.DefaultBlocks,
-		MaxJobs:      cfg.MaxJobs,
 		Faults:       &co.faults,
 		Eval:         co.evalDistributed,
 	})

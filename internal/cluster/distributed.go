@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"unstencil/internal/core"
+	"unstencil/internal/dg"
+	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
 	"unstencil/internal/server"
 )
@@ -101,6 +104,11 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 			}
 			continue
 		}
+		for _, p := range r.resp.Failed {
+			if !slices.Contains(r.a.patches, p) {
+				return nil, fmt.Errorf("cluster: shard %s reported failed patch %d outside its range", r.shard, p)
+			}
+		}
 		partials = append(partials, r.resp.Patches...)
 		failedPatches = append(failedPatches, r.resp.Failed...)
 		counters.Add(&r.resp.Counters)
@@ -111,8 +119,7 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 		}
 	}
 	if len(shards) == 0 {
-		// Complete outage is not degradation: there is nothing to merge and
-		// no live shard to account coverage against.
+		// Complete outage is not degradation: there is nothing to merge.
 		return nil, fmt.Errorf("cluster: every shard range failed: %w", firstErr)
 	}
 	sort.Ints(failedPatches)
@@ -136,14 +143,15 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 		},
 		Shards: shards,
 	}
+	var uncovered []int32
 	if len(failedPatches) > 0 {
-		var err error
-		out.Coverage, out.UncoveredIDs, out.UncoveredTruncated, err = co.probeCoverage(ctx, spec, failedPatches)
+		cov, err := co.coverage(spec, failedPatches)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: coverage probe for degraded job failed: %w", err)
+			return nil, fmt.Errorf("cluster: coverage of degraded job: %w", err)
 		}
+		out.Coverage, uncovered = cov, cov.UncoveredIDs
 	}
-	if err := core.MergePartials(out.Solution, partials, out.UncoveredIDs); err != nil {
+	if err := core.MergePartials(out.Solution, partials, uncovered); err != nil {
 		return nil, fmt.Errorf("cluster: merging shard partials: %w", err)
 	}
 	if out.Coverage != nil {
@@ -178,35 +186,30 @@ func (co *Coordinator) evalRange(ctx context.Context, a assignment, spec server.
 	return &resp, shard, nil
 }
 
-// probeCoverage asks a live shard for the uncovered-point set of the
-// failed patches. The tiling is deterministic, so any shard — including
-// ones that never touched those patches — computes the identical answer;
-// the mesh's home shard, which evaluated the first range, comes first.
-func (co *Coordinator) probeCoverage(ctx context.Context, spec server.JobSpec, failed []int) (*core.Coverage, []int32, bool, error) {
-	req := server.ShardCoverageRequest{
-		MeshID:     spec.MeshID,
-		P:          spec.P,
-		GridDegree: spec.GridDegree,
-		Boundary:   spec.Boundary,
-		Field:      spec.Field,
-		K:          spec.Blocks,
-		Failed:     failed,
+// coverage derives a degraded job's coverage from the coordinator's own
+// copy of the tiling, built from the retained mesh bytes. The tiling is a
+// function of the geometry alone, so a zero field stands in for the job's
+// (no projection runs) and the result is the one every shard would derive.
+func (co *Coordinator) coverage(spec server.JobSpec, failed []int) (*core.Coverage, error) {
+	co.meshMu.Lock()
+	raw, ok := co.meshes[spec.MeshID]
+	co.meshMu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("mesh %s not retained", spec.MeshID)
 	}
-	lastErr := errNoShards
-	for _, shard := range co.routable(spec.MeshID) {
-		co.counters.CoverageProbes.Add(1)
-		var resp server.ShardCoverageResponse
-		if err := co.shardPost(ctx, shard, "/v1/shard/coverage", &req, &resp); err != nil {
-			lastErr = err
-			continue
-		}
-		cov := &core.Coverage{
-			FailedUnits:   failed,
-			TotalUnits:    spec.Blocks,
-			CoveredPoints: resp.CoveredPoints,
-			TotalPoints:   resp.TotalPoints,
-		}
-		return cov, resp.UncoveredIDs, resp.UncoveredTruncated, nil
+	m, err := mesh.Decode(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
 	}
-	return nil, nil, false, lastErr
+	boundary, err := server.ParseBoundary(spec.Boundary)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := core.NewEvaluator(dg.NewField(m, spec.P), core.Options{
+		P: spec.P, GridDegree: spec.GridDegree, Boundary: boundary,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return core.PatchCoverage(ev.NewTiling(spec.Blocks), failed), nil
 }

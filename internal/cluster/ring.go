@@ -13,16 +13,16 @@
 //     coordinator ships patch *ids*, never patch *data*.
 //  2. A patch's scratch-pad buffer is accumulated element-by-element in
 //     PatchElems order regardless of which process runs it.
-//  3. Merging patch buffers in ascending patch order reproduces
-//     tile.Reduce, and therefore a single-process per-element run, bit for
-//     bit.
+//  3. The coordinator merges patch buffers with core.MergePartials, the
+//     merge a single process runs, so the result is a single-process
+//     per-element run bit for bit.
 //
 // Robustness: per-shard health checking (liveness + readiness), capped
 // exponential retry with deterministic jitter, hedged reads, failover to
 // ring successors, and — when a shard stays down past its budget — graceful
 // degradation to allow_partial results with honest coverage accounting
-// (any live shard can compute the uncovered-point set of a dead shard's
-// patches, by property 1).
+// (the coordinator builds the tiling itself from the retained mesh bytes,
+// so it knows a dead shard's uncovered points by property 1).
 package cluster
 
 import (

@@ -83,14 +83,33 @@ type Resilience struct {
 // (blocks or patches) exhausted their retries, and how many grid points
 // still carry a complete value. The other points are exactly zero in both
 // schemes: a failed block's strided points, and for the per-element scheme
-// every point in a failed patch's influence region (tile.UncoveredIDs),
-// which MergePartials zeroes rather than leave the surviving patches'
-// incomplete sum.
+// every point in a failed patch's influence region, which MergePartials
+// zeroes rather than leave the surviving patches' incomplete sum.
 type Coverage struct {
 	FailedUnits   []int `json:"failed_units"`
 	TotalUnits    int   `json:"total_units"`
 	CoveredPoints int   `json:"covered_points"`
 	TotalPoints   int   `json:"total_points"`
+	// UncoveredIDs is the per-element scheme's full, ascending uncovered
+	// set (tile.UncoveredIDs of FailedUnits); nil for the per-point scheme.
+	// It is not part of the coverage JSON: job views list these ids
+	// separately, capped.
+	UncoveredIDs []int32 `json:"-"`
+}
+
+// PatchCoverage is the coverage of a per-element run over tiling t that
+// lost the given patches (ids in [0, t.K), ascending). The tiling is a
+// function of the geometry alone, so a single process and a cluster
+// coordinator derive the identical value from their own copies of it.
+func PatchCoverage(t *tile.Tiling, failed []int) *Coverage {
+	ids := t.UncoveredIDs(failed)
+	return &Coverage{
+		FailedUnits:   failed,
+		TotalUnits:    t.K,
+		CoveredPoints: t.NumPoints - len(ids),
+		TotalPoints:   t.NumPoints,
+		UncoveredIDs:  ids,
+	}
 }
 
 // Fraction returns CoveredPoints/TotalPoints (1 when the grid is empty).
@@ -308,18 +327,14 @@ func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tili
 	for _, pp := range partials {
 		res.Blocks[pp.Patch] = pp.Counters
 	}
-	uncovered := t.UncoveredIDs(failed)
+	var uncovered []int32
+	if len(failed) > 0 {
+		res.Coverage = PatchCoverage(t, failed)
+		uncovered = res.Coverage.UncoveredIDs
+	}
 	if err := MergePartials(res.Solution, partials, uncovered); err != nil {
 		return nil, err
 	}
 	res.finish(start)
-	if len(failed) > 0 {
-		res.Coverage = &Coverage{
-			FailedUnits:   failed,
-			TotalUnits:    t.K,
-			CoveredPoints: t.NumPoints - len(uncovered),
-			TotalPoints:   t.NumPoints,
-		}
-	}
 	return res, nil
 }

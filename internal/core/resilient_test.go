@@ -152,8 +152,12 @@ func TestDegradedCompletion(t *testing.T) {
 	if len(cov.FailedUnits) != 2 || cov.TotalUnits != tiling.K {
 		t.Fatalf("coverage %+v, want 2 failed units of %d", cov, tiling.K)
 	}
-	if cov.CoveredPoints+len(tiling.UncoveredIDs(cov.FailedUnits)) != cov.TotalPoints {
+	wantIDs := tiling.UncoveredIDs(cov.FailedUnits)
+	if cov.CoveredPoints+len(wantIDs) != cov.TotalPoints {
 		t.Errorf("coverage arithmetic inconsistent: %+v", cov)
+	}
+	if !slices.Equal(cov.UncoveredIDs, wantIDs) {
+		t.Errorf("coverage lists %d uncovered ids, the tiling %d", len(cov.UncoveredIDs), len(wantIDs))
 	}
 	if cov.Fraction() <= 0 || cov.Fraction() >= 1 {
 		t.Errorf("fraction %v outside (0, 1)", cov.Fraction())

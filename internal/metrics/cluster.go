@@ -3,8 +3,8 @@ package metrics
 // ClusterCounters tracks the coordinator's routing and robustness activity:
 // traffic routed to shards, retries and Retry-After waits against
 // individual shards, hedged reads and which ones won, failovers to
-// alternate shards, mesh re-seeds of amnesiac shards, coverage probes, and
-// jobs completed degraded because a shard stayed down past its budget. All
+// alternate shards, mesh re-seeds of amnesiac shards, and jobs completed
+// degraded because a shard stayed down past its budget. All
 // fields are atomic so the request handlers, the distributed-job workers
 // and the health checker share one instance without locking.
 type ClusterCounters struct {
@@ -37,9 +37,6 @@ type ClusterCounters struct {
 	Failovers Counter `json:"failovers"`
 	// ShardFailures counts shard interactions that exhausted retries.
 	ShardFailures Counter `json:"shard_failures"`
-	// CoverageProbes counts shard queries for the uncovered-point set of
-	// failed patches (the degraded-merge bookkeeping).
-	CoverageProbes Counter `json:"coverage_probes"`
 	// DegradedJobs counts cluster jobs completed with partial coverage.
 	DegradedJobs Counter `json:"degraded_jobs"`
 }

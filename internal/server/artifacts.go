@@ -29,7 +29,7 @@ import (
 //	field:<sha256>/p<P>/<field>                     projected *dg.Field
 //	eval:<sha256>/p<P>/g<G>/<boundary>/<field>      *core.Evaluator (kernel
 //	                                                tables, grids, points)
-//	tiling:<evalKey>/k<K>                           *tile.Tiling
+//	tiling:<opKey>/k<K>                             *tile.Tiling
 //	op:<sha256>/p<P>/g<G>/<boundary>                assembled *operator.Operator
 //	qop:<sha256>/p<P>/<boundary>/<pts-sha256>       custom-point operator for
 //	                                                a repeated query batch
@@ -188,8 +188,7 @@ func (a *Artifacts) Field(m *mesh.Mesh, meshID string, p int, fieldKind string) 
 	return v.(*dg.Field), hit, nil
 }
 
-// EvalKey returns the cache key of the evaluator for the given parameters;
-// tilings derive their keys from it.
+// EvalKey returns the cache key of the evaluator for the given parameters.
 func EvalKey(meshID string, p, gridDegree int, boundary core.Boundary, fieldKind string) string {
 	return fmt.Sprintf("eval:%s/p%d/g%d/%v/%s", meshID, p, gridDegree, boundary, fieldKind)
 }
@@ -222,9 +221,10 @@ func (a *Artifacts) Evaluator(m *mesh.Mesh, meshID string, p, gridDegree int, bo
 }
 
 // Tiling returns the resident k-patch tiling for ev, building it on first
-// use. The boolean reports a cache hit.
-func (a *Artifacts) Tiling(ev *core.Evaluator, evalKey string, k int) (*tile.Tiling, bool, error) {
-	key := fmt.Sprintf("tiling:%s/k%d", evalKey, k)
+// use. The boolean reports a cache hit. A tiling depends on the geometry
+// alone, so geoKey is ev's OpKey and one tiling serves every field.
+func (a *Artifacts) Tiling(ev *core.Evaluator, geoKey string, k int) (*tile.Tiling, bool, error) {
+	key := fmt.Sprintf("tiling:%s/k%d", geoKey, k)
 	v, hit, err := a.cache.GetOrBuild(key, func() (any, int64, error) {
 		t := ev.NewTiling(k)
 		return t, tilingBytes(t), nil

@@ -123,7 +123,7 @@ func checkEval(meshID string, p, gridDegree int, boundary, field *string, fields
 	if *boundary == "" {
 		*boundary = "periodic"
 	}
-	if _, err := parseBoundary(*boundary); err != nil {
+	if _, err := ParseBoundary(*boundary); err != nil {
 		return err
 	}
 	if len(fields) > MaxJobFields {
@@ -146,7 +146,8 @@ func checkEval(meshID string, p, gridDegree int, boundary, field *string, fields
 	return nil
 }
 
-func parseBoundary(s string) (core.Boundary, error) {
+// ParseBoundary maps a request's boundary name to its core.Boundary.
+func ParseBoundary(s string) (core.Boundary, error) {
 	switch s {
 	case "periodic":
 		return core.Periodic, nil
@@ -197,7 +198,9 @@ func (e *JobError) Error() string {
 func (e *JobError) Unwrap() error { return e.Err }
 
 // Outcome is what one job evaluation produced: the run result plus what
-// the status view reports about how it was obtained.
+// the status view reports about how it was obtained. A degraded
+// per-element run's full uncovered set is Result.Coverage.UncoveredIDs;
+// the job views list it capped at MaxUncoveredIDs.
 type Outcome struct {
 	*core.Result
 	// CacheHits lists the artifact kinds served warm ("evaluator",
@@ -206,11 +209,6 @@ type Outcome struct {
 	// Shards are the shards that evaluated a distributed job's patch
 	// ranges, in range order.
 	Shards []string
-	// UncoveredIDs lists the grid points a degraded per-element run does
-	// not cover (their values are 0), capped at MaxUncoveredIDs
-	// (UncoveredTruncated says so).
-	UncoveredIDs       []int32
-	UncoveredTruncated bool
 }
 
 // EvalFunc runs one attempt of a job's evaluation. A single unstencild
@@ -282,11 +280,26 @@ type JobResult struct {
 	Kind   string   `json:"kind,omitempty"`
 	Shard  string   `json:"shard,omitempty"`
 	Shards []string `json:"shards,omitempty"`
-	// A degraded result's uncovered points are zero; these say which.
+	// A degraded result's uncovered points are zero; these say which
+	// (the first MaxUncoveredIDs of them).
 	Degraded           bool           `json:"degraded,omitempty"`
 	Coverage           *core.Coverage `json:"coverage,omitempty"`
 	UncoveredIDs       []int32        `json:"uncovered_ids,omitempty"`
 	UncoveredTruncated bool           `json:"uncovered_truncated,omitempty"`
+}
+
+// MaxUncoveredIDs bounds the uncovered-point id list a job status or result
+// carries; the coverage counts stay exact beyond it, and the solution is 0
+// at every uncovered point whether listed or not.
+const MaxUncoveredIDs = 1 << 16
+
+// capUncovered caps an uncovered-point id list at MaxUncoveredIDs and
+// reports whether it did.
+func capUncovered(ids []int32) ([]int32, bool) {
+	if len(ids) > MaxUncoveredIDs {
+		return ids[:MaxUncoveredIDs], true
+	}
+	return ids, false
 }
 
 // Status snapshots the job.
@@ -326,8 +339,7 @@ func (j *Job) Status() JobStatus {
 		if res.Coverage != nil {
 			st.Degraded = true
 			st.Coverage = res.Coverage
-			st.UncoveredIDs = j.out.UncoveredIDs
-			st.UncoveredTruncated = j.out.UncoveredTruncated
+			st.UncoveredIDs, st.UncoveredTruncated = capUncovered(res.Coverage.UncoveredIDs)
 		}
 	}
 	return st
@@ -360,8 +372,7 @@ func (j *Job) result() (*JobResult, error) {
 	if o.Coverage != nil {
 		body.Degraded = true
 		body.Coverage = o.Coverage
-		body.UncoveredIDs = o.UncoveredIDs
-		body.UncoveredTruncated = o.UncoveredTruncated
+		body.UncoveredIDs, body.UncoveredTruncated = capUncovered(o.Coverage.UncoveredIDs)
 	}
 	return body, nil
 }
@@ -385,7 +396,7 @@ type Manager struct {
 	workers    int
 	jobTimeout time.Duration
 	defBlocks  int
-	maxJobs    int
+	maxJobs    int // retained job records (4096; evictOldLocked)
 	retry      fault.Policy
 	journal    *Journal
 	faults     *metrics.FaultCounters
@@ -417,7 +428,6 @@ type ManagerConfig struct {
 	QueueSize    int           // bounded FIFO capacity (default 64)
 	JobTimeout   time.Duration // per-job cap (default 5m)
 	DefaultBlock int           // default blocks/patches (default 16)
-	MaxJobs      int           // retained job records (default 4096)
 	Retry        fault.Policy  // whole-job retry (default: none)
 
 	// Eval evaluates one job; required.
@@ -444,9 +454,6 @@ func NewManager(log *slog.Logger, cfg ManagerConfig) *Manager {
 	if cfg.DefaultBlock <= 0 {
 		cfg.DefaultBlock = 16
 	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 4096
-	}
 	if cfg.Faults == nil {
 		cfg.Faults = &metrics.FaultCounters{}
 	}
@@ -458,7 +465,7 @@ func NewManager(log *slog.Logger, cfg ManagerConfig) *Manager {
 		workers:    cfg.Workers,
 		jobTimeout: cfg.JobTimeout,
 		defBlocks:  cfg.DefaultBlock,
-		maxJobs:    cfg.MaxJobs,
+		maxJobs:    4096,
 		retry:      cfg.Retry,
 		journal:    cfg.Journal,
 		faults:     cfg.Faults,
@@ -931,7 +938,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		return nil, &JobError{Stage: StageArtifacts,
 			Err: fmt.Errorf("mesh %q evicted before the job ran: %w", spec.MeshID, ErrMeshNotFound)}
 	}
-	boundary, err := parseBoundary(spec.Boundary)
+	boundary, err := ParseBoundary(spec.Boundary)
 	if err != nil {
 		return nil, &JobError{Stage: StageArtifacts, Err: err}
 	}
@@ -958,8 +965,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		}
 		switch scheme {
 		case core.PerElement:
-			evalKey := EvalKey(spec.MeshID, spec.P, spec.GridDegree, boundary, spec.Field)
-			tiling, hit, err = s.arts.Tiling(ev, evalKey, spec.Blocks)
+			tiling, hit, err = s.arts.Tiling(ev, OpKey(spec.MeshID, spec.P, ev.Opt.GridDegree, boundary), spec.Blocks)
 			if err != nil {
 				return err
 			}
@@ -1050,12 +1056,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 	if err != nil {
 		return &Outcome{CacheHits: hits}, &JobError{Stage: StageEvaluate, Err: err}
 	}
-	out := &Outcome{Result: res, CacheHits: hits}
-	if scheme == core.PerElement && res.Coverage != nil {
-		// The same body a coordinator answers for a degraded merge.
-		out.UncoveredIDs, out.UncoveredTruncated = capUncovered(tiling.UncoveredIDs(res.Coverage.FailedUnits))
-	}
-	return out, nil
+	return &Outcome{Result: res, CacheHits: hits}, nil
 }
 
 // resilience is the unit-level retry policy of a local evaluation.

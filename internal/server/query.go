@@ -96,7 +96,7 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 		return nil, Errorf(http.StatusNotFound,
 			"mesh %q not resident (upload it via POST /v1/meshes)", req.MeshID)
 	}
-	boundary, _ := parseBoundary(req.Boundary) // validated by normalize
+	boundary, _ := ParseBoundary(req.Boundary) // validated by normalize
 	ev, hit, err := s.arts.Evaluator(m, req.MeshID, req.P, req.GridDegree, boundary, req.Field)
 	if err != nil {
 		return nil, &Error{Status: http.StatusBadRequest, Err: err}

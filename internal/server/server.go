@@ -19,7 +19,6 @@
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
 //	POST   /v1/shard/eval      patch-scoped partial evaluation (cluster
 //	                           shard mode; see shard.go)
-//	POST   /v1/shard/coverage  uncovered-point set of failed patches
 //	GET    /healthz            liveness
 //	GET    /readyz             readiness: startup work done, queue below
 //	                           saturation (what the coordinator polls)
@@ -169,10 +168,6 @@ func New(cfg Config) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/shard/eval", func(w http.ResponseWriter, r *http.Request) {
 		resp, err := s.shardEval(r)
-		reply(w, http.StatusOK, resp, err)
-	})
-	mux.HandleFunc("POST /v1/shard/coverage", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := s.shardCoverage(r)
 		reply(w, http.StatusOK, resp, err)
 	})
 	s.handler = NewHandler(s, mux, cfg.MaxBodyBytes, cfg.Log, s.faults)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -244,6 +245,29 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if metrics.Jobs["done"] != 9 {
 		t.Errorf("done jobs = %d, want 9", metrics.Jobs["done"])
+	}
+}
+
+// TestTilingSharedAcrossFields: a tiling is a function of the geometry, so
+// a per-element job on a second field of a warm (mesh, P, grid, boundary,
+// blocks) reuses the first field's tiling.
+func TestTilingSharedAcrossFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 2})
+	meshID := uploadMesh(t, ts, mesh.Structured(6))
+	var hits []string
+	for _, field := range []string{"sincos", "gauss"} {
+		st, code := submitJob(t, ts, JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: 4, Field: field})
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d", field, code)
+		}
+		st = waitJob(t, ts, st.ID, 60*time.Second)
+		if st.State != StateDone {
+			t.Fatalf("%s: state %s err %q", field, st.State, st.Error)
+		}
+		hits = st.CacheHits
+	}
+	if !slices.Contains(hits, "tiling") {
+		t.Errorf("per-element job on a second field: cache hits %q, want the tiling", hits)
 	}
 }
 

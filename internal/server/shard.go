@@ -29,10 +29,6 @@ import (
 // from a genuinely failing shard).
 const SiteShardEval = "server.shard-eval"
 
-// MaxUncoveredIDs bounds the uncovered-point id list one coverage response
-// carries; the count fields stay exact beyond it.
-const MaxUncoveredIDs = 1 << 16
-
 // ShardEvalRequest asks for the partial solutions of a subset of the
 // k-patch tiling of a resident mesh.
 type ShardEvalRequest struct {
@@ -138,73 +134,6 @@ func (s *Server) shardEval(r *http.Request) (*ShardEvalResponse, error) {
 	return resp, nil
 }
 
-// ShardCoverageRequest asks for the uncovered-point set of a failed patch
-// subset. The tiling is deterministic, so any live shard can answer for
-// patches a dead shard owned — which is exactly how the coordinator keeps
-// Coverage honest after a shard is lost.
-type ShardCoverageRequest struct {
-	MeshID     string `json:"mesh_id"`
-	P          int    `json:"p"`
-	GridDegree int    `json:"grid_degree,omitempty"`
-	Boundary   string `json:"boundary,omitempty"`
-	Field      string `json:"field,omitempty"`
-	K          int    `json:"k"`
-	Failed     []int  `json:"failed"`
-}
-
-// ShardCoverageResponse reports the exact uncovered-point accounting plus
-// up to MaxUncoveredIDs of the ids themselves.
-type ShardCoverageResponse struct {
-	TotalPoints        int     `json:"total_points"`
-	UncoveredPoints    int     `json:"uncovered_points"`
-	CoveredPoints      int     `json:"covered_points"`
-	UncoveredIDs       []int32 `json:"uncovered_ids,omitempty"`
-	UncoveredTruncated bool    `json:"uncovered_truncated,omitempty"`
-}
-
-// shardCoverage serves POST /v1/shard/coverage.
-func (s *Server) shardCoverage(r *http.Request) (*ShardCoverageResponse, error) {
-	var req ShardCoverageRequest
-	err := decodeStrict(r.Body, &req)
-	ereq := ShardEvalRequest{
-		MeshID: req.MeshID, P: req.P, GridDegree: req.GridDegree,
-		Boundary: req.Boundary, Field: req.Field, K: req.K,
-		Patches: req.Failed,
-	}
-	if len(req.Failed) == 0 {
-		// normalize requires a non-empty patch list; an empty failed set is
-		// legal here and trivially fully covered.
-		ereq.Patches = []int{0}
-	}
-	if err == nil {
-		err = ereq.normalize()
-	}
-	if err != nil {
-		return nil, Errorf(http.StatusBadRequest, "bad shard coverage request: %v", err)
-	}
-	_, tiling, err := s.shardArtifacts(&ereq)
-	if err != nil {
-		return nil, err
-	}
-	ids := tiling.UncoveredIDs(req.Failed)
-	resp := &ShardCoverageResponse{
-		TotalPoints:     tiling.NumPoints,
-		UncoveredPoints: len(ids),
-		CoveredPoints:   tiling.NumPoints - len(ids),
-	}
-	resp.UncoveredIDs, resp.UncoveredTruncated = capUncovered(ids)
-	return resp, nil
-}
-
-// capUncovered caps an uncovered-point id list at MaxUncoveredIDs and
-// reports whether it did.
-func capUncovered(ids []int32) ([]int32, bool) {
-	if len(ids) > MaxUncoveredIDs {
-		return ids[:MaxUncoveredIDs], true
-	}
-	return ids, false
-}
-
 // shardArtifacts resolves the evaluator and k-patch tiling for a normalized
 // shard request: a 404 for a mesh the shard does not hold — the
 // coordinator's cue to re-seed it — and a 422 for artifacts that cannot be
@@ -215,11 +144,11 @@ func (s *Server) shardArtifacts(req *ShardEvalRequest) (*core.Evaluator, *tile.T
 		return nil, nil, Errorf(http.StatusNotFound,
 			"mesh %q not resident (upload it via POST /v1/meshes)", req.MeshID)
 	}
-	boundary, _ := parseBoundary(req.Boundary) // validated by normalize
+	boundary, _ := ParseBoundary(req.Boundary) // validated by normalize
 	ev, _, err := s.arts.Evaluator(m, req.MeshID, req.P, req.GridDegree, boundary, req.Field)
 	if err == nil {
 		var tiling *tile.Tiling
-		tiling, _, err = s.arts.Tiling(ev, EvalKey(req.MeshID, req.P, req.GridDegree, boundary, req.Field), req.K)
+		tiling, _, err = s.arts.Tiling(ev, OpKey(req.MeshID, req.P, ev.Opt.GridDegree, boundary), req.K)
 		if err == nil {
 			return ev, tiling, nil
 		}

@@ -83,59 +83,6 @@ func TestShardEvalBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardCoverageMatchesTiling: the coverage endpoint must agree exactly
-// with the deterministic tiling's own uncovered-point accounting — that is
-// what lets the coordinator stay honest about a dead shard's patches.
-func TestShardCoverageMatchesTiling(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 2})
-	m := mesh.Structured(6)
-	meshID := uploadMesh(t, ts, m)
-	const k = 6
-
-	f := dg.Project(m, 1, FieldFuncs["sincos"], 4)
-	ev, err := core.NewEvaluator(f, core.Options{P: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := ev.NewTiling(k)
-
-	failed := []int{2, 5}
-	var resp ShardCoverageResponse
-	code := postShard(t, ts, "/v1/shard/coverage", ShardCoverageRequest{
-		MeshID: meshID, P: 1, K: k, Failed: failed,
-	}, &resp)
-	if code != http.StatusOK {
-		t.Fatalf("coverage status %d", code)
-	}
-	wantIDs := tl.UncoveredIDs(failed)
-	if resp.TotalPoints != tl.NumPoints {
-		t.Errorf("total %d, want %d", resp.TotalPoints, tl.NumPoints)
-	}
-	if resp.UncoveredPoints != len(wantIDs) || resp.CoveredPoints != tl.NumPoints-len(wantIDs) {
-		t.Errorf("uncovered/covered %d/%d, want %d/%d",
-			resp.UncoveredPoints, resp.CoveredPoints, len(wantIDs), tl.NumPoints-len(wantIDs))
-	}
-	if len(resp.UncoveredIDs) != len(wantIDs) {
-		t.Fatalf("%d uncovered ids, want %d", len(resp.UncoveredIDs), len(wantIDs))
-	}
-	for i, pt := range resp.UncoveredIDs {
-		if pt != wantIDs[i] {
-			t.Fatalf("uncovered id %d: %d != %d", i, pt, wantIDs[i])
-		}
-	}
-
-	// Empty failed set: trivially fully covered.
-	resp = ShardCoverageResponse{}
-	if code := postShard(t, ts, "/v1/shard/coverage", ShardCoverageRequest{
-		MeshID: meshID, P: 1, K: k,
-	}, &resp); code != http.StatusOK {
-		t.Fatalf("empty-failed coverage status %d", code)
-	}
-	if resp.UncoveredPoints != 0 || resp.CoveredPoints != tl.NumPoints {
-		t.Errorf("empty failed set: uncovered %d covered %d", resp.UncoveredPoints, resp.CoveredPoints)
-	}
-}
-
 // TestShardEvalValidation: bad requests are 400s, an unknown mesh is the
 // 404 the coordinator's re-seed protocol keys on.
 func TestShardEvalValidation(t *testing.T) {
