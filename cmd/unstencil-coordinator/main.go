@@ -47,11 +47,11 @@ func main() {
 		addr            = flag.String("addr", ":8080", "listen address")
 		shardsFlag      = flag.String("shards", "", "comma-separated shard base URLs (required), e.g. http://h1:9090,http://h2:9090")
 		requestTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-shard HTTP request cap")
-		hedgeDelay      = flag.Duration("hedge-delay", 0, "hedged-read delay for /v1/query; 0 disables hedging")
+		hedgeDelay      = flag.Duration("hedge-delay", 0, "hedged-read delay for /v1/query; the hedge counts against -failover-attempts; 0 disables hedging")
 		retryN          = flag.Int("retry-attempts", 3, "tries per shard request for transient failures (1 = no retry)")
 		retryBase       = flag.Duration("retry-base", 25*time.Millisecond, "backoff before the first retry (doubles per retry)")
 		retryMax        = flag.Duration("retry-max", 1*time.Second, "backoff cap; a shard's Retry-After overrides the backoff")
-		failover        = flag.Int("failover-attempts", 1, "ring successors a failed patch range or job may move to; negative disables failover (degraded-mode drills)")
+		failover        = flag.Int("failover-attempts", 1, "ring successors a failed patch range, routed job or query may move to; negative disables failover (degraded-mode drills)")
 		healthInterval  = flag.Duration("health-interval", time.Second, "shard /readyz polling period")
 		healthThreshold = flag.Int("health-threshold", 3, "consecutive probe failures before a shard is marked down")
 		blocks          = flag.Int("blocks", 16, "default blocks/patches for jobs that omit it")

@@ -118,6 +118,17 @@ func TestBSRDecodeRejectsBadBlockID(t *testing.T) {
 	expectCorruptBothPaths(t, encodeOp(t, "op:k", &broken), "op:k")
 }
 
+// A row permutation that repeats an index is corruption even though every
+// entry is in range: its apply would write one output slot twice and leave
+// another unwritten, so both load paths must reject it.
+func TestDecodeRejectsRepeatedPerm(t *testing.T) {
+	b := operator.NewBuilder(3, 2, 1)
+	for r := 0; r < 3; r++ {
+		b.SetRowBlocks(r, []int32{int32(r % 2)}, []float64{float64(r + 1)})
+	}
+	expectCorruptBothPaths(t, encodeOp(t, "op:k", b.Finish([]int32{0, 0, 2}, 1)), "op:k")
+}
+
 // A container carrying one of the reserved sections of the retired
 // formats is structurally contradictory and must be rejected, not silently
 // preferred either way — whether it replaces a current section or sits

@@ -101,23 +101,10 @@ func NewClient(hc *http.Client, retry fault.Policy, counters *metrics.ClusterCou
 }
 
 // Do sends one logical request to shard+path under the retry policy and
-// decodes the JSON response into out (nil discards it). A []byte body is
-// sent as is; any other non-nil body is encoded as JSON first.
-func (c *Client) Do(ctx context.Context, method, shard, path string, body, out any) error {
-	raw, ok := body.([]byte)
-	if !ok && body != nil {
-		var err error
-		if raw, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
-	return c.do(ctx, method, shard, path, raw, out)
-}
-
-// do is one logical shard request under the retry policy, its backoff
-// keyed by shard+path so concurrent retries against one shard
+// decodes the JSON response into out (nil discards it). Its backoff is
+// keyed by shard+path, so concurrent retries against one shard
 // de-synchronize identically on every run.
-func (c *Client) do(ctx context.Context, method, shard, path string, body []byte, out any) error {
+func (c *Client) Do(ctx context.Context, method, shard, path string, body []byte, out any) error {
 	lastStatus := 0
 	n, err := fault.Retry(ctx, c.retry, hash64(shard+path), retryable,
 		func(last error) {

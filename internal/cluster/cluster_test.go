@@ -772,6 +772,65 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 	}
 }
 
+// TestClusterQueryFailoverBudget: a query walks the succession under the
+// same failover budget as a patch range or a routed job. With failover off
+// a dead home shard fails the query as shard loss rather than answering
+// from the replica, and the router marks that shard Down.
+func TestClusterQueryFailoverBudget(t *testing.T) {
+	fsA, tsA := newShard(t)
+	fsB, tsB := newShard(t)
+	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}, FailoverAttempts: -1})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(6))
+	home := co.ring.Order(meshID)[0]
+	if home == tsA.URL {
+		fsA.down.Store(true)
+	} else {
+		fsB.down.Store(true)
+	}
+
+	query := map[string]any{"mesh_id": meshID, "p": 1, "points": [][2]float64{{0.2, 0.3}}}
+	var body struct {
+		ErrorKind string `json:"error_kind"`
+	}
+	if code := postJSON(t, cts.URL+"/v1/query", query, &body); code != http.StatusBadGateway {
+		t.Fatalf("query with its home shard dead and failover off: status %d, want 502", code)
+	}
+	if body.ErrorKind != ErrorKindShardFailure {
+		t.Errorf("error kind %q, want %q", body.ErrorKind, ErrorKindShardFailure)
+	}
+	if n := co.Counters().Failovers.Load(); n != 0 {
+		t.Errorf("failovers = %d with failover off", n)
+	}
+	if st := co.Health().State(home); st != StateDown {
+		t.Errorf("dead home shard state %s after the query, want down", st)
+	}
+}
+
+// TestClusterReseedsRequestedMesh: a restarted stateless shard that answers
+// a query with 404 gets back the one mesh the query names, not every mesh
+// the coordinator retains.
+func TestClusterReseedsRequestedMesh(t *testing.T) {
+	fsA, tsA := newShard(t)
+	fsB, tsB := newShard(t)
+	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(4))
+	uploadMesh(t, cts.URL, mesh.Structured(5))
+	uploadMesh(t, cts.URL, mesh.Structured(6))
+	if co.ring.Order(meshID)[0] == tsA.URL {
+		fsA.swap(newShardServer(t))
+	} else {
+		fsB.swap(newShardServer(t))
+	}
+
+	query := map[string]any{"mesh_id": meshID, "p": 1, "points": [][2]float64{{0.2, 0.3}}}
+	if code := postJSON(t, cts.URL+"/v1/query", query, nil); code != http.StatusOK {
+		t.Fatalf("query on the restarted home shard: status %d", code)
+	}
+	if n := co.Counters().MeshReseeds.Load(); n != 1 {
+		t.Errorf("mesh_reseeds = %d, want 1 (the queried mesh only)", n)
+	}
+}
+
 // TestClusterRoutedJob: non-per-element jobs run whole on the mesh's home
 // shard, with the coordinator rewriting shard-local ids to cluster ids on
 // every proxied view.

@@ -30,14 +30,16 @@ type Config struct {
 	RequestTimeout time.Duration
 	// HedgeDelay, when > 0, arms hedged reads on /v1/query: if the primary
 	// shard has not answered within the delay, a duplicate is sent to the
-	// next replica and the first success wins. 0 disables hedging.
+	// next replica and the first success wins. The hedge is drawn from the
+	// FailoverAttempts window. 0 disables hedging.
 	HedgeDelay time.Duration
 	// Retry shapes per-shard request retry (capped exponential backoff with
 	// deterministic jitter; zero value: no retry).
 	Retry fault.Policy
-	// FailoverAttempts is how many ring successors a failed patch range or
-	// routed job may move to after its shard exhausts the retry budget.
-	// 0 means the default (1); negative disables failover, forcing the
+	// FailoverAttempts is how many ring successors a failed patch range,
+	// routed job or query may move to after its shard exhausts the retry
+	// budget; a query's hedge counts as one. 0 means the default (1);
+	// negative keeps every request on its first shard, forcing the
 	// degraded path — which is exactly what a chaos drill wants.
 	FailoverAttempts int
 	// HealthInterval is the /readyz polling period (default 1s).
@@ -178,33 +180,32 @@ func (co *Coordinator) routable(key string) []string {
 	return slices.DeleteFunc(co.ring.Order(key), func(s string) bool { return co.health.State(s) != StateReady })
 }
 
-// reseedMesh re-uploads retained meshes to one shard (the 404 protocol).
+// retained returns the encoded bytes of an uploaded mesh.
+func (co *Coordinator) retained(id string) ([]byte, bool) {
+	co.meshMu.Lock()
+	defer co.meshMu.Unlock()
+	raw, ok := co.meshes[id]
+	return raw, ok
+}
+
+// reseedMesh re-uploads one retained mesh to one shard (the 404 protocol).
 // Mesh ids are content hashes, so re-seeding is idempotent and the shard's
 // response id must round-trip.
-func (co *Coordinator) reseedMesh(ctx context.Context, shard string) error {
-	// The 404 does not say which mesh; re-seed everything retained. In
-	// practice a coordinator holds few meshes and uploads are idempotent.
-	co.meshMu.Lock()
-	entries := make(map[string][]byte, len(co.meshes))
-	for id, raw := range co.meshes {
-		entries[id] = raw
+func (co *Coordinator) reseedMesh(ctx context.Context, shard, id string) error {
+	raw, ok := co.retained(id)
+	if !ok {
+		return fmt.Errorf("mesh %s not retained", id)
 	}
-	co.meshMu.Unlock()
-	if len(entries) == 0 {
-		return errors.New("no retained mesh to re-seed")
+	got, err := co.postMesh(ctx, shard, raw)
+	if err != nil {
+		return err
 	}
-	for id, raw := range entries {
-		got, err := co.postMesh(ctx, shard, raw)
-		if err != nil {
-			return err
-		}
-		if got != id {
-			return fmt.Errorf("re-seeded mesh id mismatch: sent %s, shard stored %s", id, got)
-		}
-		co.counters.MeshReseeds.Add(1)
-		if co.log != nil {
-			co.log.Info("re-seeded mesh to shard", "mesh", id, "shard", shard)
-		}
+	if got != id {
+		return fmt.Errorf("re-seeded mesh id mismatch: sent %s, shard stored %s", id, got)
+	}
+	co.counters.MeshReseeds.Add(1)
+	if co.log != nil {
+		co.log.Info("re-seeded mesh to shard", "mesh", id, "shard", shard)
 	}
 	return nil
 }
@@ -219,44 +220,87 @@ func (co *Coordinator) postMesh(ctx context.Context, shard string, raw []byte) (
 	return out.MeshID, err
 }
 
-// shardPost is a JSON POST plus the mesh re-seed protocol: a 404 means the
-// shard (typically restarted without durable state) does not hold the
-// mesh; the coordinator re-uploads its retained bytes and retries once.
-func (co *Coordinator) shardPost(ctx context.Context, shard, path string, body, out any) error {
-	err := co.client.Do(ctx, http.MethodPost, shard, path, body, out)
-	if RemoteStatus(err) != http.StatusNotFound {
-		return err
+// route POSTs body to path on the ring succession order of a request about
+// meshID, and is the one place the routing policy lives. The request may
+// touch order[:1+FailoverAttempts]: the primary goes out at once, with
+// hedge > 0 at most one hedge follows after that delay, and each
+// *ShardError launches the next shard of the window. Any other failure — a
+// 4xx, or the caller giving up — would repeat on every shard and ends the
+// walk. The first success wins and the losers are cancelled. Transport
+// exhaustion is strong evidence the process is gone, so that shard is
+// marked Down ahead of the next probe tick. A 404 means the shard
+// (typically restarted without durable state) does not hold the mesh: it
+// is re-seeded from the retained bytes and asked once more. Each attempt
+// decodes into its own T, so a hedge never races its primary.
+func route[T any](ctx context.Context, co *Coordinator, order []string, hedge time.Duration,
+	meshID, path string, body []byte) (T, string, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	order = order[:min(len(order), 1+max(co.cfg.FailoverAttempts, 0))]
+	type result struct {
+		out    T
+		shard  string
+		err    error
+		hedged bool
 	}
-	if rerr := co.reseedMesh(ctx, shard); rerr != nil {
-		return fmt.Errorf("%w (re-seed failed: %v)", err, rerr)
+	results := make(chan result, len(order))
+	next := 0
+	launch := func(hedged bool) {
+		shard := order[next]
+		next++
+		go func() {
+			var out T
+			err := co.client.Do(ctx, http.MethodPost, shard, path, body, &out)
+			if RemoteStatus(err) == http.StatusNotFound {
+				if rerr := co.reseedMesh(ctx, shard, meshID); rerr != nil {
+					err = fmt.Errorf("%w (re-seed failed: %v)", err, rerr)
+				} else {
+					err = co.client.Do(ctx, http.MethodPost, shard, path, body, &out)
+				}
+			}
+			results <- result{out, shard, err, hedged}
+		}()
 	}
-	return co.client.Do(ctx, http.MethodPost, shard, path, body, out)
-}
-
-// failover runs try on order[0] and, each time a shard exhausts its retry
-// budget, on the next shard of the succession, up to FailoverAttempts of
-// them. Any other failure — a 4xx, context expiry — would repeat on every
-// shard and ends the walk. Transport-level exhaustion is strong evidence
-// the process is gone, so that shard is marked Down ahead of the next
-// probe tick.
-func (co *Coordinator) failover(order []string, try func(shard string) error) (string, error) {
+	launch(false)
+	var hedgeTimer <-chan time.Time
+	if hedge > 0 && len(order) > 1 {
+		hedgeTimer = time.After(hedge)
+	}
+	var zero T
 	var err error
-	for i, shard := range order[:min(len(order), 1+max(co.cfg.FailoverAttempts, 0))] {
-		if i > 0 {
-			co.counters.Failovers.Add(1)
-		}
-		if err = try(shard); err == nil {
-			return shard, nil
-		}
-		var se *ShardError
-		if !errors.As(err, &se) {
-			return "", err
-		}
-		if se.Status == 0 {
-			co.health.MarkDown(shard, se.Err)
+	for inflight := 1; inflight > 0; {
+		select {
+		case <-hedgeTimer:
+			hedgeTimer = nil
+			if next < len(order) {
+				co.counters.Hedges.Add(1)
+				launch(true)
+				inflight++
+			}
+		case r := <-results:
+			inflight--
+			if r.err == nil {
+				if r.hedged {
+					co.counters.HedgeWins.Add(1)
+				}
+				return r.out, r.shard, nil
+			}
+			err = r.err
+			var se *ShardError
+			if !errors.As(err, &se) {
+				return zero, "", err
+			}
+			if se.Status == 0 {
+				co.health.MarkDown(r.shard, se.Err)
+			}
+			if next < len(order) {
+				co.counters.Failovers.Add(1)
+				launch(false)
+				inflight++
+			}
 		}
 	}
-	return "", err
+	return zero, "", err
 }
 
 // proxyError is what a client receives for a failed shard interaction: a
@@ -321,9 +365,7 @@ func (co *Coordinator) PutMesh(ctx context.Context, m *mesh.Mesh, raw []byte) (a
 // MeshInfo implements server.Backend from the retained mesh bytes, so it
 // needs no shard.
 func (co *Coordinator) MeshInfo(_ context.Context, id string) (any, error) {
-	co.meshMu.Lock()
-	raw, ok := co.meshes[id]
-	co.meshMu.Unlock()
+	raw, ok := co.retained(id)
 	if !ok {
 		return nil, server.Errorf(http.StatusNotFound, "mesh %q not known to the coordinator", id)
 	}
@@ -335,8 +377,8 @@ func (co *Coordinator) MeshInfo(_ context.Context, id string) (any, error) {
 }
 
 // Query implements server.Backend: the batch goes to the mesh's home
-// shard, optionally hedged with the next replica, failing over along the
-// succession.
+// shard, hedged with the next replica after HedgeDelay and failing over
+// along the succession within the failover budget.
 func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (any, error) {
 	order := co.routable(req.MeshID)
 	if len(order) == 0 {
@@ -347,74 +389,12 @@ func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (any
 		return nil, err
 	}
 	co.counters.QueriesRouted.Add(1)
-	out, shard, err := co.queryShards(ctx, order, raw)
+	out, shard, err := route[map[string]any](ctx, co, order, co.cfg.HedgeDelay, req.MeshID, "/v1/query", raw)
 	if err != nil {
 		return nil, proxyError(err)
 	}
 	out["shard"] = shard
 	return out, nil
-}
-
-// queryShards races the query across the succession: primary immediately,
-// the next replica after HedgeDelay (hedged read), further replicas only
-// as failover when a shard is lost. First success wins; losers are
-// cancelled. A failure that is not shard loss — a 4xx, or the caller
-// giving up — ends the race.
-func (co *Coordinator) queryShards(ctx context.Context, order []string, raw []byte) (map[string]any, string, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		out   map[string]any
-		shard string
-		err   error
-		hedge bool
-	}
-	resCh := make(chan result, len(order))
-	next, inflight := 0, 0
-	launch := func(hedge bool) {
-		shard := order[next]
-		next++
-		inflight++
-		go func() {
-			var out map[string]any
-			err := co.shardPost(ctx, shard, "/v1/query", raw, &out)
-			resCh <- result{out: out, shard: shard, err: err, hedge: hedge}
-		}()
-	}
-	launch(false)
-	var hedgeTimer <-chan time.Time
-	if co.cfg.HedgeDelay > 0 && len(order) > 1 {
-		hedgeTimer = time.After(co.cfg.HedgeDelay)
-	}
-	var err error
-	for inflight > 0 {
-		select {
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if next < len(order) {
-				co.counters.Hedges.Add(1)
-				launch(true)
-			}
-		case res := <-resCh:
-			inflight--
-			if res.err == nil {
-				if res.hedge {
-					co.counters.HedgeWins.Add(1)
-				}
-				return res.out, res.shard, nil
-			}
-			err = res.err
-			var se *ShardError
-			if !errors.As(err, &se) {
-				return nil, "", err
-			}
-			if next < len(order) {
-				co.counters.Failovers.Add(1)
-				launch(false)
-			}
-		}
-	}
-	return nil, "", err
 }
 
 // Submit implements server.Backend. Per-element jobs are distributed: the
@@ -426,10 +406,7 @@ func (co *Coordinator) Submit(ctx context.Context, spec server.JobSpec) (server.
 	if err := spec.Validate(co.cfg.DefaultBlocks); err != nil {
 		return server.JobStatus{}, server.Errorf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
-	co.meshMu.Lock()
-	_, known := co.meshes[spec.MeshID]
-	co.meshMu.Unlock()
-	if !known {
+	if _, known := co.retained(spec.MeshID); !known {
 		return server.JobStatus{}, server.Errorf(http.StatusNotFound,
 			"mesh %q not known to the coordinator (upload it via POST /v1/meshes)", spec.MeshID)
 	}
@@ -447,16 +424,18 @@ func (co *Coordinator) Submit(ctx context.Context, spec server.JobSpec) (server.
 }
 
 // submitRouted forwards a whole job to the mesh's home shard, failing the
-// submission over along the succession within the failover budget.
+// submission over along the succession within the failover budget. It is
+// never hedged: a job submit is not idempotent.
 func (co *Coordinator) submitRouted(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
 	order := co.routable(spec.MeshID)
 	if len(order) == 0 {
 		return server.JobStatus{}, server.Errorf(http.StatusServiceUnavailable, "no ready shard for mesh %s", spec.MeshID)
 	}
-	var st server.JobStatus
-	shard, err := co.failover(order, func(shard string) error {
-		return co.shardPost(ctx, shard, "/v1/jobs", &spec, &st)
-	})
+	raw, err := json.Marshal(&spec)
+	if err != nil {
+		return server.JobStatus{}, err
+	}
+	st, shard, err := route[server.JobStatus](ctx, co, order, 0, spec.MeshID, "/v1/jobs", raw)
 	if err != nil {
 		return server.JobStatus{}, proxyError(err)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -162,8 +163,7 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 }
 
 // evalRange runs one patch range on its assignee, failing over along the
-// succession. A 404 re-seeds the mesh from the coordinator's retained bytes
-// and retries the same shard once.
+// succession through route, unhedged: a range is not worth evaluating twice.
 func (co *Coordinator) evalRange(ctx context.Context, a assignment, spec server.JobSpec) (*server.ShardEvalResponse, string, error) {
 	req := server.ShardEvalRequest{
 		MeshID:       spec.MeshID,
@@ -176,10 +176,11 @@ func (co *Coordinator) evalRange(ctx context.Context, a assignment, spec server.
 		AllowPartial: spec.AllowPartial,
 		TimeoutMS:    spec.TimeoutMS,
 	}
-	var resp server.ShardEvalResponse
-	shard, err := co.failover(a.succession, func(shard string) error {
-		return co.shardPost(ctx, shard, "/v1/shard/eval", &req, &resp)
-	})
+	raw, err := json.Marshal(&req)
+	if err != nil {
+		return nil, "", err
+	}
+	resp, shard, err := route[server.ShardEvalResponse](ctx, co, a.succession, 0, spec.MeshID, "/v1/shard/eval", raw)
 	if err != nil {
 		return nil, "", err
 	}
@@ -191,9 +192,7 @@ func (co *Coordinator) evalRange(ctx context.Context, a assignment, spec server.
 // function of the geometry alone, so a zero field stands in for the job's
 // (no projection runs) and the result is the one every shard would derive.
 func (co *Coordinator) coverage(spec server.JobSpec, failed []int) (*core.Coverage, error) {
-	co.meshMu.Lock()
-	raw, ok := co.meshes[spec.MeshID]
-	co.meshMu.Unlock()
+	raw, ok := co.retained(spec.MeshID)
 	if !ok {
 		return nil, fmt.Errorf("mesh %s not retained", spec.MeshID)
 	}

@@ -10,8 +10,9 @@ package metrics
 type ClusterCounters struct {
 	// MeshFanouts counts mesh uploads fanned out to the shard set.
 	MeshFanouts Counter `json:"mesh_fanouts"`
-	// MeshReseeds counts meshes re-uploaded to a shard that answered
-	// "mesh not resident" (a restarted shard without a persistent store).
+	// MeshReseeds counts meshes re-uploaded to a shard that answered a
+	// request "mesh not resident" (a restarted shard without a persistent
+	// store): one per such answer, the request's mesh only.
 	MeshReseeds Counter `json:"mesh_reseeds"`
 	// QueriesRouted counts /v1/query requests forwarded to a shard.
 	QueriesRouted Counter `json:"queries_routed"`

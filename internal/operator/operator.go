@@ -182,10 +182,15 @@ func (op *Operator) Validate() error {
 		if len(op.Perm) != op.Rows {
 			return fmt.Errorf("operator: perm has %d entries for %d rows", len(op.Perm), op.Rows)
 		}
+		seen := make([]bool, op.Rows)
 		for i, p := range op.Perm {
 			if p < 0 || int(p) >= op.Rows {
 				return fmt.Errorf("operator: perm[%d]=%d outside [0, %d)", i, p, op.Rows)
 			}
+			if seen[p] {
+				return fmt.Errorf("operator: perm[%d]=%d repeats an earlier entry", i, p)
+			}
+			seen[p] = true
 		}
 	}
 	return nil

@@ -604,6 +604,7 @@ func TestValidateBSR(t *testing.T) {
 		"zero basisN":             func(o *operator.Operator) { o.BasisN = 0 },
 		"perm out of range":       func(o *operator.Operator) { o.Perm[3] = int32(o.Rows) },
 		"short perm":              func(o *operator.Operator) { o.Perm = o.Perm[:o.Rows-1] },
+		"perm repeats a row":      func(o *operator.Operator) { o.Perm[3] = o.Perm[2] },
 	})
 }
 
