@@ -292,7 +292,7 @@ func TestOperatorStatsAndCounters(t *testing.T) {
 	if op.Cols != m.NumTris()*ev.Field.Basis.N {
 		t.Errorf("cols = %d", op.Cols)
 	}
-	ac := op.ApplyCounters()
+	ac := op.ApplyBlockCounters(1)
 	if ac.Flops != 2*uint64(op.NNZ()) {
 		t.Errorf("apply flops = %d, want %d", ac.Flops, 2*op.NNZ())
 	}

@@ -7,9 +7,9 @@ import "time"
 // All fields are atomics: applies run concurrently on job workers and
 // query goroutines.
 type OperatorCounters struct {
-	// SingleApplies counts one-field applies (ApplyVec/ApplyInto paths).
+	// SingleApplies counts one-field applies.
 	SingleApplies Counter `json:"single_applies"`
-	// BlockApplies counts batched multi-field applies (ApplyBlock paths).
+	// BlockApplies counts batched multi-field applies.
 	BlockApplies Counter `json:"block_applies"`
 	// FieldsApplied counts total fields post-processed across both paths;
 	// FieldsApplied / (SingleApplies + BlockApplies) is the mean batch

@@ -10,17 +10,25 @@ import (
 )
 
 // Two kernels read the one storage form: applyRows (one field, SpMV) and
-// applyRowsBlock (a tile of up to fieldBlock fields, SpMM). The SpMV is
-// not the SpMM at width 1: the tile kernel packs the coefficients and
-// indexes per-field accumulator arrays. On the P2-shaped operators of
+// applyRowsBlock (a tile of fieldBlock fields, SpMM). Both reduce a
+// row in one order. Inside each element block the dot is plain, modes
+// ascending: d = w[0]·c[0], then d += w[m]·c[m]. Across the row's block
+// partials, ascending, the sum is compensated by TwoSum. SIAC kernel
+// weights alternate sign (the B-spline lobes), so a row's terms cancel, and
+// the compensation keeps the error relative to Σ|w·c| instead of letting it
+// grow with the row: a block partial is off by at most γ_basisN·Σ|w·c| over
+// its block (γ_n = n·u/(1−n·u), u = 2^-53), so a row stays within
+// u·|exact| + γ_{basisN+1}·Σ|w·c| of its exact sum. The per-point paths
+// reduce their rows the same way (RowDot), so they match the apply bitwise.
+//
+// Compensating once per block rather than once per term takes the 7 flops
+// of a TwoSum off every (entry, field). On the P2-shaped operators of
 // bench_test.go (4608 rows, ≈ 6.55 M nnz, one worker, 2-vCPU Xeon guest),
-// BenchmarkApplyBlock1P2 lost to BenchmarkApplyVecP2 in 10 of 10
-// alternating runs with unique weight blocks (medians 15.2 against
-// 12.1 ms, ≈ 1.15× per pair) and in 8 of 10 with the 16,589-block palette
-// (13.7 against 13.7 ms, ≈ 1.04× per pair). Both kernels run the
-// identical compensated recurrence over the identical term sequence per
-// (row, field), so their outputs are bit-identical — the property tests
-// pin that against a naive reference.
+// over 10 alternating pairs against per-term compensation:
+// SpMV medians 16.0 → 11.9 ms with unique weight blocks and 17.9 → 10.2 ms
+// with the 16,589-block palette (BenchmarkApplyVecP2, this order ahead in 9
+// and 10 of 10 pairs); 8-field SpMM 113.7 → 47.9 and 126.2 → 47.8 ms
+// (BenchmarkApplyBlockP2, 10 of 10 each).
 
 // applyBlock is the row-block granularity of the parallel applies: large
 // enough that claim cost (one fetch-add) is noise, small enough that the
@@ -33,11 +41,21 @@ const applyBlock = 256
 // operator was assembled for (dimension-checked). The apply itself
 // allocates nothing; callers own out.
 func (op *Operator) ApplyInto(f *dg.Field, out []float64) error {
+	if err := op.CheckField(f); err != nil {
+		return err
+	}
+	return op.ApplyVec(f.Coeffs, out, op.Workers)
+}
+
+// CheckField reports an error unless field f has the operator's BasisN
+// modes per element, the check every field-typed apply makes before
+// reading f.Coeffs as a coefficient vector.
+func (op *Operator) CheckField(f *dg.Field) error {
 	if f.Basis.N != op.BasisN {
 		return fmt.Errorf("operator: field has %d modes per element, operator expects %d",
 			f.Basis.N, op.BasisN)
 	}
-	return op.ApplyVec(f.Coeffs, out, op.Workers)
+	return nil
 }
 
 // ApplyVec computes out[pt] = Σ_col W[pt][col]·coeffs[col] as a parallel
@@ -52,12 +70,19 @@ func (op *Operator) ApplyVec(coeffs []float64, out []float64, workers int) error
 	if len(out) != op.Rows {
 		return fmt.Errorf("operator: output has length %d, operator expects %d", len(out), op.Rows)
 	}
-	if workers = op.clampWorkers(workers); workers <= 1 {
+	op.applyVec(coeffs, out, op.clampWorkers(workers))
+	return nil
+}
+
+// applyVec runs applyRows over every row, serially for workers <= 1 and
+// otherwise on workers goroutines: the one dispatch of the SpMV, which
+// ApplyVec and ApplyBlock's narrow tiles share.
+func (op *Operator) applyVec(coeffs, out []float64, workers int) {
+	if workers <= 1 {
 		op.applyRows(coeffs, out, 0, op.Rows)
-		return nil
+		return
 	}
 	op.fanOut(workers, func(lo, hi int) { op.applyRows(coeffs, out, lo, hi) })
-	return nil
 }
 
 // clampWorkers bounds a requested worker count by the number of row blocks
@@ -89,18 +114,8 @@ func (op *Operator) fanOut(workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// applyRows computes storage rows [lo, hi) for one field. Row sums are
-// Neumaier-compensated: SIAC kernel weights alternate sign (the B-spline
-// lobes), so a row's terms cancel heavily and a naive sum would carry the
-// full condition number of the cancellation into the result. Compensation
-// keeps the apply's rounding below the per-element scheme's own noise
-// floor; the per-point paths reduce their rows the same way (RowDot).
-//
-// The compensation update is Knuth's TwoSum: branch-free, and the exact
-// rounding error of fl(sum+term) whichever operand is larger. The textbook
-// Neumaier update (a magnitude test selecting one of two error
-// expressions) computes the same exact error, so the two are bitwise
-// identical by construction; the tests keep that form as the reference.
+// applyRows computes storage rows [lo, hi) for one field, one block at a
+// time through blockDot.
 func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 	basisN, pool := op.BasisN, op.Pool
 	for r := lo; r < hi; r++ {
@@ -117,20 +132,27 @@ func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 	}
 }
 
-// blockDot continues a row's compensated sum (sum, comp) over one block's
-// terms w[m]·c[m], modes ascending. It is the one copy of the row
-// recurrence: applyRows and RowDot step through it, and applyRowsBlock
-// inlines the same update per field.
+// blockDot continues a row's compensated sum (sum, comp) over one element
+// block: the plain dot d = Σ w[m]·c[m], modes ascending, folded in by
+// addPartial. It is the one copy of the row recurrence: applyRows and
+// RowDot step through it, and applyRowsBlock unrolls the same operations
+// across its 8 fields. It stays under the inliner's budget, so the SpMV pays
+// no call per block.
 func blockDot(w, c []float64, sum, comp float64) (float64, float64) {
-	c = c[:len(w)]
-	for m, wm := range w {
-		term := wm * c[m]
-		t := sum + term
-		z := t - sum
-		comp += (sum - (t - z)) + (term - z)
-		sum = t
+	d := w[0] * c[0]
+	for m := 1; m < len(w); m++ {
+		d += w[m] * c[m]
 	}
-	return sum, comp
+	return addPartial(sum, comp, d)
+}
+
+// addPartial adds a block partial d to the compensated sum (sum, comp) by
+// Knuth's TwoSum, which carries the exact rounding error of fl(sum+d) into
+// comp whichever operand is larger.
+func addPartial(sum, comp, d float64) (float64, float64) {
+	t := sum + d
+	z := t - sum
+	return t, comp + ((sum - (t - z)) + (d - z))
 }
 
 // RowDot reduces one row in block form — ascending element ids and
@@ -148,17 +170,6 @@ func RowDot(ids []int32, vals, coeffs []float64) float64 {
 		sum, comp = blockDot(vals[b*bn:][:bn], coeffs[int(e)*bn:][:bn], sum, comp)
 	}
 	return sum + comp
-}
-
-// ApplyCounters models the cost of one single-field apply in the repo's
-// counter vocabulary: a multiply-add per entry, streaming reads of the
-// weights, two indices per block and the row pointers, plus the
-// gathered coefficient blocks. Spatially ordered rows make the coefficient
-// gathers mostly cache-resident, so nothing is charged as scattered; the
-// contrast with direct evaluation's ScatteredLoads is the point of the
-// assembled path.
-func (op *Operator) ApplyCounters() metrics.Counters {
-	return op.ApplyBlockCounters(1)
 }
 
 // packPool recycles the packed coefficient tile ApplyBlock builds. Tiles
@@ -187,28 +198,33 @@ func putPacked(v []float64) {
 	packPool.Put(p)
 }
 
-// fieldBlock is the field-tile width of the SpMM: operator entries are
-// multiplied against up to fieldBlock fields per pass over the operator,
-// with one compensated (sum, comp) pair per field. 8 fields × 2 × 8 bytes =
-// 128 B of accumulator state, while cutting operator-stream traffic 8×
-// versus per-field SpMV.
+// fieldBlock is the field-tile width of the SpMM: each weight is loaded
+// once against fieldBlock fields, and the operator is streamed once per
+// tile instead of once per field.
 const fieldBlock = 8
+
+// wideTile reports whether a tile of w ≤ fieldBlock fields runs through the
+// SpMM, zero-padded to fieldBlock, rather than as w SpMVs. A padded tile
+// costs about what a full one does, and a full tile about 4–5 SpMVs on the
+// P2-shaped bench operators (BenchmarkApplyBlockWidthsP2), so tiles of more
+// than half the width go to the SpMM.
+func wideTile(w int) bool { return w > fieldBlock/2 }
 
 // ApplyBlock computes the operator × dense block product
 //
 //	out[f][pt] = Σ_col W[pt][col] · coeffs[f][col]   for every field f
 //
-// blocked over rows and fields. Fields are processed in tiles of
-// fieldBlock; within a tile the coefficients are packed row-major
-// (packed[col·F + f] = coeffs[f][col]) so one element block's tile is
-// contiguous, and the operator is streamed from memory once per tile
-// instead of once per field.
+// Fields go in tiles of fieldBlock, the last one possibly narrower. A wide
+// tile runs through applyRowsBlock, its coefficients packed row-major
+// (packed[col·fieldBlock + f] = coeffs[f][col]) so one element block's
+// tile is contiguous, and zeros in the lanes past the tile's last field.
+// A narrow tile runs field by field through the SpMV.
 //
-// Per (row, field) the floating-point operation sequence — term order and
-// Neumaier compensation — is exactly ApplyVec's, so results are
-// bit-identical to F independent ApplyVec calls, at every worker count.
-// workers <= 1 runs serially; each storage row is summed by exactly one
-// worker and written to its own output slots.
+// Per (row, field) both kernels perform the same floating-point operations
+// in the same order, so results are bit-identical to F independent
+// ApplyVec calls, at every worker count. workers <= 1 runs serially; each
+// storage row is summed by exactly one worker and written to its own output
+// slots.
 func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int) error {
 	nf := len(coeffs)
 	if nf == 0 {
@@ -227,89 +243,108 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 				f, len(out[f]), op.Rows)
 		}
 	}
-	packed := getPacked(op.Cols * min(nf, fieldBlock))
-	defer putPacked(packed)
-
 	workers = op.clampWorkers(workers)
 	for f0 := 0; f0 < nf; f0 += fieldBlock {
-		fb := min(fieldBlock, nf-f0)
-		tile := packed[:op.Cols*fb]
-		for f := 0; f < fb; f++ {
-			cf := coeffs[f0+f]
-			for c := 0; c < op.Cols; c++ {
-				tile[c*fb+f] = cf[c]
+		cs, outs := coeffs[f0:min(f0+fieldBlock, nf)], out[f0:min(f0+fieldBlock, nf)]
+		if !wideTile(len(cs)) {
+			for f := range cs {
+				op.applyVec(cs[f], outs[f], workers)
 			}
-		}
-		outs := out[f0 : f0+fb]
-		if workers <= 1 {
-			op.applyRowsBlock(tile, fb, outs, 0, op.Rows)
 			continue
 		}
-		op.fanOut(workers, func(lo, hi int) { op.applyRowsBlock(tile, fb, outs, lo, hi) })
+		tile := getPacked(op.Cols * fieldBlock)
+		for f, cf := range cs {
+			for c, v := range cf {
+				tile[c*fieldBlock+f] = v
+			}
+		}
+		for f := len(cs); f < fieldBlock; f++ {
+			for c := 0; c < op.Cols; c++ {
+				tile[c*fieldBlock+f] = 0
+			}
+		}
+		if workers <= 1 {
+			op.applyRowsBlock(tile, outs, 0, op.Rows)
+		} else {
+			op.fanOut(workers, func(lo, hi int) { op.applyRowsBlock(tile, outs, lo, hi) })
+		}
+		putPacked(tile)
 	}
 	return nil
 }
 
-// ApplyBlockCounters models the cost of one ApplyBlock over nf fields:
-// flops scale with the field count, but the operator streams (weights, an
-// element id and a value-block id per block, row pointers) are read once
-// per field tile of width fieldBlock rather than once per field — the data
-// reuse the SpMM buys over nf independent SpMVs. Weights are charged once
-// per block, as the kernel reads them, however few distinct blocks the
-// pool holds. Coefficient gathers still happen once per (entry, field).
+// ApplyBlockCounters models the cost of one ApplyBlock over nf fields in
+// the repo's counter vocabulary, as its kernels run them: a multiply-add per
+// (entry, lane) and a coefficient gather per (entry, lane), where a wide
+// tile has fieldBlock lanes, pad lanes included, and a narrow tile's field
+// one; and the operator streams (weights, an element id and a value-block id
+// per block, row pointers) once per wide tile and once per narrow-tile
+// field — the data reuse the SpMM buys over independent SpMVs. Weights are
+// charged once per block, as the kernels read them, however few distinct
+// blocks the pool holds. Coefficient gathers hit spatially ordered rows,
+// mostly cache-resident, so nothing is charged as scattered — the contrast
+// with direct evaluation's ScatteredLoads is the point of the assembled path.
 func (op *Operator) ApplyBlockCounters(nf int) metrics.Counters {
+	lanes, passes := nf/fieldBlock*fieldBlock, nf/fieldBlock
+	if rest := nf % fieldBlock; wideTile(rest) {
+		lanes, passes = lanes+fieldBlock, passes+1
+	} else {
+		lanes, passes = lanes+rest, passes+rest
+	}
 	nnz := uint64(op.NNZ())
-	idxBytes := nnz * 8 / uint64(op.BasisN)
-	tiles := uint64((nf + fieldBlock - 1) / fieldBlock)
+	stream := nnz*8 + nnz*8/uint64(op.BasisN) + uint64(len(op.RowPtr))*8
 	return metrics.Counters{
-		Flops:     2 * nnz * uint64(nf),
-		BytesRead: tiles*(nnz*8+idxBytes+uint64(len(op.RowPtr))*8) + nnz*8*uint64(nf),
+		Flops:     2 * nnz * uint64(lanes),
+		BytesRead: uint64(passes)*stream + nnz*8*uint64(lanes),
 	}
 }
 
-// applyRowsBlock computes storage rows [lo, hi) for one field tile. packed
-// holds the tile's coefficients at packed[col·fb + f]; out holds the fb
-// per-field output vectors. The loops run field-major inside an element
-// block: each field walks the whole basisN-long mode run with its (sum, comp)
-// pair held in registers instead of spilling all fieldBlock pairs to the
-// stack on every entry. Fields are independent accumulators and each
-// consumes its terms in exactly applyRows' order (modes ascending within a
-// block, blocks ascending within the row), so the loop order cannot
-// perturb a bit of any field's sum. The block's packed tile (basisN·fb
-// floats) is re-read once per field, but it was just read and stays
-// cache-resident.
-func (op *Operator) applyRowsBlock(packed []float64, fb int, out [][]float64, lo, hi int) {
-	var sum, comp [fieldBlock]float64
+// applyRowsBlock computes storage rows [lo, hi) for one tile of
+// fieldBlock lanes: packed holds the tile's coefficients at
+// packed[col·fieldBlock + f], out the output vectors of its first len(out)
+// lanes; the sums of the lanes past them are dropped. Within an
+// element block each weight is loaded once and multiplied into eight named
+// partials d0..d7, each field's plain dot with modes ascending; the block
+// then folds the eight partials into their compensated sums by addPartial.
+// That is blockDot's operation sequence per field, unrolled across fields.
+func (op *Operator) applyRowsBlock(packed []float64, out [][]float64, lo, hi int) {
 	basisN, pool := op.BasisN, op.Pool
 	for r := lo; r < hi; r++ {
 		ids, refs := op.rowBlocks(r)
-		for f := 0; f < fb; f++ {
-			sum[f], comp[f] = 0, 0
-		}
+		var sum, comp [fieldBlock]float64
 		for b, e := range ids {
-			vb := pool[int(refs[b])*basisN:][:basisN]
-			blk := packed[int(e)*basisN*fb:][:basisN*fb]
-			for f := 0; f < fb; f++ {
-				s, c := sum[f], comp[f]
-				o := f
-				for m := 0; m < basisN; m++ {
-					term := vb[m] * blk[o]
-					o += fb
-					// Same TwoSum compensation as applyRows.
-					t := s + term
-					z := t - s
-					c += (s - (t - z)) + (term - z)
-					s = t
-				}
-				sum[f], comp[f] = s, c
+			w := pool[int(refs[b])*basisN:][:basisN]
+			c := packed[int(e)*basisN*fieldBlock:][:basisN*fieldBlock]
+			c0 := (*[fieldBlock]float64)(c)
+			w0 := w[0]
+			d0, d1, d2, d3 := w0*c0[0], w0*c0[1], w0*c0[2], w0*c0[3]
+			d4, d5, d6, d7 := w0*c0[4], w0*c0[5], w0*c0[6], w0*c0[7]
+			for m := 1; m < basisN; m++ {
+				wm, cm := w[m], (*[fieldBlock]float64)(c[m*fieldBlock:])
+				d0 += wm * cm[0]
+				d1 += wm * cm[1]
+				d2 += wm * cm[2]
+				d3 += wm * cm[3]
+				d4 += wm * cm[4]
+				d5 += wm * cm[5]
+				d6 += wm * cm[6]
+				d7 += wm * cm[7]
 			}
+			sum[0], comp[0] = addPartial(sum[0], comp[0], d0)
+			sum[1], comp[1] = addPartial(sum[1], comp[1], d1)
+			sum[2], comp[2] = addPartial(sum[2], comp[2], d2)
+			sum[3], comp[3] = addPartial(sum[3], comp[3], d3)
+			sum[4], comp[4] = addPartial(sum[4], comp[4], d4)
+			sum[5], comp[5] = addPartial(sum[5], comp[5], d5)
+			sum[6], comp[6] = addPartial(sum[6], comp[6], d6)
+			sum[7], comp[7] = addPartial(sum[7], comp[7], d7)
 		}
 		pt := r
 		if op.Perm != nil {
 			pt = int(op.Perm[r])
 		}
-		for f := 0; f < fb; f++ {
-			out[f][pt] = sum[f] + comp[f]
+		for f, o := range out {
+			o[pt] = sum[f] + comp[f]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package operator_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -116,14 +117,19 @@ func BenchmarkApplyVecP2(b *testing.B) {
 	p2Variants(b, benchApplyVec)
 }
 
-// Width-1 SpMM on the same operators: the measurement behind keeping the
-// SpMV beside the SpMM (see the header of apply.go).
-func BenchmarkApplyBlock1P2(b *testing.B) {
-	p2Variants(b, func(b *testing.B, op *operator.Operator) { benchApplyBlock(b, op, 1) })
-}
-
 func BenchmarkApplyBlockP2(b *testing.B) {
 	p2Variants(b, func(b *testing.B, op *operator.Operator) { benchApplyBlock(b, op, 8) })
+}
+
+// BenchmarkApplyBlockWidthsP2 sweeps the field count across one tile, the
+// measurement behind ApplyBlock's split: up to fieldBlock/2 fields run as
+// SpMVs, more as one zero-padded 8-field SpMM.
+func BenchmarkApplyBlockWidthsP2(b *testing.B) {
+	p2Variants(b, func(b *testing.B, op *operator.Operator) {
+		for nf := 1; nf <= 8; nf++ {
+			b.Run(fmt.Sprintf("nf%d", nf), func(b *testing.B) { benchApplyBlock(b, op, nf) })
+		}
+	})
 }
 
 // P1-like shape: 2048 rows × 512 elements, basisN 3, ~164 blocks per row.

@@ -138,9 +138,10 @@ func mkVecs(n, ln int) [][]float64 {
 }
 
 // referenceApply is the naive apply the kernels are held against: expand
-// every logical row through the exported accessor and run the canonical
-// Neumaier recurrence over its terms in storage order, one field, one
-// goroutine, the branchy textbook form.
+// every logical row through the exported accessor, take each element
+// block's plain dot with modes ascending, and sum the block partials in
+// storage order by the textbook Neumaier recurrence (the branchy select
+// form), one field, one goroutine.
 func referenceApply(op *operator.Operator, coeffs []float64) []float64 {
 	out := make([]float64, op.Rows)
 	var elems []int32
@@ -149,16 +150,18 @@ func referenceApply(op *operator.Operator, coeffs []float64) []float64 {
 		elems, vals = op.Row(r, elems, vals)
 		sum, comp := 0.0, 0.0
 		for k, e := range elems {
-			for m := 0; m < op.BasisN; m++ {
-				term := vals[k*op.BasisN+m] * coeffs[int(e)*op.BasisN+m]
-				t := sum + term
-				if math.Abs(sum) >= math.Abs(term) {
-					comp += (sum - t) + term
-				} else {
-					comp += (term - t) + sum
-				}
-				sum = t
+			w, c := vals[k*op.BasisN:][:op.BasisN], coeffs[int(e)*op.BasisN:][:op.BasisN]
+			d := w[0] * c[0]
+			for m := 1; m < op.BasisN; m++ {
+				d += w[m] * c[m]
 			}
+			t := sum + d
+			if math.Abs(sum) >= math.Abs(d) {
+				comp += (sum - t) + d
+			} else {
+				comp += (d - t) + sum
+			}
+			sum = t
 		}
 		pt := r
 		if op.Perm != nil {
@@ -225,8 +228,9 @@ func edgeCases() (*operator.Operator, func(nf int) [][]float64) {
 
 // TestApplyBlockBitIdentical is the one apply property: over shared and
 // unshared-by-data operators and the edge-case rows, heap-built and
-// mmap-loaded, at every worker count and field width (under, at, over and
-// twice the fieldBlock tile), ApplyBlock equals F independent ApplyVec
+// mmap-loaded, at every worker count and field width (a narrow tile, a
+// zero-padded wide tile, a full one, a full one plus a narrow or a padded
+// tile, and two full ones), ApplyBlock equals F independent ApplyVec
 // calls bitwise, and both equal the naive reference apply bitwise, as does
 // RowDot over every stored row (the per-point paths' reduction). A
 // non-finite reference output must be NaN in all of them.
@@ -250,7 +254,7 @@ func TestApplyBlockBitIdentical(t *testing.T) {
 
 	for _, fx := range fixtures {
 		for load, op := range map[string]*operator.Operator{"heap": fx.op, "mmap": mapped(t, fx.op)} {
-			for _, nf := range []int{1, 3, 8, 9, 16} {
+			for _, nf := range []int{1, 3, 6, 8, 9, 13, 16} {
 				coeffs := fx.fields(nf)
 				want := make([][]float64, nf)
 				var elems []int32
@@ -389,26 +393,52 @@ func TestSetRowLengthMismatchPanics(t *testing.T) {
 	})
 }
 
-// Compensated row summation must recover sums a naive loop loses to
-// cancellation: (big + 1) − big == 1 exactly.
+// applyBoth applies op to one field through ApplyVec and, as one field of
+// a full tile, through ApplyBlock, and returns both outputs.
+func applyBoth(t *testing.T, op *operator.Operator, coeffs []float64) (vec, blk []float64) {
+	t.Helper()
+	vec = make([]float64, op.Rows)
+	if err := op.ApplyVec(coeffs, vec, 1); err != nil {
+		t.Fatal(err)
+	}
+	tile := make([][]float64, 8)
+	for f := range tile {
+		tile[f] = coeffs
+	}
+	outs := mkVecs(8, op.Rows)
+	if err := op.ApplyBlock(tile, outs, 1); err != nil {
+		t.Fatal(err)
+	}
+	return vec, outs[3]
+}
+
+// Compensated summation across blocks must recover sums a naive loop loses
+// to cancellation: (big + 1) − big == 1 exactly, with each term its own
+// element block.
 func TestApplyRowsCompensated(t *testing.T) {
+	b := operator.NewBuilder(1, 3, 1)
+	big := 1e16
+	b.SetRowBlocks(0, []int32{0, 1, 2}, []float64{big, 1, -big})
+	vec, blk := applyBoth(t, b.Finish(nil, 1), []float64{1, 1, 1})
+	if vec[0] != 1 || blk[0] != 1 {
+		t.Fatalf("compensated sum: ApplyVec %v, ApplyBlock %v, want 1", vec[0], blk[0])
+	}
+}
+
+// Inside one element block the dot is plain, modes ascending: the same
+// three terms as one block round (big + 1) to big, and − big leaves 0 —
+// where a per-term compensated sum would have recovered 1. This pins the
+// order the kernels, RowDot and the direct paths share.
+func TestApplyBlockDotPlain(t *testing.T) {
 	b := operator.NewBuilder(1, 3, 3)
 	big := 1e16
 	b.SetRowBlocks(0, []int32{0}, []float64{big, 1, -big})
-	op := b.Finish(nil, 1)
-	out := make([]float64, 1)
-	if err := op.ApplyVec([]float64{1, 1, 1}, out, 1); err != nil {
-		t.Fatal(err)
+	vec, blk := applyBoth(t, b.Finish(nil, 1), []float64{1, 1, 1})
+	if vec[0] != 0 || blk[0] != 0 {
+		t.Fatalf("one-block dot: ApplyVec %v, ApplyBlock %v, want 0", vec[0], blk[0])
 	}
-	if out[0] != 1 {
-		t.Fatalf("compensated sum = %v, want 1", out[0])
-	}
-	blk := mkVecs(1, 1)
-	if err := op.ApplyBlock([][]float64{{1, 1, 1}}, blk, 1); err != nil {
-		t.Fatal(err)
-	}
-	if blk[0][0] != 1 {
-		t.Fatalf("compensated block sum = %v, want 1", blk[0][0])
+	if got := operator.RowDot([]int32{0}, []float64{big, 1, -big}, []float64{1, 1, 1}); got != 0 {
+		t.Fatalf("one-block RowDot %v, want 0", got)
 	}
 }
 
@@ -436,12 +466,16 @@ func expectAllocFree(t *testing.T, op *operator.Operator, nf int) {
 	}
 }
 
-// Stamped rows, a full field tile.
+// Stamped rows, a full field tile followed by one narrow-tile field, and by
+// a zero-padded tile of five fields.
 func TestApplyAllocFree(t *testing.T) {
-	expectAllocFree(t, synthetic(600, 150, 3, 9, true, false, true), 8)
+	op := synthetic(600, 150, 3, 9, true, false, true)
+	for _, nf := range []int{9, 13} {
+		expectAllocFree(t, op, nf)
+	}
 }
 
-// Directly stored rows, a partial field tile.
+// Directly stored rows, two fields: one narrow tile, only applyRows.
 func TestBSRApplyAllocFree(t *testing.T) {
 	expectAllocFree(t, synthetic(600, 150, 3, 11, false, false, true), 2)
 }

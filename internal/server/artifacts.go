@@ -75,32 +75,23 @@ func (a *Artifacts) Store() *artifact.Store { return a.store }
 // Ops exposes the operator apply and assembly counters.
 func (a *Artifacts) Ops() *metrics.OperatorCounters { return &a.ops }
 
-// applyFields applies op to each field into the caller-owned outs[i] (one
-// field is the SpMV, several the SpMM), records the apply and returns its
-// modeled counters. Jobs and queries both evaluate through here; they
-// differ only in where outs comes from.
+// applyFields applies op to every field through one ApplyBlock into the
+// caller-owned outs[i], records the apply and returns its modeled counters.
+// Jobs and queries both evaluate through here; they differ only in where
+// outs comes from.
 func (a *Artifacts) applyFields(op *operator.Operator, fields []*dg.Field, outs [][]float64) (metrics.Counters, error) {
-	nf := len(fields)
-	var (
-		total metrics.Counters
-		err   error
-	)
-	if nf == 1 {
-		err = op.ApplyInto(fields[0], outs[0])
-		total = op.ApplyCounters()
-	} else {
-		coeffs := make([][]float64, nf)
-		for i, f := range fields {
-			coeffs[i] = f.Coeffs
+	coeffs := make([][]float64, len(fields))
+	for i, f := range fields {
+		if err := op.CheckField(f); err != nil {
+			return metrics.Counters{}, err
 		}
-		err = op.ApplyBlock(coeffs, outs, op.Workers)
-		total = op.ApplyBlockCounters(nf)
+		coeffs[i] = f.Coeffs
 	}
-	if err != nil {
+	if err := op.ApplyBlock(coeffs, outs, op.Workers); err != nil {
 		return metrics.Counters{}, err
 	}
-	a.ops.RecordApply(nf)
-	return total, nil
+	a.ops.RecordApply(len(fields))
+	return op.ApplyBlockCounters(len(fields)), nil
 }
 
 // FieldFuncs are the analytic input fields a job may request; the service
