@@ -18,6 +18,7 @@ import (
 	"unstencil/internal/fault"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 	"unstencil/internal/server"
 )
 
@@ -323,15 +324,14 @@ func (co *Coordinator) PutMesh(ctx context.Context, m *mesh.Mesh, raw []byte) (a
 	shards := co.ring.Shards()
 	ids := make([]string, len(shards))
 	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(i int, shard string) {
-			defer wg.Done()
-			ids[i], errs[i] = co.postMesh(ctx, shard, raw)
-		}(i, shard)
+	if err := par.For(len(shards), len(shards), func(_, i int) error {
+		ids[i], errs[i] = co.postMesh(ctx, shards[i], raw)
+		return nil
+	}); err != nil {
+		// A shard request panicked: re-raised on the request goroutine,
+		// where the handler's recovery counts it and answers 500.
+		panic(err)
 	}
-	wg.Wait()
 
 	var id string
 	var seeded, failed []string

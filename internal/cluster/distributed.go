@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"unstencil/internal/core"
 	"unstencil/internal/dg"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 	"unstencil/internal/server"
 )
 
@@ -77,16 +77,15 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 		err   error
 	}
 	results := make([]rangeResult, len(asn))
-	var wg sync.WaitGroup
-	for i, a := range asn {
-		wg.Add(1)
-		go func(i int, a assignment) {
-			defer wg.Done()
-			resp, shard, err := co.evalRange(ctx, a, spec)
-			results[i] = rangeResult{resp: resp, shard: shard, a: a, err: err}
-		}(i, a)
+	if err := par.For(len(asn), len(asn), func(_, i int) error {
+		resp, shard, err := co.evalRange(ctx, asn[i], spec)
+		results[i] = rangeResult{resp: resp, shard: shard, a: asn[i], err: err}
+		return nil
+	}); err != nil {
+		// A range request panicked: re-raised on the job's goroutine, where
+		// the pipeline's recovery fails the job as panicked and counts it.
+		panic(err)
 	}
-	wg.Wait()
 
 	var (
 		partials      []core.PatchPartial

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"unstencil/internal/par"
 )
 
 // ShardState is the health checker's verdict on one shard.
@@ -132,15 +134,14 @@ func (h *HealthChecker) Stop() {
 // loop calls it on its ticker; tests call it directly for deterministic
 // state transitions without sleeping.
 func (h *HealthChecker) CheckNow() {
-	var wg sync.WaitGroup
-	for _, shard := range h.shards {
-		wg.Add(1)
-		go func(shard string) {
-			defer wg.Done()
-			h.probe(shard)
-		}(shard)
+	if err := par.For(len(h.shards), len(h.shards), func(_, i int) error {
+		h.probe(h.shards[i])
+		return nil
+	}); err != nil {
+		// A probe panicked: this pass may miss the shards after it; the
+		// polling loop lives on.
+		h.log.Error("shard health probe panicked", "err", err)
 	}
-	wg.Wait()
 }
 
 func (h *HealthChecker) probe(shard string) {

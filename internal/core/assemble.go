@@ -9,6 +9,7 @@ import (
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
+	"unstencil/internal/par"
 	"unstencil/internal/spatial"
 )
 
@@ -128,7 +129,7 @@ func (a *assembly) rowPos(r int) geom.Point {
 }
 
 // integrateRow runs the full quadrature for storage row r on worker slot w
-// and stores the row; it is a runDynamic unit.
+// and stores the row; it is a par.For unit.
 func (a *assembly) integrateRow(w, r int) error {
 	if err := fault.Inject(siteAssembleRow); err != nil {
 		return err
@@ -149,7 +150,7 @@ func (a *assembly) integrateRow(w, r int) error {
 func (a *assembly) naive() error {
 	n := len(a.positions)
 	a.stats.RowsIntegrated = n
-	return runDynamic(len(a.wks), n, a.integrateRow)
+	return par.For(len(a.wks), n, a.integrateRow)
 }
 
 // rowAccum merges one row's (element → weights) contributions across

@@ -3,6 +3,7 @@ package core
 import (
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 )
 
 // EvalBatch post-processes the field at many arbitrary physical positions
@@ -29,7 +30,7 @@ func (ev *Evaluator) EvalBatch(positions []geom.Point, workers int) ([]float64, 
 	}
 	workers = min(workers, len(positions))
 	wks := ev.getWorkers(max(workers, 1))
-	err := runDynamic(workers, len(positions), func(w, i int) (err error) {
+	err := par.For(workers, len(positions), func(w, i int) (err error) {
 		out[i], err = ev.evalAt(positions[i], wks[w])
 		return err
 	})

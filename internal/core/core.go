@@ -38,6 +38,7 @@ import (
 	"unstencil/internal/grid"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 	"unstencil/internal/quadrature"
 )
 
@@ -200,7 +201,7 @@ type Evaluator struct {
 // NewEvaluator validates options, builds the SIAC kernel, the computation
 // grid and both hash grids. It fails if the degree's modal→monomial change
 // of basis fails its conditioning check (Basis.MonomialCoeffs), and
-// returns a *PanicError if a grid-building loop panics.
+// returns a *par.PanicError if a grid-building loop panics.
 func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	m := f.Mesh
 	if err := opt.normalize(m); err != nil {
@@ -237,7 +238,7 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	gr := quadrature.TriangleForDegree(opt.GridDegree)
 	ev.PerElem = gr.Len()
 	ev.Points = make([]GridPoint, m.NumTris()*gr.Len())
-	if err := runChunks(opt.Workers, m.NumTris(), func(lo, hi int) {
+	if err := par.Chunks(opt.Workers, m.NumTris(), rangeChunk, func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			tri := m.Triangle(e)
 			base := e * ev.PerElem
@@ -258,7 +259,7 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	s := m.LongestEdge()
 	cents := make([]geom.Point, m.NumTris())
 	ev.elemBounds = make([]geom.AABB, m.NumTris())
-	if err := runChunks(opt.Workers, m.NumTris(), func(lo, hi int) {
+	if err := par.Chunks(opt.Workers, m.NumTris(), rangeChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cents[i] = m.Centroid(i)
 			ev.elemBounds[i] = m.Triangle(i).Bounds()
@@ -268,7 +269,7 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	}
 	ev.elemGrid = grid.New(cents, opt.CellFactorPoint*s)
 	locs := make([]geom.Point, len(ev.Points))
-	if err := runChunks(opt.Workers, len(ev.Points), func(lo, hi int) {
+	if err := par.Chunks(opt.Workers, len(ev.Points), rangeChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			locs[i] = ev.Points[i].Pos
 		}
@@ -378,15 +379,22 @@ func (ev *Evaluator) supportBox(c geom.Point, kx, ky *bspline.Kernel) geom.AABB 
 	return geom.Box(c.X+ev.H*xlo, c.Y+ev.H*ylo, c.X+ev.H*xhi, c.Y+ev.H*yhi)
 }
 
-func (ev *Evaluator) oneSidedFor(x float64) (*bspline.Kernel, error) {
+// oneSidedShift returns how far, in kernel units, the kernel centred at x
+// must shift to keep its support inside [0, 1]; 0 when it already fits.
+func (ev *Evaluator) oneSidedShift(x float64) float64 {
 	lo, hi := ev.Kernel.Support()
 	// Support in domain units: [x + h·lo, x + h·hi].
-	shift := 0.0
-	if x+ev.H*lo < 0 {
-		shift = -(x/ev.H + lo)
-	} else if x+ev.H*hi > 1 {
-		shift = (1-x)/ev.H - hi
+	switch {
+	case x+ev.H*lo < 0:
+		return -(x/ev.H + lo)
+	case x+ev.H*hi > 1:
+		return (1-x)/ev.H - hi
 	}
+	return 0
+}
+
+func (ev *Evaluator) oneSidedFor(x float64) (*bspline.Kernel, error) {
+	shift := ev.oneSidedShift(x)
 	if shift == 0 {
 		return ev.Kernel, nil
 	}

@@ -4,18 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"time"
 
 	"unstencil/internal/fault"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 	"unstencil/internal/tile"
 )
 
 // This file is the fault-handling policy of the direct schemes and the
 // schemes themselves. Both are one shape — independent units with disjoint
-// write sets, dispatched by runDynamic — so one loop (runUnits) applies the
+// write sets, dispatched by par.For — so one loop (runUnits) applies the
 // policy to either: per-point blocks and per-element patches are its two
 // callers, and the single-process per-element run is the shard path
 // (EvalPatchesResilientCtx) over every patch plus the one merge
@@ -35,24 +35,6 @@ const (
 	// the job layer retries whole.
 	siteAssembleRow = "core.assemble-row"
 )
-
-// PanicError wraps a panic recovered from a unit of work. The paper's
-// tiling gives each unit a disjoint write set, which is what makes recovery
-// sound: a panicked unit cannot have corrupted any other unit's output.
-// Panics caught by the retry policy carry their scheme and block or patch
-// id; those caught by the dispatcher itself (operator rows, query points —
-// per-point gathers outside the policy) carry the dispatch index.
-type PanicError struct {
-	Scheme Scheme
-	Unit   int // block, patch or dispatch index
-	Value  any // the recovered panic value
-	Stack  []byte
-}
-
-// Error implements error.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("core: %s unit %d panicked: %v", e.Scheme, e.Unit, e.Value)
-}
 
 // Transient reports whether err is worth retrying. Context cancellation and
 // deadline expiry are permanent — the caller gave up or ran out of time;
@@ -128,24 +110,12 @@ func (rs *Resilience) orNone() *Resilience {
 	return rs
 }
 
-// safeCall runs fn, converting a panic into a *PanicError so a failing unit
-// is isolated from its siblings and from the process.
-func safeCall(scheme Scheme, unit int, fc *metrics.FaultCounters, fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if fc != nil {
-				fc.PanicsRecovered.Add(1)
-			}
-			err = &PanicError{Scheme: scheme, Unit: unit, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return fn()
-}
-
 // runUnit executes one unit under the retry half of the policy: every
-// attempt starts at the unit's fault site and runs panic-isolated, and
-// fault.Retry separates attempts, keyed by the unit id. fn must be
-// restartable: an attempt resets whatever an aborted one left behind.
+// attempt starts at the unit's fault site and runs panic-isolated, a panic
+// coming back as a *par.PanicError wrapped with the scheme and the block or
+// patch id, and fault.Retry separates attempts, keyed by the unit id. fn
+// must be restartable: an attempt resets whatever an aborted one left
+// behind.
 func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, site string, fn func() error) error {
 	_, err := fault.Retry(ctx, rs.Policy, uint64(unit)<<20, Transient,
 		func(error) {
@@ -154,19 +124,30 @@ func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, site
 			}
 		},
 		func() error {
-			return safeCall(scheme, unit, rs.Faults, func() error {
+			err := par.Call(unit, func() error {
 				if err := fault.Inject(site); err != nil {
 					return err
 				}
 				return fn()
 			})
+			if pe, ok := err.(*par.PanicError); ok {
+				if rs.Faults != nil {
+					rs.Faults.PanicsRecovered.Add(1)
+				}
+				noun := "block"
+				if scheme == PerElement {
+					noun = "patch"
+				}
+				err = fmt.Errorf("core: %s %s %d: %w", scheme, noun, unit, pe)
+			}
+			return err
 		})
 	return err
 }
 
 // runUnits is the one executor behind both direct schemes: n units
 // dispatched across the evaluator's workers, each under the policy. ids
-// names the units (block or patch ids — what PanicError.Unit, the backoff
+// names the units (block or patch ids — what a panic error names, the backoff
 // jitter and the failed list report); nil means unit i is id i. attempt is
 // one restartable attempt of unit i on scratch worker wk, whose counters
 // start at zero; it records its own outputs once it has succeeded. Under
@@ -185,7 +166,7 @@ func (ev *Evaluator) runUnits(ctx context.Context, rs *Resilience, scheme Scheme
 		return i
 	}
 	dropped := make([]bool, n) // one slot per unit: written without a lock
-	err = runDynamic(workers, n, func(w, i int) error {
+	err = par.For(workers, n, func(w, i int) error {
 		wk := wks[w]
 		err := rs.runUnit(ctx, scheme, unitID(i), site, func() error {
 			wk.counters.Reset()

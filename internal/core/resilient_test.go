@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 )
 
 func sinField(p geom.Point) float64 {
@@ -93,7 +96,8 @@ func TestResilientMatchesFaultFree(t *testing.T) {
 }
 
 // TestPanicBecomesTypedError: without any resilience policy, a panic in a
-// tile worker surfaces as *PanicError instead of crashing the process.
+// tile worker surfaces as a *par.PanicError, wrapped with the per-element
+// patch it hit, instead of crashing the process.
 func TestPanicBecomesTypedError(t *testing.T) {
 	m := mesh.Structured(4)
 	ev := buildEvaluator(t, m, 1, sinField, Options{Workers: 2})
@@ -103,12 +107,12 @@ func TestPanicBecomesTypedError(t *testing.T) {
 		Sites: map[string]float64{SiteTile: 1},
 	})
 	_, err := ev.RunPerElementResilientCtx(context.Background(), ev.NewTiling(4), nil)
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
+		t.Fatalf("err = %v, want *par.PanicError", err)
 	}
-	if pe.Scheme != PerElement || pe.Unit < 0 {
-		t.Errorf("panic error %+v", pe)
+	if want := fmt.Sprintf("per-element patch %d:", pe.Unit); pe.Unit < 0 || !strings.Contains(err.Error(), want) {
+		t.Errorf("panic error %q (unit %d) does not name %q", err, pe.Unit, want)
 	}
 	if _, ok := pe.Value.(*fault.Panic); !ok {
 		t.Errorf("recovered value %T, want *fault.Panic", pe.Value)
@@ -329,7 +333,7 @@ func TestRetrySleepObservesBackoff(t *testing.T) {
 }
 
 // A panic inside NewEvaluator's parallel grid build comes back as a
-// *PanicError instead of killing the process: here a triangle names a
+// *par.PanicError instead of killing the process: here a triangle names a
 // vertex the mesh does not have, on a mesh big enough for several chunks.
 func TestNewEvaluatorReturnsPanicError(t *testing.T) {
 	m := mesh.Structured(32)
@@ -339,8 +343,8 @@ func TestNewEvaluatorReturnsPanicError(t *testing.T) {
 	bad.Tris[len(bad.Tris)-1][1] = int32(len(m.Verts)) + 7
 	f.Mesh = &bad
 	_, err := NewEvaluator(f, Options{P: 1, H: 1.0 / 32, Workers: 4})
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("NewEvaluator over a corrupt mesh: err = %v, want *PanicError", err)
+		t.Fatalf("NewEvaluator over a corrupt mesh: err = %v, want *par.PanicError", err)
 	}
 }

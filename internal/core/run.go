@@ -10,6 +10,7 @@ import (
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
+	"unstencil/internal/par"
 	"unstencil/internal/tile"
 )
 
@@ -88,14 +89,14 @@ func (ev *Evaluator) CandidateMarker() func(e int, markPt func(pt int32)) {
 // workload (candidate-point counts per element), which keeps block-per-
 // patch execution balanced even on high-variance meshes where per-element
 // cost varies by orders of magnitude. A panic in the parallel weight sweep
-// is re-raised on the caller's goroutine as a *PanicError, where the
+// is re-raised on the caller's goroutine as a *par.PanicError, where the
 // caller's own recover can catch it.
 func (ev *Evaluator) NewTiling(k int) *tile.Tiling {
 	weights := make([]float64, ev.Mesh.NumTris())
 	ruleLen := float64(ev.rule.Len())
 	// The candidate-count sweep only reads the point grid and element
 	// bounds, so it fans out across Opt.Workers.
-	if err := runChunks(ev.Opt.Workers, ev.Mesh.NumTris(), func(lo, hi int) {
+	if err := par.Chunks(ev.Opt.Workers, ev.Mesh.NumTris(), rangeChunk, func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			bb := ev.elemBounds[e]
 			box := bb.Pad(ev.influencePad())

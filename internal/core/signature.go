@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"unstencil/internal/geom"
+	"unstencil/internal/par"
 )
 
 // Congruence-first assembly: detect row congruence *before* integrating, so
@@ -128,17 +129,11 @@ func (ev *Evaluator) kernelClass(pos geom.Point) (kxKey, kyKey int64) {
 	return ev.oneSidedKey(pos.X), ev.oneSidedKey(pos.Y)
 }
 
-// oneSidedKey mirrors oneSidedFor's shift computation but returns only the
-// quantised cache key (0 = symmetric kernel; quantiseShift never returns
-// bucket 0 for a non-zero shift, so the encoding is unambiguous).
+// oneSidedKey returns the quantised cache key of oneSidedFor's kernel at x
+// (0 = symmetric kernel; quantiseShift never returns bucket 0 for a
+// non-zero shift, so the encoding is unambiguous).
 func (ev *Evaluator) oneSidedKey(x float64) int64 {
-	lo, hi := ev.Kernel.Support()
-	shift := 0.0
-	if x+ev.H*lo < 0 {
-		shift = -(x/ev.H + lo)
-	} else if x+ev.H*hi > 1 {
-		shift = (1-x)/ev.H - hi
-	}
+	shift := ev.oneSidedShift(x)
 	if shift == 0 {
 		return 0
 	}
@@ -351,7 +346,7 @@ func (a *assembly) congruent() error {
 		for _, stage := range probeStages {
 			lo := len(probeHash)
 			probeHash = probeHash[:stage]
-			if err := runDynamic(dispatch, stage-lo, func(w, i int) (err error) {
+			if err := par.For(dispatch, stage-lo, func(w, i int) (err error) {
 				probeHash[lo+i], err = a.hashRow(w, a.rowPos(probeRowAt(lo+i, n)))
 				return err
 			}); err != nil {
@@ -386,7 +381,7 @@ func (a *assembly) congruent() error {
 	// grouping runs serially in ascending row order, so class membership —
 	// and therefore the output — is deterministic for every worker count.
 	hashes := make([]uint64, n)
-	if err := runDynamic(dispatch, n, func(w, r int) (err error) {
+	if err := par.For(dispatch, n, func(w, r int) (err error) {
 		hashes[r], err = a.hashRow(w, a.rowPos(r))
 		return err
 	}); err != nil {
@@ -417,7 +412,7 @@ func (a *assembly) congruent() error {
 	// Stage 2: per class, materialise the representative's canonical
 	// signature and integrate its row — the one quadrature bill the whole
 	// class shares — then label its blocks for stamping.
-	if err := runDynamic(dispatch, len(classes), func(w, c int) error {
+	if err := par.For(dispatch, len(classes), func(w, c int) error {
 		wk, s, cls := wks[w], &scr[w], classes[c]
 		rep := int(cls.members[0])
 		if err := ev.materializeSignature(a.rowPos(rep), wk, cls, s.labs); err != nil {
@@ -455,7 +450,7 @@ func (a *assembly) congruent() error {
 			chunks = append(chunks, memberChunk{cls, lo, min(lo+chunkMembers, len(cls.members))})
 		}
 	}
-	if err := runDynamic(dispatch, len(chunks), func(w, u int) error {
+	if err := par.For(dispatch, len(chunks), func(w, u int) error {
 		s, ck := &scr[w], chunks[u]
 		cls := ck.cls
 		for i := ck.lo; i < ck.hi; i++ {
@@ -481,7 +476,7 @@ func (a *assembly) congruent() error {
 	}
 
 	// Stage 4: signature singletons assemble exactly as the naive path.
-	if err := runDynamic(dispatch, len(singles), func(w, u int) error {
+	if err := par.For(dispatch, len(singles), func(w, u int) error {
 		return a.integrateRow(w, int(singles[u]))
 	}); err != nil {
 		return err

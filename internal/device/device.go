@@ -10,8 +10,7 @@
 // the sum of its blocks, a device's time is the max over its SMs, and the
 // cluster time is the max over devices plus the two-stage reduction. This
 // reproduces the paper's scaling behaviour (Fig. 14) from first principles
-// on a host with any number of physical cores. An Exec helper also runs
-// blocks on real goroutines-as-SMs for wall-clock measurements.
+// on a host with any number of physical cores.
 //
 // This package remains the *model* of the paper's multi-device machine;
 // internal/cluster is the real distributed deployment of the same
@@ -22,7 +21,6 @@ package device
 
 import (
 	"fmt"
-	"sync"
 
 	"unstencil/internal/metrics"
 )
@@ -158,28 +156,6 @@ func (s Sim) RunCounters(blocks []metrics.Counters, reductionUnits float64) Timi
 		costs[i] = Cost(&blocks[i])
 	}
 	return s.Run(costs, reductionUnits)
-}
-
-// Exec executes nBlocks logical blocks on real goroutines: Devices×SMs
-// workers, each running its strided share of blocks, mirroring the modeled
-// schedule. body receives (block, device, sm). Exec blocks until all work
-// completes.
-func (s Sim) Exec(nBlocks int, body func(block, dev, sm int)) {
-	var wg sync.WaitGroup
-	for d := 0; d < s.Devices; d++ {
-		for sm := 0; sm < s.SMs; sm++ {
-			wg.Add(1)
-			go func(d, sm int) {
-				defer wg.Done()
-				// Block b belongs to this worker when b % Devices == d and
-				// (b / Devices) % SMs == sm — the same mapping Run uses.
-				for b := d + sm*s.Devices; b < nBlocks; b += s.Devices * s.SMs {
-					body(b, d, sm)
-				}
-			}(d, sm)
-		}
-	}
-	wg.Wait()
 }
 
 // Speedup returns t1/tN given two timings, the conventional strong-scaling

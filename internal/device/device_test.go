@@ -2,7 +2,6 @@ package device
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"unstencil/internal/metrics"
@@ -117,40 +116,6 @@ func TestRunCountersMatchesRun(t *testing.T) {
 	b := s.Run([]float64{Cost(&blocks[0]), Cost(&blocks[1])}, 5)
 	if a.Total != b.Total {
 		t.Errorf("RunCounters %v != Run %v", a.Total, b.Total)
-	}
-}
-
-func TestExecCoversAllBlocksOnce(t *testing.T) {
-	s := Sim{Devices: 2, SMs: 3}
-	const n = 100
-	var mu sync.Mutex
-	seen := make([]int, n)
-	devOf := make([]int, n)
-	smOf := make([]int, n)
-	s.Exec(n, func(b, d, sm int) {
-		mu.Lock()
-		seen[b]++
-		devOf[b] = d
-		smOf[b] = sm
-		mu.Unlock()
-	})
-	for b := 0; b < n; b++ {
-		if seen[b] != 1 {
-			t.Fatalf("block %d executed %d times", b, seen[b])
-		}
-		// The goroutine mapping must match the modeled schedule.
-		if devOf[b] != b%s.Devices || smOf[b] != (b/s.Devices)%s.SMs {
-			t.Fatalf("block %d ran on (%d, %d), want (%d, %d)",
-				b, devOf[b], smOf[b], b%s.Devices, (b/s.Devices)%s.SMs)
-		}
-	}
-}
-
-func TestExecZeroBlocks(t *testing.T) {
-	ran := false
-	NewSim(1).Exec(0, func(int, int, int) { ran = true })
-	if ran {
-		t.Error("no blocks should run")
 	}
 }
 

@@ -3,10 +3,10 @@ package operator
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"unstencil/internal/dg"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 )
 
 // Two kernels read the one storage form: applyRows (one field, SpMV) and
@@ -30,9 +30,10 @@ import (
 // and 10 of 10 pairs); 8-field SpMM 113.7 → 47.9 and 126.2 → 47.8 ms
 // (BenchmarkApplyBlockP2, 10 of 10 each).
 
-// applyBlock is the row-block granularity of the parallel applies: large
-// enough that claim cost (one fetch-add) is noise, small enough that the
-// last blocks still balance across workers.
+// applyBlock is the row-block granularity of the parallel applies, one
+// par unit each: large enough that claim cost (one fetch-add and a
+// deferred recover) is noise, small enough that the last blocks still
+// balance across workers.
 const applyBlock = 256
 
 // ApplyInto post-processes field through the assembled operator, writing
@@ -61,7 +62,8 @@ func (op *Operator) CheckField(f *dg.Field) error {
 // ApplyVec computes out[pt] = Σ_col W[pt][col]·coeffs[col] as a parallel
 // row-blocked SpMV. Each storage row is summed in fixed storage order by
 // exactly one worker and written to its own output slot, so results are
-// bit-identical for every worker count. workers <= 1 runs serially.
+// bit-identical for every worker count. workers <= 1 runs serially; a
+// worker's panic comes back as a *par.PanicError.
 func (op *Operator) ApplyVec(coeffs []float64, out []float64, workers int) error {
 	if len(coeffs) != op.Cols {
 		return fmt.Errorf("operator: coefficient vector has length %d, operator expects %d",
@@ -70,48 +72,20 @@ func (op *Operator) ApplyVec(coeffs []float64, out []float64, workers int) error
 	if len(out) != op.Rows {
 		return fmt.Errorf("operator: output has length %d, operator expects %d", len(out), op.Rows)
 	}
-	op.applyVec(coeffs, out, op.clampWorkers(workers))
-	return nil
+	return op.applyVec(coeffs, out, workers)
 }
 
 // applyVec runs applyRows over every row, serially for workers <= 1 and
-// otherwise on workers goroutines: the one dispatch of the SpMV, which
-// ApplyVec and ApplyBlock's narrow tiles share.
-func (op *Operator) applyVec(coeffs, out []float64, workers int) {
+// otherwise as par.Chunks units of applyBlock rows: the one dispatch of the
+// SpMV, which ApplyVec and ApplyBlock's narrow tiles share. The serial call
+// stays inline, because a closure handed to par escapes and the serial
+// apply allocates nothing.
+func (op *Operator) applyVec(coeffs, out []float64, workers int) error {
 	if workers <= 1 {
 		op.applyRows(coeffs, out, 0, op.Rows)
-		return
+		return nil
 	}
-	op.fanOut(workers, func(lo, hi int) { op.applyRows(coeffs, out, lo, hi) })
-}
-
-// clampWorkers bounds a requested worker count by the number of row blocks
-// there are to hand out.
-func (op *Operator) clampWorkers(workers int) int {
-	return min(workers, (op.Rows+applyBlock-1)/applyBlock)
-}
-
-// fanOut runs fn over every applyBlock-row range on workers goroutines
-// claiming ranges off a shared counter, and returns when all are done.
-func (op *Operator) fanOut(workers int, fn func(lo, hi int)) {
-	nBlocks := (op.Rows + applyBlock - 1) / applyBlock
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks {
-					return
-				}
-				lo := b * applyBlock
-				fn(lo, min(lo+applyBlock, op.Rows))
-			}
-		}()
-	}
-	wg.Wait()
+	return par.Chunks(workers, op.Rows, applyBlock, func(lo, hi int) { op.applyRows(coeffs, out, lo, hi) })
 }
 
 // applyRows computes storage rows [lo, hi) for one field, one block at a
@@ -224,7 +198,8 @@ func wideTile(w int) bool { return w > fieldBlock/2 }
 // in the same order, so results are bit-identical to F independent
 // ApplyVec calls, at every worker count. workers <= 1 runs serially; each
 // storage row is summed by exactly one worker and written to its own output
-// slots.
+// slots. A worker's panic comes back as a *par.PanicError, once every
+// worker has stopped, so the packed tile still returns to its pool.
 func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int) error {
 	nf := len(coeffs)
 	if nf == 0 {
@@ -243,12 +218,13 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 				f, len(out[f]), op.Rows)
 		}
 	}
-	workers = op.clampWorkers(workers)
 	for f0 := 0; f0 < nf; f0 += fieldBlock {
 		cs, outs := coeffs[f0:min(f0+fieldBlock, nf)], out[f0:min(f0+fieldBlock, nf)]
 		if !wideTile(len(cs)) {
 			for f := range cs {
-				op.applyVec(cs[f], outs[f], workers)
+				if err := op.applyVec(cs[f], outs[f], workers); err != nil {
+					return err
+				}
 			}
 			continue
 		}
@@ -263,12 +239,16 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 				tile[c*fieldBlock+f] = 0
 			}
 		}
+		var err error
 		if workers <= 1 {
 			op.applyRowsBlock(tile, outs, 0, op.Rows)
 		} else {
-			op.fanOut(workers, func(lo, hi int) { op.applyRowsBlock(tile, outs, lo, hi) })
+			err = par.Chunks(workers, op.Rows, applyBlock, func(lo, hi int) { op.applyRowsBlock(tile, outs, lo, hi) })
 		}
 		putPacked(tile)
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,14 +1,17 @@
 package operator_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"unstencil/internal/artifact"
 	"unstencil/internal/operator"
+	"unstencil/internal/par"
 )
 
 // buildTiny is a hand-built 3×4 operator (basisN 2, two elements): it
@@ -478,6 +481,40 @@ func TestApplyAllocFree(t *testing.T) {
 // Directly stored rows, two fields: one narrow tile, only applyRows.
 func TestBSRApplyAllocFree(t *testing.T) {
 	expectAllocFree(t, synthetic(600, 150, 3, 11, false, false, true), 2)
+}
+
+// A worker that panics mid-apply — here a value-block id past the pool,
+// which Validate would have refused — comes back as a *par.PanicError from
+// ApplyVec and from both ApplyBlock tile kinds instead of killing the
+// process, and the operator it shares the tile pool with still applies
+// bitwise afterwards.
+func TestApplyPanicRecovered(t *testing.T) {
+	op := synthetic(600, 150, 3, 9, true, false, true)
+	bad := *op
+	bad.BlockRef = slices.Clone(op.BlockRef)
+	bad.BlockRef[len(bad.BlockRef)-1] = int32(len(op.Pool)/op.BasisN) + 7
+	coeffs := randFields(op.Cols, 8, 3)
+	out := mkVecs(8, op.Rows)
+	for name, apply := range map[string]func() error{
+		"ApplyVec":          func() error { return bad.ApplyVec(coeffs[0], out[0], 2) },
+		"ApplyBlock narrow": func() error { return bad.ApplyBlock(coeffs[:2], out[:2], 2) },
+		"ApplyBlock wide":   func() error { return bad.ApplyBlock(coeffs, out, 2) },
+	} {
+		var pe *par.PanicError
+		if err := apply(); !errors.As(err, &pe) || len(pe.Stack) == 0 {
+			t.Fatalf("%s over a corrupt operator at 2 workers: err = %v, want *par.PanicError", name, err)
+		}
+	}
+	want := mkVecs(8, op.Rows)
+	if err := op.ApplyBlock(coeffs, want, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := op.ApplyBlock(coeffs, out, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatal("ApplyBlock after a recovered panic differs from the serial apply")
+	}
 }
 
 // buildShared stamps `users` rows from row 0's two-block stencil at

@@ -315,6 +315,12 @@ func (a *Artifacts) operatorFor(key string, ev *core.Evaluator, pts []geom.Point
 // restart, via the disk tier — is a sparse apply. The returned source is
 // one of OpSrcMemory, OpSrcDisk, OpSrcAssembled.
 func (a *Artifacts) QueryOperator(ev *core.Evaluator, meshID string, pts []geom.Point) (*operator.Operator, string, error) {
+	return a.operatorFor(queryOpKey(ev, meshID, pts), ev, pts)
+}
+
+// queryOpKey is the cache key of the operator QueryOperator assembles for
+// ev at pts.
+func queryOpKey(ev *core.Evaluator, meshID string, pts []geom.Point) string {
 	h := sha256.New()
 	var buf [16]byte
 	for _, p := range pts {
@@ -322,8 +328,7 @@ func (a *Artifacts) QueryOperator(ev *core.Evaluator, meshID string, pts []geom.
 		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Y))
 		h.Write(buf[:])
 	}
-	key := fmt.Sprintf("qop:%s/p%d/%v/%x", meshID, ev.Opt.P, ev.Opt.Boundary, h.Sum(nil))
-	return a.operatorFor(key, ev, pts)
+	return fmt.Sprintf("qop:%s/p%d/%v/%x", meshID, ev.Opt.P, ev.Opt.Boundary, h.Sum(nil))
 }
 
 // Stats exposes the underlying cache counters.

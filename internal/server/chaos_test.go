@@ -13,7 +13,9 @@ import (
 	"unstencil/internal/core"
 	"unstencil/internal/dg"
 	"unstencil/internal/fault"
+	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
+	"unstencil/internal/operator"
 )
 
 // TestChaosJobsSurviveFaults is the acceptance chaos run: 100 jobs across
@@ -224,7 +226,7 @@ func TestChaosDegradedJob(t *testing.T) {
 // goroutine must not take the shard down. Every row of an unstructured mesh
 // is integrated (nothing to stamp), so the first row the dispatcher's
 // goroutines reach panics at core.assemble-row; the assembly comes back as a
-// *core.PanicError, the job layer retries it whole, and the operator job
+// *par.PanicError, the job layer retries it whole, and the operator job
 // finishes at 1e-12 agreement with direct per-point evaluation. The same
 // panic under a synchronous operator query is a JSON 500, not a 422 and not
 // a dead process. Both recoveries are visible in /debug/metrics.
@@ -314,5 +316,89 @@ func TestChaosAssemblyPanicRecovered(t *testing.T) {
 	}
 	if resp, data := postQuery(t, ts, query); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after recovery: status %d body %s", resp.StatusCode, data)
+	}
+}
+
+// corrupted returns a copy of op whose last block reads past the weight
+// pool — an operator Validate would refuse — so an apply panics in
+// whichever worker reaches that row.
+func corrupted(op *operator.Operator) *operator.Operator {
+	bad := *op
+	bad.BlockRef = slices.Clone(op.BlockRef)
+	bad.BlockRef[len(bad.BlockRef)-1] = int32(len(op.Pool)/op.BasisN) + 7
+	return &bad
+}
+
+// TestChaosApplyPanicRecovered: a panic in an operator-apply worker
+// goroutine (EvalWorkers 2, so the row blocks run on two goroutines) must
+// not take the server down. A job over a corrupt cached operator fails as
+// a panicked evaluate stage, a use_operator query over one is a counted
+// JSON 500, and the server answers the next request.
+func TestChaosApplyPanicRecovered(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 2})
+	m := mesh.Structured(8) // 384 grid points: two apply row blocks
+	meshID := uploadMesh(t, ts, m)
+	ev, _, err := srv.arts.Evaluator(m, meshID, 1, 0, core.Periodic, "sincos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, _, err := srv.arts.Operator(ev, meshID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.Workers != 2 {
+		t.Fatalf("operator apply workers %d, want the EvalWorkers budget 2", op.Workers)
+	}
+	srv.arts.cache.Put(OpKey(meshID, 1, ev.Opt.GridDegree, core.Periodic), corrupted(op), op.Bytes())
+	recovered := func() uint64 {
+		var body struct {
+			Faults struct {
+				PanicsRecovered uint64 `json:"panics_recovered"`
+			} `json:"faults"`
+		}
+		if code := getJSON(t, ts.URL+"/debug/metrics", &body); code != http.StatusOK {
+			t.Fatalf("/debug/metrics status %d", code)
+		}
+		return body.Faults.PanicsRecovered
+	}
+
+	st, code := submitJob(t, ts, JobSpec{MeshID: meshID, Scheme: "operator", P: 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	st = waitJob(t, ts, st.ID, 60*time.Second)
+	if st.State != StateFailed || !strings.Contains(st.Error, `job panicked in stage "evaluate"`) {
+		t.Fatalf("operator job over a corrupt operator: state %s err %q, want a panicked evaluate stage", st.State, st.Error)
+	}
+	if got := recovered(); got != 1 {
+		t.Errorf("panics_recovered = %d after the job, want 1", got)
+	}
+
+	pts := make([][2]float64, 400) // two apply row blocks
+	gpts := make([]geom.Point, len(pts))
+	for i := range pts {
+		pts[i] = [2]float64{(float64(i%20) + 0.5) / 20, (float64(i/20) + 0.5) / 20}
+		gpts[i] = geom.Pt(pts[i][0], pts[i][1])
+	}
+	body, _ := json.Marshal(map[string]any{"mesh_id": meshID, "p": 1, "points": pts, "use_operator": true})
+	if resp, data := postQuery(t, ts, string(body)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("operator query: status %d body %s", resp.StatusCode, data)
+	}
+	qop, src, err := srv.arts.QueryOperator(ev, meshID, gpts)
+	if err != nil || src != OpSrcMemory {
+		t.Fatalf("query operator not resident after the query: source %q, err %v", src, err)
+	}
+	srv.arts.cache.Put(queryOpKey(ev, meshID, gpts), corrupted(qop), qop.Bytes())
+	resp, data := postQuery(t, ts, string(body))
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "query operator apply") {
+		t.Fatalf("query over a corrupt operator: status %d body %s, want a 500 naming the apply", resp.StatusCode, data)
+	}
+	if got := recovered(); got != 2 {
+		t.Errorf("panics_recovered = %d after the query, want 2", got)
+	}
+
+	direct, _ := json.Marshal(map[string]any{"mesh_id": meshID, "p": 1, "points": pts})
+	if resp, data := postQuery(t, ts, string(direct)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct query after the recovered panics: status %d body %s", resp.StatusCode, data)
 	}
 }

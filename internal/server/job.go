@@ -18,6 +18,7 @@ import (
 	"unstencil/internal/fault"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
+	"unstencil/internal/par"
 	"unstencil/internal/tile"
 )
 
@@ -901,7 +902,7 @@ func (s *Server) runStage(ctx context.Context, stage string, fn func() error) er
 	go func() {
 		// A panicking builder fails its stage, not the process. Stages sit
 		// outside the resilient runners, which count their own panics, so
-		// its panics and those core's dispatcher recovered are counted here.
+		// its panics and those par.For recovered are counted here.
 		defer func() {
 			if r := recover(); r != nil {
 				s.faults.PanicsRecovered.Add(1)
@@ -910,7 +911,7 @@ func (s *Server) runStage(ctx context.Context, stage string, fn func() error) er
 			}
 		}()
 		err := fn()
-		var pe *core.PanicError
+		var pe *par.PanicError
 		if errors.As(err, &pe) {
 			s.faults.PanicsRecovered.Add(1)
 		}

@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"time"
 
-	"unstencil/internal/core"
 	"unstencil/internal/dg"
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
+	"unstencil/internal/par"
 )
 
 // MaxQueryPoints bounds one batch query. Requests beyond it are rejected
@@ -48,9 +48,6 @@ type QueryRequest struct {
 	// periodic boundaries, points of the closed unit square under one-sided
 	// ones (whose kernels are only defined for stencils centred there).
 	Points [][2]float64 `json:"points"`
-	// Workers bounds this query's evaluation concurrency; 0 means, and
-	// larger values are capped at, the server's evaluator worker budget.
-	Workers int `json:"workers,omitempty"`
 	// UseOperator routes the batch through an assembled sparse operator
 	// keyed by the content hash of the position batch: the first query at
 	// these positions pays per-point assembly, every repeat — the same
@@ -80,16 +77,15 @@ func (q *QueryRequest) normalize() error {
 			return fmt.Errorf("points[%d] = (%g, %g) lies outside the unit square, which one-sided boundaries require", i, p[0], p[1])
 		}
 	}
-	if q.Workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", q.Workers)
-	}
 	return nil
 }
 
 // Query implements Backend for POST /v1/query: it resolves the evaluator
 // through the artifact cache (so repeated queries against the same mesh and
 // parameters never rebuild kernel tables or grids) and fans the batch
-// across pooled evaluation workers via core's concurrency-safe EvalBatch.
+// across the evaluator's Opt.Workers pooled evaluation workers — the
+// server's -eval-workers budget, as for jobs — via core's
+// concurrency-safe EvalBatch.
 func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 	m, ok := s.arts.Mesh(req.MeshID)
 	if !ok {
@@ -134,7 +130,7 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 			outs[i] = make([]float64, op.Rows)
 		}
 		if counters, err = s.arts.applyFields(op, fields, outs); err != nil {
-			return nil, Errorf(http.StatusUnprocessableEntity, "query operator apply: %v", err)
+			return nil, s.evalError("query operator apply", err)
 		}
 		vals = outs[0]
 		if len(req.Fields) > 0 {
@@ -144,9 +140,7 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 		resp["operator_warm"] = opSrc != OpSrcAssembled
 		resp["operator_source"] = opSrc
 	} else {
-		// A client may ask for fewer workers than the evaluator's budget,
-		// never more.
-		vals, counters, err = ev.EvalBatch(pts, min(req.Workers, ev.Opt.Workers))
+		vals, counters, err = ev.EvalBatch(pts, ev.Opt.Workers)
 		if err != nil {
 			return nil, s.evalError("query evaluation", err)
 		}
@@ -162,15 +156,15 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 	return resp, nil
 }
 
-// evalError classifies a failed query evaluation or assembly. The
+// evalError classifies a failed query evaluation, assembly or apply. The
 // evaluator and inputs validated, so an ordinary failure is a kernel
 // construction error for a position the boundary mode cannot serve (e.g.
-// one-sided support wider than the domain): 422. A panic core's dispatcher
-// recovered in an evaluation worker is the server's fault, not the
+// one-sided support wider than the domain) or an apply's dimension check:
+// 422. A panic par.For recovered in a worker is the server's fault, not the
 // request's: 500, counted like the ones the HTTP recovery middleware
 // catches on the request goroutine.
 func (s *Server) evalError(what string, err error) error {
-	var pe *core.PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
 		return Errorf(http.StatusUnprocessableEntity, "%s: %v", what, err)
 	}

@@ -43,7 +43,7 @@ func TestQueryMatchesEvalAt(t *testing.T) {
 
 	pts := [][2]float64{{0.3, 0.4}, {0.51, 0.52}, {0.12, 0.87}, {0.66, 0.31}}
 	body, _ := json.Marshal(map[string]any{
-		"mesh_id": id, "p": 1, "points": pts, "workers": 3,
+		"mesh_id": id, "p": 1, "points": pts,
 	})
 	resp, data := postQuery(t, ts, string(body))
 	if resp.StatusCode != http.StatusOK {
@@ -123,20 +123,19 @@ func TestQueryWarmEvaluator(t *testing.T) {
 	}
 }
 
-// TestQueryWorkersCappedAtEvalBudget: a query asking for more workers
-// than the server's evaluator budget runs on that budget, not one
-// goroutine per point, and returns the same bits as a serial query.
+// TestQueryWorkersCappedAtEvalBudget: a query runs on at most the
+// server's EvalWorkers goroutines, not one per point, and returns the same
+// bits as the same query on an EvalWorkers: 1 server.
 func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 	const budget, n = 2, 4096
-	srv := mustNew(t, Config{Workers: 1, EvalWorkers: budget})
-	id := putMesh(t, srv, mesh.Structured(8))
+	m := mesh.Structured(8)
 	pts := make([][2]float64, n)
 	for i := range pts {
 		pts[i] = [2]float64{(float64(i%64) + 0.5) / 64, (float64(i/64) + 0.5) / 64}
 	}
-	query := func(workers int) []float64 {
+	query := func(srv *Server) []float64 {
 		t.Helper()
-		req := &QueryRequest{MeshID: id, P: 1, Points: pts, Workers: workers}
+		req := &QueryRequest{MeshID: putMesh(t, srv, m), P: 1, Points: pts}
 		if err := req.normalize(); err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +145,8 @@ func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 		}
 		return resp.(map[string]any)["values"].([]float64)
 	}
-	want := query(1)
+	want := query(mustNew(t, Config{Workers: 1, EvalWorkers: 1}))
+	srv := mustNew(t, Config{Workers: 1, EvalWorkers: budget})
 
 	base := runtime.NumGoroutine()
 	peak := base
@@ -164,16 +164,17 @@ func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 			}
 		}
 	}()
-	got := query(n)
+	got := query(srv)
 	close(done)
 	<-sampled
-	// The sampler itself, the budget's workers, and slack for the runtime.
+	// The sampler itself, the budget's workers, and slack for the runtime
+	// and the server's own goroutines.
 	if limit := base + 1 + budget + 16; peak > limit {
-		t.Errorf("peak %d goroutines during a workers=%d query (limit %d)", peak, n, limit)
+		t.Errorf("peak %d goroutines during a %d-point query at EvalWorkers %d (limit %d)", peak, n, budget, limit)
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("point %d: %v capped vs %v serial", i, got[i], want[i])
+			t.Fatalf("point %d: %v at EvalWorkers %d vs %v at 1", i, got[i], budget, want[i])
 		}
 	}
 }
