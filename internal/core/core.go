@@ -51,8 +51,8 @@ const (
 	// PerElement is the paper's proposed scatter scheme (Algorithm 3).
 	PerElement
 	// Assembled applies a precomputed sparse operator (AssembleOperator)
-	// instead of re-running geometry; valid as a job scheme, not as
-	// Options.Scheme for the direct runners.
+	// instead of re-running geometry. It is a job scheme only: Run and the
+	// direct runners take PerPoint or PerElement.
 	Assembled
 )
 
@@ -328,6 +328,10 @@ type worker struct {
 	acc     rowAccum
 	rowIDs  []int32
 	rowVals []float64
+	// slot maps a grid point to its slot in the patch the worker is
+	// evaluating, -1 outside it; allocated on the first patch attempt and
+	// all -1 between attempts (EvalPatchesResilientCtx).
+	slot []int32
 	// edPerRegion is the modeled element-data bytes charged (uncoalesced,
 	// one scattered load transaction) for every integrated sub-region. The
 	// per-point scheme sets it to the element payload: in a point-block

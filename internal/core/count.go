@@ -41,9 +41,7 @@ func (ev *Evaluator) countPerPointTests() (uint64, error) {
 func (ev *Evaluator) countPerElementTests() uint64 {
 	var total uint64
 	for e := range ev.elemBounds {
-		box := ev.elemBounds[e].Pad(ev.influencePad())
-		ev.forEachShift(box, func(dx, dy int) {
-			qbox := box.Translate(geom.Pt(float64(-dx), float64(-dy)))
+		ev.forEachInfluenceImage(e, func(qbox geom.AABB, _ geom.Point) {
 			total += uint64(ev.pointGrid.CountInBox(qbox, 0))
 		})
 	}

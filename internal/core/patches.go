@@ -78,6 +78,9 @@ func MergePartials(out []float64, parts []PatchPartial, uncovered []int32) error
 // permanent patch failure fails the call. Patch ids must be unique and in
 // [0, t.K).
 func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling, patches []int, rs *Resilience) ([]PatchPartial, []int, error) {
+	if t.NumPoints != ev.NumPoints() {
+		return nil, nil, fmt.Errorf("core: tiling covers %d points, evaluator has %d", t.NumPoints, ev.NumPoints())
+	}
 	if len(patches) == 0 {
 		return nil, nil, nil
 	}
@@ -96,16 +99,31 @@ func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling
 		func(i int, wk *worker) error {
 			// Every attempt accumulates into a fresh scratch-pad, so an
 			// aborted one leaves nothing behind and a dropped patch's
-			// partial stays empty.
+			// partial stays empty. The worker's slot table maps the patch's
+			// points to their slots for this attempt only: the deferred
+			// reset restores -1 at every point written, even when the
+			// attempt panics.
 			p := patches[i]
-			buf := make([]float64, len(t.Slots[p]))
+			slots := t.Slots[p]
+			slot := wk.slotTable(ev.NumPoints())
+			marked := 0
+			defer func() {
+				for _, pt := range slots[:marked] {
+					slot[pt] = -1
+				}
+			}()
+			for j, pt := range slots {
+				slot[pt] = int32(j)
+				marked++
+			}
+			buf := make([]float64, len(slots))
 			for _, e := range t.PatchElems[p] {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 				var slotErr error
 				err := ev.processElement(e, wk, func(pt int32, v float64) {
-					sl := t.Slot(p, pt)
+					sl := slot[pt]
 					if sl < 0 {
 						slotErr = fmt.Errorf("core: patch %d received partial for unmarked point %d", p, pt)
 						return
@@ -119,7 +137,7 @@ func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling
 					return err
 				}
 			}
-			out[i] = PatchPartial{Patch: p, Points: t.Slots[p], Values: buf, Counters: wk.counters}
+			out[i] = PatchPartial{Patch: p, Points: slots, Values: buf, Counters: wk.counters}
 			return nil
 		}, nil)
 	if err != nil {
@@ -135,4 +153,16 @@ func (ev *Evaluator) EvalPatchesResilientCtx(ctx context.Context, t *tile.Tiling
 		}
 	}
 	return kept, failed, nil
+}
+
+// slotTable returns the worker's point-to-slot table over n grid points,
+// allocating it all -1 on first use.
+func (wk *worker) slotTable(n int) []int32 {
+	if wk.slot == nil {
+		wk.slot = make([]int32, n)
+		for i := range wk.slot {
+			wk.slot[i] = -1
+		}
+	}
+	return wk.slot
 }

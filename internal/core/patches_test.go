@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"unstencil/internal/dg"
 	"unstencil/internal/fault"
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
+	"unstencil/internal/par"
 )
 
 func patchesSetup(t *testing.T, p int) *Evaluator {
@@ -85,12 +89,22 @@ func TestEvalPatchesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEvalPatchesValidation: out-of-range and duplicate patch ids are
-// rejected before any work runs.
+// TestEvalPatchesValidation: out-of-range and duplicate patch ids, and a
+// tiling over another grid, are rejected before any work runs.
 func TestEvalPatchesValidation(t *testing.T) {
 	ev := patchesSetup(t, 1)
 	tl := ev.NewTiling(4)
 	ctx := context.Background()
+	other, err := NewEvaluator(dg.NewField(mesh.Structured(8), 1), Options{P: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = ev.EvalPatchesResilientCtx(ctx, other.NewTiling(4), []int{0, 1, 2, 3}, nil)
+	var pe *par.PanicError
+	if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), "tiling covers") {
+		t.Errorf("tiling over %d points on a %d-point evaluator: err = %v, want a plain point-count error",
+			other.NumPoints(), ev.NumPoints(), err)
+	}
 	if _, _, err := ev.EvalPatchesResilientCtx(ctx, tl, []int{4}, nil); err == nil {
 		t.Error("out-of-range patch accepted")
 	}
@@ -156,5 +170,84 @@ func TestEvalPatchesPartialFailure(t *testing.T) {
 	rs = &Resilience{Policy: fault.Policy{Attempts: 1}}
 	if _, _, err := ev.EvalPatchesResilientCtx(ctx, tl, all, rs); err == nil {
 		t.Fatal("non-partial run with an exhausted patch should fail")
+	}
+}
+
+// TestEvalPatchesUnmarkedPointResetsSlotTable: a tiling whose patch lacks a
+// point the patch scatters to fails with the unmarked-point error, and the
+// workers' point-to-slot tables are back at rest afterwards. The dropped
+// point lies in an earlier patch's list too, so at one worker a table left
+// over from that patch would hand it a stale slot and mask the error. The
+// same evaluator, reusing its pooled workers, then runs the intact tiling
+// bit for bit as a fresh evaluator does.
+func TestEvalPatchesUnmarkedPointResetsSlotTable(t *testing.T) {
+	m := mesh.Structured(6)
+	f := dg.Project(m, 1, func(pt geom.Point) float64 {
+		return math.Sin(2*math.Pi*pt.X) * math.Cos(2*math.Pi*pt.Y)
+	}, 4)
+	const k = 7
+	ctx := context.Background()
+	for _, workers := range []int{1, 3} {
+		ev, err := NewEvaluator(f, Options{P: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := ev.NewTiling(k)
+		all := make([]int, k)
+		for p := range all {
+			all[p] = p
+		}
+		intact, _, err := ev.EvalPatchesResilientCtx(ctx, tl, all, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Drop, from the last patch, a point it scatters a nonzero partial
+		// to that an earlier patch also holds.
+		p, drop := k-1, -1
+		for j, pt := range tl.Slots[p] {
+			if intact[p].Values[j] == 0 {
+				continue
+			}
+			for q := 0; q < p && drop < 0; q++ {
+				if _, ok := slices.BinarySearch(tl.Slots[q], pt); ok {
+					drop = j
+				}
+			}
+			if drop >= 0 {
+				break
+			}
+		}
+		if drop < 0 {
+			t.Fatalf("patch %d shares no scattered-to point with an earlier patch", p)
+		}
+		broken := *tl
+		broken.Slots = slices.Clone(tl.Slots)
+		broken.Slots[p] = slices.Delete(slices.Clone(tl.Slots[p]), drop, drop+1)
+		for run := 0; run < 2; run++ {
+			_, _, err := ev.EvalPatchesResilientCtx(ctx, &broken, all, nil)
+			if err == nil || !strings.Contains(err.Error(), "received partial for unmarked point") {
+				t.Fatalf("workers %d, run %d: err = %v, want the unmarked-point error", workers, run, err)
+			}
+		}
+
+		got, err := ev.RunPerElement(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewEvaluator(f, Options{P: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.RunPerElement(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Solution {
+			if got.Solution[i] != want.Solution[i] {
+				t.Fatalf("workers %d: point %d: reused evaluator %v != fresh %v (must be bit-identical)",
+					workers, i, got.Solution[i], want.Solution[i])
+			}
+		}
 	}
 }

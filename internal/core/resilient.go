@@ -287,8 +287,6 @@ func strideCount(total, b, n int) int {
 func (ev *Evaluator) RunPerElementResilientCtx(ctx context.Context, t *tile.Tiling, rs *Resilience) (*Result, error) {
 	if t == nil {
 		t = ev.NewTiling(ev.Opt.Workers)
-	} else if t.NumPoints != ev.NumPoints() {
-		return nil, fmt.Errorf("core: tiling covers %d points, evaluator has %d", t.NumPoints, ev.NumPoints())
 	}
 	res := &Result{
 		Solution:       make([]float64, ev.NumPoints()),

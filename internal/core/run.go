@@ -64,18 +64,16 @@ func (ev *Evaluator) evalPoint(pi int32, wk *worker) (float64, error) {
 	return ev.evalAt(ev.Points[pi].Pos, wk)
 }
 
-// CandidateMarker returns a marking function for tile.New and
-// tile.MeasureOverhead that enumerates, for an element, exactly the
-// candidate grid points processElement queries — so tiling slot coverage is
-// identical to the evaluation by construction. The returned closure owns a
-// scratch buffer and is not safe for concurrent use.
+// CandidateMarker returns a marking function for tile.New that enumerates,
+// for an element, exactly the candidate grid points processElement queries
+// (both walk forEachInfluenceImage), so tiling slot coverage is identical to
+// the evaluation by construction. The returned closure owns a scratch
+// buffer and is not safe for concurrent use.
 func (ev *Evaluator) CandidateMarker() func(e int, markPt func(pt int32)) {
 	var cand []int32
 	return func(e int, markPt func(pt int32)) {
-		box := ev.elemBounds[e].Pad(ev.influencePad())
-		ev.forEachShift(box, func(dx, dy int) {
-			s := geom.Pt(float64(-dx), float64(-dy))
-			cand = ev.pointGrid.AppendInBox(cand[:0], box.Translate(s), 0)
+		ev.forEachInfluenceImage(e, func(qbox geom.AABB, _ geom.Point) {
+			cand = ev.pointGrid.AppendInBox(cand[:0], qbox, 0)
 			for _, pt := range cand {
 				markPt(pt)
 			}
@@ -98,11 +96,8 @@ func (ev *Evaluator) NewTiling(k int) *tile.Tiling {
 	// bounds, so it fans out across Opt.Workers.
 	if err := par.Chunks(ev.Opt.Workers, ev.Mesh.NumTris(), rangeChunk, func(lo, hi int) {
 		for e := lo; e < hi; e++ {
-			bb := ev.elemBounds[e]
-			box := bb.Pad(ev.influencePad())
 			n := 0
-			ev.forEachShift(box, func(dx, dy int) {
-				qbox := box.Translate(geom.Pt(float64(-dx), float64(-dy)))
+			ev.forEachInfluenceImage(e, func(qbox geom.AABB, _ geom.Point) {
 				n += ev.pointGrid.CountInBox(qbox, 0)
 			})
 			// Each candidate pair clips the element against the kernel
@@ -113,6 +108,7 @@ func (ev *Evaluator) NewTiling(k int) *tile.Tiling {
 			// boundary (only an extent aligned to the lattice touches
 			// floor(w/h)+1), so the pessimistic count keeps small
 			// elements from being under-weighted in the partition.
+			bb := ev.elemBounds[e]
 			cx := math.Floor(bb.Width()/ev.H) + 2
 			cy := math.Floor(bb.Height()/ev.H) + 2
 			weights[e] = 1 + float64(n)*(1+cx*cy*ruleLen)
@@ -135,6 +131,21 @@ func (ev *Evaluator) influencePad() float64 {
 	return ev.W / 2
 }
 
+// forEachInfluenceImage is the one definition of element e's influence
+// region: for every periodic image it passes fn the image's query box over
+// the point grid (the element's bounding box padded by influencePad, then
+// translated by s) and the shift s, so a grid point at pos in the box sees
+// the element through the stencil centred at pos - s. The tiling's marker
+// and weights, the per-element scatter and the intersection-test count all
+// walk it.
+func (ev *Evaluator) forEachInfluenceImage(e int, fn func(qbox geom.AABB, s geom.Point)) {
+	box := ev.elemBounds[e].Pad(ev.influencePad())
+	ev.forEachShift(box, func(dx, dy int) {
+		s := geom.Pt(float64(-dx), float64(-dy))
+		fn(box.Translate(s), s)
+	})
+}
+
 // RunPerElement executes the per-element scheme (Algorithm 3) under the
 // overlapped tiling, to completion and without retry: one logical block per
 // patch, each accumulating partial solutions into its own scratch-pad,
@@ -151,7 +162,6 @@ func (ev *Evaluator) RunPerElement(t *tile.Tiling) (*Result, error) {
 // property the per-element scheme exists for.
 func (ev *Evaluator) processElement(e int32, wk *worker, add func(pt int32, v float64)) error {
 	bb := ev.elemBounds[e]
-	box := bb.Pad(ev.influencePad())
 	// Element data is read once per element and kept resident (shared
 	// memory in the paper's GPU terms), so integrations charge nothing
 	// further.
@@ -159,12 +169,10 @@ func (ev *Evaluator) processElement(e int32, wk *worker, add func(pt int32, v fl
 	wk.counters.ScatteredLoads++
 	wk.edPerRegion = 0
 	var firstErr error
-	ev.forEachShift(box, func(dx, dy int) {
+	ev.forEachInfluenceImage(int(e), func(qbox geom.AABB, s geom.Point) {
 		if firstErr != nil {
 			return
 		}
-		s := geom.Pt(float64(-dx), float64(-dy))
-		qbox := box.Translate(s)
 		wk.cand = ev.pointGrid.AppendInBox(wk.cand[:0], qbox, 0)
 		for _, pt := range wk.cand {
 			wk.counters.IntersectionTests++

@@ -350,9 +350,8 @@ func evaluatorBytes(ev *core.Evaluator) int64 {
 }
 
 func tilingBytes(t *tile.Tiling) int64 {
-	// Slot lists plus the dense per-patch point->slot index, the dominant
-	// term (K × NumPoints int32s).
+	// The slot lists (one entry per stored partial solution) are the
+	// tiling; the per-point term covers the element-to-patch maps.
 	return int64(t.PartialValues())*8 +
-		int64(t.K)*int64(t.NumPoints)*4 +
 		int64(t.NumPoints)*4 + 1024
 }

@@ -29,12 +29,10 @@ const MaxQueryPoints = 1 << 16
 type QueryRequest struct {
 	// MeshID references a mesh previously uploaded via POST /v1/meshes.
 	MeshID string `json:"mesh_id"`
-	// P is the dG polynomial order (1..4).
+	// P is the dG polynomial order (1..4). A query's values do not depend
+	// on the computation grid, so it has no grid_degree: it shares the
+	// default-grid (grid_degree 0) evaluator with jobs.
 	P int `json:"p"`
-	// GridDegree selects the evaluator's computation grid; it only matters
-	// for sharing the evaluator with job submissions (same cache key).
-	// 0 means 2P, negative the one-point rule.
-	GridDegree int `json:"grid_degree,omitempty"`
 	// Boundary is "periodic" (default) or "one-sided".
 	Boundary string `json:"boundary,omitempty"`
 	// Field names the analytic input field ("sincos" default).
@@ -60,7 +58,7 @@ func (q *QueryRequest) normalize() error {
 	if len(q.Fields) > 0 && !q.UseOperator {
 		return errors.New("fields (batched apply) requires use_operator")
 	}
-	if err := checkEval(q.MeshID, q.P, q.GridDegree, &q.Boundary, &q.Field, q.Fields); err != nil {
+	if err := checkEval(q.MeshID, q.P, 0, &q.Boundary, &q.Field, q.Fields); err != nil {
 		return err
 	}
 	if len(q.Points) == 0 {
@@ -80,8 +78,9 @@ func (q *QueryRequest) normalize() error {
 	return nil
 }
 
-// Query implements Backend for POST /v1/query: it resolves the evaluator
-// through the artifact cache (so repeated queries against the same mesh and
+// Query implements Backend for POST /v1/query: it resolves the
+// default-grid evaluator, the one a job without grid_degree uses, through
+// the artifact cache (so repeated queries against the same mesh and
 // parameters never rebuild kernel tables or grids) and fans the batch
 // across the evaluator's Opt.Workers pooled evaluation workers — the
 // server's -eval-workers budget, as for jobs — via core's
@@ -93,7 +92,7 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 			"mesh %q not resident (upload it via POST /v1/meshes)", req.MeshID)
 	}
 	boundary, _ := ParseBoundary(req.Boundary) // validated by normalize
-	ev, hit, err := s.arts.Evaluator(m, req.MeshID, req.P, req.GridDegree, boundary, req.Field)
+	ev, hit, err := s.arts.Evaluator(m, req.MeshID, req.P, 0, boundary, req.Field)
 	if err != nil {
 		return nil, &Error{Status: http.StatusBadRequest, Err: err}
 	}

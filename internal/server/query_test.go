@@ -206,6 +206,7 @@ func TestQueryValidation(t *testing.T) {
 		{"one-sided point on the domain edge", fmt.Sprintf(`{"mesh_id":%q,"p":1,"boundary":"one-sided","points":[[1,0]]}`, id), http.StatusOK, ""},
 		{"periodic point outside the domain", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[5.3,0.4]]}`, id), http.StatusOK, ""},
 		{"unknown key", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[0.5,0.5]],"nope":1}`, id), http.StatusBadRequest, ""},
+		{"grid_degree", fmt.Sprintf(`{"mesh_id":%q,"p":1,"grid_degree":2,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, "grid_degree"},
 		{"too many points", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":%s}`, id, tooManyJSON), http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {

@@ -16,28 +16,22 @@ package tile
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"unstencil/internal/mesh"
 )
 
-// Tiling is the patch decomposition plus the partial-solution slot
-// bookkeeping for one (mesh, computation grid) pair.
+// Tiling is the patch decomposition plus each patch's slot list for one
+// (mesh, computation grid) pair. A patch's scratch-pad holds one partial
+// solution per entry of its slot list, so the lists are the whole of the
+// tiling's partial-solution bookkeeping.
 type Tiling struct {
 	K          int
 	ElemPatch  []int     // patch id per mesh element
 	PatchElems [][]int32 // elements of each patch
 	// Slots lists, per patch, the global point ids that can receive partial
-	// solutions from that patch (ascending).
+	// solutions from that patch (ascending); a point's local slot is its
+	// index in the list.
 	Slots [][]int32
-	// slotIdx maps, per patch, global point id -> local slot (-1 when the
-	// point is outside the patch's influence region).
-	slotIdx [][]int32
-	// colors memoises the conflict-graph colouring (Colors): the greedy
-	// colouring is O(K²·slots) and the tiling is immutable after build, so
-	// repeated callers share one computation.
-	colorsOnce sync.Once
-	colors     []int
 
 	NumPoints int
 }
@@ -72,11 +66,9 @@ func NewWithPartition(m *mesh.Mesh, numPoints int, elemPatch []int, k int, mark 
 	}
 
 	// Mark the influence region of each patch with a bitset, then freeze
-	// into slot arrays.
-	words := (t.NumPoints + 63) / 64
-	set := make([]uint64, words)
+	// it into the patch's slot list.
+	set := make([]uint64, (t.NumPoints+63)/64)
 	t.Slots = make([][]int32, k)
-	t.slotIdx = make([][]int32, k)
 	for p := 0; p < k; p++ {
 		clear(set)
 		for _, e := range t.PatchElems[p] {
@@ -84,27 +76,10 @@ func NewWithPartition(m *mesh.Mesh, numPoints int, elemPatch []int, k int, mark 
 				set[pt>>6] |= 1 << (uint(pt) & 63)
 			})
 		}
-		idx := make([]int32, t.NumPoints)
-		for i := range idx {
-			idx[i] = -1
-		}
-		var slots []int32
-		for w, word := range set {
-			for ; word != 0; word &= word - 1 {
-				pt := int32(w*64 + bits.TrailingZeros64(word))
-				idx[pt] = int32(len(slots))
-				slots = append(slots, pt)
-			}
-		}
-		t.Slots[p] = slots
-		t.slotIdx[p] = idx
+		t.Slots[p] = setIDs(set)
 	}
 	return t
 }
-
-// Slot returns the local partial-solution slot of global point pt in patch
-// p, or -1 when the point is outside the patch's influence region.
-func (t *Tiling) Slot(p int, pt int32) int32 { return t.slotIdx[p][pt] }
 
 // PartialValues returns the total number of stored partial solutions, the
 // numerator of the memory-overhead ratio.
@@ -146,7 +121,19 @@ func (t *Tiling) UncoveredIDs(failed []int) []int32 {
 			set[pt>>6] |= 1 << (uint(pt) & 63)
 		}
 	}
-	var ids []int32
+	return setIDs(set)
+}
+
+// setIDs returns the ids of the bits set in set, ascending.
+func setIDs(set []uint64) []int32 {
+	n := 0
+	for _, word := range set {
+		n += bits.OnesCount64(word)
+	}
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int32, 0, n)
 	for w, word := range set {
 		for ; word != 0; word &= word - 1 {
 			ids = append(ids, int32(w*64+bits.TrailingZeros64(word)))
@@ -161,14 +148,8 @@ func (t *Tiling) UncoveredIDs(failed []int) []int32 {
 // solution — the pipelined tiling alternative the paper compares against
 // (no memory overhead, extra synchronisation between colour waves), which
 // the tiling ablation models from this colouring. The result maps patch id
-// to colour id; colours are 0..max. Computed once per tiling and cached
-// (the tiling is immutable); callers must not mutate the returned slice.
+// to colour id; colours are 0..max. Each call recomputes the colouring.
 func (t *Tiling) Colors() []int {
-	t.colorsOnce.Do(func() { t.colors = t.computeColors() })
-	return t.colors
-}
-
-func (t *Tiling) computeColors() []int {
 	conflict := make([][]bool, t.K)
 	for p := range conflict {
 		conflict[p] = make([]bool, t.K)
@@ -216,35 +197,4 @@ func slicesIntersect(a, b []int32) bool {
 		}
 	}
 	return false
-}
-
-// MeasureOverhead computes the tiling memory-overhead ratio without
-// building any slot indices or buffers, so it runs at full paper scale
-// (Fig. 8's 1024k-triangle meshes) using one bitset of numPoints bits. It
-// returns the total partial-solution count and the overhead ratio.
-func MeasureOverhead(m *mesh.Mesh, numPoints, k int, mark func(e int, markPt func(pt int32))) (partials int, overhead float64) {
-	if k < 1 {
-		panic(fmt.Sprintf("tile: k must be >= 1, got %d", k))
-	}
-	elemPatch := mesh.Partition(m, k)
-	patchElems := make([][]int32, k)
-	for e, p := range elemPatch {
-		patchElems[p] = append(patchElems[p], int32(e))
-	}
-	set := make([]uint64, (numPoints+63)/64)
-	for p := 0; p < k; p++ {
-		clear(set)
-		for _, e := range patchElems[p] {
-			mark(int(e), func(pt int32) {
-				set[pt>>6] |= 1 << (uint(pt) & 63)
-			})
-		}
-		for _, w := range set {
-			partials += bits.OnesCount64(w)
-		}
-	}
-	if numPoints == 0 {
-		return partials, 0
-	}
-	return partials, float64(partials) / float64(numPoints)
 }

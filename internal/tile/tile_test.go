@@ -1,7 +1,7 @@
 package tile
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"unstencil/internal/geom"
@@ -47,36 +47,40 @@ func TestNewTilingBasics(t *testing.T) {
 	}
 }
 
+// Each patch's slot list is ascending, unique, and exactly the set of
+// points the marker reaches from the patch's elements.
 func TestSlotsConsistent(t *testing.T) {
 	m, pointElem, mark := testSetup(t, 6, 0.15)
 	tl := New(m, len(pointElem), 3, mark)
 	for p := 0; p < tl.K; p++ {
-		for local, pt := range tl.Slots[p] {
-			if got := tl.Slot(p, pt); got != int32(local) {
-				t.Fatalf("Slot(%d, %d) = %d, want %d", p, pt, got, local)
+		want := map[int32]bool{}
+		for _, e := range tl.PatchElems[p] {
+			mark(int(e), func(pt int32) { want[pt] = true })
+		}
+		slots := tl.Slots[p]
+		for i, pt := range slots {
+			if i > 0 && slots[i-1] >= pt {
+				t.Fatalf("patch %d: slots not ascending and unique at %d: %d then %d", p, i, slots[i-1], pt)
+			}
+			if !want[pt] {
+				t.Fatalf("patch %d: slot point %d was not marked", p, pt)
 			}
 		}
-		// Unmarked points map to -1.
-		seen := map[int32]bool{}
-		for _, pt := range tl.Slots[p] {
-			seen[pt] = true
-		}
-		for pt := int32(0); pt < int32(tl.NumPoints); pt++ {
-			if !seen[pt] && tl.Slot(p, pt) != -1 {
-				t.Fatalf("unmarked point %d has slot %d in patch %d", pt, tl.Slot(p, pt), p)
-			}
+		if len(slots) != len(want) {
+			t.Fatalf("patch %d: %d slots for %d marked points", p, len(slots), len(want))
 		}
 	}
 }
 
 func TestMarkedCoversOwnElements(t *testing.T) {
-	// Every grid point must be marked by at least the patch owning its
-	// element (the element's own influence region contains its points).
+	// Every grid point must be in the slot list of at least the patch
+	// owning its element (the element's own influence region contains its
+	// points).
 	m, pointElem, mark := testSetup(t, 8, 0.05)
 	tl := New(m, len(pointElem), 5, mark)
 	for pt := int32(0); pt < int32(tl.NumPoints); pt++ {
 		owner := tl.ElemPatch[pointElem[pt]]
-		if tl.Slot(owner, pt) < 0 {
+		if _, ok := slices.BinarySearch(tl.Slots[owner], pt); !ok {
 			t.Fatalf("point %d not marked by its owning patch %d", pt, owner)
 		}
 	}
@@ -175,18 +179,6 @@ func TestPartialValues(t *testing.T) {
 	}
 	if tl.PartialValues() != n {
 		t.Errorf("PartialValues = %d, want %d", tl.PartialValues(), n)
-	}
-}
-
-func TestMeasureOverheadMatchesNew(t *testing.T) {
-	m, pointElem, mark := testSetup(t, 12, 0.12)
-	tl := New(m, len(pointElem), 8, mark)
-	partials, overhead := MeasureOverhead(m, len(pointElem), 8, mark)
-	if partials != tl.PartialValues() {
-		t.Errorf("MeasureOverhead partials %d != New %d", partials, tl.PartialValues())
-	}
-	if math.Abs(overhead-tl.Overhead()) > 1e-12 {
-		t.Errorf("MeasureOverhead ratio %v != New %v", overhead, tl.Overhead())
 	}
 }
 
