@@ -15,7 +15,7 @@
 //	    # -> {"id":"job-<epoch>-00000001",...}; the epoch is fixed per process
 //	    # start, so ids never repeat across restarts
 //	curl -s localhost:8080/v1/jobs/<id>
-//	curl -s localhost:8080/v1/jobs/<id>/result
+//	curl -s localhost:8080/v1/jobs/<id>/result    # {"solutions":[[...]]}, one per field
 //	curl -sX DELETE localhost:8080/v1/jobs/<id>     # cancel
 //	curl -s localhost:8080/debug/metrics
 //

@@ -101,7 +101,8 @@ func NewClient(hc *http.Client, retry fault.Policy, counters *metrics.ClusterCou
 }
 
 // Do sends one logical request to shard+path under the retry policy and
-// decodes the JSON response into out (nil discards it). Its backoff is
+// decodes the JSON response into out (nil discards it; a *[]byte keeps the
+// body verbatim). Its backoff is
 // keyed by shard+path, so concurrent retries against one shard
 // de-synchronize identically on every run.
 func (c *Client) Do(ctx context.Context, method, shard, path string, body []byte, out any) error {
@@ -166,9 +167,13 @@ func (c *Client) once(ctx context.Context, method, shard, path string, body []by
 			retryAfter: retryAfter(resp),
 		}
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, nil
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+		return resp.StatusCode, err
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return resp.StatusCode, fmt.Errorf("decoding shard response: %w", err)

@@ -213,16 +213,45 @@ func localRef(t *testing.T, m *mesh.Mesh, p int, b core.Boundary, k int) (*tile.
 	return tl, res.Solution
 }
 
-type resultBody struct {
-	JobID              string         `json:"job_id"`
-	NumPoints          int            `json:"num_points"`
-	Solution           []float64      `json:"solution"`
-	Shards             []string       `json:"shards"`
-	Degraded           bool           `json:"degraded"`
-	Coverage           *core.Coverage `json:"coverage"`
-	UncoveredIDs       []int32        `json:"uncovered_ids"`
-	UncoveredTruncated bool           `json:"uncovered_truncated"`
-	ErrorKind          string         `json:"error_kind"`
+// getResult fetches the body of job id's result from base and requires 200.
+func getResult(t *testing.T, base, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job %s result: status %d: %s", id, resp.StatusCode, body)
+	}
+	return body
+}
+
+// decodeSolutions decodes a result body with unknown keys rejected: it is
+// the job's solutions, one per field, and nothing else.
+func decodeSolutions(t *testing.T, body []byte) [][]float64 {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var res server.JobResult
+	if err := dec.Decode(&res); err != nil {
+		t.Fatalf("result body: %v", err)
+	}
+	return res.Solutions
+}
+
+// getSolution fetches a finished one-field job's solution through base.
+func getSolution(t *testing.T, base, id string) []float64 {
+	t.Helper()
+	sols := decodeSolutions(t, getResult(t, base, id))
+	if len(sols) != 1 {
+		t.Fatalf("job %s: %d solutions, want 1", id, len(sols))
+	}
+	return sols[0]
 }
 
 // TestClusterBitIdentical: a two-shard distributed per-element run merges
@@ -266,18 +295,15 @@ func TestClusterBitIdentical(t *testing.T) {
 		if len(v.Shards) != 2 {
 			t.Errorf("P%d %s: %v contributed, want both shards", tc.p, tc.boundary, v.Shards)
 		}
-		var res resultBody
-		if code := getJSON(t, cts.URL+"/v1/jobs/"+v.ID+"/result", &res); code != http.StatusOK {
-			t.Fatalf("result status %d", code)
-		}
+		sol := getSolution(t, cts.URL, v.ID)
 		_, ref := localRef(t, m, tc.p, tc.b, k)
-		if len(res.Solution) != len(ref) {
-			t.Fatalf("P%d %s: %d points, want %d", tc.p, tc.boundary, len(res.Solution), len(ref))
+		if len(sol) != len(ref) {
+			t.Fatalf("P%d %s: %d points, want %d", tc.p, tc.boundary, len(sol), len(ref))
 		}
 		for i := range ref {
-			if res.Solution[i] != ref[i] {
+			if sol[i] != ref[i] {
 				t.Fatalf("P%d %s: point %d: cluster %v != local %v (must be bit-identical)",
-					tc.p, tc.boundary, i, res.Solution[i], ref[i])
+					tc.p, tc.boundary, i, sol[i], ref[i])
 			}
 		}
 	}
@@ -327,14 +353,11 @@ func TestClusterFailoverHealsShardLoss(t *testing.T) {
 	if v.Degraded {
 		t.Fatal("failover available but job degraded")
 	}
-	var res resultBody
-	if code := getJSON(t, cts.URL+"/v1/jobs/"+v.ID+"/result", &res); code != http.StatusOK {
-		t.Fatalf("result status %d", code)
-	}
+	sol := getSolution(t, cts.URL, v.ID)
 	_, ref := localRef(t, m, 1, core.Periodic, k)
 	for i := range ref {
-		if res.Solution[i] != ref[i] {
-			t.Fatalf("point %d: failed-over %v != local %v", i, res.Solution[i], ref[i])
+		if sol[i] != ref[i] {
+			t.Fatalf("point %d: failed-over %v != local %v", i, sol[i], ref[i])
 		}
 	}
 	snap := co.Counters()
@@ -425,15 +448,12 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 		t.Fatalf("coverage %d/%d, tiling says %d/%d",
 			cov.CoveredPoints, cov.TotalPoints, tl.NumPoints-len(wantUncov), tl.NumPoints)
 	}
-	var res resultBody
-	if code := getJSON(t, cts.URL+"/v1/jobs/"+v.ID+"/result", &res); code != http.StatusOK {
-		t.Fatalf("result status %d", code)
+	if len(v.UncoveredIDs) != len(wantUncov) {
+		t.Fatalf("%d uncovered ids, tiling says %d", len(v.UncoveredIDs), len(wantUncov))
 	}
-	if len(res.UncoveredIDs) != len(wantUncov) {
-		t.Fatalf("%d uncovered ids, tiling says %d", len(res.UncoveredIDs), len(wantUncov))
-	}
+	sol := getSolution(t, cts.URL, v.ID)
 	uncov := map[int32]bool{}
-	for i, pt := range res.UncoveredIDs {
+	for i, pt := range v.UncoveredIDs {
 		if pt != wantUncov[i] {
 			t.Fatalf("uncovered id %d: %d != %d", i, pt, wantUncov[i])
 		}
@@ -443,11 +463,11 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 	// deterministically zeroed, never half-summed.
 	for i := range ref {
 		if uncov[int32(i)] {
-			if res.Solution[i] != 0 {
-				t.Fatalf("uncovered point %d carries partial sum %v, want 0", i, res.Solution[i])
+			if sol[i] != 0 {
+				t.Fatalf("uncovered point %d carries partial sum %v, want 0", i, sol[i])
 			}
-		} else if res.Solution[i] != ref[i] {
-			t.Fatalf("covered point %d: degraded %v != local %v", i, res.Solution[i], ref[i])
+		} else if sol[i] != ref[i] {
+			t.Fatalf("covered point %d: degraded %v != local %v", i, sol[i], ref[i])
 		}
 	}
 	snap := co.Counters()
@@ -470,7 +490,9 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 	if v.ErrorKind != ErrorKindShardFailure {
 		t.Fatalf("error kind %q, want %q", v.ErrorKind, ErrorKindShardFailure)
 	}
-	var fres resultBody
+	var fres struct {
+		ErrorKind string `json:"error_kind"`
+	}
 	if code := getJSON(t, cts.URL+"/v1/jobs/"+v.ID+"/result", &fres); code != http.StatusConflict {
 		t.Fatalf("failed job result status %d, want 409", code)
 	}
@@ -494,14 +516,11 @@ func TestClusterDegradedShardLoss(t *testing.T) {
 	if v.State != server.StateDone || v.Degraded {
 		t.Fatalf("post-restart job: state %s degraded %v err %q", v.State, v.Degraded, v.Error)
 	}
-	res = resultBody{}
-	if code := getJSON(t, cts.URL+"/v1/jobs/"+v.ID+"/result", &res); code != http.StatusOK {
-		t.Fatalf("result status %d", code)
-	}
+	sol = getSolution(t, cts.URL, v.ID)
 	for i := range ref {
-		if res.Solution[i] != ref[i] {
+		if sol[i] != ref[i] {
 			t.Fatalf("post-restart point %d: %v != local %v (must be bit-identical)",
-				i, res.Solution[i], ref[i])
+				i, sol[i], ref[i])
 		}
 	}
 	if snap.MeshReseeds.Load() == 0 {
@@ -588,33 +607,20 @@ func TestClusterDegradedPastIDCap(t *testing.T) {
 		if v.State != server.StateDone || !v.Degraded {
 			t.Fatalf("%s: state %s degraded %v err %q", boundary, v.State, v.Degraded, v.Error)
 		}
-		var res resultBody
-		if code := getJSON(t, cts.URL+"/v1/jobs/"+v.ID+"/result", &res); code != http.StatusOK {
-			t.Fatalf("%s: result status %d", boundary, code)
+		if !v.UncoveredTruncated || !slices.Equal(v.UncoveredIDs, want[:server.MaxUncoveredIDs]) {
+			t.Errorf("%s status: %d uncovered ids (truncated %v), want the first %d of %d",
+				boundary, len(v.UncoveredIDs), v.UncoveredTruncated, server.MaxUncoveredIDs, len(want))
 		}
-		for _, view := range []struct {
-			name      string
-			ids       []int32
-			truncated bool
-			cov       *core.Coverage
-		}{
-			{"status", v.UncoveredIDs, v.UncoveredTruncated, v.Coverage},
-			{"result", res.UncoveredIDs, res.UncoveredTruncated, res.Coverage},
-		} {
-			if !view.truncated || !slices.Equal(view.ids, want[:server.MaxUncoveredIDs]) {
-				t.Errorf("%s %s: %d uncovered ids (truncated %v), want the first %d of %d",
-					boundary, view.name, len(view.ids), view.truncated, server.MaxUncoveredIDs, len(want))
-			}
-			if got := view.cov.TotalPoints - view.cov.CoveredPoints; got != len(want) {
-				t.Errorf("%s %s: total - covered = %d, want %d", boundary, view.name, got, len(want))
-			}
+		if got := v.Coverage.TotalPoints - v.Coverage.CoveredPoints; got != len(want) {
+			t.Errorf("%s status: total - covered = %d, want %d", boundary, got, len(want))
 		}
-		uncovered := make([]bool, len(res.Solution))
+		sol := getSolution(t, cts.URL, v.ID)
+		uncovered := make([]bool, len(sol))
 		for _, pt := range want {
 			uncovered[pt] = true
 		}
 		partial := 0
-		for i, x := range res.Solution {
+		for i, x := range sol {
 			if uncovered[i] && x != 0 {
 				partial++
 			} else if !uncovered[i] && x != 1 {
@@ -833,7 +839,7 @@ func TestClusterReseedsRequestedMesh(t *testing.T) {
 
 // TestClusterRoutedJob: non-per-element jobs run whole on the mesh's home
 // shard, with the coordinator rewriting shard-local ids to cluster ids on
-// every proxied view.
+// every proxied status.
 func TestClusterRoutedJob(t *testing.T) {
 	_, tsA := newShard(t)
 	_, tsB := newShard(t)
@@ -863,21 +869,48 @@ func TestClusterRoutedJob(t *testing.T) {
 	if v.ID != sub.ID {
 		t.Fatalf("status id %q, want the cluster id %q (shard-local id leaked)", v.ID, sub.ID)
 	}
-	var res struct {
-		JobID    string    `json:"job_id"`
-		Solution []float64 `json:"solution"`
-	}
-	if code := getJSON(t, cts.URL+"/v1/jobs/"+sub.ID+"/result", &res); code != http.StatusOK {
-		t.Fatalf("result status %d", code)
-	}
-	if res.JobID != sub.ID {
-		t.Fatalf("result job id %q, want %q", res.JobID, sub.ID)
-	}
-	if len(res.Solution) == 0 {
+	if sol := getSolution(t, cts.URL, sub.ID); len(sol) == 0 {
 		t.Fatal("routed result carries no solution")
 	}
 	if snap := co.Counters(); snap.JobsRouted.Load() != 1 {
 		t.Errorf("jobs_routed = %d, want 1", snap.JobsRouted.Load())
+	}
+}
+
+// TestClusterRoutedResultRelayed: a routed job's result through the
+// coordinator is the home shard's body byte for byte, and that body is the
+// job's solutions, one per field, and nothing else.
+func TestClusterRoutedResultRelayed(t *testing.T) {
+	_, tsA := newShard(t)
+	_, tsB := newShard(t)
+	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(8))
+
+	for _, spec := range []server.JobSpec{
+		{MeshID: meshID, Scheme: "operator", P: 1, Fields: []string{"sincos", "gauss", "poly"}},
+		{MeshID: meshID, Scheme: "per-point", P: 1, Blocks: 4},
+	} {
+		var sub server.JobStatus
+		if code := postJSON(t, cts.URL+"/v1/jobs", spec, &sub); code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d", spec.Scheme, code)
+		}
+		v := waitClusterJob(t, cts.URL, sub.ID, 120*time.Second)
+		if v.State != server.StateDone || v.Kind != KindRouted {
+			t.Fatalf("%s: state %s kind %q err %q", spec.Scheme, v.State, v.Kind, v.Error)
+		}
+		i, path, ok := co.routed(v.ID)
+		if !ok || v.Shard != co.cfg.Shards[i] {
+			t.Fatalf("%s: id %s on shard %s does not resolve to its home", spec.Scheme, v.ID, v.Shard)
+		}
+		relayed := getResult(t, cts.URL, v.ID)
+		direct := getResult(t, v.Shard, strings.TrimPrefix(path, "/v1/jobs/"))
+		if !bytes.Equal(relayed, direct) {
+			t.Fatalf("%s: the coordinator's %d-byte result differs from the shard's %d bytes", spec.Scheme, len(relayed), len(direct))
+		}
+		want := max(1, len(spec.Fields))
+		if sols := decodeSolutions(t, relayed); len(sols) != want || v.NumFields != want {
+			t.Fatalf("%s: %d solutions, num_fields %d, want %d", spec.Scheme, len(sols), v.NumFields, want)
+		}
 	}
 }
 
@@ -970,7 +1003,7 @@ func TestClusterMultiFieldOperatorJob(t *testing.T) {
 	meshID := uploadMesh(t, cts.URL, m)
 	names := []string{"sincos", "gauss"}
 
-	run := func(spec server.JobSpec) (server.JobStatus, map[string]json.RawMessage) {
+	run := func(spec server.JobSpec) [][]float64 {
 		var sub struct {
 			ID string `json:"id"`
 		}
@@ -981,31 +1014,19 @@ func TestClusterMultiFieldOperatorJob(t *testing.T) {
 		if v.State != server.StateDone {
 			t.Fatalf("job %s: state %s err %q", sub.ID, v.State, v.Error)
 		}
-		var res map[string]json.RawMessage
-		if code := getJSON(t, cts.URL+"/v1/jobs/"+sub.ID+"/result", &res); code != http.StatusOK {
-			t.Fatalf("result status %d", code)
-		}
-		return v, res
+		return decodeSolutions(t, getResult(t, cts.URL, sub.ID))
 	}
 
 	single := make(map[string][]float64)
 	for _, f := range names {
-		_, res := run(server.JobSpec{MeshID: meshID, Scheme: "operator", P: 1, Field: f})
-		var sol []float64
-		if err := json.Unmarshal(res["solution"], &sol); err != nil {
-			t.Fatal(err)
+		sols := run(server.JobSpec{MeshID: meshID, Scheme: "operator", P: 1, Field: f})
+		if len(sols) != 1 {
+			t.Fatalf("field %s: %d solutions, want 1", f, len(sols))
 		}
-		single[f] = sol
+		single[f] = sols[0]
 	}
 
-	_, res := run(server.JobSpec{MeshID: meshID, Scheme: "operator", P: 1, Fields: names})
-	var sols [][]float64
-	if res["solutions"] == nil {
-		t.Fatalf("routed multi-field result carries no solutions: keys %v", res)
-	}
-	if err := json.Unmarshal(res["solutions"], &sols); err != nil {
-		t.Fatal(err)
-	}
+	sols := run(server.JobSpec{MeshID: meshID, Scheme: "operator", P: 1, Fields: names})
 	if len(sols) != len(names) {
 		t.Fatalf("%d solutions, want %d", len(sols), len(names))
 	}
@@ -1234,7 +1255,7 @@ func TestClusterJobIDAfterRestart(t *testing.T) {
 	_, tsB := newShard(t)
 	cfg := Config{Shards: []string{tsA.URL, tsB.URL}}
 	m := mesh.Structured(8)
-	run := func(coURL string, spec server.JobSpec) (server.JobStatus, resultBody) {
+	run := func(coURL string, spec server.JobSpec) (server.JobStatus, []byte) {
 		t.Helper()
 		var sub server.JobStatus
 		if code := postJSON(t, coURL+"/v1/jobs", spec, &sub); code != http.StatusAccepted {
@@ -1244,11 +1265,7 @@ func TestClusterJobIDAfterRestart(t *testing.T) {
 		if v.State != server.StateDone {
 			t.Fatalf("%s job: state %s err %q", spec.Scheme, v.State, v.Error)
 		}
-		var res resultBody
-		if code := getJSON(t, coURL+"/v1/jobs/"+sub.ID+"/result", &res); code != http.StatusOK {
-			t.Fatalf("%s result status %d", spec.Scheme, code)
-		}
-		return v, res
+		return v, getResult(t, coURL, sub.ID)
 	}
 
 	co, cts := newCluster(t, cfg)
@@ -1277,16 +1294,7 @@ func TestClusterJobIDAfterRestart(t *testing.T) {
 	if v.ID != routed.ID || v.State != server.StateDone {
 		t.Fatalf("routed id after restart: %s is %s, want %s done", v.ID, v.State, routed.ID)
 	}
-	var res resultBody
-	if code := getJSON(t, cts.URL+"/v1/jobs/"+routed.ID+"/result", &res); code != http.StatusOK {
-		t.Fatalf("routed result after restart: status %d", code)
-	}
-	if res.JobID != routed.ID || len(res.Solution) != len(routedRes.Solution) {
-		t.Fatalf("routed result after restart: job %s, %d points", res.JobID, len(res.Solution))
-	}
-	for i := range res.Solution {
-		if res.Solution[i] != routedRes.Solution[i] {
-			t.Fatalf("point %d: %v after restart, %v before", i, res.Solution[i], routedRes.Solution[i])
-		}
+	if res := getResult(t, cts.URL, routed.ID); !bytes.Equal(res, routedRes) {
+		t.Fatalf("routed result after restart: %d bytes differ from the %d before", len(res), len(routedRes))
 	}
 }

@@ -504,22 +504,17 @@ func (co *Coordinator) Jobs(ctx context.Context) []server.JobStatus {
 	return out
 }
 
-// Result implements server.Backend.
-func (co *Coordinator) Result(ctx context.Context, id string) (*server.JobResult, error) {
+// Result implements server.Backend: a routed job's body is relayed from
+// its shard byte for byte, a distributed one's encoded by the Manager.
+func (co *Coordinator) Result(ctx context.Context, id string) ([]byte, error) {
 	if i, path, ok := co.routed(id); ok {
-		var res server.JobResult
-		if err := co.client.Do(ctx, http.MethodGet, co.cfg.Shards[i], path+"/result", nil, &res); err != nil {
+		var body []byte
+		if err := co.client.Do(ctx, http.MethodGet, co.cfg.Shards[i], path+"/result", nil, &body); err != nil {
 			return nil, proxyError(err)
 		}
-		res.JobID = routedID(i, res.JobID)
-		res.Kind, res.Shard = KindRouted, co.cfg.Shards[i]
-		return &res, nil
+		return body, nil
 	}
-	res, err := co.mgr.Result(id)
-	if res != nil {
-		res.Kind = KindDistributed
-	}
-	return res, err
+	return co.mgr.Result(id)
 }
 
 // Cancel implements server.Backend: a routed job is cancelled on its

@@ -134,14 +134,12 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 			len(failedPatches), k, firstErr)
 	}
 
+	sol := make([]float64, numPoints)
 	out := &server.Outcome{
-		Result: &core.Result{
-			Solution:       make([]float64, numPoints),
-			Total:          counters,
-			MemoryOverhead: memOverhd,
-			Scheme:         core.PerElement,
-		},
-		Shards: shards,
+		Solutions:      [][]float64{sol},
+		Total:          counters,
+		MemoryOverhead: memOverhd,
+		Shards:         shards,
 	}
 	var uncovered []int32
 	if len(failedPatches) > 0 {
@@ -151,7 +149,7 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 		}
 		out.Coverage, uncovered = cov, cov.UncoveredIDs
 	}
-	if err := core.MergePartials(out.Solution, partials, uncovered); err != nil {
+	if err := core.MergePartials(sol, partials, uncovered); err != nil {
 		return nil, fmt.Errorf("cluster: merging shard partials: %w", err)
 	}
 	if out.Coverage != nil {

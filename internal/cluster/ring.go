@@ -28,7 +28,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"unstencil/internal/fault"
@@ -105,11 +104,7 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 // weak avalanche on short, similar keys (shard addresses differing in one
 // digit, vnode labels differing only in their suffix), which clusters the
 // ring badly enough to starve shards; the mixer restores a uniform spread.
-func hash64(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return fault.Mix64(h.Sum64())
-}
+func hash64(key string) uint64 { return fault.Mix64(fault.HashString(key)) }
 
 // Shards returns the configured shard set in construction order.
 func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }

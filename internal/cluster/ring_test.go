@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -155,6 +156,36 @@ func TestSplitPatches(t *testing.T) {
 		}
 		if hi-lo > 1 {
 			t.Errorf("k=%d: range sizes span [%d, %d]", k, lo, hi)
+		}
+	}
+}
+
+// TestRingPlacementPinned pins where keys land, as recorded before hash64
+// moved onto fault.HashString. Any change to placement re-homes every mesh,
+// and coordinators of two versions over one shard list would disagree
+// about where a mesh lives.
+func TestRingPlacementPinned(t *testing.T) {
+	shards := []string{"http://10.0.0.1:9090", "http://10.0.0.2:9090", "http://10.0.0.3:9090"}
+	r, err := NewRing(shards, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key   string
+		order [3]int // indices into shards
+	}{
+		{"", [3]int{2, 1, 0}},
+		{"a", [3]int{0, 1, 2}},
+		{"mesh-0", [3]int{2, 1, 0}},
+		{"mesh-1", [3]int{1, 2, 0}},
+		{"mesh-2", [3]int{1, 0, 2}},
+		{"3f9a0c1e", [3]int{0, 1, 2}},
+		{"b7e1c2d40f5a6b8c", [3]int{1, 2, 0}},
+		{"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", [3]int{0, 1, 2}},
+	} {
+		want := []string{shards[tc.order[0]], shards[tc.order[1]], shards[tc.order[2]]}
+		if got := r.Order(tc.key); !slices.Equal(got, want) {
+			t.Errorf("key %q: order %v, pinned %v", tc.key, got, want)
 		}
 	}
 }

@@ -50,10 +50,6 @@ const (
 	PerPoint Scheme = iota
 	// PerElement is the paper's proposed scatter scheme (Algorithm 3).
 	PerElement
-	// Assembled applies a precomputed sparse operator (AssembleOperator)
-	// instead of re-running geometry. It is a job scheme only: Run and the
-	// direct runners take PerPoint or PerElement.
-	Assembled
 )
 
 // String implements fmt.Stringer.
@@ -63,8 +59,6 @@ func (s Scheme) String() string {
 		return "per-point"
 	case PerElement:
 		return "per-element"
-	case Assembled:
-		return "operator"
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}

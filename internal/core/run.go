@@ -23,13 +23,8 @@ import (
 // Result is the outcome of one post-processing run.
 type Result struct {
 	// Solution holds the post-processed value u* at every grid point, in
-	// Evaluator.Points order. For multi-field (batched operator) runs it is
-	// the first field's solution.
+	// Evaluator.Points order.
 	Solution []float64
-	// Solutions holds the per-field solutions of a multi-field batched
-	// operator apply, in the job's field order; nil for single-field runs.
-	// Solutions[0] aliases Solution.
-	Solutions [][]float64
 	// Blocks holds the exact per-logical-block counters under the paper's
 	// strided block schedule (per-point) or block-per-patch schedule
 	// (per-element). The device simulator turns these into modeled times.

@@ -13,7 +13,7 @@ import (
 func TestAssemblyMetricsSection(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	id := uploadMesh(t, ts, mesh.Structured(8))
-	jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: []string{"sincos"}})
+	jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: []string{"sincos"}})
 
 	var body struct {
 		Operator struct {
@@ -40,7 +40,7 @@ func TestAssemblyMetricsSection(t *testing.T) {
 	// into the same counters; the EWMA stays positive and the row totals
 	// accumulate.
 	before := op.RowsAssembled + op.RowsStamped
-	jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 2, Fields: []string{"sincos"}})
+	jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 2, Fields: []string{"sincos"}})
 	ops := srv.Artifacts().Ops()
 	if after := ops.RowsAssembled.Load() + ops.RowsStamped.Load(); after <= before {
 		t.Errorf("second assembly not accumulated: %d rows, %d before", after, before)

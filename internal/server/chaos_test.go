@@ -101,19 +101,14 @@ func TestChaosJobsSurviveFaults(t *testing.T) {
 		if st.Degraded || st.Coverage != nil {
 			t.Fatalf("job %s completed degraded without opting in: %+v", id, st.Coverage)
 		}
-		var res struct {
-			Solution []float64 `json:"solution"`
-		}
-		if code := getJSON(t, ts.URL+"/v1/jobs/"+id+"/result", &res); code != http.StatusOK {
-			t.Fatalf("job %s result code %d", id, code)
-		}
+		sol := getSolution(t, ts.URL, id)
 		ref := want[schemes[i]]
-		if len(res.Solution) != len(ref) {
-			t.Fatalf("job %s: %d points, want %d", id, len(res.Solution), len(ref))
+		if len(sol) != len(ref) {
+			t.Fatalf("job %s: %d points, want %d", id, len(sol), len(ref))
 		}
 		for p := range ref {
-			if math.Abs(res.Solution[p]-ref[p]) > 1e-12 {
-				t.Fatalf("job %s: solution[%d] = %v, fault-free %v", id, p, res.Solution[p], ref[p])
+			if math.Abs(sol[p]-ref[p]) > 1e-12 {
+				t.Fatalf("job %s: solution[%d] = %v, fault-free %v", id, p, sol[p], ref[p])
 			}
 		}
 	}
@@ -133,9 +128,9 @@ func TestChaosJobsSurviveFaults(t *testing.T) {
 
 // TestChaosDegradedJob: with retry disabled and AllowPartial set, injected
 // tile failures must produce a completed-but-degraded job whose coverage
-// metadata is visible through the API, and whose result names the
-// uncovered points and holds 0 at each — the body a coordinator answers
-// for the same loss.
+// metadata is visible through the API, whose status names the uncovered
+// points, and whose result holds 0 at each — the body a coordinator
+// answers for the same loss.
 func TestChaosDegradedJob(t *testing.T) {
 	// Fine enough that two lost tiles' influence regions leave part of the
 	// grid covered (on a 12-mesh they blanket all of it).
@@ -151,10 +146,7 @@ func TestChaosDegradedJob(t *testing.T) {
 	if st = waitJob(t, ts, st.ID, 60*time.Second); st.State != StateDone {
 		t.Fatalf("warmup failed: %s", st.Error)
 	}
-	var ref JobResult
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &ref); code != http.StatusOK {
-		t.Fatalf("warmup result code %d", code)
-	}
+	ref := getSolution(t, ts.URL, st.ID)
 
 	enableFaults(t, fault.Config{
 		Seed:      7,
@@ -193,31 +185,25 @@ func TestChaosDegradedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ev.NewTiling(8).UncoveredIDs(st.Coverage.FailedUnits)
-	var res JobResult
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
-		t.Fatalf("result code %d", code)
+	sol := getSolution(t, ts.URL, st.ID)
+	if len(want) == 0 || len(want) == len(sol) {
+		t.Fatalf("%d of %d points uncovered: the drill needs some of each", len(want), len(sol))
 	}
-	if len(want) == 0 || len(want) == len(res.Solution) {
-		t.Fatalf("%d of %d points uncovered: the drill needs some of each", len(want), len(res.Solution))
-	}
-	if !slices.Equal(res.UncoveredIDs, want) || res.UncoveredTruncated {
-		t.Fatalf("%d uncovered_ids (truncated %v), the tiling says %d", len(res.UncoveredIDs), res.UncoveredTruncated, len(want))
-	}
-	if !slices.Equal(st.UncoveredIDs, want) {
-		t.Errorf("status has %d uncovered_ids, want %d", len(st.UncoveredIDs), len(want))
+	if !slices.Equal(st.UncoveredIDs, want) || st.UncoveredTruncated {
+		t.Fatalf("status has %d uncovered_ids (truncated %v), the tiling says %d", len(st.UncoveredIDs), st.UncoveredTruncated, len(want))
 	}
 	// Uncovered points are 0, never half-summed; covered ones are exact.
 	uncovered := map[int32]bool{}
 	for _, pt := range want {
 		uncovered[pt] = true
 	}
-	for pt, v := range res.Solution {
+	for pt, v := range sol {
 		if uncovered[int32(pt)] {
 			if v != 0 {
 				t.Fatalf("uncovered point %d carries partial sum %v, want 0", pt, v)
 			}
-		} else if v != ref.Solution[pt] {
-			t.Fatalf("covered point %d: degraded %v != fault-free %v", pt, v, ref.Solution[pt])
+		} else if v != ref[pt] {
+			t.Fatalf("covered point %d: degraded %v != fault-free %v", pt, v, ref[pt])
 		}
 	}
 }
@@ -278,17 +264,12 @@ func TestChaosAssemblyPanicRecovered(t *testing.T) {
 	if st = waitJob(t, ts, st.ID, 60*time.Second); st.State != StateDone {
 		t.Fatalf("operator job under an assembly panic: state %s err %q", st.State, st.Error)
 	}
-	var res struct {
-		Solution []float64 `json:"solution"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
-		t.Fatalf("result code %d", code)
-	}
-	if len(res.Solution) != len(want.Solution) {
-		t.Fatalf("%d points, want %d", len(res.Solution), len(want.Solution))
+	sol := getSolution(t, ts.URL, st.ID)
+	if len(sol) != len(want.Solution) {
+		t.Fatalf("%d points, want %d", len(sol), len(want.Solution))
 	}
 	for p := range want.Solution {
-		if d := math.Abs(res.Solution[p] - want.Solution[p]); d > 1e-12 {
+		if d := math.Abs(sol[p] - want.Solution[p]); d > 1e-12 {
 			t.Fatalf("solution[%d] differs from RunPerPoint by %g", p, d)
 		}
 	}

@@ -30,13 +30,7 @@ func runOperatorJob(t *testing.T, ts *httptest.Server, meshID string) ([]string,
 	if done.State != StateDone {
 		t.Fatalf("job %s: %s (%s)", st.ID, done.State, done.Error)
 	}
-	var res struct {
-		Solution []float64 `json:"solution"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res); code != 200 {
-		t.Fatalf("result: status %d", code)
-	}
-	return done.CacheHits, res.Solution
+	return done.CacheHits, getSolution(t, ts.URL, st.ID)
 }
 
 // TestColdStartServesOperatorFromDisk is the restart acceptance scenario:

@@ -36,8 +36,9 @@ type Backend interface {
 	// Status reports one job; Jobs lists every retained one.
 	Status(ctx context.Context, id string) (JobStatus, error)
 	Jobs(ctx context.Context) []JobStatus
-	// Result returns a finished job's solution.
-	Result(ctx context.Context, id string) (*JobResult, error)
+	// Result returns a finished job's encoded JobResult, which the handler
+	// writes as is.
+	Result(ctx context.Context, id string) ([]byte, error)
 	// Cancel aborts a queued or running job.
 	Cancel(ctx context.Context, id string) error
 	// Query evaluates a validated batch query.
@@ -178,8 +179,13 @@ func NewHandler(b Backend, mux *http.ServeMux, maxBody int64, log *slog.Logger, 
 		reply(w, http.StatusOK, st, err)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		res, err := b.Result(r.Context(), r.PathValue("id"))
-		reply(w, http.StatusOK, res, err)
+		body, err := b.Result(r.Context(), r.PathValue("id"))
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body)
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")

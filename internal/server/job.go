@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -159,17 +160,6 @@ func ParseBoundary(s string) (core.Boundary, error) {
 	}
 }
 
-func parseScheme(s string) core.Scheme {
-	switch s {
-	case "per-point":
-		return core.PerPoint
-	case "operator":
-		return core.Assembled
-	default:
-		return core.PerElement
-	}
-}
-
 // Job pipeline stages, used to attribute failures.
 const (
 	StageArtifacts = "artifacts" // mesh → field → evaluator → tiling builds
@@ -198,12 +188,22 @@ func (e *JobError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// Outcome is what one job evaluation produced: the run result plus what
-// the status view reports about how it was obtained. A degraded
-// per-element run's full uncovered set is Result.Coverage.UncoveredIDs;
-// the job views list it capped at MaxUncoveredIDs.
+// Outcome is what one job evaluation produced: its solutions and what the
+// status view reports about how they were obtained.
 type Outcome struct {
-	*core.Result
+	// Solutions holds one solution per field, in the spec's field order,
+	// each in Evaluator.Points order.
+	Solutions [][]float64
+	// Total is the run's counters.
+	Total metrics.Counters
+	// Wall is the evaluation's wall time.
+	Wall time.Duration
+	// MemoryOverhead is the partial-solution storage relative to one
+	// solution (1 for the per-point and operator schemes).
+	MemoryOverhead float64
+	// Coverage is non-nil for a degraded run only. Its UncoveredIDs is the
+	// full uncovered set; the status lists it capped at MaxUncoveredIDs.
+	Coverage *core.Coverage
 	// CacheHits lists the artifact kinds served warm ("evaluator",
 	// "tiling", "operator", "operator-disk").
 	CacheHits []string
@@ -226,7 +226,7 @@ type Job struct {
 	mu       sync.Mutex
 	state    JobState
 	err      error
-	out      *Outcome // its Result is set once the job is done
+	out      *Outcome // its Solutions are set once the job is done
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -266,42 +266,19 @@ type JobStatus struct {
 	UncoveredTruncated bool    `json:"uncovered_truncated,omitempty"`
 }
 
-// JobResult is the body of GET /v1/jobs/{id}/result.
+// JobResult is the body of GET /v1/jobs/{id}/result: one solution per
+// field, in the spec's field order, for every scheme. Everything else a
+// client knows about the job is on its JobStatus, so the body is the same
+// bytes at a shard and through the coordinator. A degraded job's
+// uncovered points are 0; its status says which.
 type JobResult struct {
-	JobID          string    `json:"job_id"`
-	Scheme         string    `json:"scheme"`
-	NumPoints      int       `json:"num_points"`
-	MemoryOverhead float64   `json:"memory_overhead"`
-	Solution       []float64 `json:"solution"`
-	// Fields and Solutions carry a multi-field batched apply: one solution
-	// per requested field, in order; Solution stays the first field.
-	Fields    []string    `json:"fields,omitempty"`
-	Solutions [][]float64 `json:"solutions,omitempty"`
-	// Kind, Shard and Shards mean what they do on JobStatus.
-	Kind   string   `json:"kind,omitempty"`
-	Shard  string   `json:"shard,omitempty"`
-	Shards []string `json:"shards,omitempty"`
-	// A degraded result's uncovered points are zero; these say which
-	// (the first MaxUncoveredIDs of them).
-	Degraded           bool           `json:"degraded,omitempty"`
-	Coverage           *core.Coverage `json:"coverage,omitempty"`
-	UncoveredIDs       []int32        `json:"uncovered_ids,omitempty"`
-	UncoveredTruncated bool           `json:"uncovered_truncated,omitempty"`
+	Solutions [][]float64 `json:"solutions"`
 }
 
-// MaxUncoveredIDs bounds the uncovered-point id list a job status or result
-// carries; the coverage counts stay exact beyond it, and the solution is 0
-// at every uncovered point whether listed or not.
+// MaxUncoveredIDs bounds the uncovered-point id list a job status carries;
+// the coverage counts stay exact beyond it, and the solution is 0 at every
+// uncovered point whether listed or not.
 const MaxUncoveredIDs = 1 << 16
-
-// capUncovered caps an uncovered-point id list at MaxUncoveredIDs and
-// reports whether it did.
-func capUncovered(ids []int32) ([]int32, bool) {
-	if len(ids) > MaxUncoveredIDs {
-		return ids[:MaxUncoveredIDs], true
-	}
-	return ids, false
-}
 
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
@@ -328,19 +305,26 @@ func (j *Job) Status() JobStatus {
 	if j.out == nil {
 		return st
 	}
-	st.CacheHits = append([]string(nil), j.out.CacheHits...)
-	if res := j.out.Result; res != nil {
-		st.NumPoints = len(res.Solution)
-		st.NumFields = len(res.Solutions)
-		st.WallMS = float64(res.Wall) / float64(time.Millisecond)
-		st.MemOverhd = res.MemoryOverhead
-		c := res.Total
-		st.Counters = &c
-		st.Shards = j.out.Shards
-		if res.Coverage != nil {
-			st.Degraded = true
-			st.Coverage = res.Coverage
-			st.UncoveredIDs, st.UncoveredTruncated = capUncovered(res.Coverage.UncoveredIDs)
+	o := j.out
+	st.CacheHits = append([]string(nil), o.CacheHits...)
+	if j.state != StateDone {
+		return st
+	}
+	st.NumFields = len(o.Solutions)
+	if st.NumFields > 0 {
+		st.NumPoints = len(o.Solutions[0])
+	}
+	st.WallMS = float64(o.Wall) / float64(time.Millisecond)
+	st.MemOverhd = o.MemoryOverhead
+	c := o.Total
+	st.Counters = &c
+	st.Shards = o.Shards
+	if o.Coverage != nil {
+		st.Degraded = true
+		st.Coverage = o.Coverage
+		st.UncoveredIDs = o.Coverage.UncoveredIDs
+		if len(st.UncoveredIDs) > MaxUncoveredIDs {
+			st.UncoveredIDs, st.UncoveredTruncated = st.UncoveredIDs[:MaxUncoveredIDs], true
 		}
 	}
 	return st
@@ -357,25 +341,7 @@ func (j *Job) result() (*JobResult, error) {
 	case j.state != StateDone:
 		return nil, Errorf(http.StatusConflict, "job %s is %s; result not ready", j.ID, j.state)
 	}
-	o := j.out
-	body := &JobResult{
-		JobID:          j.ID,
-		Scheme:         o.Scheme.String(),
-		NumPoints:      len(o.Solution),
-		MemoryOverhead: o.MemoryOverhead,
-		Solution:       o.Solution,
-		Shards:         o.Shards,
-	}
-	if len(o.Solutions) > 0 {
-		body.Fields = j.Spec.Fields
-		body.Solutions = o.Solutions
-	}
-	if o.Coverage != nil {
-		body.Degraded = true
-		body.Coverage = o.Coverage
-		body.UncoveredIDs, body.UncoveredTruncated = capUncovered(o.Coverage.UncoveredIDs)
-	}
-	return body, nil
+	return &JobResult{Solutions: j.out.Solutions}, nil
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -618,22 +584,30 @@ func (m *Manager) replayOne(p PendingJob, recoverable func(JobSpec) error) {
 var ErrMeshNotFound = errors.New("mesh not found")
 
 // evictOldLocked drops the oldest terminal job records over the retention
-// bound. Requires m.mu.
+// bound. Queued and running records are never evicted and keep their place,
+// so a long job does not pin every record finished after it. Requires m.mu.
 func (m *Manager) evictOldLocked() {
-	for len(m.order) > m.maxJobs {
-		id := m.order[0]
-		j := m.jobs[id]
-		if j != nil {
-			j.mu.Lock()
-			terminal := j.state == StateDone || j.state == StateFailed
-			j.mu.Unlock()
-			if !terminal {
-				return // oldest record still active; retain everything
-			}
-			delete(m.jobs, id)
-		}
-		m.order = m.order[1:]
+	excess := len(m.order) - m.maxJobs
+	if excess <= 0 {
+		return
 	}
+	kept := m.order[:0]
+	for _, id := range m.order {
+		if excess > 0 && m.jobs[id].terminal() {
+			delete(m.jobs, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	m.order = kept
+}
+
+// terminal reports whether the job is done or failed.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == StateDone || j.state == StateFailed
 }
 
 // Job returns the job with the given id.
@@ -661,14 +635,19 @@ func (m *Manager) Status(id string) (JobStatus, error) {
 	return j.Status(), nil
 }
 
-// Result returns the result body of job id: 404 for an unknown id, 409 for
-// a job that failed (carrying its error kind) or has not finished.
-func (m *Manager) Result(id string) (*JobResult, error) {
+// Result returns the encoded result body of job id: 404 for an unknown id,
+// 409 for a job that failed (carrying its error kind) or has not finished.
+// A done job's solutions never change, so they encode outside its lock.
+func (m *Manager) Result(id string) ([]byte, error) {
 	j, err := m.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	return j.result()
+	res, err := j.result()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(res)
 }
 
 // Jobs snapshots all retained job statuses, oldest first.
@@ -953,7 +932,6 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		op     *operator.Operator
 		fields []*dg.Field // operator-scheme inputs, one per batched field
 	)
-	scheme := parseScheme(spec.Scheme)
 	if err := s.runStage(ctx, StageArtifacts, func() error {
 		var hit bool
 		var err error
@@ -964,8 +942,8 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		if hit {
 			hits = append(hits, "evaluator")
 		}
-		switch scheme {
-		case core.PerElement:
+		switch spec.Scheme {
+		case "per-element":
 			tiling, hit, err = s.arts.Tiling(ev, OpKey(spec.MeshID, spec.P, ev.Opt.GridDegree, boundary), spec.Blocks)
 			if err != nil {
 				return err
@@ -973,7 +951,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 			if hit {
 				hits = append(hits, "tiling")
 			}
-		case core.Assembled:
+		case "operator":
 			// The operator is field-independent, so a job on a new field
 			// against a warm mesh hits here and skips all geometry; after a
 			// restart the disk tier answers instead and the job reports
@@ -1011,10 +989,10 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		return nil, err
 	}
 
-	// Assembled scheme: the evaluation is one sparse apply, bounded by the
+	// Operator scheme: the evaluation is one sparse apply, bounded by the
 	// job deadline like the direct runners.
-	if scheme == core.Assembled {
-		var res *core.Result
+	if spec.Scheme == "operator" {
+		out := &Outcome{MemoryOverhead: 1, CacheHits: hits}
 		if err := s.runStage(ctx, StageEvaluate, func() error {
 			start := time.Now()
 			nf := len(fields)
@@ -1029,27 +1007,18 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 			if err != nil {
 				return err
 			}
-			res = &core.Result{
-				Solution:       outs[0],
-				Total:          total,
-				Wall:           time.Since(start),
-				MemoryOverhead: 1,
-				Scheme:         core.Assembled,
-			}
-			if nf > 1 {
-				res.Solutions = outs
-			}
+			out.Solutions, out.Total, out.Wall = outs, total, time.Since(start)
 			return nil
 		}); err != nil {
 			return &Outcome{CacheHits: hits}, err
 		}
-		return &Outcome{Result: res, CacheHits: hits}, nil
+		return out, nil
 	}
 
 	// Evaluation stage: the resilient runners observe ctx directly.
 	rs := s.resilience(spec.AllowPartial)
 	var res *core.Result
-	if scheme == core.PerElement {
+	if spec.Scheme == "per-element" {
 		res, err = ev.RunPerElementResilientCtx(ctx, tiling, rs)
 	} else {
 		res, err = ev.RunPerPointResilientCtx(ctx, spec.Blocks, rs)
@@ -1057,7 +1026,14 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 	if err != nil {
 		return &Outcome{CacheHits: hits}, &JobError{Stage: StageEvaluate, Err: err}
 	}
-	return &Outcome{Result: res, CacheHits: hits}, nil
+	return &Outcome{
+		Solutions:      [][]float64{res.Solution},
+		Total:          res.Total,
+		Wall:           res.Wall,
+		MemoryOverhead: res.MemoryOverhead,
+		Coverage:       res.Coverage,
+		CacheHits:      hits,
+	}, nil
 }
 
 // resilience is the unit-level retry policy of a local evaluation.

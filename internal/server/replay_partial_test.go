@@ -85,14 +85,8 @@ func TestReplayPreservesPartialContract(t *testing.T) {
 		t.Fatalf("coverage points %d/%d not honest", cov.CoveredPoints, cov.TotalPoints)
 	}
 	// The result endpoint still serves the partial solution.
-	var res struct {
-		Solution []float64 `json:"solution"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+crashed+"/result", &res); code != http.StatusOK {
-		t.Fatalf("result status %d", code)
-	}
-	if len(res.Solution) != cov.TotalPoints {
-		t.Fatalf("solution %d points, coverage says %d", len(res.Solution), cov.TotalPoints)
+	if sol := getSolution(t, ts.URL, crashed); len(sol) != cov.TotalPoints {
+		t.Fatalf("solution %d points, coverage says %d", len(sol), cov.TotalPoints)
 	}
 
 	// Contrast: the same faults against a job WITHOUT allow_partial must

@@ -15,7 +15,7 @@
 //	POST   /v1/jobs            submit a post-processing job (JobSpec)
 //	GET    /v1/jobs            list retained jobs
 //	GET    /v1/jobs/{id}       job status + exact counters
-//	GET    /v1/jobs/{id}/result  post-processed solution array
+//	GET    /v1/jobs/{id}/result  {"solutions": one array per field}
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
 //	POST   /v1/shard/eval      patch-scoped partial evaluation (cluster
 //	                           shard mode; see shard.go)
@@ -262,7 +262,7 @@ func (s *Server) Status(_ context.Context, id string) (JobStatus, error) { retur
 func (s *Server) Jobs(context.Context) []JobStatus { return s.mgr.Jobs() }
 
 // Result implements Backend.
-func (s *Server) Result(_ context.Context, id string) (*JobResult, error) { return s.mgr.Result(id) }
+func (s *Server) Result(_ context.Context, id string) ([]byte, error) { return s.mgr.Result(id) }
 
 // Cancel implements Backend.
 func (s *Server) Cancel(_ context.Context, id string) error { return s.mgr.Cancel(id) }

@@ -119,6 +119,36 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
+// getSolutions fetches job id's result from base, requires 200, and
+// decodes it with unknown keys rejected: the body is the job's solutions,
+// one per field, and nothing else.
+func getSolutions(t *testing.T, base, id string) [][]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job %s result: status %d", id, resp.StatusCode)
+	}
+	var res JobResult
+	if err := decodeStrict(resp.Body, &res); err != nil {
+		t.Fatalf("job %s result: %v", id, err)
+	}
+	return res.Solutions
+}
+
+// getSolution is getSolutions for a one-field job.
+func getSolution(t *testing.T, base, id string) []float64 {
+	t.Helper()
+	sols := getSolutions(t, base, id)
+	if len(sols) != 1 {
+		t.Fatalf("job %s: %d solutions, want 1", id, len(sols))
+	}
+	return sols[0]
+}
+
 func waitJob(t *testing.T, ts *httptest.Server, id string, deadline time.Duration) JobStatus {
 	t.Helper()
 	end := time.Now().Add(deadline)
@@ -188,23 +218,17 @@ func TestEndToEnd(t *testing.T) {
 		if st.Counters == nil || st.Counters.IntersectionTests == 0 {
 			t.Errorf("job %s: missing counters in status", id)
 		}
-		var res struct {
-			Scheme   string    `json:"scheme"`
-			Solution []float64 `json:"solution"`
+		if st.Spec.Scheme != schemes[i] {
+			t.Errorf("job %s: scheme %s, want %s", id, st.Spec.Scheme, schemes[i])
 		}
-		if code := getJSON(t, ts.URL+"/v1/jobs/"+id+"/result", &res); code != http.StatusOK {
-			t.Fatalf("job %s result code %d", id, code)
-		}
-		if res.Scheme != schemes[i] {
-			t.Errorf("job %s: scheme %s, want %s", id, res.Scheme, schemes[i])
-		}
+		sol := getSolution(t, ts.URL, id)
 		ref := want[schemes[i]]
-		if len(res.Solution) != len(ref) {
-			t.Fatalf("job %s: %d points, want %d", id, len(res.Solution), len(ref))
+		if len(sol) != len(ref) {
+			t.Fatalf("job %s: %d points, want %d", id, len(sol), len(ref))
 		}
 		for p := range ref {
-			if math.Abs(res.Solution[p]-ref[p]) > 1e-12 {
-				t.Fatalf("job %s: solution[%d] = %v, direct run %v", id, p, res.Solution[p], ref[p])
+			if math.Abs(sol[p]-ref[p]) > 1e-12 {
+				t.Fatalf("job %s: solution[%d] = %v, direct run %v", id, p, sol[p], ref[p])
 			}
 		}
 	}
@@ -461,6 +485,92 @@ func TestJobTimeoutClampedToServer(t *testing.T) {
 	}
 }
 
+// TestResultIsSolutions: for every scheme the result body is one solution
+// per field and nothing else (unknown keys are rejected), and the status's
+// num_fields and num_points describe it.
+func TestResultIsSolutions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, EvalWorkers: 2})
+	meshID := uploadMesh(t, ts, mesh.Structured(4))
+	for _, spec := range []JobSpec{
+		{Scheme: "per-point"},
+		{Scheme: "per-element"},
+		{Scheme: "operator"},
+		{Scheme: "operator", Fields: []string{"sincos", "gauss", "poly"}},
+	} {
+		spec.MeshID, spec.P, spec.Blocks = meshID, 1, 4
+		st, code := submitJob(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s %v: submit status %d", spec.Scheme, spec.Fields, code)
+		}
+		if st = waitJob(t, ts, st.ID, 60*time.Second); st.State != StateDone {
+			t.Fatalf("%s %v: state %s err %q", spec.Scheme, spec.Fields, st.State, st.Error)
+		}
+		sols := getSolutions(t, ts.URL, st.ID)
+		want := max(1, len(spec.Fields))
+		if len(sols) != want || st.NumFields != want {
+			t.Errorf("%s %v: %d solutions, num_fields %d, want %d", spec.Scheme, spec.Fields, len(sols), st.NumFields, want)
+		}
+		for i, sol := range sols {
+			if len(sol) != st.NumPoints || st.NumPoints == 0 {
+				t.Errorf("%s %v: solution %d has %d points, num_points %d", spec.Scheme, spec.Fields, i, len(sol), st.NumPoints)
+			}
+		}
+	}
+}
+
+// TestRetentionEvictsPastActiveJob: the retention bound holds while the
+// oldest record is still running. Terminal records past maxJobs are
+// evicted oldest first; the active one keeps its place.
+func TestRetentionEvictsPastActiveJob(t *testing.T) {
+	release := make(chan struct{})
+	mgr := NewManager(nil, ManagerConfig{
+		Workers: 2,
+		Eval: func(ctx context.Context, spec JobSpec) (*Outcome, error) {
+			if spec.Blocks == 1 {
+				<-release
+			}
+			return &Outcome{Solutions: [][]float64{{0}}}, nil
+		},
+	})
+	t.Cleanup(func() {
+		close(release)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = mgr.Shutdown(ctx)
+	})
+	mgr.maxJobs = 4
+	submit := func(blocks int) *Job {
+		t.Helper()
+		job, err := mgr.Submit(JobSpec{MeshID: "m", Scheme: "per-point", P: 1, Blocks: blocks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	long := submit(1)
+	for i := 0; i < 20; i++ {
+		select {
+		case <-submit(2).Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("quick job %d did not finish", i)
+		}
+	}
+	submit(2)
+
+	mgr.mu.Lock()
+	n, order := len(mgr.jobs), len(mgr.order)
+	mgr.mu.Unlock()
+	if n > 4 || order != n {
+		t.Fatalf("%d records retained (%d ordered) with maxJobs 4", n, order)
+	}
+	if _, ok := mgr.Job(long.ID); !ok {
+		t.Fatal("the running job's record was evicted")
+	}
+	if st := long.Status(); st.State == StateDone || st.State == StateFailed {
+		t.Fatalf("long job is %s before its release", st.State)
+	}
+}
+
 // TestGracefulShutdownDrains verifies the acceptance property: shutdown
 // lets a running job finish, and no worker goroutines leak.
 func TestGracefulShutdownDrains(t *testing.T) {
@@ -663,13 +773,7 @@ func TestOperatorScheme(t *testing.T) {
 		if done.State != StateDone {
 			t.Fatalf("job %s: %s (%s)", st.ID, done.State, done.Error)
 		}
-		var out struct {
-			Solution []float64 `json:"solution"`
-		}
-		if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &out); code != http.StatusOK {
-			t.Fatalf("result %s: status %d", st.ID, code)
-		}
-		return out.Solution
+		return getSolution(t, ts.URL, st.ID)
 	}
 	hitsOf := func(spec JobSpec) []string {
 		st, code := submitJob(t, ts, spec)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,13 +34,9 @@ func postJSON(t *testing.T, url string, v any, out any) int {
 	return resp.StatusCode
 }
 
-// jobSolution submits spec, waits for completion, and returns the result
-// body.
-func jobSolution(t *testing.T, ts *httptest.Server, spec JobSpec) (JobStatus, struct {
-	Solution  []float64   `json:"solution"`
-	Solutions [][]float64 `json:"solutions"`
-	Fields    []string    `json:"fields"`
-}) {
+// jobSolutions submits spec, waits for completion, and returns its status
+// and solutions.
+func jobSolutions(t *testing.T, ts *httptest.Server, spec JobSpec) (JobStatus, [][]float64) {
 	t.Helper()
 	st, code := submitJob(t, ts, spec)
 	if code != http.StatusAccepted {
@@ -49,15 +46,7 @@ func jobSolution(t *testing.T, ts *httptest.Server, spec JobSpec) (JobStatus, st
 	if done.State != StateDone {
 		t.Fatalf("job %s: %s (%s)", st.ID, done.State, done.Error)
 	}
-	var out struct {
-		Solution  []float64   `json:"solution"`
-		Solutions [][]float64 `json:"solutions"`
-		Fields    []string    `json:"fields"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &out); code != http.StatusOK {
-		t.Fatalf("result %s: status %d", st.ID, code)
-	}
-	return done, out
+	return done, getSolutions(t, ts.URL, st.ID)
 }
 
 // A multi-field operator job must return one solution per field, each
@@ -74,20 +63,20 @@ func TestMultiFieldOperatorJob(t *testing.T) {
 
 	single := make(map[string][]float64)
 	for _, f := range names {
-		_, out := jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Field: f})
-		single[f] = out.Solution
+		_, sols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Field: f})
+		single[f] = sols[0]
 	}
 
-	done, out := jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: names})
-	if done.NumFields != len(names) {
-		t.Errorf("num_fields = %d, want %d", done.NumFields, len(names))
+	done, sols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: names})
+	if done.NumFields != len(names) || !slices.Equal(done.Spec.Fields, names) {
+		t.Errorf("num_fields = %d, fields %v, want %d: %v", done.NumFields, done.Spec.Fields, len(names), names)
 	}
-	if len(out.Solutions) != len(names) || len(out.Fields) != len(names) {
-		t.Fatalf("result has %d solutions / %d fields, want %d", len(out.Solutions), len(out.Fields), len(names))
+	if len(sols) != len(names) {
+		t.Fatalf("result has %d solutions, want %d", len(sols), len(names))
 	}
 	for i, f := range names {
 		want := single[f]
-		got := out.Solutions[i]
+		got := sols[i]
 		if len(got) != len(want) {
 			t.Fatalf("field %s: %d points, want %d", f, len(got), len(want))
 		}
@@ -97,13 +86,6 @@ func TestMultiFieldOperatorJob(t *testing.T) {
 			}
 		}
 	}
-	// "solution" stays the first field for single-field clients.
-	for j := range out.Solution {
-		if math.Float64bits(out.Solution[j]) != math.Float64bits(out.Solutions[0][j]) {
-			t.Fatalf("solution[%d] does not alias solutions[0]", j)
-		}
-	}
-
 	// The apply and assembly counters observed the traffic. The structured
 	// mesh assembles translation-congruent stencil rows, so assembly must
 	// have stamped them.
@@ -137,15 +119,16 @@ func TestOperatorTemplateFallbackJittered(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	id := uploadMesh(t, ts, mesh.JitteredStructured(6, 0.25, 7))
 
-	_, direct := jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "per-point", P: 1, Field: "gauss"})
-	_, viaOp := jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Field: "gauss"})
-	if len(direct.Solution) != len(viaOp.Solution) {
-		t.Fatalf("%d operator points vs %d direct", len(viaOp.Solution), len(direct.Solution))
+	_, directSols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "per-point", P: 1, Field: "gauss"})
+	_, viaOpSols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Field: "gauss"})
+	direct, viaOp := directSols[0], viaOpSols[0]
+	if len(direct) != len(viaOp) {
+		t.Fatalf("%d operator points vs %d direct", len(viaOp), len(direct))
 	}
-	for i := range direct.Solution {
-		if math.Float64bits(direct.Solution[i]) != math.Float64bits(viaOp.Solution[i]) {
+	for i := range direct {
+		if math.Float64bits(direct[i]) != math.Float64bits(viaOp[i]) {
 			t.Fatalf("point %d: operator %v vs per-point %v, want bitwise equal",
-				i, viaOp.Solution[i], direct.Solution[i])
+				i, viaOp[i], direct[i])
 		}
 	}
 	if srv.Artifacts().Ops().RowsTotal.Load() == 0 {
@@ -213,7 +196,7 @@ func TestMultiFieldQuery(t *testing.T) {
 func TestMetricsOperatorSection(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	id := uploadMesh(t, ts, mesh.Structured(5))
-	jobSolution(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: []string{"sincos", "gauss"}})
+	jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: []string{"sincos", "gauss"}})
 
 	var body struct {
 		Operator struct {
