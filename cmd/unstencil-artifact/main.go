@@ -10,23 +10,23 @@
 //	unstencil-artifact verify /var/lib/unstencil/store/*.art
 //
 // pack decodes a mesh, assembles the operator for (mesh, P, grid,
-// boundary), and writes both into the store directory under the exact
-// logical keys unstencild uses — a deploy can pre-warm a store before the
-// service ever starts. Fields are not stored: the server projects them.
+// boundary), and writes both into the store directory through the same
+// artifact layer unstencild uses — a deploy can pre-warm a store before
+// the service ever starts. Fields are not stored: the server projects them.
 // inspect prints one artifact's header, sections, and metadata. verify
 // re-reads every section of each file and checks its CRC, exiting non-zero
 // on the first failure.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"unstencil/internal/artifact"
-	"unstencil/internal/core"
-	"unstencil/internal/dg"
 	"unstencil/internal/mesh"
 	"unstencil/internal/server"
 )
@@ -37,7 +37,9 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "pack":
-		pack(os.Args[2:])
+		if err := pack(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 	case "inspect":
 		inspect(os.Args[2:])
 	case "verify":
@@ -61,9 +63,11 @@ func fatal(err error) {
 }
 
 // pack pre-computes a store entry set for one mesh: the mesh itself and the
-// assembled operator, both under the keys the server's tiered lookup
-// resolves.
-func pack(args []string) {
+// assembled operator. It resolves both through server.Artifacts over the
+// store, as a running unstencild does, so the keys are the ones the
+// server's tiered lookup resolves; an operator the store already holds is
+// loaded, not re-assembled.
+func pack(args []string) error {
 	fs := flag.NewFlagSet("pack", flag.ExitOnError)
 	meshPath := fs.String("mesh", "", "mesh JSON file (required)")
 	storeDir := fs.String("store", "", "artifact store directory (required)")
@@ -73,65 +77,51 @@ func pack(args []string) {
 	workers := fs.Int("workers", 0, "assembly concurrency (0 = GOMAXPROCS)")
 	_ = fs.Parse(args)
 	if *meshPath == "" || *storeDir == "" {
-		fs.Usage()
-		os.Exit(2)
+		return errors.New("pack needs -mesh and -store")
 	}
-
-	var boundary core.Boundary
-	switch *boundaryName {
-	case "periodic":
-		boundary = core.Periodic
-	case "one-sided":
-		boundary = core.OneSided
-	default:
-		fatal(fmt.Errorf("bad -boundary %q (want periodic or one-sided)", *boundaryName))
+	boundary, err := server.ParseBoundary(*boundaryName)
+	if err != nil {
+		return err
 	}
-
 	f, err := os.Open(*meshPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := mesh.Decode(f)
 	f.Close()
 	if err != nil {
-		fatal(fmt.Errorf("decode %s: %w", *meshPath, err))
+		return fmt.Errorf("decode %s: %w", *meshPath, err)
 	}
 	store, err := artifact.NewStore(*storeDir, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	meshID, err := store.SaveMesh(m)
+	arts := server.NewArtifacts(server.NewCache(1<<40), *workers)
+	arts.SetStore(store)
+	meshID, err := arts.PutMesh(m)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("mesh     %s\n         -> %s\n", meshID, store.Path("mesh:"+meshID))
 
 	// The operator does not depend on the field; the evaluator needs one,
 	// so it gets the server's default.
-	field := dg.Project(m, *p, server.FieldFuncs["sincos"], 4)
-	ev, err := core.NewEvaluator(field, core.Options{
-		P: *p, GridDegree: *gridDegree, Boundary: boundary, Workers: *workers,
-	})
+	ev, _, err := arts.Evaluator(m, meshID, *p, *gridDegree, boundary, "sincos")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	start := time.Now()
-	op, cs, err := ev.AssembleOperator(nil)
+	op, src, err := arts.Operator(ev, meshID)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	wall := time.Since(start)
-	// The evaluator's normalized grid degree, so the key matches what a
-	// running unstencild computes for the same job parameters.
-	opKey := server.OpKey(meshID, *p, ev.Opt.GridDegree, boundary)
-	if err := store.SaveOperator(opKey, op); err != nil {
-		fatal(err)
+	if n := store.Counters().WriteErrors.Load(); n > 0 { // Artifacts only logs these
+		return fmt.Errorf("%d artifact write(s) to %s failed", n, store.Dir())
 	}
 	st := op.Stats()
-	fmt.Printf("operator %s\n         -> %s (%d x %d, %d nnz, %d distinct weight blocks, %s wall)\n",
-		opKey, store.Path(opKey), st.Rows, st.Cols, st.NNZ, st.UniqueBlocks, wall)
-	fmt.Printf("         congruence: %d classes, %d/%d rows stamped, %d demoted\n",
-		cs.Classes, cs.RowsStamped, cs.Rows, cs.RowsDemoted)
+	fmt.Printf("operator %s in %s (%d x %d, %d nnz, %d distinct weight blocks) -> %s\n",
+		src, time.Since(start), st.Rows, st.Cols, st.NNZ, st.UniqueBlocks, store.Dir())
+	return json.NewEncoder(os.Stdout).Encode(map[string]any{"operator": arts.Ops(), "store": store.Counters()})
 }
 
 func openContainer(path string) (*artifact.Container, *os.File, int64, error) {

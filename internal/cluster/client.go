@@ -90,21 +90,22 @@ func RemoteStatus(err error) int {
 // failover is the router's job, not the client's.
 type Client struct {
 	hc       *http.Client
+	timeout  time.Duration
 	retry    fault.Policy
 	counters *metrics.ClusterCounters
 	log      *slog.Logger
 }
 
-// NewClient builds a client over hc.
-func NewClient(hc *http.Client, retry fault.Policy, counters *metrics.ClusterCounters, log *slog.Logger) *Client {
-	return &Client{hc: hc, retry: retry, counters: counters, log: log}
+// NewClient builds a client over hc. timeout (> 0) caps each attempt of a
+// request whose context has no deadline; a patch range runs under its job's.
+func NewClient(hc *http.Client, timeout time.Duration, retry fault.Policy, counters *metrics.ClusterCounters, log *slog.Logger) *Client {
+	return &Client{hc: hc, timeout: timeout, retry: retry, counters: counters, log: log}
 }
 
 // Do sends one logical request to shard+path under the retry policy and
 // decodes the JSON response into out (nil discards it; a *[]byte keeps the
-// body verbatim). Its backoff is
-// keyed by shard+path, so concurrent retries against one shard
-// de-synchronize identically on every run.
+// body verbatim). Its backoff is keyed by shard+path, so concurrent
+// retries against one shard de-synchronize identically on every run.
 func (c *Client) Do(ctx context.Context, method, shard, path string, body []byte, out any) error {
 	lastStatus := 0
 	n, err := fault.Retry(ctx, c.retry, hash64(shard+path), retryable,
@@ -142,6 +143,11 @@ func (c *Client) Do(ctx context.Context, method, shard, path string, body []byte
 func (c *Client) once(ctx context.Context, method, shard, path string, body []byte, out any) (int, error) {
 	if err := fault.Inject(SiteRoute); err != nil {
 		return 0, err
+	}
+	if _, ok := ctx.Deadline(); !ok && c.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
 	}
 	var rd io.Reader
 	if body != nil {

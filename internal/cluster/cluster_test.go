@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -713,16 +714,12 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 		"p":       1,
 		"points":  [][2]float64{{0.2, 0.3}, {0.5, 0.5}, {0.8, 0.1}},
 	}
-	type queryResp struct {
-		Values []float64 `json:"values"`
-		Shard  string    `json:"shard"`
-	}
-	var first queryResp
+	var first server.QueryResult
 	if code := postJSON(t, cts.URL+"/v1/query", query, &first); code != http.StatusOK {
 		t.Fatalf("query status %d", code)
 	}
-	if len(first.Values) != 3 {
-		t.Fatalf("%d values, want 3", len(first.Values))
+	if len(first.Values) != 1 || len(first.Values[0]) != 3 {
+		t.Fatalf("%d value arrays, want one of 3 values", len(first.Values))
 	}
 	// The home shard comes from the ring, not from first.Shard: under load
 	// the cold first query can outlast the hedge delay and be answered by
@@ -735,16 +732,16 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 		slow = fsB
 	}
 	slow.slowMS.Store(500)
-	var hedged queryResp
+	var hedged server.QueryResult
 	if code := postJSON(t, cts.URL+"/v1/query", query, &hedged); code != http.StatusOK {
 		t.Fatalf("hedged query status %d", code)
 	}
 	if hedged.Shard == owner {
 		t.Errorf("hedged query answered by the slow primary %s", hedged.Shard)
 	}
-	for i := range first.Values {
-		if hedged.Values[i] != first.Values[i] {
-			t.Fatalf("value %d: hedged %v != primary %v", i, hedged.Values[i], first.Values[i])
+	for i := range first.Values[0] {
+		if hedged.Values[0][i] != first.Values[0][i] {
+			t.Fatalf("value %d: hedged %v != primary %v", i, hedged.Values[0][i], first.Values[0][i])
 		}
 	}
 	snap := co.Counters()
@@ -757,16 +754,16 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 	slow.slowMS.Store(0)
 	unhedged, uts := newCluster(t, Config{Shards: shards})
 	slow.down.Store(true)
-	var failedOver queryResp
+	var failedOver server.QueryResult
 	if code := postJSON(t, uts.URL+"/v1/query", query, &failedOver); code != http.StatusOK {
 		t.Fatalf("failover query status %d", code)
 	}
 	if failedOver.Shard == owner {
 		t.Errorf("failover query answered by the dead primary")
 	}
-	for i := range first.Values {
-		if failedOver.Values[i] != first.Values[i] {
-			t.Fatalf("value %d: failover %v != primary %v", i, failedOver.Values[i], first.Values[i])
+	for i := range first.Values[0] {
+		if failedOver.Values[0][i] != first.Values[0][i] {
+			t.Fatalf("value %d: failover %v != primary %v", i, failedOver.Values[0][i], first.Values[0][i])
 		}
 	}
 	fsnap := unhedged.Counters()
@@ -834,6 +831,72 @@ func TestClusterReseedsRequestedMesh(t *testing.T) {
 	}
 	if n := co.Counters().MeshReseeds.Load(); n != 1 {
 		t.Errorf("mesh_reseeds = %d, want 1 (the queried mesh only)", n)
+	}
+}
+
+// TestClusterQueryResultShape: through the coordinator a query answers the
+// shard's QueryResult and nothing else, one values array per field, with
+// shard set to the shard that answered; the direct and use_operator
+// arrays agree bitwise.
+func TestClusterQueryResultShape(t *testing.T) {
+	_, tsA := newShard(t)
+	_, tsB := newShard(t)
+	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(5))
+	pts := [][2]float64{{0.21, 0.34}, {0.5, 0.5}, {0.73, 0.12}}
+	names := []string{"sincos", "gauss", "poly"}
+	query := func(req server.QueryRequest) server.QueryResult {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(cts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %s: status %d: %s", body, resp.StatusCode, raw)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var out server.QueryResult
+		if err := dec.Decode(&out); err != nil {
+			t.Fatalf("query body: %v (%s)", err, raw)
+		}
+		if out.Shard != co.ring.Order(meshID)[0] {
+			t.Errorf("query answered by %q, want the home shard", out.Shard)
+		}
+		return out
+	}
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(pts) || len(b) != len(pts) {
+			t.Fatalf("%s: %d and %d values for %d points", what, len(a), len(b), len(pts))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: point %d: %v vs %v, want bitwise equal", what, i, a[i], b[i])
+			}
+		}
+	}
+
+	direct := query(server.QueryRequest{MeshID: meshID, P: 1, Points: pts})
+	viaOp := query(server.QueryRequest{MeshID: meshID, P: 1, Points: pts, UseOperator: true})
+	batched := query(server.QueryRequest{MeshID: meshID, P: 1, Fields: names, Points: pts, UseOperator: true})
+	if len(direct.Values) != 1 || len(viaOp.Values) != 1 || len(batched.Values) != len(names) {
+		t.Fatalf("value arrays: direct %d, use_operator %d, three-field %d",
+			len(direct.Values), len(viaOp.Values), len(batched.Values))
+	}
+	if !slices.Equal(viaOp.CacheHits, []string{"evaluator"}) {
+		t.Errorf("first use_operator query: cache_hits %v, want [evaluator]", viaOp.CacheHits)
+	}
+	same("direct vs use_operator", direct.Values[0], viaOp.Values[0])
+	for i, name := range names {
+		one := query(server.QueryRequest{MeshID: meshID, P: 1, Field: name, Points: pts})
+		same(name+": direct vs batched", one.Values[0], batched.Values[i])
 	}
 }
 
@@ -1296,5 +1359,75 @@ func TestClusterJobIDAfterRestart(t *testing.T) {
 	}
 	if res := getResult(t, cts.URL, routed.ID); !bytes.Equal(res, routedRes) {
 		t.Fatalf("routed result after restart: %d bytes differ from the %d before", len(res), len(routedRes))
+	}
+}
+
+// TestClusterRangeOutlastsRequestTimeout: a patch range runs under its
+// job's deadline, not under RequestTimeout. Ranges slower than the
+// request cap finish bit-identical to the local run; a job whose own
+// timeout_ms expires first fails with a deadline error that is not shard
+// loss, and no shard is marked down for it.
+func TestClusterRangeOutlastsRequestTimeout(t *testing.T) {
+	fsA, tsA := newShard(t)
+	fsB, tsB := newShard(t)
+	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}, RequestTimeout: 200 * time.Millisecond})
+	m := mesh.Structured(4)
+	meshID := uploadMesh(t, cts.URL, m)
+	fsA.slowMS.Store(500)
+	fsB.slowMS.Store(500)
+
+	run := func(spec server.JobSpec) server.JobStatus {
+		t.Helper()
+		var v server.JobStatus
+		if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
+			t.Fatalf("submit status %d", code)
+		}
+		return waitClusterJob(t, cts.URL, v.ID, 60*time.Second)
+	}
+	spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: 4}
+	v := run(spec)
+	if v.State != server.StateDone {
+		t.Fatalf("job with 500 ms ranges under a 200 ms request cap: state %s err %q", v.State, v.Error)
+	}
+	sol := getSolution(t, cts.URL, v.ID)
+	_, ref := localRef(t, m, 1, core.Periodic, 4)
+	if len(sol) != len(ref) {
+		t.Fatalf("%d points, want %d", len(sol), len(ref))
+	}
+	for i := range ref {
+		if math.Float64bits(sol[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("point %d: cluster %v != local %v", i, sol[i], ref[i])
+		}
+	}
+
+	spec.TimeoutMS = 300
+	v = run(spec)
+	if v.State != server.StateFailed || !strings.Contains(v.Error, "deadline") {
+		t.Fatalf("job whose 300 ms timeout expires first: state %s err %q, want a deadline failure", v.State, v.Error)
+	}
+	if v.ErrorKind != "" {
+		t.Errorf("deadline failure reported error_kind %q, want none", v.ErrorKind)
+	}
+	for _, shard := range []string{tsA.URL, tsB.URL} {
+		if st := co.Health().State(shard); st != StateReady {
+			t.Errorf("shard %s is %s after the job's own deadline, want ready", shard, st)
+		}
+	}
+}
+
+// panicTransport panics on every request, as a broken RoundTripper would.
+type panicTransport struct{}
+
+func (panicTransport) RoundTrip(*http.Request) (*http.Response, error) { panic("probe transport") }
+
+// TestHealthProbePanicWithoutLogger: CheckNow contains a panicking probe
+// when the checker has no logger, as the coordinator's Config.Log allows;
+// under Start the panic would otherwise end the process.
+func TestHealthProbePanicWithoutLogger(t *testing.T) {
+	shard := "http://127.0.0.1:1"
+	h := NewHealthChecker([]string{shard}, &http.Client{Transport: panicTransport{}}, time.Second, 1, nil)
+	h.CheckNow()
+	if st := h.State(shard); st != StateUnknown {
+		t.Errorf("shard state %s after a panicked probe, want unknown", st)
 	}
 }

@@ -27,7 +27,9 @@ type Config struct {
 	// Shards are the unstencild base URLs (e.g. http://host:9090) forming
 	// the cluster. Required, distinct.
 	Shards []string
-	// RequestTimeout caps each individual shard HTTP request (default 30s).
+	// RequestTimeout caps each attempt of a shard request without a deadline
+	// of its own (default 30s): status, result, job list, mesh upload, routed
+	// submit, query. Patch ranges run under the job's deadline instead.
 	RequestTimeout time.Duration
 	// HedgeDelay, when > 0, arms hedged reads on /v1/query: if the primary
 	// shard has not answered within the delay, a duplicate is sent to the
@@ -129,7 +131,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	hc := &http.Client{Timeout: cfg.RequestTimeout}
+	hc := &http.Client{}
 	co := &Coordinator{
 		cfg:    cfg,
 		ring:   ring,
@@ -137,7 +139,7 @@ func New(cfg Config) (*Coordinator, error) {
 		log:    cfg.Log,
 		meshes: make(map[string][]byte),
 	}
-	co.client = NewClient(hc, cfg.Retry, &co.counters, cfg.Log)
+	co.client = NewClient(hc, cfg.RequestTimeout, cfg.Retry, &co.counters, cfg.Log)
 	co.mgr = server.NewManager(cfg.Log, server.ManagerConfig{
 		Workers:      cfg.JobConcurrency,
 		JobTimeout:   cfg.JobTimeout,
@@ -379,7 +381,7 @@ func (co *Coordinator) MeshInfo(_ context.Context, id string) (any, error) {
 // Query implements server.Backend: the batch goes to the mesh's home
 // shard, hedged with the next replica after HedgeDelay and failing over
 // along the succession within the failover budget.
-func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (any, error) {
+func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (*server.QueryResult, error) {
 	order := co.routable(req.MeshID)
 	if len(order) == 0 {
 		return nil, server.Errorf(http.StatusServiceUnavailable, "no ready shard for mesh %s", req.MeshID)
@@ -389,12 +391,12 @@ func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (any
 		return nil, err
 	}
 	co.counters.QueriesRouted.Add(1)
-	out, shard, err := route[map[string]any](ctx, co, order, co.cfg.HedgeDelay, req.MeshID, "/v1/query", raw)
+	out, shard, err := route[server.QueryResult](ctx, co, order, co.cfg.HedgeDelay, req.MeshID, "/v1/query", raw)
 	if err != nil {
 		return nil, proxyError(err)
 	}
-	out["shard"] = shard
-	return out, nil
+	out.Shard = shard
+	return &out, nil
 }
 
 // Submit implements server.Backend. Per-element jobs are distributed: the

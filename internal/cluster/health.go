@@ -140,7 +140,9 @@ func (h *HealthChecker) CheckNow() {
 	}); err != nil {
 		// A probe panicked: this pass may miss the shards after it; the
 		// polling loop lives on.
-		h.log.Error("shard health probe panicked", "err", err)
+		if h.log != nil {
+			h.log.Error("shard health probe panicked", "err", err)
+		}
 	}
 }
 

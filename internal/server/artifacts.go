@@ -75,23 +75,45 @@ func (a *Artifacts) Store() *artifact.Store { return a.store }
 // Ops exposes the operator apply and assembly counters.
 func (a *Artifacts) Ops() *metrics.OperatorCounters { return &a.ops }
 
-// applyFields applies op to every field through one ApplyBlock into the
-// caller-owned outs[i], records the apply and returns its modeled counters.
-// Jobs and queries both evaluate through here; they differ only in where
-// outs comes from.
-func (a *Artifacts) applyFields(op *operator.Operator, fields []*dg.Field, outs [][]float64) (metrics.Counters, error) {
+// applyFields applies op to every field through one ApplyBlock, records
+// the apply and returns one output per field (one backing allocation, so
+// the apply itself is allocation-free on top of it) with the modeled
+// counters. Jobs and queries both evaluate through here.
+func (a *Artifacts) applyFields(op *operator.Operator, fields []*dg.Field) ([][]float64, metrics.Counters, error) {
 	coeffs := make([][]float64, len(fields))
 	for i, f := range fields {
 		if err := op.CheckField(f); err != nil {
-			return metrics.Counters{}, err
+			return nil, metrics.Counters{}, err
 		}
 		coeffs[i] = f.Coeffs
 	}
+	backing := make([]float64, len(fields)*op.Rows)
+	outs := make([][]float64, len(fields))
+	for i := range outs {
+		outs[i] = backing[i*op.Rows : (i+1)*op.Rows : (i+1)*op.Rows]
+	}
 	if err := op.ApplyBlock(coeffs, outs, op.Workers); err != nil {
-		return metrics.Counters{}, err
+		return nil, metrics.Counters{}, err
 	}
 	a.ops.RecordApply(len(fields))
-	return op.ApplyBlockCounters(len(fields)), nil
+	return outs, op.ApplyBlockCounters(len(fields)), nil
+}
+
+// fields returns the projected inputs of an operator apply: the named
+// fields in order, or def alone when names is empty (a one-field request
+// applies to its evaluator's field).
+func (a *Artifacts) fields(m *mesh.Mesh, meshID string, p int, names []string, def *dg.Field) ([]*dg.Field, error) {
+	if len(names) == 0 {
+		return []*dg.Field{def}, nil
+	}
+	fields := make([]*dg.Field, len(names))
+	for i, name := range names {
+		var err error
+		if fields[i], _, err = a.Field(m, meshID, p, name); err != nil {
+			return nil, err
+		}
+	}
+	return fields, nil
 }
 
 // FieldFuncs are the analytic input fields a job may request; the service
@@ -249,6 +271,19 @@ const (
 	// store when one is attached).
 	OpSrcAssembled = "assembled"
 )
+
+// appendOpHit appends the cache hit an operator source counts as:
+// "operator" from memory, "operator-disk" from the store, none when
+// assembled.
+func appendOpHit(hits []string, src string) []string {
+	switch src {
+	case OpSrcMemory:
+		return append(hits, "operator")
+	case OpSrcDisk:
+		return append(hits, "operator-disk")
+	}
+	return hits
+}
 
 // Operator returns the assembled post-processing operator for ev's
 // (mesh, grid, kernel, h) tuple. Resolution is tiered: the in-process LRU,

@@ -42,7 +42,7 @@ type Backend interface {
 	// Cancel aborts a queued or running job.
 	Cancel(ctx context.Context, id string) error
 	// Query evaluates a validated batch query.
-	Query(ctx context.Context, req *QueryRequest) (any, error)
+	Query(ctx context.Context, req *QueryRequest) (*QueryResult, error)
 	// Readiness reports whether traffic should be routed here, the /readyz
 	// body, and, when not ready, the Retry-After seconds (0 omits it).
 	Readiness() (ready bool, body map[string]any, retryAfter int)

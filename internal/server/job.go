@@ -703,11 +703,6 @@ func (m *Manager) Busy() int { return int(m.busy.Load()) }
 // Totals returns cumulative per-scheme counters.
 func (m *Manager) Totals() map[string]metrics.TotalSnapshot { return m.totals.Snapshot() }
 
-// RecordQuery folds one batch query's counters into the cumulative totals
-// under the "batch-query" series, so /debug/metrics reports query traffic
-// alongside scheme runs.
-func (m *Manager) RecordQuery(c *metrics.Counters) { m.totals.Record("batch-query", c) }
-
 // RetryAfterSeconds estimates how long a rejected client should wait for a
 // queue slot: the jobs ahead of it (queued + running) divided across the
 // worker pool, each taking the observed mean service time. Clamped to
@@ -961,26 +956,11 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 			if err != nil {
 				return err
 			}
-			switch src {
-			case OpSrcMemory:
-				hits = append(hits, "operator")
-			case OpSrcDisk:
-				hits = append(hits, "operator-disk")
-			}
+			hits = appendOpHit(hits, src)
 			// Project every batched input field now, while still under the
-			// artifact stage; the evaluate stage is then pure
-			// arithmetic. Single-field jobs reuse the evaluator's field.
-			if len(spec.Fields) == 0 {
-				fields = []*dg.Field{ev.Field}
-				break
-			}
-			fields = make([]*dg.Field, len(spec.Fields))
-			for i, name := range spec.Fields {
-				fields[i], _, err = s.arts.Field(mesh, spec.MeshID, spec.P, name)
-				if err != nil {
-					return err
-				}
-			}
+			// artifact stage; the evaluate stage is then pure arithmetic.
+			fields, err = s.arts.fields(mesh, spec.MeshID, spec.P, spec.Fields, ev.Field)
+			return err
 		}
 		return nil
 	}); err != nil {
@@ -993,22 +973,11 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 	// job deadline like the direct runners.
 	if spec.Scheme == "operator" {
 		out := &Outcome{MemoryOverhead: 1, CacheHits: hits}
-		if err := s.runStage(ctx, StageEvaluate, func() error {
+		if err := s.runStage(ctx, StageEvaluate, func() (err error) {
 			start := time.Now()
-			nf := len(fields)
-			// One backing allocation for everything the result retains;
-			// the apply itself is allocation-free on top of it.
-			backing := make([]float64, nf*op.Rows)
-			outs := make([][]float64, nf)
-			for i := range outs {
-				outs[i] = backing[i*op.Rows : (i+1)*op.Rows : (i+1)*op.Rows]
-			}
-			total, err := s.arts.applyFields(op, fields, outs)
-			if err != nil {
-				return err
-			}
-			out.Solutions, out.Total, out.Wall = outs, total, time.Since(start)
-			return nil
+			out.Solutions, out.Total, err = s.arts.applyFields(op, fields)
+			out.Wall = time.Since(start)
+			return err
 		}); err != nil {
 			return &Outcome{CacheHits: hits}, err
 		}

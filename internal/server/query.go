@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"unstencil/internal/dg"
 	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
 	"unstencil/internal/par"
@@ -38,9 +37,9 @@ type QueryRequest struct {
 	// Field names the analytic input field ("sincos" default).
 	Field string `json:"field,omitempty"`
 	// Fields names several input fields to evaluate at the same positions
-	// in one batched operator apply. Requires use_operator; the response
-	// then carries "fields" and a per-field "values" array in the same
-	// order. When set, Field defaults to Fields[0].
+	// in one batched operator apply. Requires use_operator; the answer's
+	// values then hold one array per entry, in order. When set, Field
+	// defaults to Fields[0].
 	Fields []string `json:"fields,omitempty"`
 	// Points are the query positions, [x, y] pairs: any finite point under
 	// periodic boundaries, points of the closed unit square under one-sided
@@ -78,6 +77,21 @@ func (q *QueryRequest) normalize() error {
 	return nil
 }
 
+// QueryResult is the body of a POST /v1/query answer.
+type QueryResult struct {
+	// Values holds one array per field, in request order (one array for a
+	// one-field query), each in Points order.
+	Values [][]float64 `json:"values"`
+	// CacheHits lists the artifacts served warm, in the job vocabulary:
+	// "evaluator", "operator" (the batch's operator from memory) or
+	// "operator-disk" (from the artifact store).
+	CacheHits []string         `json:"cache_hits,omitempty"`
+	Counters  metrics.Counters `json:"counters"`
+	WallMS    float64          `json:"wall_ms"`
+	// Shard is the shard that answered, set by the cluster coordinator only.
+	Shard string `json:"shard,omitempty"`
+}
+
 // Query implements Backend for POST /v1/query: it resolves the
 // default-grid evaluator, the one a job without grid_degree uses, through
 // the artifact cache (so repeated queries against the same mesh and
@@ -85,7 +99,7 @@ func (q *QueryRequest) normalize() error {
 // across the evaluator's Opt.Workers pooled evaluation workers — the
 // server's -eval-workers budget, as for jobs — via core's
 // concurrency-safe EvalBatch.
-func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
+func (s *Server) Query(_ context.Context, req *QueryRequest) (*QueryResult, error) {
 	m, ok := s.arts.Mesh(req.MeshID)
 	if !ok {
 		return nil, Errorf(http.StatusNotFound,
@@ -100,59 +114,34 @@ func (s *Server) Query(_ context.Context, req *QueryRequest) (any, error) {
 	for i, p := range req.Points {
 		pts[i] = geom.Pt(p[0], p[1])
 	}
-	resp := map[string]any{
-		"mesh_id":        req.MeshID,
-		"evaluator_warm": hit,
+	res := &QueryResult{}
+	if hit {
+		res.CacheHits = append(res.CacheHits, "evaluator")
 	}
-	var (
-		vals     []float64
-		counters metrics.Counters
-	)
 	start := time.Now()
 	if req.UseOperator {
-		op, opSrc, err := s.arts.QueryOperator(ev, req.MeshID, pts)
+		op, src, err := s.arts.QueryOperator(ev, req.MeshID, pts)
 		if err != nil {
 			return nil, s.evalError("query operator assembly", err)
 		}
-		fields := []*dg.Field{ev.Field}
-		if len(req.Fields) > 0 {
-			fields = make([]*dg.Field, len(req.Fields))
-			for i, name := range req.Fields {
-				if fields[i], _, err = s.arts.Field(m, req.MeshID, req.P, name); err != nil {
-					return nil, &Error{Status: http.StatusBadRequest, Err: err}
-				}
-			}
+		res.CacheHits = appendOpHit(res.CacheHits, src)
+		fields, err := s.arts.fields(m, req.MeshID, req.P, req.Fields, ev.Field)
+		if err != nil {
+			return nil, &Error{Status: http.StatusBadRequest, Err: err}
 		}
-		// The outputs outlive this call: the front end encodes them.
-		outs := make([][]float64, len(fields))
-		for i := range outs {
-			outs[i] = make([]float64, op.Rows)
-		}
-		if counters, err = s.arts.applyFields(op, fields, outs); err != nil {
+		if res.Values, res.Counters, err = s.arts.applyFields(op, fields); err != nil {
 			return nil, s.evalError("query operator apply", err)
 		}
-		vals = outs[0]
-		if len(req.Fields) > 0 {
-			resp["fields"] = req.Fields
-			resp["values"] = outs
-		}
-		resp["operator_warm"] = opSrc != OpSrcAssembled
-		resp["operator_source"] = opSrc
 	} else {
-		vals, counters, err = ev.EvalBatch(pts, ev.Opt.Workers)
+		vals, counters, err := ev.EvalBatch(pts, ev.Opt.Workers)
 		if err != nil {
 			return nil, s.evalError("query evaluation", err)
 		}
+		res.Values, res.Counters = [][]float64{vals}, counters
 	}
-	wall := time.Since(start)
-	s.mgr.RecordQuery(&counters)
-	resp["num_points"] = len(vals)
-	if _, ok := resp["values"]; !ok {
-		resp["values"] = vals
-	}
-	resp["counters"] = counters
-	resp["wall_ms"] = float64(wall) / float64(time.Millisecond)
-	return resp, nil
+	res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+	s.mgr.totals.Record("batch-query", &res.Counters) // beside the schemes in /debug/metrics
+	return res, nil
 }
 
 // evalError classifies a failed query evaluation, assembly or apply. The

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,6 +34,33 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 	return resp, data
 }
 
+// decodeQuery decodes a query answer with unknown keys rejected: it is a
+// QueryResult and nothing else.
+func decodeQuery(t *testing.T, data []byte) QueryResult {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var out QueryResult
+	if err := dec.Decode(&out); err != nil {
+		t.Fatalf("query body: %v (%s)", err, data)
+	}
+	return out
+}
+
+// query posts body to ts's /v1/query, requires 200 and decodes the answer.
+func query(t *testing.T, ts *httptest.Server, body any) QueryResult {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postQuery(t, ts, string(raw))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query %s: status %d: %s", raw, resp.StatusCode, data)
+	}
+	return decodeQuery(t, data)
+}
+
 // TestQueryMatchesEvalAt checks the endpoint end to end: the returned batch
 // values must equal a direct sequential EvalAt sweep on an independently
 // built evaluator, bit for bit.
@@ -42,25 +70,9 @@ func TestQueryMatchesEvalAt(t *testing.T) {
 	id := uploadMesh(t, ts, m)
 
 	pts := [][2]float64{{0.3, 0.4}, {0.51, 0.52}, {0.12, 0.87}, {0.66, 0.31}}
-	body, _ := json.Marshal(map[string]any{
-		"mesh_id": id, "p": 1, "points": pts,
-	})
-	resp, data := postQuery(t, ts, string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: status %d: %s", resp.StatusCode, data)
-	}
-	var out struct {
-		NumPoints int       `json:"num_points"`
-		Values    []float64 `json:"values"`
-		Counters  struct {
-			IntersectionTests uint64 `json:"intersection_tests"`
-		} `json:"counters"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decode: %v (%s)", err, data)
-	}
-	if out.NumPoints != len(pts) || len(out.Values) != len(pts) {
-		t.Fatalf("got %d values for %d points", len(out.Values), len(pts))
+	out := query(t, ts, map[string]any{"mesh_id": id, "p": 1, "points": pts})
+	if len(out.Values) != 1 || len(out.Values[0]) != len(pts) {
+		t.Fatalf("got %d value arrays for one field at %d points", len(out.Values), len(pts))
 	}
 	if out.Counters.IntersectionTests == 0 {
 		t.Error("query counters not populated")
@@ -76,35 +88,21 @@ func TestQueryMatchesEvalAt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Values[i] != want {
-			t.Errorf("point %d: query %v != EvalAt %v", i, out.Values[i], want)
+		if out.Values[0][i] != want {
+			t.Errorf("point %d: query %v != EvalAt %v", i, out.Values[0][i], want)
 		}
 	}
 }
 
-// TestQueryWarmEvaluator checks that a repeated query reports the evaluator
-// served from cache, and that query traffic lands in /debug/metrics totals.
+// TestQueryWarmEvaluator checks that a repeated query lists the evaluator
+// in its cache_hits, and that query traffic lands in /debug/metrics totals.
 func TestQueryWarmEvaluator(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	id := uploadMesh(t, ts, mesh.Structured(4))
-	body := fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[0.5,0.5]]}`, id)
-
-	resp, data := postQuery(t, ts, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first query: status %d: %s", resp.StatusCode, data)
-	}
-	resp, data = postQuery(t, ts, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second query: status %d: %s", resp.StatusCode, data)
-	}
-	var out struct {
-		Warm bool `json:"evaluator_warm"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Warm {
-		t.Error("second query did not hit the warm evaluator")
+	body := map[string]any{"mesh_id": id, "p": 1, "points": [][2]float64{{0.5, 0.5}}}
+	query(t, ts, body)
+	if out := query(t, ts, body); !slices.Contains(out.CacheHits, "evaluator") {
+		t.Errorf("second query's cache_hits %v miss the warm evaluator", out.CacheHits)
 	}
 
 	mresp, err := http.Get(ts.URL + "/debug/metrics")
@@ -133,7 +131,7 @@ func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 	for i := range pts {
 		pts[i] = [2]float64{(float64(i%64) + 0.5) / 64, (float64(i/64) + 0.5) / 64}
 	}
-	query := func(srv *Server) []float64 {
+	values := func(srv *Server) []float64 {
 		t.Helper()
 		req := &QueryRequest{MeshID: putMesh(t, srv, m), P: 1, Points: pts}
 		if err := req.normalize(); err != nil {
@@ -143,9 +141,9 @@ func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.(map[string]any)["values"].([]float64)
+		return resp.Values[0]
 	}
-	want := query(mustNew(t, Config{Workers: 1, EvalWorkers: 1}))
+	want := values(mustNew(t, Config{Workers: 1, EvalWorkers: 1}))
 	srv := mustNew(t, Config{Workers: 1, EvalWorkers: budget})
 
 	base := runtime.NumGoroutine()
@@ -164,7 +162,7 @@ func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 			}
 		}
 	}()
-	got := query(srv)
+	got := values(srv)
 	close(done)
 	<-sampled
 	// The sampler itself, the budget's workers, and slack for the runtime
@@ -223,72 +221,112 @@ func TestQueryValidation(t *testing.T) {
 }
 
 // TestQueryOperatorPath routes the same batch through use_operator: the
-// first request assembles (operator_warm false), the repeat hits the cached
-// operator, and both agree with the direct EvalBatch path bitwise.
+// first request assembles (no "operator" cache hit), the repeat hits the
+// cached operator, and both agree with the direct EvalBatch path bitwise.
 func TestQueryOperatorPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	m := mesh.Structured(6)
 	id := uploadMesh(t, ts, m)
 
 	pts := [][2]float64{{0.3, 0.4}, {0.51, 0.52}, {0.12, 0.87}, {0.66, 0.31}, {0.05, 0.93}}
-	direct, _ := json.Marshal(map[string]any{"mesh_id": id, "p": 2, "points": pts})
-	viaOp, _ := json.Marshal(map[string]any{"mesh_id": id, "p": 2, "points": pts, "use_operator": true})
+	want := query(t, ts, map[string]any{"mesh_id": id, "p": 2, "points": pts}).Values[0]
+	viaOp := map[string]any{"mesh_id": id, "p": 2, "points": pts, "use_operator": true}
 
-	resp, data := postQuery(t, ts, string(direct))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("direct query: status %d: %s", resp.StatusCode, data)
-	}
-	var want struct {
-		Values []float64 `json:"values"`
-	}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-
-	var out struct {
-		Values       []float64 `json:"values"`
-		OperatorWarm bool      `json:"operator_warm"`
-		Counters     struct {
-			Flops uint64 `json:"flops"`
-		} `json:"counters"`
-	}
-	resp, data = postQuery(t, ts, string(viaOp))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("operator query: status %d: %s", resp.StatusCode, data)
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.OperatorWarm {
+	out := query(t, ts, viaOp)
+	if slices.Contains(out.CacheHits, "operator") {
 		t.Error("first operator query reported a warm operator")
 	}
-	if len(out.Values) != len(pts) {
-		t.Fatalf("got %d values for %d points", len(out.Values), len(pts))
+	if len(out.Values) != 1 || len(out.Values[0]) != len(pts) {
+		t.Fatalf("got %d value arrays for one field at %d points", len(out.Values), len(pts))
 	}
 	if out.Counters.Flops == 0 {
 		t.Error("operator query counters not populated")
 	}
-	for i := range out.Values {
-		if math.Float64bits(out.Values[i]) != math.Float64bits(want.Values[i]) {
-			t.Errorf("point %d: operator %v vs direct %v, want bitwise equal", i, out.Values[i], want.Values[i])
+	for i, v := range out.Values[0] {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Errorf("point %d: operator %v vs direct %v, want bitwise equal", i, v, want[i])
 		}
 	}
 
-	resp, data = postQuery(t, ts, string(viaOp))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat operator query: status %d: %s", resp.StatusCode, data)
-	}
-	repeat := out
-	repeat.OperatorWarm = false
-	if err := json.Unmarshal(data, &repeat); err != nil {
-		t.Fatal(err)
-	}
-	if !repeat.OperatorWarm {
+	repeat := query(t, ts, viaOp)
+	if !slices.Contains(repeat.CacheHits, "operator") {
 		t.Error("repeat query did not hit the cached operator")
 	}
-	for i := range repeat.Values {
-		if repeat.Values[i] != out.Values[i] {
+	for i, v := range repeat.Values[0] {
+		if v != out.Values[0][i] {
 			t.Errorf("point %d: repeat apply differs from first apply", i)
 		}
 	}
+}
+
+// TestQueryResultShape: a query answers one values array per field, in
+// request order, on the direct and the use_operator path alike, with
+// nothing but the QueryResult keys; each direct array equals its
+// use_operator array bitwise, and cache_hits reads in the job vocabulary,
+// through a restart onto the same store too.
+func TestQueryResultShape(t *testing.T) {
+	store := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, StoreDir: store})
+	id := uploadMesh(t, ts, mesh.Structured(5))
+	pts := [][2]float64{{0.21, 0.34}, {0.5, 0.5}, {0.73, 0.12}, {0.4, 0.81}}
+	names := []string{"sincos", "gauss", "poly"}
+	direct := func(ts *httptest.Server, field string) QueryResult {
+		return query(t, ts, QueryRequest{MeshID: id, P: 1, Field: field, Points: pts})
+	}
+	viaOp := QueryRequest{MeshID: id, P: 1, Points: pts, UseOperator: true}
+	batched := QueryRequest{MeshID: id, P: 1, Fields: names, Points: pts, UseOperator: true}
+
+	var got []QueryResult
+	for _, tc := range []struct {
+		name string
+		run  func() QueryResult
+		hits []string
+	}{
+		{"cold direct", func() QueryResult { return direct(ts, "sincos") }, nil},
+		{"repeat direct", func() QueryResult { return direct(ts, "sincos") }, []string{"evaluator"}},
+		{"first use_operator", func() QueryResult { return query(t, ts, viaOp) }, []string{"evaluator"}},
+		{"repeat use_operator", func() QueryResult { return query(t, ts, viaOp) }, []string{"evaluator", "operator"}},
+		{"three-field use_operator", func() QueryResult { return query(t, ts, batched) }, []string{"evaluator", "operator"}},
+	} {
+		out := tc.run()
+		if !slices.Equal(out.CacheHits, tc.hits) {
+			t.Errorf("%s: cache_hits %v, want %v", tc.name, out.CacheHits, tc.hits)
+		}
+		if out.Shard != "" || out.WallMS <= 0 {
+			t.Errorf("%s: shard %q, wall_ms %v", tc.name, out.Shard, out.WallMS)
+		}
+		got = append(got, out)
+	}
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(pts) || len(b) != len(pts) {
+			t.Fatalf("%s: %d and %d values for %d points", what, len(a), len(b), len(pts))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: point %d: %v vs %v, want bitwise equal", what, i, a[i], b[i])
+			}
+		}
+	}
+	for _, out := range got[:4] {
+		if len(out.Values) != 1 {
+			t.Fatalf("one-field query answered %d value arrays", len(out.Values))
+		}
+	}
+	same("direct vs use_operator", got[0].Values[0], got[2].Values[0])
+	if len(got[4].Values) != len(names) {
+		t.Fatalf("three-field query answered %d value arrays", len(got[4].Values))
+	}
+	for i, name := range names {
+		same(name+": direct vs batched use_operator", direct(ts, name).Values[0], got[4].Values[i])
+	}
+
+	// A fresh server over the same store serves the batch's operator from
+	// disk.
+	_, restarted := newTestServer(t, Config{Workers: 1, StoreDir: store})
+	out := query(t, restarted, viaOp)
+	if !slices.Contains(out.CacheHits, "operator-disk") {
+		t.Errorf("use_operator query after a restart: cache_hits %v, want operator-disk", out.CacheHits)
+	}
+	same("restarted use_operator", out.Values[0], got[2].Values[0])
 }

@@ -146,33 +146,30 @@ func TestMultiFieldQuery(t *testing.T) {
 
 	single := make(map[string][]float64)
 	for _, f := range names {
-		var resp struct {
-			Values []float64 `json:"values"`
-		}
+		var resp QueryResult
 		code := postJSON(t, ts.URL+"/v1/query", QueryRequest{
 			MeshID: id, P: 2, Field: f, Points: pts, UseOperator: true,
 		}, &resp)
-		if code != http.StatusOK {
-			t.Fatalf("single-field query %s: status %d", f, code)
+		if code != http.StatusOK || len(resp.Values) != 1 {
+			t.Fatalf("single-field query %s: status %d, %d value arrays", f, code, len(resp.Values))
 		}
-		single[f] = resp.Values
+		single[f] = resp.Values[0]
 	}
 
-	var resp struct {
-		Values    [][]float64 `json:"values"`
-		Fields    []string    `json:"fields"`
-		NumPoints int         `json:"num_points"`
-	}
+	var resp QueryResult
 	code := postJSON(t, ts.URL+"/v1/query", QueryRequest{
 		MeshID: id, P: 2, Fields: names, Points: pts, UseOperator: true,
 	}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("multi-field query: status %d", code)
 	}
-	if len(resp.Values) != len(names) || resp.NumPoints != len(pts) {
-		t.Fatalf("multi-field query shape: %d value arrays, %d points", len(resp.Values), resp.NumPoints)
+	if len(resp.Values) != len(names) {
+		t.Fatalf("multi-field query answered %d value arrays for %d fields", len(resp.Values), len(names))
 	}
 	for i, f := range names {
+		if len(resp.Values[i]) != len(pts) {
+			t.Fatalf("field %s: %d values for %d points", f, len(resp.Values[i]), len(pts))
+		}
 		for j := range pts {
 			if math.Float64bits(resp.Values[i][j]) != math.Float64bits(single[f][j]) {
 				t.Fatalf("field %s point %d: batched %v != single %v", f, j, resp.Values[i][j], single[f][j])
