@@ -48,7 +48,7 @@ func main() {
 		shardsFlag      = flag.String("shards", "", "comma-separated shard base URLs (required), e.g. http://h1:9090,http://h2:9090")
 		requestTimeout  = flag.Duration("request-timeout", 30*time.Second, "cap on each attempt of a shard request without a deadline of its own (status, result, job list, mesh upload, routed submit, query); patch ranges run under the job deadline")
 		hedgeDelay      = flag.Duration("hedge-delay", 0, "hedged-read delay for /v1/query; the hedge counts against -failover-attempts; 0 disables hedging")
-		retryN          = flag.Int("retry-attempts", 3, "tries per shard request for transient failures (1 = no retry)")
+		retryN          = flag.Int("retry-attempts", 3, "tries per shard request for transport failures and 5xx, a patch range only if it never ran (1 = no retry)")
 		retryBase       = flag.Duration("retry-base", 25*time.Millisecond, "backoff before the first retry (doubles per retry)")
 		retryMax        = flag.Duration("retry-max", 1*time.Second, "backoff cap; a shard's Retry-After overrides the backoff")
 		failover        = flag.Int("failover-attempts", 1, "ring successors a failed patch range, routed job or query may move to; negative disables failover (degraded-mode drills)")

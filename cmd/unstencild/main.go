@@ -54,7 +54,7 @@ func main() {
 		evalWorkers  = flag.Int("eval-workers", 0, "per-evaluation concurrency (0 = GOMAXPROCS)")
 		stateDir     = flag.String("state-dir", "", "directory for the job journal; empty disables crash recovery")
 		storeDir     = flag.String("store-dir", "", "directory for the persistent artifact store (meshes, assembled operators); defaults to <state-dir>/store when -state-dir is set, so journal replay re-uses disk-resident artifacts; set alone it enables persistence without journaling")
-		retryN       = flag.Int("retry-attempts", 1, "tries per tile and per job for transient failures (1 = no retry)")
+		retryN       = flag.Int("retry-attempts", 1, "tries per tile/block and per artifact build for transient failures (1 = no retry)")
 		retryBase    = flag.Duration("retry-base", 10*time.Millisecond, "backoff before the first retry (doubles per retry)")
 		retryMax     = flag.Duration("retry-max", 500*time.Millisecond, "backoff cap")
 		faultSpec    = flag.String("fault-spec", "", "enable deterministic fault injection, e.g. seed=42,mode=mixed,sites=core.tile:0.01 (testing only)")

@@ -167,9 +167,13 @@ func (s *Store) rejectCorrupt(key string, err error) {
 // meshKey is the logical store key of a mesh with the given content hash.
 func meshKey(id string) string { return "mesh:" + id }
 
-// SaveMesh persists m keyed by its content hash and returns the id.
+// SaveMesh persists m keyed by its content hash and returns the id. A mesh
+// already on disk is not written again (a load deletes a corrupt copy).
 func (s *Store) SaveMesh(m *mesh.Mesh) (string, error) {
 	id := m.ContentHash()
+	if s.Has(meshKey(id)) {
+		return id, nil
+	}
 	err := s.put(meshKey(id), func(w io.Writer) (int64, error) {
 		return EncodeMesh(w, meshKey(id), m)
 	})

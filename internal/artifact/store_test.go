@@ -179,6 +179,50 @@ func TestStoreMeshRoundTrip(t *testing.T) {
 	}
 }
 
+// A second save of a resident mesh writes nothing; once a load has
+// rejected a corrupt copy, the next save writes the mesh again.
+func TestStoreMeshSavedOnce(t *testing.T) {
+	st, err := NewStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mesh.Structured(3)
+	id, err := st.SaveMesh(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := st.Counters()
+	bytes := ctr.BytesWritten.Load()
+	if _, err := st.SaveMesh(m); err != nil {
+		t.Fatal(err)
+	}
+	if w, b := ctr.Writes.Load(), ctr.BytesWritten.Load(); w != 1 || b != bytes {
+		t.Fatalf("after a repeat save: writes %d, bytes_written %d; want 1 and %d", w, b, bytes)
+	}
+
+	path := st.Path(meshKey(id))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.LoadMesh(id); err == nil {
+		t.Fatal("corrupt mesh file loaded")
+	}
+	if _, err := st.SaveMesh(m); err != nil {
+		t.Fatal(err)
+	}
+	if w := ctr.Writes.Load(); w != 2 {
+		t.Fatalf("save after a rejected corrupt copy: writes %d, want 2", w)
+	}
+	if got, err := st.LoadMesh(id); err != nil || got.ContentHash() != id {
+		t.Fatalf("rewritten mesh: %v", err)
+	}
+}
+
 // A file of the retired field kind is not one this reader supports: Parse
 // rejects it, and a store opened on a directory holding one deletes it at
 // startup like any unparseable file.

@@ -37,7 +37,7 @@ const ErrorKindShardFailure = "shard-failure"
 // the failover budget — degrade or fail the job with ErrorKindShardFailure.
 type ShardError struct {
 	Shard    string
-	Status   int // last HTTP status; 0 for a transport-level failure
+	Status   int // last non-2xx HTTP status; 0 for a transport-level failure
 	Attempts int
 	Err      error
 }
@@ -56,7 +56,8 @@ func (e *ShardError) ErrorKind() string { return ErrorKindShardFailure }
 
 // remoteError is a non-2xx shard response. A 5xx is transient: the client
 // retries it, after the shard's Retry-After estimate when it sent one. A
-// 4xx is permanent: the request itself is wrong, or the resource absent.
+// 4xx is permanent: the request itself is wrong, or the resource absent. So
+// is a 504, a patch range that ran out of its job's deadline on the shard.
 type remoteError struct {
 	status     int
 	msg        string
@@ -71,6 +72,11 @@ func (e *remoteError) Error() string {
 // fault.Retry waits instead of its backoff.
 func (e *remoteError) RetryAfter() time.Duration { return e.retryAfter }
 
+// Permanent tells fault.Transient not to retry a 4xx or a 504.
+func (e *remoteError) Permanent() bool {
+	return e.status/100 == 4 || e.status == http.StatusGatewayTimeout
+}
+
 // RemoteStatus returns the HTTP status a shard answered err with (0 for a
 // failure without a response). For mesh-scoped requests a 404 is "mesh not
 // resident", the coordinator's cue to re-seed the shard and retry.
@@ -83,11 +89,12 @@ func RemoteStatus(err error) int {
 }
 
 // Client is the coordinator's HTTP client for one shard request with
-// retries: transport errors and 5xx responses retry with capped
-// exponential backoff and deterministic jitter; a 503 carrying Retry-After
-// honors the shard's own estimate instead of the blind backoff; 4xx
-// responses are permanent. The retry budget is per shard — cross-shard
-// failover is the router's job, not the client's.
+// retries: transport errors (an attempt that outlives RequestTimeout
+// included) and 5xx responses retry with capped exponential backoff and
+// deterministic jitter; a 503 carrying Retry-After honors the shard's own
+// estimate instead of the blind backoff; 4xx and 504 responses are
+// permanent. The retry budget is per shard — cross-shard failover is the
+// router's job, not the client's.
 type Client struct {
 	hc       *http.Client
 	timeout  time.Duration
@@ -107,8 +114,7 @@ func NewClient(hc *http.Client, timeout time.Duration, retry fault.Policy, count
 // body verbatim). Its backoff is keyed by shard+path, so concurrent
 // retries against one shard de-synchronize identically on every run.
 func (c *Client) Do(ctx context.Context, method, shard, path string, body []byte, out any) error {
-	lastStatus := 0
-	n, err := fault.Retry(ctx, c.retry, hash64(shard+path), retryable,
+	n, err := fault.Retry(ctx, c.retry, hash64(shard+path),
 		func(last error) {
 			c.counters.Retries.Add(1)
 			var re *remoteError
@@ -117,13 +123,10 @@ func (c *Client) Do(ctx context.Context, method, shard, path string, body []byte
 			}
 			if c.log != nil {
 				c.log.Warn("shard request failed, retrying",
-					"shard", shard, "path", path, "status", lastStatus, "err", last)
+					"shard", shard, "path", path, "status", RemoteStatus(last), "err", last)
 			}
 		},
-		func() (err error) {
-			lastStatus, err = c.once(ctx, method, shard, path, body, out)
-			return err
-		})
+		func() error { return c.once(ctx, method, shard, path, body, out) })
 	switch {
 	case err == nil:
 		return nil
@@ -131,23 +134,32 @@ func (c *Client) Do(ctx context.Context, method, shard, path string, body []byte
 		// The caller gave up: report that, not a shard failure — the
 		// shard may have been given no chance to answer.
 		return fmt.Errorf("shard %s: gave up after %d attempt(s): %w", shard, n, err)
-	case !retryable(err):
+	case !fault.Transient(err):
 		return err
 	}
 	c.counters.ShardFailures.Add(1)
-	return &ShardError{Shard: shard, Status: lastStatus, Attempts: n, Err: err}
+	return &ShardError{Shard: shard, Status: RemoteStatus(err), Attempts: n, Err: err}
 }
 
-// once performs a single HTTP attempt. The returned status is 0 for
-// transport-level failures.
-func (c *Client) once(ctx context.Context, method, shard, path string, body []byte, out any) (int, error) {
+// once performs a single HTTP attempt. An attempt that outlives the
+// client's timeout while its caller still waits is a transport failure: the
+// shard accepted the request and did not answer, so the error names the
+// timeout and does not wrap context.DeadlineExceeded, which would read as
+// the caller giving up.
+func (c *Client) once(ctx context.Context, method, shard, path string, body []byte, out any) (err error) {
 	if err := fault.Inject(SiteRoute); err != nil {
-		return 0, err
+		return err
 	}
 	if _, ok := ctx.Deadline(); !ok && c.timeout > 0 {
+		caller := ctx
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
+		defer func() {
+			if err != nil && ctx.Err() == context.DeadlineExceeded && caller.Err() == nil {
+				err = fmt.Errorf("no answer within the %v request timeout", c.timeout)
+			}
+		}()
 	}
 	var rd io.Reader
 	if body != nil {
@@ -155,7 +167,7 @@ func (c *Client) once(ctx context.Context, method, shard, path string, body []by
 	}
 	req, err := http.NewRequestWithContext(ctx, method, shard+path, rd)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -163,11 +175,11 @@ func (c *Client) once(ctx context.Context, method, shard, path string, body []by
 	c.counters.ShardRequests.Add(1)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return resp.StatusCode, &remoteError{
+		return &remoteError{
 			status:     resp.StatusCode,
 			msg:        readErrorBody(resp.Body),
 			retryAfter: retryAfter(resp),
@@ -176,15 +188,15 @@ func (c *Client) once(ctx context.Context, method, shard, path string, body []by
 	switch out := out.(type) {
 	case nil:
 		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, nil
+		return nil
 	case *[]byte:
 		*out, err = io.ReadAll(resp.Body)
-		return resp.StatusCode, err
+		return err
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return resp.StatusCode, fmt.Errorf("decoding shard response: %w", err)
+		return fmt.Errorf("decoding shard response: %w", err)
 	}
-	return resp.StatusCode, nil
+	return nil
 }
 
 // retryAfter parses a delay-seconds Retry-After header, capped at
@@ -199,18 +211,6 @@ func retryAfter(resp *http.Response) time.Duration {
 		return 0
 	}
 	return min(time.Duration(secs)*time.Second, MaxRetryAfter)
-}
-
-// retryable reports whether the failed attempt may be retried against the
-// same shard: transport errors and 5xx yes, context expiry and 4xx no.
-func retryable(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if st := RemoteStatus(err); st != 0 {
-		return st/100 == 5
-	}
-	return true // transport-level failure
 }
 
 // readErrorBody extracts the server's JSON error envelope ({"error": ...})

@@ -1431,3 +1431,86 @@ func TestHealthProbePanicWithoutLogger(t *testing.T) {
 		t.Errorf("shard state %s after a panicked probe, want unknown", st)
 	}
 }
+
+// TestClusterRetryBudget: across two shards, a per-element job whose
+// patches always fail costs each patch N attempts on its shard and nothing
+// more. The shards report the exhausted patches instead of failing their
+// ranges, so the coordinator neither retries nor fails a range over, and
+// the strict job fails without a shard-failure kind: no shard was lost.
+func TestClusterRetryBudget(t *testing.T) {
+	const k = 4
+	m := mesh.Structured(4)
+	for n := 1; n <= 3; n++ {
+		policy := fault.Policy{Attempts: n}
+		var shards []string
+		for i := 0; i < 2; i++ {
+			srv, err := server.New(server.Config{Workers: 1, EvalWorkers: 1, Retry: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+			shards = append(shards, ts.URL)
+		}
+		co, cts := newCluster(t, Config{Shards: shards, Retry: policy, FailoverAttempts: 1})
+		meshID := uploadMesh(t, cts.URL, m)
+		if err := fault.Enable(fault.Config{Seed: 1, Mode: fault.ModeError, Sites: map[string]float64{core.SiteTile: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fault.Disable)
+
+		var v server.JobStatus
+		spec := server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Blocks: k}
+		if code := postJSON(t, cts.URL+"/v1/jobs", spec, &v); code != http.StatusAccepted {
+			t.Fatalf("N=%d: submit status %d", n, code)
+		}
+		v = waitClusterJob(t, cts.URL, v.ID, 60*time.Second)
+		if v.State != server.StateFailed || v.ErrorKind != "" {
+			t.Errorf("N=%d: state %s error_kind %q (%s), want failed with no kind", n, v.State, v.ErrorKind, v.Error)
+		}
+		if got := fault.Stats()[core.SiteTile].Calls; got != uint64(k*n) {
+			t.Errorf("N=%d: %s called %d times, want %d", n, core.SiteTile, got, k*n)
+		}
+		c := co.Counters()
+		if r, f := c.Retries.Load(), c.Failovers.Load(); r != 0 || f != 0 {
+			t.Errorf("N=%d: coordinator retries %d, failovers %d, want 0 and 0", n, r, f)
+		}
+		fault.Disable()
+	}
+}
+
+// TestClusterHungShardFailsOver: a home shard that accepts a query and does
+// not answer within RequestTimeout failed, where the caller did not give
+// up: its retries spent, the query fails over to the replica, which
+// answers, and the hung shard is marked down.
+func TestClusterHungShardFailsOver(t *testing.T) {
+	fsA, tsA := newShard(t)
+	fsB, tsB := newShard(t)
+	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}, RequestTimeout: 200 * time.Millisecond})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(6))
+	query := map[string]any{"mesh_id": meshID, "p": 1, "points": [][2]float64{{0.2, 0.3}}}
+	home, hung, replica := co.ring.Order(meshID)[0], fsA, tsB.URL
+	if home == tsB.URL {
+		hung, replica = fsB, tsA.URL
+	}
+	// Warm the replica, so its answer is not a cold build racing the cap.
+	if code := postJSON(t, replica+"/v1/query", query, nil); code != http.StatusOK {
+		t.Fatalf("replica warm-up status %d", code)
+	}
+	hung.slowMS.Store(2000)
+
+	var out server.QueryResult
+	if code := postJSON(t, cts.URL+"/v1/query", query, &out); code != http.StatusOK {
+		t.Fatalf("query with a hung home shard: status %d", code)
+	}
+	if out.Shard != replica {
+		t.Errorf("query answered by %s, want the replica %s", out.Shard, replica)
+	}
+	if n := co.Counters().Failovers.Load(); n < 1 {
+		t.Errorf("failovers = %d, want >= 1", n)
+	}
+	if st := co.Health().State(home); st != StateDown {
+		t.Errorf("hung home shard state %s, want down", st)
+	}
+}

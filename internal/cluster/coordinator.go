@@ -36,8 +36,9 @@ type Config struct {
 	// next replica and the first success wins. The hedge is drawn from the
 	// FailoverAttempts window. 0 disables hedging.
 	HedgeDelay time.Duration
-	// Retry shapes per-shard request retry (capped exponential backoff with
-	// deterministic jitter; zero value: no retry).
+	// Retry shapes per-shard request retry of a transport failure or a 5xx
+	// (capped exponential backoff with deterministic jitter; zero value: no
+	// retry). A patch range's patches retry on their shard, not here.
 	Retry fault.Policy
 	// FailoverAttempts is how many ring successors a failed patch range,
 	// routed job or query may move to after its shard exhausts the retry

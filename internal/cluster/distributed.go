@@ -56,7 +56,8 @@ func (noShards) ErrorKind() string { return ErrorKindShardFailure }
 
 // evalDistributed is the coordinator Manager's EvalFunc, one distributed
 // per-element job: fan the patch ranges across shards, fail ranges over to
-// ring successors when a shard exhausts its retry budget, account honestly
+// ring successors when a shard exhausts its retry budget (a range that ran
+// is never re-run: its shard already retried each patch), account honestly
 // for anything lost, and merge the surviving partials with
 // core.MergePartials — the merge a single process runs, so the result is
 // bit-identical to one at full coverage and zero at the uncovered points
@@ -125,10 +126,10 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 	sort.Ints(failedPatches)
 	if len(failedPatches) > 0 && !spec.AllowPartial {
 		if firstErr == nil {
-			// All shard requests succeeded but units failed inside a shard
-			// despite AllowPartial being off: the shard contract forbids this,
-			// so treat it as a shard failure.
-			firstErr = fmt.Errorf("shard reported failed patches %v without allow_partial", failedPatches)
+			// Every range ran, and its shard retried each patch: the lost
+			// patches exhausted their retries there. No shard was lost, so
+			// the error carries no kind, and nothing is re-run.
+			firstErr = fmt.Errorf("patches %v exhausted their retries", failedPatches)
 		}
 		return nil, fmt.Errorf("cluster: %d of %d patches lost and job does not allow partial results: %w",
 			len(failedPatches), k, firstErr)
@@ -163,15 +164,14 @@ func (co *Coordinator) evalDistributed(ctx context.Context, spec server.JobSpec)
 // succession through route, unhedged: a range is not worth evaluating twice.
 func (co *Coordinator) evalRange(ctx context.Context, a assignment, spec server.JobSpec) (*server.ShardEvalResponse, string, error) {
 	req := server.ShardEvalRequest{
-		MeshID:       spec.MeshID,
-		P:            spec.P,
-		GridDegree:   spec.GridDegree,
-		Boundary:     spec.Boundary,
-		Field:        spec.Field,
-		K:            spec.Blocks,
-		Patches:      a.patches,
-		AllowPartial: spec.AllowPartial,
-		TimeoutMS:    spec.TimeoutMS,
+		MeshID:     spec.MeshID,
+		P:          spec.P,
+		GridDegree: spec.GridDegree,
+		Boundary:   spec.Boundary,
+		Field:      spec.Field,
+		K:          spec.Blocks,
+		Patches:    a.patches,
+		TimeoutMS:  spec.TimeoutMS,
 	}
 	raw, err := json.Marshal(&req)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -31,20 +30,10 @@ const (
 	// SiteTile fires at the start of each per-element patch (tile) attempt.
 	SiteTile = "core.tile"
 	// siteAssembleRow fires at the start of each integrated operator row.
-	// Rows run outside the retry policy: a fault fails the assembly, which
-	// the job layer retries whole.
+	// Rows run outside the unit policy: a fault fails the assembly, which
+	// the server's artifact stage retries whole.
 	siteAssembleRow = "core.assemble-row"
 )
-
-// Transient reports whether err is worth retrying. Context cancellation and
-// deadline expiry are permanent — the caller gave up or ran out of time;
-// everything else (including recovered panics and injected faults) is
-// assumed transient.
-func Transient(err error) bool {
-	return err != nil &&
-		!errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded)
-}
 
 // Resilience configures fault handling for the resilient run variants. The
 // zero value (and a nil pointer) means: one attempt per unit, no partial
@@ -117,7 +106,7 @@ func (rs *Resilience) orNone() *Resilience {
 // must be restartable: an attempt resets whatever an aborted one left
 // behind.
 func (rs *Resilience) runUnit(ctx context.Context, scheme Scheme, unit int, site string, fn func() error) error {
-	_, err := fault.Retry(ctx, rs.Policy, uint64(unit)<<20, Transient,
+	_, err := fault.Retry(ctx, rs.Policy, uint64(unit)<<20,
 		func(error) {
 			if rs.Faults != nil {
 				rs.Faults.TileRetries.Add(1)
@@ -172,7 +161,7 @@ func (ev *Evaluator) runUnits(ctx context.Context, rs *Resilience, scheme Scheme
 			wk.counters.Reset()
 			return attempt(i, wk)
 		})
-		if err == nil || !Transient(err) || !rs.AllowPartial {
+		if !fault.Transient(err) || !rs.AllowPartial {
 			return err
 		}
 		if drop != nil {

@@ -12,8 +12,9 @@
 // ErrInjected)) and a panic with a *Panic value. Recovery layers convert the
 // latter back into errors; both are classified as transient and retried.
 // The one retry loop those failures meet lives here too (Policy, Retry),
-// shared by core units, server jobs and cluster shard requests, next to the
-// mixer its jitter draws from.
+// shared by core units, the server's artifact stage and cluster shard
+// requests, next to the mixer its jitter draws from, and so does the one
+// classification every layer retries by (Transient, Permanent).
 //
 // Known sites (documented in DESIGN.md §8):
 //
@@ -328,20 +329,37 @@ type Policy struct {
 	Max      time.Duration // backoff cap; <= 0 means 500 ms
 }
 
+// Transient reports whether a failed try is worth another: false for nil,
+// a context error (the caller gave up or ran out of time) and an error
+// whose chain has a Permanent() method that returns true, else true.
+func Transient(err error) bool {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	var pe interface{ Permanent() bool }
+	return !errors.As(err, &pe) || !pe.Permanent()
+}
+
+// Permanent wraps err, keeping its message, so that Transient rejects it:
+// the failure would repeat on every try, as a missing mesh's does.
+func Permanent(err error) error { return permanent{err} }
+
+type permanent struct{ error }
+
+func (permanent) Permanent() bool { return true }
+func (e permanent) Unwrap() error { return e.error }
+
 // Retry is the one retry loop. It runs try until try succeeds, fails with
-// an error retryable rejects or a context error (the caller gave up or ran
-// out of time), or has spent p.Attempts, and returns the tries made and the
-// last error. Before each wait it calls onRetry(last). The wait is last's
-// own positive RetryAfter(), else the backoff jittered by key^r: a caller
-// keying by what it retries de-synchronizes concurrent retries identically
-// on every run. A ctx that ends mid-wait ends the loop with ctx's error,
-// not the failure being waited out.
-func Retry(ctx context.Context, p Policy, key uint64, retryable func(error) bool,
-	onRetry func(last error), try func() error) (attempts int, err error) {
+// an error that is not Transient, or has spent p.Attempts, and returns the
+// tries made and the last error. Before each wait it calls onRetry(last).
+// The wait is last's own positive RetryAfter(), else the backoff jittered
+// by key^r: a caller keying by what it retries de-synchronizes concurrent
+// retries identically on every run. A ctx that ends mid-wait ends the loop
+// with ctx's error, not the failure being waited out.
+func Retry(ctx context.Context, p Policy, key uint64, onRetry func(last error), try func() error) (attempts int, err error) {
 	for r := 1; ; r++ {
 		err = try()
-		if err == nil || r >= p.Attempts || !retryable(err) ||
-			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if r >= p.Attempts || !Transient(err) {
 			return r, err
 		}
 		onRetry(err)
@@ -390,7 +408,7 @@ func sleep(ctx context.Context, d time.Duration) error {
 }
 
 // HashString is FNV-1a, inlined to keep the package dependency-free.
-// Exported for Retry keys derived from a name, such as a job id.
+// Exported for Retry keys derived from a name, such as a mesh id.
 func HashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

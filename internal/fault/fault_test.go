@@ -229,39 +229,71 @@ type busyErr time.Duration
 func (e busyErr) Error() string             { return "busy" }
 func (e busyErr) RetryAfter() time.Duration { return time.Duration(e) }
 
+// refusedErr is a failure that classifies itself: permanent when true.
+type refusedErr bool
+
+func (e refusedErr) Error() string   { return "refused" }
+func (e refusedErr) Permanent() bool { return bool(e) }
+
+// TestTransient: nil, context errors and a chain with a true Permanent()
+// are not worth a retry; everything else is.
+func TestTransient(t *testing.T) {
+	errBoom := errors.New("boom")
+	cases := []struct {
+		err  error
+		want bool
+	}{
+		{nil, false},
+		{errBoom, true},
+		{&Error{Site: "s"}, true},
+		{context.Canceled, false},
+		{fmt.Errorf("attempt: %w", context.DeadlineExceeded), false},
+		{Permanent(errBoom), false},
+		{fmt.Errorf("job: %w", Permanent(errBoom)), false},
+		{refusedErr(true), false},
+		{refusedErr(false), true},
+	}
+	for _, tc := range cases {
+		if got := Transient(tc.err); got != tc.want {
+			t.Errorf("Transient(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+	if err := Permanent(errBoom); err.Error() != "boom" || !errors.Is(err, errBoom) {
+		t.Errorf("Permanent(boom) = %q, does not read or unwrap as boom", err)
+	}
+}
+
 // TestRetry drives the one retry loop through each of its rules. Every row
 // runs under a 10 s deadline, so a row that waits an hour-long backoff it
 // should not fails on the deadline instead of hanging.
 func TestRetry(t *testing.T) {
 	errBoom := errors.New("boom")
-	all := func(error) bool { return true }
-	none := func(error) bool { return false }
 	instant := Policy{Attempts: 3}
 	hour := Policy{Attempts: 3, Base: time.Hour, Max: time.Hour}
 	cases := []struct {
-		name      string
-		p         Policy
-		fails     int   // tries that fail before one succeeds
-		fail      error // what a failing try returns
-		retryable func(error) bool
-		cancel    bool   // onRetry cancels ctx, so the wait must end with it
-		events    string // T per try, R per onRetry, in order
-		want      error
+		name   string
+		p      Policy
+		fails  int    // tries that fail before one succeeds
+		fail   error  // what a failing try returns
+		cancel bool   // onRetry cancels ctx, so the wait must end with it
+		events string // T per try, R per onRetry, in order
+		want   error
 	}{
-		{"stops at the first success", instant, 1, errBoom, all, false, "TRT", nil},
-		{"stops on a rejected error", instant, 5, errBoom, none, false, "T", errBoom},
-		{"never retries context.Canceled", instant, 5, fmt.Errorf("wrapped: %w", context.Canceled), all, false, "T", context.Canceled},
-		{"spends exactly Attempts", instant, 5, errBoom, all, false, "TRTRT", errBoom},
-		{"zero policy tries once", Policy{}, 5, errBoom, all, false, "T", errBoom},
-		{"RetryAfter replaces the backoff", hour, 2, busyErr(time.Millisecond), all, false, "TRTRT", nil},
-		{"ctx cancelled mid-wait", hour, 5, errBoom, all, true, "TR", context.Canceled},
+		{"stops at the first success", instant, 1, errBoom, false, "TRT", nil},
+		{"stops on a rejected error", instant, 5, Permanent(errBoom), false, "T", errBoom},
+		{"stops on an error that says it is permanent", instant, 5, refusedErr(true), false, "T", refusedErr(true)},
+		{"never retries context.Canceled", instant, 5, fmt.Errorf("wrapped: %w", context.Canceled), false, "T", context.Canceled},
+		{"spends exactly Attempts", instant, 5, errBoom, false, "TRTRT", errBoom},
+		{"zero policy tries once", Policy{}, 5, errBoom, false, "T", errBoom},
+		{"RetryAfter replaces the backoff", hour, 2, busyErr(time.Millisecond), false, "TRTRT", nil},
+		{"ctx cancelled mid-wait", hour, 5, errBoom, true, "TR", context.Canceled},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			var events strings.Builder
-			attempts, err := Retry(ctx, tc.p, 7, tc.retryable,
+			attempts, err := Retry(ctx, tc.p, 7,
 				func(last error) {
 					events.WriteByte('R')
 					if !errors.Is(last, tc.fail) {

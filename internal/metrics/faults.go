@@ -1,7 +1,7 @@
 package metrics
 
 // FaultCounters tracks the fault-tolerance layer's recovery activity:
-// panics converted to errors, retries at tile and job granularity, tiles
+// panics converted to errors, retries of tiles and of artifact stages, tiles
 // that exhausted their retry budget, jobs completed degraded, and jobs
 // re-enqueued from the crash-recovery journal. All fields are atomic so the
 // evaluation workers, the job manager and the HTTP layer can share one
@@ -13,7 +13,7 @@ type FaultCounters struct {
 	// TileRetries counts per-tile / per-block attempt repeats inside one
 	// evaluation.
 	TileRetries Counter `json:"tile_retries"`
-	// JobRetries counts whole-job attempt repeats by the job manager.
+	// JobRetries counts artifact-stage retries.
 	JobRetries Counter `json:"job_retries"`
 	// TilesFailed counts tiles/blocks that exhausted their retry budget.
 	TilesFailed Counter `json:"tiles_failed"`

@@ -13,6 +13,7 @@ import (
 	"unstencil/internal/artifact"
 	"unstencil/internal/core"
 	"unstencil/internal/dg"
+	"unstencil/internal/fault"
 	"unstencil/internal/geom"
 	"unstencil/internal/mesh"
 	"unstencil/internal/metrics"
@@ -188,7 +189,7 @@ var errNoStore = errors.New("no artifact store attached")
 func (a *Artifacts) Field(m *mesh.Mesh, meshID string, p int, fieldKind string) (*dg.Field, bool, error) {
 	fn, ok := FieldFuncs[fieldKind]
 	if !ok {
-		return nil, false, fmt.Errorf("unknown field %q (have %v)", fieldKind, FieldNames())
+		return nil, false, fault.Permanent(fmt.Errorf("unknown field %q (have %v)", fieldKind, FieldNames()))
 	}
 	key := fmt.Sprintf("field:%s/p%d/%s", meshID, p, fieldKind)
 	v, hit, err := a.cache.GetOrBuild(key, func() (any, int64, error) {

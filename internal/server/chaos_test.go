@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -381,5 +382,57 @@ func TestChaosApplyPanicRecovered(t *testing.T) {
 	direct, _ := json.Marshal(map[string]any{"mesh_id": meshID, "p": 1, "points": pts})
 	if resp, data := postQuery(t, ts, string(direct)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("direct query after the recovered panics: status %d body %s", resp.StatusCode, data)
+	}
+}
+
+// TestUnitRetryBudget: under an N-attempt policy a per-point block that
+// always fails runs N times: the unit layer is the only one that re-runs
+// it, so a strict job fails after N calls and an allow_partial job after
+// N calls of each of its four blocks. A job on an absent mesh fails after
+// one attempt, since a missing mesh is permanent, and nothing above the
+// unit retries.
+func TestUnitRetryBudget(t *testing.T) {
+	m := mesh.Structured(4)
+	for n := 1; n <= 4; n++ {
+		srv := mustNew(t, Config{Workers: 1, EvalWorkers: 1, Retry: fault.Policy{Attempts: n}})
+		meshID := putMesh(t, srv, m)
+		run := func(spec JobSpec) *Job {
+			t.Helper()
+			job, err := srv.Manager().Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-job.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatalf("N=%d: job %+v did not finish", n, spec)
+			}
+			return job
+		}
+		for _, partial := range []bool{false, true} {
+			enableFaults(t, fault.Config{Seed: 1, Mode: fault.ModeError, Sites: map[string]float64{core.SitePointBlock: 1}})
+			st := run(JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Blocks: 4, AllowPartial: partial}).Status()
+			want, state := uint64(n), StateFailed
+			if partial {
+				want, state = uint64(4*n), StateDone
+			}
+			if got := fault.Stats()[core.SitePointBlock].Calls; got != want {
+				t.Errorf("N=%d allow_partial=%v: %s called %d times, want %d", n, partial, core.SitePointBlock, got, want)
+			}
+			if st.State != state || (partial && len(st.Coverage.FailedUnits) != 4) {
+				t.Errorf("N=%d allow_partial=%v: state %s coverage %+v, want %s", n, partial, st.State, st.Coverage, state)
+			}
+			fault.Disable()
+		}
+
+		job := run(JobSpec{MeshID: "absent", Scheme: "per-point", P: 1})
+		var je *JobError
+		if !errors.As(job.err, &je) || je.Attempts != 1 || !errors.Is(je, ErrMeshNotFound) {
+			t.Errorf("N=%d: absent mesh failed with %v, want ErrMeshNotFound after 1 attempt", n, job.err)
+		}
+		if r := srv.Faults().JobRetries.Load(); r != 0 {
+			t.Errorf("N=%d: job_retries = %d, want 0", n, r)
+		}
+		shutdownManager(t, srv)
 	}
 }

@@ -167,8 +167,9 @@ const (
 )
 
 // JobError attributes a job failure to a pipeline stage and records how many
-// whole-job attempts were spent and whether the final failure was a
-// recovered panic.
+// times that stage ran — the artifact stage retries under the server's
+// policy, the evaluate stage runs once and its units retry inside it — and
+// whether the final failure was a recovered panic.
 type JobError struct {
 	Stage    string
 	Attempts int
@@ -212,10 +213,10 @@ type Outcome struct {
 	Shards []string
 }
 
-// EvalFunc runs one attempt of a job's evaluation. A single unstencild
-// resolves the artifacts and runs core on this process; the cluster
-// coordinator fans the patches out to its shards and merges. On failure
-// the Outcome, if any, still reports the cache hits.
+// EvalFunc runs a job's evaluation, once: whatever it retries, it retries
+// itself. A single unstencild resolves the artifacts and runs core on this
+// process; the cluster coordinator fans the patches out to its shards and
+// merges. On failure the Outcome, if any, still reports the cache hits.
 type EvalFunc func(ctx context.Context, spec JobSpec) (*Outcome, error)
 
 // Job is one unit of work owned by the Manager.
@@ -354,8 +355,8 @@ var (
 )
 
 // Manager owns the bounded FIFO job queue, the worker pool executing jobs,
-// and the job registry. Each job runs its EvalFunc under a cancellable,
-// deadline-capped context, panic-isolated and retried per the policy.
+// and the job registry. Each job runs its EvalFunc once under a
+// cancellable, deadline-capped context, panic-isolated.
 type Manager struct {
 	eval       EvalFunc
 	log        *slog.Logger
@@ -364,7 +365,6 @@ type Manager struct {
 	jobTimeout time.Duration
 	defBlocks  int
 	maxJobs    int // retained job records (4096; evictOldLocked)
-	retry      fault.Policy
 	journal    *Journal
 	faults     *metrics.FaultCounters
 	// epoch is the Manager's start time. It leads every job id, so an id
@@ -395,7 +395,6 @@ type ManagerConfig struct {
 	QueueSize    int           // bounded FIFO capacity (default 64)
 	JobTimeout   time.Duration // per-job cap (default 5m)
 	DefaultBlock int           // default blocks/patches (default 16)
-	Retry        fault.Policy  // whole-job retry (default: none)
 
 	// Eval evaluates one job; required.
 	Eval EvalFunc
@@ -433,7 +432,6 @@ func NewManager(log *slog.Logger, cfg ManagerConfig) *Manager {
 		jobTimeout: cfg.JobTimeout,
 		defBlocks:  cfg.DefaultBlock,
 		maxJobs:    4096,
-		retry:      cfg.Retry,
 		journal:    cfg.Journal,
 		faults:     cfg.Faults,
 		epoch:      newEpoch(),
@@ -580,8 +578,8 @@ func (m *Manager) replayOne(p PendingJob, recoverable func(JobSpec) error) {
 }
 
 // ErrMeshNotFound marks submissions referencing a mesh the cache does not
-// hold.
-var ErrMeshNotFound = errors.New("mesh not found")
+// hold. It is permanent: no retry brings the mesh back.
+var ErrMeshNotFound = fault.Permanent(errors.New("mesh not found"))
 
 // evictOldLocked drops the oldest terminal job records over the retention
 // bound. Queued and running records are never evicted and keep their place,
@@ -789,7 +787,7 @@ func (m *Manager) runJob(job *Job) {
 	job.mu.Unlock()
 
 	m.busy.Add(1)
-	out, err := m.executeWithRetry(ctx, job.ID, job.Spec)
+	out, err := m.safeExecute(ctx, job.Spec)
 	m.busy.Add(-1)
 	cancelTimeout()
 	cancel()
@@ -826,51 +824,29 @@ func (m *Manager) runJob(job *Job) {
 	}
 }
 
-// executeWithRetry runs the job pipeline under the manager's retry policy,
-// its backoff keyed by the job id so concurrently retried jobs wake apart:
-// each attempt is panic-isolated, transient failures (including recovered
-// panics) retry, and permanent failures (cancellation, deadline,
-// validation) return immediately. The final error is a *JobError
-// attributing the failure to its pipeline stage.
-func (m *Manager) executeWithRetry(ctx context.Context, id string, spec JobSpec) (*Outcome, error) {
-	var out *Outcome
-	attempts, err := fault.Retry(ctx, m.retry, fault.HashString(id), core.Transient,
-		func(error) { m.faults.JobRetries.Add(1) },
-		func() (err error) {
-			out, err = m.safeExecute(ctx, spec)
-			return err
-		})
-	if err == nil {
-		return out, nil
-	}
-	var je *JobError
-	if !errors.As(err, &je) {
-		je = &JobError{Stage: StageEvaluate, Err: err}
-	}
-	if je.Attempts == 0 {
-		je.Attempts = attempts
-	}
-	return out, je
-}
-
-// safeExecute is one panic-isolated attempt of the job pipeline.
+// safeExecute is the one panic-isolated run of the job pipeline. Its error
+// is a *JobError attributing the failure to its pipeline stage.
 func (m *Manager) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.faults.PanicsRecovered.Add(1)
-			err = &JobError{Stage: StageEvaluate, Panicked: true,
+			err = &JobError{Stage: StageEvaluate, Attempts: 1, Panicked: true,
 				Err: fmt.Errorf("job pipeline panicked: %v\n%s", r, debug.Stack())}
+		}
+		var je *JobError
+		if err != nil && !errors.As(err, &je) {
+			err = &JobError{Stage: StageEvaluate, Attempts: 1, Err: err}
 		}
 	}()
 	return m.eval(ctx, spec)
 }
 
-// runStage runs one pipeline stage under the job context. The artifact
-// builders cannot observe a context mid-build, so the job's deadline and
-// cancellation are enforced from outside: when ctx ends the stage's
-// goroutine is abandoned (its result, if it ever finishes, still lands in
-// the artifact cache for the next attempt) and a stage-attributed error
-// returns promptly.
+// runStage runs one attempt of a pipeline stage under the job context. The
+// artifact builders cannot observe a context mid-build, so the job's
+// deadline and cancellation are enforced from outside: when ctx ends the
+// stage's goroutine is abandoned (its result, if it ever finishes, still
+// lands in the artifact cache for the next job) and a stage-attributed
+// error returns promptly.
 func (s *Server) runStage(ctx context.Context, stage string, fn func() error) error {
 	done := make(chan error, 1)
 	go func() {
@@ -880,7 +856,7 @@ func (s *Server) runStage(ctx context.Context, stage string, fn func() error) er
 		defer func() {
 			if r := recover(); r != nil {
 				s.faults.PanicsRecovered.Add(1)
-				done <- &JobError{Stage: stage, Panicked: true,
+				done <- &JobError{Stage: stage, Attempts: 1, Panicked: true,
 					Err: fmt.Errorf("stage panicked: %v\n%s", r, debug.Stack())}
 			}
 		}()
@@ -890,7 +866,7 @@ func (s *Server) runStage(ctx context.Context, stage string, fn func() error) er
 			s.faults.PanicsRecovered.Add(1)
 		}
 		if err != nil {
-			err = &JobError{Stage: stage, Err: err, Panicked: pe != nil}
+			err = &JobError{Stage: stage, Attempts: 1, Err: err, Panicked: pe != nil}
 		}
 		done <- err
 	}()
@@ -898,26 +874,19 @@ func (s *Server) runStage(ctx context.Context, stage string, fn func() error) er
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		return &JobError{Stage: stage, Err: fmt.Errorf("stage abandoned: %w", ctx.Err())}
+		return &JobError{Stage: stage, Attempts: 1, Err: fmt.Errorf("stage abandoned: %w", ctx.Err())}
 	}
 }
 
 // evaluate is a single unstencild's EvalFunc: it resolves the artifact
-// chain (mesh → field → evaluator → tiling) and runs the evaluation on
-// this process, each stage under the job's deadline. It reports which
+// chain (mesh → field → evaluator → tiling or operator) and runs the
+// evaluation on this process, each stage under the job's deadline. Only the
+// artifact stage retries, under the server's policy: a build failure (an
+// injected fault, a builder or assembly panic) costs that stage, while the
+// evaluate stage runs once and retries inside, per unit. It reports which
 // expensive artifacts were served warm from the cache. Errors are
 // stage-attributed *JobErrors.
 func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
-	mesh, ok := s.arts.Mesh(spec.MeshID)
-	if !ok {
-		return nil, &JobError{Stage: StageArtifacts,
-			Err: fmt.Errorf("mesh %q evicted before the job ran: %w", spec.MeshID, ErrMeshNotFound)}
-	}
-	boundary, err := ParseBoundary(spec.Boundary)
-	if err != nil {
-		return nil, &JobError{Stage: StageArtifacts, Err: err}
-	}
-
 	// Artifact stage: kernel tables, grids, projections, tiling. The builds
 	// cannot observe ctx, so runStage bounds them from outside.
 	var (
@@ -927,46 +896,65 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		op     *operator.Operator
 		fields []*dg.Field // operator-scheme inputs, one per batched field
 	)
-	if err := s.runStage(ctx, StageArtifacts, func() error {
-		var hit bool
-		var err error
-		ev, hit, err = s.arts.Evaluator(mesh, spec.MeshID, spec.P, spec.GridDegree, boundary, spec.Field)
-		if err != nil {
-			return err
-		}
-		if hit {
-			hits = append(hits, "evaluator")
-		}
-		switch spec.Scheme {
-		case "per-element":
-			tiling, hit, err = s.arts.Tiling(ev, OpKey(spec.MeshID, spec.P, ev.Opt.GridDegree, boundary), spec.Blocks)
-			if err != nil {
-				return err
-			}
-			if hit {
-				hits = append(hits, "tiling")
-			}
-		case "operator":
-			// The operator is field-independent, so a job on a new field
-			// against a warm mesh hits here and skips all geometry; after a
-			// restart the disk tier answers instead and the job reports
-			// "operator-disk".
-			var src string
-			op, src, err = s.arts.Operator(ev, spec.MeshID)
-			if err != nil {
-				return err
-			}
-			hits = appendOpHit(hits, src)
-			// Project every batched input field now, while still under the
-			// artifact stage; the evaluate stage is then pure arithmetic.
-			fields, err = s.arts.fields(mesh, spec.MeshID, spec.P, spec.Fields, ev.Field)
-			return err
-		}
-		return nil
-	}); err != nil {
+	attempts, err := fault.Retry(ctx, s.cfg.Retry, fault.HashString(spec.MeshID),
+		func(error) { s.faults.JobRetries.Add(1) },
+		func() error {
+			hits = nil
+			return s.runStage(ctx, StageArtifacts, func() error {
+				mesh, ok := s.arts.Mesh(spec.MeshID)
+				if !ok {
+					return fmt.Errorf("mesh %q evicted before the job ran: %w", spec.MeshID, ErrMeshNotFound)
+				}
+				boundary, err := ParseBoundary(spec.Boundary)
+				if err != nil {
+					return fault.Permanent(err)
+				}
+				var hit bool
+				ev, hit, err = s.arts.Evaluator(mesh, spec.MeshID, spec.P, spec.GridDegree, boundary, spec.Field)
+				if err != nil {
+					return err
+				}
+				if hit {
+					hits = append(hits, "evaluator")
+				}
+				switch spec.Scheme {
+				case "per-element":
+					tiling, hit, err = s.arts.Tiling(ev, OpKey(spec.MeshID, spec.P, ev.Opt.GridDegree, boundary), spec.Blocks)
+					if err != nil {
+						return err
+					}
+					if hit {
+						hits = append(hits, "tiling")
+					}
+				case "operator":
+					// The operator is field-independent, so a job on a new
+					// field against a warm mesh hits here and skips all
+					// geometry; after a restart the disk tier answers instead
+					// and the job reports "operator-disk".
+					var src string
+					op, src, err = s.arts.Operator(ev, spec.MeshID)
+					if err != nil {
+						return err
+					}
+					hits = appendOpHit(hits, src)
+					// Project every batched input field now, while still
+					// under the artifact stage; the evaluate stage is then
+					// pure arithmetic.
+					fields, err = s.arts.fields(mesh, spec.MeshID, spec.P, spec.Fields, ev.Field)
+					return err
+				}
+				return nil
+			})
+		})
+	if err != nil {
 		// No cache hits to report: a stage abandoned at its deadline may
 		// still be appending to them.
-		return nil, err
+		var je *JobError
+		if !errors.As(err, &je) { // the job ended during a backoff
+			je = &JobError{Stage: StageArtifacts, Err: err}
+		}
+		je.Attempts = attempts
+		return nil, je
 	}
 
 	// Operator scheme: the evaluation is one sparse apply, bounded by the
@@ -993,7 +981,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		res, err = ev.RunPerPointResilientCtx(ctx, spec.Blocks, rs)
 	}
 	if err != nil {
-		return &Outcome{CacheHits: hits}, &JobError{Stage: StageEvaluate, Err: err}
+		return &Outcome{CacheHits: hits}, &JobError{Stage: StageEvaluate, Attempts: 1, Err: err}
 	}
 	return &Outcome{
 		Solutions:      [][]float64{res.Solution},

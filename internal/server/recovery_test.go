@@ -109,38 +109,48 @@ func TestSubmissionCaps(t *testing.T) {
 	}
 }
 
-// A job whose caller gives up while the manager waits out a backoff failed
-// because of the cancel, after the attempts actually made — not after the
-// whole budget, and not with the transient error that was being retried.
+// A job whose caller gives up while its artifact stage waits out a backoff
+// failed because of the cancel, after the attempts actually made — not
+// after the whole budget, and not with the transient error that was being
+// retried. Every integrated assembly row fails, so each attempt of the
+// operator build fails with an injected, transient error.
 func TestJobRetryCancelDuringBackoff(t *testing.T) {
-	srv, _ := newTestServer(t, Config{
+	srv := mustNew(t, Config{
 		Workers: 1,
 		// The backoff outlasts the test: only the cancel can end it.
 		Retry: fault.Policy{Attempts: 3, Base: time.Minute, Max: time.Minute},
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		// An absent mesh fails every attempt with a retryable error.
-		_, err := srv.Manager().executeWithRetry(ctx, "job-absent", JobSpec{MeshID: "absent", Scheme: "per-point", P: 1})
-		done <- err
-	}()
+	t.Cleanup(func() { shutdownManager(t, srv) })
+	meshID := putMesh(t, srv, mesh.Structured(4))
+	enableFaults(t, fault.Config{Seed: 1, Mode: fault.ModeError, Sites: map[string]float64{"core.assemble-row": 1}})
+	job, err := srv.Manager().Submit(JobSpec{MeshID: meshID, Scheme: "operator", P: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for deadline := time.Now().Add(10 * time.Second); srv.Faults().JobRetries.Load() == 0; {
 		if time.Now().After(deadline) {
-			t.Fatal("manager never entered its first backoff")
+			t.Fatal("artifact stage never entered its first backoff")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cancel()
-	err := <-done
+	if err := srv.Manager().Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled job still waiting out its backoff")
+	}
+	job.mu.Lock()
+	err = job.err
+	job.mu.Unlock()
 
-	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrMeshNotFound) {
+	if !errors.Is(err, context.Canceled) || errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want context.Canceled alone", err)
 	}
 	var je *JobError
-	if !errors.As(err, &je) || je.Attempts != 1 {
-		t.Fatalf("err = %v, want a *JobError after 1 attempt", err)
+	if !errors.As(err, &je) || je.Attempts != 1 || je.Stage != StageArtifacts {
+		t.Fatalf("err = %v, want an artifact-stage *JobError after 1 attempt", err)
 	}
 }
 

@@ -71,8 +71,9 @@ type Config struct {
 	// re-uses disk-resident artifacts; with neither set there is no disk
 	// tier. StoreDir alone enables artifact persistence without journaling.
 	StoreDir string
-	// Retry shapes unit- and job-level retry of transient failures
-	// (zero value: no retry).
+	// Retry shapes the retry of transient failures: of each evaluation
+	// unit (a per-point block or a per-element patch), and of a job's
+	// artifact stage (zero value: no retry).
 	Retry fault.Policy
 	// Log receives structured request and job logs; nil disables logging.
 	Log *slog.Logger
@@ -151,7 +152,6 @@ func New(cfg Config) (*Server, error) {
 		QueueSize:    cfg.QueueSize,
 		JobTimeout:   cfg.JobTimeout,
 		DefaultBlock: cfg.DefaultBlocks,
-		Retry:        cfg.Retry,
 		Journal:      s.journal,
 		Faults:       s.faults,
 		Eval:         s.evaluate,

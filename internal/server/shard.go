@@ -42,9 +42,6 @@ type ShardEvalRequest struct {
 	K int `json:"k"`
 	// Patches are the tiling patch ids this shard should evaluate.
 	Patches []int `json:"patches"`
-	// AllowPartial lets patches that exhaust their retries be dropped and
-	// reported in Failed instead of failing the request.
-	AllowPartial bool `json:"allow_partial,omitempty"`
 	// TimeoutMS caps the evaluation; 0 means, and larger values are capped
 	// at, the server's job timeout.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -71,8 +68,8 @@ func (q *ShardEvalRequest) normalize() error {
 	return nil
 }
 
-// ShardEvalResponse carries the requested patches' partials plus the failed
-// set (AllowPartial only) and the exact summed counters.
+// ShardEvalResponse carries the requested patches' partials, the patches
+// that exhausted their retries (Failed) and the exact summed counters.
 type ShardEvalResponse struct {
 	MeshID         string              `json:"mesh_id"`
 	K              int                 `json:"k"`
@@ -85,9 +82,10 @@ type ShardEvalResponse struct {
 }
 
 // shardEval serves POST /v1/shard/eval: patch-scoped per-element
-// evaluation, synchronous on the request goroutine like /v1/query. The
-// coordinator owns job lifecycle, retry across shards and the final merge;
-// the shard contributes exact, deterministic partials.
+// evaluation, synchronous on the request goroutine like /v1/query. Each
+// patch retries here and one that exhausts its retries is reported in
+// Failed, for the coordinator's allow_partial and merge: a 5xx means the
+// range never ran, a 504 that it ran out of its deadline.
 func (s *Server) shardEval(r *http.Request) (*ShardEvalResponse, error) {
 	if err := fault.Inject(SiteShardEval); err != nil {
 		return nil, &Error{Status: http.StatusInternalServerError, Err: err}
@@ -107,13 +105,10 @@ func (s *Server) shardEval(r *http.Request) (*ShardEvalResponse, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(req.TimeoutMS, s.cfg.JobTimeout))
 	defer cancel()
 	start := time.Now()
-	partials, failed, err := ev.EvalPatchesResilientCtx(ctx, tiling, req.Patches, s.resilience(req.AllowPartial))
+	partials, failed, err := ev.EvalPatchesResilientCtx(ctx, tiling, req.Patches, s.resilience(true))
 	if err != nil {
-		// Transient failures (injected faults, panics) are retryable by the
-		// coordinator; permanent ones (cancellation, deadline) are its cue
-		// to give up on this attempt.
 		status := http.StatusInternalServerError
-		if !core.Transient(err) {
+		if !fault.Transient(err) {
 			status = http.StatusGatewayTimeout
 		}
 		return nil, Errorf(status, "shard eval: %v", err)
