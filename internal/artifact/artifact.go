@@ -265,15 +265,27 @@ func (c *Container) ReadSection(typ uint32) ([]byte, error) {
 	if _, err := c.r.ReadAt(buf, int64(s.Offset)); err != nil {
 		return nil, fmt.Errorf("%w: section %d truncated", ErrCorrupt, typ)
 	}
-	if got := crc32.ChecksumIEEE(buf); got != s.CRC {
-		return nil, fmt.Errorf("%w: section %d CRC mismatch (stored %08x, computed %08x)",
-			ErrCorrupt, typ, s.CRC, got)
+	if err := verifySection(s, buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
-// VerifyAll checks every section's CRC. It is the integrity pass behind
-// `unstencil-artifact verify` and hash-verified store loads.
+// verifySection checks a section's payload bytes against the CRC32 its
+// table entry stores: the one integrity comparison, over bytes read from
+// the reader or over the memory mapping in place.
+func verifySection(s SectionInfo, payload []byte) error {
+	if got := crc32.ChecksumIEEE(payload); got != s.CRC {
+		return fmt.Errorf("%w: section %d CRC mismatch (stored %08x, computed %08x)",
+			ErrCorrupt, s.Type, s.CRC, got)
+	}
+	return nil
+}
+
+// VerifyAll checks every section's CRC, reading each payload through the
+// container's reader. It is the integrity pass behind
+// `unstencil-artifact verify`; a mapped store load runs verifySection over
+// the mapping instead.
 func (c *Container) VerifyAll() error {
 	for _, s := range c.Sections {
 		if _, err := c.ReadSection(s.Type); err != nil {

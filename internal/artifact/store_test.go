@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -85,36 +86,47 @@ func TestStoreGCTornFiles(t *testing.T) {
 }
 
 // A payload bit flip below GC granularity is caught at load time by the
-// section CRC; the bad file is deleted so the next miss recomputes.
+// section CRC, whichever section it is in: the CRC pass covers every
+// section, the small ones the mapped loader reads through the file as well
+// as the arrays it aliases. Each bad file is deleted and counted, so the
+// next miss recomputes.
 func TestStoreCorruptLoadRejected(t *testing.T) {
 	st, err := NewStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := testOperator(t, 30, 24, 6, false)
+	op := testOperator(t, 30, 24, 6, true)
 	key := "op:bitrot"
-	if err := st.SaveOperator(key, op); err != nil {
-		t.Fatal(err)
-	}
-	path := st.Path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-5] ^= 0x40 // inside the last payload section
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, err := st.LoadOperator(key, true); err == nil {
-		t.Fatal("corrupt operator load succeeded")
-	}
-	if st.Has(key) {
-		t.Error("corrupt artifact left on disk")
-	}
-	snap := st.Counters()
-	if snap.CorruptRejected.Load() != 1 {
-		t.Errorf("corrupt_rejected = %d, want 1", snap.CorruptRejected.Load())
+	for i, typ := range []uint32{SecMeta, SecKey, SecRowPtr, SecBlockID, SecBlockRef, SecPool, SecPerm} {
+		if err := st.SaveOperator(key, op); err != nil {
+			t.Fatal(err)
+		}
+		path := st.Path(key)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := c.Section(typ)
+		if !ok || s.Length == 0 {
+			t.Fatalf("section %d: absent or empty in the saved operator", typ)
+		}
+		data[s.Offset+s.Length/2] ^= 0x10
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.LoadOperator(key, true); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("section %d flipped: load error %v, want ErrCorrupt", typ, err)
+		}
+		if st.Has(key) {
+			t.Errorf("section %d flipped: corrupt artifact left on disk", typ)
+		}
+		if got := st.Counters().CorruptRejected.Load(); got != uint64(i+1) {
+			t.Errorf("section %d flipped: corrupt_rejected = %d, want %d", typ, got, i+1)
+		}
 	}
 	// The rejection cleared the way: re-saving and loading works again.
 	if err := st.SaveOperator(key, op); err != nil {
@@ -122,6 +134,52 @@ func TestStoreCorruptLoadRejected(t *testing.T) {
 	}
 	if _, _, err := st.LoadOperator(key, true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The mapped load verifies the operator in place: loading one of several
+// MB allocates under 1 % of the file, where reading each section onto the
+// heap to checksum it would allocate the whole file again.
+func TestMappedLoadNoHeapCopy(t *testing.T) {
+	if !mmapSupported || !hostLittleEndian {
+		t.Skip("no mapped load path on this platform")
+	}
+	st, err := NewStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "op:large"
+	if err := st.SaveOperator(key, testOperator(t, 4000, 240, 6, true)); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(st.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 4<<20 {
+		t.Fatalf("fixture is %d bytes, want at least 4 MiB", fi.Size())
+	}
+	// The least of three loads, after a first that settles one-time
+	// initialisation.
+	least := ^uint64(0)
+	for i := 0; i < 4; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op, viaMap, err := st.LoadOperator(key, true)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !viaMap {
+			t.Fatal("load did not map the file")
+		}
+		_ = op.Backing.(*Mapping).Close()
+		if i > 0 {
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if limit := uint64(fi.Size()) / 100; least >= limit {
+		t.Errorf("mapped load of a %d-byte operator allocates %d bytes, want < %d", fi.Size(), least, limit)
 	}
 }
 

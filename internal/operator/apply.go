@@ -29,6 +29,12 @@ import (
 // with the 16,589-block palette (BenchmarkApplyVecP2, this order ahead in 9
 // and 10 of 10 pairs); 8-field SpMM 113.7 → 47.9 and 126.2 → 47.8 ms
 // (BenchmarkApplyBlockP2, 10 of 10 each).
+//
+// The SpMV's width-6 loop against the blockDot loop it replaced, on the
+// service's Structured(16) periodic P2 operator (one worker, same guest, 61
+// interleaved rounds, bitwise equal every round): 6.74 → 4.71 ms, ahead in
+// 61 of 61 rounds. Other widths keep blockDot until a request-level
+// workload runs them.
 
 // applyBlock is the row-block granularity of the parallel applies, one
 // par unit each: large enough that claim cost (one fetch-add and a
@@ -88,9 +94,18 @@ func (op *Operator) applyVec(coeffs, out []float64, workers int) error {
 	return par.Chunks(workers, op.Rows, applyBlock, func(lo, hi int) { op.applyRows(coeffs, out, lo, hi) })
 }
 
-// applyRows computes storage rows [lo, hi) for one field, one block at a
-// time through blockDot.
+// applyRows computes storage rows [lo, hi) for one field. BasisN 6
+// (polynomial degree 2, the width every operator workload of the request
+// benchmark runs) has its own loop, chosen once per call, whose
+// element-block dot is written out term by term over fixed-size arrays: no
+// inner loop, no bounds check per mode. It is blockDot's operation
+// sequence, so it yields the bits blockDot does (TestApplyRowsEveryWidth
+// pins widths 1 to 16). Every other width steps through blockDot itself.
 func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
+	if op.BasisN == 6 {
+		op.applyRows6(coeffs, out, lo, hi)
+		return
+	}
 	basisN, pool := op.BasisN, op.Pool
 	for r := lo; r < hi; r++ {
 		ids, refs := op.rowBlocks(r)
@@ -98,20 +113,48 @@ func (op *Operator) applyRows(coeffs, out []float64, lo, hi int) {
 		for b, e := range ids {
 			sum, comp = blockDot(pool[int(refs[b])*basisN:][:basisN], coeffs[int(e)*basisN:][:basisN], sum, comp)
 		}
-		if op.Perm != nil {
-			out[op.Perm[r]] = sum + comp
-		} else {
-			out[r] = sum + comp
+		op.put(out, r, sum+comp)
+	}
+}
+
+// put writes storage row r's value to its evaluation point's slot of out.
+func (op *Operator) put(out []float64, r int, v float64) {
+	if op.Perm != nil {
+		out[op.Perm[r]] = v
+	} else {
+		out[r] = v
+	}
+}
+
+// applyRows6 is applyRows at width 6: per block d = w[0]·c[0], then
+// d += w[m]·c[m] for m ascending, then addPartial, as blockDot does it.
+func (op *Operator) applyRows6(coeffs, out []float64, lo, hi int) {
+	pool := op.Pool
+	for r := lo; r < hi; r++ {
+		ids, refs := op.rowBlocks(r)
+		sum, comp := 0.0, 0.0
+		for b, e := range ids {
+			w, c := (*[6]float64)(pool[int(refs[b])*6:]), (*[6]float64)(coeffs[int(e)*6:])
+			d := w[0] * c[0]
+			d += w[1] * c[1]
+			d += w[2] * c[2]
+			d += w[3] * c[3]
+			d += w[4] * c[4]
+			d += w[5] * c[5]
+			sum, comp = addPartial(sum, comp, d)
 		}
+		op.put(out, r, sum+comp)
 	}
 }
 
 // blockDot continues a row's compensated sum (sum, comp) over one element
 // block: the plain dot d = Σ w[m]·c[m], modes ascending, folded in by
-// addPartial. It is the one copy of the row recurrence: applyRows and
-// RowDot step through it, and applyRowsBlock unrolls the same operations
-// across its 8 fields. It stays under the inliner's budget, so the SpMV pays
-// no call per block.
+// addPartial. It is the one definition of the row recurrence: RowDot, and
+// applyRows at every width but 6, step through it; applyRows6 writes the
+// same operations out term by term, and applyRowsBlock unrolls them across
+// its 8 fields. TestApplyRowsEveryWidth pins applyRows to it bitwise at
+// every width. It stays under the inliner's budget, so the SpMV pays no
+// call per block.
 func blockDot(w, c []float64, sum, comp float64) (float64, float64) {
 	d := w[0] * c[0]
 	for m := 1; m < len(w); m++ {

@@ -445,6 +445,100 @@ func TestApplyBlockDotPlain(t *testing.T) {
 	}
 }
 
+// TestApplyRowsEveryWidth holds every kernel width to blockDot's operation
+// order: BasisN 1 to 16, which covers the unrolled loop at 6 and
+// blockDot's own loop at every other width. Each row of one to three
+// blocks carries the order-sensitive triple 1e16, 1, −1e16, under a random
+// sign, starting at each position of its weights in turn, among weights of
+// random sign; field 0 is all ones, so a reordered dot or partial sum
+// cancels to different bits. With Perm nil and set, at workers 1 and 3,
+// every ApplyVec row equals RowDot of the stored row bitwise, and ApplyBlock
+// at widths 1, 5 and 8 equals ApplyVec bitwise.
+func TestApplyRowsEveryWidth(t *testing.T) {
+	const rows, elems = 600, 7
+	for bn := 1; bn <= 16; bn++ {
+		rng := rand.New(rand.NewSource(int64(bn)))
+		ids, vals := make([][]int32, rows), make([][]float64, rows)
+		for r := range ids {
+			nb := 1 + r%3
+			for _, e := range rng.Perm(elems)[:nb] {
+				ids[r] = append(ids[r], int32(e))
+			}
+			slices.Sort(ids[r])
+			v := make([]float64, nb*bn)
+			for i := range v {
+				v[i] = (0.5 + rng.Float64()) * float64(1-2*rng.Intn(2))
+			}
+			sign := float64(1 - 2*rng.Intn(2))
+			for i, x := range []float64{1e16, 1, -1e16}[:min(3, len(v))] {
+				v[(r/3+i)%len(v)] = sign * x
+			}
+			vals[r] = v
+		}
+		coeffs := randFields(elems*bn, 8, int64(bn))
+		for c := range coeffs[0] {
+			coeffs[0][c] = 1
+		}
+		for _, perm := range [][]int32{nil, rowPerm(rng, rows)} {
+			b := operator.NewBuilder(rows, elems*bn, bn)
+			for r := range ids {
+				b.SetRowBlocks(r, ids[r], vals[r])
+			}
+			op := b.Finish(perm, 1)
+			want := mkVecs(len(coeffs), rows)
+			var es []int32
+			var ws []float64
+			for r := 0; r < rows; r++ {
+				es, ws = op.Row(r, es, ws)
+				pt := r
+				if perm != nil {
+					pt = int(perm[r])
+				}
+				for f := range coeffs {
+					want[f][pt] = operator.RowDot(es, ws, coeffs[f])
+				}
+			}
+			for _, workers := range []int{1, 3} {
+				vec := mkVecs(len(coeffs), rows)
+				for f := range coeffs {
+					if err := op.ApplyVec(coeffs[f], vec[f], workers); err != nil {
+						t.Fatal(err)
+					}
+					expectBits(t, fmt.Sprintf("basisN %d perm=%v workers %d: ApplyVec field %d against RowDot", bn, perm != nil, workers, f), vec[f], want[f])
+				}
+				for _, nf := range []int{1, 5, 8} {
+					blk := mkVecs(nf, rows)
+					if err := op.ApplyBlock(coeffs[:nf], blk, workers); err != nil {
+						t.Fatal(err)
+					}
+					for f := range blk {
+						expectBits(t, fmt.Sprintf("basisN %d perm=%v workers %d: ApplyBlock width %d field %d against ApplyVec", bn, perm != nil, workers, nf, f), blk[f], vec[f])
+					}
+				}
+			}
+		}
+	}
+}
+
+// rowPerm is a random permutation of n storage rows.
+func rowPerm(rng *rand.Rand, n int) []int32 {
+	perm := make([]int32, n)
+	for i, p := range rng.Perm(n) {
+		perm[i] = int32(p)
+	}
+	return perm
+}
+
+// expectBits fails unless got and want are bitwise equal.
+func expectBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: point %d is %x, want %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
 // expectAllocFree runs the serial apply paths over op and nf fields and
 // fails on any steady-state allocation: the packed tile is pooled, the
 // accumulators are stack arrays.

@@ -213,7 +213,7 @@ func TestChaosDegradedJob(t *testing.T) {
 // goroutine must not take the shard down. Every row of an unstructured mesh
 // is integrated (nothing to stamp), so the first row the dispatcher's
 // goroutines reach panics at core.assemble-row; the assembly comes back as a
-// *par.PanicError, the job layer retries it whole, and the operator job
+// *par.PanicError, the job's artifact stage retries it, and the operator job
 // finishes at 1e-12 agreement with direct per-point evaluation. The same
 // panic under a synchronous operator query is a JSON 500, not a 422 and not
 // a dead process. Both recoveries are visible in /debug/metrics.

@@ -57,10 +57,15 @@ func (q *ShardEvalRequest) normalize() error {
 	if len(q.Patches) == 0 {
 		return errors.New("patches must be non-empty")
 	}
+	seen := make([]bool, q.K)
 	for _, p := range q.Patches {
 		if p < 0 || p >= q.K {
 			return fmt.Errorf("patch %d outside [0, %d)", p, q.K)
 		}
+		if seen[p] {
+			return fmt.Errorf("patch %d repeats", p)
+		}
+		seen[p] = true
 	}
 	if q.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0, got %d", q.TimeoutMS)

@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"unstencil/internal/core"
 	"unstencil/internal/dg"
+	"unstencil/internal/fault"
 	"unstencil/internal/mesh"
 )
 
@@ -108,5 +111,36 @@ func TestShardEvalValidation(t *testing.T) {
 	}, nil)
 	if code != http.StatusNotFound {
 		t.Errorf("unknown mesh: status %d, want 404", code)
+	}
+}
+
+// TestShardEvalRejectsRepeatedPatch: a patch id listed twice is a 400 that
+// names the patch, decided before any patch runs — not a 500 from the
+// evaluator, which the coordinator would retry though every try fails the
+// same way.
+func TestShardEvalRejectsRepeatedPatch(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	meshID := uploadMesh(t, ts, mesh.Structured(4))
+	// Probability 0 counts the tile calls without failing any.
+	enableFaults(t, fault.Config{Seed: 1, Mode: fault.ModeError, Sites: map[string]float64{core.SiteTile: 0}})
+
+	body, err := json.Marshal(ShardEvalRequest{MeshID: meshID, P: 1, K: 4, Patches: []int{2, 0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/shard/eval", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "patch 2 repeats") {
+		t.Fatalf("status %d body %s, want 400 naming patch 2", resp.StatusCode, msg)
+	}
+	if calls := fault.Stats()[core.SiteTile].Calls; calls != 0 {
+		t.Errorf("%s called %d times, want 0", core.SiteTile, calls)
 	}
 }
