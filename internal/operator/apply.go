@@ -30,10 +30,18 @@ import (
 // and 10 of 10 pairs); 8-field SpMM 113.7 → 47.9 and 126.2 → 47.8 ms
 // (BenchmarkApplyBlockP2, 10 of 10 each).
 //
-// The SpMV's width-6 loop against the blockDot loop it replaced, on the
-// service's Structured(16) periodic P2 operator (one worker, same guest, 61
-// interleaved rounds, bitwise equal every round): 6.74 → 4.71 ms, ahead in
-// 61 of 61 rounds. Other widths keep blockDot until a request-level
+// Both kernels have a width-6 loop, chosen once per call. The SpMV's loop
+// against the blockDot loop it replaced, on the service's Structured(16)
+// periodic P2 operator (one worker, same guest, 61 interleaved rounds,
+// bitwise equal every round): 6.74 → 4.71 ms, ahead in 61 of 61 rounds.
+// The SpMM does 18 flops per (block, lane), 6 multiplies and 5 adds of the
+// block dot and 7 of the TwoSum: 157.4 M per 8-field apply of that operator
+// (1,093,120 blocks). Its width-6 loop against the mode loop it replaced
+// (41 interleaved rounds, bitwise equal every round): 51.6 → 38.7 ms, ahead
+// in 41 of 41, 3.0 → 4.1 GFlop/s. Eight lanes give eight independent add
+// chains, so the bound is the flop rate, not the 9.6 MB streamed: scalar
+// SSE2 retires two flops per cycle, 4.2 GFlop/s at the guest's nominal
+// 2.1 GHz. Other widths keep the generic loops until a request-level
 // workload runs them.
 
 // applyBlock is the row-block granularity of the parallel applies, one
@@ -151,10 +159,10 @@ func (op *Operator) applyRows6(coeffs, out []float64, lo, hi int) {
 // block: the plain dot d = Σ w[m]·c[m], modes ascending, folded in by
 // addPartial. It is the one definition of the row recurrence: RowDot, and
 // applyRows at every width but 6, step through it; applyRows6 writes the
-// same operations out term by term, and applyRowsBlock unrolls them across
-// its 8 fields. TestApplyRowsEveryWidth pins applyRows to it bitwise at
-// every width. It stays under the inliner's budget, so the SpMV pays no
-// call per block.
+// same operations out term by term, applyRowsBlock unrolls them across its
+// 8 fields, and applyRowsBlock6 across both fields and modes.
+// TestApplyRowsEveryWidth pins both kernels to it bitwise at every width.
+// It stays under the inliner's budget, so the SpMV pays no call per block.
 func blockDot(w, c []float64, sum, comp float64) (float64, float64) {
 	d := w[0] * c[0]
 	for m := 1; m < len(w); m++ {
@@ -222,9 +230,14 @@ const fieldBlock = 8
 
 // wideTile reports whether a tile of w ≤ fieldBlock fields runs through the
 // SpMM, zero-padded to fieldBlock, rather than as w SpMVs. A padded tile
-// costs about what a full one does, and a full tile about 4–5 SpMVs on the
-// P2-shaped bench operators (BenchmarkApplyBlockWidthsP2), so tiles of more
-// than half the width go to the SpMM.
+// costs about what a full one does. On the P2-shaped bench operators
+// (BenchmarkApplyBlockWidthsP2, one worker, 10 rounds, medians) a full tile
+// costs 4.2 SpMVs with the 16,589-block palette an assembled operator
+// shares, and 3.3 with unique blocks, whose SpMV streams 52 MB. At four
+// fields four SpMVs beat a padded tile on the palette, 37.2 against 41.2 ms
+// in 10 of 10 rounds, and lose on unique blocks, 45.0 against 37.3 ms. The
+// service's operators share their blocks, so tiles of more than half the
+// width go to the SpMM.
 func wideTile(w int) bool { return w > fieldBlock/2 }
 
 // ApplyBlock computes the operator × dense block product
@@ -330,7 +343,13 @@ func (op *Operator) ApplyBlockCounters(nf int) metrics.Counters {
 // partials d0..d7, each field's plain dot with modes ascending; the block
 // then folds the eight partials into their compensated sums by addPartial.
 // That is blockDot's operation sequence per field, unrolled across fields.
+// BasisN 6 has its own loop, chosen once per call as applyRows chooses
+// applyRows6; every other width runs the mode loop below.
 func (op *Operator) applyRowsBlock(packed []float64, out [][]float64, lo, hi int) {
+	if op.BasisN == 6 {
+		op.applyRowsBlock6(packed, out, lo, hi)
+		return
+	}
 	basisN, pool := op.BasisN, op.Pool
 	for r := lo; r < hi; r++ {
 		ids, refs := op.rowBlocks(r)
@@ -362,12 +381,86 @@ func (op *Operator) applyRowsBlock(packed []float64, out [][]float64, lo, hi int
 			sum[6], comp[6] = addPartial(sum[6], comp[6], d6)
 			sum[7], comp[7] = addPartial(sum[7], comp[7], d7)
 		}
-		pt := r
-		if op.Perm != nil {
-			pt = int(op.Perm[r])
+		op.putBlock(out, r, &sum, &comp)
+	}
+}
+
+// putBlock writes storage row r's lane values sum[f]+comp[f] to its
+// evaluation point's slot of each output vector.
+func (op *Operator) putBlock(out [][]float64, r int, sum, comp *[fieldBlock]float64) {
+	pt := r
+	if op.Perm != nil {
+		pt = int(op.Perm[r])
+	}
+	for f, o := range out {
+		o[pt] = sum[f] + comp[f]
+	}
+}
+
+// applyRowsBlock6 is applyRowsBlock at width 6: the weights of a block are
+// one [6]float64, its coefficient tile one [6·fieldBlock]float64, and the
+// six mode rounds are written out, modes ascending, so no mode loop and no
+// bounds check per mode is left.
+func (op *Operator) applyRowsBlock6(packed []float64, out [][]float64, lo, hi int) {
+	pool := op.Pool
+	for r := lo; r < hi; r++ {
+		ids, refs := op.rowBlocks(r)
+		var sum, comp [fieldBlock]float64
+		for b, e := range ids {
+			w := (*[6]float64)(pool[int(refs[b])*6:])
+			c := (*[6 * fieldBlock]float64)(packed[int(e)*6*fieldBlock:])
+			w0, w1, w2, w3, w4, w5 := w[0], w[1], w[2], w[3], w[4], w[5]
+			d0, d1, d2, d3 := w0*c[0], w0*c[1], w0*c[2], w0*c[3]
+			d4, d5, d6, d7 := w0*c[4], w0*c[5], w0*c[6], w0*c[7]
+			d0 += w1 * c[8]
+			d1 += w1 * c[9]
+			d2 += w1 * c[10]
+			d3 += w1 * c[11]
+			d4 += w1 * c[12]
+			d5 += w1 * c[13]
+			d6 += w1 * c[14]
+			d7 += w1 * c[15]
+			d0 += w2 * c[16]
+			d1 += w2 * c[17]
+			d2 += w2 * c[18]
+			d3 += w2 * c[19]
+			d4 += w2 * c[20]
+			d5 += w2 * c[21]
+			d6 += w2 * c[22]
+			d7 += w2 * c[23]
+			d0 += w3 * c[24]
+			d1 += w3 * c[25]
+			d2 += w3 * c[26]
+			d3 += w3 * c[27]
+			d4 += w3 * c[28]
+			d5 += w3 * c[29]
+			d6 += w3 * c[30]
+			d7 += w3 * c[31]
+			d0 += w4 * c[32]
+			d1 += w4 * c[33]
+			d2 += w4 * c[34]
+			d3 += w4 * c[35]
+			d4 += w4 * c[36]
+			d5 += w4 * c[37]
+			d6 += w4 * c[38]
+			d7 += w4 * c[39]
+			d0 += w5 * c[40]
+			d1 += w5 * c[41]
+			d2 += w5 * c[42]
+			d3 += w5 * c[43]
+			d4 += w5 * c[44]
+			d5 += w5 * c[45]
+			d6 += w5 * c[46]
+			d7 += w5 * c[47]
+			sum[0], comp[0] = addPartial(sum[0], comp[0], d0)
+			sum[1], comp[1] = addPartial(sum[1], comp[1], d1)
+			sum[2], comp[2] = addPartial(sum[2], comp[2], d2)
+			sum[3], comp[3] = addPartial(sum[3], comp[3], d3)
+			sum[4], comp[4] = addPartial(sum[4], comp[4], d4)
+			sum[5], comp[5] = addPartial(sum[5], comp[5], d5)
+			sum[6], comp[6] = addPartial(sum[6], comp[6], d6)
+			sum[7], comp[7] = addPartial(sum[7], comp[7], d7)
 		}
-		for f, o := range out {
-			o[pt] = sum[f] + comp[f]
-		}
+		op.putBlock(out, r, &sum, &comp)
 	}
 }

@@ -564,11 +564,14 @@ func expectAllocFree(t *testing.T, op *operator.Operator, nf int) {
 }
 
 // Stamped rows, a full field tile followed by one narrow-tile field, and by
-// a zero-padded tile of five fields.
+// a zero-padded tile of five fields, at BasisN 3 (the generic loops) and 6
+// (applyRows6 and applyRowsBlock6).
 func TestApplyAllocFree(t *testing.T) {
-	op := synthetic(600, 150, 3, 9, true, false, true)
-	for _, nf := range []int{9, 13} {
-		expectAllocFree(t, op, nf)
+	for _, basisN := range []int{3, 6} {
+		op := synthetic(600, 150, basisN, 9, true, false, true)
+		for _, nf := range []int{9, 13} {
+			expectAllocFree(t, op, nf)
+		}
 	}
 }
 
@@ -581,33 +584,35 @@ func TestBSRApplyAllocFree(t *testing.T) {
 // which Validate would have refused — comes back as a *par.PanicError from
 // ApplyVec and from both ApplyBlock tile kinds instead of killing the
 // process, and the operator it shares the tile pool with still applies
-// bitwise afterwards.
+// bitwise afterwards. BasisN 3 runs the generic loops, 6 the width-6 ones.
 func TestApplyPanicRecovered(t *testing.T) {
-	op := synthetic(600, 150, 3, 9, true, false, true)
-	bad := *op
-	bad.BlockRef = slices.Clone(op.BlockRef)
-	bad.BlockRef[len(bad.BlockRef)-1] = int32(len(op.Pool)/op.BasisN) + 7
-	coeffs := randFields(op.Cols, 8, 3)
-	out := mkVecs(8, op.Rows)
-	for name, apply := range map[string]func() error{
-		"ApplyVec":          func() error { return bad.ApplyVec(coeffs[0], out[0], 2) },
-		"ApplyBlock narrow": func() error { return bad.ApplyBlock(coeffs[:2], out[:2], 2) },
-		"ApplyBlock wide":   func() error { return bad.ApplyBlock(coeffs, out, 2) },
-	} {
-		var pe *par.PanicError
-		if err := apply(); !errors.As(err, &pe) || len(pe.Stack) == 0 {
-			t.Fatalf("%s over a corrupt operator at 2 workers: err = %v, want *par.PanicError", name, err)
+	for _, basisN := range []int{3, 6} {
+		op := synthetic(600, 150, basisN, 9, true, false, true)
+		bad := *op
+		bad.BlockRef = slices.Clone(op.BlockRef)
+		bad.BlockRef[len(bad.BlockRef)-1] = int32(len(op.Pool)/op.BasisN) + 7
+		coeffs := randFields(op.Cols, 8, 3)
+		out := mkVecs(8, op.Rows)
+		for name, apply := range map[string]func() error{
+			"ApplyVec":          func() error { return bad.ApplyVec(coeffs[0], out[0], 2) },
+			"ApplyBlock narrow": func() error { return bad.ApplyBlock(coeffs[:2], out[:2], 2) },
+			"ApplyBlock wide":   func() error { return bad.ApplyBlock(coeffs, out, 2) },
+		} {
+			var pe *par.PanicError
+			if err := apply(); !errors.As(err, &pe) || len(pe.Stack) == 0 {
+				t.Fatalf("BasisN %d: %s over a corrupt operator at 2 workers: err = %v, want *par.PanicError", basisN, name, err)
+			}
 		}
-	}
-	want := mkVecs(8, op.Rows)
-	if err := op.ApplyBlock(coeffs, want, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := op.ApplyBlock(coeffs, out, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatal("ApplyBlock after a recovered panic differs from the serial apply")
+		want := mkVecs(8, op.Rows)
+		if err := op.ApplyBlock(coeffs, want, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := op.ApplyBlock(coeffs, out, 2); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("BasisN %d: ApplyBlock after a recovered panic differs from the serial apply", basisN)
+		}
 	}
 }
 

@@ -53,36 +53,45 @@ func jobSolutions(t *testing.T, ts *httptest.Server, spec JobSpec) (JobStatus, [
 // bit-identical to the corresponding single-field operator job: the SpMM
 // batching is a pure amortisation, never a numerical change. (Go's JSON
 // encoding of float64 is shortest-round-trip, so bitwise comparison
-// survives the wire.)
+// survives the wire.) P1 with three fields is a narrow tile, three SpMVs;
+// P2 with eight names, repeated as the request benchmark repeats them, is
+// one full tile through the width-6 SpMM.
 func TestMultiFieldOperatorJob(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	// Power-of-two resolution: h = 1/8 is dyadic, so element translations
 	// are bitwise exact and the assembled rows are translation-congruent.
 	id := uploadMesh(t, ts, mesh.Structured(8))
-	names := []string{"sincos", "gauss", "poly"}
-
-	single := make(map[string][]float64)
-	for _, f := range names {
-		_, sols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Field: f})
-		single[f] = sols[0]
-	}
-
-	done, sols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: names})
-	if done.NumFields != len(names) || !slices.Equal(done.Spec.Fields, names) {
-		t.Errorf("num_fields = %d, fields %v, want %d: %v", done.NumFields, done.Spec.Fields, len(names), names)
-	}
-	if len(sols) != len(names) {
-		t.Fatalf("result has %d solutions, want %d", len(sols), len(names))
-	}
-	for i, f := range names {
-		want := single[f]
-		got := sols[i]
-		if len(got) != len(want) {
-			t.Fatalf("field %s: %d points, want %d", f, len(got), len(want))
+	three := []string{"sincos", "gauss", "poly"}
+	for _, c := range []struct {
+		p     int
+		names []string
+	}{
+		{1, three},
+		{2, []string{"sincos", "gauss", "poly", "sincos", "gauss", "poly", "sincos", "gauss"}},
+	} {
+		single := make(map[string][]float64)
+		for _, f := range three {
+			_, sols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: c.p, Field: f})
+			single[f] = sols[0]
 		}
-		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("field %s point %d: batched %v != single %v", f, j, got[j], want[j])
+
+		done, sols := jobSolutions(t, ts, JobSpec{MeshID: id, Scheme: "operator", P: c.p, Fields: c.names})
+		if done.NumFields != len(c.names) || !slices.Equal(done.Spec.Fields, c.names) {
+			t.Errorf("P%d: num_fields = %d, fields %v, want %d: %v", c.p, done.NumFields, done.Spec.Fields, len(c.names), c.names)
+		}
+		if len(sols) != len(c.names) {
+			t.Fatalf("P%d: result has %d solutions, want %d", c.p, len(sols), len(c.names))
+		}
+		for i, f := range c.names {
+			want := single[f]
+			got := sols[i]
+			if len(got) != len(want) {
+				t.Fatalf("P%d field %d (%s): %d points, want %d", c.p, i, f, len(got), len(want))
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("P%d field %d (%s) point %d: batched %v != single %v", c.p, i, f, j, got[j], want[j])
+				}
 			}
 		}
 	}
@@ -90,7 +99,7 @@ func TestMultiFieldOperatorJob(t *testing.T) {
 	// mesh assembles translation-congruent stencil rows, so assembly must
 	// have stamped them.
 	ops := srv.Artifacts().Ops()
-	if ops.BlockApplies.Load() == 0 || ops.SingleApplies.Load() < uint64(len(names)) {
+	if ops.BlockApplies.Load() == 0 || ops.SingleApplies.Load() < 2*uint64(len(three)) {
 		t.Errorf("apply counters missed the traffic: block %d single %d",
 			ops.BlockApplies.Load(), ops.SingleApplies.Load())
 	}
