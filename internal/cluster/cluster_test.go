@@ -711,6 +711,7 @@ func TestClusterQueryRoutingAndHedging(t *testing.T) {
 
 	query := map[string]any{
 		"mesh_id": meshID,
+		"scheme":  "per-point",
 		"p":       1,
 		"points":  [][2]float64{{0.2, 0.3}, {0.5, 0.5}, {0.8, 0.1}},
 	}
@@ -791,7 +792,7 @@ func TestClusterQueryFailoverBudget(t *testing.T) {
 		fsB.down.Store(true)
 	}
 
-	query := map[string]any{"mesh_id": meshID, "p": 1, "points": [][2]float64{{0.2, 0.3}}}
+	query := map[string]any{"mesh_id": meshID, "scheme": "per-point", "p": 1, "points": [][2]float64{{0.2, 0.3}}}
 	var body struct {
 		ErrorKind string `json:"error_kind"`
 	}
@@ -825,7 +826,7 @@ func TestClusterReseedsRequestedMesh(t *testing.T) {
 		fsB.swap(newShardServer(t))
 	}
 
-	query := map[string]any{"mesh_id": meshID, "p": 1, "points": [][2]float64{{0.2, 0.3}}}
+	query := map[string]any{"mesh_id": meshID, "scheme": "per-point", "p": 1, "points": [][2]float64{{0.2, 0.3}}}
 	if code := postJSON(t, cts.URL+"/v1/query", query, nil); code != http.StatusOK {
 		t.Fatalf("query on the restarted home shard: status %d", code)
 	}
@@ -836,7 +837,7 @@ func TestClusterReseedsRequestedMesh(t *testing.T) {
 
 // TestClusterQueryResultShape: through the coordinator a query answers the
 // shard's QueryResult and nothing else, one values array per field, with
-// shard set to the shard that answered; the direct and use_operator
+// shard set to the shard that answered; the direct and operator
 // arrays agree bitwise.
 func TestClusterQueryResultShape(t *testing.T) {
 	_, tsA := newShard(t)
@@ -845,7 +846,7 @@ func TestClusterQueryResultShape(t *testing.T) {
 	meshID := uploadMesh(t, cts.URL, mesh.Structured(5))
 	pts := [][2]float64{{0.21, 0.34}, {0.5, 0.5}, {0.73, 0.12}}
 	names := []string{"sincos", "gauss", "poly"}
-	query := func(req server.QueryRequest) server.QueryResult {
+	query := func(req server.JobSpec) server.QueryResult {
 		t.Helper()
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -883,20 +884,72 @@ func TestClusterQueryResultShape(t *testing.T) {
 		}
 	}
 
-	direct := query(server.QueryRequest{MeshID: meshID, P: 1, Points: pts})
-	viaOp := query(server.QueryRequest{MeshID: meshID, P: 1, Points: pts, UseOperator: true})
-	batched := query(server.QueryRequest{MeshID: meshID, P: 1, Fields: names, Points: pts, UseOperator: true})
+	direct := query(server.JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Points: pts})
+	viaOp := query(server.JobSpec{MeshID: meshID, Scheme: "operator", P: 1, Points: pts})
+	batched := query(server.JobSpec{MeshID: meshID, Scheme: "operator", P: 1, Fields: names, Points: pts})
 	if len(direct.Values) != 1 || len(viaOp.Values) != 1 || len(batched.Values) != len(names) {
-		t.Fatalf("value arrays: direct %d, use_operator %d, three-field %d",
+		t.Fatalf("value arrays: direct %d, operator %d, three-field %d",
 			len(direct.Values), len(viaOp.Values), len(batched.Values))
 	}
 	if !slices.Equal(viaOp.CacheHits, []string{"evaluator"}) {
-		t.Errorf("first use_operator query: cache_hits %v, want [evaluator]", viaOp.CacheHits)
+		t.Errorf("first operator query: cache_hits %v, want [evaluator]", viaOp.CacheHits)
 	}
-	same("direct vs use_operator", direct.Values[0], viaOp.Values[0])
+	same("direct vs operator", direct.Values[0], viaOp.Values[0])
 	for i, name := range names {
-		one := query(server.QueryRequest{MeshID: meshID, P: 1, Field: name, Points: pts})
+		one := query(server.JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Field: name, Points: pts})
 		same(name+": direct vs batched", one.Values[0], batched.Values[i])
+	}
+}
+
+// TestClusterValidatesSpecs: the coordinator runs the shard's Validate at
+// its front door, so a job with points — routed or distributed — and a
+// query without a scheme are 400s naming the key, and neither reaches a
+// shard.
+func TestClusterValidatesSpecs(t *testing.T) {
+	_, tsA := newShard(t)
+	_, tsB := newShard(t)
+	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(4))
+	pts := [][2]float64{{0.5, 0.5}}
+	for _, tc := range []struct {
+		path string
+		spec server.JobSpec
+		msg  string
+	}{
+		{"/v1/jobs", server.JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Points: pts}, "/v1/query"},
+		{"/v1/jobs", server.JobSpec{MeshID: meshID, Scheme: "per-element", P: 1, Points: pts}, "/v1/query"},
+		{"/v1/query", server.JobSpec{MeshID: meshID, P: 1, Points: pts}, "scheme"},
+	} {
+		var body struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, cts.URL+tc.path, tc.spec, &body); code != http.StatusBadRequest || !strings.Contains(body.Error, tc.msg) {
+			t.Errorf("%s %s: status %d error %q, want a 400 naming %s", tc.path, tc.spec.Scheme, code, body.Error, tc.msg)
+		}
+	}
+	if n, m := co.Counters().QueriesRouted.Load(), co.Counters().JobsRouted.Load(); n+m != 0 {
+		t.Errorf("invalid specs routed: %d queries, %d jobs", n, m)
+	}
+}
+
+// TestClusterQueryDeadline: a query that spends its timeout_ms on the
+// home shard — here while a cold Structured(16) P2 operator builds — is
+// the shard's 504 through the coordinator too, not a 502 shard failure.
+func TestClusterQueryDeadline(t *testing.T) {
+	_, tsA := newShard(t)
+	_, tsB := newShard(t)
+	_, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}})
+	meshID := uploadMesh(t, cts.URL, mesh.Structured(16))
+	pts := make([][2]float64, 400)
+	for i := range pts {
+		pts[i] = [2]float64{(float64(i%20) + 0.5) / 20, (float64(i/20) + 0.5) / 20}
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	spec := server.JobSpec{MeshID: meshID, Scheme: "operator", P: 2, TimeoutMS: 1, Points: pts}
+	if code := postJSON(t, cts.URL+"/v1/query", spec, &body); code != http.StatusGatewayTimeout || !strings.Contains(body.Error, "deadline") {
+		t.Fatalf("1 ms query on a cold operator: status %d error %q, want a 504 naming the deadline", code, body.Error)
 	}
 }
 
@@ -1489,7 +1542,7 @@ func TestClusterHungShardFailsOver(t *testing.T) {
 	fsB, tsB := newShard(t)
 	co, cts := newCluster(t, Config{Shards: []string{tsA.URL, tsB.URL}, RequestTimeout: 200 * time.Millisecond})
 	meshID := uploadMesh(t, cts.URL, mesh.Structured(6))
-	query := map[string]any{"mesh_id": meshID, "p": 1, "points": [][2]float64{{0.2, 0.3}}}
+	query := map[string]any{"mesh_id": meshID, "scheme": "per-point", "p": 1, "points": [][2]float64{{0.2, 0.3}}}
 	home, hung, replica := co.ring.Order(meshID)[0], fsA, tsB.URL
 	if home == tsB.URL {
 		hung, replica = fsB, tsA.URL

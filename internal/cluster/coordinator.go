@@ -308,11 +308,12 @@ func route[T any](ctx context.Context, co *Coordinator, order []string, hedge ti
 }
 
 // proxyError is what a client receives for a failed shard interaction: a
-// relayed 4xx keeps its status, anything else — shard exhaustion included,
-// whose error_kind says shard-failure — is a 502.
+// relayed 4xx or 504 (a query that spent its deadline) keeps its status,
+// anything else — shard exhaustion included, whose error_kind says
+// shard-failure — is a 502.
 func proxyError(err error) error {
 	status := http.StatusBadGateway
-	if st := RemoteStatus(err); st/100 == 4 {
+	if st := RemoteStatus(err); st/100 == 4 || st == http.StatusGatewayTimeout {
 		status = st
 	}
 	return &server.Error{Status: status, Err: err}
@@ -379,22 +380,17 @@ func (co *Coordinator) MeshInfo(_ context.Context, id string) (any, error) {
 	return server.MeshStats(id, m), nil
 }
 
-// Query implements server.Backend: the batch goes to the mesh's home
-// shard, hedged with the next replica after HedgeDelay and failing over
-// along the succession within the failover budget.
-func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (*server.QueryResult, error) {
-	order := co.routable(req.MeshID)
-	if len(order) == 0 {
-		return nil, server.Errorf(http.StatusServiceUnavailable, "no ready shard for mesh %s", req.MeshID)
-	}
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
+// Query implements server.Backend: the spec goes to the mesh's home shard,
+// hedged with the next replica after HedgeDelay and failing over along the
+// succession within the failover budget.
+func (co *Coordinator) Query(ctx context.Context, spec server.JobSpec) (*server.QueryResult, error) {
+	if err := spec.Validate(co.cfg.DefaultBlocks, true); err != nil {
+		return nil, server.Errorf(http.StatusBadRequest, "bad query: %v", err)
 	}
 	co.counters.QueriesRouted.Add(1)
-	out, shard, err := route[server.QueryResult](ctx, co, order, co.cfg.HedgeDelay, req.MeshID, "/v1/query", raw)
+	out, shard, err := routeSpec[server.QueryResult](ctx, co, &spec, co.cfg.HedgeDelay, "/v1/query")
 	if err != nil {
-		return nil, proxyError(err)
+		return nil, err
 	}
 	out.Shard = shard
 	return &out, nil
@@ -406,7 +402,7 @@ func (co *Coordinator) Query(ctx context.Context, req *server.QueryRequest) (*se
 // the mesh's home shard (their artifacts — block schedules, assembled
 // operators — live shard-side).
 func (co *Coordinator) Submit(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
-	if err := spec.Validate(co.cfg.DefaultBlocks); err != nil {
+	if err := spec.Validate(co.cfg.DefaultBlocks, false); err != nil {
 		return server.JobStatus{}, server.Errorf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
 	if _, known := co.retained(spec.MeshID); !known {
@@ -430,20 +426,32 @@ func (co *Coordinator) Submit(ctx context.Context, spec server.JobSpec) (server.
 // submission over along the succession within the failover budget. It is
 // never hedged: a job submit is not idempotent.
 func (co *Coordinator) submitRouted(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
-	order := co.routable(spec.MeshID)
-	if len(order) == 0 {
-		return server.JobStatus{}, server.Errorf(http.StatusServiceUnavailable, "no ready shard for mesh %s", spec.MeshID)
-	}
-	raw, err := json.Marshal(&spec)
+	st, shard, err := routeSpec[server.JobStatus](ctx, co, &spec, 0, "/v1/jobs")
 	if err != nil {
 		return server.JobStatus{}, err
 	}
-	st, shard, err := route[server.JobStatus](ctx, co, order, 0, spec.MeshID, "/v1/jobs", raw)
-	if err != nil {
-		return server.JobStatus{}, proxyError(err)
-	}
 	co.counters.JobsRouted.Add(1)
 	return co.routedStatus(slices.Index(co.cfg.Shards, shard), st), nil
+}
+
+// routeSpec sends a validated spec's bytes to path on the ready shards of
+// its mesh's succession, through route, and relays a failure as the
+// client's error.
+func routeSpec[T any](ctx context.Context, co *Coordinator, spec *server.JobSpec, hedge time.Duration, path string) (T, string, error) {
+	var zero T
+	order := co.routable(spec.MeshID)
+	if len(order) == 0 {
+		return zero, "", server.Errorf(http.StatusServiceUnavailable, "no ready shard for mesh %s", spec.MeshID)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		return zero, "", err
+	}
+	out, shard, err := route[T](ctx, co, order, hedge, spec.MeshID, path, raw)
+	if err != nil {
+		return zero, "", proxyError(err)
+	}
+	return out, shard, nil
 }
 
 // A routed job's id is "s<i>-<shard job id>", i the shard's index in the

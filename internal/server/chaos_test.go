@@ -233,7 +233,7 @@ func TestChaosAssemblyPanicRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := newTestServer(t, Config{
+	srv, ts := newTestServer(t, Config{
 		Workers:     1,
 		EvalWorkers: 4,
 		Retry:       fault.Policy{Attempts: 3, Base: time.Microsecond, Max: 50 * time.Microsecond},
@@ -281,23 +281,23 @@ func TestChaosAssemblyPanicRecovered(t *testing.T) {
 		t.Errorf("panics_recovered = %d after the job, want 1", got)
 	}
 
-	// The query path assembles on the request goroutine's behalf: same
-	// panic, answered as a 500, and the next identical query succeeds.
+	// A query runs the job's artifact stage: the same panic costs one
+	// attempt, counted once and retried under the same policy, and the
+	// query answers.
 	enableFaults(t, panicOnce)
-	query := fmt.Sprintf(`{"mesh_id":%q,"p":1,"use_operator":true,"points":[[0.3,0.4],[0.6,0.2],[0.8,0.9]]}`, meshID)
-	resp, data := postQuery(t, ts, query)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("query under an assembly panic: status %d body %s, want 500", resp.StatusCode, data)
+	retries := srv.Faults().JobRetries.Load()
+	query := fmt.Sprintf(`{"mesh_id":%q,"scheme":"operator","p":1,"points":[[0.3,0.4],[0.6,0.2],[0.8,0.9]]}`, meshID)
+	if resp, data := postQuery(t, ts, query); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query under an assembly panic: status %d body %s, want 200 after a retry", resp.StatusCode, data)
 	}
-	var envelope errorBody
-	if err := json.Unmarshal(data, &envelope); err != nil || !strings.Contains(envelope.Error, "internal error") {
-		t.Errorf("500 body %s is not the JSON internal-error envelope (%v)", data, err)
+	if inj := fault.Stats()[site]; inj.Injected != 1 {
+		t.Fatalf("site %s injected %d faults, want 1 (stats %+v)", site, inj.Injected, inj)
 	}
 	if got := recovered(); got != 2 {
 		t.Errorf("panics_recovered = %d after the query, want 2", got)
 	}
-	if resp, data := postQuery(t, ts, query); resp.StatusCode != http.StatusOK {
-		t.Fatalf("query after recovery: status %d body %s", resp.StatusCode, data)
+	if got := srv.Faults().JobRetries.Load() - retries; got != 1 {
+		t.Errorf("job_retries rose by %d over the query, want 1", got)
 	}
 }
 
@@ -314,8 +314,8 @@ func corrupted(op *operator.Operator) *operator.Operator {
 // TestChaosApplyPanicRecovered: a panic in an operator-apply worker
 // goroutine (EvalWorkers 2, so the row blocks run on two goroutines) must
 // not take the server down. A job over a corrupt cached operator fails as
-// a panicked evaluate stage, a use_operator query over one is a counted
-// JSON 500, and the server answers the next request.
+// a panicked evaluate stage, an operator query over one is a counted JSON
+// 500, and the server answers the next request.
 func TestChaosApplyPanicRecovered(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 2})
 	m := mesh.Structured(8) // 384 grid points: two apply row blocks
@@ -362,7 +362,7 @@ func TestChaosApplyPanicRecovered(t *testing.T) {
 		pts[i] = [2]float64{(float64(i%20) + 0.5) / 20, (float64(i/20) + 0.5) / 20}
 		gpts[i] = geom.Pt(pts[i][0], pts[i][1])
 	}
-	body, _ := json.Marshal(map[string]any{"mesh_id": meshID, "p": 1, "points": pts, "use_operator": true})
+	body, _ := json.Marshal(map[string]any{"mesh_id": meshID, "scheme": "operator", "p": 1, "points": pts})
 	if resp, data := postQuery(t, ts, string(body)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("operator query: status %d body %s", resp.StatusCode, data)
 	}
@@ -372,14 +372,16 @@ func TestChaosApplyPanicRecovered(t *testing.T) {
 	}
 	srv.arts.cache.Put(queryOpKey(ev, meshID, gpts), corrupted(qop), qop.Bytes())
 	resp, data := postQuery(t, ts, string(body))
-	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "query operator apply") {
-		t.Fatalf("query over a corrupt operator: status %d body %s, want a 500 naming the apply", resp.StatusCode, data)
+	var envelope errorBody
+	_ = json.Unmarshal(data, &envelope) // an empty envelope fails the check
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(envelope.Error, `query panicked in stage "evaluate"`) {
+		t.Fatalf("query over a corrupt operator: status %d body %s, want a 500 naming the evaluate stage", resp.StatusCode, data)
 	}
 	if got := recovered(); got != 2 {
 		t.Errorf("panics_recovered = %d after the query, want 2", got)
 	}
 
-	direct, _ := json.Marshal(map[string]any{"mesh_id": meshID, "p": 1, "points": pts})
+	direct, _ := json.Marshal(map[string]any{"mesh_id": meshID, "scheme": "per-point", "p": 1, "points": pts})
 	if resp, data := postQuery(t, ts, string(direct)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("direct query after the recovered panics: status %d body %s", resp.StatusCode, data)
 	}

@@ -41,8 +41,8 @@ type Backend interface {
 	Result(ctx context.Context, id string) ([]byte, error)
 	// Cancel aborts a queued or running job.
 	Cancel(ctx context.Context, id string) error
-	// Query evaluates a validated batch query.
-	Query(ctx context.Context, req *QueryRequest) (*QueryResult, error)
+	// Query evaluates a spec on its points, synchronously.
+	Query(ctx context.Context, spec JobSpec) (*QueryResult, error)
 	// Readiness reports whether traffic should be routed here, the /readyz
 	// body, and, when not ready, the Retry-After seconds (0 omits it).
 	Readiness() (ready bool, body map[string]any, retryAfter int)
@@ -150,16 +150,12 @@ func NewHandler(b Backend, mux *http.ServeMux, maxBody int64, log *slog.Logger, 
 		reply(w, http.StatusOK, v, err)
 	})
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		err := decodeStrict(r.Body, &req)
-		if err == nil {
-			err = req.normalize()
-		}
-		if err != nil {
+		var spec JobSpec
+		if err := decodeStrict(r.Body, &spec); err != nil {
 			writeErr(w, Errorf(http.StatusBadRequest, "bad query: %v", err))
 			return
 		}
-		v, err := b.Query(r.Context(), &req)
+		v, err := b.Query(r.Context(), spec)
 		reply(w, http.StatusOK, v, err)
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 	"unstencil/internal/core"
 	"unstencil/internal/dg"
 	"unstencil/internal/fault"
+	"unstencil/internal/geom"
 	"unstencil/internal/metrics"
 	"unstencil/internal/operator"
 	"unstencil/internal/par"
@@ -33,7 +34,8 @@ const (
 	StateFailed  JobState = "failed"
 )
 
-// JobSpec is the client-facing description of a post-processing job.
+// JobSpec is the client-facing description of a post-processing job and,
+// with Points, of a query: the body of POST /v1/jobs and of POST /v1/query.
 type JobSpec struct {
 	// MeshID references a mesh previously uploaded via POST /v1/meshes.
 	MeshID string `json:"mesh_id"`
@@ -64,8 +66,18 @@ type JobSpec struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// AllowPartial opts this job into graceful degradation: if some tiles or
 	// blocks exhaust their retries, the job completes with their output
-	// zeroed and per-tile coverage metadata instead of failing.
+	// zeroed and per-tile coverage metadata instead of failing. A query has
+	// no units to lose, so it accepts the key and ignores it.
 	AllowPartial bool `json:"allow_partial,omitempty"`
+	// Points makes the spec a query (POST /v1/query): the evaluation
+	// positions, [x, y] pairs, in place of the grid. "per-point" evaluates
+	// them directly; "operator" assembles an operator keyed by the content
+	// hash of the batch, so every repeat (the same streamline sample set
+	// against a new field each time step) is a sparse apply. Both give the
+	// same bits. Any finite point is valid under periodic boundaries; under
+	// one-sided ones, whose kernels are only defined for stencils centred
+	// in the domain, only points of the closed unit square are.
+	Points [][2]float64 `json:"points,omitempty"`
 }
 
 // Submission caps. Requests beyond them are rejected with 400 at submission
@@ -77,12 +89,16 @@ const (
 	MaxGridDegree = 32
 	// MaxJobFields bounds the fields batched into one operator apply.
 	MaxJobFields = 32
+	// MaxQueryPoints bounds the points of one query.
+	MaxQueryPoints = 1 << 16
 )
 
 // Validate checks the spec and defaults it in place. Both a shard and the
-// cluster coordinator run it at their front door, so a bad submission is a
-// 400 there instead of an asynchronous failure later.
-func (s *JobSpec) Validate(defaultBlocks int) error {
+// cluster coordinator run it at their front door, so a bad request is a
+// 400 there instead of a failure later. query says which route the spec
+// came in on: a query must carry points and a job must not, since jobs are
+// journaled one line each and a full batch of points outgrows a line.
+func (s *JobSpec) Validate(defaultBlocks int, query bool) error {
 	switch s.Scheme {
 	case "per-point", "per-element", "operator":
 	default:
@@ -94,6 +110,15 @@ func (s *JobSpec) Validate(defaultBlocks int) error {
 	if err := checkEval(s.MeshID, s.P, s.GridDegree, &s.Boundary, &s.Field, s.Fields); err != nil {
 		return err
 	}
+	if s.TimeoutMS < 0 {
+		return fmt.Errorf("timeout_ms must be >= 0, got %d", s.TimeoutMS)
+	}
+	if query {
+		return s.checkPoints()
+	}
+	if len(s.Points) > 0 {
+		return errors.New("points are a query: POST them to /v1/query")
+	}
 	if s.Blocks == 0 {
 		s.Blocks = defaultBlocks
 	}
@@ -103,15 +128,44 @@ func (s *JobSpec) Validate(defaultBlocks int) error {
 	if s.Blocks > MaxBlocks {
 		return fmt.Errorf("blocks must be <= %d, got %d", MaxBlocks, s.Blocks)
 	}
-	if s.TimeoutMS < 0 {
-		return fmt.Errorf("timeout_ms must be >= 0, got %d", s.TimeoutMS)
+	return nil
+}
+
+// checkPoints validates a query's points and the keys that do not apply to
+// them: a query's values do not depend on the computation grid, so it
+// shares the default-grid evaluator with jobs and has no grid_degree, and
+// it is not cut into blocks or patches.
+func (s *JobSpec) checkPoints() error {
+	if s.Scheme == "per-element" {
+		return fmt.Errorf("scheme %q does not evaluate points; use %q or %q", s.Scheme, "per-point", "operator")
+	}
+	if s.GridDegree != 0 {
+		return fmt.Errorf("grid_degree does not apply to points, got %d", s.GridDegree)
+	}
+	if s.Blocks != 0 {
+		return fmt.Errorf("blocks does not apply to points, got %d", s.Blocks)
+	}
+	if len(s.Points) == 0 {
+		return errors.New("points must be non-empty")
+	}
+	if len(s.Points) > MaxQueryPoints {
+		return fmt.Errorf("at most %d points per query, got %d", MaxQueryPoints, len(s.Points))
+	}
+	for i, p := range s.Points {
+		if math.IsNaN(p[0]) || math.IsInf(p[0], 0) || math.IsNaN(p[1]) || math.IsInf(p[1], 0) {
+			return fmt.Errorf("points[%d] is not finite", i)
+		}
+		if s.Boundary == "one-sided" && (p[0] < 0 || p[0] > 1 || p[1] < 0 || p[1] > 1) {
+			return fmt.Errorf("points[%d] = (%g, %g) lies outside the unit square, which one-sided boundaries require", i, p[0], p[1])
+		}
 	}
 	return nil
 }
 
-// checkEval validates the parameters every evaluation request shares —
-// jobs, queries and shard evaluations — and defaults boundary and field in
-// place (field to fields[0] when several are batched).
+// checkEval validates the parameters every evaluation request shares — a
+// JobSpec's (Validate) and a ShardEvalRequest's (normalize) — and defaults
+// boundary and field in place (field to fields[0] when several are
+// batched).
 func checkEval(meshID string, p, gridDegree int, boundary, field *string, fields []string) error {
 	if meshID == "" {
 		return errors.New("mesh_id is required")
@@ -178,12 +232,15 @@ type JobError struct {
 }
 
 // Error implements error.
-func (e *JobError) Error() string {
+func (e *JobError) Error() string { return e.of("job") }
+
+// of is the error's message for a failed what: "job" or "query".
+func (e *JobError) of(what string) string {
 	kind := "failed"
 	if e.Panicked {
 		kind = "panicked"
 	}
-	return fmt.Sprintf("job %s in stage %q after %d attempt(s): %v", kind, e.Stage, e.Attempts, e.Err)
+	return fmt.Sprintf("%s %s in stage %q after %d attempt(s): %v", what, kind, e.Stage, e.Attempts, e.Err)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
@@ -461,7 +518,7 @@ func newEpoch() string { return strconv.FormatInt(time.Now().UnixNano(), 36) }
 // counts up zero-padded, so ids from one process sort in submission order
 // and never repeat across restarts.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	if err := spec.Validate(m.defBlocks); err != nil {
+	if err := spec.Validate(m.defBlocks, false); err != nil {
 		return nil, Errorf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
 
@@ -523,7 +580,10 @@ func (m *Manager) journalFinish(id string, state JobState) {
 // IDs; new submissions carry this Manager's epoch, so they never collide.
 // Specs are re-validated and then checked by recoverable: a job that no
 // longer passes (say its mesh is gone from both cache and disk) fails
-// immediately with a journaled finish, so it is not replayed forever.
+// immediately with a journaled finish, so it is not replayed forever. A
+// crash can leave up to QueueSize + Workers jobs pending, more than the
+// queue holds, so Replay waits for a queue slot rather than drop a job;
+// the workers are already running and drain it.
 func (m *Manager) Replay(pending []PendingJob, recoverable func(JobSpec) error) {
 	for _, p := range pending {
 		m.replayOne(p, recoverable)
@@ -539,7 +599,7 @@ func (m *Manager) replayOne(p PendingJob, recoverable func(JobSpec) error) {
 	if _, exists := m.jobs[p.ID]; exists {
 		return
 	}
-	err := p.Spec.Validate(m.defBlocks)
+	err := p.Spec.Validate(m.defBlocks, false)
 	job := &Job{
 		ID:      p.ID,
 		Spec:    p.Spec,
@@ -551,11 +611,10 @@ func (m *Manager) replayOne(p PendingJob, recoverable func(JobSpec) error) {
 		err = recoverable(p.Spec)
 	}
 	if err == nil {
-		select {
-		case m.queue <- job:
-		default:
-			err = ErrQueueFull
-		}
+		// A blocking send under m.mu: holding it keeps Shutdown from
+		// closing the queue mid-send, and runJob never takes m.mu, so the
+		// workers free the slot.
+		m.queue <- job
 	}
 	if err != nil {
 		job.state = StateFailed
@@ -878,15 +937,22 @@ func (s *Server) runStage(ctx context.Context, stage string, fn func() error) er
 	}
 }
 
-// evaluate is a single unstencild's EvalFunc: it resolves the artifact
-// chain (mesh → field → evaluator → tiling or operator) and runs the
-// evaluation on this process, each stage under the job's deadline. Only the
-// artifact stage retries, under the server's policy: a build failure (an
-// injected fault, a builder or assembly panic) costs that stage, while the
-// evaluate stage runs once and retries inside, per unit. It reports which
-// expensive artifacts were served warm from the cache. Errors are
-// stage-attributed *JobErrors.
+// evaluate is a single unstencild's EvalFunc, and the whole of a query: it
+// resolves the artifact chain (mesh → field → evaluator → tiling or
+// operator) and runs the evaluation on this process, each stage under the
+// context's deadline. Only the artifact stage retries, under the server's
+// policy: a build failure (an injected fault, a builder or assembly panic)
+// costs that stage, while the evaluate stage runs once and retries inside,
+// per unit. It reports which expensive artifacts were served warm from the
+// cache. Errors are stage-attributed *JobErrors.
 func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
+	var pts []geom.Point // a query's positions; nil evaluates the grid
+	if len(spec.Points) > 0 {
+		pts = make([]geom.Point, len(spec.Points))
+		for i, p := range spec.Points {
+			pts[i] = geom.Pt(p[0], p[1])
+		}
+	}
 	// Artifact stage: kernel tables, grids, projections, tiling. The builds
 	// cannot observe ctx, so runStage bounds them from outside.
 	var (
@@ -903,7 +969,7 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 			return s.runStage(ctx, StageArtifacts, func() error {
 				mesh, ok := s.arts.Mesh(spec.MeshID)
 				if !ok {
-					return fmt.Errorf("mesh %q evicted before the job ran: %w", spec.MeshID, ErrMeshNotFound)
+					return fmt.Errorf("mesh %q not resident (upload it via POST /v1/meshes): %w", spec.MeshID, ErrMeshNotFound)
 				}
 				boundary, err := ParseBoundary(spec.Boundary)
 				if err != nil {
@@ -927,12 +993,16 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 						hits = append(hits, "tiling")
 					}
 				case "operator":
-					// The operator is field-independent, so a job on a new
-					// field against a warm mesh hits here and skips all
-					// geometry; after a restart the disk tier answers instead
-					// and the job reports "operator-disk".
+					// The operator is field-independent, so a request on a
+					// new field against a warm mesh (or point batch) hits
+					// here and skips all geometry; after a restart the disk
+					// tier answers instead and it reports "operator-disk".
 					var src string
-					op, src, err = s.arts.Operator(ev, spec.MeshID)
+					if pts != nil {
+						op, src, err = s.arts.QueryOperator(ev, spec.MeshID, pts)
+					} else {
+						op, src, err = s.arts.Operator(ev, spec.MeshID)
+					}
 					if err != nil {
 						return err
 					}
@@ -950,20 +1020,26 @@ func (s *Server) evaluate(ctx context.Context, spec JobSpec) (*Outcome, error) {
 		// No cache hits to report: a stage abandoned at its deadline may
 		// still be appending to them.
 		var je *JobError
-		if !errors.As(err, &je) { // the job ended during a backoff
+		if !errors.As(err, &je) { // the context ended during a backoff
 			je = &JobError{Stage: StageArtifacts, Err: err}
 		}
 		je.Attempts = attempts
 		return nil, je
 	}
 
-	// Operator scheme: the evaluation is one sparse apply, bounded by the
-	// job deadline like the direct runners.
-	if spec.Scheme == "operator" {
+	// The operator scheme, and the direct scheme on given points, evaluate
+	// in one call, bounded by the deadline like the direct runners.
+	if spec.Scheme == "operator" || pts != nil {
 		out := &Outcome{MemoryOverhead: 1, CacheHits: hits}
 		if err := s.runStage(ctx, StageEvaluate, func() (err error) {
 			start := time.Now()
-			out.Solutions, out.Total, err = s.arts.applyFields(op, fields)
+			if op != nil {
+				out.Solutions, out.Total, err = s.arts.applyFields(op, fields)
+			} else {
+				var vals []float64
+				vals, out.Total, err = ev.EvalBatch(pts, ev.Opt.Workers)
+				out.Solutions = [][]float64{vals}
+			}
 			out.Wall = time.Since(start)
 			return err
 		}); err != nil {

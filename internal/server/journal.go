@@ -93,8 +93,11 @@ func replayJournal(path string) ([]PendingJob, error) {
 	}
 	defer f.Close()
 
-	open := map[string]int{} // id -> index into pending
-	var pending []PendingJob
+	// A finish cancels its id's accept wherever it lies: Submit queues a
+	// job before journaling its accept, so a fast job's finish can land
+	// first. Ids carry their manager's epoch and never repeat.
+	var accepted []PendingJob
+	finished := map[string]bool{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
@@ -104,25 +107,20 @@ func replayJournal(path string) ([]PendingJob, error) {
 		}
 		switch rec.Op {
 		case "accept":
-			if rec.Spec == nil || rec.ID == "" {
-				continue
+			if rec.Spec != nil && rec.ID != "" {
+				accepted = append(accepted, PendingJob{ID: rec.ID, Spec: *rec.Spec})
 			}
-			open[rec.ID] = len(pending)
-			pending = append(pending, PendingJob{ID: rec.ID, Spec: *rec.Spec})
 		case "finish":
-			if i, ok := open[rec.ID]; ok {
-				delete(open, rec.ID)
-				pending[i].ID = "" // tombstone
-			}
+			finished[rec.ID] = true
 		}
 	}
-	out := pending[:0]
-	for _, p := range pending {
-		if p.ID != "" {
-			out = append(out, p)
+	pending := accepted[:0]
+	for _, p := range accepted {
+		if !finished[p.ID] {
+			pending = append(pending, p)
 		}
 	}
-	return out, sc.Err()
+	return pending, sc.Err()
 }
 
 // compactJournal rewrites the journal to contain only the pending accepts,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -211,6 +212,98 @@ func TestReplayDropsUnrecoverableJob(t *testing.T) {
 	defer j2.Close()
 	if len(pending) != 0 {
 		t.Fatalf("dropped job still journaled as pending: %+v", pending)
+	}
+}
+
+// TestCleanRestartReplaysNothing: Submit queues a job before it journals
+// the accept, so an instant job's finish can precede its accept in the
+// file. A clean shutdown still leaves nothing pending: a finish cancels a
+// later accept of its id. The first id pins that order; the 200 submits
+// race it.
+func TestCleanRestartReplaysNothing(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{MeshID: "m", Scheme: "per-point", P: 1, Blocks: 1}
+	if err := j.Finish("job-finished-first", StateDone); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Accept("job-finished-first", spec); err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager(nil, ManagerConfig{
+		Workers:   4,
+		QueueSize: 256,
+		Journal:   j,
+		Eval: func(context.Context, JobSpec) (*Outcome, error) {
+			return &Outcome{Solutions: [][]float64{{0}}}, nil
+		},
+	})
+	for i := 0; i < 200; i++ {
+		if _, err := mgr.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, pending, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(pending) != 0 {
+		t.Fatalf("%d finished jobs pending after a clean restart, e.g. %s", len(pending), pending[0].ID)
+	}
+}
+
+// TestReplayWaitsForQueueSlot: a crash with a full queue and every worker
+// busy leaves QueueSize + Workers jobs pending, more than the queue holds.
+// Replay waits for a slot instead of failing the overflow.
+func TestReplayWaitsForQueueSlot(t *testing.T) {
+	release := make(chan struct{})
+	mgr := NewManager(nil, ManagerConfig{
+		Workers:   2,
+		QueueSize: 64,
+		Eval: func(context.Context, JobSpec) (*Outcome, error) {
+			<-release
+			return &Outcome{Solutions: [][]float64{{0}}}, nil
+		},
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = mgr.Shutdown(ctx)
+	})
+	pending := make([]PendingJob, 64+2)
+	for i := range pending {
+		pending[i] = PendingJob{ID: fmt.Sprintf("job-old-%08d", i+1), Spec: JobSpec{MeshID: "m", Scheme: "per-point", P: 1, Blocks: 1}}
+	}
+	mgr.Replay(pending, func(JobSpec) error { return nil })
+	close(release)
+	for _, p := range pending {
+		job, ok := mgr.Job(p.ID)
+		if !ok {
+			t.Fatalf("job %s not replayed", p.ID)
+		}
+		select {
+		case <-job.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("replayed job %s did not finish", p.ID)
+		}
+		if st := job.Status(); st.State != StateDone {
+			t.Fatalf("replayed job %s: state %s err %q", p.ID, st.State, st.Error)
+		}
+	}
+	if n := mgr.faults.JobsReplayed.Load(); n != uint64(len(pending)) {
+		t.Errorf("jobs_replayed = %d, want %d", n, len(pending))
 	}
 }
 

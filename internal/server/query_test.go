@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"unstencil/internal/core"
 	"unstencil/internal/dg"
@@ -70,7 +71,7 @@ func TestQueryMatchesEvalAt(t *testing.T) {
 	id := uploadMesh(t, ts, m)
 
 	pts := [][2]float64{{0.3, 0.4}, {0.51, 0.52}, {0.12, 0.87}, {0.66, 0.31}}
-	out := query(t, ts, map[string]any{"mesh_id": id, "p": 1, "points": pts})
+	out := query(t, ts, map[string]any{"mesh_id": id, "scheme": "per-point", "p": 1, "points": pts})
 	if len(out.Values) != 1 || len(out.Values[0]) != len(pts) {
 		t.Fatalf("got %d value arrays for one field at %d points", len(out.Values), len(pts))
 	}
@@ -99,7 +100,7 @@ func TestQueryMatchesEvalAt(t *testing.T) {
 func TestQueryWarmEvaluator(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	id := uploadMesh(t, ts, mesh.Structured(4))
-	body := map[string]any{"mesh_id": id, "p": 1, "points": [][2]float64{{0.5, 0.5}}}
+	body := map[string]any{"mesh_id": id, "scheme": "per-point", "p": 1, "points": [][2]float64{{0.5, 0.5}}}
 	query(t, ts, body)
 	if out := query(t, ts, body); !slices.Contains(out.CacheHits, "evaluator") {
 		t.Errorf("second query's cache_hits %v miss the warm evaluator", out.CacheHits)
@@ -133,11 +134,8 @@ func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 	}
 	values := func(srv *Server) []float64 {
 		t.Helper()
-		req := &QueryRequest{MeshID: putMesh(t, srv, m), P: 1, Points: pts}
-		if err := req.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := srv.Query(context.Background(), req)
+		spec := JobSpec{MeshID: putMesh(t, srv, m), Scheme: "per-point", P: 1, Points: pts}
+		resp, err := srv.Query(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +175,9 @@ func TestQueryWorkersCappedAtEvalBudget(t *testing.T) {
 	}
 }
 
-// TestQueryValidation exercises the rejection paths.
+// TestQueryValidation exercises the rejection paths: 404 for a mesh the
+// server does not hold, the coordinator's cue to re-seed it, and 400 for
+// bad input, naming the offending key where the case gives one.
 func TestQueryValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	id := uploadMesh(t, ts, mesh.Structured(4))
@@ -193,19 +193,23 @@ func TestQueryValidation(t *testing.T) {
 		status     int
 		msg        string // a substring the error body must carry
 	}{
-		{"missing mesh", `{"p":1,"points":[[0.5,0.5]]}`, http.StatusBadRequest, ""},
-		{"unknown mesh", `{"mesh_id":"nope","p":1,"points":[[0.5,0.5]]}`, http.StatusNotFound, ""},
-		{"bad p", fmt.Sprintf(`{"mesh_id":%q,"p":9,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, ""},
-		{"no points", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[]}`, id), http.StatusBadRequest, ""},
-		{"bad field", fmt.Sprintf(`{"mesh_id":%q,"p":1,"field":"nope","points":[[0.5,0.5]]}`, id), http.StatusBadRequest, ""},
-		{"non-finite point", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[1e999,0.5]]}`, id), http.StatusBadRequest, ""},
-		{"one-sided point outside the domain", fmt.Sprintf(`{"mesh_id":%q,"p":1,"boundary":"one-sided","points":[[0.5,0.5],[5.3,0.4]]}`, id), http.StatusBadRequest, "points[1]"},
-		{"one-sided point far outside the domain", fmt.Sprintf(`{"mesh_id":%q,"p":1,"boundary":"one-sided","points":[[1e9,0.4]]}`, id), http.StatusBadRequest, "points[0]"},
-		{"one-sided point on the domain edge", fmt.Sprintf(`{"mesh_id":%q,"p":1,"boundary":"one-sided","points":[[1,0]]}`, id), http.StatusOK, ""},
-		{"periodic point outside the domain", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[5.3,0.4]]}`, id), http.StatusOK, ""},
-		{"unknown key", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[0.5,0.5]],"nope":1}`, id), http.StatusBadRequest, ""},
-		{"grid_degree", fmt.Sprintf(`{"mesh_id":%q,"p":1,"grid_degree":2,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, "grid_degree"},
-		{"too many points", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":%s}`, id, tooManyJSON), http.StatusBadRequest, ""},
+		{"missing mesh", `{"scheme":"per-point","p":1,"points":[[0.5,0.5]]}`, http.StatusBadRequest, ""},
+		{"unknown mesh", `{"mesh_id":"nope","scheme":"per-point","p":1,"points":[[0.5,0.5]]}`, http.StatusNotFound, ""},
+		{"bad p", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":9,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, ""},
+		{"no points", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"points":[]}`, id), http.StatusBadRequest, ""},
+		{"bad field", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"field":"nope","points":[[0.5,0.5]]}`, id), http.StatusBadRequest, ""},
+		{"non-finite point", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"points":[[1e999,0.5]]}`, id), http.StatusBadRequest, ""},
+		{"one-sided point outside the domain", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"boundary":"one-sided","points":[[0.5,0.5],[5.3,0.4]]}`, id), http.StatusBadRequest, "points[1]"},
+		{"one-sided point far outside the domain", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"boundary":"one-sided","points":[[1e9,0.4]]}`, id), http.StatusBadRequest, "points[0]"},
+		{"one-sided point on the domain edge", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"boundary":"one-sided","points":[[1,0]]}`, id), http.StatusOK, ""},
+		{"periodic point outside the domain", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"points":[[5.3,0.4]]}`, id), http.StatusOK, ""},
+		{"unknown key", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"points":[[0.5,0.5]],"nope":1}`, id), http.StatusBadRequest, ""},
+		{"grid_degree", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"grid_degree":2,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, "grid_degree"},
+		{"blocks", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"blocks":4,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, "blocks"},
+		{"per-element", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-element","p":1,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, "scheme"},
+		{"missing scheme", fmt.Sprintf(`{"mesh_id":%q,"p":1,"points":[[0.5,0.5]]}`, id), http.StatusBadRequest, "scheme"},
+		{"too many points", fmt.Sprintf(`{"mesh_id":%q,"scheme":"per-point","p":1,"points":%s}`, id, tooManyJSON), http.StatusBadRequest, ""},
+		{"allow_partial", fmt.Sprintf(`{"mesh_id":%q,"scheme":"operator","p":1,"allow_partial":true,"points":[[0.5,0.5]]}`, id), http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,7 +224,52 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-// TestQueryOperatorPath routes the same batch through use_operator: the
+// TestJobRefusesPoints: points are a query's, not a job's — jobs are
+// journaled one line each, and a full batch of points outgrows a line — so
+// /v1/jobs answers them with a 400 that names /v1/query.
+func TestJobRefusesPoints(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	id := uploadMesh(t, ts, mesh.Structured(4))
+	raw, _ := json.Marshal(JobSpec{MeshID: id, Scheme: "per-point", P: 1, Points: [][2]float64{{0.5, 0.5}}})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body errorBody
+	_ = json.NewDecoder(resp.Body).Decode(&body) // an empty body fails the check
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "/v1/query") {
+		t.Fatalf("job with points: status %d error %q, want a 400 naming /v1/query", resp.StatusCode, body.Error)
+	}
+}
+
+// TestQueryDeadline: a query runs under timeout_ms, capped at the server's
+// job timeout, and answers 504 once it expires — here while a cold
+// Structured(16) P2 evaluator and operator are still building.
+func TestQueryDeadline(t *testing.T) {
+	pts := make([][2]float64, 400)
+	for i := range pts {
+		pts[i] = [2]float64{(float64(i%20) + 0.5) / 20, (float64(i/20) + 0.5) / 20}
+	}
+	for _, tc := range []struct {
+		name      string
+		timeoutMS int
+		cfg       Config
+	}{
+		{"timeout_ms 1", 1, Config{Workers: 1}},
+		{"capped at the job timeout", 60000, Config{Workers: 1, JobTimeout: time.Millisecond}},
+	} {
+		_, ts := newTestServer(t, tc.cfg)
+		id := uploadMesh(t, ts, mesh.Structured(16))
+		raw, _ := json.Marshal(JobSpec{MeshID: id, Scheme: "operator", P: 2, TimeoutMS: tc.timeoutMS, Points: pts})
+		resp, data := postQuery(t, ts, string(raw))
+		if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(data), "deadline") {
+			t.Errorf("%s: status %d body %s, want a 504 naming the deadline", tc.name, resp.StatusCode, bytes.TrimSpace(data))
+		}
+	}
+}
+
+// TestQueryOperatorPath routes the same batch through the operator: the
 // first request assembles (no "operator" cache hit), the repeat hits the
 // cached operator, and both agree with the direct EvalBatch path bitwise.
 func TestQueryOperatorPath(t *testing.T) {
@@ -229,8 +278,8 @@ func TestQueryOperatorPath(t *testing.T) {
 	id := uploadMesh(t, ts, m)
 
 	pts := [][2]float64{{0.3, 0.4}, {0.51, 0.52}, {0.12, 0.87}, {0.66, 0.31}, {0.05, 0.93}}
-	want := query(t, ts, map[string]any{"mesh_id": id, "p": 2, "points": pts}).Values[0]
-	viaOp := map[string]any{"mesh_id": id, "p": 2, "points": pts, "use_operator": true}
+	want := query(t, ts, map[string]any{"mesh_id": id, "scheme": "per-point", "p": 2, "points": pts}).Values[0]
+	viaOp := map[string]any{"mesh_id": id, "scheme": "operator", "p": 2, "points": pts}
 
 	out := query(t, ts, viaOp)
 	if slices.Contains(out.CacheHits, "operator") {
@@ -260,9 +309,9 @@ func TestQueryOperatorPath(t *testing.T) {
 }
 
 // TestQueryResultShape: a query answers one values array per field, in
-// request order, on the direct and the use_operator path alike, with
+// request order, on the direct and the operator path alike, with
 // nothing but the QueryResult keys; each direct array equals its
-// use_operator array bitwise, and cache_hits reads in the job vocabulary,
+// operator array bitwise, and cache_hits reads in the job vocabulary,
 // through a restart onto the same store too.
 func TestQueryResultShape(t *testing.T) {
 	store := t.TempDir()
@@ -271,10 +320,10 @@ func TestQueryResultShape(t *testing.T) {
 	pts := [][2]float64{{0.21, 0.34}, {0.5, 0.5}, {0.73, 0.12}, {0.4, 0.81}}
 	names := []string{"sincos", "gauss", "poly"}
 	direct := func(ts *httptest.Server, field string) QueryResult {
-		return query(t, ts, QueryRequest{MeshID: id, P: 1, Field: field, Points: pts})
+		return query(t, ts, JobSpec{MeshID: id, Scheme: "per-point", P: 1, Field: field, Points: pts})
 	}
-	viaOp := QueryRequest{MeshID: id, P: 1, Points: pts, UseOperator: true}
-	batched := QueryRequest{MeshID: id, P: 1, Fields: names, Points: pts, UseOperator: true}
+	viaOp := JobSpec{MeshID: id, Scheme: "operator", P: 1, Points: pts}
+	batched := JobSpec{MeshID: id, Scheme: "operator", P: 1, Fields: names, Points: pts}
 
 	var got []QueryResult
 	for _, tc := range []struct {
@@ -284,9 +333,9 @@ func TestQueryResultShape(t *testing.T) {
 	}{
 		{"cold direct", func() QueryResult { return direct(ts, "sincos") }, nil},
 		{"repeat direct", func() QueryResult { return direct(ts, "sincos") }, []string{"evaluator"}},
-		{"first use_operator", func() QueryResult { return query(t, ts, viaOp) }, []string{"evaluator"}},
-		{"repeat use_operator", func() QueryResult { return query(t, ts, viaOp) }, []string{"evaluator", "operator"}},
-		{"three-field use_operator", func() QueryResult { return query(t, ts, batched) }, []string{"evaluator", "operator"}},
+		{"first operator", func() QueryResult { return query(t, ts, viaOp) }, []string{"evaluator"}},
+		{"repeat operator", func() QueryResult { return query(t, ts, viaOp) }, []string{"evaluator", "operator"}},
+		{"three-field operator", func() QueryResult { return query(t, ts, batched) }, []string{"evaluator", "operator"}},
 	} {
 		out := tc.run()
 		if !slices.Equal(out.CacheHits, tc.hits) {
@@ -313,12 +362,12 @@ func TestQueryResultShape(t *testing.T) {
 			t.Fatalf("one-field query answered %d value arrays", len(out.Values))
 		}
 	}
-	same("direct vs use_operator", got[0].Values[0], got[2].Values[0])
+	same("direct vs operator", got[0].Values[0], got[2].Values[0])
 	if len(got[4].Values) != len(names) {
 		t.Fatalf("three-field query answered %d value arrays", len(got[4].Values))
 	}
 	for i, name := range names {
-		same(name+": direct vs batched use_operator", direct(ts, name).Values[0], got[4].Values[i])
+		same(name+": direct vs batched operator", direct(ts, name).Values[0], got[4].Values[i])
 	}
 
 	// A fresh server over the same store serves the batch's operator from
@@ -326,7 +375,7 @@ func TestQueryResultShape(t *testing.T) {
 	_, restarted := newTestServer(t, Config{Workers: 1, StoreDir: store})
 	out := query(t, restarted, viaOp)
 	if !slices.Contains(out.CacheHits, "operator-disk") {
-		t.Errorf("use_operator query after a restart: cache_hits %v, want operator-disk", out.CacheHits)
+		t.Errorf("operator query after a restart: cache_hits %v, want operator-disk", out.CacheHits)
 	}
-	same("restarted use_operator", out.Values[0], got[2].Values[0])
+	same("restarted operator", out.Values[0], got[2].Values[0])
 }

@@ -190,14 +190,15 @@ func TestArtifactBuildPanicFailsJob(t *testing.T) {
 
 // TestArtifactBuildPanicDoesNotWedgeCache: a build that panicked leaves no
 // in-flight entry behind, so a second query on the same key rebuilds (and
-// panics again) instead of waiting forever on the first. The queries are
-// served in-process under a 5 s timeout: a wedged one must fail the test,
-// not hang it in the test server's Close.
+// panics again) instead of waiting forever on the first. Each panic answers
+// the JSON 500 envelope and is counted once. The queries are served
+// in-process under a 5 s timeout: a wedged one must fail the test, not
+// hang it in the test server's Close.
 func TestArtifactBuildPanicDoesNotWedgeCache(t *testing.T) {
 	withBoomField(t)
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	meshID := uploadMesh(t, ts, mesh.Structured(4))
-	body, _ := json.Marshal(QueryRequest{MeshID: meshID, P: 1, Field: "boom", Points: [][2]float64{{0.5, 0.5}}})
+	body, _ := json.Marshal(JobSpec{MeshID: meshID, Scheme: "per-point", P: 1, Field: "boom", Points: [][2]float64{{0.5, 0.5}}})
 	for i := 1; i <= 2; i++ {
 		rec := httptest.NewRecorder()
 		done := make(chan struct{})
@@ -212,6 +213,13 @@ func TestArtifactBuildPanicDoesNotWedgeCache(t *testing.T) {
 		}
 		if rec.Code != http.StatusInternalServerError {
 			t.Fatalf("query %d: status %d, want 500", i, rec.Code)
+		}
+		var envelope errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || !strings.Contains(envelope.Error, "internal error") {
+			t.Errorf("query %d: 500 body %s is not the JSON internal-error envelope (%v)", i, rec.Body, err)
+		}
+		if n := srv.Faults().PanicsRecovered.Load(); n != uint64(i) {
+			t.Errorf("after query %d: panics_recovered = %d, want %d", i, n, i)
 		}
 	}
 }

@@ -12,7 +12,10 @@
 //	POST   /v1/meshes          upload + decode a mesh once; returns its
 //	                           content-hash id
 //	GET    /v1/meshes/{id}     stats of a resident mesh
-//	POST   /v1/jobs            submit a post-processing job (JobSpec)
+//	POST   /v1/query           evaluate a JobSpec on its points, synchronously;
+//	                           {"values": one array per field}
+//	POST   /v1/jobs            submit a post-processing job (JobSpec
+//	                           without points)
 //	GET    /v1/jobs            list retained jobs
 //	GET    /v1/jobs/{id}       job status + exact counters
 //	GET    /v1/jobs/{id}/result  {"solutions": one array per field}
@@ -241,7 +244,7 @@ func MeshStats(id string, m *mesh.Mesh) map[string]any {
 
 // Submit implements Backend: a valid spec on a resident mesh is queued.
 func (s *Server) Submit(_ context.Context, spec JobSpec) (JobStatus, error) {
-	if err := spec.Validate(s.cfg.DefaultBlocks); err != nil {
+	if err := spec.Validate(s.cfg.DefaultBlocks, false); err != nil {
 		return JobStatus{}, Errorf(http.StatusBadRequest, "bad job spec: %v", err)
 	}
 	if _, ok := s.arts.Mesh(spec.MeshID); !ok {

@@ -156,8 +156,8 @@ func TestMultiFieldQuery(t *testing.T) {
 	single := make(map[string][]float64)
 	for _, f := range names {
 		var resp QueryResult
-		code := postJSON(t, ts.URL+"/v1/query", QueryRequest{
-			MeshID: id, P: 2, Field: f, Points: pts, UseOperator: true,
+		code := postJSON(t, ts.URL+"/v1/query", JobSpec{
+			MeshID: id, Scheme: "operator", P: 2, Field: f, Points: pts,
 		}, &resp)
 		if code != http.StatusOK || len(resp.Values) != 1 {
 			t.Fatalf("single-field query %s: status %d, %d value arrays", f, code, len(resp.Values))
@@ -166,8 +166,8 @@ func TestMultiFieldQuery(t *testing.T) {
 	}
 
 	var resp QueryResult
-	code := postJSON(t, ts.URL+"/v1/query", QueryRequest{
-		MeshID: id, P: 2, Fields: names, Points: pts, UseOperator: true,
+	code := postJSON(t, ts.URL+"/v1/query", JobSpec{
+		MeshID: id, Scheme: "operator", P: 2, Fields: names, Points: pts,
 	}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("multi-field query: status %d", code)
@@ -186,11 +186,11 @@ func TestMultiFieldQuery(t *testing.T) {
 		}
 	}
 
-	// fields without use_operator is a client error.
-	if code := postJSON(t, ts.URL+"/v1/query", QueryRequest{
-		MeshID: id, P: 2, Fields: names, Points: pts,
+	// fields off the operator scheme is a client error.
+	if code := postJSON(t, ts.URL+"/v1/query", JobSpec{
+		MeshID: id, Scheme: "per-point", P: 2, Fields: names, Points: pts,
 	}, nil); code != http.StatusBadRequest {
-		t.Errorf("fields without use_operator accepted with status %d", code)
+		t.Errorf("fields on the per-point scheme accepted with status %d", code)
 	}
 
 	if srv.Artifacts().Ops().BlockApplies.Load() == 0 {
